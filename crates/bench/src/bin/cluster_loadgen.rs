@@ -15,9 +15,9 @@
 //! * **Replication catch-up** — after the last epoch the follower must
 //!   reach the primary's committed epoch (final lag zero).
 //!
-//! Either failure exits non-zero. A row with per-node throughput and
-//! replication-lag columns is appended to
-//! `results/cluster_throughput.csv`.
+//! Either failure exits non-zero. The run prints one row of per-node
+//! throughput and replication-lag columns; the measured series lives in
+//! `benchmarks/results/BENCH_<n>.json`.
 
 #![forbid(unsafe_code)]
 
@@ -239,7 +239,6 @@ fn main() {
         frep.final_lag.to_string(),
     ]);
     t.print();
-    t.append_csv("cluster_throughput");
 
     for (n, s) in stats.iter().enumerate() {
         println!(

@@ -22,9 +22,8 @@
 //! zero-loss equality, so a single dropped update anywhere across the
 //! N connections fails the run.
 //!
-//! Either failure exits non-zero. A `scale,…` row is appended (not
-//! rewritten) to `results/serve_throughput.csv`, so successive runs form
-//! a series.
+//! Either failure exits non-zero. The run prints one `scale,…` row; the
+//! measured series lives in `benchmarks/results/BENCH_<n>.json`.
 
 #![forbid(unsafe_code)]
 
@@ -450,7 +449,6 @@ fn main() {
         stats.wal_replayed_records.to_string(),
     ]);
     t.print();
-    t.append_csv("serve_throughput");
     if durable {
         let _ = std::fs::remove_dir_all(&data_dir);
     }

@@ -16,8 +16,8 @@
 //!   subscriber's reconstructed state must equal the server's own
 //!   `SNAPSHOT` of that epoch, value for value.
 //!
-//! Either failure exits non-zero. A `scale,…` row is appended to
-//! `results/subscribe_loadgen.csv`, so successive runs form a series.
+//! Either failure exits non-zero. The run prints one `scale,…` row; the
+//! measured series lives in `benchmarks/results/BENCH_<n>.json`.
 
 #![forbid(unsafe_code)]
 
@@ -245,7 +245,6 @@ fn main() {
         wire.retained_bytes.to_string(),
     ]);
     t.print();
-    t.append_csv("subscribe_loadgen");
 
     println!(
         "{delivered} deltas delivered, {lags} lag re-syncs, {} pushed server-side, \

@@ -14,9 +14,9 @@
 //!   that checkpoint and replays (almost) nothing; timing it shows the
 //!   checkpoint's effect, and the checkpoint file size is measured.
 //!
-//! One row per run is appended to `results/wal_recovery.csv` (the
-//! longitudinal-series format the loadgen also uses). The run doubles as
-//! a correctness gate: a recovered sum mismatch exits non-zero.
+//! The run prints one row and doubles as a correctness gate: a
+//! recovered sum mismatch exits non-zero. The measured series lives in
+//! `benchmarks/results/BENCH_<n>.json`.
 
 #![forbid(unsafe_code)]
 
@@ -179,7 +179,6 @@ fn main() {
         format!("{ckpt_recovery_ms:.1}"),
     ]);
     t.print();
-    t.append_csv("wal_recovery");
     let _ = std::fs::remove_dir_all(&dir);
 
     // Correctness gates: both recoveries must reproduce the exact sums.

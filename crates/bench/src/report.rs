@@ -88,59 +88,6 @@ impl Table {
         println!("[csv] {}", path.display());
         path
     }
-
-    /// Appends the table's rows to `results/<name>.csv`, writing the
-    /// header only when the file does not exist yet — for longitudinal
-    /// series (e.g. one loadgen row per run) rather than regenerated
-    /// figures.
-    ///
-    /// The updated series is staged in `<name>.csv.tmp` and atomically
-    /// renamed into place, so a crash mid-append can never leave a torn
-    /// row in the series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an existing file's header does not match this table's
-    /// columns: silently mixing schemas would corrupt the series.
-    pub fn append_csv(&self, name: &str) -> PathBuf {
-        let path = self.append_csv_at(&results_dir(), name);
-        println!("[csv+] {}", path.display());
-        path
-    }
-
-    /// [`append_csv`](Self::append_csv) against an explicit directory
-    /// (the testable worker; no stdout note).
-    pub fn append_csv_at(&self, dir: &Path, name: &str) -> PathBuf {
-        let path = dir.join(format!("{name}.csv"));
-        let header = self.headers.join(",");
-        let existing = fs::read_to_string(&path).ok();
-        if let Some(first) = existing.as_deref().and_then(|t| t.lines().next()) {
-            assert_eq!(
-                first,
-                header,
-                "refusing to append: {} has a different column set",
-                path.display()
-            );
-        }
-        let tmp = dir.join(format!("{name}.csv.tmp"));
-        let mut f = fs::File::create(&tmp).expect("create csv temp file");
-        match existing.as_deref() {
-            None => writeln!(f, "{header}").expect("write csv header"),
-            Some(text) => {
-                f.write_all(text.as_bytes()).expect("copy csv series");
-                if !text.ends_with('\n') {
-                    writeln!(f).expect("terminate csv series");
-                }
-            }
-        }
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(",")).expect("write csv");
-        }
-        f.sync_all().expect("sync csv temp file");
-        drop(f);
-        fs::rename(&tmp, &path).expect("publish csv");
-        path
-    }
 }
 
 /// The `results/` directory (created on demand).
@@ -205,32 +152,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn append_csv_is_atomic_and_accumulates_rows() {
-        let dir = std::env::temp_dir().join(format!("cobra-bench-csv-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create temp dir");
-
-        let mut t = Table::new("series", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let path = t.append_csv_at(&dir, "series");
-        t.append_csv_at(&dir, "series");
-        let text = fs::read_to_string(&path).expect("read csv");
-        assert_eq!(text, "a,b\n1,2\n1,2\n");
-        // The staging file must not survive the rename.
-        assert!(!dir.join("series.csv.tmp").exists());
-
-        // A schema change is refused instead of corrupting the series.
-        let mut other = Table::new("series", &["a", "c"]);
-        other.row(vec!["3".into(), "4".into()]);
-        let refused = std::panic::catch_unwind(|| other.append_csv_at(&dir, "series"));
-        assert!(refused.is_err(), "mismatched header must panic");
-        let after = fs::read_to_string(&path).expect("read csv");
-        assert_eq!(after, text, "refused append must leave the series intact");
-
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -162,11 +162,7 @@ pub fn r7_wire_exhaustiveness(ws: &Workspace) -> Vec<Finding> {
         })
     };
     let in_protocol = |r: &str| r.ends_with("serve/src/protocol.rs");
-    // The server side of the dispatch spans two files since the reactor
-    // split: request/response opcodes in server.rs, streaming opcodes
-    // (REPLICATE, SUBSCRIBE and their responses) in streamer.rs.
-    let in_server =
-        |r: &str| r.ends_with("serve/src/server.rs") || r.ends_with("serve/src/streamer.rs");
+    let in_server = |r: &str| r.ends_with("serve/src/server.rs");
     let in_client = |r: &str| r.ends_with("serve/src/client.rs");
     let any_file = |_: &str| true;
 
@@ -182,7 +178,7 @@ pub fn r7_wire_exhaustiveness(ws: &Workspace) -> Vec<Finding> {
                 mentions(&in_protocol, &|n, t| n == "decode" && !t, konst, &variant),
             ),
             (
-                "server dispatch in server.rs or streamer.rs",
+                "server dispatch in server.rs",
                 mentions(&in_server, &|_, t| !t, konst, &variant),
             ),
             (

@@ -38,9 +38,8 @@
 //!   `.write_all(`) in the event-loop crates (`serve/src`, `poll/src`).
 //!   The reactor's liveness rests on every syscall being non-blocking;
 //!   one reinstated blocking read stalls every connection on the loop.
-//!   The audited exceptions — the blocking `read_frame`/`write_frame`
-//!   used by the client and the escalated streamer threads, and the
-//!   streamer's deliberate flip back to blocking mode — live in the
+//!   The one audited exception — the blocking `read_frame` /
+//!   `write_frame` pair, which only the client calls — lives in the
 //!   allowlist.
 //!
 //! The runner walks the workspace **once**, reads each file once, and

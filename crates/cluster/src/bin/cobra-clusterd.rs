@@ -7,9 +7,6 @@
 //! cobra-clusterd --follow PRIMARY_ADDR --data-dir PATH [--interval-ms N]
 //! ```
 //!
-//! `--workers N` is accepted and ignored for script compatibility: the
-//! backend is now a single-threaded reactor, not a worker pool.
-//!
 //! `--node` runs one `cobra-serve` backend (a cluster member). It prints
 //! `ADDR <host:port>` once bound (plus `RECOVERED …` in durable mode) and
 //! drains gracefully on `q`/EOF from stdin — the same contract as
@@ -111,13 +108,6 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
                 node.keys = value(&mut i)?
                     .parse()
                     .map_err(|_| "--keys needs a number".to_string())?
-            }
-            "--workers" => {
-                // Legacy worker-pool knob: still parsed (scripts pass it)
-                // but the reactor has no pool to size.
-                let _: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--workers needs a number".to_string())?;
             }
             "--shards" => {
                 node.shards = value(&mut i)?

@@ -102,8 +102,6 @@ fn spawn_node(keys: u32, data_dir: Option<&PathBuf>) -> (Daemon, SocketAddr) {
         &keys,
         "--shards",
         "2",
-        "--workers",
-        "2",
     ];
     let dir_arg;
     if let Some(dir) = data_dir {
@@ -284,8 +282,6 @@ fn killed_primary_promoted_follower_loses_no_committed_epoch() {
         "--keys",
         &KEYS.to_string(),
         "--shards",
-        "2",
-        "--workers",
         "2",
         "--data-dir",
         &follower_dir.display().to_string(),

@@ -93,8 +93,8 @@ struct SubShared<A> {
     cv: Condvar,
 }
 
-/// A registered subscriber's consuming end (held by the connection's
-/// pusher thread server-side).
+/// A registered subscriber's consuming end (held by the subscribed
+/// connection's state server-side).
 pub struct Subscriber<A> {
     id: u64,
     shared: Arc<SubShared<A>>,
@@ -112,10 +112,11 @@ impl<A> Subscriber<A> {
         (self.shared.lo, self.shared.hi)
     }
 
-    /// Blocks up to `timeout` for the next message. Queued deltas drain
-    /// in epoch order first; a pending lag marker is delivered only once
-    /// the queue is empty; a closed subscription reports
-    /// [`SubMsg::Closed`] after its remaining messages.
+    /// Blocks up to `timeout` for the next message (a zero timeout polls
+    /// without sleeping). Queued deltas drain in epoch order first; a
+    /// pending lag marker is delivered only once the queue is empty; a
+    /// closed subscription reports [`SubMsg::Closed`] after its remaining
+    /// messages.
     pub fn next_msg(&self, timeout: Duration) -> SubMsg<A> {
         let mut q = self.shared.sub_q.lock().expect("mvcc sub_q lock poisoned");
         loop {
@@ -127,6 +128,12 @@ impl<A> Subscriber<A> {
             }
             if q.closed {
                 return SubMsg::Closed;
+            }
+            if timeout.is_zero() {
+                // A poll, not a wait: a zero-timeout condvar wait still
+                // sleeps for the kernel's timer slack (~50 us), which an
+                // event loop polling every round cannot afford.
+                return SubMsg::Idle;
             }
             let (guard, res) = self
                 .shared

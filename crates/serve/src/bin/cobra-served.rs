@@ -7,9 +7,6 @@
 //!              [--retain K] [--retain-secs T]
 //! ```
 //!
-//! `--workers N` is accepted and ignored for script compatibility: the
-//! server is now a single-threaded reactor, not a worker pool.
-//!
 //! `--retain K` keeps the last K published epochs for time-travel reads,
 //! diffs and subscriber re-sync (default 1 = latest only); `--retain-secs
 //! T` additionally evicts epochs older than T seconds.
@@ -88,13 +85,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.keys = value(&mut i)?
                     .parse()
                     .map_err(|_| "--keys needs a number".to_string())?
-            }
-            "--workers" => {
-                // Legacy worker-pool knob: still parsed (scripts pass it)
-                // but the reactor has no pool to size.
-                let _: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--workers needs a number".to_string())?;
             }
             "--shards" => {
                 opts.shards = value(&mut i)?

@@ -5,7 +5,7 @@
 //!
 //! * [`protocol`] — a length-prefixed binary wire protocol (`UPDATE`,
 //!   `SEAL`, `QUERY`, `SNAPSHOT`, `STATS`) with total decoders: no byte
-//!   sequence a client can send will panic a worker.
+//!   sequence a client can send will panic the server.
 //! * [`Server`] — a single-threaded epoll/kqueue reactor (via
 //!   [`cobra_poll`]) driving non-blocking sockets: per-connection state
 //!   machines feed an incremental frame decoder, many requests may be in
@@ -15,8 +15,10 @@
 //!   is never hidden: a full shard FIFO becomes an explicit
 //!   `BUSY { accepted }` response (tuple-level admission control), and
 //!   the connection cap refuses the connection (connection-level).
-//!   Streaming requests (`REPLICATE`, `SUBSCRIBE`) escalate off the
-//!   reactor onto dedicated blocking streamer threads.
+//!   Streaming requests (`REPLICATE`, `SUBSCRIBE`) are connection
+//!   states of the same reactor: each round stages what fits under the
+//!   outbox high-water mark, and a publish wakes the loop through a
+//!   self-wake socket. The server runs exactly one thread of its own.
 //! * [`S3FifoCache`] — the read path. `QUERY` is answered from cached
 //!   `(epoch, block)` slices of published epoch snapshots, evicted with
 //!   the S3-FIFO policy (small/main/ghost queues), so skewed query
@@ -69,7 +71,6 @@ pub mod cache;
 pub mod client;
 pub mod protocol;
 pub mod server;
-mod streamer;
 
 pub use cache::{CacheStats, S3FifoCache};
 pub use client::{ClientError, ServeClient, SubEvent, Subscription, UpdateOutcome};

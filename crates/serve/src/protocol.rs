@@ -1100,16 +1100,6 @@ impl FrameBuf {
         self.pending() > 0
     }
 
-    /// Hands back the undecoded remainder, emptying the buffer. Used
-    /// when a connection escalates to a dedicated streamer thread: the
-    /// leftover bytes re-enter ahead of anything still in the socket.
-    pub fn take_rest(&mut self) -> Vec<u8> {
-        let rest = self.buf[self.start..].to_vec();
-        self.buf.clear();
-        self.start = 0;
-        rest
-    }
-
     /// Decodes the next complete frame, if one is fully buffered.
     ///
     /// `Ok(None)` means "need more bytes"; errors mean the stream can no
@@ -1469,7 +1459,7 @@ mod tests {
     }
 
     #[test]
-    fn framebuf_partial_tracking_and_escalation_handoff() {
+    fn framebuf_tracks_a_partial_frame() {
         let mut wire = Vec::new();
         encode(&Frame::Seal, &mut wire);
         let mut trailer = Vec::new();
@@ -1482,12 +1472,14 @@ mod tests {
         // Only a partial frame remains: that is what the idle budget keys on.
         assert!(matches!(fb.next_frame(MAX_FRAME), Ok(None)));
         assert!(fb.has_partial());
-        // Escalation takes the raw remainder so a streamer thread can
-        // splice it ahead of the socket.
-        let rest = fb.take_rest();
-        assert_eq!(rest, &trailer[..3]);
+        assert_eq!(fb.pending(), 3);
+        // The rest of the frame completes it, wherever the split fell.
+        fb.extend(&trailer[3..]);
+        assert!(matches!(
+            fb.next_frame(MAX_FRAME),
+            Ok(Some(Frame::Query { key: 1 }))
+        ));
         assert!(!fb.has_partial());
-        assert_eq!(fb.pending(), 0);
     }
 
     #[test]

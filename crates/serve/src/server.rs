@@ -1,21 +1,21 @@
-//! The TCP server: one reactor thread driving every request connection
-//! over a [`cobra_poll::Poller`] (epoll on Linux, kqueue on the BSDs).
+//! The TCP server: one reactor thread driving every connection over a
+//! [`cobra_poll::Poller`] (epoll on Linux, kqueue on the BSDs).
 //!
 //! ```text
 //!   clients ──TCP──▶ reactor (nonblocking sockets, level-triggered)
 //!                      │ per round:
+//!                      │   0. drain the wake socket (publish / shutdown)
 //!                      │   1. unpark WAIT_EPOCH waiters
 //!                      │   2. accept (refuse past max_conns)
 //!                      │   3. read readiness batch → FrameBuf → dispatch
 //!                      │        UPDATE: IngestHandle::try_send (full FIFO → BUSY)
 //!                      │        QUERY:  S3-FIFO snapshot cache
-//!                      │   4. settle: one try_flush for the whole round
-//!                      │   5. flush outboxes (WouldBlock → write interest)
-//!                      │
-//!                      ├──▶ streamer threads (REPLICATE / SUBSCRIBE escalate
-//!                      │    to a dedicated blocking thread, crate::streamer)
+//!                      │   4. stream: SUBSCRIBE queues → DELTA frames,
+//!                      │        REPLICATE → one SEGMENT chunk
+//!                      │   5. settle: one try_flush for the whole round
+//!                      │   6. flush outboxes (WouldBlock → write interest)
 //!                      ▼
-//!                IngestPipeline ──▶ EpochSnapshot
+//!                IngestPipeline ──▶ EpochSnapshot ──publish hook──▶ wake
 //! ```
 //!
 //! This is propagation blocking applied at the network ingress: instead
@@ -50,13 +50,25 @@
 //!   ever stalling the other connections. Idling *between* frames is
 //!   unlimited, as before.
 //!
-//! `WAIT_EPOCH` never blocks the reactor: the connection parks (read
-//! interest dropped) and is answered at the top of the round that first
-//! sees the epoch committed. `REPLICATE` and `SUBSCRIBE` answer with a
-//! *stream* of frames, so those connections escalate out of the reactor
-//! entirely: the socket flips back to blocking mode and a dedicated
-//! streamer thread ([`crate::streamer`]) serves the connection for the
-//! rest of its life.
+//! Requests that cannot be answered in one frame never block the reactor
+//! and never leave it; they are connection states ([`Mode`]):
+//!
+//! * `WAIT_EPOCH` parks the connection (read interest dropped) until the
+//!   top of the round that first sees the epoch committed.
+//! * `SUBSCRIBE` registers with the [`DeltaHub`]; each round stages what
+//!   the subscriber's bounded hub queue holds as `DELTA`/`LAGGED` frames
+//!   while the outbox sits below the high-water mark. A peer that stops
+//!   reading therefore backs up into the hub queue, whose lossless
+//!   `LAGGED` protocol is the flow control, and is cut at the idle
+//!   budget like any other unread backlog.
+//! * `REPLICATE` captures the commit log, then stages one
+//!   [`REPL_CHUNK`] `SEGMENT` per round under the same high-water rule.
+//!   Frames pipelined behind it wait, as behind `WAIT_EPOCH`.
+//!
+//! The reactor sleeps in `Poller::wait`; a publish with subscribers
+//! (deltas ready) or a shutdown writes one byte to a self-wake socket
+//! pair registered under a reserved token, so neither waits out the poll
+//! tick.
 //!
 //! The read path never touches the pipeline's accumulators: QUERY is
 //! served from `(epoch, block)` slices of published [`EpochSnapshot`]s,
@@ -71,20 +83,26 @@
 
 use crate::cache::S3FifoCache;
 use crate::protocol::{
-    self, ErrorCode, Frame, FrameBuf, WireError, WireStats, MAX_FRAME, MAX_SNAPSHOT_KEYS,
+    self, ErrorCode, Frame, FrameBuf, WireError, WireStats, MAX_DELTA_ENTRIES, MAX_FRAME,
+    MAX_SNAPSHOT_KEYS, REPL_CHUNK,
 };
-use cobra_mvcc::{diff_range, feed_publish_hook, DeltaHub, EpochStore, RetentionConfig};
+use cobra_mvcc::{
+    diff_range, feed_publish_hook, DeltaHub, EpochStore, RetentionConfig, SubDelta, SubMsg,
+    Subscriber,
+};
 use cobra_poll::{Event, Interest, Poller};
 use cobra_stream::{
-    DurableConfig, EpochSnapshot, IngestHandle, IngestPipeline, RecoveryReport, Reducer,
-    StreamConfig, TryIngestError,
+    commit_dir, shard_dir, DurableConfig, EpochSnapshot, IngestHandle, IngestPipeline, PublishHook,
+    RecoveryReport, Reducer, StreamConfig, TryIngestError,
 };
-use std::collections::HashMap;
+use cobra_wal::ShipFile;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -126,8 +144,7 @@ pub struct ServeConfig {
     /// Address to bind (use port 0 for an ephemeral port).
     pub addr: String,
     /// Connections the reactor serves concurrently before refusing new
-    /// ones (escalated streaming connections are not counted — they have
-    /// left the reactor).
+    /// ones (subscribed and replicating connections count like any other).
     pub max_conns: usize,
     /// Per-frame length ceiling (both directions).
     pub max_frame: usize,
@@ -135,8 +152,9 @@ pub struct ServeConfig {
     pub cache_blocks: usize,
     /// Keys per cached snapshot block.
     pub cache_block_keys: u32,
-    /// Reactor poll granularity; also the streamer threads' socket read
-    /// timeout (how fast an idle thread notices the shutdown flag).
+    /// Reactor poll granularity: how often an otherwise idle reactor
+    /// sweeps the idle budgets. Publishes and shutdown do not wait for
+    /// it — they wake the reactor directly.
     pub read_timeout: Duration,
     /// Once a frame has started arriving, the connection must complete a
     /// frame within this budget or it is disconnected (slow-loris
@@ -207,7 +225,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the reactor poll granularity (shutdown-poll granularity).
+    /// Sets the reactor poll granularity (idle-budget sweep tick).
     pub fn read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
         self
@@ -253,43 +271,46 @@ impl ServeConfig {
 /// Live server counters (the serve-layer complement of the pipeline's
 /// [`StreamStats`](cobra_stream::StreamStats)).
 #[derive(Debug, Default)]
-pub(crate) struct ServeCounters {
-    pub(crate) connections: AtomicU64,
-    pub(crate) refused_conns: AtomicU64,
-    pub(crate) frames: AtomicU64,
-    pub(crate) queries: AtomicU64,
-    pub(crate) busy_tuples: AtomicU64,
-    pub(crate) repl_rounds: AtomicU64,
-    pub(crate) repl_bytes_shipped: AtomicU64,
-    pub(crate) repl_acked_epoch: AtomicU64,
+struct ServeCounters {
+    connections: AtomicU64,
+    refused_conns: AtomicU64,
+    frames: AtomicU64,
+    queries: AtomicU64,
+    busy_tuples: AtomicU64,
+    repl_rounds: AtomicU64,
+    repl_bytes_shipped: AtomicU64,
+    repl_acked_epoch: AtomicU64,
 }
 
-/// Everything the reactor and the streamer threads share, by reference.
-pub(crate) struct Ctx {
-    pub(crate) pipeline: IngestPipeline<SumU64>,
-    pub(crate) cache: S3FifoCache<(u64, u32), Arc<Vec<u64>>>,
-    pub(crate) counters: ServeCounters,
-    pub(crate) stop: AtomicBool,
-    pub(crate) num_keys: u32,
-    pub(crate) block_keys: u32,
-    pub(crate) max_frame: usize,
-    pub(crate) read_timeout: Duration,
+/// Everything the reactor thread and the [`Server`] handle share.
+struct Ctx {
+    pipeline: IngestPipeline<SumU64>,
+    cache: S3FifoCache<(u64, u32), Arc<Vec<u64>>>,
+    counters: ServeCounters,
+    stop: AtomicBool,
+    num_keys: u32,
+    block_keys: u32,
+    max_frame: usize,
+    read_timeout: Duration,
     /// The durable data directory (None = in-memory server; replication
     /// requests are refused with `NotDurable`).
-    pub(crate) data_dir: Option<PathBuf>,
+    data_dir: Option<PathBuf>,
     /// The MVCC retention window (fed by the pipeline's publish hook).
-    pub(crate) store: Arc<EpochStore<u64>>,
+    store: Arc<EpochStore<u64>>,
     /// Push-subscription fan-out (fed by the same hook).
-    pub(crate) hub: Arc<DeltaHub<u64>>,
+    hub: Arc<DeltaHub<u64>>,
     /// Queue depth handed to each new subscriber.
-    pub(crate) sub_queue_epochs: usize,
-    /// Streamer threads spawned by connection escalation; joined on
-    /// shutdown after the reactor.
-    pub(crate) streamers: Mutex<Vec<JoinHandle<()>>>,
+    sub_queue_epochs: usize,
+    /// The reactor's self-wake pair: a publish or a shutdown writes a
+    /// byte to `wake_tx`, the poll reports `wake_rx` under [`WAKE_TOKEN`].
+    /// Both ends live here so they outlast the pipeline's final publish
+    /// (a wake after the reactor has left must not hit a closed socket).
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
 }
 
 impl Ctx {
-    pub(crate) fn wire_stats(&self) -> WireStats {
+    fn wire_stats(&self) -> WireStats {
         let s = self.pipeline.stats();
         let c = self.cache.stats();
         // ordering: Relaxed throughout — point-in-time statistics reads;
@@ -328,11 +349,10 @@ impl Ctx {
         }
     }
 
-    pub(crate) fn stopping(&self) -> bool {
+    fn stopping(&self) -> bool {
         // ordering: Relaxed — audited: the flag is a pure boolean signal
-        // with no associated payload; the reactor and streamers re-check
-        // it every poll timeout, so propagation delay only adds (bounded)
-        // latency.
+        // with no associated payload; the reactor re-checks it every
+        // round, so propagation delay only adds (bounded) latency.
         self.stop.load(Ordering::Relaxed)
     }
 }
@@ -382,6 +402,12 @@ impl Server {
         poller
             .register(&listener, LISTENER_TOKEN, Interest::READ)
             .map_err(io::Error::from)?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        poller
+            .register(&wake_rx, WAKE_TOKEN, Interest::READ)
+            .map_err(io::Error::from)?;
         let data_dir = cfg.durable.as_ref().map(|d| d.dir.clone());
         // The MVCC pair behind QUERY_AT/DIFF/SUBSCRIBE: every published
         // snapshot is admitted into the retention window and its delta
@@ -392,7 +418,21 @@ impl Server {
         }
         let store = Arc::new(EpochStore::new(retention));
         let hub: Arc<DeltaHub<u64>> = Arc::new(DeltaHub::new());
-        let hook = feed_publish_hook(Arc::clone(&store), Arc::clone(&hub));
+        let mut feed = feed_publish_hook(Arc::clone(&store), Arc::clone(&hub));
+        let hook_hub = Arc::clone(&hub);
+        let hook_wake = wake_tx.try_clone()?;
+        // Fan out FIRST, wake SECOND: the reactor drains the wake socket
+        // before it pumps subscriber queues, so a delta enqueued before
+        // the byte is never left waiting for the next poll tick. With no
+        // subscriber there is no queue to pump and no wake: a subscriber
+        // that received this epoch was registered throughout the fan-out,
+        // so it is still counted here unless it has already gone.
+        let hook: PublishHook<u64> = Box::new(move |snap| {
+            feed(snap);
+            if hook_hub.active_subscribers() > 0 {
+                wake(&hook_wake);
+            }
+        });
         // Durable mode recovers committed state from the data dir before
         // serving; the first published snapshot is the recovered one.
         let (pipeline, recovery) = match cfg.durable {
@@ -428,7 +468,8 @@ impl Server {
             store,
             hub,
             sub_queue_epochs: cfg.sub_queue_epochs,
-            streamers: Mutex::new(Vec::new()),
+            wake_tx,
+            wake_rx,
         });
 
         let reactor = {
@@ -468,47 +509,33 @@ impl Server {
 
     /// Graceful drain: stops accepting, seals a final epoch so in-flight
     /// updates become queryable state, lets the reactor settle and flush
-    /// its last round and the streamer threads finish, then drains the
-    /// pipeline. Returns the final snapshot (containing every accepted
-    /// update) and the final statistics.
+    /// its last round, then drains the pipeline. Returns the final
+    /// snapshot (containing every accepted update) and the final
+    /// statistics.
     ///
     /// # Panics
     ///
-    /// Panics if a server thread panicked.
+    /// Panics if the reactor thread panicked.
     pub fn shutdown(mut self) -> (Arc<EpochSnapshot<u64>>, WireStats) {
         // ordering: Relaxed — audited: pure stop signal (see
-        // Ctx::stopping); the reactor polls at read-timeout granularity
-        // and additionally gets a wake-up connection below.
+        // Ctx::stopping); the reactor checks it every round and is woken
+        // for one below.
         self.ctx.stop.store(true, Ordering::Relaxed);
-        // Wake every push loop: subscribers get a clean close instead of
-        // waiting out their poll timeout.
+        // Close every subscriber queue: the reactor's last round stages
+        // what is still queued and ends those connections cleanly.
         self.ctx.hub.close_all();
         // Seal the final epoch while sockets are still draining: sealed
         // work becomes queryable, and whatever trickles in afterwards is
         // captured by the pipeline drain below.
         self.ctx.pipeline.seal_epoch();
-        // Give the reactor's poll an event to wake on right now.
-        let _ = TcpStream::connect(self.local_addr);
+        wake(&self.ctx.wake_tx);
         if let Some(reactor) = self.reactor.take() {
             reactor.join().expect("serve reactor panicked");
-        }
-        // Only the reactor spawns streamers, so after its join the
-        // registry is final.
-        let streamers: Vec<JoinHandle<()>> = {
-            let mut guard = self
-                .ctx
-                .streamers
-                .lock()
-                .expect("streamer registry poisoned");
-            guard.drain(..).collect()
-        };
-        for streamer in streamers {
-            streamer.join().expect("serve streamer panicked");
         }
         let stats = self.ctx.wire_stats();
         let ctx = Arc::try_unwrap(self.ctx)
             .ok()
-            .expect("server threads joined, ctx uniquely owned");
+            .expect("reactor joined, ctx uniquely owned");
         let (snapshot, _) = ctx.pipeline.shutdown();
         (snapshot, stats)
     }
@@ -516,6 +543,32 @@ impl Server {
 
 /// The listener's poll token; connections get 0, 1, 2, …
 const LISTENER_TOKEN: u64 = u64::MAX;
+/// The self-wake socket's poll token.
+const WAKE_TOKEN: u64 = u64::MAX - 1;
+
+/// Wakes the reactor out of `Poller::wait`. Non-blocking: a full socket
+/// buffer already means a wake is pending, and any other failure only
+/// costs one poll tick, so the result is ignored.
+fn wake(mut wake_tx: &UnixStream) {
+    let _ = wake_tx.write(&[1]);
+}
+
+/// Empties the wake socket (level-triggered: an undrained byte would
+/// spin the poll). Runs at the top of the round, before any subscriber
+/// queue is pumped — a publish landing after this leaves its byte for
+/// the next round.
+fn drain_wake(mut wake_rx: &UnixStream) {
+    let mut buf = [0u8; 64];
+    loop {
+        match wake_rx.read(&mut buf) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return, // WouldBlock: drained
+        }
+    }
+}
+
 /// Per-`read` scratch size.
 const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection per-round read ceiling: one firehose connection may
@@ -540,12 +593,205 @@ enum Mode {
     /// Parked on `WAIT_EPOCH`: answered at the top of the round that
     /// first sees `epoch` committed; read interest is dropped meanwhile.
     Parked { epoch: u64 },
+    /// Subscribed: each round stages the hub queue's deltas; the only
+    /// valid incoming frame is `UNSUBSCRIBE`.
+    Subscribed(Push),
+    /// Mid-`REPLICATE`: each round stages one segment chunk; frames
+    /// pipelined behind the request wait until `ReplDone` is staged.
+    Replicating(Box<ReplRound>),
     /// A goodbye (usually an `Error` frame) is in the outbox; close once
     /// it has flushed.
     Draining,
-    /// A `REPLICATE`/`SUBSCRIBE` arrived: hand the socket to a dedicated
-    /// streamer thread in the flush phase (after the round's settle).
-    Escalating(Box<Frame>),
+}
+
+/// A live push subscription. Dropping it unregisters from the hub, so no
+/// way of losing the connection (EOF, reset, idle budget, protocol
+/// violation, shutdown) can leak the registration.
+struct Push {
+    sub: Subscriber<u64>,
+    hub: Arc<DeltaHub<u64>>,
+    /// The epoch the next delta builds on.
+    prev: u64,
+    /// A delta part-way through chunking: the next entry to ship.
+    cursor: Option<(SubDelta<u64>, usize)>,
+    /// `UNSUBSCRIBE` arrived: the hub queue is closed; once its remainder
+    /// is staged the connection returns to request mode.
+    unsubscribing: bool,
+}
+
+impl Drop for Push {
+    fn drop(&mut self) {
+        self.hub.unsubscribe(self.sub.id());
+    }
+}
+
+impl Push {
+    /// Stages queued pushes — per-epoch `Delta` frames chunked at
+    /// [`MAX_DELTA_ENTRIES`], `Lagged` on overflow — until the queue is
+    /// empty or the outbox backlog reaches the high-water mark, one frame
+    /// at a time. An epoch with no changes in range still ships an empty
+    /// `Delta`: delivery is gap-free per epoch, which is what lets the
+    /// client assert `to_epoch == last + 1` and trust pure delta replay.
+    /// Returns true once the (closed) queue is exhausted.
+    fn stage_queued(&mut self, outbox: &mut Vec<u8>, sent: usize, scratch: &mut Vec<u8>) -> bool {
+        while outbox.len() - sent < OUTBOX_HIGH_WATER {
+            let (delta, at) = match self.cursor.take() {
+                Some(cursor) => cursor,
+                None => match self.sub.next_msg(Duration::ZERO) {
+                    // A publish racing the registration can enqueue an
+                    // epoch the baseline snapshot already covers; skip it.
+                    SubMsg::Delta(delta) if delta.epoch() <= self.prev => continue,
+                    SubMsg::Delta(delta) => (delta, 0),
+                    SubMsg::Lagged { resume_epoch } => {
+                        if resume_epoch > self.prev {
+                            self.prev = resume_epoch;
+                            stage(outbox, &Frame::Lagged { resume_epoch }, scratch);
+                        }
+                        continue;
+                    }
+                    SubMsg::Idle => return false,
+                    SubMsg::Closed => return true,
+                },
+            };
+            let entries = delta.entries();
+            let end = (at + MAX_DELTA_ENTRIES as usize).min(entries.len());
+            let frame = Frame::Delta {
+                from_epoch: self.prev,
+                to_epoch: delta.epoch(),
+                done: end == entries.len(),
+                entries: entries[at..end].to_vec(),
+            };
+            stage(outbox, &frame, scratch);
+            if end == entries.len() {
+                self.prev = delta.epoch();
+            } else {
+                self.cursor = Some((delta, end));
+            }
+        }
+        false
+    }
+}
+
+/// A captured commit-log suffix: wire name, start offset, bytes.
+type CommitCapture = (String, u64, Vec<u8>);
+
+/// One round of WAL shipping in flight. The follower's manifest says how
+/// many bytes of each file it already has; the round streams the missing
+/// suffixes as `Segment` frames and finishes with `ReplDone`.
+///
+/// Ordering is the crux. The commit log is captured (read into memory)
+/// *before* the shard logs and checkpoints are listed and streamed, and
+/// shipped *last*. Shard bytes written after the capture may reach the
+/// follower, but the commit records that would make them observable
+/// cannot — so on the follower, exactly as on the primary, observable
+/// implies durable, and a promotion recovers a consistent prefix.
+///
+/// A connection that dies mid-round just drops this; the round's partial
+/// shard bytes on the follower are harmless (uncommitted tail).
+struct ReplRound {
+    /// The follower's manifest: file name → bytes already held.
+    have: HashMap<String, u64>,
+    /// The committed epoch the captured commit log proves.
+    committed: u64,
+    /// Shard logs and checkpoints still to stream from disk, chunked.
+    files: VecDeque<ShipFile>,
+    /// Captured commit-log bytes still to ship.
+    commit: VecDeque<CommitCapture>,
+    /// Bytes of the front file (or capture) already staged this round.
+    staged: u64,
+    shipped_files: u32,
+    shipped_bytes: u64,
+}
+
+impl ReplRound {
+    /// Captures the commit log and lists what the follower is missing.
+    fn begin(ctx: &Ctx, data_dir: &Path, manifest: Vec<(String, u64)>) -> io::Result<ReplRound> {
+        let have: HashMap<String, u64> = manifest.into_iter().collect();
+        // Capture FIRST: the committed epoch and the commit-log bytes that
+        // prove it. Everything read below may be newer; never older.
+        let committed = ctx.pipeline.committed_epoch();
+        let mut commit = VecDeque::new();
+        for f in cobra_wal::segment_files(&commit_dir(data_dir))? {
+            let name = format!("commit/{}", f.name);
+            let from = have.get(&name).copied().unwrap_or(0);
+            commit.push_back((name, from, read_suffix(&f.path, from)?));
+        }
+        // List (not read) the shard logs and checkpoints after the capture.
+        let mut files = VecDeque::new();
+        for shard in 0..ctx.pipeline.num_shards() {
+            for mut f in cobra_wal::segment_files(&shard_dir(data_dir, shard))? {
+                f.name = format!("shard-{shard:03}/{}", f.name);
+                files.push_back(f);
+            }
+        }
+        files.extend(cobra_wal::checkpoint_files(data_dir)?);
+        Ok(ReplRound {
+            have,
+            committed,
+            files,
+            commit,
+            staged: 0,
+            shipped_files: 0,
+            shipped_bytes: 0,
+        })
+    }
+
+    /// The round's next `Segment` frame, at most [`REPL_CHUNK`] bytes;
+    /// `None` once everything has shipped.
+    fn next_segment(&mut self) -> Option<Frame> {
+        let (name, offset, bytes) = self.next_chunk()?;
+        if self.staged == 0 {
+            self.shipped_files += 1;
+        }
+        self.staged += bytes.len() as u64;
+        self.shipped_bytes += bytes.len() as u64;
+        Some(Frame::Segment {
+            name,
+            offset,
+            bytes,
+        })
+    }
+
+    fn next_chunk(&mut self) -> Option<(String, u64, Vec<u8>)> {
+        // Shard logs and checkpoints stream straight from disk.
+        while let Some(f) = self.files.front() {
+            let offset = self.have.get(&f.name).copied().unwrap_or(0) + self.staged;
+            // A file that vanished between listing and read (checkpoint
+            // GC) ends its turn via the Err arm, like a fully-read one.
+            match cobra_wal::read_chunk(&f.path, offset, REPL_CHUNK) {
+                Ok(chunk) if !chunk.is_empty() => return Some((f.name.clone(), offset, chunk)),
+                _ => {
+                    self.files.pop_front();
+                    self.staged = 0;
+                }
+            }
+        }
+        // The captured commit-log bytes go LAST (see the ordering note).
+        while let Some((name, from, bytes)) = self.commit.front() {
+            let at = self.staged as usize;
+            if at < bytes.len() {
+                let end = (at + REPL_CHUNK).min(bytes.len());
+                return Some((name.clone(), from + self.staged, bytes[at..end].to_vec()));
+            }
+            self.commit.pop_front();
+            self.staged = 0;
+        }
+        None
+    }
+}
+
+/// Reads `path` from `offset` to EOF (the commit-log capture).
+fn read_suffix(path: &Path, offset: u64) -> io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    let mut at = offset;
+    loop {
+        let chunk = cobra_wal::read_chunk(path, at, REPL_CHUNK)?;
+        if chunk.is_empty() {
+            return Ok(out);
+        }
+        at += chunk.len() as u64;
+        out.extend_from_slice(&chunk);
+    }
 }
 
 /// One reactor-managed connection.
@@ -600,6 +846,18 @@ impl Conn {
         self.backlog() >= OUTBOX_HIGH_WATER
     }
 
+    /// True while incoming frames are read and dispatched: request mode,
+    /// and a subscription still listening for its `UNSUBSCRIBE`. In
+    /// every other mode buffered frames wait and the socket is not read,
+    /// so the kernel buffer backpressures the peer.
+    fn dispatching(&self) -> bool {
+        match &self.mode {
+            Mode::Request => true,
+            Mode::Subscribed(push) => !push.unsubscribing,
+            Mode::Parked { .. } | Mode::Replicating(_) | Mode::Draining => false,
+        }
+    }
+
     fn start_draining(&mut self) {
         self.mode = Mode::Draining;
         self.partial_since = None;
@@ -609,29 +867,13 @@ impl Conn {
     }
 }
 
-/// What dispatching one frame asks the reactor to do.
-enum Action {
-    /// Stage a response in the outbox and keep going (boxed: `Frame`
-    /// dwarfs the other variants).
-    Respond(Box<Frame>),
-    /// Park the connection until `epoch` commits.
-    Park { epoch: u64 },
-    /// Hand the connection to a streamer thread with this frame first.
-    Escalate(Box<Frame>),
-}
-
-/// Wraps a response frame for staging ([`Action::Respond`] boxes it).
-fn respond(frame: Frame) -> Action {
-    Action::Respond(Box::new(frame))
-}
-
-/// Appends one encoded frame to the connection's outbox.
-fn stage(conn: &mut Conn, frame: &Frame, scratch: &mut Vec<u8>) {
+/// Appends one encoded frame to an outbox.
+fn stage(outbox: &mut Vec<u8>, frame: &Frame, scratch: &mut Vec<u8>) {
     protocol::encode(frame, scratch);
-    conn.outbox.extend_from_slice(scratch);
+    outbox.extend_from_slice(scratch);
 }
 
-/// The reactor: every request connection, one thread, no blocking I/O.
+/// The reactor: every connection, one thread, no blocking socket I/O.
 fn reactor_loop(
     ctx: &Arc<Ctx>,
     listener: &TcpListener,
@@ -645,21 +887,29 @@ fn reactor_loop(
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = Vec::new();
     loop {
-        // Parked waiters poll the committed epoch at 1ms granularity
-        // (matching the old blocking WAIT_EPOCH loop); otherwise the
-        // round ticks at read-timeout granularity for the stop flag.
-        let parked = conns
-            .values()
-            .any(|c| matches!(c.mode, Mode::Parked { .. }));
-        let timeout = if parked {
-            ctx.read_timeout.min(Duration::from_millis(1))
-        } else {
-            ctx.read_timeout
-        };
+        // The round ticks at read-timeout granularity for the budget
+        // sweeps. Parked waiters poll the committed epoch at 1ms
+        // granularity (matching the old blocking WAIT_EPOCH loop), and a
+        // replication round with outbox room goes straight to its next
+        // chunk.
+        let mut timeout = ctx.read_timeout;
+        for conn in conns.values() {
+            match conn.mode {
+                Mode::Replicating(_) if !conn.backlogged() => {
+                    timeout = Duration::ZERO;
+                    break;
+                }
+                Mode::Parked { .. } => timeout = timeout.min(Duration::from_millis(1)),
+                _ => {}
+            }
+        }
         if poller.wait(&mut events, Some(timeout)).is_err() {
             // Poller failure is not recoverable per-connection; avoid a
             // hot spin and let the stop check below exit the loop.
             std::thread::sleep(Duration::from_millis(1));
+        }
+        if events.iter().any(|e| e.token == WAKE_TOKEN) {
+            drain_wake(&ctx.wake_rx);
         }
         let mut admitted = false;
 
@@ -677,7 +927,7 @@ fn reactor_loop(
         for token in ready {
             if let Some(conn) = conns.get_mut(&token) {
                 stage(
-                    conn,
+                    &mut conn.outbox,
                     &Frame::EpochCommitted { epoch: committed },
                     &mut scratch,
                 );
@@ -691,7 +941,6 @@ fn reactor_loop(
             match listener.accept() {
                 Ok((stream, _)) => {
                     if ctx.stopping() {
-                        // Includes the shutdown wake-up connection.
                         continue;
                     }
                     if conns.len() >= max_conns || stream.set_nonblocking(true).is_err() {
@@ -730,9 +979,7 @@ fn reactor_loop(
         // sit in the inbox, not the socket — so they need this sweep.
         let resumable: Vec<u64> = conns
             .iter()
-            .filter(|(_, c)| {
-                matches!(c.mode, Mode::Request) && !c.backlogged() && c.inbox.pending() > 0
-            })
+            .filter(|(_, c)| c.dispatching() && !c.backlogged() && c.inbox.pending() > 0)
             .map(|(t, _)| *t)
             .collect();
         for token in resumable {
@@ -740,31 +987,33 @@ fn reactor_loop(
                 drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
             }
         }
-        let readable: Vec<u64> = events
-            .iter()
-            .filter(|e| e.readable && e.token != LISTENER_TOKEN)
-            .map(|e| e.token)
-            .collect();
-        for token in readable {
-            let Some(conn) = conns.get_mut(&token) else {
+        for event in events.iter().filter(|e| e.readable) {
+            // The listener and wake tokens name no connection.
+            let Some(conn) = conns.get_mut(&event.token) else {
                 continue;
             };
-            if !matches!(conn.mode, Mode::Request) {
-                // Parked/draining connections stop reading; the kernel
-                // buffer backpressures the peer.
-                continue;
-            }
-            if conn.backlogged() {
-                // Write backpressure: responses staged for this peer
-                // are stuck above the high-water mark, so stop taking
-                // requests too; the kernel buffer backpressures it.
+            if !conn.dispatching() || conn.backlogged() {
+                // Paused connections (parked, replicating, draining, or
+                // under write backpressure: responses staged for the
+                // peer are stuck above the high-water mark) stop
+                // reading; the kernel buffer backpressures the peer.
                 continue;
             }
             read_into_inbox(conn);
             drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
         }
 
-        // 4. Settle: one flush of the round's coalesced updates into the
+        // 4. Stream phase: subscriptions stage what their hub queues
+        // hold, replication rounds their next chunk. A stream that ends
+        // here hands the connection back to request dispatch, so frames
+        // pipelined behind it still ride this round's settle.
+        for conn in conns.values_mut() {
+            if pump_stream(ctx, conn, &mut scratch) {
+                drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
+            }
+        }
+
+        // 5. Settle: one flush of the round's coalesced updates into the
         // shard FIFOs. Every `Accepted`/`Busy` staged above only becomes
         // visible on the wire after this — the cross-connection seal
         // guarantee.
@@ -772,25 +1021,13 @@ fn reactor_loop(
             settle(&mut handle);
         }
 
-        // 5. Flush phase: escalation handoffs (post-settle, so the
-        // streamer thread sees a consistent pipeline), then outbox
-        // writes with interest re-registration on WouldBlock.
+        // 6. Flush phase: outbox writes with interest re-registration on
+        // WouldBlock.
         let tokens: Vec<u64> = conns.keys().copied().collect();
         for token in tokens {
             let Some(mut conn) = conns.remove(&token) else {
                 continue;
             };
-            if let Mode::Escalating(_) = conn.mode {
-                let _ = poller.deregister(&conn.stream);
-                let Mode::Escalating(first) = std::mem::replace(&mut conn.mode, Mode::Draining)
-                else {
-                    continue;
-                };
-                let leftover = conn.inbox.take_rest();
-                let pending = conn.outbox[conn.sent..].to_vec();
-                crate::streamer::escalate(ctx, conn.stream, leftover, pending, *first);
-                continue;
-            }
             flush_outbox(&mut conn);
             let drained = conn.sent == conn.outbox.len();
             if (matches!(conn.mode, Mode::Draining) && drained)
@@ -809,7 +1046,7 @@ fn reactor_loop(
                 conn.backlogged_since = None;
             }
             let desired = Interest {
-                read: matches!(conn.mode, Mode::Request) && !conn.peer_gone && !conn.backlogged(),
+                read: conn.dispatching() && !conn.peer_gone && !conn.backlogged(),
                 write: !drained,
             };
             if desired != conn.interest {
@@ -822,10 +1059,10 @@ fn reactor_loop(
             conns.insert(token, conn);
         }
 
-        // 6. Budget sweep: a connection mid-frame, mid-goodbye, or
+        // 7. Budget sweep: a connection mid-frame, mid-goodbye, or
         // sitting on an unread response backlog for longer than the
-        // idle budget is cut loose. Parked waiters never tick the
-        // partial clock: it is cleared on park and re-arms on unpark.
+        // idle budget is cut loose. Paused connections never tick the
+        // partial clock: it is cleared on pause and re-arms on resume.
         let now = Instant::now();
         let expired: Vec<u64> = conns
             .iter()
@@ -845,7 +1082,7 @@ fn reactor_loop(
             }
         }
 
-        // 7. Stop check: answer or fail parked waiters, settle, flush
+        // 8. Stop check: answer or fail parked waiters, settle, flush
         // what the sockets will take, leave.
         if ctx.stopping() {
             let committed = ctx.pipeline.committed_epoch();
@@ -861,7 +1098,7 @@ fn reactor_loop(
                             ),
                         }
                     };
-                    stage(conn, &frame, &mut scratch);
+                    stage(&mut conn.outbox, &frame, &mut scratch);
                     conn.mode = Mode::Request;
                 }
             }
@@ -915,8 +1152,9 @@ fn read_into_inbox(conn: &mut Conn) {
     }
 }
 
-/// Dispatches every complete frame buffered on `conn`, maintaining the
-/// idle-budget clock (reset on progress, armed while a frame is partial).
+/// Dispatches every complete frame buffered on `conn` for as long as its
+/// mode takes frames, maintaining the idle-budget clock (reset on
+/// progress, armed while a frame is partial).
 fn drain_inbox(
     ctx: &Ctx,
     handle: &mut IngestHandle<u64>,
@@ -924,46 +1162,24 @@ fn drain_inbox(
     admitted: &mut bool,
     scratch: &mut Vec<u8>,
 ) {
-    if !matches!(conn.mode, Mode::Request) {
-        return;
-    }
     let mut extracted = 0usize;
-    loop {
-        if conn.backlogged() {
-            // Write backpressure: this connection's staged responses
-            // already exceed the high-water mark. Stop dispatching —
-            // buffered frames keep (bounded) and are picked up by the
-            // resume sweep once the outbox drains.
-            break;
-        }
+    // Write backpressure stops dispatch too: once this connection's
+    // staged responses exceed the high-water mark, buffered frames keep
+    // (bounded) and are picked up by the resume sweep once the outbox
+    // drains. So does any mode that makes later frames wait.
+    while conn.dispatching() && !conn.backlogged() {
         match conn.inbox.next_frame(ctx.max_frame) {
             Ok(Some(frame)) => {
                 extracted += 1;
                 // ordering: Relaxed — stats counter.
                 ctx.counters.frames.fetch_add(1, Ordering::Relaxed);
-                match dispatch(ctx, handle, frame, admitted) {
-                    Action::Respond(response) => stage(conn, &response, scratch),
-                    Action::Park { epoch } => {
-                        conn.mode = Mode::Parked { epoch };
-                        // Parked connections stop reading, so a
-                        // pipelined partial frame behind the wait
-                        // cannot complete — pause the frame clock
-                        // (it re-arms on unpark) instead of cutting
-                        // a legitimate waiter at the idle budget.
-                        conn.partial_since = None;
-                        break;
-                    }
-                    Action::Escalate(first) => {
-                        conn.mode = Mode::Escalating(first);
-                        break;
-                    }
-                }
+                dispatch(ctx, handle, conn, frame, admitted, scratch);
             }
             Ok(None) => break,
             Err(e) => {
                 // Framing is lost; tell the client why, then hang up.
                 stage(
-                    conn,
+                    &mut conn.outbox,
                     &Frame::Error {
                         code: ErrorCode::Malformed,
                         detail: e.to_string(),
@@ -971,93 +1187,116 @@ fn drain_inbox(
                     scratch,
                 );
                 conn.start_draining();
-                break;
             }
         }
     }
-    if matches!(conn.mode, Mode::Request) {
-        if conn.backlogged() {
-            // Paused for write backpressure: the buffered bytes sit by
-            // the reactor's choice, not the peer's dribble, so the
-            // frame clock pauses (the backpressure clock governs) and
-            // re-arms when dispatch resumes.
-            conn.partial_since = None;
-        } else if conn.inbox.has_partial() {
-            // Progress (a completed frame) restarts the clock; a frame
-            // that dribbles without ever completing does not.
-            if extracted > 0 || conn.partial_since.is_none() {
-                conn.partial_since = Some(Instant::now());
-            }
-            if conn.peer_gone {
-                // EOF mid-frame: the peer can never complete it.
-                stage(
-                    conn,
-                    &Frame::Error {
-                        code: ErrorCode::Malformed,
-                        detail: WireError::Truncated.to_string(),
-                    },
-                    scratch,
-                );
-                conn.start_draining();
-            }
-        } else {
-            conn.partial_since = None;
+    if !conn.dispatching() || conn.backlogged() {
+        // Paused: the buffered bytes sit by the reactor's choice, not
+        // the peer's dribble (and a paused connection stops reading, so
+        // a pipelined partial frame cannot complete). The frame clock
+        // pauses — the backpressure clock governs a backlog — and
+        // re-arms when dispatch resumes.
+        conn.partial_since = None;
+    } else if conn.inbox.has_partial() {
+        // Progress (a completed frame) restarts the clock; a frame
+        // that dribbles without ever completing does not.
+        if extracted > 0 || conn.partial_since.is_none() {
+            conn.partial_since = Some(Instant::now());
         }
+        if conn.peer_gone {
+            // EOF mid-frame: the peer can never complete it.
+            stage(
+                &mut conn.outbox,
+                &Frame::Error {
+                    code: ErrorCode::Malformed,
+                    detail: WireError::Truncated.to_string(),
+                },
+                scratch,
+            );
+            conn.start_draining();
+        }
+    } else {
+        conn.partial_since = None;
     }
 }
 
-/// One frame's worth of policy. Pure dispatch — no socket I/O.
+/// One frame's worth of policy: stages the response and moves the
+/// connection between modes. Pure dispatch — no socket I/O.
 fn dispatch(
     ctx: &Ctx,
     handle: &mut IngestHandle<u64>,
+    conn: &mut Conn,
     frame: Frame,
     admitted: &mut bool,
-) -> Action {
-    match frame {
+    scratch: &mut Vec<u8>,
+) {
+    if let Mode::Subscribed(push) = &mut conn.mode {
+        if matches!(frame, Frame::Unsubscribe) {
+            // Closes the hub queue; the stream phase stages what is
+            // still queued, then the acknowledgement.
+            push.hub.unsubscribe(push.sub.id());
+            push.unsubscribing = true;
+        } else {
+            // Any other request mid-subscription would interleave its
+            // response with the pushes; refuse and hang up.
+            stage(
+                &mut conn.outbox,
+                &Frame::Error {
+                    code: ErrorCode::Malformed,
+                    detail: "only UNSUBSCRIBE is valid while subscribed".to_string(),
+                },
+                scratch,
+            );
+            conn.start_draining();
+        }
+        return;
+    }
+    let response = match frame {
         Frame::Update(tuples) => {
             *admitted = true;
-            respond(admit_update(ctx, handle, &tuples))
+            admit_update(ctx, handle, &tuples)
         }
-        Frame::Seal => respond(match handle.seal_epoch() {
+        Frame::Seal => match handle.seal_epoch() {
             Ok(epoch) => Frame::Sealed { epoch },
             Err(_) => Frame::Error {
                 code: ErrorCode::ShuttingDown,
                 detail: "pipeline closed".to_string(),
             },
-        }),
+        },
         Frame::Query { key } => {
             // ordering: Relaxed — stats counter.
             ctx.counters.queries.fetch_add(1, Ordering::Relaxed);
-            respond(handle_query(ctx, key))
+            handle_query(ctx, key)
         }
-        Frame::Snapshot { epoch, lo, hi } => respond(handle_snapshot(ctx, epoch, lo, hi)),
+        Frame::Snapshot { epoch, lo, hi } => handle_snapshot(ctx, epoch, lo, hi),
         Frame::QueryAt { epoch, key } => {
             // ordering: Relaxed — stats counter.
             ctx.counters.queries.fetch_add(1, Ordering::Relaxed);
-            respond(handle_query_at(ctx, epoch, key))
+            handle_query_at(ctx, epoch, key)
         }
         Frame::Diff {
             from_epoch,
             to_epoch,
             lo,
             hi,
-        } => respond(handle_diff(ctx, from_epoch, to_epoch, lo, hi)),
-        Frame::Unsubscribe => respond(Frame::Error {
+        } => handle_diff(ctx, from_epoch, to_epoch, lo, hi),
+        Frame::Unsubscribe => Frame::Error {
             code: ErrorCode::Malformed,
             detail: "UNSUBSCRIBE without an active subscription".to_string(),
-        }),
-        Frame::Stats => respond(Frame::StatsReport(ctx.wire_stats())),
+        },
+        Frame::Stats => Frame::StatsReport(ctx.wire_stats()),
         Frame::WaitEpoch { epoch } => {
             let committed = ctx.pipeline.committed_epoch();
             if committed >= epoch {
-                respond(Frame::EpochCommitted { epoch: committed })
+                Frame::EpochCommitted { epoch: committed }
             } else if ctx.stopping() {
-                respond(Frame::Error {
+                Frame::Error {
                     code: ErrorCode::ShuttingDown,
                     detail: format!("stopped while waiting for epoch {epoch} (at {committed})"),
-                })
+                }
             } else {
-                Action::Park { epoch }
+                conn.mode = Mode::Parked { epoch };
+                return;
             }
         }
         Frame::Ack { epoch, bytes: _ } => {
@@ -1067,40 +1306,118 @@ fn dispatch(
             ctx.counters
                 .repl_acked_epoch
                 .fetch_max(epoch, Ordering::Relaxed); // ordering: stats high-water
-            respond(Frame::EpochCommitted {
+            Frame::EpochCommitted {
                 epoch: ctx.pipeline.committed_epoch(),
-            })
-        }
-        Frame::Replicate { manifest } => {
-            if ctx.data_dir.is_none() {
-                respond(Frame::Error {
-                    code: ErrorCode::NotDurable,
-                    detail: "server has no data directory; nothing to replicate".to_string(),
-                })
-            } else {
-                Action::Escalate(Box::new(Frame::Replicate { manifest }))
             }
         }
+        Frame::Replicate { manifest } => match &ctx.data_dir {
+            None => Frame::Error {
+                code: ErrorCode::NotDurable,
+                detail: "server has no data directory; nothing to replicate".to_string(),
+            },
+            Some(data_dir) => match ReplRound::begin(ctx, data_dir, manifest) {
+                Ok(round) => {
+                    conn.mode = Mode::Replicating(Box::new(round));
+                    return;
+                }
+                Err(e) => Frame::Error {
+                    code: ErrorCode::Internal,
+                    detail: format!("replication listing failed: {e}"),
+                },
+            },
+        },
         Frame::Subscribe { lo, hi } => {
             if lo >= hi || hi > ctx.num_keys {
-                respond(Frame::Error {
+                Frame::Error {
                     code: ErrorCode::BadRange,
                     detail: format!(
                         "subscribe range {lo}..{hi} invalid (num_keys {})",
                         ctx.num_keys
                     ),
-                })
+                }
             } else {
-                Action::Escalate(Box::new(Frame::Subscribe { lo, hi }))
+                // Register BEFORE reading the baseline: an epoch
+                // published between the two is then either enqueued for
+                // us or already part of the baseline (the hook admits to
+                // the store before fanning out) — never silently missed.
+                // Staging drops queued epochs <= baseline.
+                let sub = ctx.hub.subscribe(lo, hi, ctx.sub_queue_epochs);
+                let baseline = match ctx.store.latest() {
+                    Some(snap) => snap.epoch(),
+                    None => ctx.pipeline.published_epoch(),
+                };
+                conn.mode = Mode::Subscribed(Push {
+                    sub,
+                    hub: Arc::clone(&ctx.hub),
+                    prev: baseline,
+                    cursor: None,
+                    unsubscribing: false,
+                });
+                Frame::Subscribed { epoch: baseline }
             }
         }
         // A client sending response-kind frames is confused; refuse
         // politely instead of guessing.
-        _ => respond(Frame::Error {
+        _ => Frame::Error {
             code: ErrorCode::Malformed,
             detail: "response-kind frame sent as a request".to_string(),
-        }),
+        },
+    };
+    stage(&mut conn.outbox, &response, scratch);
+}
+
+/// Advances a subscribed or replicating connection by one round's worth
+/// of staging (nothing while the outbox sits at the high-water mark).
+/// Returns true when the stream ended and the connection is back in
+/// request mode, so the caller resumes dispatching its buffered frames.
+fn pump_stream(ctx: &Ctx, conn: &mut Conn, scratch: &mut Vec<u8>) -> bool {
+    if !matches!(conn.mode, Mode::Subscribed(_) | Mode::Replicating(_)) {
+        return false;
     }
+    if conn.peer_gone {
+        // Nobody left to stream to: drop the subscription or the round.
+        conn.start_draining();
+        return false;
+    }
+    if conn.backlogged() {
+        return false;
+    }
+    let done = match &mut conn.mode {
+        Mode::Subscribed(push) => {
+            if !push.stage_queued(&mut conn.outbox, conn.sent, scratch) {
+                return false;
+            }
+            if !push.unsubscribing {
+                // The hub closed the queue (shutdown): everything queued
+                // is staged; close cleanly once it has flushed.
+                conn.start_draining();
+                return false;
+            }
+            Frame::Unsubscribed {
+                epoch: ctx.pipeline.published_epoch(),
+            }
+        }
+        Mode::Replicating(round) => {
+            if let Some(segment) = round.next_segment() {
+                stage(&mut conn.outbox, &segment, scratch);
+                return false;
+            }
+            // ordering: Relaxed — stats counters.
+            ctx.counters.repl_rounds.fetch_add(1, Ordering::Relaxed);
+            ctx.counters
+                .repl_bytes_shipped
+                .fetch_add(round.shipped_bytes, Ordering::Relaxed); // ordering: stats counter
+            Frame::ReplDone {
+                epoch: round.committed,
+                files: round.shipped_files,
+                bytes: round.shipped_bytes,
+            }
+        }
+        _ => return false,
+    };
+    stage(&mut conn.outbox, &done, scratch);
+    conn.mode = Mode::Request;
+    true
 }
 
 /// Writes as much outbox as the socket will take right now. A fatal
@@ -1140,7 +1457,7 @@ fn flush_outbox(conn: &mut Conn) {
 /// tuples as taken may leave for a socket before this settles. The wait
 /// is bounded: the accumulator drains the FIFOs continuously (and the
 /// shutdown drain empties them even mid-stop).
-pub(crate) fn settle(handle: &mut IngestHandle<u64>) {
+fn settle(handle: &mut IngestHandle<u64>) {
     loop {
         match handle.try_flush() {
             Ok(()) => return,
@@ -1152,14 +1469,9 @@ pub(crate) fn settle(handle: &mut IngestHandle<u64>) {
     }
 }
 
-/// Admits one `UPDATE` batch into the handle's coalescing buffers.
-/// Callers own the settle: the reactor settles once per round, the
-/// streamer threads settle per frame (the old per-response behavior).
-pub(crate) fn admit_update(
-    ctx: &Ctx,
-    handle: &mut IngestHandle<u64>,
-    tuples: &[(u32, u64)],
-) -> Frame {
+/// Admits one `UPDATE` batch into the handle's coalescing buffers. The
+/// caller owns the settle: the reactor settles once per round.
+fn admit_update(ctx: &Ctx, handle: &mut IngestHandle<u64>, tuples: &[(u32, u64)]) -> Frame {
     let mut accepted: u32 = 0;
     for &(key, value) in tuples {
         if key >= ctx.num_keys {
@@ -1193,28 +1505,60 @@ pub(crate) fn admit_update(
     Frame::Accepted { accepted }
 }
 
+/// The `KeyOutOfRange` refusal for a point read past the key space.
+fn key_out_of_range(ctx: &Ctx, key: u32) -> Option<Frame> {
+    (key >= ctx.num_keys).then(|| Frame::Error {
+        code: ErrorCode::KeyOutOfRange,
+        detail: format!("key {key} >= {}", ctx.num_keys),
+    })
+}
+
 /// QUERY: served from the S3-FIFO cache of `(epoch, block)` snapshot
 /// slices; a miss materializes the block from the latest published
 /// snapshot (never from the pipeline's live accumulators).
-pub(crate) fn handle_query(ctx: &Ctx, key: u32) -> Frame {
-    if key >= ctx.num_keys {
-        return Frame::Error {
-            code: ErrorCode::KeyOutOfRange,
-            detail: format!("key {key} >= {}", ctx.num_keys),
-        };
+fn handle_query(ctx: &Ctx, key: u32) -> Frame {
+    if let Some(refusal) = key_out_of_range(ctx, key) {
+        return refusal;
     }
+    // The snapshot resolves lazily: a hit answers without even taking
+    // the snapshot publish lock. A stale epoch hint just misses.
+    let epoch = ctx.pipeline.published_epoch();
+    cached_value(ctx, epoch, key, || ctx.pipeline.snapshot())
+}
+
+/// QUERY_AT: time travel. Resolves the epoch against the retention
+/// window, then serves through the same `(epoch, block)` cache as QUERY —
+/// the cache key already carries the epoch, so retained epochs coexist
+/// with the latest without any invalidation.
+fn handle_query_at(ctx: &Ctx, epoch: u64, key: u32) -> Frame {
+    if let Some(refusal) = key_out_of_range(ctx, key) {
+        return refusal;
+    }
+    match resolve_epoch(ctx, epoch) {
+        Ok(snap) => cached_value(ctx, snap.epoch(), key, || snap),
+        Err(frame) => *frame,
+    }
+}
+
+/// The point-read path behind QUERY and QUERY_AT: answers `key` from the
+/// cached `(epoch, block)` slice, filling the block from `snap()` on a
+/// miss. Blocks are segment-aligned (`Server::start` forces it), so the
+/// fill shares the snapshot's copy-on-write segment `Arc` — no value
+/// copied.
+fn cached_value(
+    ctx: &Ctx,
+    epoch: u64,
+    key: u32,
+    snap: impl FnOnce() -> Arc<EpochSnapshot<u64>>,
+) -> Frame {
     let block = key / ctx.block_keys;
     let lo = block * ctx.block_keys;
-    let epoch = ctx.pipeline.published_epoch();
     if let Some(slice) = ctx.cache.get(&(epoch, block)) {
         if let Some(&value) = slice.get((key - lo) as usize) {
             return Frame::Value { epoch, value };
         }
     }
-    // Miss (or a stale hint): fill the block from the latest snapshot.
-    // Blocks are segment-aligned (Server::start forces it), so the fill
-    // shares the snapshot's copy-on-write segment Arc — no value copied.
-    let snap = ctx.pipeline.snapshot();
+    let snap = snap();
     let epoch = snap.epoch();
     let slice = if snap.segment_keys() == ctx.block_keys && (block as usize) < snap.num_segments() {
         Arc::clone(snap.segment(block as usize))
@@ -1260,52 +1604,12 @@ fn resolve_epoch(ctx: &Ctx, epoch: u64) -> Result<Arc<EpochSnapshot<u64>>, Box<F
     }
 }
 
-/// QUERY_AT: time travel. Resolves the epoch against the retention
-/// window, then serves through the same `(epoch, block)` cache as QUERY —
-/// the cache key already carries the epoch, so retained epochs coexist
-/// with the latest without any invalidation.
-pub(crate) fn handle_query_at(ctx: &Ctx, epoch: u64, key: u32) -> Frame {
-    if key >= ctx.num_keys {
-        return Frame::Error {
-            code: ErrorCode::KeyOutOfRange,
-            detail: format!("key {key} >= {}", ctx.num_keys),
-        };
-    }
-    let snap = match resolve_epoch(ctx, epoch) {
-        Ok(snap) => snap,
-        Err(frame) => return *frame,
-    };
-    let epoch = snap.epoch();
-    let block = key / ctx.block_keys;
-    let lo = block * ctx.block_keys;
-    if let Some(slice) = ctx.cache.get(&(epoch, block)) {
-        if let Some(&value) = slice.get((key - lo) as usize) {
-            return Frame::Value { epoch, value };
-        }
-    }
-    let slice = if snap.segment_keys() == ctx.block_keys && (block as usize) < snap.num_segments() {
-        Arc::clone(snap.segment(block as usize))
-    } else {
-        let hi = lo.saturating_add(ctx.block_keys).min(ctx.num_keys);
-        Arc::new((lo..hi).map(|k| *snap.get(k)).collect())
-    };
-    let value = slice.get((key - lo) as usize).copied();
-    ctx.cache.insert((epoch, block), slice);
-    match value {
-        Some(value) => Frame::Value { epoch, value },
-        None => Frame::Error {
-            code: ErrorCode::KeyOutOfRange,
-            detail: format!("key {key} outside materialized block"),
-        },
-    }
-}
-
 /// DIFF: changed keys in `lo..hi` between two retained epochs, computed
 /// by segment identity (shared COW segments are skipped without a scan).
 /// The reply is a single `Delta` frame — the range cap
 /// ([`MAX_SNAPSHOT_KEYS`]) keeps the entry count within
 /// [`MAX_DELTA_ENTRIES`](crate::protocol::MAX_DELTA_ENTRIES).
-pub(crate) fn handle_diff(ctx: &Ctx, from_epoch: u64, to_epoch: u64, lo: u32, hi: u32) -> Frame {
+fn handle_diff(ctx: &Ctx, from_epoch: u64, to_epoch: u64, lo: u32, hi: u32) -> Frame {
     if lo >= hi || hi > ctx.num_keys || hi - lo > MAX_SNAPSHOT_KEYS {
         return Frame::Error {
             code: ErrorCode::BadRange,
@@ -1332,7 +1636,7 @@ pub(crate) fn handle_diff(ctx: &Ctx, from_epoch: u64, to_epoch: u64, lo: u32, hi
 }
 
 /// SNAPSHOT: a `[lo, hi)` slice of a retained epoch's values.
-pub(crate) fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame {
+fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame {
     if lo >= hi || hi > ctx.num_keys || hi - lo > MAX_SNAPSHOT_KEYS {
         return Frame::Error {
             code: ErrorCode::BadRange,
@@ -1364,10 +1668,11 @@ pub(crate) fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame 
 mod tests {
     use super::*;
 
-    fn test_ctx(num_keys: u32, block_keys: u32) -> Ctx {
+    fn test_ctx(num_keys: u32, block_keys: u32, segment_keys: usize) -> Ctx {
         let stream_cfg = StreamConfig::new()
             .shards(2)
-            .snapshot_segment_keys(block_keys as usize);
+            .snapshot_segment_keys(segment_keys);
+        let (wake_tx, wake_rx) = UnixStream::pair().expect("socket pair");
         Ctx {
             pipeline: IngestPipeline::new(num_keys, SumU64, stream_cfg),
             cache: S3FifoCache::new(16),
@@ -1381,13 +1686,14 @@ mod tests {
             store: Arc::new(EpochStore::new(RetentionConfig::new())),
             hub: Arc::new(DeltaHub::new()),
             sub_queue_epochs: 16,
-            streamers: Mutex::new(Vec::new()),
+            wake_tx,
+            wake_rx,
         }
     }
 
     #[test]
     fn query_miss_fills_cache_with_the_snapshot_segment_zero_copy() {
-        let ctx = test_ctx(4096, 512);
+        let ctx = test_ctx(4096, 512, 512);
         let mut h = ctx.pipeline.handle();
         for k in 0..4096u32 {
             h.send(k, u64::from(k)).unwrap();
@@ -1427,22 +1733,7 @@ mod tests {
     #[test]
     fn misaligned_block_size_falls_back_to_copying() {
         // Foreign pipeline config: segments of 256 keys, blocks of 512.
-        let stream_cfg = StreamConfig::new().snapshot_segment_keys(256);
-        let ctx = Ctx {
-            pipeline: IngestPipeline::new(1024, SumU64, stream_cfg),
-            cache: S3FifoCache::new(16),
-            counters: ServeCounters::default(),
-            stop: AtomicBool::new(false),
-            num_keys: 1024,
-            block_keys: 512,
-            max_frame: MAX_FRAME,
-            read_timeout: Duration::from_millis(10),
-            data_dir: None,
-            store: Arc::new(EpochStore::new(RetentionConfig::new())),
-            hub: Arc::new(DeltaHub::new()),
-            sub_queue_epochs: 16,
-            streamers: Mutex::new(Vec::new()),
-        };
+        let ctx = test_ctx(1024, 512, 256);
         let mut h = ctx.pipeline.handle();
         h.send(700, 7).unwrap();
         h.seal_epoch().unwrap();

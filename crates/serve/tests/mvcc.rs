@@ -223,8 +223,9 @@ fn reconstruct(
 fn subscribers_reconstruct_state_from_deltas_alone() {
     const EPOCHS: u64 = 50;
     // A key space big enough that full-rewrite epochs produce ~200 KB
-    // deltas: the sleeping subscriber's socket fills, its pusher blocks,
-    // and its bounded hub queue must overflow into LAGGED.
+    // deltas: the sleeping subscriber's socket fills, its outbox reaches
+    // the high-water mark, and its bounded hub queue must overflow into
+    // LAGGED.
     const BIG_KEYS: u32 = 16 * 1024;
     // Retain every epoch so both the verification snapshots and the
     // lagged re-sync diff can reach arbitrarily far back.

@@ -40,8 +40,6 @@ fn spawn_served(dir: &PathBuf) -> Served {
             &KEYS.to_string(),
             "--shards",
             "2",
-            "--workers",
-            "2",
             "--data-dir",
         ])
         .arg(dir)
