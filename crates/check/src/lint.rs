@@ -1,6 +1,6 @@
 //! Invariant linting for the PB/stream stack.
 //!
-//! Four rules, each tuned to a failure mode this codebase has actually
+//! Rules, each tuned to a failure mode this codebase has actually
 //! worried about:
 //!
 //! * **R1 `ordering-justification`** — every `Ordering::…` use in the
@@ -17,14 +17,6 @@
 //! * **R3 `no-mutex-on-binning-path`** — no `std::sync::Mutex` in the
 //!   binning/accumulate hot-path files. The whole point of propagation
 //!   blocking is that bin ownership makes locks unnecessary there.
-//! * **R4 `no-raw-aos-bins`** — no array-of-structs bin storage
-//!   (`Vec<Vec<(u32, …)>>` / `Vec<Vec<Tuple<…>>>`) in the hot-path
-//!   files. Bins live in the columnar `cobra_bins::BinStore`; a raw
-//!   nested-Vec representation reintroduces per-bin reallocation and
-//!   deep-copy publishing. The two surviving uses (the check-only
-//!   `Bins::from_raw` compat constructor and the producer-side ingest
-//!   coalescing buffers, which are not bin storage) are audited in the
-//!   allowlist.
 //! * **R9 `no-unaudited-unsafe`** — no `unsafe` outside
 //!   allowlist-audited sites, anywhere in the workspace, and every
 //!   crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`) must
@@ -63,8 +55,6 @@ pub enum Rule {
     HotPathUnwrap,
     /// R3: `Mutex` on a binning hot-path file.
     MutexOnBinningPath,
-    /// R4: raw array-of-structs bins (`Vec<Vec<(u32, …)>>`) on a hot path.
-    RawAosBins,
     /// R9: `unsafe` outside audited sites, or a crate root without
     /// `#![forbid(unsafe_code)]`.
     UnauditedUnsafe,
@@ -80,7 +70,6 @@ impl fmt::Display for Rule {
             Rule::OrderingJustification => "ordering-justification",
             Rule::HotPathUnwrap => "no-hot-path-unwrap",
             Rule::MutexOnBinningPath => "no-mutex-on-binning-path",
-            Rule::RawAosBins => "no-raw-aos-bins",
             Rule::UnauditedUnsafe => "no-unaudited-unsafe",
             Rule::StaleAllow => "stale-allow",
             Rule::BlockingIoOnReactorPath => "no-blocking-io-on-reactor-path",
@@ -264,20 +253,6 @@ const R3_FILES: [&str; 5] = [
     "crates/stream/src/shard.rs",
 ];
 
-/// Files subject to R4 (bins must stay columnar — `cobra_bins::BinStore`).
-const R4_FILES: [&str; 10] = [
-    "crates/pb/src/binner.rs",
-    "crates/pb/src/parallel.rs",
-    "crates/core/src/backend.rs",
-    "crates/core/src/cobra.rs",
-    "crates/core/src/comm.rs",
-    "crates/stream/src/shard.rs",
-    "crates/stream/src/epoch.rs",
-    "crates/stream/src/pipeline.rs",
-    "crates/serve/src/server.rs",
-    "crates/serve/src/cache.rs",
-];
-
 fn list_rs(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -401,26 +376,6 @@ fn lint_mutex(file: &str, text: &str, out: &mut Vec<LintViolation>) {
     }
 }
 
-/// R4 over one file's contents. Whitespace is squeezed out of the masked
-/// line before matching so `Vec<Vec< (u32` formatting variants still trip.
-fn lint_raw_aos_bins(file: &str, text: &str, out: &mut Vec<LintViolation>) {
-    for (i, raw) in text.lines().enumerate() {
-        let trimmed = raw.trim_start();
-        if trimmed.starts_with("//") {
-            continue;
-        }
-        let masked: String = mask_line(raw).split_whitespace().collect();
-        if masked.contains("Vec<Vec<(u32") || masked.contains("Vec<Vec<Tuple") {
-            out.push(LintViolation {
-                rule: Rule::RawAosBins,
-                file: file.to_string(),
-                line: i + 1,
-                text: trimmed.trim_end().to_string(),
-            });
-        }
-    }
-}
-
 /// True when `hay` contains `word` with identifier boundaries on both
 /// sides (so `unsafe_code` does not count as `unsafe`).
 fn contains_word(hay: &str, word: &str) -> bool {
@@ -473,7 +428,7 @@ fn lint_unsafe(file: &str, text: &str, out: &mut Vec<LintViolation>) {
 }
 
 /// R11 over one file's contents. Whitespace is squeezed out of the
-/// masked line before matching (as in R4) so formatting variants of
+/// masked line before matching so formatting variants of
 /// `set_nonblocking( false )` still trip.
 fn lint_blocking_io(file: &str, text: &str, out: &mut Vec<LintViolation>) {
     for (i, raw) in text.lines().enumerate() {
@@ -543,9 +498,6 @@ pub fn run_lints(root: &Path) -> std::io::Result<Vec<LintViolation>> {
         }
         if R3_FILES.contains(&file.as_str()) {
             lint_mutex(&file, &text, &mut raw);
-        }
-        if R4_FILES.contains(&file.as_str()) {
-            lint_raw_aos_bins(&file, &text, &mut raw);
         }
         if r11_in_scope(&file) {
             lint_blocking_io(&file, &text, &mut raw);
@@ -673,23 +625,6 @@ fn also_hot() { z.expect(\"bad\"); }
         lint_mutex("crates/pb/src/binner.rs", src, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, Rule::MutexOnBinningPath);
-    }
-
-    #[test]
-    fn raw_aos_bins_are_flagged_despite_formatting() {
-        let src = "\
-let bins: Vec<Vec<(u32, V)>> = Vec::new();
-let spaced: Vec < Vec < (u32, f32) > > = Vec::new();
-let tuples: Vec<Vec<Tuple<V>>> = Vec::new();
-let fine: Vec<Vec<u32>> = Vec::new();
-// commented out: Vec<Vec<(u32, V)>>
-let s = \"doc says Vec<Vec<(u32, V)>>\";
-";
-        let mut out = Vec::new();
-        lint_raw_aos_bins("crates/pb/src/binner.rs", src, &mut out);
-        let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![1, 2, 3], "{out:?}");
-        assert!(out.iter().all(|v| v.rule == Rule::RawAosBins));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cobra-check races     # vector-clock race + invariant check, all kernels
 //! cobra-check oracle    # commutativity oracles (models, reducers, replays)
 //! cobra-check explore   # bounded exhaustive schedule exploration
-//! cobra-check lint      # source-level invariant lints (R1-R4, R9-R11)
+//! cobra-check lint      # source-level invariant lints (R1-R3, R9-R11)
 //! cobra-check analyze   # cross-crate static analysis (R5-R8) + JSON report
 //! cobra-check selftest  # seeded defects (dynamic + per-rule mutations)
 //! cobra-check all       # everything above; non-zero exit on any failure
@@ -141,7 +141,7 @@ fn run_lint() -> bool {
     match lint::run_lints(&root) {
         Ok(violations) if violations.is_empty() => {
             println!(
-                "  clean (R1-R4 over the hot-path crates, R9 unsafe audit over every \
+                "  clean (R1-R3 over the hot-path crates, R9 unsafe audit over every \
                  crate, R10 stale-suppression check, R11 blocking-I/O audit over the \
                  reactor crates; single-pass walk)"
             );

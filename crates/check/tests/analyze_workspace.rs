@@ -30,9 +30,9 @@ fn workspace_analyzes_clean_with_sane_stats() {
         "edges: {}",
         report.stats.lock_edges
     );
-    // Both audited allowlist entries are load-bearing (else stale-allow
+    // The audited allowlist entry is load-bearing (else stale-allow
     // would have fired above, but pin the count too).
-    assert_eq!(report.allow_used, 2, "audited allowlist entries in use");
+    assert_eq!(report.allow_used, 1, "audited allowlist entries in use");
 }
 
 #[test]

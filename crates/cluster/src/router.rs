@@ -88,15 +88,16 @@ impl std::error::Error for ClusterError {
     }
 }
 
+/// How long [`ClusterRouter::cluster_snapshot`] waits for each node to
+/// publish the awaited epoch.
+const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Tuning knobs of a [`ClusterRouter`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Tuples buffered per node before the router flushes the buffer as
     /// one `UPDATE` frame (the network C-Buffer line size).
     pub batch_tuples: usize,
-    /// How long [`cluster_snapshot`](ClusterRouter::cluster_snapshot)
-    /// waits for each node to publish the awaited epoch.
-    pub snapshot_deadline: Duration,
     /// UPDATE frames each node connection keeps in flight before reading
     /// acknowledgements (see [`ServeClient::set_pipeline_window`]);
     /// 1 restores strict lockstep.
@@ -107,7 +108,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             batch_tuples: 4096,
-            snapshot_deadline: Duration::from_secs(30),
             pipeline_window: 8,
         }
     }
@@ -274,7 +274,7 @@ impl ClusterRouter {
     pub fn cluster_snapshot(&mut self, min_epoch: u64) -> Result<Vec<u64>, ClusterError> {
         let mut out = Vec::with_capacity(self.map.num_keys() as usize);
         for (n, range) in self.map.iter().collect::<Vec<_>>() {
-            let deadline = Instant::now() + self.cfg.snapshot_deadline;
+            let deadline = Instant::now() + SNAPSHOT_DEADLINE;
             let mut lo = range.start;
             while lo < range.end {
                 let hi = range.end.min(lo + MAX_SNAPSHOT_KEYS);

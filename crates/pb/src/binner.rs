@@ -18,37 +18,17 @@ pub struct Tuple<V> {
     pub value: V,
 }
 
-/// An update key outside the binner's configured domain.
-///
-/// Returned by [`Binner::try_insert`]; with the `check` feature enabled
-/// the infallible [`Binner::insert`] also takes this checked path (and
-/// panics with the error) instead of a `debug_assert`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BinError {
-    /// The offending key.
-    pub key: u32,
-    /// The binner's key domain is `0..num_keys`.
-    pub num_keys: u32,
-}
-
-impl std::fmt::Display for BinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "key {} out of range (domain is 0..{})",
-            self.key, self.num_keys
-        )
-    }
-}
-
-impl std::error::Error for BinError {}
-
 /// A binner: routes `(key, value)` tuples into per-range bins through
 /// cacheline-sized coalescing buffers (C-Buffers), exactly as software PB's
 /// Binning phase does (paper, Section III).
 ///
 /// The bin range is always a power of two so routing is a shift rather than
 /// a division (Section V-A notes real implementations do the same).
+///
+/// There is one routing body. [`insert`](Self::insert) and
+/// [`insert_fused`](Self::insert_fused) are its two names: they differ
+/// only in the merge policy they hand it (never merge / the caller's
+/// closure), and may be mixed freely on one binner.
 #[derive(Debug, Clone)]
 pub struct Binner<V> {
     num_keys: u32,
@@ -75,6 +55,36 @@ impl FusionState {
             tables: (0..num_bins).map(|_| FuseTable::new()).collect(),
             stats: FuseStats::default(),
         }
+    }
+}
+
+/// What the routing body does when an incoming tuple finds a tuple with
+/// its key still staged in the open C-Buffer frame.
+trait MergePolicy<V> {
+    /// `false` compiles the frame probe out of the routing body.
+    const FUSES: bool;
+
+    /// Folds `incoming` into `staged`; `false` stages `incoming` normally.
+    fn merge(&mut self, staged: &mut V, incoming: &V) -> bool;
+}
+
+/// [`Binner::insert`]'s policy: every tuple crosses into bin memory.
+struct NeverMerge;
+
+impl<V> MergePolicy<V> for NeverMerge {
+    const FUSES: bool = false;
+
+    fn merge(&mut self, _: &mut V, _: &V) -> bool {
+        false
+    }
+}
+
+/// [`Binner::insert_fused`]'s policy: the caller's closure decides.
+impl<V, F: FnMut(&mut V, &V) -> bool> MergePolicy<V> for F {
+    const FUSES: bool = true;
+
+    fn merge(&mut self, staged: &mut V, incoming: &V) -> bool {
+        self(staged, incoming)
     }
 }
 
@@ -147,49 +157,7 @@ impl<V: Copy> Binner<V> {
     /// enabled — panics if `key >= num_keys`.
     #[inline]
     pub fn insert(&mut self, key: u32, value: V) {
-        #[cfg(feature = "check")]
-        if let Err(e) = self.try_insert(key, value) {
-            panic!("{e}");
-        }
-        #[cfg(not(feature = "check"))]
-        {
-            debug_assert!(key < self.num_keys, "key {key} out of range");
-            self.insert_unchecked(key, value);
-        }
-    }
-
-    /// Routes one update tuple, rejecting keys outside `0..num_keys`.
-    #[inline]
-    pub fn try_insert(&mut self, key: u32, value: V) -> Result<(), BinError> {
-        if key >= self.num_keys {
-            return Err(BinError {
-                key,
-                num_keys: self.num_keys,
-            });
-        }
-        self.insert_unchecked(key, value);
-        Ok(())
-    }
-
-    #[inline]
-    fn insert_unchecked(&mut self, key: u32, value: V) {
-        let b = (key >> self.store.bin_shift()) as usize;
-        #[cfg(feature = "check")]
-        crate::trace::bin_write(b, key, self.store.bin_shift());
-        let cbuf = &mut self.cbufs[b];
-        cbuf.push(key, value);
-        if cbuf.is_full() {
-            // Full line: bulk-transfer to the in-memory bin (software PB
-            // uses non-temporal stores here).
-            let n = cbuf.flush_into(&mut self.store, b);
-            self.flush_stats.record(n);
-            if let Some(f) = self.fusion.as_mut() {
-                // The frame emptied: any coalescing positions it tracked
-                // are gone.
-                f.tables[b].clear();
-                f.stats.flushes += 1;
-            }
-        }
+        self.route(key, value, NeverMerge);
     }
 
     /// Routes one update tuple through the Coup-style frame fusion pass:
@@ -198,7 +166,8 @@ impl<V: Copy> Binner<V> {
     /// `true` return folds them into a single tuple — one fewer tuple
     /// crosses into bin memory. A `false` return (the payloads are not
     /// combinable, e.g. SpGEMM partial products for different output
-    /// columns) stages the tuple normally.
+    /// columns) stages the tuple normally, exactly as
+    /// [`insert`](Self::insert) would.
     ///
     /// **Legality is the caller's contract**: only updates whose reducer
     /// is commutative may take this path, because fusion reassociates the
@@ -211,69 +180,54 @@ impl<V: Copy> Binner<V> {
     /// enabled — panics if `key >= num_keys`.
     #[inline]
     pub fn insert_fused<F: FnMut(&mut V, &V) -> bool>(&mut self, key: u32, value: V, merge: F) {
-        #[cfg(feature = "check")]
-        if let Err(e) = self.try_insert_fused(key, value, merge) {
-            panic!("{e}");
-        }
-        #[cfg(not(feature = "check"))]
-        {
-            debug_assert!(key < self.num_keys, "key {key} out of range");
-            self.insert_fused_unchecked(key, value, merge);
-        }
+        self.route(key, value, merge);
     }
 
-    /// [`insert_fused`](Self::insert_fused), rejecting keys outside
-    /// `0..num_keys`.
+    /// The one routing body: bounds check, shift, (probe and maybe merge,)
+    /// stage, and a bulk transfer into bin memory when the frame fills.
     #[inline]
-    pub fn try_insert_fused<F: FnMut(&mut V, &V) -> bool>(
-        &mut self,
-        key: u32,
-        value: V,
-        merge: F,
-    ) -> Result<(), BinError> {
-        if key >= self.num_keys {
-            return Err(BinError {
-                key,
-                num_keys: self.num_keys,
-            });
+    fn route<M: MergePolicy<V>>(&mut self, key: u32, value: V, mut merge: M) {
+        if cfg!(any(debug_assertions, feature = "check")) {
+            assert!(
+                key < self.num_keys,
+                "key {key} out of range (domain is 0..{})",
+                self.num_keys
+            );
         }
-        self.insert_fused_unchecked(key, value, merge);
-        Ok(())
-    }
-
-    #[inline]
-    fn insert_fused_unchecked<F: FnMut(&mut V, &V) -> bool>(
-        &mut self,
-        key: u32,
-        value: V,
-        mut merge: F,
-    ) {
         let b = (key >> self.store.bin_shift()) as usize;
         #[cfg(feature = "check")]
         crate::trace::bin_write(b, key, self.store.bin_shift());
-        let num_bins = self.store.num_bins();
-        let fusion = self
-            .fusion
-            .get_or_insert_with(|| FusionState::new(num_bins));
-        fusion.stats.attempts += 1;
         let cbuf = &mut self.cbufs[b];
-        let table = &mut fusion.tables[b];
-        if let Some(i) = table.probe(key) {
-            // The table is cleared on every frame flush, so a live slot
-            // always points at a staged tuple carrying exactly this key.
-            debug_assert_eq!(cbuf.keys().get(i).copied(), Some(key));
-            if merge(cbuf.value_mut(i), &value) {
-                fusion.stats.hits += 1;
-                return;
+        if M::FUSES {
+            let num_bins = self.store.num_bins();
+            let fusion = self
+                .fusion
+                .get_or_insert_with(|| FusionState::new(num_bins));
+            fusion.stats.attempts += 1;
+            let table = &mut fusion.tables[b];
+            if let Some(i) = table.probe(key) {
+                // The table is cleared on every frame flush, so a live slot
+                // always points at a staged tuple carrying exactly this key.
+                debug_assert_eq!(cbuf.keys().get(i).copied(), Some(key));
+                if merge.merge(cbuf.value_mut(i), &value) {
+                    fusion.stats.hits += 1;
+                    return;
+                }
             }
+            table.note(key, cbuf.len());
         }
         cbuf.push(key, value);
-        table.note(key, cbuf.len() - 1);
         if cbuf.is_full() {
+            // Full line: bulk-transfer to the in-memory bin (software PB
+            // uses non-temporal stores here).
             let n = cbuf.flush_into(&mut self.store, b);
             self.flush_stats.record(n);
-            table.clear();
-            fusion.stats.flushes += 1;
+            if let Some(f) = self.fusion.as_mut() {
+                // The frame emptied: any coalescing positions it tracked
+                // are gone.
+                f.tables[b].clear();
+                f.stats.flushes += 1;
+            }
         }
     }
 
@@ -445,6 +399,21 @@ impl<V: Copy> Bins<V> {
 mod tests {
     use super::*;
 
+    /// A seeded stream with 80% of its tuples on the low 10% of the keys:
+    /// uneven bin growth (hot bins span many slab segments, some stay
+    /// empty) and same-key repeats inside a frame.
+    fn skewed_tuples(n: u64, num_keys: u32, seed: u64) -> Vec<(u32, u64)> {
+        let hot_keys = (num_keys / 10).max(1);
+        (0..n)
+            .map(|i| {
+                let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let hot = (h >> 8) % 10 < 8;
+                let span = if hot { hot_keys } else { num_keys };
+                (((h >> 24) % span as u64) as u32, h)
+            })
+            .collect()
+    }
+
     #[test]
     fn routes_by_range_and_preserves_order() {
         let mut b = Binner::<u8>::new(100, 4);
@@ -533,6 +502,44 @@ mod tests {
             b.insert(k, k);
         }
         assert_eq!(b.finish().len(), 64);
+    }
+
+    #[test]
+    fn exact_reserve_path_matches_unsized_path() {
+        // The Init pre-pass reserves exact per-bin counts; binning into a
+        // pre-sized store must produce the same columns as growing on demand.
+        let num_keys = 1 << 12;
+        let tuples = skewed_tuples(50_000, num_keys, 0x5E5);
+
+        let mut grown = Binner::<u64>::new(num_keys, 32);
+        let mut sized = Binner::<u64>::new(num_keys, 32);
+        let shift = grown.bin_shift();
+        let mut counts = vec![0u32; grown.num_bins()];
+        for &(k, _) in &tuples {
+            counts[(k >> shift) as usize] += 1;
+        }
+        sized.reserve(&counts);
+        for &(k, v) in &tuples {
+            grown.insert(k, v);
+            sized.insert(k, v);
+        }
+        let (grown, sized) = (grown.finish(), sized.finish());
+        // Every capacity acquisition counts as a grow event, so an exact
+        // reserve shows one per non-empty bin and no mid-binning regrowth;
+        // the on-demand path pays extra doubling grows on the hot bins.
+        let nonempty = counts.iter().filter(|&&c| c > 0).count() as u64;
+        assert_eq!(
+            sized.store().grow_events(),
+            nonempty,
+            "exact reserve should acquire each bin's capacity exactly once"
+        );
+        assert!(
+            grown.store().grow_events() > sized.store().grow_events(),
+            "on-demand growth should regrow hot bins"
+        );
+        for b in 0..grown.num_bins() {
+            assert!(grown.iter_bin(b).eq(sized.iter_bin(b)), "bin {b} differs");
+        }
     }
 
     #[test]
@@ -644,30 +651,12 @@ mod tests {
         assert_eq!(rest.keys(1), &(100..120).collect::<Vec<_>>()[..]);
     }
 
-    #[test]
-    fn try_insert_rejects_out_of_range_key() {
-        let mut b = Binner::<u32>::new(100, 4);
-        let err = b.try_insert(100, 7).expect_err("key 100 is out of range");
-        assert_eq!(
-            err,
-            BinError {
-                key: 100,
-                num_keys: 100
-            }
-        );
-        assert!(err.to_string().contains("key 100"));
-        // Nothing was buffered by the rejected insert.
-        assert_eq!(b.buffered_len(), 0);
-        b.try_insert(99, 7).expect("key 99 is in range");
-        assert_eq!(b.finish().len(), 1);
-    }
-
     #[cfg(feature = "check")]
     #[test]
     #[should_panic(expected = "out of range")]
     fn checked_insert_panics_on_out_of_range_key() {
-        // With the `check` feature on, the infallible path is promoted from
-        // a debug_assert to an always-on checked insert.
+        // With the `check` feature on, the bounds check is always on, not
+        // just a debug assertion.
         let mut b = Binner::<u32>::new(100, 4);
         b.insert(100, 7);
     }
@@ -781,6 +770,26 @@ mod tests {
             bins.iter_bin(0).map(|t| t.value).collect::<Vec<_>>(),
             (0..10).collect::<Vec<_>>()
         );
+
+        // Same routing body, so on a skewed stream (same-key repeats do
+        // meet in a frame, the probe does hit) an always-refusing policy
+        // is `insert` bit for bit.
+        let tuples = skewed_tuples(100_000, 1 << 12, 0xF05E);
+        let mut plain = Binner::<u64>::new(1 << 12, 32);
+        let mut refused = Binner::<u64>::new(1 << 12, 32);
+        let mut offered = 0u32;
+        for &(k, v) in &tuples {
+            plain.insert(k, v);
+            refused.insert_fused(k, v, |_, _| {
+                offered += 1;
+                false
+            });
+        }
+        assert!(offered > 0, "the stream must exercise the probe");
+        assert_eq!(refused.fuse_stats().hits, 0);
+        assert_eq!(refused.fuse_stats().attempts, 100_000);
+        assert_eq!(refused.flush_stats(), plain.flush_stats());
+        assert_eq!(refused.finish(), plain.finish());
     }
 
     #[test]
@@ -822,19 +831,5 @@ mod tests {
         let bins = b.finish();
         assert_eq!(bins.keys(0), &[1, 2, 1]);
         assert_eq!(bins.values(0), &[15, 20, 7]);
-    }
-
-    #[test]
-    fn try_insert_fused_rejects_out_of_range_key() {
-        let mut b = Binner::<u32>::new(10, 1);
-        let err = b
-            .try_insert_fused(10, 1, |a, v| {
-                *a += *v;
-                true
-            })
-            .expect_err("key 10 is out of range");
-        assert_eq!(err.key, 10);
-        assert_eq!(b.buffered_len(), 0);
-        assert_eq!(b.fuse_stats(), cobra_bins::FuseStats::default());
     }
 }

@@ -54,6 +54,6 @@ pub mod parallel;
 #[cfg(feature = "check")]
 pub mod trace;
 
-pub use binner::{BinError, Binner, Bins, Tuple};
+pub use binner::{Binner, Bins, Tuple};
 pub use config::{ideal_accumulate_bins, ideal_binning_bins, sweet_spot_bins};
 pub use parallel::{bin_parallel, ThreadBins};

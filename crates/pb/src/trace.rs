@@ -2,8 +2,13 @@
 //!
 //! Compiled only under the `check` feature; with the feature off every
 //! hook call site disappears entirely, so the hot paths carry zero cost.
-//! With the feature on but no capture in progress, each hook is a single
-//! `Relaxed` atomic load and an early return.
+//! With the feature on, a hook on a thread that is not part of a capture
+//! is one thread-local load and an early return.
+//!
+//! A capture window belongs to the thread that called [`capture`] and to
+//! the threads it forked through the token protocol below; every other
+//! thread in the process (parallel tests, say) stays outside it, whatever
+//! it bins meanwhile.
 //!
 //! The trace is a flat, globally-serialized event log. Happens-before
 //! edges between threads are expressed with an explicit fork/join token
@@ -14,7 +19,7 @@
 //! exactly these three edges.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// One dynamic event in a traced binning/accumulate run.
@@ -75,7 +80,10 @@ pub enum Event {
 /// Sentinel `bin` value in [`Event::BinFlush`] meaning "all bins".
 pub const ALL_BINS: u32 = u32::MAX;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The token [`fork`] hands out on a thread outside any capture window:
+/// the child it names stays outside too.
+const NO_TOKEN: u64 = u64::MAX;
+
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(0);
 static LOG: Mutex<Vec<Event>> = Mutex::new(Vec::new());
@@ -84,6 +92,9 @@ static GATE: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static TID: Cell<u32> = const { Cell::new(u32::MAX) };
+    /// Whether this thread is inside a capture window: the capturing
+    /// thread for the duration of `capture`, a forked child for life.
+    static IN_WINDOW: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Locks `m`, shrugging off poison: the log holds plain-old-data and a
@@ -114,44 +125,28 @@ pub fn thread_id() -> u32 {
 
 #[inline]
 fn record(ev: Event) {
-    // ordering: Relaxed — ENABLED is a pure on/off gate, toggled only while
-    // the capture GATE mutex is held; the LOG mutex below orders the
-    // recorded events themselves. A hook racing a toggle merely drops or
-    // keeps a boundary event, which capture() tolerates by clearing first.
-    if ENABLED.load(Ordering::Relaxed) {
+    if IN_WINDOW.get() {
         lock(&LOG).push(ev);
     }
 }
 
-/// Whether a [`capture`] is currently in progress.
-pub fn is_capturing() -> bool {
-    // ordering: Relaxed — advisory query; see `record`.
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Runs `f` with event recording enabled and returns its result together
-/// with the events recorded during the run. Concurrent captures are
-/// serialized on a global gate, so traces never interleave.
+/// Runs `f` with event recording enabled on the calling thread (and on
+/// every thread it forks) and returns its result together with the events
+/// recorded during the run. Concurrent captures are serialized on a global
+/// gate, so traces never interleave.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
-    struct DisableOnDrop;
-    impl Drop for DisableOnDrop {
+    struct CloseOnDrop;
+    impl Drop for CloseOnDrop {
         fn drop(&mut self) {
-            // ordering: SeqCst — cheap (once per capture) and makes the
-            // toggle globally ordered against in-flight hooks.
-            // analyze: R8-allowlisted (analyze-allow.txt) — the paired
-            // loads in record()/is_capturing() are deliberately Relaxed;
-            // a stale read only drops/keeps a boundary event.
-            ENABLED.store(false, Ordering::SeqCst);
+            IN_WINDOW.set(false);
         }
     }
     let _gate = lock(&GATE);
     lock(&LOG).clear();
-    // ordering: SeqCst — see DisableOnDrop.
-    // analyze: R8-allowlisted (analyze-allow.txt) — one-sided by design.
-    ENABLED.store(true, Ordering::SeqCst);
-    let _off = DisableOnDrop;
+    IN_WINDOW.set(true);
+    let window = CloseOnDrop;
     let r = f();
-    drop(_off);
+    drop(window);
     let events = std::mem::take(&mut *lock(&LOG));
     (r, events)
 }
@@ -159,6 +154,9 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
 /// Emits a [`Event::Fork`] and returns the token the spawned child must
 /// pass to [`child_start`] and the parent to [`join`].
 pub fn fork() -> u64 {
+    if !IN_WINDOW.get() {
+        return NO_TOKEN;
+    }
     // ordering: Relaxed — token uniqueness only; the fork/join ordering the
     // detector relies on comes from the log serialization, not this counter.
     let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
@@ -169,8 +167,10 @@ pub fn fork() -> u64 {
     token
 }
 
-/// First call in a spawned child: emits [`Event::ChildStart`].
+/// First call in a spawned child: joins the parent's capture window (if
+/// it was in one) and emits [`Event::ChildStart`].
 pub fn child_start(token: u64) {
+    IN_WINDOW.set(token != NO_TOKEN);
     record(Event::ChildStart {
         thread: thread_id(),
         token,
@@ -246,6 +246,21 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn threads_outside_the_window_are_not_recorded() {
+        let ((), events) = capture(|| {
+            // Neither forked by the capturing thread nor given its token.
+            std::thread::spawn(|| {
+                bin_write(1, 2, 3);
+                child_start(fork());
+                bin_write(1, 2, 3);
+            })
+            .join()
+            .expect("bystander ok");
+        });
+        assert_eq!(events, vec![]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!                      │        QUERY:  S3-FIFO snapshot cache
 //!                      │   4. stream: SUBSCRIBE queues → DELTA frames,
 //!                      │        REPLICATE → one SEGMENT chunk
-//!                      │   5. settle: one try_flush for the whole round
+//!                      │   5. settle: one blocking flush for the whole round
 //!                      │   6. flush outboxes (WouldBlock → write interest)
 //!                      ▼
 //!                IngestPipeline ──▶ EpochSnapshot ──publish hook──▶ wake
@@ -36,7 +36,8 @@
 //!   connection is refused (closed) instead of queueing without bound.
 //! * **Updates**: a full shard FIFO turns into an explicit
 //!   `Busy { accepted }` naming how many tuples of the batch were taken;
-//!   the reactor is never parked on a pipeline condvar mid-round.
+//!   the reactor is never parked on a pipeline condvar while admitting,
+//!   only once per round in the settle.
 //! * **Memory**: responses a peer leaves unread stage at most
 //!   [`OUTBOX_HIGH_WATER`] bytes (plus one in-flight frame). Past the
 //!   mark the connection stops reading *and* dispatching — so a client
@@ -117,7 +118,7 @@ impl Reducer for SumU64 {
     type Acc = u64;
     const COMMUTATIVE: bool = true;
     // Wrapping u64 addition is associative, so frame-level fusion is
-    // bit-exact here — even across a WAL replay, which re-bins unfused.
+    // bit-exact here.
     const FUSABLE: bool = true;
 
     fn identity(&self) -> u64 {
@@ -146,8 +147,6 @@ pub struct ServeConfig {
     /// Connections the reactor serves concurrently before refusing new
     /// ones (subscribed and replicating connections count like any other).
     pub max_conns: usize,
-    /// Per-frame length ceiling (both directions).
-    pub max_frame: usize,
     /// Snapshot-cache capacity, in blocks.
     pub cache_blocks: usize,
     /// Keys per cached snapshot block.
@@ -182,7 +181,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_conns: 4096,
-            max_frame: MAX_FRAME,
             cache_blocks: 128,
             cache_block_keys: 1024,
             read_timeout: Duration::from_millis(50),
@@ -290,7 +288,6 @@ struct Ctx {
     stop: AtomicBool,
     num_keys: u32,
     block_keys: u32,
-    max_frame: usize,
     read_timeout: Duration,
     /// The durable data directory (None = in-memory server; replication
     /// requests are refused with `NotDurable`).
@@ -462,7 +459,6 @@ impl Server {
             stop: AtomicBool::new(false),
             num_keys,
             block_keys: cfg.cache_block_keys,
-            max_frame: cfg.max_frame,
             read_timeout: cfg.read_timeout,
             data_dir,
             store,
@@ -1168,7 +1164,7 @@ fn drain_inbox(
     // (bounded) and are picked up by the resume sweep once the outbox
     // drains. So does any mode that makes later frames wait.
     while conn.dispatching() && !conn.backlogged() {
-        match conn.inbox.next_frame(ctx.max_frame) {
+        match conn.inbox.next_frame(MAX_FRAME) {
             Ok(Some(frame)) => {
                 extracted += 1;
                 // ordering: Relaxed — stats counter.
@@ -1454,19 +1450,15 @@ fn flush_outbox(conn: &mut Conn) {
 /// Acknowledged tuples must be visible to a `SEAL` arriving on *any*
 /// connection — the cluster router seals over its own connection after
 /// other clients' updates were acknowledged — so no response that counts
-/// tuples as taken may leave for a socket before this settles. The wait
-/// is bounded: the accumulator drains the FIFOs continuously (and the
-/// shutdown drain empties them even mid-stop).
+/// tuples as taken may leave for a socket before this settles. This is
+/// the one place the reactor waits on the pipeline (on a full FIFO's
+/// `not_full` condvar, counted in `send_blocks`/`send_stall_nanos`), and
+/// the wait is bounded: the shard workers drain the FIFOs continuously
+/// (and the shutdown drain empties them even mid-stop).
 fn settle(handle: &mut IngestHandle<u64>) {
-    loop {
-        match handle.try_flush() {
-            Ok(()) => return,
-            Err(TryIngestError::Busy) => std::thread::sleep(Duration::from_micros(50)),
-            // Closed: the pipeline drain owns whatever was shipped;
-            // nothing left to settle.
-            Err(TryIngestError::Closed) => return,
-        }
-    }
+    // Closed: the pipeline drain owns whatever was shipped; nothing left
+    // to settle.
+    let _ = handle.flush();
 }
 
 /// Admits one `UPDATE` batch into the handle's coalescing buffers. The
@@ -1680,7 +1672,6 @@ mod tests {
             stop: AtomicBool::new(false),
             num_keys,
             block_keys,
-            max_frame: MAX_FRAME,
             read_timeout: Duration::from_millis(10),
             data_dir: None,
             store: Arc::new(EpochStore::new(RetentionConfig::new())),

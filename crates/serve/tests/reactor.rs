@@ -14,10 +14,17 @@ use std::time::{Duration, Instant};
 /// A server whose shard FIFO is one single-tuple batch deep, so any
 /// sustained UPDATE stream slams into `BUSY` and the client retry path.
 fn congested_server(num_keys: u32) -> Server {
+    congested_server_batching(num_keys, 1)
+}
+
+/// [`congested_server`] with `batch_tuples`-tuple batches: above 1, a
+/// round's last partial batch is still in the reactor's handle when the
+/// round settles, and the one FIFO slot it needs is usually taken.
+fn congested_server_batching(num_keys: u32, batch_tuples: usize) -> Server {
     let stream_cfg = StreamConfig::new()
         .shards(1)
         .channel_capacity(1)
-        .batch_tuples(1);
+        .batch_tuples(batch_tuples);
     let serve_cfg = ServeConfig::new()
         .cache_blocks(8)
         .cache_block_keys(16)
@@ -102,6 +109,46 @@ fn lockstep_window_one_matches_pipelined_behaviour() {
     let total: u64 = snapshot.iter().sum();
     assert_eq!(total, expected);
     assert_eq!(stats.tuples_ingested, TUPLES);
+}
+
+/// The settle guarantee under congestion, across connections: whatever
+/// connection A was told is `ACCEPTED` (after resending every `BUSY`
+/// suffix) is in the epoch that connection B seals the moment A's last
+/// acknowledgement arrives — the settle waited for the full FIFO, it did
+/// not give up and it did not let the acknowledgement out early. Nothing
+/// acknowledged is lost or applied twice by the end.
+#[test]
+fn accepted_on_one_connection_is_visible_to_a_seal_on_another() {
+    const KEYS: u32 = 64;
+    const ROUNDS: u64 = 200;
+    const PER_ROUND: u64 = 29; // never a multiple of the batch size below
+    for batch_tuples in [1, 8] {
+        let server = congested_server_batching(KEYS, batch_tuples);
+        let mut a = ServeClient::connect(server.local_addr()).expect("connect a");
+        let mut b = ServeClient::connect(server.local_addr()).expect("connect b");
+        let mut acknowledged = 0u64;
+        for round in 0..ROUNDS {
+            let first = round * PER_ROUND;
+            let batch: Vec<(u32, u64)> = (first..first + PER_ROUND)
+                .map(|i| ((i % KEYS as u64) as u32, i + 1))
+                .collect();
+            a.update_all(&batch).expect("update");
+            acknowledged += batch.iter().map(|&(_, v)| v).sum::<u64>();
+
+            let sealed = b.seal().expect("seal");
+            b.wait_epoch(sealed).expect("wait");
+            let (epoch, _, values) = b.snapshot(sealed, 0, KEYS).expect("snapshot");
+            assert_eq!(epoch, sealed);
+            assert_eq!(
+                values.iter().sum::<u64>(),
+                acknowledged,
+                "batch_tuples={batch_tuples} round {round}: epoch {sealed} misses acknowledged tuples"
+            );
+        }
+        let (snapshot, stats) = server.shutdown();
+        assert_eq!(snapshot.iter().sum::<u64>(), acknowledged);
+        assert_eq!(stats.tuples_ingested, ROUNDS * PER_ROUND);
+    }
 }
 
 /// A client dribbling one byte at a time must be decoded exactly like a

@@ -132,7 +132,7 @@ pub fn spgemm_with_merge<M: FnMut(&mut (u32, f64), &(u32, f64)) -> bool>(
     expand(a, b, |i, prod| {
         report.expand_tuples += 1;
         if cfg.fusion {
-            binner.insert_fused(i, prod, |x, y| merge(x, y));
+            binner.insert_fused(i, prod, &mut merge);
         } else {
             binner.insert(i, prod);
         }

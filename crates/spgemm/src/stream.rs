@@ -9,6 +9,7 @@
 //! streaming result is bit-identical to the batch path on dyadic inputs
 //! even with fusion on, and to the unfused batch path always.
 
+use crate::batch::merge_same_col;
 use cobra_graph::prefix::exclusive_sum;
 use cobra_graph::SparseMatrix;
 use cobra_stream::{IngestPipeline, Reducer, StreamConfig, StreamStats};
@@ -16,8 +17,8 @@ use cobra_stream::{IngestPipeline, Reducer, StreamConfig, StreamStats};
 /// Per-output-row reducer: the accumulator is the row's live `(col, sum)`
 /// cells kept sorted by column, so snapshot rows concatenate straight into
 /// canonical CSR. Commutative (per-cell `+=`) and fusable (two staged
-/// products for the same column pre-add in the C-Buffer frame — the same
-/// legality as [`merge_same_col`](crate::batch::merge_same_col)).
+/// products for the same column pre-add in the C-Buffer frame — the batch
+/// path's merge policy, [`merge_same_col`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ColSum;
 
@@ -45,12 +46,7 @@ impl Reducer for ColSum {
     }
 
     fn fuse_values(&self, a: &mut (u32, f64), b: &(u32, f64)) -> bool {
-        if a.0 == b.0 {
-            a.1 += b.1;
-            true
-        } else {
-            false
-        }
+        merge_same_col(a, b)
     }
 }
 
@@ -93,7 +89,6 @@ pub fn spgemm_stream(
                 }
             }
         }
-        handle.flush().expect("pipeline alive");
         handle.seal_epoch().expect("pipeline alive");
         start = end;
     }

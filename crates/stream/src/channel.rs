@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Error returned by [`Sender::send`] when the receiver is gone. Carries
@@ -129,6 +129,24 @@ struct Shared<T> {
     counters: Arc<ChannelCounters>,
 }
 
+impl<T> Shared<T> {
+    /// The tail both send flavours share: pushes under the state lock the
+    /// caller holds (room and a live receiver already checked), samples
+    /// the occupancy, releases the lock and wakes the consumer.
+    fn enqueue(&self, mut st: MutexGuard<'_, State<T>>, value: T) {
+        st.queue.push_back(value);
+        let occ = st.queue.len() as u64;
+        let c = &self.counters;
+        // ordering: Relaxed (×3) — stats counters sampled under the state
+        // mutex; monotonic, no cross-thread payload publication.
+        c.occupancy_sum.fetch_add(occ, Ordering::Relaxed);
+        c.occupancy_hwm.fetch_max(occ, Ordering::Relaxed); // ordering: stats
+        c.sends.fetch_add(1, Ordering::Relaxed); // ordering: stats
+        drop(st);
+        self.not_empty.notify_one();
+    }
+}
+
 /// Producing end of a bounded channel. Cloneable; the channel closes for
 /// the receiver once every sender is dropped.
 pub struct Sender<T> {
@@ -188,15 +206,7 @@ impl<T> Sender<T> {
         if !st.receiver_alive {
             return Err(Disconnected(value));
         }
-        st.queue.push_back(value);
-        let occ = st.queue.len() as u64;
-        // ordering: Relaxed (×3) — stats counters sampled under the state
-        // mutex; monotonic, no cross-thread payload publication.
-        sh.counters.occupancy_sum.fetch_add(occ, Ordering::Relaxed);
-        sh.counters.occupancy_hwm.fetch_max(occ, Ordering::Relaxed); // ordering: stats
-        sh.counters.sends.fetch_add(1, Ordering::Relaxed); // ordering: stats
-        drop(st);
-        sh.not_empty.notify_one();
+        sh.enqueue(st, value);
         Ok(())
     }
 
@@ -206,7 +216,7 @@ impl<T> Sender<T> {
     /// as observable as blocking-send stalls.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         let sh = &*self.shared;
-        let mut st = sh.state.lock().expect("channel poisoned");
+        let st = sh.state.lock().expect("channel poisoned");
         if !st.receiver_alive {
             return Err(TrySendError::Disconnected(value));
         }
@@ -217,15 +227,7 @@ impl<T> Sender<T> {
             sh.counters.try_send_fulls.fetch_add(1, Ordering::Relaxed);
             return Err(TrySendError::Full(value));
         }
-        st.queue.push_back(value);
-        let occ = st.queue.len() as u64;
-        // ordering: Relaxed (×3) — stats counters sampled under the state
-        // mutex; monotonic, no cross-thread payload publication.
-        sh.counters.occupancy_sum.fetch_add(occ, Ordering::Relaxed);
-        sh.counters.occupancy_hwm.fetch_max(occ, Ordering::Relaxed); // ordering: stats
-        sh.counters.sends.fetch_add(1, Ordering::Relaxed); // ordering: stats
-        drop(st);
-        sh.not_empty.notify_one();
+        sh.enqueue(st, value);
         Ok(())
     }
 

@@ -36,10 +36,10 @@
 //! seal — a torn tail, a flipped record, or whole uncommitted epochs — is
 //! truncated, and the writers resume at the truncation point.
 
-use crate::epoch::{EpochEvent, EpochSink, PublishHook};
-use crate::pipeline::{shard_plan, DurableParts, IngestPipeline, StreamConfig};
+use crate::epoch::{apply_bins, identity_segments, EpochEvent, EpochSink, PublishHook};
+use crate::pipeline::{shard_plan, DurableParts, IngestPipeline, StreamConfig, MIN_BINS_PER_SHARD};
 use crate::reducer::Reducer;
-use crate::shard::ShardWal;
+use crate::shard::{bin_one, ShardWal};
 use cobra_pb::Binner;
 use cobra_wal::{
     gc_checkpoints, latest_checkpoint, scan, write_checkpoint, CheckpointMeta, Record, SyncPolicy,
@@ -120,44 +120,6 @@ pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
 /// The commit-log directory inside a durable data directory.
 pub fn commit_dir(dir: &Path) -> PathBuf {
     dir.join("commit")
-}
-
-/// All-identity state segments matching the pipeline's snapshot geometry.
-fn identity_state<R: Reducer>(
-    reducer: &R,
-    num_keys: u32,
-    segment_keys: u32,
-) -> Vec<Arc<Vec<R::Acc>>> {
-    let mut state = Vec::new();
-    let mut remaining = num_keys as usize;
-    while remaining > 0 {
-        let n = remaining.min(segment_keys as usize);
-        state.push(Arc::new(vec![reducer.identity(); n]));
-        remaining -= n;
-    }
-    state
-}
-
-/// Flushes the binner's staged tuples into the state segments — the same
-/// bins → `accumulate` → `Arc::make_mut` path the live accumulator takes,
-/// so replay order equals the original per-shard arrival order. Returns
-/// the tuple count.
-fn apply_staged<R: Reducer>(
-    reducer: &R,
-    binner: &mut Binner<R::Value>,
-    base: u32,
-    segment_keys: u32,
-    state: &mut [Arc<Vec<R::Acc>>],
-) -> u64 {
-    let bins = binner.take_bins();
-    let tuples = bins.len() as u64;
-    bins.accumulate(|local_key, value| {
-        let key = base + local_key;
-        let slot = &mut Arc::make_mut(&mut state[(key / segment_keys) as usize])
-            [(key % segment_keys) as usize];
-        reducer.apply(slot, value);
-    });
-    tuples
 }
 
 impl<R: Reducer> IngestPipeline<R>
@@ -257,12 +219,12 @@ where
             None => (
                 0,
                 vec![0u64; num_shards],
-                identity_state(&reducer, num_keys, segment_keys),
+                identity_segments(&reducer, num_keys, segment_keys),
             ),
         };
 
         // Phase 3 — replay each shard's WAL suffix through a binner (the
-        // same Binning → Accumulate path live tuples take, with the same
+        // same `bin_one` → `apply_bins` path live tuples take, with the same
         // locality win: replay writes are bin-local, not key-random).
         // Epochs apply wholesale at their Seal marker; the scan stops
         // *before* the first record past the committed epoch, so opening
@@ -273,7 +235,7 @@ where
         let mut binners = Vec::with_capacity(num_shards);
         for (s, range) in ranges.iter().enumerate() {
             let local_keys = range.end - range.start;
-            let mut binner = Binner::new(local_keys, cfg.min_bins_per_shard);
+            let mut binner = Binner::new(local_keys, MIN_BINS_PER_SHARD);
             let sdir = shard_dir(&durable.dir, s);
             let mut done = checkpoint_epoch >= committed;
             let mut tuples_here = 0u64;
@@ -287,20 +249,16 @@ where
                         // different geometry; skip rather than corrupt a
                         // neighboring shard's slot.
                         if key >= range.start && key < range.end {
-                            binner.insert(key - range.start, R::Value::from_word(value));
+                            let value = R::Value::from_word(value);
+                            bin_one(&reducer, &mut binner, key - range.start, value);
                             tuples_here += 1;
                         }
                         true
                     }
                     Record::Seal { epoch } => {
                         if epoch <= committed {
-                            apply_staged(
-                                &reducer,
-                                &mut binner,
-                                range.start,
-                                segment_keys,
-                                &mut state,
-                            );
+                            let bins = binner.take_bins();
+                            apply_bins(&reducer, &bins, range.start, segment_keys, &mut state);
                             if epoch == committed {
                                 done = true;
                             }

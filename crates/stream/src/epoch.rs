@@ -57,28 +57,6 @@ impl<A> EpochSnapshot<A> {
         }
     }
 
-    /// Builds a snapshot from a flat value array, chunked into segments of
-    /// `segment_keys` keys (the last may be shorter).
-    pub(crate) fn from_values(epoch: u64, segment_keys: u32, values: Vec<A>) -> Self {
-        assert!(segment_keys > 0, "need a positive segment size");
-        let num_keys = values.len() as u32;
-        let mut segments = Vec::new();
-        let mut values = values.into_iter();
-        loop {
-            let seg: Vec<A> = values.by_ref().take(segment_keys as usize).collect();
-            if seg.is_empty() {
-                break;
-            }
-            segments.push(Arc::new(seg));
-        }
-        EpochSnapshot {
-            epoch,
-            num_keys,
-            segment_keys,
-            segments,
-        }
-    }
-
     /// Builds a snapshot directly from copy-on-write segment handles —
     /// the constructor for retention layers and tests that manage segment
     /// sharing themselves (a pipeline publishes through the same path).
@@ -200,6 +178,43 @@ impl<A: PartialEq> PartialEq for EpochSnapshot<A> {
 
 impl<A: Eq> Eq for EpochSnapshot<A> {}
 
+/// All-identity state segments in the snapshot geometry: `segment_keys`
+/// keys per segment, the last one shorter when `num_keys` is no multiple.
+pub(crate) fn identity_segments<R: Reducer>(
+    reducer: &R,
+    num_keys: u32,
+    segment_keys: u32,
+) -> Vec<Arc<Vec<R::Acc>>> {
+    (0..num_keys.div_ceil(segment_keys))
+        .map(|seg| {
+            let n = (num_keys - seg * segment_keys).min(segment_keys);
+            Arc::new(vec![reducer.identity(); n as usize])
+        })
+        .collect()
+}
+
+/// The state slot of (global) `key`. The first write into a segment since
+/// the last publish copies that segment (`Arc::make_mut`); later writes
+/// hit the now-unique segment for free.
+pub(crate) fn slot_mut<A: Clone>(state: &mut [Arc<Vec<A>>], segment_keys: u32, key: u32) -> &mut A {
+    &mut Arc::make_mut(&mut state[(key / segment_keys) as usize])[(key % segment_keys) as usize]
+}
+
+/// Replays one shard's bins (shard-local keys, `base` = the shard's first
+/// global key) into the state, bin by bin, tuples in arrival order. The
+/// live accumulator and WAL recovery both apply ordered deltas here.
+pub(crate) fn apply_bins<R: Reducer>(
+    reducer: &R,
+    bins: &Bins<R::Value>,
+    base: u32,
+    segment_keys: u32,
+    state: &mut [Arc<Vec<R::Acc>>],
+) {
+    bins.accumulate(|local_key, value| {
+        reducer.apply(slot_mut(state, segment_keys, base + local_key), value)
+    });
+}
+
 /// One sealed epoch's worth of updates from one shard, keyed by
 /// shard-local key.
 pub(crate) enum EpochDelta<R: Reducer> {
@@ -258,8 +273,9 @@ pub(crate) type EpochSink<A> = Box<dyn FnMut(EpochEvent<'_, A>) + Send>;
 /// O(keys): clone `Arc` handles, don't deep-copy state.
 pub type PublishHook<A> = Box<dyn FnMut(&Arc<EpochSnapshot<A>>) + Send>;
 
-/// Recovery seed for the accumulator: the committed epoch, its COW
-/// snapshot segments, and the per-shard WAL replay boundaries.
+/// What the accumulator starts from: the committed epoch, its COW state
+/// segments, and the per-shard WAL replay boundaries (0, identity and
+/// zeros unless a recovery found more).
 pub(crate) type ResumeState<A> = (u64, Vec<Arc<Vec<A>>>, Vec<u64>);
 
 /// The single accumulator thread's state. Owns the authoritative
@@ -295,24 +311,11 @@ impl<R: Reducer> Accumulator<R> {
         segment_keys: u32,
         published: Arc<Mutex<Arc<EpochSnapshot<R::Acc>>>>,
         epochs_published: Arc<AtomicU64>,
-        resume: Option<ResumeState<R::Acc>>,
+        (applied_epoch, state, shard_offsets): ResumeState<R::Acc>,
         epoch_sink: Option<EpochSink<R::Acc>>,
         publish_hook: Option<PublishHook<R::Acc>>,
     ) -> Self {
         let shards = bases.len();
-        let (applied_epoch, state, shard_offsets) = match resume {
-            Some((epoch, state, offsets)) => (epoch, state, offsets),
-            None => {
-                let mut state = Vec::new();
-                let mut remaining = num_keys as usize;
-                while remaining > 0 {
-                    let n = remaining.min(segment_keys as usize);
-                    state.push(Arc::new(vec![reducer.identity(); n]));
-                    remaining -= n;
-                }
-                (0, state, vec![0; shards])
-            }
-        };
         Accumulator {
             state,
             reducer,
@@ -435,23 +438,14 @@ impl<R: Reducer> Accumulator<R> {
     fn apply(&mut self, shard: usize, delta: EpochDelta<R>) {
         let base = self.bases[shard];
         let seg_keys = self.segment_keys;
-        let reducer = &self.reducer;
-        let state = &mut self.state;
-        // First write into a segment since the last publish copies it
-        // (make_mut); subsequent writes hit the now-unique segment free.
         match delta {
-            EpochDelta::Ordered(bins) => bins.accumulate(|local_key, value| {
-                let key = base + local_key;
-                let slot = &mut Arc::make_mut(&mut state[(key / seg_keys) as usize])
-                    [(key % seg_keys) as usize];
-                reducer.apply(slot, value);
-            }),
+            EpochDelta::Ordered(bins) => {
+                apply_bins(&*self.reducer, &bins, base, seg_keys, &mut self.state)
+            }
             EpochDelta::Reduced(partials) => {
                 for (local_key, partial) in partials {
-                    let key = base + local_key;
-                    let slot = &mut Arc::make_mut(&mut state[(key / seg_keys) as usize])
-                        [(key % seg_keys) as usize];
-                    reducer.merge(slot, partial);
+                    let slot = slot_mut(&mut self.state, seg_keys, base + local_key);
+                    self.reducer.merge(slot, partial);
                 }
             }
         }

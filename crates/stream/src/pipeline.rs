@@ -2,7 +2,7 @@
 //! workers → epoch accumulator → published snapshots.
 
 use crate::channel::{self, ChannelCounters, Sender};
-use crate::epoch::{AccMsg, Accumulator, EpochSink, EpochSnapshot, PublishHook};
+use crate::epoch::{identity_segments, AccMsg, Accumulator, EpochSink, EpochSnapshot, PublishHook};
 use crate::reducer::Reducer;
 use crate::shard::{ShardMsg, ShardWal, ShardWorker};
 use crate::stats::{ShardCounters, ShardStats, StreamStats};
@@ -47,6 +47,9 @@ impl std::fmt::Display for TryIngestError {
 
 impl std::error::Error for TryIngestError {}
 
+/// Minimum bins per shard binner (per-shard accumulate granularity).
+pub(crate) const MIN_BINS_PER_SHARD: usize = 16;
+
 /// Tuning knobs of an [`IngestPipeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
@@ -60,8 +63,6 @@ pub struct StreamConfig {
     /// Tuples coalesced per handle-side batch before it is shipped (the
     /// C-Buffer-line analogue).
     pub batch_tuples: usize,
-    /// Minimum bins per shard binner (per-shard accumulate granularity).
-    pub min_bins_per_shard: usize,
     /// Auto-seal an epoch every this many ingested tuples (`None` =
     /// only explicit [`seal_epoch`](IngestPipeline::seal_epoch) calls and
     /// the final drain).
@@ -81,7 +82,6 @@ impl Default for StreamConfig {
             shards: 4,
             channel_capacity: 64,
             batch_tuples: 64,
-            min_bins_per_shard: 16,
             epoch_tuples: None,
             snapshot_segment_keys: 1024,
         }
@@ -109,12 +109,6 @@ impl StreamConfig {
     /// Sets the handle-side coalescing batch size in tuples.
     pub fn batch_tuples(mut self, tuples: usize) -> Self {
         self.batch_tuples = tuples;
-        self
-    }
-
-    /// Sets the minimum bins per shard binner.
-    pub fn min_bins_per_shard(mut self, bins: usize) -> Self {
-        self.min_bins_per_shard = bins;
         self
     }
 
@@ -146,7 +140,7 @@ struct Core<V> {
     seal_lock: Mutex<()>,
 }
 
-impl<V: Copy> Core<V> {
+impl<V> Core<V> {
     fn seal(&self) -> u64 {
         let _guard = self.seal_lock.lock().expect("seal lock poisoned");
         // ordering: Relaxed — audited: every mutation happens under
@@ -176,7 +170,16 @@ pub struct IngestHandle<V> {
     buffers: Vec<Vec<Tuple<V>>>,
 }
 
-impl<V: Copy> IngestHandle<V> {
+/// What [`IngestHandle::ship`] does when the shard FIFO is full.
+#[derive(Clone, Copy)]
+enum OnFull {
+    /// Park on the FIFO's `not_full` condvar (backpressure).
+    Wait,
+    /// Hand the batch back as [`TryIngestError::Busy`].
+    Refuse,
+}
+
+impl<V> IngestHandle<V> {
     /// Routes one `(key, value)` update.
     ///
     /// Blocks when the destination shard's FIFO is full (backpressure).
@@ -185,20 +188,18 @@ impl<V: Copy> IngestHandle<V> {
     ///
     /// Panics if `key >= num_keys`.
     pub fn send(&mut self, key: u32, value: V) -> Result<(), PipelineClosed> {
-        assert!(key < self.core.num_keys, "key {key} out of range");
-        let shard = (key >> self.core.shard_shift) as usize;
-        self.buffers[shard].push(Tuple { key, value });
+        let shard = self.stage(key, value);
         if self.buffers[shard].len() >= self.core.batch_tuples {
-            self.flush_shard(shard)?;
+            self.ship(shard, OnFull::Wait).map_err(|_| PipelineClosed)?;
         }
         Ok(())
     }
 
-    /// Ships every partially-filled batch buffer.
+    /// Ships every partially-filled batch buffer, blocking on full FIFOs.
     pub fn flush(&mut self) -> Result<(), PipelineClosed> {
         for shard in 0..self.buffers.len() {
             if !self.buffers[shard].is_empty() {
-                self.flush_shard(shard)?;
+                self.ship(shard, OnFull::Wait).map_err(|_| PipelineClosed)?;
             }
         }
         Ok(())
@@ -232,12 +233,10 @@ impl<V: Copy> IngestHandle<V> {
     ///
     /// Panics if `key >= num_keys`.
     pub fn try_send(&mut self, key: u32, value: V) -> Result<(), TryIngestError> {
-        assert!(key < self.core.num_keys, "key {key} out of range");
-        let shard = (key >> self.core.shard_shift) as usize;
-        self.buffers[shard].push(Tuple { key, value });
+        let shard = self.stage(key, value);
         if self.buffers[shard].len() >= self.core.batch_tuples {
-            if let Err(e) = self.try_flush_shard(shard) {
-                // The refused batch went back into the buffer; take this
+            if let Err(e) = self.ship(shard, OnFull::Refuse) {
+                // A refused batch went back into the buffer; take this
                 // call's tuple back out so Busy means "not accepted".
                 self.buffers[shard].pop();
                 return Err(e);
@@ -246,58 +245,37 @@ impl<V: Copy> IngestHandle<V> {
         Ok(())
     }
 
-    /// Attempts to ship every partially-filled batch buffer without
-    /// blocking. Stops at the first shard whose FIFO is full; already
-    /// shipped shards stay shipped, the refused shard's batch stays
-    /// buffered for a later retry.
-    pub fn try_flush(&mut self) -> Result<(), TryIngestError> {
-        for shard in 0..self.buffers.len() {
-            if !self.buffers[shard].is_empty() {
-                self.try_flush_shard(shard)?;
-            }
-        }
-        Ok(())
+    /// Appends the tuple to its shard's coalescing buffer; returns the shard.
+    fn stage(&mut self, key: u32, value: V) -> usize {
+        assert!(key < self.core.num_keys, "key {key} out of range");
+        let shard = (key >> self.core.shard_shift) as usize;
+        self.buffers[shard].push(Tuple { key, value });
+        shard
     }
 
-    fn flush_shard(&mut self, shard: usize) -> Result<(), PipelineClosed> {
-        let batch = std::mem::take(&mut self.buffers[shard]);
-        let n = batch.len() as u64;
-        self.core.senders[shard]
-            .send(ShardMsg::Batch(batch))
-            .map_err(|_| PipelineClosed)?;
-        self.note_batch_sent(n);
-        Ok(())
-    }
-
-    fn try_flush_shard(&mut self, shard: usize) -> Result<(), TryIngestError> {
-        let batch = std::mem::take(&mut self.buffers[shard]);
-        let n = batch.len() as u64;
-        match self.core.senders[shard].try_send(ShardMsg::Batch(batch)) {
-            Ok(()) => {
-                self.note_batch_sent(n);
-                Ok(())
-            }
-            Err(e) => {
-                // Refused: put the batch back so no tuple is lost; the
-                // caller decides whether to retry or give up.
-                let err = match e {
-                    channel::TrySendError::Full(_) => TryIngestError::Busy,
-                    channel::TrySendError::Disconnected(_) => TryIngestError::Closed,
-                };
-                if let ShardMsg::Batch(batch) = e.into_inner() {
+    /// Moves `shard`'s buffered batch into its FIFO and counts it. A batch
+    /// the FIFO refuses as [`Busy`](TryIngestError::Busy) goes back into
+    /// the buffer, so no tuple is lost and the caller decides whether to
+    /// retry; one refused as `Closed` can never be delivered and is dropped.
+    fn ship(&mut self, shard: usize, on_full: OnFull) -> Result<(), TryIngestError> {
+        let n = self.buffers[shard].len() as u64;
+        let batch = ShardMsg::Batch(std::mem::take(&mut self.buffers[shard]));
+        let tx = &self.core.senders[shard];
+        match on_full {
+            OnFull::Wait => tx.send(batch).map_err(|_| TryIngestError::Closed)?,
+            OnFull::Refuse => tx.try_send(batch).map_err(|e| match e {
+                channel::TrySendError::Full(ShardMsg::Batch(batch)) => {
                     self.buffers[shard] = batch;
+                    TryIngestError::Busy
                 }
-                Err(err)
-            }
+                _ => TryIngestError::Closed,
+            })?,
         }
-    }
-
-    fn note_batch_sent(&self, n: u64) {
         // ordering: Relaxed — stats counter, no payload published through it.
         self.core.batches_sent.fetch_add(1, Ordering::Relaxed);
         // ordering: Relaxed — audited: the auto-seal decision below needs
         // only the atomicity of fetch_add (its linearization guarantees
-        // exactly one flusher observes each `epoch_tuples` threshold
+        // exactly one shipper observes each `epoch_tuples` threshold
         // crossing, so exactly one triggers the seal); the seal itself
         // synchronizes via `seal_lock` and the channel mutexes.
         let before = self.core.tuples_sent.fetch_add(n, Ordering::Relaxed);
@@ -306,6 +284,7 @@ impl<V: Copy> IngestHandle<V> {
                 self.core.seal();
             }
         }
+        Ok(())
     }
 }
 
@@ -320,22 +299,8 @@ impl<V> Clone for IngestHandle<V> {
 
 impl<V> Drop for IngestHandle<V> {
     fn drop(&mut self) {
-        for shard in 0..self.buffers.len() {
-            if !self.buffers[shard].is_empty() {
-                let batch = std::mem::take(&mut self.buffers[shard]);
-                let n = batch.len() as u64;
-                if self.core.senders[shard]
-                    .send(ShardMsg::Batch(batch))
-                    .is_ok()
-                {
-                    // ordering: Relaxed (×2) — stats counters; the batch
-                    // was handed over by the channel mutex. No auto-seal
-                    // check here: a dropping handle no longer seals.
-                    self.core.batches_sent.fetch_add(1, Ordering::Relaxed);
-                    self.core.tuples_sent.fetch_add(n, Ordering::Relaxed); // ordering: stats
-                }
-            }
-        }
+        // Closed: the pipeline is gone and the tuples with it.
+        let _ = self.flush();
     }
 }
 
@@ -459,10 +424,6 @@ impl<R: Reducer> IngestPipeline<R> {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.channel_capacity > 0, "need channel capacity");
         assert!(cfg.batch_tuples > 0, "need a batch size");
-        assert!(
-            cfg.min_bins_per_shard > 0,
-            "need at least one bin per shard"
-        );
         if let Some(t) = cfg.epoch_tuples {
             assert!(t > 0, "epoch_tuples must be positive");
         }
@@ -490,20 +451,28 @@ impl<R: Reducer> IngestPipeline<R> {
         }
 
         let reducer = Arc::new(reducer);
-        let initial_epoch = durable.as_ref().map_or(0, |d| d.initial_epoch);
-        let published = Arc::new(Mutex::new(Arc::new(match &durable {
-            Some(d) => EpochSnapshot::new(
+        // The published snapshot and the accumulator start out sharing the
+        // same segments; the first epoch's writes copy what they touch,
+        // like every later epoch's.
+        let resume = match &mut durable {
+            Some(d) => (
                 d.initial_epoch,
-                num_keys,
-                segment_keys,
-                d.initial_state.clone(),
+                std::mem::take(&mut d.initial_state),
+                std::mem::take(&mut d.initial_offsets),
             ),
-            None => EpochSnapshot::from_values(
+            None => (
                 0,
-                segment_keys,
-                vec![reducer.identity(); num_keys as usize],
+                identity_segments(&*reducer, num_keys, segment_keys),
+                vec![0; num_shards],
             ),
-        })));
+        };
+        let initial_epoch = resume.0;
+        let published = Arc::new(Mutex::new(Arc::new(EpochSnapshot::new(
+            initial_epoch,
+            num_keys,
+            segment_keys,
+            resume.1.clone(),
+        ))));
         let epochs_published = Arc::new(AtomicU64::new(initial_epoch));
 
         // Accumulator inbox: sized so every shard can have a sealed epoch
@@ -545,7 +514,7 @@ impl<R: Reducer> IngestPipeline<R> {
                 // through; otherwise build a fresh one.
                 binner: binners[s]
                     .take()
-                    .unwrap_or_else(|| Binner::new(local_keys, cfg.min_bins_per_shard)),
+                    .unwrap_or_else(|| Binner::new(local_keys, MIN_BINS_PER_SHARD)),
                 reducer: Arc::clone(&reducer),
                 counters: Arc::clone(&shard_counters[s]),
                 acc_tx: acc_tx.clone(),
@@ -564,15 +533,14 @@ impl<R: Reducer> IngestPipeline<R> {
         }
         drop(acc_tx);
 
-        let (resume, epoch_sink, wal_stats, wal_replayed, epochs_committed) = match durable {
+        let (epoch_sink, wal_stats, wal_replayed, epochs_committed) = match durable {
             Some(d) => (
-                Some((d.initial_epoch, d.initial_state, d.initial_offsets)),
                 Some(d.epoch_sink),
                 Some(d.wal_stats),
                 d.replayed_records,
                 Some(d.committed),
             ),
-            None => (None, None, None, 0, None),
+            None => (None, None, 0, None),
         };
 
         let accumulator = {
@@ -1145,18 +1113,18 @@ mod tests {
             h.try_send(k, ()).unwrap();
         }
         assert_eq!(h.buffers[0].len(), 7);
-        h.try_flush().unwrap(); // fits: channel empty
+        h.flush().unwrap(); // fits: channel empty
         let Some(ShardMsg::Batch(b)) = rx.recv() else {
             panic!("expected flushed batch")
         };
         assert_eq!(b.len(), 7);
-        // Channel full again → try_flush refuses but keeps the batch.
+        // Channel full again → a refusing ship keeps the batch.
         for k in 0..8 {
             h.try_send(k, ()).unwrap();
         }
         assert!(h.buffers[0].is_empty(), "8th tuple shipped the batch");
         h.try_send(3, ()).unwrap();
-        assert_eq!(h.try_flush(), Err(TryIngestError::Busy));
+        assert_eq!(h.ship(0, OnFull::Refuse), Err(TryIngestError::Busy));
         assert_eq!(h.buffers[0].len(), 1, "refused batch stays buffered");
     }
 

@@ -32,6 +32,13 @@ pub trait Reducer: Send + Sync + 'static {
     /// fusion; see [`fuse_values`](Self::fuse_values)). Requires
     /// [`COMMUTATIVE`](Self::COMMUTATIVE): fusion reassociates the
     /// reduction, two updates arrive at the accumulator as one.
+    ///
+    /// `COMMUTATIVE && FUSABLE` is the one switch between the binner's
+    /// two merge policies: shard workers and WAL replay both read it (a
+    /// compile-time constant) and bin through
+    /// [`Binner::insert_fused`](cobra_pb::Binner::insert_fused) with
+    /// `fuse_values` as the merge when it holds, through plain
+    /// [`Binner::insert`](cobra_pb::Binner::insert) otherwise.
     const FUSABLE: bool = false;
 
     /// Coalesces the incoming value `b` into the staged value `a`, such

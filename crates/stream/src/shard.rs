@@ -80,6 +80,28 @@ impl<V: Copy> ShardWal<V> {
     }
 }
 
+/// Routes one tuple (shard-local key) into a shard binner the way `R`
+/// declares legal: through the Coup-style frame fusion pass when the
+/// reducer is commutative and its values fusable — a staged tuple for the
+/// same key absorbs this one before it ever crosses into bin memory
+/// (cobra-check's oracle validates the declaration) — and plainly
+/// otherwise. The choice is a compile-time constant. Live ingest and WAL
+/// replay both bin through here, so a recovered epoch is re-binned exactly
+/// as it was binned the first time.
+#[inline]
+pub(crate) fn bin_one<R: Reducer>(
+    reducer: &R,
+    binner: &mut Binner<R::Value>,
+    local_key: u32,
+    value: R::Value,
+) {
+    if R::COMMUTATIVE && R::FUSABLE {
+        binner.insert_fused(local_key, value, |a, b| reducer.fuse_values(a, b));
+    } else {
+        binner.insert(local_key, value);
+    }
+}
+
 pub(crate) struct ShardWorker<R: Reducer> {
     pub(crate) id: usize,
     /// First global key of this shard's range.
@@ -107,21 +129,8 @@ impl<R: Reducer> ShardWorker<R> {
                         // ordering: Relaxed — stats counter; the batch
                         // arrived through the channel mutex.
                         .fetch_add(tuples.len() as u64, Ordering::Relaxed);
-                    let reducer = &self.reducer;
                     for t in &tuples {
-                        if R::COMMUTATIVE && R::FUSABLE {
-                            // Coup-style frame fusion: a staged tuple for
-                            // the same key absorbs this one before it ever
-                            // crosses into bin memory. Legal only because
-                            // the reducer declares itself commutative
-                            // (cobra-check's oracle validates the claim).
-                            self.binner
-                                .insert_fused(t.key - self.base, t.value, |a, b| {
-                                    reducer.fuse_values(a, b)
-                                });
-                        } else {
-                            self.binner.insert(t.key - self.base, t.value);
-                        }
+                        bin_one(&*self.reducer, &mut self.binner, t.key - self.base, t.value);
                         if let Some(wal) = &mut self.wal {
                             wal.append_update(t.key, t.value);
                         }

@@ -173,7 +173,11 @@ impl StreamStats {
         }
     }
 
-    /// Total backpressure events (sends that found a full FIFO).
+    /// Total backpressure events (blocking sends that found a full FIFO
+    /// and waited). A caller that admits with `try_send` and then settles
+    /// with the blocking `flush` — the serve reactor — shows its waits
+    /// here and in `send_stall_nanos`; `try_send_fulls` counts only the
+    /// refusals it turned into `Busy`.
     pub fn total_send_blocks(&self) -> u64 {
         self.shards.iter().map(|s| s.channel.send_blocks).sum()
     }

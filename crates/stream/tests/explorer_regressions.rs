@@ -8,7 +8,7 @@
 //! vanishing while producers are wedged on a full FIFO.
 
 use cobra_stream::channel::{bounded, Disconnected};
-use cobra_stream::{Count, IngestPipeline, StreamConfig, Sum};
+use cobra_stream::{Append, Count, IngestPipeline, StreamConfig, Sum, TryIngestError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -132,7 +132,7 @@ fn epoch_snapshots_stay_monotonic_under_backpressure() {
             .shards(2)
             .channel_capacity(1)
             .batch_tuples(2)
-            .epoch_tuples(64), // auto-seal mid-stream, from inside flush_shard
+            .epoch_tuples(64), // auto-seal mid-stream, from inside the handle's ship
     );
     let mut handle = pipeline.handle();
     let mut last_total = 0u64;
@@ -164,4 +164,42 @@ fn epoch_snapshots_stay_monotonic_under_backpressure() {
     let (snapshot, _) = pipeline.shutdown();
     let total: u64 = snapshot.iter().map(|&c| c as u64).sum();
     assert_eq!(total, 2_000);
+}
+
+/// `send` and `try_send` (retried on `Busy`) are two callers of one
+/// stage-and-ship: the same stream through either, against 1-deep FIFOs,
+/// ends in the same per-key arrival logs and the same `tuples_sent`, and
+/// the partial batches a dropped handle still held are in there.
+#[test]
+fn send_and_try_send_with_retry_are_equivalent() {
+    let stream: Vec<(u32, u32)> = (0..20_000u32)
+        .map(|i| (i.wrapping_mul(2654435761) % 256, i))
+        .collect();
+    let run = |blocking: bool| {
+        let cfg = StreamConfig::new()
+            .shards(2)
+            .channel_capacity(1)
+            .batch_tuples(7); // 20_000 % 7 != 0: the drop ships a remainder
+        let pipeline = IngestPipeline::new(256, Append, cfg);
+        let mut handle = pipeline.handle();
+        for &(k, v) in &stream {
+            if blocking {
+                handle.send(k, v).expect("pipeline open");
+            } else {
+                while let Err(e) = handle.try_send(k, v) {
+                    assert_eq!(e, TryIngestError::Busy);
+                    thread::yield_now();
+                }
+            }
+        }
+        drop(handle);
+        let (snapshot, stats) = pipeline.shutdown();
+        (snapshot.to_vec(), stats.tuples_sent)
+    };
+    let mut want = vec![Vec::new(); 256];
+    for &(k, v) in &stream {
+        want[k as usize].push(v);
+    }
+    assert_eq!(run(true), (want.clone(), 20_000));
+    assert_eq!(run(false), (want, 20_000));
 }
