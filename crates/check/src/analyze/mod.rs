@@ -11,8 +11,9 @@
 //!   acquisition-order graph.
 //! * **R6** ([`rules::r6_commit_before_publish`]) — a WAL commit-class
 //!   call dominates every snapshot publish.
-//! * **R7** ([`rules::r7_wire_exhaustiveness`]) — every wire opcode has
-//!   encoder, decoder arm, server dispatch, client method, and a test.
+//! * **R7** ([`rules::r7_wire_exhaustiveness`]) — every row of the
+//!   wire protocol's `frames!` table has a server dispatch site, a
+//!   client method, and a test (the row itself is the codec).
 //! * **R8** ([`rules::r8_atomics_pairing`]) — Release-class stores and
 //!   Acquire-class loads pair up per field, workspace-wide.
 //!

@@ -79,49 +79,34 @@ pub fn r6_commit_before_publish(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
-/// Converts `WAIT_EPOCH` to `WaitEpoch`.
-fn camel(name: &str) -> String {
-    name.split('_')
-        .map(|w| {
-            let mut c = w.chars();
-            match c.next() {
-                Some(f) => f.to_uppercase().collect::<String>() + &c.as_str().to_lowercase(),
-                None => String::new(),
-            }
-        })
-        .collect()
-}
-
-/// Extracts the opcode const names declared inside `mod opcodes { … }`
-/// of `protocol_file` (consts outside the mod — `PROTOCOL_VERSION`,
-/// size limits — are not frame tags).
-fn opcode_consts(ws: &Workspace, protocol_file: usize) -> Vec<(String, u32)> {
+/// Reads the rows of the `frames! { … }` table in `protocol_file`. A
+/// row opens with `opcode CONST Variant`, and nothing else in the table
+/// is a number followed by two identifiers.
+fn table_rows(ws: &Workspace, protocol_file: usize) -> Vec<(String, String, u32)> {
     let toks = &ws.files[protocol_file].toks;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("mod") && toks[i + 1].is_ident("opcodes") && toks[i + 2].is_punct('{') {
-            let end = super::items::match_brace(toks, i + 2);
-            let mut j = i + 3;
-            while j + 1 < end {
-                if toks[j].is_ident("const") && toks[j + 1].kind == Kind::Ident {
-                    out.push((toks[j + 1].text.clone(), toks[j + 1].line));
-                }
-                j += 1;
-            }
-            break;
-        }
-        i += 1;
-    }
-    out
+    let Some(open) = toks
+        .windows(3)
+        .position(|w| w[0].is_ident("frames") && w[1].is_punct('!') && w[2].is_punct('{'))
+    else {
+        return Vec::new();
+    };
+    let end = super::items::match_brace(toks, open + 2);
+    toks[open + 3..end]
+        .windows(3)
+        .filter(|w| w[0].kind == Kind::Num && w[1].kind == Kind::Ident && w[2].kind == Kind::Ident)
+        .map(|w| (w[1].text.clone(), w[2].text.clone(), w[1].line))
+        .collect()
 }
 
 /// R7 — wire-protocol exhaustiveness.
 ///
-/// Every opcode const in `serve/src/protocol.rs` must have: an encoder
-/// mention, a decoder arm, a server dispatch/construction site, a
-/// client method site, and at least one test mention. The decoder must
-/// also keep its unknown-opcode arm (totality).
+/// A row of the `frames!` table in `serve/src/protocol.rs` is the
+/// opcode const, the `Frame` variant, the encoder arm and the decoder
+/// arm at once, so the compiler keeps those four in step. What it
+/// cannot see is the code *around* the codec, where a `_ =>` fallback
+/// swallows a forgotten kind: every row must have a server
+/// dispatch/construction site, a client site, and at least one test
+/// mention.
 pub fn r7_wire_exhaustiveness(ws: &Workspace) -> Vec<Finding> {
     let Some(pf) = ws
         .files
@@ -136,58 +121,44 @@ pub fn r7_wire_exhaustiveness(ws: &Workspace) -> Vec<Finding> {
         }];
     };
     let rel = ws.files[pf].rel.clone();
-    let consts = opcode_consts(ws, pf);
-    let mut findings = Vec::new();
-    if consts.is_empty() {
-        findings.push(Finding {
+    let rows = table_rows(ws, pf);
+    if rows.is_empty() {
+        return vec![Finding {
             rule: "R7",
             file: rel,
             line: 1,
-            message: "no opcode consts found inside `mod opcodes`".into(),
-        });
-        return findings;
+            message: "no `opcode CONST Variant` rows found in a `frames!` table".into(),
+        }];
     }
 
-    // Mention tables: does fn <name> in file <pred> mention const/variant?
-    let mentions = |want_file: &dyn Fn(&str) -> bool,
-                    want_fn: &dyn Fn(&str, bool) -> bool,
-                    konst: &str,
-                    variant: &str|
-     -> bool {
-        ws.fns.iter().enumerate().any(|(fi, f)| {
-            want_file(&ws.files[f.file].rel)
-                && want_fn(&f.name, f.is_test)
-                && (ws.facts[fi].opcodes.iter().any(|(o, _)| o == konst)
-                    || ws.facts[fi].frames.iter().any(|(v, _)| v == variant))
-        })
-    };
-    let in_protocol = |r: &str| r.ends_with("serve/src/protocol.rs");
+    // Does a fn of <file pred> / <test pred> mention the const or variant?
+    let mentions =
+        |want_file: &dyn Fn(&str) -> bool, want_test: bool, konst: &str, variant: &str| {
+            ws.fns.iter().enumerate().any(|(fi, f)| {
+                want_file(&ws.files[f.file].rel)
+                    && f.is_test == want_test
+                    && (ws.facts[fi].opcodes.iter().any(|(o, _)| o == konst)
+                        || ws.facts[fi].frames.iter().any(|(v, _)| v == variant))
+            })
+        };
     let in_server = |r: &str| r.ends_with("serve/src/server.rs");
     let in_client = |r: &str| r.ends_with("serve/src/client.rs");
     let any_file = |_: &str| true;
 
-    for (konst, line) in &consts {
-        let variant = camel(konst);
+    let mut findings = Vec::new();
+    for (konst, variant, line) in &rows {
         let checks: &[(&str, bool)] = &[
             (
-                "encoder in protocol.rs",
-                mentions(&in_protocol, &|n, t| n == "encode" && !t, konst, &variant),
-            ),
-            (
-                "decoder arm in protocol.rs",
-                mentions(&in_protocol, &|n, t| n == "decode" && !t, konst, &variant),
-            ),
-            (
                 "server dispatch in server.rs",
-                mentions(&in_server, &|_, t| !t, konst, &variant),
+                mentions(&in_server, false, konst, variant),
             ),
             (
                 "client method in client.rs",
-                mentions(&in_client, &|_, t| !t, konst, &variant),
+                mentions(&in_client, false, konst, variant),
             ),
             (
                 "test mention anywhere",
-                mentions(&any_file, &|_, t| t, konst, &variant),
+                mentions(&any_file, true, konst, variant),
             ),
         ];
         for (what, ok) in checks {
@@ -200,22 +171,6 @@ pub fn r7_wire_exhaustiveness(ws: &Workspace) -> Vec<Finding> {
                 });
             }
         }
-    }
-
-    // Decoder totality: the unknown-opcode arm must survive refactors.
-    let total = ws.fns.iter().enumerate().any(|(fi, f)| {
-        f.name == "decode"
-            && !f.is_test
-            && in_protocol(&ws.files[f.file].rel)
-            && ws.facts[fi].idents.iter().any(|i| i == "UnknownOpcode")
-    });
-    if !total {
-        findings.push(Finding {
-            rule: "R7",
-            file: rel,
-            line: 1,
-            message: "decode() has no unknown-opcode fallback arm (UnknownOpcode)".into(),
-        });
     }
     findings
 }

@@ -9,8 +9,9 @@
 //!   existing `seal_lock → state` order from `Core::seal`.
 //! * **R6** — delete the `commit` call in `Accumulator::advance`, so a
 //!   snapshot publishes without its WAL commit.
-//! * **R7** — delete the `WAIT_EPOCH` decoder arm (the "added an opcode
-//!   but forgot an arm" class).
+//! * **R7** — delete the server's `Frame::WaitEpoch` dispatch arm (the
+//!   "added a table row but forgot to serve it" class: the `_ =>`
+//!   fallback keeps the server compiling).
 //! * **R8** — strengthen a store to `Release` with no Acquire partner
 //!   (one-sided ordering: the writer publishes, nobody acquires).
 
@@ -77,13 +78,13 @@ pub fn run_mutations(root: &Path) -> io::Result<(bool, Vec<MutationOutcome>)> {
             }),
         },
         MutationOutcome {
-            name: "R7 deleted WAIT_EPOCH decoder arm",
+            name: "R7 deleted WAIT_EPOCH server dispatch arm",
             rule: "R7",
             caught: fires(root, &base, "R7", |s| {
                 s.mutate(
-                    "serve/src/protocol.rs",
-                    "op::WAIT_EPOCH => Frame::WaitEpoch { epoch: c.u64()? },",
-                    "",
+                    "serve/src/server.rs",
+                    "Frame::WaitEpoch { epoch } =>",
+                    "_ if false =>",
                 );
             }),
         },

@@ -1,19 +1,18 @@
 //! `cobra-clusterd` — one cluster role as a standalone process.
 //!
 //! ```text
-//! cobra-clusterd --node [--addr HOST:PORT] [--keys N]
-//!                [--shards N] [--data-dir PATH] [--sync never|onseal|bytes:N]
-//!                [--checkpoint-every N]
+//! cobra-clusterd --node [any cobra-served flag …]
 //! cobra-clusterd --follow PRIMARY_ADDR --data-dir PATH [--interval-ms N]
 //! ```
 //!
-//! `--node` runs one `cobra-serve` backend (a cluster member). It prints
-//! `ADDR <host:port>` once bound (plus `RECOVERED …` in durable mode) and
-//! drains gracefully on `q`/EOF from stdin — the same contract as
-//! `cobra-served`, duplicated here so the cluster e2e tests can spawn
-//! members via `CARGO_BIN_EXE_cobra-clusterd`. Promotion of a follower is
-//! exactly this mode pointed at the follower's directory: recovery does
-//! the rest.
+//! `--node` runs one `cobra-serve` backend (a cluster member): the rest
+//! of the command line goes to [`cobra_serve::daemon::run`], the body of
+//! `cobra-served`, so flags and stdout contract (`ADDR <host:port>` once
+//! bound, `RECOVERED …` in durable mode, graceful drain on `q`/EOF from
+//! stdin) are that binary's. The role exists here so the cluster e2e
+//! tests can spawn members via `CARGO_BIN_EXE_cobra-clusterd`. Promotion
+//! of a follower is exactly this mode pointed at the follower's
+//! directory: recovery does the rest.
 //!
 //! `--follow` runs the replication daemon: one [`ReplicaSync`] round
 //! every `--interval-ms` (default 20), printing
@@ -25,34 +24,10 @@
 #![forbid(unsafe_code)]
 
 use cobra_cluster::ReplicaSync;
-use cobra_serve::{ServeConfig, Server};
-use cobra_stream::{DurableConfig, StreamConfig, SyncPolicy};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::mpsc;
 use std::time::Duration;
-
-struct NodeOptions {
-    addr: String,
-    keys: u32,
-    shards: usize,
-    data_dir: Option<String>,
-    sync: SyncPolicy,
-    checkpoint_every: u64,
-}
-
-impl Default for NodeOptions {
-    fn default() -> Self {
-        NodeOptions {
-            addr: "127.0.0.1:0".to_string(),
-            keys: 1 << 20,
-            shards: 4,
-            data_dir: None,
-            sync: SyncPolicy::OnSeal,
-            checkpoint_every: 8,
-        }
-    }
-}
 
 struct FollowOptions {
     primary: String,
@@ -60,38 +35,12 @@ struct FollowOptions {
     interval: Duration,
 }
 
-enum Mode {
-    Node(NodeOptions),
-    Follow(FollowOptions),
-}
+const USAGE: &str = "usage: cobra-clusterd --node [any cobra-served flag ...]\n   \
+     or: cobra-clusterd --follow PRIMARY_ADDR --data-dir PATH [--interval-ms N]";
 
-fn parse_sync(s: &str) -> Result<SyncPolicy, String> {
-    if s == "never" {
-        return Ok(SyncPolicy::Never);
-    }
-    if s == "onseal" {
-        return Ok(SyncPolicy::OnSeal);
-    }
-    if let Some(n) = s.strip_prefix("bytes:") {
-        let bytes: u64 = n
-            .parse()
-            .map_err(|_| format!("--sync bytes:N needs a number, got {n:?}"))?;
-        return Ok(SyncPolicy::EveryNBytes(bytes));
-    }
-    Err(format!(
-        "--sync must be never, onseal, or bytes:N (got {s:?})"
-    ))
-}
-
-const USAGE: &str = "usage: cobra-clusterd --node [--addr HOST:PORT] [--keys N] \
-     [--shards N] [--data-dir PATH] [--sync never|onseal|bytes:N] \
-     [--checkpoint-every N]\n   or: cobra-clusterd --follow PRIMARY_ADDR \
-     --data-dir PATH [--interval-ms N]";
-
-fn parse_args(args: &[String]) -> Result<Mode, String> {
-    let mut node = NodeOptions::default();
-    let mut is_node = false;
+fn parse_follow(args: &[String]) -> Result<FollowOptions, String> {
     let mut primary: Option<String> = None;
+    let mut data_dir: Option<String> = None;
     let mut interval = Duration::from_millis(20);
     let mut i = 0;
     while i < args.len() {
@@ -101,26 +50,8 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
             args.get(*i).ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag {
-            "--node" => is_node = true,
             "--follow" => primary = Some(value(&mut i)?.clone()),
-            "--addr" => node.addr = value(&mut i)?.clone(),
-            "--keys" => {
-                node.keys = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--keys needs a number".to_string())?
-            }
-            "--shards" => {
-                node.shards = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--shards needs a number".to_string())?
-            }
-            "--data-dir" => node.data_dir = Some(value(&mut i)?.clone()),
-            "--sync" => node.sync = parse_sync(value(&mut i)?)?,
-            "--checkpoint-every" => {
-                node.checkpoint_every = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--checkpoint-every needs a number".to_string())?
-            }
+            "--data-dir" => data_dir = Some(value(&mut i)?.clone()),
             "--interval-ms" => {
                 let ms: u64 = value(&mut i)?
                     .parse()
@@ -132,66 +63,11 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
         }
         i += 1;
     }
-    match (is_node, primary) {
-        (true, None) => Ok(Mode::Node(node)),
-        (false, Some(primary)) => {
-            let data_dir = node
-                .data_dir
-                .ok_or_else(|| "--follow needs --data-dir".to_string())?;
-            Ok(Mode::Follow(FollowOptions {
-                primary,
-                data_dir,
-                interval,
-            }))
-        }
-        (true, Some(_)) => Err("--node and --follow are mutually exclusive".to_string()),
-        (false, None) => Err(USAGE.to_string()),
-    }
-}
-
-fn run_node(opts: NodeOptions) -> Result<(), String> {
-    let stream_cfg = StreamConfig::new().shards(opts.shards);
-    let mut serve_cfg = ServeConfig::new().addr(&opts.addr);
-    if let Some(dir) = &opts.data_dir {
-        serve_cfg = serve_cfg.durable(
-            DurableConfig::new(dir)
-                .sync(opts.sync)
-                .checkpoint_every(opts.checkpoint_every),
-        );
-    }
-    let server = Server::start(opts.keys, stream_cfg, serve_cfg)
-        .map_err(|e| format!("failed to start node: {e}"))?;
-    let mut out = std::io::stdout();
-    if let Some(report) = server.recovery() {
-        let _ = writeln!(
-            out,
-            "RECOVERED epoch={} checkpoint={} records={} tuples={}",
-            report.committed_epoch,
-            report.checkpoint_epoch,
-            report.replayed_records,
-            report.replayed_tuples
-        );
-    }
-    // Tests and scripts block on this line to learn the ephemeral port.
-    let _ = writeln!(out, "ADDR {}", server.local_addr());
-    let _ = out.flush();
-
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        match line {
-            Ok(l) if l.trim() == "q" => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    let (snapshot, stats) = server.shutdown();
-    let _ = writeln!(
-        out,
-        "DRAINED epoch={} tuples={}",
-        snapshot.epoch(),
-        stats.tuples_ingested
-    );
-    Ok(())
+    Ok(FollowOptions {
+        primary: primary.ok_or_else(|| USAGE.to_string())?,
+        data_dir: data_dir.ok_or_else(|| "--follow needs --data-dir".to_string())?,
+        interval,
+    })
 }
 
 fn run_follow(opts: FollowOptions) -> Result<(), String> {
@@ -252,19 +128,16 @@ fn run_follow(opts: FollowOptions) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match parse_args(&args) {
-        Ok(mode) => mode,
-        Err(msg) => {
-            eprintln!("{msg}");
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(at) = args.iter().position(|a| a == "--node") {
+        args.remove(at);
+        if args.iter().any(|a| a == "--follow") {
+            eprintln!("--node and --follow are mutually exclusive");
             return ExitCode::FAILURE;
         }
-    };
-    let result = match mode {
-        Mode::Node(opts) => run_node(opts),
-        Mode::Follow(opts) => run_follow(opts),
-    };
-    match result {
+        return cobra_serve::daemon::run(&args);
+    }
+    match parse_follow(&args).and_then(run_follow) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");

@@ -25,9 +25,7 @@
 //! [`send_update`]: ServeClient::send_update
 //! [`recv_update`]: ServeClient::recv_update
 
-use crate::protocol::{
-    self, ErrorCode, Frame, ReadError, WireError, WireStats, MAX_FRAME, MAX_UPDATE_TUPLES,
-};
+use crate::protocol::{self, ErrorCode, Frame, ReadError, WireError, WireStats, MAX_UPDATE_TUPLES};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader};
@@ -119,44 +117,45 @@ impl ServeClient {
         self.pipeline_window = window.max(1);
     }
 
-    /// One request/response round-trip.
-    fn call(&mut self, request: &Frame) -> Result<Frame, ClientError> {
+    fn send(&mut self, request: &Frame) -> Result<(), ClientError> {
         protocol::write_frame(&mut self.writer, request, &mut self.scratch)?;
+        Ok(())
+    }
+
+    /// Reads the next frame the server sent. Every outcome that is not a
+    /// reply for the caller to interpret becomes its [`ClientError`]
+    /// here: end of stream, socket failure, undecodable bytes, and the
+    /// server's own `Error` frame.
+    fn recv(&mut self) -> Result<Frame, ClientError> {
         loop {
-            match protocol::read_frame(&mut self.reader, MAX_FRAME) {
-                Ok(Some(frame)) => return Ok(frame),
-                Ok(None) => return Err(ClientError::Disconnected),
+            return match protocol::read_frame(&mut self.reader) {
+                Ok(Some(Frame::Error { code, detail })) => {
+                    Err(ClientError::Server { code, detail })
+                }
+                Ok(Some(frame)) => Ok(frame),
+                Ok(None) => Err(ClientError::Disconnected),
                 // No read timeout is set on the client socket, but be
                 // robust to one: between-frames idleness just means the
                 // response has not arrived yet.
                 Err(ReadError::Idle) => continue,
-                Err(ReadError::Io(e)) => return Err(ClientError::Io(e)),
-                Err(ReadError::Wire(e)) => return Err(ClientError::Wire(e)),
-            }
+                Err(ReadError::Io(e)) => Err(ClientError::Io(e)),
+                Err(ReadError::Wire(e)) => Err(ClientError::Wire(e)),
+            };
         }
+    }
+
+    /// One request/response round-trip.
+    fn call(&mut self, request: &Frame) -> Result<Frame, ClientError> {
+        self.send(request)?;
+        self.recv()
     }
 
     /// Sends one `UPDATE` batch and reports how much of it the server
     /// took. Batches larger than [`MAX_UPDATE_TUPLES`] are refused
     /// locally — the server would reject the frame anyway.
     pub fn update(&mut self, tuples: &[(u32, u64)]) -> Result<UpdateOutcome, ClientError> {
-        if tuples.len() > MAX_UPDATE_TUPLES as usize {
-            return Err(ClientError::Unexpected(
-                "update batch exceeds MAX_UPDATE_TUPLES",
-            ));
-        }
-        match self.call(&Frame::Update(tuples.to_vec()))? {
-            Frame::Accepted { accepted } => Ok(UpdateOutcome {
-                accepted,
-                busy: false,
-            }),
-            Frame::Busy { accepted } => Ok(UpdateOutcome {
-                accepted,
-                busy: true,
-            }),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
-            _ => Err(ClientError::Unexpected("non-update response to UPDATE")),
-        }
+        self.send_update(tuples)?;
+        self.recv_update()
     }
 
     /// Writes one `UPDATE` frame without waiting for its acknowledgement
@@ -169,42 +168,22 @@ impl ServeClient {
                 "update batch exceeds MAX_UPDATE_TUPLES",
             ));
         }
-        protocol::write_frame(
-            &mut self.writer,
-            &Frame::Update(tuples.to_vec()),
-            &mut self.scratch,
-        )?;
-        Ok(())
+        self.send(&Frame::Update(tuples.to_vec()))
     }
 
     /// Reads the acknowledgement for the oldest unacknowledged
     /// [`send_update`](Self::send_update).
     pub fn recv_update(&mut self) -> Result<UpdateOutcome, ClientError> {
-        loop {
-            match protocol::read_frame(&mut self.reader, MAX_FRAME) {
-                Ok(Some(Frame::Accepted { accepted })) => {
-                    return Ok(UpdateOutcome {
-                        accepted,
-                        busy: false,
-                    })
-                }
-                Ok(Some(Frame::Busy { accepted })) => {
-                    return Ok(UpdateOutcome {
-                        accepted,
-                        busy: true,
-                    })
-                }
-                Ok(Some(Frame::Error { code, detail })) => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                Ok(Some(_)) => {
-                    return Err(ClientError::Unexpected("non-update response to UPDATE"))
-                }
-                Ok(None) => return Err(ClientError::Disconnected),
-                Err(ReadError::Idle) => continue,
-                Err(ReadError::Io(e)) => return Err(ClientError::Io(e)),
-                Err(ReadError::Wire(e)) => return Err(ClientError::Wire(e)),
-            }
+        match self.recv()? {
+            Frame::Accepted { accepted } => Ok(UpdateOutcome {
+                accepted,
+                busy: false,
+            }),
+            Frame::Busy { accepted } => Ok(UpdateOutcome {
+                accepted,
+                busy: true,
+            }),
+            _ => Err(ClientError::Unexpected("non-update response to UPDATE")),
         }
     }
 
@@ -292,7 +271,6 @@ impl ServeClient {
     pub fn seal(&mut self) -> Result<u64, ClientError> {
         match self.call(&Frame::Seal)? {
             Frame::Sealed { epoch } => Ok(epoch),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-sealed response to SEAL")),
         }
     }
@@ -302,7 +280,6 @@ impl ServeClient {
     pub fn query(&mut self, key: u32) -> Result<(u64, u64), ClientError> {
         match self.call(&Frame::Query { key })? {
             Frame::Value { epoch, value } => Ok((epoch, value)),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-value response to QUERY")),
         }
     }
@@ -317,7 +294,6 @@ impl ServeClient {
     ) -> Result<(u64, u32, Vec<u64>), ClientError> {
         match self.call(&Frame::Snapshot { epoch, lo, hi })? {
             Frame::SnapshotSlice { epoch, lo, values } => Ok((epoch, lo, values)),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-slice response to SNAPSHOT")),
         }
     }
@@ -326,7 +302,6 @@ impl ServeClient {
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
         match self.call(&Frame::Stats)? {
             Frame::StatsReport(stats) => Ok(stats),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-stats response to STATS")),
         }
     }
@@ -337,7 +312,6 @@ impl ServeClient {
     pub fn wait_epoch(&mut self, epoch: u64) -> Result<u64, ClientError> {
         match self.call(&Frame::WaitEpoch { epoch })? {
             Frame::EpochCommitted { epoch } => Ok(epoch),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-commit response to WAIT_EPOCH")),
         }
     }
@@ -349,7 +323,6 @@ impl ServeClient {
     pub fn ack(&mut self, epoch: u64, bytes: u64) -> Result<u64, ClientError> {
         match self.call(&Frame::Ack { epoch, bytes })? {
             Frame::EpochCommitted { epoch } => Ok(epoch),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-commit response to ACK")),
         }
     }
@@ -361,7 +334,6 @@ impl ServeClient {
     pub fn query_at(&mut self, epoch: u64, key: u32) -> Result<(u64, u64), ClientError> {
         match self.call(&Frame::QueryAt { epoch, key })? {
             Frame::Value { epoch, value } => Ok((epoch, value)),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-value response to QUERY_AT")),
         }
     }
@@ -391,7 +363,6 @@ impl ServeClient {
                 done: _,
                 entries,
             } => Ok((from_epoch, to_epoch, entries)),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected("non-delta response to DIFF")),
         }
     }
@@ -405,12 +376,9 @@ impl ServeClient {
     pub fn subscribe(mut self, lo: u32, hi: u32) -> Result<Subscription, ClientError> {
         match self.call(&Frame::Subscribe { lo, hi })? {
             Frame::Subscribed { epoch } => Ok(Subscription {
-                reader: self.reader,
-                writer: self.writer,
-                scratch: self.scratch,
+                client: self,
                 start_epoch: epoch,
             }),
-            Frame::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::Unexpected(
                 "non-subscribed response to SUBSCRIBE",
             )),
@@ -426,35 +394,24 @@ impl ServeClient {
         manifest: Vec<(String, u64)>,
         mut apply: impl FnMut(&str, u64, &[u8]) -> io::Result<()>,
     ) -> Result<(u64, u32, u64), ClientError> {
-        protocol::write_frame(
-            &mut self.writer,
-            &Frame::Replicate { manifest },
-            &mut self.scratch,
-        )?;
+        self.send(&Frame::Replicate { manifest })?;
         loop {
-            match protocol::read_frame(&mut self.reader, MAX_FRAME) {
-                Ok(Some(Frame::Segment {
+            match self.recv()? {
+                Frame::Segment {
                     name,
                     offset,
                     bytes,
-                })) => apply(&name, offset, &bytes)?,
-                Ok(Some(Frame::ReplDone {
+                } => apply(&name, offset, &bytes)?,
+                Frame::ReplDone {
                     epoch,
                     files,
                     bytes,
-                })) => return Ok((epoch, files, bytes)),
-                Ok(Some(Frame::Error { code, detail })) => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                Ok(Some(_)) => {
+                } => return Ok((epoch, files, bytes)),
+                _ => {
                     return Err(ClientError::Unexpected(
                         "non-replication frame in a REPLICATE stream",
                     ))
                 }
-                Ok(None) => return Err(ClientError::Disconnected),
-                Err(ReadError::Idle) => continue,
-                Err(ReadError::Io(e)) => return Err(ClientError::Io(e)),
-                Err(ReadError::Wire(e)) => return Err(ClientError::Wire(e)),
             }
         }
     }
@@ -497,9 +454,7 @@ pub enum SubEvent {
 /// via [`unsubscribe`](Self::unsubscribe). A server disconnect surfaces
 /// as a typed [`ClientError::Disconnected`], never a hang.
 pub struct Subscription {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    scratch: Vec<u8>,
+    client: ServeClient,
     start_epoch: u64,
 }
 
@@ -516,13 +471,13 @@ impl Subscription {
     pub fn next_event(&mut self) -> Result<SubEvent, ClientError> {
         let mut partial: Option<EpochDelta> = None;
         loop {
-            match protocol::read_frame(&mut self.reader, MAX_FRAME) {
-                Ok(Some(Frame::Delta {
+            match self.client.recv()? {
+                Frame::Delta {
                     from_epoch,
                     to_epoch,
                     done,
                     entries,
-                })) => {
+                } => {
                     let (first_from, acc_to, mut acc) =
                         partial.take().unwrap_or((from_epoch, to_epoch, Vec::new()));
                     if acc_to != to_epoch {
@@ -540,24 +495,17 @@ impl Subscription {
                     }
                     partial = Some((first_from, acc_to, acc));
                 }
-                Ok(Some(Frame::Lagged { resume_epoch })) => {
+                Frame::Lagged { resume_epoch } => {
                     if partial.is_some() {
                         return Err(ClientError::Unexpected("lag notice inside a chunked delta"));
                     }
                     return Ok(SubEvent::Lagged { resume_epoch });
                 }
-                Ok(Some(Frame::Error { code, detail })) => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                Ok(Some(_)) => {
+                _ => {
                     return Err(ClientError::Unexpected(
                         "non-push frame in a subscription stream",
                     ))
                 }
-                Ok(None) => return Err(ClientError::Disconnected),
-                Err(ReadError::Idle) => continue,
-                Err(ReadError::Io(e)) => return Err(ClientError::Io(e)),
-                Err(ReadError::Wire(e)) => return Err(ClientError::Wire(e)),
             }
         }
     }
@@ -567,33 +515,18 @@ impl Subscription {
     /// request/response mode) together with the epoch the server
     /// confirmed the teardown at.
     pub fn unsubscribe(mut self) -> Result<(ServeClient, u64), ClientError> {
-        protocol::write_frame(&mut self.writer, &Frame::Unsubscribe, &mut self.scratch)?;
+        self.client.send(&Frame::Unsubscribe)?;
         loop {
-            match protocol::read_frame(&mut self.reader, MAX_FRAME) {
+            match self.client.recv()? {
                 // Pushes already on the wire keep arriving until the
                 // server has drained the queue; discard them.
-                Ok(Some(Frame::Delta { .. } | Frame::Lagged { .. })) => continue,
-                Ok(Some(Frame::Unsubscribed { epoch })) => {
-                    let client = ServeClient {
-                        reader: self.reader,
-                        writer: self.writer,
-                        scratch: self.scratch,
-                        pipeline_window: DEFAULT_PIPELINE_WINDOW,
-                    };
-                    return Ok((client, epoch));
-                }
-                Ok(Some(Frame::Error { code, detail })) => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                Ok(Some(_)) => {
+                Frame::Delta { .. } | Frame::Lagged { .. } => continue,
+                Frame::Unsubscribed { epoch } => return Ok((self.client, epoch)),
+                _ => {
                     return Err(ClientError::Unexpected(
                         "non-push frame while unsubscribing",
                     ))
                 }
-                Ok(None) => return Err(ClientError::Disconnected),
-                Err(ReadError::Idle) => continue,
-                Err(ReadError::Io(e)) => return Err(ClientError::Io(e)),
-                Err(ReadError::Wire(e)) => return Err(ClientError::Wire(e)),
             }
         }
     }

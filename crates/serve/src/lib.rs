@@ -35,6 +35,9 @@
 //!   a [`Subscription`] streaming gap-free per-epoch [`SubEvent`]s,
 //!   with a lossless `LAGGED` + diff re-sync path when a subscriber
 //!   falls behind.
+//! * [`daemon`] — the body of the `cobra-served` process (flag parsing,
+//!   serve until `q` on stdin, drain), which `cobra-clusterd --node`
+//!   runs too.
 //!
 //! ## Quick start
 //!
@@ -69,6 +72,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod daemon;
 pub mod protocol;
 pub mod server;
 

@@ -41,6 +41,23 @@
 //! `Segment` frames, terminated by a single `ReplDone`. See the server's
 //! replication handler for the shard-logs-before-commit-log ordering that
 //! keeps a shipped directory recoverable at every prefix.
+//!
+//! # Changing the grammar
+//!
+//! The grammar is declared once, in this file, as three lists; the codec
+//! is generated from them and the compiler keeps it exhaustive.
+//!
+//! * **A new opcode** is one row in the `frames!` table (opcode byte,
+//!   constant, variant, fields in wire order). That row is the `opcodes`
+//!   constant, the [`Frame`] variant, the [`encode`] arm and the
+//!   [`decode`] arm. What is left to write by hand, and what
+//!   `cobra-check` rule R7 holds you to: the server's `dispatch` arm, the
+//!   [`ServeClient`](crate::ServeClient) method, and one entry in this
+//!   file's test `samples()`. A field of a new type needs one `Wire` impl.
+//! * **A new STATS counter** is one entry in the `wire_stats!` list plus
+//!   the line that fills it in the server's `Ctx::wire_stats`. It changes
+//!   the `StatsReport` payload, so it still bumps [`PROTOCOL_VERSION`].
+//! * **A new error code** is one row in the `error_codes!` list.
 
 use std::io::{self, Read, Write};
 
@@ -83,48 +100,33 @@ pub const MAX_FILE_NAME: usize = 256;
 /// the frame under [`MAX_FRAME`]); larger per-epoch deltas are chunked
 /// into several `Delta` frames, the last one flagged `done`. `Diff`
 /// requests bound their key range by [`MAX_SNAPSHOT_KEYS`], so a diff
-/// reply always fits one frame.
-pub const MAX_DELTA_ENTRIES: u32 = 65_536;
+/// reply always fits one frame. The same ceiling as an `Update` batch:
+/// both are `(u32, u64)` lists on the wire and share one decoder.
+pub const MAX_DELTA_ENTRIES: u32 = MAX_UPDATE_TUPLES;
 
-/// Raw opcode bytes (request kinds in `0x01..=0x7F`, response kinds
-/// with the high bit set) — public so raw-socket tooling and tests can
-/// speak the protocol without going through [`Frame`].
-pub mod opcodes {
-    #![allow(missing_docs)]
-    pub const UPDATE: u8 = 0x01;
-    pub const SEAL: u8 = 0x02;
-    pub const QUERY: u8 = 0x03;
-    pub const SNAPSHOT: u8 = 0x04;
-    pub const STATS: u8 = 0x05;
-    pub const WAIT_EPOCH: u8 = 0x06;
-    pub const REPLICATE: u8 = 0x07;
-    pub const ACK: u8 = 0x08;
-    pub const QUERY_AT: u8 = 0x09;
-    pub const DIFF: u8 = 0x0A;
-    pub const SUBSCRIBE: u8 = 0x0B;
-    pub const UNSUBSCRIBE: u8 = 0x0C;
-    pub const ACCEPTED: u8 = 0x81;
-    pub const BUSY: u8 = 0x82;
-    pub const SEALED: u8 = 0x83;
-    pub const VALUE: u8 = 0x84;
-    pub const SNAPSHOT_SLICE: u8 = 0x85;
-    pub const STATS_REPORT: u8 = 0x86;
-    pub const EPOCH_COMMITTED: u8 = 0x87;
-    pub const SEGMENT: u8 = 0x88;
-    pub const REPL_DONE: u8 = 0x89;
-    pub const DELTA: u8 = 0x8A;
-    pub const LAGGED: u8 = 0x8B;
-    pub const SUBSCRIBED: u8 = 0x8C;
-    pub const UNSUBSCRIBED: u8 = 0x8D;
-    pub const ERROR: u8 = 0x8F;
+/// Declares [`ErrorCode`] from its one list of `Variant = wire byte` rows:
+/// the enum and the byte decoder are both derived from it.
+macro_rules! error_codes {
+    ($($(#[$doc:meta])* $variant:ident = $byte:literal),* $(,)?) => {
+        /// Machine-readable error category carried by [`Frame::Error`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum ErrorCode {
+            $($(#[$doc])* $variant = $byte),*
+        }
+
+        impl ErrorCode {
+            fn from_u8(b: u8) -> Option<ErrorCode> {
+                match b {
+                    $($byte => Some(ErrorCode::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-use opcodes as op;
-
-/// Machine-readable error category carried by [`Frame::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
+error_codes! {
     /// The requested key is `>= num_keys`.
     KeyOutOfRange = 1,
     /// A snapshot range with `lo >= hi`, `hi > num_keys`, or more than
@@ -149,91 +151,99 @@ pub enum ErrorCode {
     EpochEvicted = 8,
 }
 
-impl ErrorCode {
-    fn from_u8(b: u8) -> Option<ErrorCode> {
-        Some(match b {
-            1 => ErrorCode::KeyOutOfRange,
-            2 => ErrorCode::BadRange,
-            3 => ErrorCode::SnapshotUnavailable,
-            4 => ErrorCode::Malformed,
-            5 => ErrorCode::ShuttingDown,
-            6 => ErrorCode::NotDurable,
-            7 => ErrorCode::Internal,
-            8 => ErrorCode::EpochEvicted,
-            _ => return None,
-        })
-    }
+/// Declares [`WireStats`] from its one list of counters. Every counter is
+/// a `u64` and travels in list order, so the struct, the field count and
+/// the two word-array conversions all follow from the list.
+macro_rules! wire_stats {
+    ($($(#[$doc:meta])* $field:ident),* $(,)?) => {
+        /// Server-side counters shipped in a [`Frame::StatsReport`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct WireStats {
+            $($(#[$doc])* pub $field: u64),*
+        }
+
+        impl WireStats {
+            const FIELDS: usize = [$(stringify!($field)),*].len();
+
+            fn to_words(self) -> [u64; Self::FIELDS] {
+                [$(self.$field),*]
+            }
+
+            fn from_words(words: [u64; Self::FIELDS]) -> WireStats {
+                let [$($field),*] = words;
+                WireStats { $($field),* }
+            }
+        }
+    };
 }
 
-/// Server-side counters shipped in a [`Frame::StatsReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
+wire_stats! {
     /// Tuples accepted into the pipeline.
-    pub tuples_ingested: u64,
+    tuples_ingested,
     /// Tuples refused with `Busy` (admission control).
-    pub busy_tuples: u64,
+    busy_tuples,
     /// Epochs sealed.
-    pub epochs_sealed: u64,
+    epochs_sealed,
     /// Epoch snapshots published.
-    pub epochs_published: u64,
+    epochs_published,
     /// Connections accepted.
-    pub connections: u64,
+    connections,
     /// Request frames served.
-    pub frames: u64,
+    frames,
     /// `Query` requests served.
-    pub queries: u64,
+    queries,
     /// Snapshot-cache hits.
-    pub cache_hits: u64,
+    cache_hits,
     /// Snapshot-cache misses.
-    pub cache_misses: u64,
+    cache_misses,
     /// Snapshot-cache insertions.
-    pub cache_insertions: u64,
+    cache_insertions,
     /// Snapshot-cache evictions (small- and main-queue combined).
-    pub cache_evictions: u64,
+    cache_evictions,
     /// Entries resident in the cache right now.
-    pub cache_len: u64,
+    cache_len,
     /// Peak bin-store column bytes, summed across the pipeline's shards.
-    pub bins_bytes: u64,
+    bins_bytes,
     /// Peak slab segment count backing those columns, summed across shards.
-    pub bin_segments: u64,
+    bin_segments,
     /// Average C-Buffer flush occupancy in basis points (10_000 = every
     /// flushed frame was full).
-    pub cbuf_occupancy_bp: u64,
+    cbuf_occupancy_bp,
     /// WAL bytes appended (0 when the server runs without a data dir).
-    pub wal_bytes_appended: u64,
+    wal_bytes_appended,
     /// WAL fsync calls issued.
-    pub wal_fsyncs: u64,
+    wal_fsyncs,
     /// WAL segment files opened (across shards and the commit log).
-    pub wal_segments: u64,
+    wal_segments,
     /// WAL records replayed during recovery at startup.
-    pub wal_replayed_records: u64,
+    wal_replayed_records,
     /// Epochs durably committed (equals `epochs_published` when the
     /// server runs without a data dir).
-    pub epochs_committed: u64,
+    epochs_committed,
     /// Replication rounds served to followers.
-    pub repl_rounds: u64,
+    repl_rounds,
     /// Bytes of WAL/checkpoint data shipped to followers.
-    pub repl_bytes_shipped: u64,
+    repl_bytes_shipped,
     /// Highest epoch any follower has acknowledged.
-    pub repl_acked_epoch: u64,
+    repl_acked_epoch,
     /// Epoch snapshots currently held by the retention window.
-    pub retained_epochs: u64,
+    retained_epochs,
     /// Bytes of unique segment versions pinned by the retention window
     /// (shared segments counted once).
-    pub retained_bytes: u64,
+    retained_bytes,
     /// Push subscribers currently registered.
-    pub active_subscribers: u64,
+    active_subscribers,
     /// Delta frames' worth of per-epoch updates enqueued to subscribers.
-    pub deltas_pushed: u64,
+    deltas_pushed,
     /// Tuples folded away by Coup-style frame fusion before ever
     /// reaching bin memory, summed across shards.
-    pub fusion_hits: u64,
+    fusion_hits,
     /// Fusion-table resets forced by C-Buffer frame flushes, summed
     /// across shards.
-    pub fusion_flushes: u64,
+    fusion_flushes,
     /// Fraction of fusable tuples that fused away, in basis points
     /// (10_000 = every offered tuple coalesced).
-    pub fused_ratio_bp: u64,
+    fused_ratio_bp,
 }
 
 impl WireStats {
@@ -258,265 +268,6 @@ impl WireStats {
     pub fn fused_ratio(&self) -> f64 {
         self.fused_ratio_bp as f64 / 10_000.0
     }
-
-    const FIELDS: usize = 30;
-
-    fn to_words(self) -> [u64; Self::FIELDS] {
-        [
-            self.tuples_ingested,
-            self.busy_tuples,
-            self.epochs_sealed,
-            self.epochs_published,
-            self.connections,
-            self.frames,
-            self.queries,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-            self.cache_len,
-            self.bins_bytes,
-            self.bin_segments,
-            self.cbuf_occupancy_bp,
-            self.wal_bytes_appended,
-            self.wal_fsyncs,
-            self.wal_segments,
-            self.wal_replayed_records,
-            self.epochs_committed,
-            self.repl_rounds,
-            self.repl_bytes_shipped,
-            self.repl_acked_epoch,
-            self.retained_epochs,
-            self.retained_bytes,
-            self.active_subscribers,
-            self.deltas_pushed,
-            self.fusion_hits,
-            self.fusion_flushes,
-            self.fused_ratio_bp,
-        ]
-    }
-
-    fn from_words(w: [u64; Self::FIELDS]) -> WireStats {
-        WireStats {
-            tuples_ingested: w[0],
-            busy_tuples: w[1],
-            epochs_sealed: w[2],
-            epochs_published: w[3],
-            connections: w[4],
-            frames: w[5],
-            queries: w[6],
-            cache_hits: w[7],
-            cache_misses: w[8],
-            cache_insertions: w[9],
-            cache_evictions: w[10],
-            cache_len: w[11],
-            bins_bytes: w[12],
-            bin_segments: w[13],
-            cbuf_occupancy_bp: w[14],
-            wal_bytes_appended: w[15],
-            wal_fsyncs: w[16],
-            wal_segments: w[17],
-            wal_replayed_records: w[18],
-            epochs_committed: w[19],
-            repl_rounds: w[20],
-            repl_bytes_shipped: w[21],
-            repl_acked_epoch: w[22],
-            retained_epochs: w[23],
-            retained_bytes: w[24],
-            active_subscribers: w[25],
-            deltas_pushed: w[26],
-            fusion_hits: w[27],
-            fusion_flushes: w[28],
-            fused_ratio_bp: w[29],
-        }
-    }
-}
-
-/// One protocol frame, request or response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// A batch of `(key, value)` updates.
-    Update(Vec<(u32, u64)>),
-    /// Seal the current epoch.
-    Seal,
-    /// Read one key's latest published value.
-    Query {
-        /// Key to look up.
-        key: u32,
-    },
-    /// Read a slice of a published snapshot. `epoch == 0` means "the
-    /// latest"; any other value must match the published epoch exactly.
-    Snapshot {
-        /// Requested epoch (0 = latest).
-        epoch: u64,
-        /// First key of the slice (inclusive).
-        lo: u32,
-        /// One past the last key of the slice.
-        hi: u32,
-    },
-    /// Fetch server statistics.
-    Stats,
-    /// Block until the server has durably committed `epoch` (the
-    /// cluster's epoch-alignment barrier: a router fans `Seal` out to
-    /// every node, then `WaitEpoch`s each node's commit before the
-    /// cluster snapshot for that epoch becomes observable).
-    WaitEpoch {
-        /// The epoch to wait for.
-        epoch: u64,
-    },
-    /// A follower's catch-up request: the files it already holds (by
-    /// data-dir-relative name) and how many bytes of each. The primary
-    /// streams back the missing suffixes as `Segment` frames and
-    /// finishes with `ReplDone`.
-    Replicate {
-        /// `(relative file name, bytes already held)` per file.
-        manifest: Vec<(String, u64)>,
-    },
-    /// A follower's acknowledgement after applying a replication round.
-    Ack {
-        /// The `ReplDone` epoch the follower caught up to.
-        epoch: u64,
-        /// Bytes the follower applied in that round.
-        bytes: u64,
-    },
-    /// Read one key's value as of a retained epoch (time travel).
-    /// `epoch == 0` means "the latest"; an epoch outside the retention
-    /// window earns an `Error { code: EpochEvicted }`.
-    QueryAt {
-        /// Requested epoch (0 = latest).
-        epoch: u64,
-        /// Key to look up.
-        key: u32,
-    },
-    /// Changed keys in `lo..hi` between two retained epochs, answered by
-    /// one `Delta` frame carrying absolute values at `to_epoch`
-    /// (`to_epoch == 0` means "the latest"). The range is bounded by
-    /// [`MAX_SNAPSHOT_KEYS`] like `Snapshot`.
-    Diff {
-        /// Older epoch of the pair.
-        from_epoch: u64,
-        /// Newer epoch of the pair (0 = latest).
-        to_epoch: u64,
-        /// First key of the window (inclusive).
-        lo: u32,
-        /// One past the last key of the window.
-        hi: u32,
-    },
-    /// Register for per-epoch delta pushes over keys `lo..hi`. The server
-    /// replies `Subscribed { epoch }` (the baseline the pushes build on),
-    /// then streams `Delta` / `Lagged` frames until `Unsubscribe` or
-    /// disconnect.
-    Subscribe {
-        /// First key of the subscribed window (inclusive).
-        lo: u32,
-        /// One past the last key of the subscribed window.
-        hi: u32,
-    },
-    /// Leave subscription mode; the server drains its pushes, replies
-    /// `Unsubscribed { epoch }`, and the connection returns to
-    /// request/response mode.
-    Unsubscribe,
-    /// Whole update batch accepted.
-    Accepted {
-        /// Number of tuples taken (the full batch).
-        accepted: u32,
-    },
-    /// Admission control refused part of the batch: the first `accepted`
-    /// tuples were taken, the remainder must be retried.
-    Busy {
-        /// Number of tuples taken before the refusal.
-        accepted: u32,
-    },
-    /// Epoch sealed.
-    Sealed {
-        /// The sealed epoch number.
-        epoch: u64,
-    },
-    /// A key's value as of `epoch`.
-    Value {
-        /// Epoch the value was read from.
-        epoch: u64,
-        /// The accumulated value.
-        value: u64,
-    },
-    /// A snapshot slice.
-    SnapshotSlice {
-        /// Epoch of the snapshot served.
-        epoch: u64,
-        /// First key of the slice.
-        lo: u32,
-        /// Values for keys `lo..lo + values.len()`.
-        values: Vec<u64>,
-    },
-    /// Server statistics.
-    StatsReport(WireStats),
-    /// The requested epoch (or a later one) is durably committed; also
-    /// the reply to `Ack`, reporting the primary's current committed
-    /// epoch so a follower can measure its lag.
-    EpochCommitted {
-        /// The server's committed epoch at reply time.
-        epoch: u64,
-    },
-    /// One byte range of one replicated file.
-    Segment {
-        /// Data-dir-relative file name (e.g. `shard-000/seg-00000001.wal`).
-        name: String,
-        /// Byte offset this chunk starts at.
-        offset: u64,
-        /// The chunk payload (at most [`REPL_CHUNK`] bytes).
-        bytes: Vec<u8>,
-    },
-    /// End of a replication round.
-    ReplDone {
-        /// The primary's committed epoch captured at the start of the
-        /// round — after applying every `Segment`, the follower's
-        /// directory recovers to at least this epoch.
-        epoch: u64,
-        /// Files touched by this round.
-        files: u32,
-        /// Total `Segment` payload bytes shipped in this round.
-        bytes: u64,
-    },
-    /// Changed keys between two epochs, as absolute `(key, value)` pairs
-    /// at `to_epoch` — the reply to `Diff` and the per-epoch push to
-    /// subscribers. A delta larger than [`MAX_DELTA_ENTRIES`] is split
-    /// into several frames; only the last carries `done == true`.
-    Delta {
-        /// Older epoch of the pair (for a push: the previous epoch).
-        from_epoch: u64,
-        /// Epoch the values are absolute at.
-        to_epoch: u64,
-        /// Whether this frame completes the delta.
-        done: bool,
-        /// Sorted `(key, value at to_epoch)` pairs.
-        entries: Vec<(u32, u64)>,
-    },
-    /// Push-mode overflow notice: the subscriber fell behind and epochs
-    /// up to and including `resume_epoch` were not enqueued. Pushes
-    /// resume at `resume_epoch + 1`; the subscriber closes the gap with
-    /// one `Diff { from_epoch: last_applied, to_epoch: resume_epoch }`
-    /// re-sync (lossless because delta entries are absolute).
-    Lagged {
-        /// Newest epoch the queue missed.
-        resume_epoch: u64,
-    },
-    /// Subscription registered.
-    Subscribed {
-        /// The published epoch at registration — deltas start after it.
-        epoch: u64,
-    },
-    /// Subscription torn down; request/response mode resumes.
-    Unsubscribed {
-        /// The published epoch at teardown.
-        epoch: u64,
-    },
-    /// Request-level failure.
-    Error {
-        /// Machine-readable category.
-        code: ErrorCode,
-        /// Human-readable detail.
-        detail: String,
-    },
 }
 
 /// Why a frame failed to decode. Every variant is a protocol violation by
@@ -569,54 +320,28 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// A forward-only payload reader that turns every out-of-bounds access
 /// into [`WireError::Truncated`].
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+struct Cursor<'a>(&'a [u8]);
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        let (head, rest) = self.0.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
     }
 
     fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
+        if self.0.is_empty() {
             Ok(())
         } else {
             Err(WireError::Malformed("trailing bytes after payload"))
@@ -624,351 +349,459 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_name(buf: &mut Vec<u8>, name: &str) {
-    let bytes = name.as_bytes();
-    let n = bytes.len().min(MAX_FILE_NAME);
-    buf.extend_from_slice(&(n as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..n]);
+/// How one field type is laid out in a payload. Implemented on the
+/// field's own type, except where one Rust type has two layouts
+/// (`String`: [`FileName`], [`Detail`]), which a `frames!` row picks
+/// with `field: String as FileName`. Every `take` is total: it bounds a
+/// length it reads before allocating for it and fails with a
+/// [`WireError`], never a panic.
+trait Wire<T = Self> {
+    fn put(v: &T, out: &mut Vec<u8>);
+    fn take(c: &mut Cursor<'_>) -> Result<T, WireError>;
 }
 
-/// Serializes `frame` into `out` (cleared first): length prefix, version
-/// byte, opcode, payload.
-pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&[0; 4]); // length back-patched below
-    out.push(PROTOCOL_VERSION);
-    match frame {
-        Frame::Update(tuples) => {
-            out.push(op::UPDATE);
-            put_u32(out, tuples.len() as u32);
-            for &(k, v) in tuples {
-                put_u32(out, k);
-                put_u64(out, v);
+macro_rules! wire_le_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(v: &$int, out: &mut Vec<u8>) {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            fn take(c: &mut Cursor<'_>) -> Result<$int, WireError> {
+                Ok(<$int>::from_le_bytes(c.array()?))
             }
         }
-        Frame::Seal => out.push(op::SEAL),
-        Frame::Query { key } => {
-            out.push(op::QUERY);
-            put_u32(out, *key);
-        }
-        Frame::Snapshot { epoch, lo, hi } => {
-            out.push(op::SNAPSHOT);
-            put_u64(out, *epoch);
-            put_u32(out, *lo);
-            put_u32(out, *hi);
-        }
-        Frame::Stats => out.push(op::STATS),
-        Frame::WaitEpoch { epoch } => {
-            out.push(op::WAIT_EPOCH);
-            put_u64(out, *epoch);
-        }
-        Frame::Replicate { manifest } => {
-            out.push(op::REPLICATE);
-            put_u32(out, manifest.len() as u32);
-            for (name, have) in manifest {
-                put_name(out, name);
-                put_u64(out, *have);
-            }
-        }
-        Frame::Ack { epoch, bytes } => {
-            out.push(op::ACK);
-            put_u64(out, *epoch);
-            put_u64(out, *bytes);
-        }
-        Frame::QueryAt { epoch, key } => {
-            out.push(op::QUERY_AT);
-            put_u64(out, *epoch);
-            put_u32(out, *key);
-        }
-        Frame::Diff {
-            from_epoch,
-            to_epoch,
-            lo,
-            hi,
-        } => {
-            out.push(op::DIFF);
-            put_u64(out, *from_epoch);
-            put_u64(out, *to_epoch);
-            put_u32(out, *lo);
-            put_u32(out, *hi);
-        }
-        Frame::Subscribe { lo, hi } => {
-            out.push(op::SUBSCRIBE);
-            put_u32(out, *lo);
-            put_u32(out, *hi);
-        }
-        Frame::Unsubscribe => out.push(op::UNSUBSCRIBE),
-        Frame::Accepted { accepted } => {
-            out.push(op::ACCEPTED);
-            put_u32(out, *accepted);
-        }
-        Frame::Busy { accepted } => {
-            out.push(op::BUSY);
-            put_u32(out, *accepted);
-        }
-        Frame::Sealed { epoch } => {
-            out.push(op::SEALED);
-            put_u64(out, *epoch);
-        }
-        Frame::Value { epoch, value } => {
-            out.push(op::VALUE);
-            put_u64(out, *epoch);
-            put_u64(out, *value);
-        }
-        Frame::SnapshotSlice { epoch, lo, values } => {
-            out.push(op::SNAPSHOT_SLICE);
-            put_u64(out, *epoch);
-            put_u32(out, *lo);
-            put_u32(out, values.len() as u32);
-            for &v in values {
-                put_u64(out, v);
-            }
-        }
-        Frame::StatsReport(stats) => {
-            out.push(op::STATS_REPORT);
-            for w in stats.to_words() {
-                put_u64(out, w);
-            }
-        }
-        Frame::EpochCommitted { epoch } => {
-            out.push(op::EPOCH_COMMITTED);
-            put_u64(out, *epoch);
-        }
-        Frame::Segment {
-            name,
-            offset,
-            bytes,
-        } => {
-            out.push(op::SEGMENT);
-            put_name(out, name);
-            put_u64(out, *offset);
-            put_u32(out, bytes.len() as u32);
-            out.extend_from_slice(bytes);
-        }
-        Frame::ReplDone {
-            epoch,
-            files,
-            bytes,
-        } => {
-            out.push(op::REPL_DONE);
-            put_u64(out, *epoch);
-            put_u32(out, *files);
-            put_u64(out, *bytes);
-        }
-        Frame::Delta {
-            from_epoch,
-            to_epoch,
-            done,
-            entries,
-        } => {
-            out.push(op::DELTA);
-            put_u64(out, *from_epoch);
-            put_u64(out, *to_epoch);
-            out.push(u8::from(*done));
-            put_u32(out, entries.len() as u32);
-            for &(k, v) in entries {
-                put_u32(out, k);
-                put_u64(out, v);
-            }
-        }
-        Frame::Lagged { resume_epoch } => {
-            out.push(op::LAGGED);
-            put_u64(out, *resume_epoch);
-        }
-        Frame::Subscribed { epoch } => {
-            out.push(op::SUBSCRIBED);
-            put_u64(out, *epoch);
-        }
-        Frame::Unsubscribed { epoch } => {
-            out.push(op::UNSUBSCRIBED);
-            put_u64(out, *epoch);
-        }
-        Frame::Error { code, detail } => {
-            out.push(op::ERROR);
-            out.push(*code as u8);
-            let bytes = detail.as_bytes();
-            let n = bytes.len().min(u16::MAX as usize);
-            out.extend_from_slice(&(n as u16).to_le_bytes());
-            out.extend_from_slice(&bytes[..n]);
+    )*};
+}
+
+wire_le_int!(u8, u16, u32, u64);
+
+impl Wire for bool {
+    fn put(v: &bool, out: &mut Vec<u8>) {
+        out.push(u8::from(*v));
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<bool, WireError> {
+        match u8::take(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed("flag byte is not 0/1")),
         }
     }
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn take_name(c: &mut Cursor<'_>) -> Result<String, WireError> {
-    let len = {
-        let b = c.take(2)?;
-        u16::from_le_bytes([b[0], b[1]]) as usize
+impl Wire for (u32, u64) {
+    fn put(v: &(u32, u64), out: &mut Vec<u8>) {
+        u32::put(&v.0, out);
+        u64::put(&v.1, out);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<(u32, u64), WireError> {
+        Ok((u32::take(c)?, u64::take(c)?))
+    }
+}
+
+/// One manifest entry: `(relative file name, bytes already held)`.
+impl Wire for (String, u64) {
+    fn put(v: &(String, u64), out: &mut Vec<u8>) {
+        FileName::put(&v.0, out);
+        u64::put(&v.1, out);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<(String, u64), WireError> {
+        Ok((FileName::take(c)?, u64::take(c)?))
+    }
+}
+
+/// A type that travels as the element of a `u32`-counted `Vec`. The
+/// ceiling is checked against the count before anything is allocated.
+trait Elem: Wire + Sized {
+    /// Largest count one frame may carry.
+    const MAX: u32;
+    /// The [`WireError::Malformed`] reason for a count above it.
+    const TOO_MANY: &'static str;
+}
+
+impl Elem for (u32, u64) {
+    const MAX: u32 = MAX_UPDATE_TUPLES;
+    const TOO_MANY: &'static str = "tuple batch too large";
+}
+
+impl Elem for u64 {
+    const MAX: u32 = MAX_SNAPSHOT_KEYS;
+    const TOO_MANY: &'static str = "snapshot slice too large";
+}
+
+impl Elem for (String, u64) {
+    const MAX: u32 = MAX_MANIFEST_FILES;
+    const TOO_MANY: &'static str = "manifest too large";
+}
+
+impl<T: Elem> Wire for Vec<T> {
+    fn put(v: &Vec<T>, out: &mut Vec<u8>) {
+        u32::put(&(v.len() as u32), out);
+        for item in v {
+            T::put(item, out);
+        }
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Vec<T>, WireError> {
+        let count = u32::take(c)?;
+        if count > T::MAX {
+            return Err(WireError::Malformed(T::TOO_MANY));
+        }
+        let mut items = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            items.push(T::take(c)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A replication chunk: `u32` length, then at most [`REPL_CHUNK`] raw
+/// bytes.
+impl Wire for Vec<u8> {
+    fn put(v: &Vec<u8>, out: &mut Vec<u8>) {
+        u32::put(&(v.len() as u32), out);
+        out.extend_from_slice(v);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Vec<u8>, WireError> {
+        let count = u32::take(c)? as usize;
+        if count > REPL_CHUNK {
+            return Err(WireError::Malformed("segment chunk too large"));
+        }
+        Ok(c.take(count)?.to_vec())
+    }
+}
+
+/// Writes `u16` length + bytes, cutting `s` at `max` bytes.
+fn put_short_str(s: &str, max: usize, out: &mut Vec<u8>) {
+    let bytes = &s.as_bytes()[..s.len().min(max)];
+    u16::put(&(bytes.len() as u16), out);
+    out.extend_from_slice(bytes);
+}
+
+/// Layout of a data-dir-relative file name: `u16` length, then at most
+/// [`MAX_FILE_NAME`] bytes of strict UTF-8.
+struct FileName;
+
+impl Wire<String> for FileName {
+    fn put(v: &String, out: &mut Vec<u8>) {
+        put_short_str(v, MAX_FILE_NAME, out);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<String, WireError> {
+        let len = u16::take(c)? as usize;
+        if len > MAX_FILE_NAME {
+            return Err(WireError::Malformed("file name too long"));
+        }
+        let s = std::str::from_utf8(c.take(len)?)
+            .map_err(|_| WireError::Malformed("file name is not utf-8"))?;
+        Ok(s.to_string())
+    }
+}
+
+/// Layout of an error detail: `u16` length, then that many bytes, read
+/// leniently (the text is for humans).
+struct Detail;
+
+impl Wire<String> for Detail {
+    fn put(v: &String, out: &mut Vec<u8>) {
+        put_short_str(v, u16::MAX as usize, out);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<String, WireError> {
+        let len = u16::take(c)? as usize;
+        Ok(String::from_utf8_lossy(c.take(len)?).into_owned())
+    }
+}
+
+impl Wire for ErrorCode {
+    fn put(v: &ErrorCode, out: &mut Vec<u8>) {
+        out.push(*v as u8);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<ErrorCode, WireError> {
+        ErrorCode::from_u8(u8::take(c)?).ok_or(WireError::Malformed("unknown error code"))
+    }
+}
+
+impl Wire for WireStats {
+    fn put(v: &WireStats, out: &mut Vec<u8>) {
+        for w in v.to_words() {
+            u64::put(&w, out);
+        }
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<WireStats, WireError> {
+        let mut words = [0u64; WireStats::FIELDS];
+        for w in &mut words {
+            *w = u64::take(c)?;
+        }
+        Ok(WireStats::from_words(words))
+    }
+}
+
+/// The layout a `frames!` field travels in: its own type, or the one
+/// named after `as`.
+macro_rules! layout {
+    ($ty:ty) => {
+        $ty
     };
-    if len > MAX_FILE_NAME {
-        return Err(WireError::Malformed("file name too long"));
-    }
-    let s = std::str::from_utf8(c.take(len)?)
-        .map_err(|_| WireError::Malformed("file name is not utf-8"))?;
-    Ok(s.to_string())
+    ($ty:ty, $layout:ty) => {
+        $layout
+    };
 }
 
-/// Decodes one frame body (version byte + opcode + payload, the length
-/// prefix already stripped). The version byte is checked first: a peer on
-/// a different protocol revision fails here, before any opcode of its
-/// dialect is interpreted.
-pub fn decode(body: &[u8]) -> Result<Frame, WireError> {
-    let mut c = Cursor::new(body);
-    let version = c.u8()?;
-    if version != PROTOCOL_VERSION {
-        return Err(WireError::VersionMismatch {
-            got: version,
-            want: PROTOCOL_VERSION,
-        });
-    }
-    let opcode = c.u8()?;
-    let frame = match opcode {
-        op::UPDATE => {
-            let count = c.u32()?;
-            if count > MAX_UPDATE_TUPLES {
-                return Err(WireError::Malformed("update batch too large"));
-            }
-            let mut tuples = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let k = c.u32()?;
-                let v = c.u64()?;
-                tuples.push((k, v));
-            }
-            Frame::Update(tuples)
+/// Declares the frame grammar. One row per frame kind —
+/// `opcode CONST Variant`, then nothing, `(binding: type)` or
+/// `{ field: type, … }` — and the row *is* the opcode constant, the
+/// [`Frame`] variant, the [`encode`] arm and the [`decode`] arm: fields
+/// travel in row order, each in its type's [`Wire`] layout.
+macro_rules! frames {
+    ($(
+        $(#[$doc:meta])*
+        $code:literal $konst:ident $variant:ident
+        $(($inner:ident: $ity:ty))?
+        $({$($(#[$fdoc:meta])* $field:ident: $fty:ty $(as $layout:ty)?),* $(,)?})?
+    ),* $(,)?) => {
+        /// Raw opcode bytes (request kinds in `0x01..=0x7F`, response kinds
+        /// with the high bit set) — public so raw-socket tooling and tests can
+        /// speak the protocol without going through [`Frame`].
+        pub mod opcodes {
+            #![allow(missing_docs)]
+            $(pub const $konst: u8 = $code;)*
         }
-        op::SEAL => Frame::Seal,
-        op::QUERY => Frame::Query { key: c.u32()? },
-        op::SNAPSHOT => Frame::Snapshot {
-            epoch: c.u64()?,
-            lo: c.u32()?,
-            hi: c.u32()?,
-        },
-        op::STATS => Frame::Stats,
-        op::WAIT_EPOCH => Frame::WaitEpoch { epoch: c.u64()? },
-        op::REPLICATE => {
-            let count = c.u32()?;
-            if count > MAX_MANIFEST_FILES {
-                return Err(WireError::Malformed("manifest too large"));
-            }
-            let mut manifest = Vec::with_capacity(count.min(1024) as usize);
-            for _ in 0..count {
-                let name = take_name(&mut c)?;
-                let have = c.u64()?;
-                manifest.push((name, have));
-            }
-            Frame::Replicate { manifest }
+
+        /// Every opcode of the grammar, in table order.
+        pub const OPCODES: &[u8] = &[$($code),*];
+
+        /// One protocol frame, request or response.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Frame {
+            $(
+                $(#[$doc])*
+                $variant $(($ity))? $({$($(#[$fdoc])* $field: $fty),*})?
+            ),*
         }
-        op::ACK => Frame::Ack {
-            epoch: c.u64()?,
-            bytes: c.u64()?,
-        },
-        op::QUERY_AT => Frame::QueryAt {
-            epoch: c.u64()?,
-            key: c.u32()?,
-        },
-        op::DIFF => Frame::Diff {
-            from_epoch: c.u64()?,
-            to_epoch: c.u64()?,
-            lo: c.u32()?,
-            hi: c.u32()?,
-        },
-        op::SUBSCRIBE => Frame::Subscribe {
-            lo: c.u32()?,
-            hi: c.u32()?,
-        },
-        op::UNSUBSCRIBE => Frame::Unsubscribe,
-        op::ACCEPTED => Frame::Accepted { accepted: c.u32()? },
-        op::BUSY => Frame::Busy { accepted: c.u32()? },
-        op::SEALED => Frame::Sealed { epoch: c.u64()? },
-        op::VALUE => Frame::Value {
-            epoch: c.u64()?,
-            value: c.u64()?,
-        },
-        op::SNAPSHOT_SLICE => {
-            let epoch = c.u64()?;
-            let lo = c.u32()?;
-            let count = c.u32()?;
-            if count > MAX_SNAPSHOT_KEYS {
-                return Err(WireError::Malformed("snapshot slice too large"));
+
+        /// Serializes `frame` into `out` (cleared first): length prefix, version
+        /// byte, opcode, payload.
+        pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
+            out.clear();
+            out.extend_from_slice(&[0; 4]); // length back-patched below
+            out.push(PROTOCOL_VERSION);
+            match frame {
+                $(Frame::$variant $(($inner))? $({$($field),*})? => {
+                    out.push($code);
+                    $(<$ity as Wire>::put($inner, out);)?
+                    $($(<layout!($fty $(, $layout)?) as Wire<$fty>>::put($field, out);)*)?
+                })*
             }
-            let mut values = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                values.push(c.u64()?);
-            }
-            Frame::SnapshotSlice { epoch, lo, values }
+            let len = (out.len() - 4) as u32;
+            out[..4].copy_from_slice(&len.to_le_bytes());
         }
-        op::STATS_REPORT => {
-            let mut words = [0u64; WireStats::FIELDS];
-            for w in &mut words {
-                *w = c.u64()?;
+
+        /// Decodes one frame body (version byte + opcode + payload, the length
+        /// prefix already stripped). The version byte is checked first: a peer on
+        /// a different protocol revision fails here, before any opcode of its
+        /// dialect is interpreted.
+        pub fn decode(body: &[u8]) -> Result<Frame, WireError> {
+            let mut c = Cursor(body);
+            let version = u8::take(&mut c)?;
+            if version != PROTOCOL_VERSION {
+                return Err(WireError::VersionMismatch {
+                    got: version,
+                    want: PROTOCOL_VERSION,
+                });
             }
-            Frame::StatsReport(WireStats::from_words(words))
-        }
-        op::EPOCH_COMMITTED => Frame::EpochCommitted { epoch: c.u64()? },
-        op::SEGMENT => {
-            let name = take_name(&mut c)?;
-            let offset = c.u64()?;
-            let count = c.u32()? as usize;
-            if count > REPL_CHUNK {
-                return Err(WireError::Malformed("segment chunk too large"));
-            }
-            let bytes = c.take(count)?.to_vec();
-            Frame::Segment {
-                name,
-                offset,
-                bytes,
-            }
-        }
-        op::REPL_DONE => Frame::ReplDone {
-            epoch: c.u64()?,
-            files: c.u32()?,
-            bytes: c.u64()?,
-        },
-        op::DELTA => {
-            let from_epoch = c.u64()?;
-            let to_epoch = c.u64()?;
-            let done = match c.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Malformed("delta done flag is not 0/1")),
+            let frame = match u8::take(&mut c)? {
+                $($code => Frame::$variant
+                    $((<$ity as Wire>::take(&mut c)?))?
+                    $({$($field: <layout!($fty $(, $layout)?) as Wire<$fty>>::take(&mut c)?),*})?,
+                )*
+                other => return Err(WireError::UnknownOpcode(other)),
             };
-            let count = c.u32()?;
-            if count > MAX_DELTA_ENTRIES {
-                return Err(WireError::Malformed("delta too large"));
-            }
-            let mut entries = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let k = c.u32()?;
-                let v = c.u64()?;
-                entries.push((k, v));
-            }
-            Frame::Delta {
-                from_epoch,
-                to_epoch,
-                done,
-                entries,
-            }
+            c.finish()?;
+            Ok(frame)
         }
-        op::LAGGED => Frame::Lagged {
-            resume_epoch: c.u64()?,
-        },
-        op::SUBSCRIBED => Frame::Subscribed { epoch: c.u64()? },
-        op::UNSUBSCRIBED => Frame::Unsubscribed { epoch: c.u64()? },
-        op::ERROR => {
-            let code =
-                ErrorCode::from_u8(c.u8()?).ok_or(WireError::Malformed("unknown error code"))?;
-            let len = {
-                let b = c.take(2)?;
-                u16::from_le_bytes([b[0], b[1]]) as usize
-            };
-            let detail = String::from_utf8_lossy(c.take(len)?).into_owned();
-            Frame::Error { code, detail }
-        }
-        other => return Err(WireError::UnknownOpcode(other)),
     };
-    c.finish()?;
-    Ok(frame)
+}
+
+frames! {
+    /// A batch of `(key, value)` updates.
+    0x01 UPDATE Update(tuples: Vec<(u32, u64)>),
+    /// Seal the current epoch.
+    0x02 SEAL Seal,
+    /// Read one key's latest published value.
+    0x03 QUERY Query {
+        /// Key to look up.
+        key: u32,
+    },
+    /// Read a slice of a published snapshot. `epoch == 0` means "the
+    /// latest"; any other value must match the published epoch exactly.
+    0x04 SNAPSHOT Snapshot {
+        /// Requested epoch (0 = latest).
+        epoch: u64,
+        /// First key of the slice (inclusive).
+        lo: u32,
+        /// One past the last key of the slice.
+        hi: u32,
+    },
+    /// Fetch server statistics.
+    0x05 STATS Stats,
+    /// Block until the server has durably committed `epoch` (the
+    /// cluster's epoch-alignment barrier: a router fans `Seal` out to
+    /// every node, then `WaitEpoch`s each node's commit before the
+    /// cluster snapshot for that epoch becomes observable).
+    0x06 WAIT_EPOCH WaitEpoch {
+        /// The epoch to wait for.
+        epoch: u64,
+    },
+    /// A follower's catch-up request: the files it already holds (by
+    /// data-dir-relative name) and how many bytes of each. The primary
+    /// streams back the missing suffixes as `Segment` frames and
+    /// finishes with `ReplDone`.
+    0x07 REPLICATE Replicate {
+        /// `(relative file name, bytes already held)` per file.
+        manifest: Vec<(String, u64)>,
+    },
+    /// A follower's acknowledgement after applying a replication round.
+    0x08 ACK Ack {
+        /// The `ReplDone` epoch the follower caught up to.
+        epoch: u64,
+        /// Bytes the follower applied in that round.
+        bytes: u64,
+    },
+    /// Read one key's value as of a retained epoch (time travel).
+    /// `epoch == 0` means "the latest"; an epoch outside the retention
+    /// window earns an `Error { code: EpochEvicted }`.
+    0x09 QUERY_AT QueryAt {
+        /// Requested epoch (0 = latest).
+        epoch: u64,
+        /// Key to look up.
+        key: u32,
+    },
+    /// Changed keys in `lo..hi` between two retained epochs, answered by
+    /// one `Delta` frame carrying absolute values at `to_epoch`
+    /// (`to_epoch == 0` means "the latest"). The range is bounded by
+    /// [`MAX_SNAPSHOT_KEYS`] like `Snapshot`.
+    0x0A DIFF Diff {
+        /// Older epoch of the pair.
+        from_epoch: u64,
+        /// Newer epoch of the pair (0 = latest).
+        to_epoch: u64,
+        /// First key of the window (inclusive).
+        lo: u32,
+        /// One past the last key of the window.
+        hi: u32,
+    },
+    /// Register for per-epoch delta pushes over keys `lo..hi`. The server
+    /// replies `Subscribed { epoch }` (the baseline the pushes build on),
+    /// then streams `Delta` / `Lagged` frames until `Unsubscribe` or
+    /// disconnect.
+    0x0B SUBSCRIBE Subscribe {
+        /// First key of the subscribed window (inclusive).
+        lo: u32,
+        /// One past the last key of the subscribed window.
+        hi: u32,
+    },
+    /// Leave subscription mode; the server drains its pushes, replies
+    /// `Unsubscribed { epoch }`, and the connection returns to
+    /// request/response mode.
+    0x0C UNSUBSCRIBE Unsubscribe,
+    /// Whole update batch accepted.
+    0x81 ACCEPTED Accepted {
+        /// Number of tuples taken (the full batch).
+        accepted: u32,
+    },
+    /// Admission control refused part of the batch: the first `accepted`
+    /// tuples were taken, the remainder must be retried.
+    0x82 BUSY Busy {
+        /// Number of tuples taken before the refusal.
+        accepted: u32,
+    },
+    /// Epoch sealed.
+    0x83 SEALED Sealed {
+        /// The sealed epoch number.
+        epoch: u64,
+    },
+    /// A key's value as of `epoch`.
+    0x84 VALUE Value {
+        /// Epoch the value was read from.
+        epoch: u64,
+        /// The accumulated value.
+        value: u64,
+    },
+    /// A snapshot slice.
+    0x85 SNAPSHOT_SLICE SnapshotSlice {
+        /// Epoch of the snapshot served.
+        epoch: u64,
+        /// First key of the slice.
+        lo: u32,
+        /// Values for keys `lo..lo + values.len()`.
+        values: Vec<u64>,
+    },
+    /// Server statistics.
+    0x86 STATS_REPORT StatsReport(stats: WireStats),
+    /// The requested epoch (or a later one) is durably committed; also
+    /// the reply to `Ack`, reporting the primary's current committed
+    /// epoch so a follower can measure its lag.
+    0x87 EPOCH_COMMITTED EpochCommitted {
+        /// The server's committed epoch at reply time.
+        epoch: u64,
+    },
+    /// One byte range of one replicated file.
+    0x88 SEGMENT Segment {
+        /// Data-dir-relative file name (e.g. `shard-000/seg-00000001.wal`).
+        name: String as FileName,
+        /// Byte offset this chunk starts at.
+        offset: u64,
+        /// The chunk payload (at most [`REPL_CHUNK`] bytes).
+        bytes: Vec<u8>,
+    },
+    /// End of a replication round.
+    0x89 REPL_DONE ReplDone {
+        /// The primary's committed epoch captured at the start of the
+        /// round — after applying every `Segment`, the follower's
+        /// directory recovers to at least this epoch.
+        epoch: u64,
+        /// Files touched by this round.
+        files: u32,
+        /// Total `Segment` payload bytes shipped in this round.
+        bytes: u64,
+    },
+    /// Changed keys between two epochs, as absolute `(key, value)` pairs
+    /// at `to_epoch` — the reply to `Diff` and the per-epoch push to
+    /// subscribers. A delta larger than [`MAX_DELTA_ENTRIES`] is split
+    /// into several frames; only the last carries `done == true`.
+    0x8A DELTA Delta {
+        /// Older epoch of the pair (for a push: the previous epoch).
+        from_epoch: u64,
+        /// Epoch the values are absolute at.
+        to_epoch: u64,
+        /// Whether this frame completes the delta.
+        done: bool,
+        /// Sorted `(key, value at to_epoch)` pairs.
+        entries: Vec<(u32, u64)>,
+    },
+    /// Push-mode overflow notice: the subscriber fell behind and epochs
+    /// up to and including `resume_epoch` were not enqueued. Pushes
+    /// resume at `resume_epoch + 1`; the subscriber closes the gap with
+    /// one `Diff { from_epoch: last_applied, to_epoch: resume_epoch }`
+    /// re-sync (lossless because delta entries are absolute).
+    0x8B LAGGED Lagged {
+        /// Newest epoch the queue missed.
+        resume_epoch: u64,
+    },
+    /// Subscription registered.
+    0x8C SUBSCRIBED Subscribed {
+        /// The published epoch at registration — deltas start after it.
+        epoch: u64,
+    },
+    /// Subscription torn down; request/response mode resumes.
+    0x8D UNSUBSCRIBED Unsubscribed {
+        /// The published epoch at teardown.
+        epoch: u64,
+    },
+    /// Request-level failure.
+    0x8F ERROR Error {
+        /// Machine-readable category.
+        code: ErrorCode,
+        /// Human-readable detail.
+        detail: String as Detail,
+    },
 }
 
 /// What went wrong while reading a frame off a stream.
@@ -1009,9 +842,26 @@ impl From<WireError> for ReadError {
     }
 }
 
+/// Checks a frame's length prefix against the two rules every reader
+/// enforces before touching the body: at most [`MAX_FRAME`] bytes (so a
+/// hostile length cannot size an allocation), and not empty.
+fn body_len(prefix: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(WireError::Oversized {
+            len,
+            max: MAX_FRAME,
+        });
+    }
+    if len == 0 {
+        return Err(WireError::Malformed("empty frame body"));
+    }
+    Ok(len)
+}
+
 /// Reads one frame. `Ok(None)` is a clean end-of-stream (the peer closed
 /// between frames); EOF mid-frame is [`WireError::Truncated`].
-pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> Result<Option<Frame>, ReadError> {
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, ReadError> {
     let mut len_buf = [0u8; 4];
     // A clean close may surface as 0 bytes read or as an EOF error kind,
     // but only before any length byte has arrived.
@@ -1034,18 +884,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> Result<Option<Frame>,
             Err(e) => return Err(e.into()),
         }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_frame {
-        return Err(WireError::Oversized {
-            len,
-            max: max_frame,
-        }
-        .into());
-    }
-    if len == 0 {
-        return Err(WireError::Malformed("empty frame body").into());
-    }
-    let mut body = vec![0u8; len];
+    let mut body = vec![0u8; body_len(len_buf)?];
     if let Err(e) = r.read_exact(&mut body) {
         return Err(match e.kind() {
             io::ErrorKind::UnexpectedEof => WireError::Truncated.into(),
@@ -1105,22 +944,13 @@ impl FrameBuf {
     /// `Ok(None)` means "need more bytes"; errors mean the stream can no
     /// longer be trusted to be frame-aligned (same taxonomy as
     /// [`read_frame`]: oversized, empty, or malformed bodies).
-    pub fn next_frame(&mut self, max_frame: usize) -> Result<Option<Frame>, WireError> {
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        let Some((prefix, _)) = avail.split_first_chunk::<4>() else {
             self.compact();
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > max_frame {
-            return Err(WireError::Oversized {
-                len,
-                max: max_frame,
-            });
-        }
-        if len == 0 {
-            return Err(WireError::Malformed("empty frame body"));
-        }
+        };
+        let len = body_len(*prefix)?;
         if avail.len() < 4 + len {
             self.compact();
             return Ok(None);
@@ -1142,145 +972,186 @@ impl FrameBuf {
 
 #[cfg(test)]
 mod tests {
+    use super::opcodes as op;
     use super::*;
 
-    fn roundtrip(f: Frame) {
+    /// At least one frame of every kind (`samples_cover_every_opcode`
+    /// keeps it that way), plus the empty-list edge of each counted field.
+    fn samples() -> Vec<Frame> {
+        vec![
+            Frame::Update(vec![(0, 0), (7, u64::MAX), (u32::MAX, 1)]),
+            Frame::Update(vec![]),
+            Frame::Seal,
+            Frame::Query { key: 42 },
+            Frame::Snapshot {
+                epoch: 3,
+                lo: 10,
+                hi: 20,
+            },
+            Frame::Stats,
+            Frame::WaitEpoch { epoch: 12 },
+            Frame::Replicate {
+                manifest: vec![
+                    ("shard-000/seg-00000001.wal".into(), 4096),
+                    ("commit/seg-00000001.wal".into(), 17),
+                ],
+            },
+            Frame::Replicate { manifest: vec![] },
+            Frame::Ack {
+                epoch: 4,
+                bytes: 8192,
+            },
+            Frame::QueryAt { epoch: 14, key: 3 },
+            Frame::Diff {
+                from_epoch: 10,
+                to_epoch: 14,
+                lo: 8,
+                hi: 24,
+            },
+            Frame::Subscribe { lo: 0, hi: 1024 },
+            Frame::Unsubscribe,
+            Frame::Accepted { accepted: 256 },
+            Frame::Busy { accepted: 3 },
+            Frame::Sealed { epoch: 9 },
+            Frame::Value {
+                epoch: 2,
+                value: 77,
+            },
+            Frame::SnapshotSlice {
+                epoch: 5,
+                lo: 128,
+                values: vec![1, 2, 3],
+            },
+            Frame::StatsReport(WireStats::from_words(std::array::from_fn(|i| i as u64 + 1))),
+            Frame::EpochCommitted { epoch: 6 },
+            Frame::Segment {
+                name: "ckpt-00000000000000000008.bin".into(),
+                offset: 65_536,
+                bytes: vec![0xAB; 5],
+            },
+            Frame::ReplDone {
+                epoch: 8,
+                files: 5,
+                bytes: 1 << 20,
+            },
+            Frame::Delta {
+                from_epoch: 13,
+                to_epoch: 14,
+                done: true,
+                entries: vec![(0, 5), (9, u64::MAX)],
+            },
+            Frame::Delta {
+                from_epoch: 1,
+                to_epoch: 2,
+                done: false,
+                entries: vec![],
+            },
+            Frame::Lagged { resume_epoch: 41 },
+            Frame::Subscribed { epoch: 7 },
+            Frame::Unsubscribed { epoch: 55 },
+            Frame::Error {
+                code: ErrorCode::KeyOutOfRange,
+                detail: "key 9 >= 8".into(),
+            },
+            Frame::Error {
+                code: ErrorCode::EpochEvicted,
+                detail: "epoch 3 outside retained window [7, 9]".into(),
+            },
+        ]
+    }
+
+    /// `encode` of each of `samples()`, in order, as hex — captured from
+    /// the hand-written codec this table replaced (commit c8d5713). These
+    /// are protocol revision 4; they change only with `PROTOCOL_VERSION`.
+    const GOLDEN: &[&str] = &[
+        "2a00000004010300000000000000000000000000000007000000ffffffffffffffffffffffff0100000000000000",
+        "06000000040100000000",
+        "020000000402",
+        "0600000004032a000000",
+        "12000000040403000000000000000a00000014000000",
+        "020000000405",
+        "0a00000004060c00000000000000",
+        "4b0000000407020000001a0073686172642d3030302f7365672d30303030303030312e77616c00100000000000001700636f6d6d69742f7365672d30303030303030312e77616c1100000000000000",
+        "06000000040700000000",
+        "12000000040804000000000000000020000000000000",
+        "0e00000004090e0000000000000003000000",
+        "1a000000040a0a000000000000000e000000000000000800000018000000",
+        "0a000000040b0000000000040000",
+        "02000000040c",
+        "06000000048100010000",
+        "06000000048203000000",
+        "0a00000004830900000000000000",
+        "12000000048402000000000000004d00000000000000",
+        "2a000000048505000000000000008000000003000000010000000000000002000000000000000300000000000000",
+        "f200000004860100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f0000000000000010000000000000001100000000000000120000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c000000000000001d000000000000001e00000000000000",
+        "0a00000004870600000000000000",
+        "3200000004881d00636b70742d30303030303030303030303030303030303030382e62696e000001000000000005000000ababababab",
+        "1600000004890800000000000000050000000000100000000000",
+        "2f000000048a0d000000000000000e00000000000000010200000000000000050000000000000009000000ffffffffffffffff",
+        "17000000048a010000000000000002000000000000000000000000",
+        "0a000000048b2900000000000000",
+        "0a000000048c0700000000000000",
+        "0a000000048d3700000000000000",
+        "0f000000048f010a006b65792039203e3d2038",
+        "2b000000048f08260065706f63682033206f7574736964652072657461696e65642077696e646f77205b372c20395d",
+    ];
+
+    fn encoded(f: &Frame) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode(&f, &mut buf);
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        assert_eq!(len, buf.len() - 4, "length prefix covers the body");
-        let got = decode(&buf[4..]).expect("decode");
-        assert_eq!(got, f);
-        // And through the stream reader too.
-        let mut cursor = io::Cursor::new(buf);
-        let via_stream = read_frame(&mut cursor, MAX_FRAME)
-            .expect("read")
-            .expect("some");
-        assert_eq!(via_stream, f);
+        encode(f, &mut buf);
+        buf
     }
 
     #[test]
     fn every_frame_kind_round_trips() {
-        roundtrip(Frame::Update(vec![]));
-        roundtrip(Frame::Update(vec![(0, 0), (7, u64::MAX), (u32::MAX, 1)]));
-        roundtrip(Frame::Seal);
-        roundtrip(Frame::Query { key: 42 });
-        roundtrip(Frame::Snapshot {
-            epoch: 3,
-            lo: 10,
-            hi: 20,
-        });
-        roundtrip(Frame::Stats);
-        roundtrip(Frame::Accepted { accepted: 256 });
-        roundtrip(Frame::Busy { accepted: 3 });
-        roundtrip(Frame::Sealed { epoch: 9 });
-        roundtrip(Frame::Value {
-            epoch: 2,
-            value: 77,
-        });
-        roundtrip(Frame::SnapshotSlice {
-            epoch: 5,
-            lo: 128,
-            values: vec![1, 2, 3],
-        });
-        roundtrip(Frame::WaitEpoch { epoch: 12 });
-        roundtrip(Frame::Replicate { manifest: vec![] });
-        roundtrip(Frame::Replicate {
-            manifest: vec![
-                ("shard-000/seg-00000001.wal".into(), 4096),
-                ("commit/seg-00000001.wal".into(), 17),
-            ],
-        });
-        roundtrip(Frame::Ack {
-            epoch: 4,
-            bytes: 8192,
-        });
-        roundtrip(Frame::EpochCommitted { epoch: 6 });
-        roundtrip(Frame::Segment {
-            name: "ckpt-00000000000000000008.bin".into(),
-            offset: 65_536,
-            bytes: vec![0xAB; 100],
-        });
-        roundtrip(Frame::ReplDone {
-            epoch: 8,
-            files: 5,
-            bytes: 1 << 20,
-        });
-        roundtrip(Frame::StatsReport(WireStats {
-            tuples_ingested: 1,
-            busy_tuples: 2,
-            epochs_sealed: 3,
-            epochs_published: 4,
-            connections: 5,
-            frames: 6,
-            queries: 7,
-            cache_hits: 8,
-            cache_misses: 9,
-            cache_insertions: 10,
-            cache_evictions: 11,
-            cache_len: 12,
-            bins_bytes: 13,
-            bin_segments: 14,
-            cbuf_occupancy_bp: 9_500,
-            wal_bytes_appended: 15,
-            wal_fsyncs: 16,
-            wal_segments: 17,
-            wal_replayed_records: 18,
-            epochs_committed: 19,
-            repl_rounds: 20,
-            repl_bytes_shipped: 21,
-            repl_acked_epoch: 22,
-            retained_epochs: 23,
-            retained_bytes: 24,
-            active_subscribers: 25,
-            deltas_pushed: 26,
-            fusion_hits: 27,
-            fusion_flushes: 28,
-            fused_ratio_bp: 2_900,
-        }));
-        roundtrip(Frame::QueryAt { epoch: 14, key: 3 });
-        roundtrip(Frame::QueryAt { epoch: 0, key: 0 });
-        roundtrip(Frame::Diff {
-            from_epoch: 10,
-            to_epoch: 14,
-            lo: 8,
-            hi: 24,
-        });
-        roundtrip(Frame::Subscribe { lo: 0, hi: 1024 });
-        roundtrip(Frame::Unsubscribe);
-        roundtrip(Frame::Delta {
-            from_epoch: 13,
-            to_epoch: 14,
-            done: true,
-            entries: vec![(0, 5), (9, u64::MAX)],
-        });
-        roundtrip(Frame::Delta {
-            from_epoch: 1,
-            to_epoch: 2,
-            done: false,
-            entries: vec![],
-        });
-        roundtrip(Frame::Lagged { resume_epoch: 41 });
-        roundtrip(Frame::Subscribed { epoch: 7 });
-        roundtrip(Frame::Unsubscribed { epoch: 55 });
-        roundtrip(Frame::Error {
-            code: ErrorCode::KeyOutOfRange,
-            detail: "key 9 >= 8".into(),
-        });
-        roundtrip(Frame::Error {
-            code: ErrorCode::EpochEvicted,
-            detail: "epoch 3 outside retained window [7, 9]".into(),
-        });
+        for f in samples() {
+            let buf = encoded(&f);
+            let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+            assert_eq!(len, buf.len() - 4, "length prefix covers the body");
+            assert_eq!(decode(&buf[4..]).expect("decode"), f);
+            // And through the stream reader too.
+            let mut cursor = io::Cursor::new(buf);
+            let via_stream = read_frame(&mut cursor).expect("read").expect("some");
+            assert_eq!(via_stream, f);
+        }
     }
 
     #[test]
-    fn truncated_payloads_are_rejected_not_panics() {
-        let mut buf = Vec::new();
-        encode(&Frame::Update(vec![(1, 2), (3, 4)]), &mut buf);
-        // Chop the body at every possible point: each must error cleanly.
-        for cut in 0..buf.len() - 4 {
-            let r = decode(&buf[4..4 + cut]);
-            assert!(r.is_err(), "cut at {cut} decoded: {r:?}");
+    fn encoded_bytes_match_the_golden_wire_image() {
+        let samples = samples();
+        assert_eq!(samples.len(), GOLDEN.len());
+        for (f, want) in samples.iter().zip(GOLDEN) {
+            let hex: String = encoded(f).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(&hex, want, "wire bytes of {f:?} changed");
+        }
+    }
+
+    #[test]
+    fn samples_cover_every_opcode() {
+        let mut seen: Vec<u8> = samples().iter().map(|f| encoded(f)[5]).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let mut declared = OPCODES.to_vec();
+        declared.sort_unstable();
+        assert_eq!(seen, declared, "a frames! row has no entry in samples()");
+    }
+
+    #[test]
+    fn truncated_and_overlong_payloads_are_rejected_for_every_kind() {
+        for f in samples() {
+            let body = encoded(&f)[4..].to_vec();
+            // Chop the body at every possible point: each must error cleanly.
+            for cut in 0..body.len() {
+                let r = decode(&body[..cut]);
+                assert!(r.is_err(), "{f:?} cut at {cut} decoded: {r:?}");
+            }
+            // Trailing garbage after a well-formed payload.
+            let mut long = body;
+            long.push(0xAA);
+            assert!(
+                matches!(decode(&long), Err(WireError::Malformed(_))),
+                "{f:?} with a trailing byte decoded"
+            );
         }
     }
 
@@ -1288,11 +1159,11 @@ mod tests {
     fn truncated_stream_is_distinguished_from_clean_eof() {
         // Clean EOF before any byte: None.
         let mut empty = io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_frame(&mut empty, MAX_FRAME), Ok(None)));
+        assert!(matches!(read_frame(&mut empty), Ok(None)));
         // EOF mid-length-prefix: Truncated.
         let mut partial = io::Cursor::new(vec![5u8, 0]);
         assert!(matches!(
-            read_frame(&mut partial, MAX_FRAME),
+            read_frame(&mut partial),
             Err(ReadError::Wire(WireError::Truncated))
         ));
         // EOF mid-body: Truncated.
@@ -1301,7 +1172,7 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let mut cut = io::Cursor::new(buf);
         assert!(matches!(
-            read_frame(&mut cut, MAX_FRAME),
+            read_frame(&mut cut),
             Err(ReadError::Wire(WireError::Truncated))
         ));
     }
@@ -1312,7 +1183,7 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         buf.push(op::SEAL);
         let mut cursor = io::Cursor::new(buf);
-        match read_frame(&mut cursor, MAX_FRAME) {
+        match read_frame(&mut cursor) {
             Err(ReadError::Wire(WireError::Oversized { len, max })) => {
                 assert_eq!(len, u32::MAX as usize);
                 assert_eq!(max, MAX_FRAME);
@@ -1347,7 +1218,7 @@ mod tests {
         // Empty body via the stream path.
         let mut zero = io::Cursor::new(0u32.to_le_bytes().to_vec());
         assert!(matches!(
-            read_frame(&mut zero, MAX_FRAME),
+            read_frame(&mut zero),
             Err(ReadError::Wire(WireError::Malformed(_)))
         ));
         // Oversized manifest count.
@@ -1417,7 +1288,7 @@ mod tests {
         framed.extend_from_slice(&v1_style);
         let mut cursor = io::Cursor::new(framed);
         assert!(matches!(
-            read_frame(&mut cursor, MAX_FRAME),
+            read_frame(&mut cursor),
             Err(ReadError::Wire(WireError::VersionMismatch { .. }))
         ));
     }
@@ -1442,7 +1313,7 @@ mod tests {
         let mut got = Vec::new();
         for b in &wire {
             fb.extend(std::slice::from_ref(b));
-            while let Some(f) = fb.next_frame(MAX_FRAME).expect("dribble decode") {
+            while let Some(f) = fb.next_frame().expect("dribble decode") {
                 got.push(f);
             }
         }
@@ -1452,7 +1323,7 @@ mod tests {
         let mut batch = FrameBuf::new();
         batch.extend(&wire);
         let mut got_batch = Vec::new();
-        while let Some(f) = batch.next_frame(MAX_FRAME).expect("batch decode") {
+        while let Some(f) = batch.next_frame().expect("batch decode") {
             got_batch.push(f);
         }
         assert_eq!(got_batch, frames);
@@ -1468,17 +1339,14 @@ mod tests {
 
         let mut fb = FrameBuf::new();
         fb.extend(&wire);
-        assert!(matches!(fb.next_frame(MAX_FRAME), Ok(Some(Frame::Seal))));
+        assert!(matches!(fb.next_frame(), Ok(Some(Frame::Seal))));
         // Only a partial frame remains: that is what the idle budget keys on.
-        assert!(matches!(fb.next_frame(MAX_FRAME), Ok(None)));
+        assert!(matches!(fb.next_frame(), Ok(None)));
         assert!(fb.has_partial());
         assert_eq!(fb.pending(), 3);
         // The rest of the frame completes it, wherever the split fell.
         fb.extend(&trailer[3..]);
-        assert!(matches!(
-            fb.next_frame(MAX_FRAME),
-            Ok(Some(Frame::Query { key: 1 }))
-        ));
+        assert!(matches!(fb.next_frame(), Ok(Some(Frame::Query { key: 1 }))));
         assert!(!fb.has_partial());
     }
 
@@ -1486,16 +1354,10 @@ mod tests {
     fn framebuf_rejects_oversized_and_empty_frames_like_read_frame() {
         let mut fb = FrameBuf::new();
         fb.extend(&(u32::MAX).to_le_bytes());
-        assert!(matches!(
-            fb.next_frame(MAX_FRAME),
-            Err(WireError::Oversized { .. })
-        ));
+        assert!(matches!(fb.next_frame(), Err(WireError::Oversized { .. })));
         let mut fb = FrameBuf::new();
         fb.extend(&0u32.to_le_bytes());
-        assert!(matches!(
-            fb.next_frame(MAX_FRAME),
-            Err(WireError::Malformed(_))
-        ));
+        assert!(matches!(fb.next_frame(), Err(WireError::Malformed(_))));
     }
 
     #[test]

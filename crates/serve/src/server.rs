@@ -84,8 +84,8 @@
 
 use crate::cache::S3FifoCache;
 use crate::protocol::{
-    self, ErrorCode, Frame, FrameBuf, WireError, WireStats, MAX_DELTA_ENTRIES, MAX_FRAME,
-    MAX_SNAPSHOT_KEYS, REPL_CHUNK,
+    self, ErrorCode, Frame, FrameBuf, WireError, WireStats, MAX_DELTA_ENTRIES, MAX_SNAPSHOT_KEYS,
+    REPL_CHUNK,
 };
 use cobra_mvcc::{
     diff_range, feed_publish_hook, DeltaHub, EpochStore, RetentionConfig, SubDelta, SubMsg,
@@ -1164,7 +1164,7 @@ fn drain_inbox(
     // (bounded) and are picked up by the resume sweep once the outbox
     // drains. So does any mode that makes later frames wait.
     while conn.dispatching() && !conn.backlogged() {
-        match conn.inbox.next_frame(MAX_FRAME) {
+        match conn.inbox.next_frame() {
             Ok(Some(frame)) => {
                 extracted += 1;
                 // ordering: Relaxed — stats counter.

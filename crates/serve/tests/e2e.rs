@@ -228,7 +228,7 @@ fn opcode_constants_are_public() {
 }
 
 fn read_one_frame(stream: &mut TcpStream) -> Frame {
-    match protocol::read_frame(stream, MAX_FRAME) {
+    match protocol::read_frame(stream) {
         Ok(Some(frame)) => frame,
         other => panic!("expected one frame, got {other:?}"),
     }

@@ -7,7 +7,7 @@
 //! and every reconstructed per-epoch state must be bit-identical to the
 //! server's own `SNAPSHOT{epoch}` answer.
 
-use cobra_serve::protocol::{self, opcodes, Frame, PROTOCOL_VERSION};
+use cobra_serve::protocol::{self, opcodes, Frame, ReadError, MAX_UPDATE_TUPLES, PROTOCOL_VERSION};
 use cobra_serve::{ClientError, ErrorCode, ServeClient, ServeConfig, Server, SubEvent, WireError};
 use cobra_stream::StreamConfig;
 use std::collections::HashMap;
@@ -338,6 +338,61 @@ fn unsubscribe_returns_the_connection_to_request_mode() {
         std::thread::sleep(Duration::from_millis(5));
     }
     server.shutdown();
+
+    // The connection comes back as it went in: a lockstep client (window
+    // 1) must not return pipelining. Only a scripted peer can see that —
+    // it withholds the first chunk's acknowledgement and watches for a
+    // second chunk, which a lockstep client has not sent yet.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted peer");
+    let peer_addr = listener.local_addr().expect("local addr");
+    let peer = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().expect("accept");
+        let mut scratch = Vec::new();
+        let mut reply = |sock: &mut TcpStream, frame: Frame| {
+            protocol::write_frame(sock, &frame, &mut scratch).expect("reply")
+        };
+        let read = |sock: &mut TcpStream| match protocol::read_frame(sock) {
+            Ok(Some(frame)) => frame,
+            other => panic!("scripted peer got {other:?}"),
+        };
+        assert!(matches!(read(&mut sock), Frame::Subscribe { .. }));
+        reply(&mut sock, Frame::Subscribed { epoch: 0 });
+        assert!(matches!(read(&mut sock), Frame::Unsubscribe));
+        reply(&mut sock, Frame::Unsubscribed { epoch: 0 });
+        let Frame::Update(first) = read(&mut sock) else {
+            panic!("expected the first UPDATE chunk");
+        };
+        sock.set_read_timeout(Some(Duration::from_millis(200)))
+            .expect("set timeout");
+        let early = match protocol::read_frame(&mut sock) {
+            Err(ReadError::Idle) => None,
+            Ok(Some(Frame::Update(second))) => Some(second),
+            other => panic!("scripted peer got {other:?}"),
+        };
+        sock.set_read_timeout(None).expect("clear timeout");
+        let stayed_lockstep = early.is_none();
+        let accepted = first.len() as u32;
+        reply(&mut sock, Frame::Accepted { accepted });
+        let second = early.unwrap_or_else(|| match read(&mut sock) {
+            Frame::Update(second) => second,
+            other => panic!("expected the second UPDATE chunk, got {other:?}"),
+        });
+        let accepted = second.len() as u32;
+        reply(&mut sock, Frame::Accepted { accepted });
+        stayed_lockstep
+    });
+    let mut lockstep = ServeClient::connect(peer_addr).expect("connect scripted peer");
+    lockstep.set_pipeline_window(1);
+    let sub = lockstep.subscribe(0, KEYS).expect("scripted subscribe");
+    let (mut lockstep, _) = sub.unsubscribe().expect("scripted unsubscribe");
+    let two_chunks = vec![(0u32, 1u64); MAX_UPDATE_TUPLES as usize + 1];
+    lockstep
+        .update_all(&two_chunks)
+        .expect("update through the scripted peer");
+    assert!(
+        peer.join().expect("scripted peer"),
+        "unsubscribe reset the pipeline window: chunk 2 left before chunk 1 was acknowledged"
+    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! pipeline without reading, and client-side frame alignment after a
 //! mid-pipeline server error.
 
-use cobra_serve::protocol::{self, ErrorCode, Frame, MAX_FRAME, MAX_UPDATE_TUPLES};
+use cobra_serve::protocol::{self, ErrorCode, Frame, MAX_UPDATE_TUPLES};
 use cobra_serve::{ClientError, ServeClient, ServeConfig, Server};
 use cobra_stream::StreamConfig;
 use std::io::{Read, Write};
@@ -44,7 +44,7 @@ fn short_budget_server(num_keys: u32, budget: Duration) -> Server {
 }
 
 fn read_one_frame(stream: &mut TcpStream) -> Frame {
-    match protocol::read_frame(stream, MAX_FRAME) {
+    match protocol::read_frame(stream) {
         Ok(Some(frame)) => frame,
         other => panic!("expected one frame, got {other:?}"),
     }
@@ -377,7 +377,7 @@ fn update_all_stays_frame_aligned_after_mid_pipeline_server_error() {
         let mut scratch = Vec::new();
         let mut updates_seen = 0u32;
         loop {
-            match protocol::read_frame(&mut sock, MAX_FRAME) {
+            match protocol::read_frame(&mut sock) {
                 Ok(Some(Frame::Update(tuples))) => {
                     updates_seen += 1;
                     let reply = if updates_seen == 1 {

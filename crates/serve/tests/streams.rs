@@ -3,7 +3,7 @@
 //! control against a subscriber that stops reading, and in-order handling
 //! of frames pipelined behind a streaming request.
 
-use cobra_serve::protocol::{self, ErrorCode, Frame, MAX_FRAME};
+use cobra_serve::protocol::{self, ErrorCode, Frame};
 use cobra_serve::{ServeClient, ServeConfig, Server, SubEvent};
 use cobra_stream::StreamConfig;
 use std::io::{Read, Write};
@@ -38,7 +38,7 @@ fn seal_and_publish(client: &mut ServeClient, tuples: &[(u32, u64)]) -> u64 {
 }
 
 fn read_one_frame(stream: &mut TcpStream) -> Frame {
-    match protocol::read_frame(stream, MAX_FRAME) {
+    match protocol::read_frame(stream) {
         Ok(Some(frame)) => frame,
         other => panic!("expected one frame, got {other:?}"),
     }
@@ -281,10 +281,7 @@ fn frames_pipelined_behind_subscribe_are_handled_in_order() {
         Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected Malformed, got {other:?}"),
     }
-    assert!(matches!(
-        protocol::read_frame(&mut raw, MAX_FRAME),
-        Ok(None)
-    ));
+    assert!(matches!(protocol::read_frame(&mut raw), Ok(None)));
     assert_eq!(driver.stats().expect("stats").active_subscribers, 0);
     server.shutdown();
 }

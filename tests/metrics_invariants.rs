@@ -3,12 +3,35 @@
 //! meaningful, checked end-to-end through the public API.
 
 use cobra_repro::graph::gen;
-use cobra_repro::kernels::{run, Input, KernelId, ModeSpec};
+use cobra_repro::kernels::{run, Input, KernelId, ModeSpec, RunOutcome};
 use cobra_repro::sim::MachineConfig;
+use std::sync::OnceLock;
 
-fn graph_input() -> Input {
+/// The input five of the tests share, generated once.
+fn graph_input() -> &'static Input {
+    static INPUT: OnceLock<Input> = OnceLock::new();
     // Large enough that the update working set exceeds the LLC slice.
-    Input::graph(gen::uniform_random(1 << 19, 1 << 21, 0xBEEF))
+    INPUT.get_or_init(|| Input::graph(gen::uniform_random(1 << 19, 1 << 21, 0xBEEF)))
+}
+
+/// `run(k, graph_input(), cobra_default, hpca22)`: several tests assert on
+/// the same deterministic simulation, so it runs once per kernel.
+fn cobra_on_graph(k: KernelId) -> &'static RunOutcome {
+    static DEGREE_COUNT: OnceLock<RunOutcome> = OnceLock::new();
+    static NEIGHBOR_POPULATE: OnceLock<RunOutcome> = OnceLock::new();
+    let cell = match k {
+        KernelId::DegreeCount => &DEGREE_COUNT,
+        KernelId::NeighborPopulate => &NEIGHBOR_POPULATE,
+        other => panic!("no two tests share a COBRA run of {}", other.name()),
+    };
+    cell.get_or_init(|| {
+        run(
+            k,
+            graph_input(),
+            &ModeSpec::cobra_default(),
+            &MachineConfig::hpca22(),
+        )
+    })
 }
 
 #[test]
@@ -16,8 +39,8 @@ fn cobra_executes_fewer_instructions_than_software_pb() {
     let machine = MachineConfig::hpca22();
     let input = graph_input();
     for k in [KernelId::DegreeCount, KernelId::NeighborPopulate] {
-        let pb = run(k, &input, &ModeSpec::PbSw { min_bins: 256 }, &machine);
-        let cobra = run(k, &input, &ModeSpec::cobra_default(), &machine);
+        let pb = run(k, input, &ModeSpec::PbSw { min_bins: 256 }, &machine);
+        let cobra = cobra_on_graph(k);
         assert!(
             (pb.metrics.instructions() as f64) > 1.3 * cobra.metrics.instructions() as f64,
             "{}: PB {} vs COBRA {}",
@@ -55,13 +78,8 @@ fn cobra_binning_has_no_management_branches() {
 fn pb_accumulate_has_better_l1_locality_than_baseline() {
     let machine = MachineConfig::hpca22();
     let input = graph_input();
-    let base = run(KernelId::DegreeCount, &input, &ModeSpec::Baseline, &machine);
-    let cobra = run(
-        KernelId::DegreeCount,
-        &input,
-        &ModeSpec::cobra_default(),
-        &machine,
-    );
+    let base = run(KernelId::DegreeCount, input, &ModeSpec::Baseline, &machine);
+    let cobra = cobra_on_graph(KernelId::DegreeCount);
     let acc = cobra
         .metrics
         .result
@@ -79,11 +97,9 @@ fn pb_accumulate_has_better_l1_locality_than_baseline() {
 fn binned_tuple_bytes_reach_dram_exactly_once() {
     // Conservation: COBRA's bin writes cover every tuple (full lines plus
     // flush partials), and the accumulate phase reads them back.
-    let machine = MachineConfig::hpca22();
-    let input = graph_input();
     let k = KernelId::NeighborPopulate; // 8B tuples
-    let updates = input.num_updates(k);
-    let cobra = run(k, &input, &ModeSpec::cobra_default(), &machine);
+    let updates = graph_input().num_updates(k);
+    let cobra = cobra_on_graph(k);
     let wr = cobra.metrics.result.mem.dram_write_bytes;
     assert!(
         wr >= updates * 8,
@@ -99,9 +115,18 @@ fn speedup_ordering_on_oversized_working_sets() {
     let machine = MachineConfig::hpca22();
     let input = Input::graph(gen::uniform_random(1 << 21, 1 << 22, 3));
     let k = KernelId::DegreeCount;
-    let base = run(k, &input, &ModeSpec::Baseline, &machine);
-    let pb = run(k, &input, &ModeSpec::PbSw { min_bins: 512 }, &machine);
-    let cobra = run(k, &input, &ModeSpec::cobra_default(), &machine);
+    // The file's longest test: its three independent simulations run
+    // side by side instead of back to back.
+    let (base, pb, cobra) = std::thread::scope(|s| {
+        let base = s.spawn(|| run(k, &input, &ModeSpec::Baseline, &machine));
+        let pb = s.spawn(|| run(k, &input, &ModeSpec::PbSw { min_bins: 512 }, &machine));
+        let cobra = run(k, &input, &ModeSpec::cobra_default(), &machine);
+        (
+            base.join().expect("baseline run"),
+            pb.join().expect("PB-SW run"),
+            cobra,
+        )
+    });
     assert!(
         pb.metrics.cycles() < base.metrics.cycles(),
         "PB {} vs baseline {}",
@@ -122,7 +147,7 @@ fn phases_partition_total_cycles() {
     let input = graph_input();
     let pb = run(
         KernelId::DegreeCount,
-        &input,
+        input,
         &ModeSpec::PbSw { min_bins: 128 },
         &machine,
     );
@@ -144,10 +169,10 @@ fn context_switches_only_add_bandwidth_waste() {
     let machine = MachineConfig::hpca22();
     let input = graph_input();
     let k = KernelId::DegreeCount;
-    let clean = run(k, &input, &ModeSpec::cobra_default(), &machine);
+    let clean = cobra_on_graph(k);
     let noisy = run(
         k,
-        &input,
+        input,
         &ModeSpec::Cobra {
             reserved: None,
             des: cobra_repro::cobra::DesConfig::paper_default(),
