@@ -18,6 +18,9 @@ pub struct SourceFile {
     pub krate: String,
     /// Token stream.
     pub toks: Vec<Tok>,
+    /// The file's text: token rules quote the offending line, and R1
+    /// reads its `// ordering:` comments, which the lexer drops.
+    pub text: String,
     /// True for files under a `tests/` directory (integration tests).
     pub is_test_file: bool,
 }
@@ -279,6 +282,7 @@ mod tests {
             rel: "crates/x/src/lib.rs".into(),
             krate: "x".into(),
             toks: lex(src),
+            text: src.to_string(),
             is_test_file: false,
         }
     }

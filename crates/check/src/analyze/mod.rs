@@ -1,12 +1,18 @@
-//! cobra-analyze: cross-crate static concurrency & protocol analysis.
+//! cobra-analyze: the one static pass — cross-crate concurrency &
+//! protocol analysis plus the source-level invariant rules.
 //!
-//! A dependency-free pipeline (DESIGN.md §12): [`lexer`] turns each
-//! workspace source file into tokens, [`items`] extracts the function
-//! table, [`facts`] derives per-fn facts (calls, lock acquisitions with
-//! held ranges, atomic sites with orderings, frame-tag mentions),
-//! [`graph`] builds the name-based call graph and transitive locksets,
-//! and the rules consume those:
+//! A dependency-free pipeline (DESIGN.md §12): [`SourceSet`] reads every
+//! `crates/*/{src,tests}` file once, [`lexer`] turns each into tokens,
+//! [`items`] extracts the function table, [`facts`] derives per-fn facts
+//! (calls, lock acquisitions with held ranges, atomic sites with
+//! orderings, frame-tag mentions), [`graph`] builds the name-based call
+//! graph and transitive locksets, and the rules consume those:
 //!
+//! * **R1, R2, R3, R9, R11** ([`rules::token_rules`]) — token-sequence
+//!   rules, each over its own path scope: `Ordering::` needs a written
+//!   `// ordering:` justification, no `unwrap`/`expect` on the hot
+//!   path, no `Mutex` on the binning path, no unaudited `unsafe`, no
+//!   blocking socket I/O on the reactor path.
 //! * **R5** ([`graph::r5_lock_order`]) — no cycles in the lock
 //!   acquisition-order graph.
 //! * **R6** ([`rules::r6_commit_before_publish`]) — a WAL commit-class
@@ -17,10 +23,12 @@
 //! * **R8** ([`rules::r8_atomics_pairing`]) — Release-class stores and
 //!   Acquire-class loads pair up per field, workspace-wide.
 //!
-//! Findings can be suppressed only via `crates/check/analyze-allow.txt`
-//! (`RULE | path-suffix | message-needle`); unused entries are
-//! themselves findings (`stale-allow`), so suppressions cannot rot.
-//! [`selftest`] seeds one mutation per rule and asserts it fires.
+//! Findings can be suppressed only via `crates/check/allow.txt`
+//! (`RULE | path-suffix | message-needle`, so an entry audited for one
+//! rule never hides another rule's finding on the same line); unused
+//! entries are themselves findings (R10 `stale-allow`), so suppressions
+//! cannot rot. [`selftest`] seeds one mutation per rule and asserts it
+//! fires.
 
 pub mod facts;
 pub mod graph;
@@ -33,19 +41,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use items::{FnItem, SourceFile};
 
-/// Crates included in the analyzed set. `check` itself is excluded: its
-/// fixtures and lint tables quote orderings and lock calls as *data*.
-const ANALYZED_CRATES: &[&str] = &[
-    "pb", "bins", "core", "graph", "kernels", "sim", "stream", "wal", "serve", "cluster", "bench",
-];
-
-/// Relative path of the analyzer allowlist.
-pub const ALLOW_FILE: &str = "crates/check/analyze-allow.txt";
+/// Relative path of the one allowlist, shared by every rule.
+pub const ALLOW_FILE: &str = "crates/check/allow.txt";
 
 /// Relative path of the JSON findings report.
 pub const REPORT_FILE: &str = "target/analyze-report.json";
@@ -53,7 +55,7 @@ pub const REPORT_FILE: &str = "target/analyze-report.json";
 /// One analyzer finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`R5`…`R8`, or `stale-allow`).
+    /// Rule id (`R1`…`R11`, or `stale-allow`).
     pub rule: &'static str,
     /// Workspace-relative file, `/`-separated.
     pub file: String,
@@ -83,32 +85,24 @@ pub struct SourceSet {
 }
 
 impl SourceSet {
-    /// Loads all `.rs` files of the analyzed crates under `root`
-    /// (each crate's `src/` and `tests/`).
+    /// Loads every `.rs` file under each `crates/*/{src,tests}` of the
+    /// workspace at `root`. The crate set is the directory listing, so a
+    /// new crate is analyzed the day it lands. `check` itself is in the
+    /// set: the lexer drops the orderings and lock calls its fixtures and
+    /// rule tables quote as string data.
     pub fn load(root: &Path) -> io::Result<SourceSet> {
         let mut texts = Vec::new();
-        for krate in ANALYZED_CRATES {
+        for entry in fs::read_dir(root.join("crates"))? {
+            let krate = entry?.path();
             for sub in ["src", "tests"] {
-                let dir = root.join("crates").join(krate).join(sub);
+                let dir = krate.join(sub);
                 if dir.is_dir() {
-                    collect_rs(&dir, &mut texts)?;
+                    collect_rs(root, &dir, &mut texts)?;
                 }
             }
         }
-        let root_str = root.to_string_lossy().into_owned();
-        let mut out: Vec<(String, String)> = texts
-            .into_iter()
-            .map(|(p, t)| {
-                let rel = p
-                    .strip_prefix(&root_str)
-                    .unwrap_or(&p)
-                    .trim_start_matches(['/', '\\'])
-                    .replace('\\', "/");
-                (rel, t)
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(SourceSet { texts: out })
+        texts.sort();
+        Ok(SourceSet { texts })
     }
 
     /// Replaces `needle` with `replacement` in the file whose path ends
@@ -138,20 +132,35 @@ impl SourceSet {
     }
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {
+fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
+        let path = entry?.path();
         if path.is_dir() {
-            collect_rs(&path, out)?;
+            collect_rs(root, &path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push((
-                path.to_string_lossy().into_owned(),
-                fs::read_to_string(&path)?,
-            ));
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+            out.push((rel.replace('\\', "/"), fs::read_to_string(&path)?));
         }
     }
     Ok(())
+}
+
+/// Locates the workspace root by walking up from the current directory
+/// until a `Cargo.toml` declaring `[workspace]` is found.
+pub fn find_workspace_root() -> io::Result<PathBuf> {
+    let mut dir = std::env::current_dir()?;
+    loop {
+        let manifest = dir.join("Cargo.toml");
+        if manifest.is_file() && fs::read_to_string(&manifest)?.contains("[workspace]") {
+            return Ok(dir);
+        }
+        if !dir.pop() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                "no workspace Cargo.toml above the current directory",
+            ));
+        }
+    }
 }
 
 /// The analyzed workspace: lexed files, function table, per-fn facts,
@@ -179,6 +188,7 @@ impl Workspace {
                     rel: rel.clone(),
                     krate: parts.get(1).unwrap_or(&"?").to_string(),
                     toks: lexer::lex(text),
+                    text: text.clone(),
                     is_test_file: parts.contains(&"tests"),
                 }
             })
@@ -332,12 +342,12 @@ impl Report {
     }
 }
 
-/// Runs R5–R8 over an already-built source set with the given
+/// Runs every rule over an already-built source set with the given
 /// allowlist. This is the core used by both the CLI and the selftests.
 pub fn analyze_set(set: &SourceSet, allow: &mut AllowList) -> Report {
     let start = Instant::now();
     let ws = Workspace::build(set);
-    let mut findings = Vec::new();
+    let mut findings = rules::token_rules(&ws);
     let (r5, lock_edges) = graph::r5_lock_order(&ws);
     findings.extend(r5);
     findings.extend(rules::r6_commit_before_publish(&ws));
@@ -400,7 +410,10 @@ pub fn report_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"cobra-analyze\",\n");
-    out.push_str("  \"rules\": [\"R5\", \"R6\", \"R7\", \"R8\", \"stale-allow\"],\n");
+    out.push_str(
+        "  \"rules\": [\"R1\", \"R2\", \"R3\", \"R5\", \"R6\", \"R7\", \"R8\", \"R9\", \
+         \"R11\", \"stale-allow\"],\n",
+    );
     out.push_str(&format!(
         "  \"stats\": {{\"files\": {}, \"functions\": {}, \"calls\": {}, \"locks\": {}, \
          \"atomics\": {}, \"lock_edges\": {}, \"elapsed_ms\": {}}},\n",
@@ -446,4 +459,81 @@ pub fn write_report(root: &Path, report: &Report) -> io::Result<()> {
         fs::create_dir_all(parent)?;
     }
     fs::write(path, report_json(report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn set(files: &[(&str, &str)]) -> SourceSet {
+        SourceSet {
+            texts: files
+                .iter()
+                .map(|(p, t)| (p.to_string(), t.to_string()))
+                .collect(),
+        }
+    }
+
+    /// `(rule, file, line)` of the token-rule and stale-allow findings
+    /// of a full pass (a snippet set trips R6/R7's "file not found").
+    fn findings(set: &SourceSet, allow: &str) -> Vec<(&'static str, String, u32)> {
+        analyze_set(set, &mut AllowList::parse(allow))
+            .findings
+            .into_iter()
+            .filter(|f| !matches!(f.rule, "R6" | "R7"))
+            .map(|f| (f.rule, f.file, f.line))
+            .collect()
+    }
+
+    #[test]
+    fn an_allow_entry_suppresses_only_its_own_rule() {
+        // One line, two findings: an audited lock-poisoning `expect`
+        // (R2) and an unjustified ordering (R1). The R2 entry must not
+        // hide the R1 finding.
+        let src =
+            "fn f() { m.lock().expect(\"seal lock poisoned\").store(1, Ordering::Relaxed); }\n";
+        let file = "crates/stream/src/pipeline.rs";
+        let s = set(&[(file, src)]);
+        assert_eq!(
+            findings(&s, ""),
+            vec![("R1", file.to_string(), 1), ("R2", file.to_string(), 1)]
+        );
+        let allow = "R2 | crates/stream/src/pipeline.rs | expect(\"seal lock poisoned\")\n";
+        assert_eq!(findings(&s, allow), vec![("R1", file.to_string(), 1)]);
+    }
+
+    #[test]
+    fn allow_entries_match_by_suffix_and_needle_and_stale_ones_are_findings() {
+        let file = "crates/pb/src/parallel.rs";
+        let s = set(&[(
+            file,
+            "fn f() {\n    let b = h.join().expect(\"binning worker panicked\");\n    \
+             let c = h.join().expect(\"other\");\n}\n",
+        )]);
+        let allow = "# comment\n\nR2 | pb/src/parallel.rs | binning worker panicked\n\
+                     R2 | crates/wal/src/log.rs | never matches\n";
+        // Line 2 is suppressed, line 3's needle differs, and the entry
+        // that suppressed nothing fires at its own allowlist line
+        // (numbering survives the comment and the blank).
+        assert_eq!(
+            findings(&s, allow),
+            vec![
+                ("stale-allow", ALLOW_FILE.to_string(), 4),
+                ("R2", file.to_string(), 3)
+            ]
+        );
+    }
+
+    #[test]
+    fn findings_are_sorted_by_path_then_line() {
+        let two = "fn f() {\n    x.unwrap();\n    y.unwrap();\n}\n";
+        let s = set(&[("crates/pb/src/b.rs", two), ("crates/pb/src/a.rs", two)]);
+        let order: Vec<(String, u32)> = findings(&s, "")
+            .into_iter()
+            .map(|(_, f, l)| (f, l))
+            .collect();
+        let want = [("a.rs", 2), ("a.rs", 3), ("b.rs", 2), ("b.rs", 3)]
+            .map(|(f, l)| (format!("crates/pb/src/{f}"), l));
+        assert_eq!(order, want);
+    }
 }

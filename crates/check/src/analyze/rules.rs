@@ -1,13 +1,202 @@
-//! Rules R6–R8: commit-before-publish dominance, wire-protocol
-//! exhaustiveness, and atomics release/acquire pairing.
+//! The token rules (R1, R2, R3, R9, R11) and rules R6–R8:
+//! commit-before-publish dominance, wire-protocol exhaustiveness, and
+//! atomics release/acquire pairing.
 //!
 //! (R5, lock ordering, lives in [`super::graph`] because it needs the
 //! full acquisition graph.)
 
 use std::collections::BTreeMap;
 
-use super::lexer::Kind;
+use super::lexer::{Kind, Tok};
 use super::{Finding, Workspace};
+
+/// One token-sequence rule: a finding for every place one of `patterns`
+/// occurs in the token stream of an in-scope file. Working on tokens
+/// means comments, string literals (multi-line ones included) and
+/// formatting can neither hide a hit nor fake one.
+struct TokenRule {
+    rule: &'static str,
+    /// Which workspace-relative paths the rule covers.
+    in_scope: fn(&str) -> bool,
+    /// Hits inside test-only fn bodies are not findings.
+    skip_tests: bool,
+    /// A hit is excused by a comment starting with this marker on its
+    /// line, or in the `//` comment block directly above it.
+    justified_by: Option<&'static str>,
+    /// Each pattern is the texts of consecutive ident/punct tokens.
+    patterns: &'static [&'static [&'static str]],
+}
+
+/// True when `rel` is `crates/<one of krates>/src/…`.
+fn in_src_of(rel: &str, krates: &[&str]) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split_once("/src/"))
+        .is_some_and(|(krate, _)| krates.contains(&krate))
+}
+
+/// Files subject to R3 (the binning/accumulate hot path).
+const R3_FILES: [&str; 5] = [
+    "crates/pb/src/binner.rs",
+    "crates/pb/src/parallel.rs",
+    "crates/core/src/backend.rs",
+    "crates/core/src/cobra.rs",
+    "crates/stream/src/shard.rs",
+];
+
+const TOKEN_RULES: &[TokenRule] = &[
+    // R1 `ordering-justification` — every `Ordering::…` use in the
+    // concurrency-protocol crates must carry a `// ordering:` comment
+    // explaining why that ordering is sufficient. Atomics without a
+    // written-down argument rot.
+    TokenRule {
+        rule: "R1",
+        in_scope: |rel| {
+            in_src_of(rel, &["stream", "serve", "wal", "mvcc", "cluster", "poll"])
+                || rel == "crates/pb/src/trace.rs"
+        },
+        skip_tests: false,
+        justified_by: Some("// ordering:"),
+        patterns: &[&["Ordering", ":", ":"]],
+    },
+    // R2 `no-hot-path-unwrap` — no `unwrap()` / `expect()` in the
+    // hot-path crates outside test code. Panics in a binning worker
+    // poison locks and wedge the pipeline, and a panic on the WAL path
+    // turns a disk hiccup into an outage; fallible paths must return
+    // errors or document why the panic is unreachable via the allowlist.
+    TokenRule {
+        rule: "R2",
+        in_scope: |rel| {
+            in_src_of(
+                rel,
+                &[
+                    "pb", "core", "stream", "sim", "serve", "wal", "mvcc", "bins", "poll",
+                    "cluster",
+                ],
+            )
+        },
+        skip_tests: true,
+        justified_by: None,
+        patterns: &[&[".", "unwrap", "(", ")"], &[".", "expect", "("]],
+    },
+    // R3 `no-mutex-on-binning-path` — the whole point of propagation
+    // blocking is that bin ownership makes locks unnecessary there.
+    TokenRule {
+        rule: "R3",
+        in_scope: |rel| R3_FILES.contains(&rel),
+        skip_tests: false,
+        justified_by: None,
+        patterns: &[&["Mutex", "<"], &["Mutex", ":", ":", "new"]],
+    },
+    // R9 `no-unaudited-unsafe` — no `unsafe` outside allowlist-audited
+    // sites, anywhere in the workspace (crate roots are additionally
+    // held to `#![forbid(unsafe_code)]`, see `token_rules`).
+    TokenRule {
+        rule: "R9",
+        in_scope: |_| true,
+        skip_tests: false,
+        justified_by: None,
+        patterns: &[&["unsafe"]],
+    },
+    // R11 `no-blocking-io-on-reactor-path` — the reactor's liveness
+    // rests on every syscall being non-blocking; one reinstated blocking
+    // read stalls every connection on the loop. Scope is the event-loop
+    // crates' `src/`: everything that runs on, or is called from, the
+    // reactor thread. The audited exception (the client's blocking
+    // `read_frame`/`write_frame`) lives in the allowlist.
+    TokenRule {
+        rule: "R11",
+        in_scope: |rel| in_src_of(rel, &["serve", "poll"]),
+        skip_tests: false,
+        justified_by: None,
+        patterns: &[
+            &["set_read_timeout"],
+            &["set_nonblocking", "(", "false", ")"],
+            &[".", "read_exact", "("],
+            &[".", "write_all", "("],
+        ],
+    },
+];
+
+/// Does `pattern` occur in `toks` starting at index `i`?
+fn matches_at(toks: &[Tok], i: usize, pattern: &[&str]) -> bool {
+    pattern.iter().enumerate().all(|(k, want)| {
+        toks.get(i + k)
+            .is_some_and(|t| matches!(t.kind, Kind::Ident | Kind::Punct) && t.text == *want)
+    })
+}
+
+/// Is the 1-based `line` justified by a comment starting with `marker`:
+/// on the line itself, or anywhere in the contiguous `//` comment block
+/// immediately above it?
+fn justified(lines: &[&str], line: u32, marker: &str) -> bool {
+    let at = line as usize - 1;
+    lines[at].contains(marker)
+        || lines[..at]
+            .iter()
+            .rev()
+            .take_while(|l| l.trim_start().starts_with("//"))
+            .any(|l| l.contains(marker))
+}
+
+/// True when `rel` is a crate root that must carry
+/// `#![forbid(unsafe_code)]` (or `deny`): lib roots, bin roots, and
+/// `src/bin/` targets.
+fn is_crate_root(rel: &str) -> bool {
+    rel.ends_with("/src/lib.rs")
+        || rel.ends_with("/src/main.rs")
+        || (rel.contains("/src/bin/") && rel.ends_with(".rs"))
+}
+
+/// R1, R2, R3, R9, R11 — the token-sequence rules of [`TOKEN_RULES`],
+/// plus R9's crate-root half: every crate root must carry
+/// `#![forbid(unsafe_code)]` (or `deny`) so the compiler enforces what
+/// the rule observes. A finding's message is the offending source line,
+/// which is what allowlist needles match against.
+pub fn token_rules(ws: &Workspace) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (fi, sf) in ws.files.iter().enumerate() {
+        let lines: Vec<&str> = sf.text.lines().collect();
+        let test_bodies: Vec<(usize, usize)> = ws
+            .fns
+            .iter()
+            .filter(|f| f.file == fi && f.is_test)
+            .filter_map(|f| f.body)
+            .collect();
+        for r in TOKEN_RULES.iter().filter(|r| (r.in_scope)(&sf.rel)) {
+            for i in 0..sf.toks.len() {
+                let line = sf.toks[i].line;
+                let hit = r.patterns.iter().any(|p| matches_at(&sf.toks, i, p))
+                    && !(r.skip_tests && test_bodies.iter().any(|&(a, b)| a <= i && i <= b))
+                    && !r.justified_by.is_some_and(|m| justified(&lines, line, m));
+                if hit {
+                    findings.push(Finding {
+                        rule: r.rule,
+                        file: sf.rel.clone(),
+                        line,
+                        message: lines[line as usize - 1].trim().to_string(),
+                    });
+                }
+            }
+        }
+        let forbids_unsafe = || {
+            (0..sf.toks.len()).any(|i| {
+                ["forbid", "deny"].iter().any(|level| {
+                    let attr = ["#", "!", "[", level, "(", "unsafe_code", ")", "]"];
+                    matches_at(&sf.toks, i, &attr)
+                })
+            })
+        };
+        if is_crate_root(&sf.rel) && !forbids_unsafe() {
+            findings.push(Finding {
+                rule: "R9",
+                file: sf.rel.clone(),
+                line: 1,
+                message: "crate root missing #![forbid(unsafe_code)]".into(),
+            });
+        }
+    }
+    findings
+}
 
 /// Call names that count as a durability point for R6: a WAL commit or
 /// an explicit seal+flush of the commit record.
@@ -244,4 +433,164 @@ pub fn r8_atomics_pairing(ws: &Workspace) -> Vec<Finding> {
         }
     }
     findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analyze::SourceSet;
+
+    /// `(rule, line)` of every token-rule finding for one file of source.
+    fn hits(rel: &str, src: &str) -> Vec<(&'static str, u32)> {
+        let set = SourceSet {
+            texts: vec![(rel.to_string(), src.to_string())],
+        };
+        let mut out: Vec<_> = token_rules(&Workspace::build(&set))
+            .iter()
+            .map(|f| (f.rule, f.line))
+            .collect();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn source_snippets_yield_exactly_these_findings() {
+        // Danger words are spelled out freely below: this file is itself
+        // in the analyzed set, and string contents never become tokens.
+        let case = |what: &str, rel: &str, src: &str, want: &[(&str, u32)]| {
+            assert_eq!(hits(rel, src), want, "{what}");
+        };
+        case(
+            "R1: an ordering without a comment is flagged",
+            "crates/stream/src/x.rs",
+            "fn f() { let x = a.load(Ordering::Relaxed); }\n",
+            &[("R1", 1)],
+        );
+        case(
+            "R1: trailing or preceding (multi-line) justification passes; \
+             importing the name is not a use",
+            "crates/mvcc/src/x.rs",
+            "let x = a.load(Ordering::Relaxed); // ordering: stats only\n\
+             // ordering: release pairs with the acquire in recv\n\
+             // (two-line justification is fine)\n\
+             let y = b.store(1, Ordering::Release);\n\
+             use std::sync::atomic::Ordering;\n",
+            &[],
+        );
+        case(
+            "R1: a code line between comment and use breaks the block",
+            "crates/serve/src/x.rs",
+            "// ordering: stats only\nlet z = 1;\nlet y = b.store(1, Ordering::Release);\n",
+            &[("R1", 3)],
+        );
+        case(
+            "R2: unwrap/expect outside tests is flagged, inside is not",
+            "crates/pb/src/x.rs",
+            "fn hot() { x.unwrap(); }\n\
+             #[cfg(test)]\n\
+             mod tests {\n    fn t() { y.expect(\"fine in tests\"); }\n}\n\
+             fn also_hot() { z.expect(\"bad\"); }\n",
+            &[("R2", 1), ("R2", 6)],
+        );
+        case(
+            "R2: out-of-scope crates and integration tests may unwrap",
+            "crates/bench/src/x.rs",
+            "fn f() { x.unwrap(); }\n",
+            &[],
+        );
+        case(
+            "R2: mentions inside a string literal are ignored",
+            "crates/wal/src/x.rs",
+            "fn f() { let s = \"docs mention .unwrap() here\"; }\n",
+            &[],
+        );
+        case(
+            "R2/R9: a multi-line literal hides nothing and fakes nothing, \
+             and line numbers after it stay right",
+            "crates/core/src/x.rs",
+            "fn f() {\n    let s = \"first line\n        x.unwrap(); unsafe { }\n    \";\n    \
+             /* y.unwrap();\n       unsafe */\n    real.unwrap();\n}\n",
+            &[("R2", 7)],
+        );
+        case(
+            "R3: a Mutex on the binning path is flagged (and a non-root \
+             file needs no unsafe_code attribute)",
+            "crates/pb/src/binner.rs",
+            "fn f() { let m: Mutex<u32> = Mutex::new(0); }\n",
+            &[("R3", 1)],
+        );
+        case(
+            "R3: the same line elsewhere is fine",
+            "crates/pb/src/trace.rs",
+            "fn f() { let m: Mutex<u32> = Mutex::new(0); }\n",
+            &[],
+        );
+        case(
+            "R9: the keyword is flagged, not strings or comments; a crate \
+             root without the attribute is flagged too (line 1)",
+            "crates/pb/src/lib.rs",
+            "fn f() { g(); }\nfn h() { unsafe { x } }\nlet s = \"unsafe in a string\";\n\
+             // unsafe in a comment\n",
+            &[("R9", 2), ("R9", 1)],
+        );
+        case(
+            "R9: a bin root with the attribute passes, and `unsafe_code` \
+             is not the keyword",
+            "crates/bench/src/bin/fig99.rs",
+            "#![forbid(unsafe_code)]\nfn main() {}\n",
+            &[],
+        );
+        case(
+            "R9: `deny` counts as the backstop too",
+            "crates/poll/src/lib.rs",
+            "#![deny(unsafe_code)]\n",
+            &[],
+        );
+        case(
+            "R11: blocking socket I/O on the reactor path is flagged, \
+             however it is spaced",
+            "crates/serve/src/server.rs",
+            "fn f() {\nstream.set_read_timeout(Some(t))?;\nsock.set_nonblocking( false )?;\n\
+             r.read_exact(&mut buf)?;\nw\n    .write_all(&bytes)?;\nsock.set_nonblocking(true)?;\n\
+             // comment: w.write_all(&bytes) is fine here\n\
+             let s = \"docs mention write_all( here\";\n}\n",
+            &[("R11", 2), ("R11", 3), ("R11", 4), ("R11", 6)],
+        );
+        case(
+            "R11: poll/src is reactor path too",
+            "crates/poll/src/sys_epoll.rs",
+            "fn f() { w.write_all(&bytes)?; }\n",
+            &[("R11", 1)],
+        );
+        // Clients of the server running on their own threads (tests,
+        // benches, other crates) may block freely.
+        case(
+            "R11: serve's integration tests are out of scope",
+            "crates/serve/tests/e2e.rs",
+            "fn f() { w.write_all(&bytes)?; }\n",
+            &[],
+        );
+        case(
+            "R11: other crates are out of scope",
+            "crates/cluster/src/replicate.rs",
+            "fn f() { w.write_all(&bytes)?; }\n",
+            &[],
+        );
+    }
+
+    #[test]
+    fn a_finding_quotes_its_source_line_for_the_allowlist_needle() {
+        let set = SourceSet {
+            texts: vec![(
+                "crates/stream/src/x.rs".into(),
+                "fn f() {\n    let g = m.lock().expect(\"seal lock poisoned\"); // why\n}\n".into(),
+            )],
+        };
+        let found = token_rules(&Workspace::build(&set));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(
+            found[0].message,
+            "let g = m.lock().expect(\"seal lock poisoned\"); // why"
+        );
+    }
 }

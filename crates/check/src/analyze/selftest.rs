@@ -1,10 +1,15 @@
-//! Seeded-mutation selftests: each analyzer rule must catch a planted
+//! Seeded-mutation selftests: each static rule must catch a planted
 //! defect, and the unmutated workspace must stay clean.
 //!
 //! Mutations are applied to in-memory copies of the real sources and
 //! re-analyzed — the mutated text only has to lex, not compile, so each
 //! mutation can be the smallest possible seed of its bug class:
 //!
+//! * **R1** — strip the `// ordering:` justification from a stats
+//!   counter in `channel.rs`.
+//! * **R2** — turn a lock-poisoning `expect` in the subscription hub
+//!   into a bare `.unwrap()`, which no allowlist entry covers.
+//! * **R3** — a `Mutex::new` in `binner.rs`.
 //! * **R5** — a fn that takes `state` then `seal_lock`, inverting the
 //!   existing `seal_lock → state` order from `Core::seal`.
 //! * **R6** — delete the `commit` call in `Accumulator::advance`, so a
@@ -14,6 +19,9 @@
 //!   fallback keeps the server compiling).
 //! * **R8** — strengthen a store to `Release` with no Acquire partner
 //!   (one-sided ordering: the writer publishes, nobody acquires).
+//! * **R9** — an `unsafe` block in `binner.rs`; and, separately, the
+//!   `#![forbid(unsafe_code)]` attribute stripped from `cobra-pb`'s root.
+//! * **R11** — a blocking read timeout reinstated on the reactor path.
 
 use std::io;
 use std::path::Path;
@@ -28,6 +36,71 @@ fn lock_order_mutant(x: &MutantProbe) {\n\
     let _b = x.seal_lock.lock().expect(\"mutant\");\n\
 }\n";
 
+/// The battery: `(report label, rule that must fire, mutation)`.
+type Mutation = (&'static str, &'static str, fn(&mut SourceSet));
+const MUTATIONS: &[Mutation] = &[
+    ("R1 stripped `// ordering:` justification", "R1", |s| {
+        s.mutate(
+            "stream/src/channel.rs",
+            "// ordering: Relaxed — stats counter; the queue itself is",
+            "// Relaxed — stats counter; the queue itself is",
+        );
+    }),
+    ("R2 bare unwrap in the subscription hub", "R2", |s| {
+        s.mutate(
+            "mvcc/src/hub.rs",
+            ".expect(\"mvcc sub_q lock poisoned\")",
+            ".unwrap()",
+        );
+    }),
+    ("R3 Mutex on the binning path", "R3", |s| {
+        s.append(
+            "pb/src/binner.rs",
+            "\nfn mutex_mutant() {\n    let _m = std::sync::Mutex::new(0u32);\n}\n",
+        );
+    }),
+    (
+        "R5 lock-order inversion (state before seal_lock)",
+        "R5",
+        |s| {
+            s.append("stream/src/pipeline.rs", R5_MUTANT);
+        },
+    ),
+    ("R6 dropped WAL commit before publish", "R6", |s| {
+        s.mutate("stream/src/epoch.rs", "self.commit(next, false);", "");
+    }),
+    ("R7 deleted WAIT_EPOCH server dispatch arm", "R7", |s| {
+        s.mutate(
+            "serve/src/server.rs",
+            "Frame::WaitEpoch { epoch } =>",
+            "_ if false =>",
+        );
+    }),
+    ("R8 one-sided Release on epochs_published", "R8", |s| {
+        s.mutate(
+            "stream/src/epoch.rs",
+            "self.epochs_published.fetch_add(1, Ordering::Relaxed);",
+            "self.epochs_published.fetch_add(1, Ordering::Release);",
+        );
+    }),
+    ("R9 unaudited unsafe block", "R9", |s| {
+        s.append(
+            "pb/src/binner.rs",
+            "\nfn unsafe_mutant() {\n    unsafe {}\n}\n",
+        );
+    }),
+    ("R9 stripped #![forbid(unsafe_code)]", "R9", |s| {
+        s.mutate("pb/src/lib.rs", "#![forbid(unsafe_code)]", "");
+    }),
+    ("R11 blocking read timeout on the reactor", "R11", |s| {
+        s.append(
+            "serve/src/server.rs",
+            "\nfn blocking_mutant(conn: &mut Conn, cfg: &ServeConfig) {\n    \
+             conn.stream.set_read_timeout(Some(cfg.read_timeout)).ok();\n}\n",
+        );
+    }),
+];
+
 /// One selftest outcome.
 #[derive(Debug)]
 pub struct MutationOutcome {
@@ -39,74 +112,34 @@ pub struct MutationOutcome {
     pub caught: bool,
 }
 
-fn allow_for(root: &Path) -> AllowList {
-    let text = std::fs::read_to_string(root.join(ALLOW_FILE)).unwrap_or_default();
-    AllowList::parse(&text)
-}
-
-fn fires(
-    root: &Path,
-    base: &SourceSet,
-    rule: &'static str,
-    mutate: impl Fn(&mut SourceSet),
-) -> bool {
-    let mut set = base.clone();
-    mutate(&mut set);
-    let report = analyze_set(&set, &mut allow_for(root));
-    report.findings.iter().any(|f| f.rule == rule)
-}
-
 /// Runs the seeded-mutation battery. Returns `(baseline_clean,
 /// outcomes)`; the caller fails unless the baseline is clean *and*
 /// every mutation is caught.
 pub fn run_mutations(root: &Path) -> io::Result<(bool, Vec<MutationOutcome>)> {
     let base = SourceSet::load(root)?;
-    let baseline_clean = analyze_set(&base, &mut allow_for(root)).is_clean();
-    let outcomes = vec![
-        MutationOutcome {
-            name: "R5 lock-order inversion (state before seal_lock)",
-            rule: "R5",
-            caught: fires(root, &base, "R5", |s| {
-                s.append("stream/src/pipeline.rs", R5_MUTANT);
-            }),
-        },
-        MutationOutcome {
-            name: "R6 dropped WAL commit before publish",
-            rule: "R6",
-            caught: fires(root, &base, "R6", |s| {
-                s.mutate("stream/src/epoch.rs", "self.commit(next, false);", "");
-            }),
-        },
-        MutationOutcome {
-            name: "R7 deleted WAIT_EPOCH server dispatch arm",
-            rule: "R7",
-            caught: fires(root, &base, "R7", |s| {
-                s.mutate(
-                    "serve/src/server.rs",
-                    "Frame::WaitEpoch { epoch } =>",
-                    "_ if false =>",
-                );
-            }),
-        },
-        MutationOutcome {
-            name: "R8 one-sided Release on epochs_published",
-            rule: "R8",
-            caught: fires(root, &base, "R8", |s| {
-                s.mutate(
-                    "stream/src/epoch.rs",
-                    "self.epochs_published.fetch_add(1, Ordering::Relaxed);",
-                    "self.epochs_published.fetch_add(1, Ordering::Release);",
-                );
-            }),
-        },
-    ];
+    // Each run gets a fresh allowlist (entries track their own use).
+    let allow_text = std::fs::read_to_string(root.join(ALLOW_FILE)).unwrap_or_default();
+    let analyze = |set: &SourceSet| analyze_set(set, &mut AllowList::parse(&allow_text));
+    let baseline_clean = analyze(&base).is_clean();
+    let outcomes = MUTATIONS
+        .iter()
+        .map(|&(name, rule, mutate)| {
+            let mut set = base.clone();
+            mutate(&mut set);
+            MutationOutcome {
+                name,
+                rule,
+                caught: analyze(&set).findings.iter().any(|f| f.rule == rule),
+            }
+        })
+        .collect();
     Ok((baseline_clean, outcomes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::find_workspace_root;
+    use crate::analyze::find_workspace_root;
 
     #[test]
     fn every_seeded_mutation_is_caught_and_baseline_is_clean() {

@@ -10,8 +10,9 @@
 //! `WAIT_EPOCH(E)` barrier completed on *every* node.
 //!
 //! Every interleaving of node seal-processing and commit steps against
-//! router progress is explored by DFS with memoization. The core
-//! invariant, asserted at each publish:
+//! router progress is explored by [`crate::explore::explore`] (this
+//! module is only the [`Model`]). The core invariant, asserted at each
+//! publish:
 //!
 //! > **The cluster snapshot for epoch `E` never publishes before every
 //! > node has reported `EpochCommit(E)`.**
@@ -21,7 +22,7 @@
 //! explorer must find a schedule where the second node's commit is still
 //! pending at publish time.
 
-use std::collections::HashSet;
+use crate::explore::Model;
 
 /// One bounded cluster scenario to exhaust.
 #[derive(Debug, Clone)]
@@ -67,7 +68,7 @@ enum RPhase {
 
 /// One explicit protocol state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CSt {
+pub struct CSt {
     nodes: Vec<NodeSt>,
     router: RPhase,
     /// Epoch the router is currently driving (1-based).
@@ -76,62 +77,11 @@ struct CSt {
     published: u8,
 }
 
-/// An invariant violation found in some schedule.
-#[derive(Debug, Clone)]
-pub struct ClusterViolation {
-    /// Scenario that produced it.
-    pub scenario: &'static str,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ClusterViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.scenario, self.message)
-    }
-}
-
-/// Exploration statistics for one scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterStats {
-    /// Distinct states visited.
-    pub states: usize,
-    /// Terminal (all-rounds-published) states reached.
-    pub terminals: usize,
-}
-
-struct Explorer<'a> {
-    sc: &'a ClusterScenario,
-}
-
-impl<'a> Explorer<'a> {
-    fn violation(&self, message: String) -> ClusterViolation {
-        ClusterViolation {
-            scenario: self.sc.name,
-            message,
-        }
-    }
-
-    fn initial(&self) -> CSt {
-        CSt {
-            nodes: vec![
-                NodeSt {
-                    seal_requested: false,
-                    sealed: 0,
-                    committed: 0,
-                };
-                self.sc.nodes
-            ],
-            router: RPhase::SendSeal(0),
-            round: 1,
-            published: 0,
-        }
-    }
-
+impl ClusterScenario {
     /// Router progress for one step; `None` when it is blocked waiting on
     /// a node (a reply or the commit barrier).
-    fn step_router(&self, st: &CSt) -> Result<Option<CSt>, ClusterViolation> {
-        let n = self.sc.nodes as u8;
+    fn step_router(&self, st: &CSt) -> Result<Option<CSt>, String> {
+        let n = self.nodes as u8;
         match st.router {
             RPhase::SendSeal(i) => {
                 let mut next = st.clone();
@@ -151,11 +101,11 @@ impl<'a> Explorer<'a> {
                 // Single-sealer alignment: every node must report the
                 // round's epoch.
                 if node.sealed != st.round {
-                    return Err(self.violation(format!(
+                    return Err(format!(
                         "node {i} sealed epoch {} in round {} — single-sealer \
                          alignment broken",
                         node.sealed, st.round
-                    )));
+                    ));
                 }
                 let mut next = st.clone();
                 next.router = if i + 1 < n {
@@ -172,7 +122,7 @@ impl<'a> Explorer<'a> {
                 let mut next = st.clone();
                 // The seeded bug: treat node 0's commit as a quorum and
                 // skip the remaining barriers.
-                let barrier_done = self.sc.buggy_quorum_of_one || i + 1 >= n;
+                let barrier_done = self.buggy_quorum_of_one || i + 1 >= n;
                 next.router = if barrier_done {
                     RPhase::Publish
                 } else {
@@ -184,16 +134,16 @@ impl<'a> Explorer<'a> {
                 // THE invariant: publish only after every node's commit.
                 for (i, node) in st.nodes.iter().enumerate() {
                     if node.committed < st.round {
-                        return Err(self.violation(format!(
+                        return Err(format!(
                             "cluster snapshot for epoch {} published while node {i} \
                              had only committed epoch {}",
                             st.round, node.committed
-                        )));
+                        ));
                     }
                 }
                 let mut next = st.clone();
                 next.published = st.round;
-                if st.round < self.sc.rounds {
+                if st.round < self.rounds {
                     next.round += 1;
                     next.router = RPhase::SendSeal(0);
                 } else {
@@ -208,14 +158,14 @@ impl<'a> Explorer<'a> {
     /// Node `i`'s possible steps: process a queued `SEAL`, and/or commit
     /// one sealed-but-uncommitted epoch (the asynchronous epoch sink).
     /// Both may be enabled at once — the DFS branches over the choice.
-    fn step_node(&self, st: &CSt, i: usize) -> Result<Vec<CSt>, ClusterViolation> {
+    fn step_node(&self, st: &CSt, i: usize) -> Result<Vec<CSt>, String> {
         let node = &st.nodes[i];
         if node.committed > node.sealed {
-            return Err(self.violation(format!(
+            return Err(format!(
                 "node {i} committed epoch {} beyond sealed epoch {} — commit \
                  must follow seal",
                 node.committed, node.sealed
-            )));
+            ));
         }
         let mut out = Vec::new();
         if node.seal_requested {
@@ -231,54 +181,54 @@ impl<'a> Explorer<'a> {
         }
         Ok(out)
     }
-
-    fn run(&self) -> Result<ClusterStats, ClusterViolation> {
-        let mut visited: HashSet<CSt> = HashSet::new();
-        let mut stack = vec![self.initial()];
-        let mut terminals = 0usize;
-        while let Some(st) = stack.pop() {
-            if !visited.insert(st.clone()) {
-                continue;
-            }
-            let mut successors = Vec::new();
-            if let Some(next) = self.step_router(&st)? {
-                successors.push(next);
-            }
-            for i in 0..self.sc.nodes {
-                successors.extend(self.step_node(&st, i)?);
-            }
-            if successors.is_empty() {
-                if st.router == RPhase::Done {
-                    terminals += 1;
-                    if st.published != self.sc.rounds {
-                        return Err(self.violation(format!(
-                            "terminated having published epoch {} of {}",
-                            st.published, self.sc.rounds
-                        )));
-                    }
-                    continue;
-                }
-                return Err(self.violation(format!(
-                    "deadlock in round {} with router at {:?}",
-                    st.round, st.router
-                )));
-            }
-            for next in successors {
-                if !visited.contains(&next) {
-                    stack.push(next);
-                }
-            }
-        }
-        Ok(ClusterStats {
-            states: visited.len(),
-            terminals,
-        })
-    }
 }
 
-/// Explores one cluster scenario exhaustively.
-pub fn explore_cluster(sc: &ClusterScenario) -> Result<ClusterStats, ClusterViolation> {
-    Explorer { sc }.run()
+impl Model for ClusterScenario {
+    type State = CSt;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn initial(&self) -> CSt {
+        CSt {
+            nodes: vec![
+                NodeSt {
+                    seal_requested: false,
+                    sealed: 0,
+                    committed: 0,
+                };
+                self.nodes
+            ],
+            router: RPhase::SendSeal(0),
+            round: 1,
+            published: 0,
+        }
+    }
+
+    fn successors(&self, st: &CSt) -> Result<Vec<CSt>, String> {
+        let mut out = Vec::from_iter(self.step_router(st)?);
+        for i in 0..self.nodes {
+            out.extend(self.step_node(st, i)?);
+        }
+        Ok(out)
+    }
+
+    fn check_end(&self, st: &CSt) -> Result<(), String> {
+        if st.router != RPhase::Done {
+            return Err(format!(
+                "deadlock in round {} with router at {:?}",
+                st.round, st.router
+            ));
+        }
+        if st.published != self.rounds {
+            return Err(format!(
+                "terminated having published epoch {} of {}",
+                st.published, self.rounds
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The standard cluster scenario suite: the e2e configuration (two
@@ -319,13 +269,15 @@ pub fn quorum_of_one_mutation() -> ClusterScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::explore;
 
     #[test]
     fn standard_cluster_scenarios_exhaust_cleanly() {
-        for sc in standard_cluster_scenarios() {
-            let stats = explore_cluster(&sc).unwrap_or_else(|v| panic!("{v}"));
-            assert!(stats.states > 10, "{}: suspiciously small space", sc.name);
-            assert!(stats.terminals > 0, "{}: no terminal state", sc.name);
+        // (states, terminals) as this module's own driver reported them.
+        let want = [(27, 1), (79, 1), (533, 1)];
+        for (sc, want) in standard_cluster_scenarios().iter().zip(want) {
+            let stats = explore(sc).unwrap_or_else(|v| panic!("{v}"));
+            assert_eq!((stats.states, stats.terminals), want, "{}", sc.name);
         }
     }
 
@@ -334,7 +286,7 @@ mod tests {
         // The mutated barrier proceeds on node 0's commit alone; some
         // schedule leaves node 1 uncommitted at publish, and the
         // explorer must find it.
-        let err = explore_cluster(&quorum_of_one_mutation())
+        let err = explore(&quorum_of_one_mutation())
             .expect_err("quorum-of-one must violate the publish invariant");
         assert!(err.message.contains("published while node"), "got: {err}");
     }
@@ -349,12 +301,11 @@ mod tests {
             rounds: 1,
             buggy_quorum_of_one: false,
         };
-        let ex = Explorer { sc: &sc };
-        let mut st = ex.initial();
+        let mut st = sc.initial();
         st.nodes[0].committed = 1;
-        let err = ex
+        let err = sc
             .step_node(&st, 0)
             .expect_err("commit beyond seal must violate");
-        assert!(err.message.contains("beyond sealed"), "got: {err}");
+        assert!(err.contains("beyond sealed"), "got: {err}");
     }
 }

@@ -1,13 +1,21 @@
-//! Bounded exhaustive schedule exploration (mini-loom, no deps) of the
-//! `cobra-stream` channel/seal/epoch protocol.
+//! Bounded exhaustive schedule exploration (mini-loom, no deps).
 //!
-//! The explorer runs a faithful executable model of the protocol — the
-//! bounded FIFO of `channel.rs` (mutex + two condvars with explicit wait
-//! sets), the seal broadcast of `pipeline.rs` (epoch counter under the
-//! seal lock, marker sent through the same FIFO as data), the shard
-//! worker loop of `shard.rs`, and the accumulator of `epoch.rs` — through
-//! **every** interleaving of small scenarios (2–3 producers, capacity 1–2
-//! queues) via DFS over explicit states with memoization.
+//! One driver, many models. A protocol is written down as a [`Model`]: an
+//! explicit hashable state, the initial state, and every successor state
+//! one scheduling step can reach. [`explore`] walks that graph by DFS with
+//! a visited set, so **every** interleaving of a small configuration is
+//! covered exactly once; a state with no successor must pass the model's
+//! [`Model::check_end`] (all threads done and the terminal invariants
+//! hold — anything else is a deadlock). [`crate::cluster`] and
+//! [`crate::subs`] are two more models over the same driver.
+//!
+//! This module also holds the first model, the `cobra-stream`
+//! channel/seal/epoch protocol: the bounded FIFO of `channel.rs` (mutex +
+//! two condvars with explicit wait sets), the seal broadcast of
+//! `pipeline.rs` (epoch counter under the seal lock, marker sent through
+//! the same FIFO as data), the shard worker loop of `shard.rs`, and the
+//! accumulator of `epoch.rs`, over small scenarios (2–3 producers,
+//! capacity 1–2 queues).
 //!
 //! Condvars are modelled with real wait sets: a blocked thread is only
 //! runnable again after a matching `notify`, and `notify_one` branches
@@ -25,6 +33,80 @@
 //! * no deadlock, and every thread terminates.
 
 use std::collections::HashSet;
+use std::hash::Hash;
+
+/// An executable protocol model the explorer can exhaust.
+pub trait Model {
+    /// One explicit protocol state.
+    type State: Clone + Eq + Hash;
+
+    /// Display name of the scenario.
+    fn name(&self) -> &'static str;
+
+    /// The state every schedule starts from.
+    fn initial(&self) -> Self::State;
+
+    /// Every state one scheduling step can reach from `st` (each enabled
+    /// thread, and each nondeterministic outcome of its step). `Err` is
+    /// an invariant violated by taking the step.
+    fn successors(&self, st: &Self::State) -> Result<Vec<Self::State>, String>;
+
+    /// Judges a state with no successor: `Ok` when it is a proper
+    /// terminal (every thread finished, terminal invariants hold), `Err`
+    /// for a deadlock or a broken terminal invariant.
+    fn check_end(&self, st: &Self::State) -> Result<(), String>;
+}
+
+/// An invariant violation or deadlock, with a human-readable description.
+#[derive(Debug, Clone)]
+pub struct Violation {
+    /// Scenario that produced it.
+    pub scenario: &'static str,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[{}] {}", self.scenario, self.message)
+    }
+}
+
+/// Exploration statistics for one scenario.
+#[derive(Debug, Clone, Copy)]
+pub struct Stats {
+    /// Distinct states visited.
+    pub states: usize,
+    /// Terminal (no-successor, all-threads-done) states reached.
+    pub terminals: usize,
+}
+
+/// Explores one scenario exhaustively: DFS over explicit states with
+/// memoization, stopping at the first violated invariant.
+pub fn explore<M: Model>(model: &M) -> Result<Stats, Violation> {
+    let violation = |message| Violation {
+        scenario: model.name(),
+        message,
+    };
+    let mut visited: HashSet<M::State> = HashSet::new();
+    let mut stack = vec![model.initial()];
+    let mut terminals = 0usize;
+    while let Some(st) = stack.pop() {
+        if !visited.insert(st.clone()) {
+            continue;
+        }
+        let successors = model.successors(&st).map_err(violation)?;
+        if successors.is_empty() {
+            model.check_end(&st).map_err(violation)?;
+            terminals += 1;
+        }
+        stack.extend(successors.into_iter().filter(|n| !visited.contains(n)));
+    }
+    Ok(Stats {
+        states: visited.len(),
+        terminals,
+    })
+}
 
 /// A producer-script operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,7 +216,7 @@ enum MPhase {
 
 /// One explicit protocol state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct St {
+pub struct St {
     data: Chan<Msg>,
     acc: Chan<AMsg>,
     prods: Vec<Prod>,
@@ -169,78 +251,9 @@ const WORKER: u8 = 0;
 const ACCUM: u8 = 1;
 const PROD0: u8 = 2;
 
-/// An invariant violation or deadlock, with a human-readable description.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Scenario that produced it.
-    pub scenario: &'static str,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.scenario, self.message)
-    }
-}
-
-/// Exploration statistics for one scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct ExploreStats {
-    /// Distinct states visited.
-    pub states: usize,
-    /// Terminal (all-threads-done) states reached.
-    pub terminals: usize,
-}
-
-struct Explorer<'a> {
-    sc: &'a Scenario,
-}
-
-impl<'a> Explorer<'a> {
-    fn violation(&self, msg: String) -> Violation {
-        Violation {
-            scenario: self.sc.name,
-            message: msg,
-        }
-    }
-
-    fn initial(&self) -> St {
-        let p = self.sc.producers.len();
-        St {
-            // Senders on data: every producer plus main's handle.
-            data: Chan::new(self.sc.cap_data, p as u8 + 1),
-            // Sender on acc: the worker.
-            acc: Chan::new(self.sc.cap_acc, 1),
-            prods: vec![
-                Prod {
-                    pc: 0,
-                    seq: 0,
-                    sealing: None,
-                    done: false
-                };
-                p
-            ],
-            main: MPhase::Join,
-            worker: WPhase::Loop,
-            worker_consumed: 0,
-            cum_binned: 0,
-            cum_shipped: 0,
-            last_seq: vec![None; p],
-            applied_epoch: 0,
-            total: 0,
-            acc_done: false,
-            lock_holder: None,
-            lock_waiters: Vec::new(),
-            epochs_sealed: 0,
-            expected: Vec::new(),
-            enqueued: 0,
-            bounced: 0,
-        }
-    }
-
+impl Scenario {
     fn thread_count(&self) -> u8 {
-        PROD0 + self.sc.producers.len() as u8 + 1
+        PROD0 + self.producers.len() as u8 + 1
     }
 
     fn main_tid(&self) -> u8 {
@@ -278,7 +291,7 @@ impl<'a> Explorer<'a> {
     /// All successor states from scheduling `tid` for one protocol step.
     /// Nondeterminism (which parked thread a `notify_one` wakes) yields
     /// multiple successors.
-    fn step(&self, st: &St, tid: u8) -> Result<Vec<St>, Violation> {
+    fn step(&self, st: &St, tid: u8) -> Result<Vec<St>, String> {
         match tid {
             WORKER => self.step_worker(st),
             ACCUM => self.step_accum(st),
@@ -309,9 +322,9 @@ impl<'a> Explorer<'a> {
         st
     }
 
-    fn step_producer(&self, st: &St, p: usize) -> Result<Vec<St>, Violation> {
+    fn step_producer(&self, st: &St, p: usize) -> Result<Vec<St>, String> {
         let tid = PROD0 + p as u8;
-        let script = &self.sc.producers[p];
+        let script = &self.producers[p];
         let prod = &st.prods[p];
 
         // Mid-seal: the marker send is in progress while holding the lock.
@@ -351,9 +364,7 @@ impl<'a> Explorer<'a> {
                 };
                 next.data.q.push(msg);
                 if next.data.q.len() > next.data.cap {
-                    return Err(
-                        self.violation(format!("data queue exceeded capacity {}", next.data.cap))
-                    );
+                    return Err(format!("data queue exceeded capacity {}", next.data.cap));
                 }
                 next.enqueued += n;
                 next.prods[p].pc += 1;
@@ -417,7 +428,7 @@ impl<'a> Explorer<'a> {
         out
     }
 
-    fn step_main(&self, st: &St) -> Result<Vec<St>, Violation> {
+    fn step_main(&self, st: &St) -> Result<Vec<St>, String> {
         let tid = self.main_tid();
         match st.main {
             MPhase::Join => {
@@ -461,7 +472,7 @@ impl<'a> Explorer<'a> {
         next.worker = WPhase::Exited;
         // Drop the data Receiver: wake blocked senders.
         next.data.receiver_alive = false;
-        if self.sc.buggy_drop_notify_one {
+        if self.buggy_drop_notify_one {
             // The seeded lost-wakeup bug: only one sender wakes.
             if let Some(&w) = next.data.wait_full.first() {
                 next.data.wait_full.retain(|&x| x != w);
@@ -477,7 +488,7 @@ impl<'a> Explorer<'a> {
         next
     }
 
-    fn step_worker(&self, st: &St) -> Result<Vec<St>, Violation> {
+    fn step_worker(&self, st: &St) -> Result<Vec<St>, String> {
         match st.worker {
             WPhase::Exited => Ok(vec![st.clone()]),
             WPhase::SendSealed { epoch, delta } => {
@@ -485,7 +496,7 @@ impl<'a> Explorer<'a> {
             }
             WPhase::SendDone { delta } => self.worker_send_acc(st, AMsg::Done { delta }),
             WPhase::Loop => {
-                if let Some(limit) = self.sc.worker_exit_after {
+                if let Some(limit) = self.worker_exit_after {
                     if st.worker_consumed >= limit {
                         // Simulated crash: exit without draining or Done.
                         return Ok(vec![self.worker_drop_ends(st.clone())]);
@@ -510,9 +521,9 @@ impl<'a> Explorer<'a> {
                     Msg::Batch { from, seq, n } => {
                         if let Some(prev) = next.last_seq[from as usize] {
                             if seq <= prev {
-                                return Err(self.violation(format!(
+                                return Err(format!(
                                     "producer {from} batches reordered: seq {seq} after {prev}"
-                                )));
+                                ));
                             }
                         }
                         next.last_seq[from as usize] = Some(seq);
@@ -521,16 +532,14 @@ impl<'a> Explorer<'a> {
                     Msg::Seal(epoch) => {
                         let Some(&(_, want)) = next.expected.iter().find(|&&(e, _)| e == epoch)
                         else {
-                            return Err(self.violation(format!(
-                                "worker saw Seal({epoch}) with no enqueue record"
-                            )));
+                            return Err(format!("worker saw Seal({epoch}) with no enqueue record"));
                         };
                         if next.cum_binned != want {
-                            return Err(self.violation(format!(
+                            return Err(format!(
                                 "epoch {epoch} snapshot mismatch: binned {} tuples, \
                                  {want} were enqueued before the marker",
                                 next.cum_binned
-                            )));
+                            ));
                         }
                         let delta = next.cum_binned - next.cum_shipped;
                         next.worker = WPhase::SendSealed { epoch, delta };
@@ -546,7 +555,7 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    fn worker_send_acc(&self, st: &St, msg: AMsg) -> Result<Vec<St>, Violation> {
+    fn worker_send_acc(&self, st: &St, msg: AMsg) -> Result<Vec<St>, String> {
         if !st.acc.receiver_alive {
             // Accumulator gone: worker ignores the error and keeps going
             // (shard.rs: "Accumulator-side disconnects are ignored").
@@ -579,7 +588,7 @@ impl<'a> Explorer<'a> {
         Ok(out)
     }
 
-    fn step_accum(&self, st: &St) -> Result<Vec<St>, Violation> {
+    fn step_accum(&self, st: &St) -> Result<Vec<St>, String> {
         if st.acc.q.is_empty() {
             if st.acc.senders == 0 {
                 // recv() -> None: accumulator publishes its drain and exits.
@@ -598,20 +607,20 @@ impl<'a> Explorer<'a> {
         match msg {
             AMsg::Sealed { epoch, delta } => {
                 if epoch != next.applied_epoch + 1 {
-                    return Err(self.violation(format!(
+                    return Err(format!(
                         "epoch wave misaligned: applied {} then got {epoch}",
                         next.applied_epoch
-                    )));
+                    ));
                 }
                 next.applied_epoch = epoch;
                 next.total += delta;
                 if let Some(&(_, want)) = next.expected.iter().find(|&&(e, _)| e == epoch) {
                     if next.total != want {
-                        return Err(self.violation(format!(
+                        return Err(format!(
                             "epoch {epoch} published total {} != {want} tuples \
                              enqueued before its seal",
                             next.total
-                        )));
+                        ));
                     }
                 }
             }
@@ -622,73 +631,91 @@ impl<'a> Explorer<'a> {
         Ok(self.notify_one(next, |s| &mut s.acc.wait_full))
     }
 
-    fn check_terminal(&self, st: &St) -> Result<(), Violation> {
-        if self.sc.strict_totals {
+    fn check_terminal(&self, st: &St) -> Result<(), String> {
+        if self.strict_totals {
             if st.cum_binned != st.enqueued {
-                return Err(self.violation(format!(
+                return Err(format!(
                     "worker binned {} of {} enqueued tuples",
                     st.cum_binned, st.enqueued
-                )));
+                ));
             }
             if st.total != st.cum_binned {
-                return Err(self.violation(format!(
+                return Err(format!(
                     "accumulator total {} != {} binned tuples",
                     st.total, st.cum_binned
-                )));
+                ));
             }
         } else if st.total > st.enqueued {
-            return Err(self.violation(format!(
+            return Err(format!(
                 "accumulator invented tuples: total {} > enqueued {}",
                 st.total, st.enqueued
-            )));
+            ));
         }
         Ok(())
     }
-
-    fn run(&self) -> Result<ExploreStats, Violation> {
-        let mut visited: HashSet<St> = HashSet::new();
-        let mut stack = vec![self.initial()];
-        let mut terminals = 0usize;
-        while let Some(st) = stack.pop() {
-            if !visited.insert(st.clone()) {
-                continue;
-            }
-            let runnable: Vec<u8> = (0..self.thread_count())
-                .filter(|&t| self.runnable(&st, t))
-                .collect();
-            if runnable.is_empty() {
-                let all_done = (0..self.thread_count()).all(|t| self.is_done(&st, t));
-                if all_done {
-                    terminals += 1;
-                    self.check_terminal(&st)?;
-                    continue;
-                }
-                let stuck: Vec<u8> = (0..self.thread_count())
-                    .filter(|&t| !self.is_done(&st, t))
-                    .collect();
-                return Err(self.violation(format!(
-                    "deadlock: threads {stuck:?} blocked with no runnable thread \
-                     (lost wakeup or protocol hole)"
-                )));
-            }
-            for tid in runnable {
-                for next in self.step(&st, tid)? {
-                    if !visited.contains(&next) {
-                        stack.push(next);
-                    }
-                }
-            }
-        }
-        Ok(ExploreStats {
-            states: visited.len(),
-            terminals,
-        })
-    }
 }
 
-/// Explores one scenario exhaustively.
-pub fn explore(sc: &Scenario) -> Result<ExploreStats, Violation> {
-    Explorer { sc }.run()
+impl Model for Scenario {
+    type State = St;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn initial(&self) -> St {
+        let p = self.producers.len();
+        St {
+            // Senders on data: every producer plus main's handle.
+            data: Chan::new(self.cap_data, p as u8 + 1),
+            // Sender on acc: the worker.
+            acc: Chan::new(self.cap_acc, 1),
+            prods: vec![
+                Prod {
+                    pc: 0,
+                    seq: 0,
+                    sealing: None,
+                    done: false
+                };
+                p
+            ],
+            main: MPhase::Join,
+            worker: WPhase::Loop,
+            worker_consumed: 0,
+            cum_binned: 0,
+            cum_shipped: 0,
+            last_seq: vec![None; p],
+            applied_epoch: 0,
+            total: 0,
+            acc_done: false,
+            lock_holder: None,
+            lock_waiters: Vec::new(),
+            epochs_sealed: 0,
+            expected: Vec::new(),
+            enqueued: 0,
+            bounced: 0,
+        }
+    }
+
+    fn successors(&self, st: &St) -> Result<Vec<St>, String> {
+        let mut out = Vec::new();
+        for tid in (0..self.thread_count()).filter(|&t| self.runnable(st, t)) {
+            out.extend(self.step(st, tid)?);
+        }
+        Ok(out)
+    }
+
+    fn check_end(&self, st: &St) -> Result<(), String> {
+        let stuck: Vec<u8> = (0..self.thread_count())
+            .filter(|&t| !self.is_done(st, t))
+            .collect();
+        if !stuck.is_empty() {
+            return Err(format!(
+                "deadlock: threads {stuck:?} blocked with no runnable thread \
+                 (lost wakeup or protocol hole)"
+            ));
+        }
+        self.check_terminal(st)
+    }
 }
 
 /// The standard scenario suite: seal/data contention, seal racing blocked
@@ -758,34 +785,40 @@ pub fn standard_scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// The seeded lost-wakeup mutation the self-test must catch: two
+/// producers both end up blocked on the full FIFO; the buggy receiver
+/// drop wakes only one; the other sleeps forever.
+pub fn lost_wakeup_mutation() -> Scenario {
+    Scenario {
+        name: "lost_wakeup_mutation",
+        cap_data: 1,
+        cap_acc: 1,
+        producers: vec![vec![POp::Send(1), POp::Send(1)], vec![POp::Send(1)]],
+        worker_exit_after: Some(0),
+        buggy_drop_notify_one: true,
+        strict_totals: false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn standard_scenarios_exhaust_cleanly() {
-        for sc in standard_scenarios() {
-            let stats = explore(&sc).unwrap_or_else(|v| panic!("{v}"));
-            assert!(stats.states > 10, "{}: suspiciously small space", sc.name);
-            assert!(stats.terminals > 0, "{}: no terminal state", sc.name);
+        // (states, terminals) as the per-module driver reported them
+        // before the three drivers became one.
+        let want = [(480, 3), (494, 4), (1194, 4), (608, 3), (174, 5)];
+        for (sc, want) in standard_scenarios().iter().zip(want) {
+            let stats = explore(sc).unwrap_or_else(|v| panic!("{v}"));
+            assert_eq!((stats.states, stats.terminals), want, "{}", sc.name);
         }
     }
 
     #[test]
     fn seeded_lost_wakeup_is_detected_as_deadlock() {
-        // Two producers both end up blocked on the full FIFO; the buggy
-        // receiver drop wakes only one; the other sleeps forever. The
-        // explorer must find that schedule.
-        let sc = Scenario {
-            name: "buggy_drop_notify_one",
-            cap_data: 1,
-            cap_acc: 1,
-            producers: vec![vec![POp::Send(1), POp::Send(1)], vec![POp::Send(1)]],
-            worker_exit_after: Some(0),
-            buggy_drop_notify_one: true,
-            strict_totals: false,
-        };
-        let err = explore(&sc).expect_err("lost wakeup must deadlock some schedule");
+        let err =
+            explore(&lost_wakeup_mutation()).expect_err("lost wakeup must deadlock some schedule");
         assert!(err.message.contains("deadlock"), "got: {err}");
     }
 
@@ -802,14 +835,13 @@ mod tests {
             buggy_drop_notify_one: false,
             strict_totals: true,
         };
-        let ex = Explorer { sc: &sc };
-        let mut st = ex.initial();
+        let mut st = sc.initial();
         // Pretend a marker for epoch 1 was enqueued claiming 5 tuples.
         st.data.q.push(Msg::Seal(1));
         st.expected.push((1, 5));
-        let err = ex
+        let err = sc
             .step_worker(&st)
             .expect_err("mismatched seal must violate");
-        assert!(err.message.contains("snapshot mismatch"), "got: {err}");
+        assert!(err.contains("snapshot mismatch"), "got: {err}");
     }
 }

@@ -13,21 +13,23 @@
 //!    compare the observation against the declared commutative/ordered
 //!    mode.
 //! 3. [`explore`] — a dependency-free bounded schedule explorer (mini
-//!    loom) that exhausts every interleaving of small configurations of
-//!    the `cobra-stream` channel/seal/epoch protocol; [`cluster`] applies
-//!    the same technique to `cobra-cluster`'s cross-node seal/commit
-//!    barrier (a cluster snapshot never publishes before every node's
-//!    `EpochCommit`), and [`subs`] to `cobra-mvcc`'s subscription
-//!    fan-out (bounded queues + lossless lag markers: delivery is
-//!    gap-free and per-epoch ordered in every schedule).
+//!    loom): one DFS driver over any [`explore::Model`], exhausting every
+//!    interleaving of small configurations. Three protocols are written
+//!    down as models: the `cobra-stream` channel/seal/epoch protocol
+//!    (in [`explore`] itself), `cobra-cluster`'s cross-node seal/commit
+//!    barrier ([`cluster`]: a cluster snapshot never publishes before
+//!    every node's `EpochCommit`), and `cobra-mvcc`'s subscription
+//!    fan-out ([`subs`]: bounded queues + lossless lag markers, delivery
+//!    is gap-free and per-epoch ordered in every schedule).
 //!
-//! [`lint`] adds source-level invariant linting (ordering justifications,
-//! hot-path panic hygiene, no locks on binning paths, unsafe audit,
-//! stale-suppression detection), and [`analyze`] is the cross-crate
-//! static analyzer (cobra-analyze): a dependency-free lexer, function
-//! table and conservative call graph feeding rules R5–R8 (lock-order
-//! cycles, commit-before-publish dominance, wire-protocol
-//! exhaustiveness, atomics release/acquire pairing).
+//! [`analyze`] is the one static pass (cobra-analyze): a dependency-free
+//! lexer, function table and conservative call graph over every
+//! `crates/*/{src,tests}` file, feeding the token rules R1–R3, R9, R11
+//! (ordering justifications, hot-path panic hygiene, no locks on binning
+//! paths, unsafe audit, no blocking I/O on the reactor path), the graph
+//! rules R5–R8 (lock-order cycles, commit-before-publish dominance,
+//! wire-protocol exhaustiveness, atomics release/acquire pairing) and
+//! R10 (stale suppressions in the one allowlist).
 //!
 //! The `cobra-check` binary exposes each analysis as a subcommand and
 //! `all` runs the full battery; any violation exits non-zero.
@@ -39,7 +41,6 @@ pub mod analyze;
 pub mod cluster;
 pub mod explore;
 pub mod fixtures;
-pub mod lint;
 pub mod oracle;
 pub mod race;
 pub mod subs;

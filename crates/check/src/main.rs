@@ -1,19 +1,18 @@
 //! The `cobra-check` binary: race detection, commutativity oracles,
-//! schedule exploration and invariant linting under one entry point.
+//! schedule exploration and static analysis under one entry point.
 //!
 //! ```text
 //! cobra-check races     # vector-clock race + invariant check, all kernels
 //! cobra-check oracle    # commutativity oracles (models, reducers, replays)
-//! cobra-check explore   # bounded exhaustive schedule exploration
-//! cobra-check lint      # source-level invariant lints (R1-R3, R9-R11)
-//! cobra-check analyze   # cross-crate static analysis (R5-R8) + JSON report
+//! cobra-check explore   # bounded exhaustive schedule exploration (one driver, three models)
+//! cobra-check analyze   # the one static pass (R1-R3, R5-R11) + JSON report
 //! cobra-check selftest  # seeded defects (dynamic + per-rule mutations)
 //! cobra-check all       # everything above; non-zero exit on any failure
 //! ```
 
 #![forbid(unsafe_code)]
 
-use cobra_check::{analyze, cluster, explore, fixtures, lint, oracle, race, subs};
+use cobra_check::{analyze, cluster, explore, fixtures, oracle, race, subs};
 use cobra_kernels::ALL_KERNELS;
 
 /// Permuted orders tried per oracle subject.
@@ -85,43 +84,21 @@ fn run_oracle() -> bool {
     ok
 }
 
-fn run_explore() -> bool {
-    println!("== schedule exploration (stream channel/seal/epoch protocol) ==");
+/// Exhausts every scenario of one model family; `holds` names the
+/// invariant the clean line reports.
+fn explore_suite<M: explore::Model>(title: &str, scenarios: &[M], holds: &str) -> bool {
+    println!("== schedule exploration ({title}) ==");
     let mut ok = true;
-    for sc in explore::standard_scenarios() {
-        match explore::explore(&sc) {
+    for sc in scenarios {
+        match explore::explore(sc) {
             Ok(stats) => println!(
-                "  {:32} {:>7} states, {:>4} terminal schedules, all invariants hold",
-                sc.name, stats.states, stats.terminals
+                "  {:32} {:>7} states, {:>4} terminal schedules, {holds}",
+                sc.name(),
+                stats.states,
+                stats.terminals
             ),
             Err(v) => {
-                println!("  {:32} VIOLATION: {v}", sc.name);
-                ok = false;
-            }
-        }
-    }
-    println!("== schedule exploration (cluster cross-node seal/commit barrier) ==");
-    for sc in cluster::standard_cluster_scenarios() {
-        match cluster::explore_cluster(&sc) {
-            Ok(stats) => println!(
-                "  {:32} {:>7} states, {:>4} terminal schedules, publish-after-all-commit holds",
-                sc.name, stats.states, stats.terminals
-            ),
-            Err(v) => {
-                println!("  {:32} VIOLATION: {v}", sc.name);
-                ok = false;
-            }
-        }
-    }
-    println!("== schedule exploration (mvcc subscription fan-out / lossless lag) ==");
-    for sc in subs::standard_sub_scenarios() {
-        match subs::explore_subs(&sc) {
-            Ok(stats) => println!(
-                "  {:32} {:>7} states, {:>4} terminal schedules, gap-free delivery holds",
-                sc.name, stats.states, stats.terminals
-            ),
-            Err(v) => {
-                println!("  {:32} VIOLATION: {v}", sc.name);
+                println!("  {:32} VIOLATION: {v}", sc.name());
                 ok = false;
             }
         }
@@ -129,51 +106,37 @@ fn run_explore() -> bool {
     ok
 }
 
-fn run_lint() -> bool {
-    println!("== invariant lints ==");
-    let root = match lint::find_workspace_root() {
-        Ok(r) => r,
-        Err(e) => {
-            println!("  cannot locate workspace root: {e}");
-            return false;
-        }
-    };
-    match lint::run_lints(&root) {
-        Ok(violations) if violations.is_empty() => {
-            println!(
-                "  clean (R1-R3 over the hot-path crates, R9 unsafe audit over every \
-                 crate, R10 stale-suppression check, R11 blocking-I/O audit over the \
-                 reactor crates; single-pass walk)"
-            );
-            true
-        }
-        Ok(violations) => {
-            for v in &violations {
-                println!("  {v}");
-            }
-            println!("  {} violation(s)", violations.len());
-            false
-        }
-        Err(e) => {
-            println!("  lint failed to read sources: {e}");
-            false
-        }
-    }
+fn run_explore() -> bool {
+    // An array, not `&&`: every suite runs even after a failure.
+    [
+        explore_suite(
+            "stream channel/seal/epoch protocol",
+            &explore::standard_scenarios(),
+            "all invariants hold",
+        ),
+        explore_suite(
+            "cluster cross-node seal/commit barrier",
+            &cluster::standard_cluster_scenarios(),
+            "publish-after-all-commit holds",
+        ),
+        explore_suite(
+            "mvcc subscription fan-out / lossless lag",
+            &subs::standard_sub_scenarios(),
+            "gap-free delivery holds",
+        ),
+    ]
+    .iter()
+    .all(|&ok| ok)
 }
 
 fn run_analyze() -> bool {
-    println!("== static analysis (cobra-analyze, rules R5-R8) ==");
-    let root = match lint::find_workspace_root() {
-        Ok(r) => r,
+    println!("== static analysis (cobra-analyze, rules R1-R3, R5-R11) ==");
+    let loaded = analyze::find_workspace_root()
+        .and_then(|root| analyze::run_analysis(&root).map(|report| (root, report)));
+    let (root, report) = match loaded {
+        Ok(x) => x,
         Err(e) => {
-            println!("  cannot locate workspace root: {e}");
-            return false;
-        }
-    };
-    let report = match analyze::run_analysis(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("  analysis failed to read sources: {e}");
+            println!("  cannot read the workspace sources: {e}");
             return false;
         }
     };
@@ -198,7 +161,12 @@ fn run_analyze() -> bool {
         if report.allow_used == 1 { "y" } else { "ies" },
     );
     if report.is_clean() {
-        println!("  clean (R5 lock order, R6 commit-before-publish, R7 wire exhaustiveness, R8 atomics pairing)");
+        println!(
+            "  clean (R1 ordering justification, R2 hot-path unwrap, R3 binning-path \
+             mutex, R5 lock order, R6 commit-before-publish, R7 wire exhaustiveness, \
+             R8 atomics pairing, R9 unsafe audit, R10 stale suppressions, R11 reactor \
+             blocking I/O)"
+        );
         true
     } else {
         for f in &report.findings {
@@ -209,128 +177,67 @@ fn run_analyze() -> bool {
     }
 }
 
+/// The dynamic seeded defects: `(what must happen, did it)`.
+type SeededDefect = (&'static str, fn() -> bool);
+const SEEDED_DEFECTS: &[SeededDefect] = &[
+    ("seeded cross-bin write race is detected", || {
+        race::check_trace(&fixtures::racy_degree_count_events())
+            .findings
+            .iter()
+            .any(|f| matches!(f, race::Finding::WriteRace { .. }))
+    }),
+    ("clean control run stays clean", || {
+        race::check_trace(&fixtures::clean_degree_count_events()).is_clean()
+    }),
+    ("lost-wakeup mutation deadlocks", || {
+        explore::explore(&explore::lost_wakeup_mutation()).is_err()
+    }),
+    ("quorum-of-one barrier publishes early", || {
+        explore::explore(&cluster::quorum_of_one_mutation()).is_err()
+    }),
+    ("drop-on-full fan-out loses an epoch", || {
+        explore::explore(&subs::drop_on_full_mutation()).is_err()
+    }),
+    (
+        "cross-column fusion mutation is detected",
+        oracle::spgemm_broken_fusion_is_caught,
+    ),
+];
+
 fn run_selftest() -> bool {
     println!("== self-test (seeded defects must be caught) ==");
-    let racy = race::check_trace(&fixtures::racy_degree_count_events());
-    let racy_caught = racy
-        .findings
-        .iter()
-        .any(|f| matches!(f, race::Finding::WriteRace { .. }));
-    println!(
-        "  seeded cross-bin write race:    {}",
-        if racy_caught {
-            "detected"
+    let verdict = |ok| {
+        if ok {
+            "ok"
         } else {
-            "MISSED — detector is broken"
+            "FAILED — checker is broken"
         }
-    );
-    let clean = race::check_trace(&fixtures::clean_degree_count_events());
-    println!(
-        "  clean control run:              {}",
-        if clean.is_clean() {
-            "clean"
-        } else {
-            "FALSE POSITIVE"
-        }
-    );
-    let buggy = explore::Scenario {
-        name: "lost_wakeup_mutation",
-        cap_data: 1,
-        cap_acc: 1,
-        producers: vec![
-            vec![explore::POp::Send(1), explore::POp::Send(1)],
-            vec![explore::POp::Send(1)],
-        ],
-        worker_exit_after: Some(0),
-        buggy_drop_notify_one: true,
-        strict_totals: false,
     };
-    let deadlock_found = explore::explore(&buggy).is_err();
-    println!(
-        "  lost-wakeup mutation:           {}",
-        if deadlock_found {
-            "deadlock exposed"
-        } else {
-            "MISSED — explorer is broken"
-        }
-    );
-    let quorum_caught = cluster::explore_cluster(&cluster::quorum_of_one_mutation()).is_err();
-    println!(
-        "  quorum-of-one barrier mutation: {}",
-        if quorum_caught {
-            "early publish exposed"
-        } else {
-            "MISSED — cluster explorer is broken"
-        }
-    );
-    let drop_caught = subs::explore_subs(&subs::drop_on_full_mutation()).is_err();
-    println!(
-        "  drop-on-full fan-out mutation:  {}",
-        if drop_caught {
-            "lost epoch exposed"
-        } else {
-            "MISSED — subscription explorer is broken"
-        }
-    );
-    let fusion_caught = oracle::spgemm_broken_fusion_is_caught();
-    println!(
-        "  cross-column fusion mutation:   {}",
-        if fusion_caught {
-            "detected"
-        } else {
-            "MISSED — fusion oracle is broken"
-        }
-    );
-    let r11_caught = lint::seeded_blocking_io_mutation_is_caught();
-    println!(
-        "  blocking-I/O reactor mutation:  {}",
-        if r11_caught {
-            "detected"
-        } else {
-            "MISSED — R11 lint is broken"
-        }
-    );
-    let analyzer_ok = match lint::find_workspace_root()
-        .map_err(std::io::Error::other)
-        .and_then(|root| analyze::selftest::run_mutations(&root))
-    {
+    let mut all = true;
+    for (label, check) in SEEDED_DEFECTS {
+        let ok = check();
+        println!("  {label:48} {}", verdict(ok));
+        all &= ok;
+    }
+    match analyze::find_workspace_root().and_then(|root| analyze::selftest::run_mutations(&root)) {
         Ok((baseline_clean, outcomes)) => {
             println!(
-                "  analyzer baseline (unmutated):  {}",
-                if baseline_clean {
-                    "clean"
-                } else {
-                    "FALSE POSITIVE — workspace not clean"
-                }
+                "  {:48} {}",
+                "static baseline (unmutated) is clean",
+                verdict(baseline_clean)
             );
-            let mut all = baseline_clean;
+            all &= baseline_clean;
             for o in &outcomes {
-                println!(
-                    "  {:32} {}",
-                    o.name,
-                    if o.caught {
-                        "detected"
-                    } else {
-                        "MISSED — analyzer rule is broken"
-                    }
-                );
+                println!("  {:48} {}", o.name, verdict(o.caught));
                 all &= o.caught;
             }
-            all
         }
         Err(e) => {
-            println!("  analyzer mutation selftest failed to run: {e}");
-            false
+            println!("  static mutation selftest failed to run: {e}");
+            all = false;
         }
-    };
-    racy_caught
-        && clean.is_clean()
-        && fusion_caught
-        && deadlock_found
-        && quorum_caught
-        && drop_caught
-        && r11_caught
-        && analyzer_ok
+    }
+    all
 }
 
 fn main() {
@@ -339,7 +246,6 @@ fn main() {
         "races" => run_races(),
         "oracle" => run_oracle(),
         "explore" => run_explore(),
-        "lint" => run_lint(),
         "analyze" => run_analyze(),
         "selftest" => run_selftest(),
         "all" => {
@@ -348,14 +254,13 @@ fn main() {
             ok &= run_races();
             ok &= run_oracle();
             ok &= run_explore();
-            ok &= run_lint();
             ok &= run_analyze();
             ok &= run_selftest();
             ok
         }
         other => {
             eprintln!("unknown subcommand `{other}`");
-            eprintln!("usage: cobra-check [races|oracle|explore|lint|analyze|selftest|all]");
+            eprintln!("usage: cobra-check [races|oracle|explore|analyze|selftest|all]");
             std::process::exit(2);
         }
     };
