@@ -6,7 +6,7 @@
 //! road networks (EURO), an extra-skew class (HBUBL), HPCG-like stencils and
 //! SuiteSparse-style simulation/optimization matrices.
 
-use cobra_graph::{gen, matrix, SplitMix64};
+use cobra_graph::{gen, matrix};
 use cobra_kernels::Input;
 
 /// Input sizing: `Quick` for CI, `Standard` for the default evaluation,
@@ -91,29 +91,6 @@ impl Scale {
             Scale::Full => 1 << 14,
         }
     }
-}
-
-/// A seeded Zipf-skewed key stream: `n` keys over `0..max_key` where key
-/// rank `r` is drawn with probability ∝ `1/(r+1)^alpha`. The hot-key
-/// shape every fusion benchmark needs — back-to-back repeats of the hot
-/// keys are what a C-Buffer frame can coalesce.
-pub fn zipf_keys(n: usize, max_key: u32, alpha: f64, seed: u64) -> Vec<u32> {
-    assert!(alpha > 0.0, "alpha must be positive");
-    let max_key = max_key.max(1);
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut cdf = Vec::with_capacity(max_key as usize);
-    let mut acc = 0.0f64;
-    for r in 0..max_key {
-        acc += 1.0 / (r as f64 + 1.0).powf(alpha);
-        cdf.push(acc);
-    }
-    let total = acc;
-    (0..n)
-        .map(|_| {
-            let x = rng.f64_range(0.0, total);
-            (cdf.partition_point(|&p| p < x) as u32).min(max_key - 1)
-        })
-        .collect()
 }
 
 /// An input with its Table III-style name.
@@ -257,20 +234,6 @@ mod tests {
         assert_eq!(ms.len(), 4);
         let s = sort_input(Scale::Quick);
         assert!(s.input.num_updates(cobra_kernels::KernelId::IntSort) > 0);
-    }
-
-    #[test]
-    fn zipf_keys_are_skewed_and_bounded() {
-        let keys = zipf_keys(20_000, 1 << 10, 1.2, 7);
-        assert_eq!(keys.len(), 20_000);
-        assert!(keys.iter().all(|&k| k < 1 << 10));
-        let mut counts = vec![0u32; 1 << 10];
-        for &k in &keys {
-            counts[k as usize] += 1;
-        }
-        let max = *counts.iter().max().expect("nonempty");
-        let avg = keys.len() as u32 / (1 << 10);
-        assert!(max > 10 * avg.max(1), "max {max} avg {avg}");
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl Table {
 }
 
 /// The `results/` directory (created on demand).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = Path::new("results");
     fs::create_dir_all(dir).expect("create results dir");
     dir.to_owned()

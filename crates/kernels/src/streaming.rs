@@ -6,8 +6,7 @@
 //! long-lived [`IngestPipeline`] — edges arrive from any number of
 //! producer threads, epochs seal mid-stream, and the result is read off
 //! the final epoch snapshot. They are the native-execution counterparts of
-//! the instrumented kernels, used by the streaming integration tests and
-//! the `stream_throughput` bench.
+//! the instrumented kernels, used by the streaming integration tests.
 
 use cobra_graph::{Csr, EdgeList};
 use cobra_stream::{Count, IngestPipeline, StreamConfig, StreamStats, Sum};

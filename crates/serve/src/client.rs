@@ -2,7 +2,7 @@
 //!
 //! [`ServeClient`] is deliberately minimal: one TCP connection, one
 //! request in flight at a time, every call a frame round-trip. The
-//! loadgen and tests drive many of these from separate threads; a
+//! benchmark and tests drive many of these from separate threads; a
 //! connection-pooling client would only obscure what the server is
 //! being measured on.
 //!

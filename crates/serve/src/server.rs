@@ -271,7 +271,6 @@ impl ServeConfig {
 #[derive(Debug, Default)]
 struct ServeCounters {
     connections: AtomicU64,
-    refused_conns: AtomicU64,
     frames: AtomicU64,
     queries: AtomicU64,
     busy_tuples: AtomicU64,
@@ -940,9 +939,8 @@ fn reactor_loop(
                         continue;
                     }
                     if conns.len() >= max_conns || stream.set_nonblocking(true).is_err() {
-                        // ordering: Relaxed — stats counter; dropping the
-                        // stream closes the socket (the refusal).
-                        ctx.counters.refused_conns.fetch_add(1, Ordering::Relaxed);
+                        // Dropping the stream closes the socket (the
+                        // refusal).
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
@@ -951,8 +949,6 @@ fn reactor_loop(
                     if poller.register(&stream, token, Interest::READ).is_err() {
                         // Typed FdExhausted (or anything else): shed the
                         // connection, keep serving.
-                        // ordering: Relaxed — stats counter.
-                        ctx.counters.refused_conns.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     // ordering: Relaxed — stats counter.

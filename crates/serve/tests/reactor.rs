@@ -1,14 +1,16 @@
 //! Reactor-specific end-to-end tests: protocol pipelining with `BUSY`
 //! suffix retries, slow-loris / partial-frame robustness under the
 //! per-connection frame budget, write backpressure against clients that
-//! pipeline without reading, and client-side frame alignment after a
-//! mid-pipeline server error.
+//! pipeline without reading, client-side frame alignment after a
+//! mid-pipeline server error, the `max_conns` refusal, and a
+//! 1000-connection storm.
 
 use cobra_serve::protocol::{self, ErrorCode, Frame, MAX_UPDATE_TUPLES};
-use cobra_serve::{ClientError, ServeClient, ServeConfig, Server};
+use cobra_serve::{ClientError, ServeClient, ServeConfig, Server, SubEvent};
 use cobra_stream::StreamConfig;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
 
 /// A server whose shard FIFO is one single-tuple batch deep, so any
@@ -452,4 +454,176 @@ fn idle_between_frames_is_not_budgeted() {
 
     let (snapshot, _) = server.shutdown();
     assert_eq!(*snapshot.get(2), 42);
+}
+
+/// Past `max_conns` the accept round closes the newcomer: its first call
+/// fails with a typed error instead of hanging, the admitted connections
+/// never notice, and a slot freed by a disconnect is handed out again.
+#[test]
+fn connections_past_max_conns_are_closed_and_freed_slots_are_reused() {
+    let deadline = Duration::from_secs(5);
+    let serve_cfg = ServeConfig::new()
+        .max_conns(2)
+        .read_timeout(Duration::from_millis(10));
+    let server = Server::start(16, StreamConfig::new().shards(1), serve_cfg).expect("bind server");
+    let addr = server.local_addr();
+
+    // A round trip each, so both hold their slot before the third knocks.
+    let mut a = ServeClient::connect(addr).expect("connect a");
+    let mut b = ServeClient::connect(addr).expect("connect b");
+    a.query(1).expect("a admitted");
+    b.query(1).expect("b admitted");
+
+    // The kernel completes the handshake; the reactor accepts and drops.
+    let mut refused = ServeClient::connect(addr).expect("tcp connect");
+    let t0 = Instant::now();
+    let err = refused.query(1).expect_err("a third connection was served");
+    assert!(
+        matches!(err, ClientError::Disconnected | ClientError::Io(_)),
+        "expected a closed socket, got {err:?}"
+    );
+    assert!(t0.elapsed() < deadline, "refusal took {:?}", t0.elapsed());
+
+    a.update_all(&[(1, 41)]).expect("a still served");
+    b.update_all(&[(1, 1)]).expect("b still served");
+
+    // The reactor may meet the newcomer before it reads `a`'s EOF, so
+    // knock until the freed slot is seen.
+    drop(a);
+    let t0 = Instant::now();
+    let mut fresh = loop {
+        let mut c = ServeClient::connect(addr).expect("tcp connect");
+        if c.query(1).is_ok() {
+            break c;
+        }
+        assert!(t0.elapsed() < deadline, "freed slot never handed out");
+    };
+    fresh.seal().expect("fresh connection seals");
+    let (snapshot, _) = server.shutdown();
+    assert_eq!(*snapshot.get(1), 42);
+}
+
+/// The gate only a load generator used to check: 1000 connections open
+/// at once on the one reactor thread (16 driver threads; about 3000
+/// descriptors in this process), one UPDATE in flight on every
+/// connection per round with `BUSY` suffixes resent until the batch is
+/// in, and a subscriber registered before the first of them connects.
+/// Nothing may be refused, lost, duplicated, or pushed with a gap.
+#[test]
+fn thousand_connection_storm_loses_nothing_and_pushes_gap_free() {
+    const CONNS: usize = 1000;
+    const DRIVERS: usize = 16;
+    const ROUNDS: u64 = 4;
+    const PER_ROUND: u64 = 16;
+    const KEYS: u32 = 1 << 10;
+    const SENT: u64 = CONNS as u64 * ROUNDS * PER_ROUND;
+    // One 16-tuple batch of FIFO: 16 000 tuples a round must run into BUSY.
+    let server = congested_server_batching(KEYS, 16);
+    let addr = server.local_addr();
+
+    let subscriber = ServeClient::connect(addr).expect("connect subscriber");
+    let mut sub = subscriber.subscribe(0, KEYS).expect("subscribe");
+    let mut prev = sub.start_epoch();
+    let (tx, events) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        while let Ok(event) = sub.next_event() {
+            if tx.send(event).is_err() {
+                break;
+            }
+        }
+    });
+
+    let all_open = Barrier::new(DRIVERS);
+    let driver = |d: usize| {
+        let share = CONNS / DRIVERS + usize::from(d < CONNS % DRIVERS);
+        let mut clients: Vec<ServeClient> = (0..share)
+            .map(|_| {
+                // A round trip each: the burst stays inside the listen
+                // backlog, and past the barrier the reactor holds all 1000.
+                let mut client = ServeClient::connect(addr).expect("storm connect");
+                client.query(0).expect("storm admit");
+                client
+            })
+            .collect();
+        all_open.wait();
+        let (mut sum, mut busy_rounds) = (0u64, 0u64);
+        for round in 0..ROUNDS {
+            let batches: Vec<Vec<(u32, u64)>> = (0..share)
+                .map(|c| {
+                    (0..PER_ROUND)
+                        .map(|i| ((c as u64 * PER_ROUND + i) as u32 % KEYS, round + i + 1))
+                        .collect()
+                })
+                .collect();
+            for (client, batch) in clients.iter_mut().zip(&batches) {
+                client.send_update(batch).expect("storm send");
+            }
+            for (client, batch) in clients.iter_mut().zip(&batches) {
+                let mut at = 0;
+                loop {
+                    let outcome = client.recv_update().expect("storm ack");
+                    at += outcome.accepted as usize;
+                    if !outcome.busy {
+                        break;
+                    }
+                    busy_rounds += 1;
+                    client.send_update(&batch[at..]).expect("storm resend");
+                }
+                assert_eq!(at, batch.len(), "a connection did not finish round {round}");
+                sum += batch.iter().map(|&(_, v)| v).sum::<u64>();
+            }
+            if d == 0 {
+                clients[0].seal().expect("storm seal");
+            }
+        }
+        (sum, busy_rounds)
+    };
+    let (sent_sum, busy_rounds) = std::thread::scope(|scope| {
+        let joins: Vec<_> = (0..DRIVERS)
+            .map(|d| scope.spawn(move || driver(d)))
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().expect("storm driver"))
+            .fold((0, 0), |t, r| (t.0 + r.0, t.1 + r.1))
+    });
+    assert!(busy_rounds > 0, "the storm never met a full FIFO");
+
+    let mut sealer = ServeClient::connect(addr).expect("connect sealer");
+    let last = sealer.seal().expect("final seal");
+    while prev < last {
+        let event = events
+            .recv_timeout(Duration::from_secs(10))
+            .expect("subscriber starved before the final seal");
+        match event {
+            SubEvent::Delta {
+                from_epoch,
+                to_epoch,
+                ..
+            } => {
+                assert_eq!(
+                    (from_epoch, to_epoch),
+                    (prev, prev + 1),
+                    "gap in the push stream"
+                );
+                prev = to_epoch;
+            }
+            SubEvent::Lagged { resume_epoch } => {
+                panic!("subscriber lagged to epoch {resume_epoch} under the storm")
+            }
+        }
+    }
+    let (snapshot, stats) = server.shutdown();
+    reader.join().expect("subscriber reader");
+    assert_eq!(
+        snapshot.iter().sum::<u64>(),
+        sent_sum,
+        "the storm lost updates"
+    );
+    assert_eq!(stats.tuples_ingested, SENT);
+    assert_eq!(
+        stats.connections,
+        CONNS as u64 + 2,
+        "a connection was refused"
+    );
 }

@@ -797,21 +797,32 @@ mod tests {
     #[test]
     fn fusable_sum_coalesces_skewed_stream_and_counts_it() {
         use crate::reducer::Sum;
+        // Dyadic values keep f64 sums exact, so fused == unfused
+        // bit-for-bit whatever the key stream.
+        let run = |key: fn(u64) -> u32| {
+            let p = IngestPipeline::new(1 << 10, Sum, StreamConfig::new().shards(2));
+            let mut h = p.handle();
+            let mut direct = vec![0f64; 1 << 10];
+            for i in 0..40_000u64 {
+                let (k, v) = (key(i), ((i % 16) as f64) * 0.25);
+                h.send(k, v).unwrap();
+                direct[k as usize] += v;
+            }
+            drop(h);
+            let (snap, stats) = p.shutdown();
+            for (k, want) in direct.iter().enumerate() {
+                assert_eq!(
+                    snap.get(k as u32).to_bits(),
+                    want.to_bits(),
+                    "key {k}: fused stream result must be bit-identical"
+                );
+            }
+            stats
+        };
         // A heavily skewed stream: a handful of hot keys repeat inside
         // every C-Buffer frame, so the fused path must fold tuples away
-        // and the stats must say so. Dyadic values keep f64 sums exact,
-        // so fused == unfused bit-for-bit.
-        let keys: Vec<u32> = (0..40_000u64).map(|i| ((i * i) % 7) as u32).collect();
-        let p = IngestPipeline::new(1 << 10, Sum, StreamConfig::new().shards(2));
-        let mut h = p.handle();
-        let mut direct = vec![0f64; 1 << 10];
-        for (i, &k) in keys.iter().enumerate() {
-            let v = ((i % 16) as f64) * 0.25;
-            h.send(k, v).unwrap();
-            direct[k as usize] += v;
-        }
-        drop(h);
-        let (snap, stats) = p.shutdown();
+        // and the stats must say so.
+        let stats = run(|i| ((i * i) % 7) as u32);
         assert!(
             stats.total_fusion_hits() > 0,
             "skewed keys must fuse in-frame"
@@ -823,13 +834,14 @@ mod tests {
             stats.shards.iter().map(|s| s.flushed_tuples).sum::<u64>() < stats.tuples_sent,
             "fusion must reduce bin traffic"
         );
-        for (k, want) in direct.iter().enumerate() {
-            assert_eq!(
-                snap.get(k as u32).to_bits(),
-                want.to_bits(),
-                "key {k}: fused stream result must be bit-identical"
-            );
-        }
+        // The control: uniform keys rarely meet inside a frame.
+        let uniform = run(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u32 % (1 << 10));
+        assert!(
+            stats.fused_ratio() > uniform.fused_ratio(),
+            "skewed keys must out-fuse uniform keys: {} vs {}",
+            stats.fused_ratio(),
+            uniform.fused_ratio()
+        );
     }
 
     #[test]
