@@ -16,8 +16,11 @@
 //!    insensitive to stream permutation; declared-ordered kernels must be
 //!    provably sensitive (at least one permutation diverges), so a stale
 //!    declaration in either direction fails.
-//! 3. **Reducer oracle** — the `cobra-stream` [`Reducer`]s: permuted apply
-//!    order, plus split/merge consistency for the merge-on-flush path.
+//! 3. **Reducer oracle** — the `cobra-stream` [`Reducer`]s (and
+//!    `cobra-spgemm`'s `ColSum`): permuted apply order, plus, for every
+//!    reducer declared `FUSABLE`, the `fuse_values` law the C-Buffer frame
+//!    coalescer rests on — a fused pair applies like its two halves, a
+//!    refused pair leaves the staged value alone.
 //!
 //! Floating-point values in the models are dyadic rationals small enough
 //! that every partial sum is exact, so commutativity comparisons are
@@ -336,8 +339,9 @@ pub fn check_all_scatter_models(perms: usize) -> Vec<OracleResult> {
         .collect()
 }
 
-/// Generic reducer probe: applies `values` in order, in `perms` shuffled
-/// orders, and (for the commutative contract) via a split + merge.
+/// Generic reducer probe: applies `values` in order and in `perms`
+/// shuffled orders, and (for the fusable contract) checks `fuse_values`
+/// on every adjacent pair against a different accumulator state each.
 fn probe_reducer<R, EQ>(
     name: &str,
     reducer: &R,
@@ -347,6 +351,7 @@ fn probe_reducer<R, EQ>(
 ) -> OracleResult
 where
     R: Reducer,
+    R::Value: PartialEq,
     EQ: Fn(&R::Acc, &R::Acc) -> bool,
 {
     let apply_all = |vals: &[R::Value]| {
@@ -367,15 +372,25 @@ where
             break;
         }
     }
-    if R::COMMUTATIVE && observed_commutative {
-        // The merge-on-flush path must agree with straight-line apply.
-        for split in [1, values.len() / 2, values.len().saturating_sub(1)] {
-            let (a, b) = values.split_at(split.min(values.len()));
-            let mut left = apply_all(a);
-            reducer.merge(&mut left, apply_all(b));
-            if !eq(&left, &reference) {
-                observed_commutative = false;
-            }
+    if R::COMMUTATIVE && R::FUSABLE {
+        // The frame coalescer's law (the condition `bin_one` fuses under):
+        // apply(acc, fuse(a, b)) == apply(apply(acc, a), b) when the pair
+        // fuses, `a` untouched when it is refused. `acc` runs along the
+        // prefix fold, so every pair meets another accumulator state.
+        let mut acc = reducer.identity();
+        for pair in values.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let mut fused = a;
+            observed_commutative &= if reducer.fuse_values(&mut fused, &b) {
+                let (mut once, mut twice) = (acc.clone(), acc.clone());
+                reducer.apply(&mut once, &fused);
+                reducer.apply(&mut twice, &a);
+                reducer.apply(&mut twice, &b);
+                eq(&once, &twice)
+            } else {
+                fused == a
+            };
+            reducer.apply(&mut acc, &a);
         }
     }
     OracleResult {
@@ -386,7 +401,9 @@ where
     }
 }
 
-/// Runs the reducer oracle over all four `cobra-stream` reducers.
+/// Runs the reducer oracle over the four `cobra-stream` reducers and
+/// `cobra-spgemm`'s `ColSum` (fusable with a non-trivial refusal: two
+/// products for different columns must not coalesce).
 pub fn check_reducers(perms: usize) -> Vec<OracleResult> {
     let mut rng = SplitMix64::seed_from_u64(23);
     let counts: Vec<()> = vec![(); 64];
@@ -394,11 +411,16 @@ pub fn check_reducers(perms: usize) -> Vec<OracleResult> {
     let sums: Vec<f64> = (0..64).map(|_| rng.u32_below(32) as f64 * 0.25).collect();
     let appends: Vec<u32> = (0..64).map(|i| i as u32).collect();
     let latests: Vec<u64> = (0..64).map(|i| i as u64).collect();
+    // Few columns, so adjacent pairs both fuse (same column) and refuse.
+    let cells: Vec<(u32, f64)> = (0..64)
+        .map(|_| (rng.u32_below(3), rng.u32_below(32) as f64 * 0.25))
+        .collect();
     vec![
         probe_reducer("Count", &Count, counts, perms, |a, b| a == b),
         probe_reducer("Sum", &Sum, sums, perms, |a, b| a == b),
         probe_reducer("Append", &Append, appends, perms, |a, b| a == b),
         probe_reducer("Latest", &Latest, latests, perms, |a, b| a == b),
+        probe_reducer("ColSum", &cobra_spgemm::ColSum, cells, perms, |a, b| a == b),
     ]
 }
 
@@ -534,98 +556,58 @@ pub fn check_wal_replays(perms: usize) -> Vec<OracleResult> {
 
 /// Whole-kernel replay through [`ShuffledPb`]: the four declared-
 /// commutative kernels must reproduce reference output under shuffled
-/// within-bin replay order.
+/// within-bin replay order. Each kernel contributes one "does the run
+/// shuffled with this seed match the reference?" closure; one loop runs
+/// them all.
 pub fn check_kernel_replays(perms: usize) -> Vec<OracleResult> {
-    let mut results = Vec::new();
-
     // Degree-Count over a random graph: exact equality.
-    {
-        let el = gen::uniform_random(512, 4_000, 7);
-        let expected = degree_count::reference(&el);
-        let mut ok = true;
-        for seed in 0..=perms as u64 {
-            let mut b = ShuffledPb::<()>::new(512, 8, seed);
-            if degree_count::pb(&mut b, &el) != expected {
-                ok = false;
-                break;
-            }
-        }
-        results.push(OracleResult {
-            subject: "kernel-replay Degree-Count".into(),
-            declared_commutative: KernelId::DegreeCount.is_commutative(),
-            observed_commutative: ok,
-            permutations: perms,
-        });
-    }
+    let el = gen::uniform_random(512, 4_000, 7);
+    let degrees = degree_count::reference(&el);
+    let degrees_match =
+        |seed| degree_count::pb(&mut ShuffledPb::<()>::new(512, 8, seed), &el) == degrees;
 
     // Radii (bitset OR): exact equality of the radii vector.
-    {
-        let g = Csr::from_edgelist(&gen::rmat(8, 8, 3));
-        let nv = g.num_vertices() as u32;
-        let expected = radii::reference(&g, 4);
-        let mut ok = true;
-        for seed in 0..=perms as u64 {
-            let mut b = ShuffledPb::<u64>::new(nv, 8, seed);
-            let got = radii::pb(&mut b, &g, 4);
-            if got.radii != expected.radii {
-                ok = false;
-                break;
-            }
-        }
-        results.push(OracleResult {
-            subject: "kernel-replay Radii".into(),
-            declared_commutative: KernelId::Radii.is_commutative(),
-            observed_commutative: ok,
-            permutations: perms,
-        });
-    }
+    let radii_g = Csr::from_edgelist(&gen::rmat(8, 8, 3));
+    let radii_want = radii::reference(&radii_g, 4);
+    let radii_match = |seed| {
+        let mut b = ShuffledPb::<u64>::new(radii_g.num_vertices() as u32, 8, seed);
+        radii::pb(&mut b, &radii_g, 4).radii == radii_want.radii
+    };
 
     // Pagerank contributions: fp sums, suite tolerance (1e-4).
-    {
-        let g = Csr::from_edgelist(&gen::rmat(8, 8, 5));
-        let nv = g.num_vertices() as u32;
-        let expected = pagerank::reference(&g);
-        let mut ok = true;
-        for seed in 0..=perms as u64 {
-            let mut b = ShuffledPb::<f32>::new(nv.max(1), 8, seed);
-            let got = pagerank::pb(&mut b, &g);
-            if pagerank::max_abs_diff(&got, &expected) > 1e-4 {
-                ok = false;
-                break;
-            }
-        }
-        results.push(OracleResult {
-            subject: "kernel-replay Pagerank".into(),
-            declared_commutative: KernelId::Pagerank.is_commutative(),
-            observed_commutative: ok,
-            permutations: perms,
-        });
-    }
+    let pr_g = Csr::from_edgelist(&gen::rmat(8, 8, 5));
+    let ranks = pagerank::reference(&pr_g);
+    let ranks_match = |seed| {
+        let mut b = ShuffledPb::<f32>::new((pr_g.num_vertices() as u32).max(1), 8, seed);
+        pagerank::max_abs_diff(&pagerank::pb(&mut b, &pr_g), &ranks) <= 1e-4
+    };
 
     // SpMV scatter: fp sums, tight tolerance (few terms per row).
-    {
-        let m: SparseMatrix = cobra_graph::matrix::banded(256, 8, 5);
-        let mut rng = SplitMix64::seed_from_u64(9);
-        let x: Vec<f64> = (0..m.cols()).map(|_| rng.f64_range(-1.0, 1.0)).collect();
-        let expected = spmv::reference(&m, &x);
-        let mut ok = true;
-        for seed in 0..=perms as u64 {
-            let mut b = ShuffledPb::<f64>::new(m.rows().max(1), 8, seed);
-            let got = spmv::pb(&mut b, &m, &x);
-            if spmv::max_abs_diff(&got, &expected) > 1e-9 {
-                ok = false;
-                break;
-            }
-        }
-        results.push(OracleResult {
-            subject: "kernel-replay SpMV".into(),
-            declared_commutative: KernelId::Spmv.is_commutative(),
-            observed_commutative: ok,
-            permutations: perms,
-        });
-    }
+    let m: SparseMatrix = cobra_graph::matrix::banded(256, 8, 5);
+    let mut rng = SplitMix64::seed_from_u64(9);
+    let x: Vec<f64> = (0..m.cols()).map(|_| rng.f64_range(-1.0, 1.0)).collect();
+    let y = spmv::reference(&m, &x);
+    let spmv_match = |seed| {
+        let mut b = ShuffledPb::<f64>::new(m.rows().max(1), 8, seed);
+        spmv::max_abs_diff(&spmv::pb(&mut b, &m, &x), &y) <= 1e-9
+    };
 
-    results
+    type Matches<'a> = &'a dyn Fn(u64) -> bool;
+    let replays: [(&str, KernelId, Matches<'_>); 4] = [
+        ("Degree-Count", KernelId::DegreeCount, &degrees_match),
+        ("Radii", KernelId::Radii, &radii_match),
+        ("Pagerank", KernelId::Pagerank, &ranks_match),
+        ("SpMV", KernelId::Spmv, &spmv_match),
+    ];
+    replays
+        .iter()
+        .map(|(name, kernel, matches)| OracleResult {
+            subject: format!("kernel-replay {name}"),
+            declared_commutative: kernel.is_commutative(),
+            observed_commutative: (0..=perms as u64).all(matches),
+            permutations: perms,
+        })
+        .collect()
 }
 
 /// SpGEMM fusion oracle: proves the frame-fusion pass and the streaming
@@ -791,5 +773,29 @@ mod tests {
         };
         let r = check_scatter_model(&lying, 8);
         assert!(!r.agrees(), "oracle failed to expose the lie: {r}");
+    }
+
+    #[test]
+    fn a_wrong_fuse_values_is_caught() {
+        // `Sum`'s fold with a `fuse_values` that "coalesces" by dropping
+        // `b`: permutation-stable, so only the fuse law can expose it.
+        struct DropsB;
+        impl Reducer for DropsB {
+            type Value = f64;
+            type Acc = f64;
+            const COMMUTATIVE: bool = true;
+            const FUSABLE: bool = true;
+            fn identity(&self) -> f64 {
+                0.0
+            }
+            fn apply(&self, acc: &mut f64, value: &f64) {
+                *acc += value;
+            }
+            fn fuse_values(&self, _a: &mut f64, _b: &f64) -> bool {
+                true
+            }
+        }
+        let r = probe_reducer("DropsB", &DropsB, vec![0.25, 0.5, 0.75], 4, |a, b| a == b);
+        assert!(!r.agrees(), "oracle missed the dropped value: {r}");
     }
 }

@@ -349,7 +349,7 @@ impl ServeClient {
         to_epoch: u64,
         lo: u32,
         hi: u32,
-    ) -> Result<EpochDelta, ClientError> {
+    ) -> Result<ResolvedDelta, ClientError> {
         let request = Frame::Diff {
             from_epoch,
             to_epoch,
@@ -420,7 +420,7 @@ impl ServeClient {
 /// A resolved `(from_epoch, to_epoch)` pair plus the changed
 /// `(key, absolute value)` entries between them — the payload of a
 /// [`ServeClient::diff`] reply and of a reassembled push delta.
-type EpochDelta = (u64, u64, Vec<(u32, u64)>);
+type ResolvedDelta = (u64, u64, Vec<(u32, u64)>);
 
 /// One event delivered to a [`Subscription`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -469,7 +469,7 @@ impl Subscription {
     /// frames (more than `MAX_DELTA_ENTRIES` changes) is reassembled
     /// into one event.
     pub fn next_event(&mut self) -> Result<SubEvent, ClientError> {
-        let mut partial: Option<EpochDelta> = None;
+        let mut partial: Option<ResolvedDelta> = None;
         loop {
             match self.client.recv()? {
                 Frame::Delta {

@@ -107,9 +107,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// `u64` summation — the server's update semantics. Commutative, so the
-/// pipeline takes the merge-on-flush fast path, and "zero lost updates"
-/// is checkable end-to-end by comparing value sums.
+/// `u64` summation — the server's update semantics. Commutative and
+/// fusable, so same-key updates coalesce in the shard binners' C-Buffer
+/// frames, and "zero lost updates" is checkable end-to-end by comparing
+/// value sums.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SumU64;
 
@@ -127,10 +128,6 @@ impl Reducer for SumU64 {
 
     fn apply(&self, acc: &mut u64, value: &u64) {
         *acc = acc.wrapping_add(*value);
-    }
-
-    fn merge(&self, into: &mut u64, from: u64) {
-        *into = into.wrapping_add(from);
     }
 
     fn fuse_values(&self, a: &mut u64, b: &u64) -> bool {
@@ -1548,13 +1545,8 @@ fn cached_value(
     }
     let snap = snap();
     let epoch = snap.epoch();
-    let slice = if snap.segment_keys() == ctx.block_keys && (block as usize) < snap.num_segments() {
-        Arc::clone(snap.segment(block as usize))
-    } else {
-        // Misaligned pipeline (foreign config): fall back to copying.
-        let hi = lo.saturating_add(ctx.block_keys).min(ctx.num_keys);
-        Arc::new((lo..hi).map(|k| *snap.get(k)).collect())
-    };
+    debug_assert_eq!(snap.segment_keys(), ctx.block_keys);
+    let slice = Arc::clone(snap.segment(block as usize));
     let value = slice.get((key - lo) as usize).copied();
     ctx.cache.insert((epoch, block), slice);
     match value {
@@ -1656,10 +1648,10 @@ fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame {
 mod tests {
     use super::*;
 
-    fn test_ctx(num_keys: u32, block_keys: u32, segment_keys: usize) -> Ctx {
+    fn test_ctx(num_keys: u32, block_keys: u32) -> Ctx {
         let stream_cfg = StreamConfig::new()
             .shards(2)
-            .snapshot_segment_keys(segment_keys);
+            .snapshot_segment_keys(block_keys as usize);
         let (wake_tx, wake_rx) = UnixStream::pair().expect("socket pair");
         Ctx {
             pipeline: IngestPipeline::new(num_keys, SumU64, stream_cfg),
@@ -1679,8 +1671,22 @@ mod tests {
     }
 
     #[test]
+    fn sum_u64_fused_pair_applies_like_its_two_halves() {
+        // The law cobra-check's oracle probes (it cannot link this crate).
+        for (acc, a, b) in [(0, 1, 2), (7, u64::MAX, 3), (u64::MAX, u64::MAX, 1 << 63)] {
+            let mut fused = a;
+            assert!(SumU64.fuse_values(&mut fused, &b));
+            let (mut once, mut twice) = (acc, acc);
+            SumU64.apply(&mut once, &fused);
+            SumU64.apply(&mut twice, &a);
+            SumU64.apply(&mut twice, &b);
+            assert_eq!(once, twice, "acc {acc}, pair ({a}, {b})");
+        }
+    }
+
+    #[test]
     fn query_miss_fills_cache_with_the_snapshot_segment_zero_copy() {
-        let ctx = test_ctx(4096, 512, 512);
+        let ctx = test_ctx(4096, 512);
         let mut h = ctx.pipeline.handle();
         for k in 0..4096u32 {
             h.send(k, u64::from(k)).unwrap();
@@ -1713,26 +1719,6 @@ mod tests {
         assert_eq!(value, 513);
         // Two hits: the test's own aliasing check above plus this query.
         assert_eq!(ctx.cache.stats().hits, 2);
-        drop(h);
-        ctx.pipeline.shutdown();
-    }
-
-    #[test]
-    fn misaligned_block_size_falls_back_to_copying() {
-        // Foreign pipeline config: segments of 256 keys, blocks of 512.
-        let ctx = test_ctx(1024, 512, 256);
-        let mut h = ctx.pipeline.handle();
-        h.send(700, 7).unwrap();
-        h.seal_epoch().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while ctx.pipeline.published_epoch() < 1 {
-            assert!(Instant::now() < deadline, "epoch never published");
-            std::thread::yield_now();
-        }
-        let Frame::Value { value, .. } = handle_query(&ctx, 700) else {
-            panic!("expected a value response");
-        };
-        assert_eq!(value, 7);
         drop(h);
         ctx.pipeline.shutdown();
     }

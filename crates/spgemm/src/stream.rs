@@ -39,12 +39,6 @@ impl Reducer for ColSum {
         }
     }
 
-    fn merge(&self, into: &mut Vec<(u32, f64)>, from: Vec<(u32, f64)>) {
-        for cell in from {
-            self.apply(into, &cell);
-        }
-    }
-
     fn fuse_values(&self, a: &mut (u32, f64), b: &(u32, f64)) -> bool {
         merge_same_col(a, b)
     }

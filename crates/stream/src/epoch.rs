@@ -6,13 +6,15 @@
 //! the same overlap COBRA gets from its eviction buffers decoupling the
 //! core from the binning engines.
 //!
-//! Deltas from different shards cover disjoint key ranges, but snapshots
+//! Bins from different shards cover disjoint key ranges, but snapshots
 //! must still be *epoch-aligned*: the accumulator defers any shard's
-//! epoch-`e` delta until every shard's epoch-`e-1` delta has been applied,
+//! epoch-`e` bins until every shard's epoch-`e-1` bins have been applied,
 //! then applies the aligned wave and publishes an immutable
-//! [`EpochSnapshot`]. Within a shard's delta, tuples replay in per-shard
-//! arrival order — the non-commutative correctness condition (paper,
-//! Section III).
+//! [`EpochSnapshot`]. Every sealed epoch — any reducer, live or recovered
+//! from the WAL — replays through one body, [`apply_bins`]: bin by bin,
+//! tuples in per-shard arrival order, the non-commutative correctness
+//! condition (paper, Section III), which a commutative reducer satisfies
+//! a fortiori.
 //!
 //! # Copy-on-write segmented state
 //!
@@ -202,7 +204,8 @@ pub(crate) fn slot_mut<A: Clone>(state: &mut [Arc<Vec<A>>], segment_keys: u32, k
 
 /// Replays one shard's bins (shard-local keys, `base` = the shard's first
 /// global key) into the state, bin by bin, tuples in arrival order. The
-/// live accumulator and WAL recovery both apply ordered deltas here.
+/// one accumulate body: the live accumulator and WAL recovery both apply
+/// every sealed epoch here, whatever the reducer declares.
 pub(crate) fn apply_bins<R: Reducer>(
     reducer: &R,
     bins: &Bins<R::Value>,
@@ -215,31 +218,22 @@ pub(crate) fn apply_bins<R: Reducer>(
     });
 }
 
-/// One sealed epoch's worth of updates from one shard, keyed by
-/// shard-local key.
-pub(crate) enum EpochDelta<R: Reducer> {
-    /// Bins replayed tuple-by-tuple in arrival order (general case).
-    Ordered(Bins<R::Value>),
-    /// Pre-reduced `(local_key, partial)` pairs (commutative fast path).
-    Reduced(Vec<(u32, R::Acc)>),
-}
-
 /// Shard-to-accumulator protocol.
 pub(crate) enum AccMsg<R: Reducer> {
-    /// A sealed epoch's delta.
+    /// A sealed epoch's bins (shard-local keys).
     Sealed {
         shard: usize,
         epoch: u64,
-        delta: EpochDelta<R>,
+        bins: Bins<R::Value>,
         /// The shard WAL's logical offset just past this epoch's `Seal`
         /// marker (0 in non-durable mode): recorded into the checkpoint
         /// manifest so recovery replays from here.
         wal_offset: u64,
     },
-    /// The shard's final drain delta; the shard has exited.
+    /// The shard's final drain bins; the shard has exited.
     Done {
         shard: usize,
-        delta: EpochDelta<R>,
+        bins: Bins<R::Value>,
         /// WAL offset past the drain epoch's `Seal` (0 when non-durable
         /// or when the shard exited without a drain seal).
         wal_offset: u64,
@@ -278,6 +272,9 @@ pub type PublishHook<A> = Box<dyn FnMut(&Arc<EpochSnapshot<A>>) + Send>;
 /// zeros unless a recovery found more).
 pub(crate) type ResumeState<A> = (u64, Vec<Arc<Vec<A>>>, Vec<u64>);
 
+/// One shard's sealed epoch: `(epoch, bins, WAL replay boundary)`.
+type SealedEpoch<V> = (u64, Bins<V>, u64);
+
 /// The single accumulator thread's state. Owns the authoritative
 /// copy-on-write segments; publishes `Arc<EpochSnapshot>`s by cloning
 /// segment handles only.
@@ -290,8 +287,8 @@ pub(crate) struct Accumulator<R: Reducer> {
     state: Vec<Arc<Vec<R::Acc>>>,
     /// Per-shard queue of sealed epochs not yet merged into an aligned
     /// wave, each with its WAL replay boundary.
-    pending: Vec<VecDeque<(u64, EpochDelta<R>, u64)>>,
-    final_deltas: Vec<Option<(EpochDelta<R>, u64)>>,
+    pending: Vec<VecDeque<SealedEpoch<R::Value>>>,
+    final_bins: Vec<Option<(Bins<R::Value>, u64)>>,
     /// Latest known WAL replay boundary per shard (recovery-seeded, then
     /// updated at each applied seal); recorded into checkpoint manifests.
     shard_offsets: Vec<u64>,
@@ -320,7 +317,7 @@ impl<R: Reducer> Accumulator<R> {
             state,
             reducer,
             pending: (0..shards).map(|_| VecDeque::new()).collect(),
-            final_deltas: (0..shards).map(|_| None).collect(),
+            final_bins: (0..shards).map(|_| None).collect(),
             shard_offsets,
             bases,
             num_keys,
@@ -334,7 +331,7 @@ impl<R: Reducer> Accumulator<R> {
     }
 
     /// Consumes shard messages until every shard reports `Done`, then
-    /// applies the remaining aligned epochs and the drain deltas and
+    /// applies the remaining aligned epochs and the drain bins and
     /// publishes the final snapshot.
     pub(crate) fn run(mut self, rx: Receiver<AccMsg<R>>) {
         let mut done = 0usize;
@@ -345,18 +342,18 @@ impl<R: Reducer> Accumulator<R> {
                 AccMsg::Sealed {
                     shard,
                     epoch,
-                    delta,
+                    bins,
                     wal_offset,
                 } => {
-                    self.pending[shard].push_back((epoch, delta, wal_offset));
+                    self.pending[shard].push_back((epoch, bins, wal_offset));
                     self.advance();
                 }
                 AccMsg::Done {
                     shard,
-                    delta,
+                    bins,
                     wal_offset,
                 } => {
-                    self.final_deltas[shard] = Some((delta, wal_offset));
+                    self.final_bins[shard] = Some((bins, wal_offset));
                     done += 1;
                 }
             }
@@ -365,15 +362,15 @@ impl<R: Reducer> Accumulator<R> {
         let mut drain_sealed = true;
         for shard in 0..self.bases.len() {
             // Any unaligned stragglers (a shard died early) still apply in
-            // per-shard epoch order before its drain delta.
-            while let Some((_, delta, wal_offset)) = self.pending[shard].pop_front() {
-                self.apply(shard, delta);
+            // per-shard epoch order before its drain bins.
+            while let Some((_, bins, wal_offset)) = self.pending[shard].pop_front() {
+                self.apply(shard, &bins);
                 if wal_offset > 0 {
                     self.shard_offsets[shard] = wal_offset;
                 }
             }
-            if let Some((delta, wal_offset)) = self.final_deltas[shard].take() {
-                self.apply(shard, delta);
+            if let Some((bins, wal_offset)) = self.final_bins[shard].take() {
+                self.apply(shard, &bins);
                 if wal_offset > 0 {
                     self.shard_offsets[shard] = wal_offset;
                 } else {
@@ -407,9 +404,8 @@ impl<R: Reducer> Accumulator<R> {
                 return;
             }
             for shard in 0..self.pending.len() {
-                let (_, delta, wal_offset) =
-                    self.pending[shard].pop_front().expect("checked front");
-                self.apply(shard, delta);
+                let (_, bins, wal_offset) = self.pending[shard].pop_front().expect("checked front");
+                self.apply(shard, &bins);
                 if wal_offset > 0 {
                     self.shard_offsets[shard] = wal_offset;
                 }
@@ -435,20 +431,9 @@ impl<R: Reducer> Accumulator<R> {
         }
     }
 
-    fn apply(&mut self, shard: usize, delta: EpochDelta<R>) {
-        let base = self.bases[shard];
-        let seg_keys = self.segment_keys;
-        match delta {
-            EpochDelta::Ordered(bins) => {
-                apply_bins(&*self.reducer, &bins, base, seg_keys, &mut self.state)
-            }
-            EpochDelta::Reduced(partials) => {
-                for (local_key, partial) in partials {
-                    let slot = slot_mut(&mut self.state, seg_keys, base + local_key);
-                    self.reducer.merge(slot, partial);
-                }
-            }
-        }
+    fn apply(&mut self, shard: usize, bins: &Bins<R::Value>) {
+        let (base, seg_keys) = (self.bases[shard], self.segment_keys);
+        apply_bins(&*self.reducer, bins, base, seg_keys, &mut self.state);
     }
 
     fn publish(&mut self, epoch: u64) {

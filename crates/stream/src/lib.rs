@@ -21,12 +21,14 @@
 //! * Sealing an *epoch* double-buffers each shard's bins out
 //!   ([`cobra_pb::Binner::take_bins`]) so the accumulator replays epoch `e`
 //!   while the shards bin epoch `e+1`.
-//! * The accumulator applies epoch-aligned waves of per-shard deltas and
+//! * The accumulator applies epoch-aligned waves of per-shard bins and
 //!   publishes immutable [`EpochSnapshot`]s, queryable at any time.
-//! * [`Reducer`]s define the update semantics: non-commutative reducers
-//!   replay tuples in per-shard arrival order (the paper's correctness
-//!   condition for kernels like Neighbor-Populate); commutative reducers
-//!   take a merge-on-flush fast path (the COBRA-COMM analogue).
+//! * [`Reducer`]s define the update semantics. Every sealed epoch replays
+//!   tuple-by-tuple in per-shard arrival order (the paper's correctness
+//!   condition for kernels like Neighbor-Populate); a commutative reducer
+//!   may additionally declare its values fusable, and same-key updates
+//!   then coalesce in the C-Buffer frame before they reach bin memory (the
+//!   COBRA-COMM analogue) — the pipeline's only coalescer.
 //!
 //! # Quickstart
 //!

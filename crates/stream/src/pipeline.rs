@@ -518,11 +518,6 @@ impl<R: Reducer> IngestPipeline<R> {
                 reducer: Arc::clone(&reducer),
                 counters: Arc::clone(&shard_counters[s]),
                 acc_tx: acc_tx.clone(),
-                delta_buf: if R::COMMUTATIVE {
-                    vec![None; local_keys as usize]
-                } else {
-                    Vec::new()
-                },
                 wal: shard_wals[s].take(),
             };
             let handle = std::thread::Builder::new()
@@ -705,7 +700,7 @@ impl<R: Reducer> IngestPipeline<R> {
                         epoch_flushes: c.epoch_flushes.load(Ordering::Relaxed), // ordering: stats
                         flushed_tuples: c.flushed_tuples.load(Ordering::Relaxed), // ordering: stats
                         max_flush_tuples: c.max_flush_tuples.load(Ordering::Relaxed), // ordering: stats
-                        reduced_flushes: c.reduced_flushes.load(Ordering::Relaxed), // ordering: stats
+                        reduced_flushes: 0,
                         bins_bytes: c.max_bins_bytes.load(Ordering::Relaxed), // ordering: stats
                         bin_segments: c.max_bin_segments.load(Ordering::Relaxed), // ordering: stats
                         bin_grow_events: c.bin_grow_events.load(Ordering::Relaxed), // ordering: stats

@@ -1,20 +1,20 @@
 //! Update semantics for the streaming Accumulate phase.
 //!
 //! A [`Reducer`] folds incoming `(key, value)` tuples into a per-key
-//! accumulator. The split mirrors the paper's Section III argument:
+//! accumulator with [`Reducer::apply`], and that is the only accumulate
+//! step there is: every sealed epoch's bins replay tuple-by-tuple in
+//! per-shard arrival order, each update applied exactly once. The paper's
+//! Section III split shows up in what may happen *before* bin memory:
 //!
 //! * **Non-commutative** reducers (the general case — Neighbor-Populate,
 //!   Integer Sort, Transpose, ...) only require *unordered parallelism*:
-//!   any per-key application order is acceptable, but each update must be
-//!   applied exactly once, unduplicated and uncoalesced, in a well-defined
-//!   order. The pipeline replays bins tuple-by-tuple in per-shard arrival
-//!   order for these ([`Reducer::apply`]).
-//! * **Commutative** reducers (Degree-Count, Pagerank contributions)
-//!   additionally allow *merge-on-flush*: a shard pre-reduces each sealed
-//!   epoch's bins into per-key partial accumulators before shipping them,
-//!   the software analogue of COBRA-COMM's at-the-LLC update coalescing
-//!   (paper, Section V-G). The accumulator then folds partials with
-//!   [`Reducer::merge`].
+//!   any per-key application order is acceptable, but updates must reach
+//!   the accumulator unduplicated and uncoalesced.
+//! * **Commutative** reducers (Degree-Count, Pagerank contributions) may
+//!   additionally declare their values [`FUSABLE`](Reducer::FUSABLE): two
+//!   updates to one key coalesce while still staged in a C-Buffer frame,
+//!   the software analogue of COBRA-COMM's update coalescing (paper,
+//!   Section V-G), and arrive at the accumulator as one.
 
 /// Folds streamed update values into per-key accumulators.
 pub trait Reducer: Send + Sync + 'static {
@@ -24,7 +24,9 @@ pub trait Reducer: Send + Sync + 'static {
     type Acc: Clone + Send + Sync + 'static;
 
     /// Whether updates commute (`apply` in any order yields the same
-    /// accumulator). Enables the merge-on-flush fast path.
+    /// accumulator). The pipeline reads it in one place — it gates
+    /// [`FUSABLE`](Self::FUSABLE) — and `cobra-check`'s oracle validates
+    /// the declaration against observed behaviour.
     const COMMUTATIVE: bool = false;
 
     /// Whether two *values* for the same key may be coalesced into one
@@ -56,13 +58,6 @@ pub trait Reducer: Send + Sync + 'static {
 
     /// Applies one update to a key's accumulator.
     fn apply(&self, acc: &mut Self::Acc, value: &Self::Value);
-
-    /// Merges a pre-reduced partial accumulator into a key's accumulator.
-    /// Only called when [`COMMUTATIVE`](Self::COMMUTATIVE) is `true`.
-    fn merge(&self, into: &mut Self::Acc, from: Self::Acc) {
-        let _ = (into, from);
-        unreachable!("merge is only invoked for commutative reducers");
-    }
 }
 
 /// Degree-Count-style occurrence counting: every tuple increments its
@@ -84,18 +79,15 @@ impl Reducer for Count {
     fn apply(&self, acc: &mut u32, _value: &()) {
         *acc += 1;
     }
-
-    fn merge(&self, into: &mut u32, from: u32) {
-        *into += from;
-    }
 }
 
 /// Pagerank-contribution-style summation. Commutative.
 ///
-/// Note `f32`/`f64` addition is commutative but not associative, so the
-/// merged total can differ from serial replay in the last bits; the
-/// pipeline's per-shard, per-bin replay order is deterministic, which is
-/// what the equality tests rely on.
+/// Note `f32`/`f64` addition is commutative but not associative, so a
+/// fused pair (`acc + (a + b)`) can differ from serial replay
+/// (`(acc + a) + b`) in the last bits; which pairs fuse is a deterministic
+/// function of per-shard arrival order, which is what the equality tests
+/// rely on.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sum;
 
@@ -112,10 +104,6 @@ impl Reducer for Sum {
 
     fn apply(&self, acc: &mut f64, value: &f64) {
         *acc += value;
-    }
-
-    fn merge(&self, into: &mut f64, from: f64) {
-        *into += from;
     }
 
     fn fuse_values(&self, a: &mut f64, b: &f64) -> bool {
@@ -165,15 +153,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn count_applies_and_merges() {
+    fn count_applies() {
         let r = Count;
         let mut a = r.identity();
         r.apply(&mut a, &());
         r.apply(&mut a, &());
-        let mut b = r.identity();
-        r.apply(&mut b, &());
-        r.merge(&mut a, b);
-        assert_eq!(a, 3);
+        assert_eq!(a, 2);
     }
 
     #[test]
@@ -193,14 +178,6 @@ mod tests {
         r.apply(&mut a, &10);
         r.apply(&mut a, &7);
         assert_eq!(a, Some(7));
-    }
-
-    #[test]
-    #[should_panic]
-    fn non_commutative_merge_is_unreachable() {
-        let r = Append;
-        let mut a = r.identity();
-        r.merge(&mut a, vec![1]);
     }
 
     #[test]

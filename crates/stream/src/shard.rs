@@ -5,14 +5,15 @@
 //! buffer → binning engine shape as the paper's Section V-D, with the
 //! ingest handle's coalescing batches standing in for evicted C-Buffer
 //! lines. Sealing an epoch swaps the active bins out
-//! ([`Binner::take_bins`]) so accumulation of the sealed epoch overlaps
-//! binning of the next.
+//! ([`Binner::take_bins`]) and ships them to the accumulator as they are,
+//! so accumulation of the sealed epoch overlaps binning of the next: a
+//! worker does nothing between two FIFO drains but that buffer swap.
 
 use crate::channel::{Receiver, Sender};
-use crate::epoch::{AccMsg, EpochDelta};
+use crate::epoch::AccMsg;
 use crate::reducer::Reducer;
 use crate::stats::ShardCounters;
-use cobra_pb::{Binner, Tuple};
+use cobra_pb::{Binner, Bins, Tuple};
 use cobra_wal::{Record, WalStats, WalWriter};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -110,8 +111,6 @@ pub(crate) struct ShardWorker<R: Reducer> {
     pub(crate) reducer: Arc<R>,
     pub(crate) counters: Arc<ShardCounters>,
     pub(crate) acc_tx: Sender<AccMsg<R>>,
-    /// Reused merge-on-flush scratch (one slot per local key).
-    pub(crate) delta_buf: Vec<Option<R::Acc>>,
     /// Durable mode: the shard's WAL (None = in-memory pipeline).
     pub(crate) wal: Option<ShardWal<R::Value>>,
 }
@@ -143,11 +142,11 @@ impl<R: Reducer> ShardWorker<R> {
                     // flushed past the OS boundary (crash-consistency
                     // argument, DESIGN.md §10).
                     let wal_offset = self.wal.as_mut().map_or(0, |w| w.seal(epoch));
-                    let delta = self.flush();
+                    let bins = self.flush();
                     let _ = self.acc_tx.send(AccMsg::Sealed {
                         shard: self.id,
                         epoch,
-                        delta,
+                        bins,
                         wal_offset,
                     });
                 }
@@ -155,10 +154,10 @@ impl<R: Reducer> ShardWorker<R> {
                     // Graceful drain: the remaining bins become one final
                     // sealed epoch, so a clean restart loses nothing.
                     let wal_offset = self.wal.as_mut().map_or(0, |w| w.seal(drain_epoch));
-                    let delta = self.flush();
+                    let bins = self.flush();
                     let _ = self.acc_tx.send(AccMsg::Done {
                         shard: self.id,
-                        delta,
+                        bins,
                         wal_offset,
                     });
                     return;
@@ -169,10 +168,10 @@ impl<R: Reducer> ShardWorker<R> {
                     // remaining bins but write no seal — a recovery treats
                     // the unsealed WAL tail as uncommitted, matching the
                     // fact that no snapshot of it was ever promised.
-                    let delta = self.flush();
+                    let bins = self.flush();
                     let _ = self.acc_tx.send(AccMsg::Done {
                         shard: self.id,
-                        delta,
+                        bins,
                         wal_offset: 0,
                     });
                     return;
@@ -181,43 +180,17 @@ impl<R: Reducer> ShardWorker<R> {
         }
     }
 
-    /// Swaps the active bins out (double-buffering) and converts them into
-    /// an epoch delta. Commutative reducers take the merge-on-flush fast
-    /// path: each bin's tuples fold into per-key partials — the bin's key
-    /// range keeps the scratch accesses cache-resident, exactly the
-    /// Accumulate-phase locality argument — and only the touched
-    /// `(key, partial)` pairs ship.
-    fn flush(&mut self) -> EpochDelta<R> {
+    /// Swaps the active bins out (double-buffering) and records the sealed
+    /// epoch's size and footprint.
+    fn flush(&mut self) -> Bins<R::Value> {
         let bins = self.binner.take_bins();
-        let tuples = bins.len() as u64;
-        self.counters.record_flush(tuples, R::COMMUTATIVE);
+        self.counters.record_flush(bins.len() as u64);
         self.counters.record_memory(
             bins.store().memory(),
             bins.store().grow_events(),
             self.binner.flush_stats(),
             self.binner.fuse_stats(),
         );
-        if !R::COMMUTATIVE {
-            return EpochDelta::Ordered(bins);
-        }
-        let mut touched: Vec<u32> = Vec::new();
-        {
-            let reducer = &self.reducer;
-            let buf = &mut self.delta_buf;
-            bins.accumulate(|local_key, value| {
-                let slot = &mut buf[local_key as usize];
-                if slot.is_none() {
-                    *slot = Some(reducer.identity());
-                    touched.push(local_key);
-                }
-                reducer.apply(slot.as_mut().expect("just initialized"), value);
-            });
-        }
-        touched.sort_unstable();
-        let partials = touched
-            .iter()
-            .map(|&k| (k, self.delta_buf[k as usize].take().expect("touched slot")))
-            .collect();
-        EpochDelta::Reduced(partials)
+        bins
     }
 }

@@ -17,7 +17,6 @@ pub(crate) struct ShardCounters {
     pub epoch_flushes: AtomicU64,
     pub flushed_tuples: AtomicU64,
     pub max_flush_tuples: AtomicU64,
-    pub reduced_flushes: AtomicU64,
     pub max_bins_bytes: AtomicU64,
     pub max_bin_segments: AtomicU64,
     pub bin_grow_events: AtomicU64,
@@ -30,16 +29,13 @@ pub(crate) struct ShardCounters {
 }
 
 impl ShardCounters {
-    pub(crate) fn record_flush(&self, tuples: u64, reduced: bool) {
+    pub(crate) fn record_flush(&self, tuples: u64) {
         // ordering: Relaxed throughout — monotonic statistics counters
         // written only by the owning shard worker; readers take advisory
         // point-in-time snapshots, no payload crosses through them.
         self.epoch_flushes.fetch_add(1, Ordering::Relaxed); // ordering: stats
         self.flushed_tuples.fetch_add(tuples, Ordering::Relaxed); // ordering: stats
         self.max_flush_tuples.fetch_max(tuples, Ordering::Relaxed); // ordering: stats
-        if reduced {
-            self.reduced_flushes.fetch_add(1, Ordering::Relaxed); // ordering: stats
-        }
     }
 
     /// Records the sealed epoch's bin-store footprint and the binner's
@@ -63,8 +59,9 @@ impl ShardCounters {
             .store(frames.tuples, Ordering::Relaxed); // ordering: stats
         self.cbuf_frame_capacity
             .store(frames.frame_capacity as u64, Ordering::Relaxed); // ordering: stats
-                                                                     // The binner's fuse counters are cumulative, so publish them with
-                                                                     // absolute stores like the C-Buffer flush counters above.
+
+        // The binner's fuse counters are cumulative, so publish them with
+        // absolute stores like the C-Buffer flush counters above.
         self.fusion_attempts.store(fuse.attempts, Ordering::Relaxed); // ordering: stats
         self.fusion_hits.store(fuse.hits, Ordering::Relaxed); // ordering: stats
         self.fusion_flushes.store(fuse.flushes, Ordering::Relaxed); // ordering: stats
@@ -86,7 +83,9 @@ pub struct ShardStats {
     pub flushed_tuples: u64,
     /// Largest single flush, in tuples.
     pub max_flush_tuples: u64,
-    /// Flushes that took the commutative merge-on-flush fast path.
+    /// Always 0 since PR 18 (no flush pre-reduces any more). Kept only
+    /// because `benchmarks/ladder` reads it (`stream.reduced_flush_frac`);
+    /// goes with that metric in the next `benchmark` PR (ROADMAP item 4).
     pub reduced_flushes: u64,
     /// Peak bin-store column capacity, in bytes, observed at any seal.
     pub bins_bytes: u64,

@@ -13,7 +13,7 @@ use cobra_repro::graph::{Csr, Edge, EdgeList, SplitMix64};
 use cobra_repro::pb::Binner;
 use cobra_repro::sim::engine::NullEngine;
 use cobra_repro::sim::MachineConfig;
-use cobra_repro::stream::{Append, Count, IngestPipeline, StreamConfig};
+use cobra_repro::stream::{Append, Count, IngestPipeline, Reducer, StreamConfig};
 
 const CASES: u64 = 64;
 
@@ -188,10 +188,27 @@ fn eviction_des_conserves_tuples() {
     }
 }
 
+/// Commutative, not fusable, over values whose `f64` sums round: any
+/// reassociation of a key's fold (say, across a seal) shows in the bits.
+struct Harmonic;
+
+impl Reducer for Harmonic {
+    type Value = f64;
+    type Acc = f64;
+    const COMMUTATIVE: bool = true;
+    fn identity(&self) -> f64 {
+        0.0
+    }
+    fn apply(&self, acc: &mut f64, value: &f64) {
+        *acc += value;
+    }
+}
+
 /// A streamed epoch snapshot equals batch PB (bin + accumulate) over the
-/// same tuples — for a commutative reducer (Count, merge-on-flush path)
-/// regardless of producer interleaving, and for a non-commutative reducer
-/// (Append, ordered-replay path) with a single producer.
+/// same tuples — for a commutative reducer (Count) regardless of producer
+/// interleaving, and with a single producer also per key in arrival order
+/// (Append, non-commutative) and bit for bit (Harmonic): every reducer
+/// replays through the one accumulate path, the serial left fold.
 #[test]
 fn stream_snapshot_equals_batch_pb() {
     let mut rng = SplitMix64::seed_from_u64(0xB8);
@@ -209,34 +226,45 @@ fn stream_snapshot_equals_batch_pb() {
         }
         let mut want_counts = vec![0u32; num_keys as usize];
         let mut want_logs = vec![Vec::new(); num_keys as usize];
+        let mut want_sums = vec![0.0f64; num_keys as usize];
         binner.finish().accumulate(|k, &v| {
             want_counts[k as usize] += 1;
             want_logs[k as usize].push(v);
+            want_sums[k as usize] += 1.0 / (v + 3) as f64;
         });
 
         let cfg = StreamConfig::new().shards(shards).batch_tuples(batch);
         let counting = IngestPipeline::new(num_keys, Count, cfg);
         let ordered = IngestPipeline::new(num_keys, Append, cfg);
+        let summing = IngestPipeline::new(num_keys, Harmonic, cfg);
         let mut hc = counting.handle();
         let mut ho = ordered.handle();
+        let mut hs = summing.handle();
         for (i, &k) in keys.iter().enumerate() {
             hc.send(k, ()).unwrap();
             ho.send(k, i as u32).unwrap();
+            hs.send(k, 1.0 / (i + 3) as f64).unwrap();
             // Sprinkle mid-stream epoch seals: they must not change totals.
             if seals > 0 && i > 0 && i % (keys.len() / (seals as usize + 1)).max(1) == 0 {
                 hc.seal_epoch().unwrap();
                 ho.seal_epoch().unwrap();
+                hs.seal_epoch().unwrap();
             }
         }
         drop(hc);
         drop(ho);
+        drop(hs);
         let (counts, _) = counting.shutdown();
         let (logs, _) = ordered.shutdown();
+        let (sums, _) = summing.shutdown();
         assert_eq!(counts.to_vec(), want_counts, "case {case}: counts diverge");
         assert_eq!(
             logs.to_vec(),
             want_logs,
             "case {case}: per-key order diverges"
         );
+        for (k, (got, want)) in sums.iter().zip(&want_sums).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: sum of key {k}");
+        }
     }
 }

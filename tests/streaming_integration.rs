@@ -55,10 +55,6 @@ fn million_tuples_commutative_equals_batch_pb() {
     assert!(stats.epochs_published >= stats.epochs_sealed);
     let binned: u64 = stats.shards.iter().map(|s| s.tuples_binned).sum();
     assert_eq!(binned, NUM_TUPLES as u64, "every tuple binned exactly once");
-    // Commutative reducer: every flush takes the merge-on-flush path.
-    for sh in &stats.shards {
-        assert_eq!(sh.reduced_flushes, sh.epoch_flushes, "shard {}", sh.shard);
-    }
 }
 
 /// 1M+ tuples, non-commutative append: producers own disjoint key ranges
@@ -107,10 +103,6 @@ fn million_tuples_non_commutative_equals_batch_pb() {
 
     assert_eq!(stats.tuples_sent, NUM_TUPLES as u64);
     assert_eq!(snap.to_vec(), want, "streamed per-key order != batch PB");
-    // Non-commutative reducer: no flush may take the merge fast path.
-    for sh in &stats.shards {
-        assert_eq!(sh.reduced_flushes, 0, "shard {}", sh.shard);
-    }
 }
 
 /// A deliberately undersized channel bound makes backpressure observable:
