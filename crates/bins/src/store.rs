@@ -139,7 +139,7 @@ impl<V> BinStore<V> {
 
     /// A store with explicit geometry. `num_bins` is taken as given (it
     /// may exceed `ceil(num_keys >> shift)`; simulated backends size
-    /// bins to hardware structures, and fixtures misroute on purpose).
+    /// bins to hardware structures).
     ///
     /// # Panics
     ///

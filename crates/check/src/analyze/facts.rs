@@ -45,7 +45,7 @@ const CALLISH_KEYWORDS: &[&str] = &[
 #[derive(Debug, Clone)]
 pub struct LockSite {
     /// Lock identity: the receiver field/static name (`seal_lock`,
-    /// `GATE`, `state`).
+    /// `state`).
     pub name: String,
     /// 1-based line.
     pub line: u32,
@@ -53,10 +53,6 @@ pub struct LockSite {
     pub tok: usize,
     /// Token index through which the guard is (conservatively) held.
     pub held_to: usize,
-    /// True when the receiver is one of the enclosing fn's parameters —
-    /// the fn is then a *forwarder* and the real lock is named at each
-    /// call site.
-    pub via_param: bool,
 }
 
 /// A call site (free fn, method, or path call — the unqualified name).
@@ -68,8 +64,6 @@ pub struct CallSite {
     pub line: u32,
     /// Token index of the callee ident.
     pub tok: usize,
-    /// Token span `[open_paren, close_paren]` of the arguments.
-    pub args: (usize, usize),
 }
 
 /// An atomic operation site.
@@ -110,7 +104,7 @@ pub struct FnFacts {
 /// True if the body span `[start, end]` around `i` contains a `let`
 /// between the previous statement boundary and `i` — i.e. the value at
 /// `i` is let-bound.
-pub(crate) fn is_let_bound(toks: &[Tok], start: usize, i: usize) -> bool {
+fn is_let_bound(toks: &[Tok], start: usize, i: usize) -> bool {
     let mut j = i;
     while j > start {
         j -= 1;
@@ -127,7 +121,7 @@ pub(crate) fn is_let_bound(toks: &[Tok], start: usize, i: usize) -> bool {
 
 /// Token index of the `}` closing the innermost block containing `i`
 /// (clamped to `end`).
-pub(crate) fn enclosing_block_end(toks: &[Tok], i: usize, end: usize) -> usize {
+fn enclosing_block_end(toks: &[Tok], i: usize, end: usize) -> usize {
     let mut depth = 0i32;
     let mut j = i;
     while j <= end && j < toks.len() {
@@ -148,7 +142,7 @@ pub(crate) fn enclosing_block_end(toks: &[Tok], i: usize, end: usize) -> usize {
 /// End of the statement containing `i`: the next top-level `;`, or —
 /// when a block opens first (loop/if header) — the end of that block,
 /// or the `}` that closes the surrounding block (expression tail).
-pub(crate) fn stmt_end(toks: &[Tok], i: usize, end: usize) -> usize {
+fn stmt_end(toks: &[Tok], i: usize, end: usize) -> usize {
     let mut paren = 0i32;
     let mut bracket = 0i32;
     let mut j = i;
@@ -211,7 +205,7 @@ fn receiver_name(toks: &[Tok], dot: usize) -> String {
 
 /// Extracts [`FnFacts`] from the token span `[start, end]` (inclusive of
 /// both body braces) of one fn.
-pub fn extract(toks: &[Tok], start: usize, end: usize, params: &[String]) -> FnFacts {
+pub fn extract(toks: &[Tok], start: usize, end: usize) -> FnFacts {
     let mut facts = FnFacts::default();
     let mut i = start;
     while i <= end && i < toks.len() {
@@ -244,7 +238,6 @@ pub fn extract(toks: &[Tok], start: usize, end: usize, params: &[String]) -> FnF
             // Lock acquisition: `<recv>.lock()`.
             if t.text == "lock" && after_dot {
                 let name = receiver_name(toks, i - 1);
-                let via_param = params.contains(&name);
                 let held_to = if is_let_bound(toks, start, i) {
                     enclosing_block_end(toks, i, end)
                 } else {
@@ -255,7 +248,6 @@ pub fn extract(toks: &[Tok], start: usize, end: usize, params: &[String]) -> FnF
                     line: t.line,
                     tok: i,
                     held_to,
-                    via_param,
                 });
             }
             // Atomic site: `<field>.store(v, Ordering::X)` etc. Only
@@ -298,27 +290,12 @@ pub fn extract(toks: &[Tok], start: usize, end: usize, params: &[String]) -> FnF
                     name: t.text.clone(),
                     line: t.line,
                     tok: i,
-                    args: (i + 1, close),
                 });
             }
         }
         i += 1;
     }
     facts
-}
-
-/// The last identifier inside an argument span — used to name the real
-/// lock at a forwarder call site (`lock(&GATE)` → `GATE`,
-/// `lock(&self.inner)` → `inner`).
-pub fn last_arg_ident(toks: &[Tok], args: (usize, usize)) -> Option<String> {
-    let (open, close) = args;
-    let mut found = None;
-    for t in toks.iter().take(close).skip(open + 1) {
-        if t.kind == Kind::Ident && t.text != "self" && t.text != "mut" {
-            found = Some(t.text.clone());
-        }
-    }
-    found
 }
 
 #[cfg(test)]
@@ -328,7 +305,7 @@ mod tests {
 
     fn facts_of(body: &str) -> (Vec<Tok>, FnFacts) {
         let toks = lex(body);
-        let f = extract(&toks, 0, toks.len() - 1, &[]);
+        let f = extract(&toks, 0, toks.len() - 1);
         (toks, f)
     }
 
@@ -387,26 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn frames_ops_and_forwarder_args() {
-        let (toks, f) = facts_of(
-            "{ match fr { Frame::Seal { epoch } => op::SEAL, _ => op::ACK, }; lock(&GATE); }",
-        );
+    fn frames_and_ops() {
+        let (_, f) = facts_of("{ match fr { Frame::Seal { epoch } => op::SEAL, _ => op::ACK, }; }");
         assert_eq!(f.frames, vec![("Seal".into(), 1)]);
         assert_eq!(f.opcodes.len(), 2);
-        let call = f
-            .calls
-            .iter()
-            .find(|c| c.name == "lock")
-            .expect("lock call");
-        assert_eq!(last_arg_ident(&toks, call.args), Some("GATE".into()));
-    }
-
-    #[test]
-    fn param_receiver_marks_via_param() {
-        let toks = lex("{ match m.lock() { Ok(g) => g, Err(p) => p.into_inner() } }");
-        let f = extract(&toks, 0, toks.len() - 1, &["m".to_string()]);
-        assert_eq!(f.locks.len(), 1);
-        assert!(f.locks[0].via_param);
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //! under-approximates it — a real inversion cannot hide behind dynamic
 //! dispatch or generic indirection.
 //!
-//! Lock identity is `crate::receiver` (`stream::seal_lock`). Forwarder
-//! fns — fns whose lock receiver is a parameter, like
-//! `pb::trace::lock(&GATE)` — contribute no lockset of their own;
-//! instead each call site names the real lock from its argument, which
-//! keeps `GATE` and `LOG` from aliasing into one bogus node.
+//! Lock identity is `crate::receiver` (`stream::seal_lock`). A fn that
+//! locks one of its own parameters (`fn lock(m: &Mutex<T>)`; the
+//! workspace has none) gets the parameter's name as its one node, so
+//! every mutex passed to it aliases there: an over-approximation that
+//! can invent an edge or a cycle, never hide one.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::facts::{enclosing_block_end, is_let_bound, last_arg_ident, stmt_end};
 use super::{Finding, Workspace};
 
 /// Method names shadowed by std traits and collections (`Vec::push`,
@@ -72,8 +71,7 @@ fn candidates<'a>(ws: &'a Workspace, name: &str) -> Option<&'a Vec<usize>> {
     ws.by_name.get(name)
 }
 
-/// One lock-acquisition event inside a fn body: a direct `.lock()` or a
-/// resolved forwarder call.
+/// One lock-acquisition event inside a fn body: a direct `.lock()`.
 struct Acq {
     id: String,
     tok: usize,
@@ -81,56 +79,28 @@ struct Acq {
     line: u32,
 }
 
-/// Collects the acquisition events of fn `fi` (direct non-param locks
-/// plus forwarder call sites resolved to their argument lock).
-fn acquisitions(ws: &Workspace, fi: usize, forwarders: &BTreeSet<String>) -> Vec<Acq> {
-    let f = &ws.fns[fi];
-    let facts = &ws.facts[fi];
-    let krate = &ws.files[f.file].krate;
-    let toks = &ws.files[f.file].toks;
-    let mut out = Vec::new();
-    for l in &facts.locks {
-        if l.via_param {
-            continue;
-        }
-        out.push(Acq {
+/// Collects the acquisition events of fn `fi`, in body order.
+fn acquisitions(ws: &Workspace, fi: usize) -> Vec<Acq> {
+    let krate = &ws.files[ws.fns[fi].file].krate;
+    ws.facts[fi]
+        .locks
+        .iter()
+        .map(|l| Acq {
             id: format!("{}::{}", krate, l.name),
             tok: l.tok,
             held_to: l.held_to,
             line: l.line,
-        });
-    }
-    for c in &facts.calls {
-        if !forwarders.contains(&c.name) {
-            continue;
-        }
-        if let Some(real) = last_arg_ident(toks, c.args) {
-            let (start, end) = f.body.expect("fn with facts has a body");
-            let held_to = if is_let_bound(toks, start, c.tok) {
-                enclosing_block_end(toks, c.tok, end)
-            } else {
-                stmt_end(toks, c.tok, end)
-            };
-            out.push(Acq {
-                id: format!("{krate}::{real}"),
-                tok: c.tok,
-                held_to,
-                line: c.line,
-            });
-        }
-    }
-    out.sort_by_key(|a| a.tok);
-    out
+        })
+        .collect()
 }
 
 /// Computes the transitive lockset of every fn by fixpoint over the
-/// name-based call graph. Forwarder locks are excluded (resolved at call
-/// sites instead).
-fn locksets(ws: &Workspace, forwarders: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
+/// name-based call graph.
+fn locksets(ws: &Workspace) -> Vec<BTreeSet<String>> {
     let n = ws.fns.len();
     let mut sets: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
     for (fi, _) in ws.fns.iter().enumerate() {
-        for a in acquisitions(ws, fi, forwarders) {
+        for a in acquisitions(ws, fi) {
             sets[fi].insert(a.id);
         }
     }
@@ -180,14 +150,7 @@ pub struct Edge {
 
 /// Builds the lock acquisition-order graph over all non-test fns.
 pub fn lock_order_edges(ws: &Workspace) -> Vec<Edge> {
-    let forwarders: BTreeSet<String> = ws
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(fi, f)| !f.is_test && ws.facts[*fi].locks.iter().any(|l| l.via_param))
-        .map(|(_, f)| f.name.clone())
-        .collect();
-    let sets = locksets(ws, &forwarders);
+    let sets = locksets(ws);
     let mut seen: BTreeMap<(String, String), ()> = BTreeMap::new();
     let mut edges = Vec::new();
     for (fi, f) in ws.fns.iter().enumerate() {
@@ -196,7 +159,7 @@ pub fn lock_order_edges(ws: &Workspace) -> Vec<Edge> {
         }
         let facts = &ws.facts[fi];
         let rel = &ws.files[f.file].rel;
-        let acqs = acquisitions(ws, fi, &forwarders);
+        let acqs = acquisitions(ws, fi);
         for (ai, a) in acqs.iter().enumerate() {
             // Direct nested acquisitions inside a's held range.
             for b in acqs.iter().skip(ai + 1) {
@@ -216,9 +179,6 @@ pub fn lock_order_edges(ws: &Workspace) -> Vec<Edge> {
             for c in &facts.calls {
                 if c.tok <= a.tok || c.tok > a.held_to {
                     continue;
-                }
-                if forwarders.contains(&c.name) {
-                    continue; // already handled as a synthesized Acq
                 }
                 if let Some(cands) = candidates(ws, &c.name) {
                     for &g in cands {

@@ -38,8 +38,6 @@ pub struct FnItem {
     /// True when this fn is test-only (`#[test]`, inside `#[cfg(test)]
     /// mod`, or in an integration-test file).
     pub is_test: bool,
-    /// Parameter names, in order (`self` excluded).
-    pub params: Vec<String>,
     /// Token span `[open_brace, close_brace]` of the body, if any.
     pub body: Option<(usize, usize)>,
 }
@@ -99,47 +97,6 @@ fn skip_generics(toks: &[Tok], open: usize) -> usize {
         i += 1;
     }
     i
-}
-
-/// Extracts parameter names from the token span strictly inside a fn's
-/// parens (`self` and sub-pattern names are skipped).
-fn param_names(toks: &[Tok], pstart: usize, pend: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32; // (), [], <> nesting relative to the param list
-    let mut i = pstart + 1;
-    while i < pend {
-        let t = &toks[i];
-        if t.kind == Kind::Punct {
-            match t.text.as_bytes().first() {
-                Some(b'(') | Some(b'[') | Some(b'<') => depth += 1,
-                Some(b')') | Some(b']') => depth -= 1,
-                Some(b'>') if !(i > 0 && toks[i - 1].is_punct('-')) => depth -= 1,
-                _ => {}
-            }
-        } else if depth == 0
-            && t.kind == Kind::Ident
-            && t.text != "self"
-            && t.text != "mut"
-            && i + 1 < pend
-            && toks[i + 1].is_punct(':')
-        {
-            // `name: Type` at the top level of the list. A `::` path
-            // (`std::fmt::Debug`) must not match: require the token
-            // before to be `(`, `,`, `mut`, or `&` — i.e. pattern
-            // position, not type position.
-            let prev = &toks[i - 1];
-            let pattern_pos = prev.is_punct('(')
-                || prev.is_punct(',')
-                || prev.is_ident("mut")
-                || prev.is_punct('&');
-            let double_colon = i + 2 < pend && toks[i + 2].is_punct(':');
-            if pattern_pos && !double_colon {
-                out.push(t.text.clone());
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 /// Parses every `fn` item in `sf` (which has file-table index
@@ -228,7 +185,6 @@ pub fn parse_fns(sf: &SourceFile, file_idx: usize) -> Vec<FnItem> {
                 break;
             }
             let pend = match_paren(toks, j);
-            let params = param_names(toks, j, pend);
             // Find the body `{` or a `;` (trait method without default).
             let mut k = pend + 1;
             let mut bracket = 0i32;
@@ -259,7 +215,6 @@ pub fn parse_fns(sf: &SourceFile, file_idx: usize) -> Vec<FnItem> {
                 file: file_idx,
                 line: toks[name_idx].line,
                 is_test,
-                params,
                 body,
             });
             // Resume at the body `{` (or past the signature) so nested
@@ -297,10 +252,8 @@ mod tests {
         let fns = parse_fns(&sf, 0);
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
-        assert_eq!(fns[0].params, vec!["x", "y"]);
         assert!(fns[0].body.is_some());
         assert!(fns[1].body.is_none(), "trait method without default");
-        assert_eq!(fns[1].params, vec!["n"]);
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl Workspace {
         let facts: Vec<facts::FnFacts> = fns
             .iter()
             .map(|f| match f.body {
-                Some((start, end)) => facts::extract(&files[f.file].toks, start, end, &f.params),
+                Some((start, end)) => facts::extract(&files[f.file].toks, start, end),
                 None => facts::FnFacts::default(),
             })
             .collect();

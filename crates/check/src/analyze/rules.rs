@@ -50,10 +50,7 @@ const TOKEN_RULES: &[TokenRule] = &[
     // written-down argument rot.
     TokenRule {
         rule: "R1",
-        in_scope: |rel| {
-            in_src_of(rel, &["stream", "serve", "wal", "mvcc", "cluster", "poll"])
-                || rel == "crates/pb/src/trace.rs"
-        },
+        in_scope: |rel| in_src_of(rel, &["stream", "serve", "wal", "mvcc", "cluster", "poll"]),
         skip_tests: false,
         justified_by: Some("// ordering:"),
         patterns: &[&["Ordering", ":", ":"]],
@@ -521,7 +518,7 @@ mod tests {
         );
         case(
             "R3: the same line elsewhere is fine",
-            "crates/pb/src/trace.rs",
+            "crates/pb/src/config.rs",
             "fn f() { let m: Mutex<u32> = Mutex::new(0); }\n",
             &[],
         );

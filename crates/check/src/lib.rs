@@ -2,17 +2,18 @@
 //!
 //! Three analyses, one crate (paper, Section III-B: correctness of
 //! propagation blocking rests on bin disjointness, epoch alignment and
-//! declared commutativity — this crate re-proves all three mechanically):
+//! declared commutativity). Disjointness has no checker here because it
+//! is not a run-time property of this workspace: `accumulate_into` hands
+//! each worker `chunks_mut` slices under `#![forbid(unsafe_code)]`
+//! (rule R9 keeps the attribute on every crate), so two workers writing
+//! one key does not compile; routing and ownership are plain tests in
+//! `cobra-pb` and `cobra-core`. The other two are re-proved mechanically:
 //!
-//! 1. [`race`] — a FastTrack-style vector-clock detector over the event
-//!    logs emitted by the `check`-instrumented binning/accumulate paths
-//!    ([`fixtures`] drives the real machinery and captures the logs), plus
-//!    routing/ownership invariant checks on every recorded write.
-//! 2. [`oracle`] — commutativity oracles: replay each kernel's scatter
+//! 1. [`oracle`] — commutativity oracles: replay each kernel's scatter
 //!    function and each streaming reducer under permuted update orders and
 //!    compare the observation against the declared commutative/ordered
 //!    mode.
-//! 3. [`explore`] — a dependency-free bounded schedule explorer (mini
+//! 2. [`explore`] — a dependency-free bounded schedule explorer (mini
 //!    loom): one DFS driver over any [`explore::Model`], exhausting every
 //!    interleaving of small configurations. Three protocols are written
 //!    down as models: the `cobra-stream` channel/seal/epoch protocol
@@ -21,15 +22,15 @@
 //!    every node's `EpochCommit`), and `cobra-mvcc`'s subscription
 //!    fan-out ([`subs`]: bounded queues + lossless lag markers, delivery
 //!    is gap-free and per-epoch ordered in every schedule).
-//!
-//! [`analyze`] is the one static pass (cobra-analyze): a dependency-free
-//! lexer, function table and conservative call graph over every
-//! `crates/*/{src,tests}` file, feeding the token rules R1–R3, R9, R11
-//! (ordering justifications, hot-path panic hygiene, no locks on binning
-//! paths, unsafe audit, no blocking I/O on the reactor path), the graph
-//! rules R5–R8 (lock-order cycles, commit-before-publish dominance,
-//! wire-protocol exhaustiveness, atomics release/acquire pairing) and
-//! R10 (stale suppressions in the one allowlist).
+//! 3. [`analyze`] — the one static pass (cobra-analyze): a
+//!    dependency-free lexer, function table and conservative call graph
+//!    over every `crates/*/{src,tests}` file, feeding the token rules
+//!    R1–R3, R9, R11 (ordering justifications, hot-path panic hygiene, no
+//!    locks on binning paths, unsafe audit, no blocking I/O on the reactor
+//!    path), the graph rules R5–R8 (lock-order cycles,
+//!    commit-before-publish dominance, wire-protocol exhaustiveness,
+//!    atomics release/acquire pairing) and R10 (stale suppressions in the
+//!    one allowlist).
 //!
 //! The `cobra-check` binary exposes each analysis as a subcommand and
 //! `all` runs the full battery; any violation exits non-zero.
@@ -40,7 +41,5 @@
 pub mod analyze;
 pub mod cluster;
 pub mod explore;
-pub mod fixtures;
 pub mod oracle;
-pub mod race;
 pub mod subs;

@@ -1,8 +1,7 @@
-//! The `cobra-check` binary: race detection, commutativity oracles,
-//! schedule exploration and static analysis under one entry point.
+//! The `cobra-check` binary: commutativity oracles, schedule
+//! exploration and static analysis under one entry point.
 //!
 //! ```text
-//! cobra-check races     # vector-clock race + invariant check, all kernels
 //! cobra-check oracle    # commutativity oracles (models, reducers, replays)
 //! cobra-check explore   # bounded exhaustive schedule exploration (one driver, three models)
 //! cobra-check analyze   # the one static pass (R1-R3, R5-R11) + JSON report
@@ -12,46 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-use cobra_check::{analyze, cluster, explore, fixtures, oracle, race, subs};
-use cobra_kernels::ALL_KERNELS;
+use cobra_check::{analyze, cluster, explore, oracle, subs};
 
 /// Permuted orders tried per oracle subject.
 const ORACLE_PERMS: usize = 6;
-
-fn run_races() -> bool {
-    println!("== race detection (FastTrack over instrumented runs) ==");
-    let mut ok = true;
-    for &k in ALL_KERNELS.iter() {
-        let cap = fixtures::kernel_parallel_capture(k);
-        let report = race::check_trace(&cap.events);
-        println!(
-            "  {:\u{2007}<18} {:>7} events  {:>2} threads  {:>6} bin writes  {:>6} acc writes  {}",
-            format!("{k:?}"),
-            report.events,
-            report.threads,
-            report.bin_writes,
-            report.acc_writes,
-            if report.is_clean() { "clean" } else { "RACY" },
-        );
-        for f in &report.findings {
-            println!("    {f}");
-        }
-        ok &= report.is_clean();
-    }
-    let core = race::check_trace(&fixtures::core_exec_capture());
-    println!(
-        "  {:\u{2007}<18} {:>7} events  {:>2} threads  {:>6} bin writes  (core exec path)  {}",
-        "SwPb-exec",
-        core.events,
-        core.threads,
-        core.bin_writes,
-        if core.is_clean() { "clean" } else { "RACY" },
-    );
-    for f in &core.findings {
-        println!("    {f}");
-    }
-    ok && core.is_clean()
-}
 
 fn run_oracle() -> bool {
     println!("== commutativity oracle (permuted replays) ==");
@@ -180,15 +143,6 @@ fn run_analyze() -> bool {
 /// The dynamic seeded defects: `(what must happen, did it)`.
 type SeededDefect = (&'static str, fn() -> bool);
 const SEEDED_DEFECTS: &[SeededDefect] = &[
-    ("seeded cross-bin write race is detected", || {
-        race::check_trace(&fixtures::racy_degree_count_events())
-            .findings
-            .iter()
-            .any(|f| matches!(f, race::Finding::WriteRace { .. }))
-    }),
-    ("clean control run stays clean", || {
-        race::check_trace(&fixtures::clean_degree_count_events()).is_clean()
-    }),
     ("lost-wakeup mutation deadlocks", || {
         explore::explore(&explore::lost_wakeup_mutation()).is_err()
     }),
@@ -243,7 +197,6 @@ fn run_selftest() -> bool {
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     let ok = match mode.as_str() {
-        "races" => run_races(),
         "oracle" => run_oracle(),
         "explore" => run_explore(),
         "analyze" => run_analyze(),
@@ -251,7 +204,6 @@ fn main() {
         "all" => {
             let mut ok = true;
             // Run every analysis even after a failure: one report, all news.
-            ok &= run_races();
             ok &= run_oracle();
             ok &= run_explore();
             ok &= run_analyze();
@@ -260,7 +212,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown subcommand `{other}`");
-            eprintln!("usage: cobra-check [races|oracle|explore|analyze|selftest|all]");
+            eprintln!("usage: cobra-check [oracle|explore|analyze|selftest|all]");
             std::process::exit(2);
         }
     };

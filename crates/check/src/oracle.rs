@@ -31,7 +31,7 @@ use cobra_core::backend::{BinStorage, PbBackend};
 use cobra_graph::rng::SplitMix64;
 use cobra_graph::{gen, Csr, SparseMatrix};
 use cobra_kernels::{degree_count, pagerank, radii, spmv, KernelId};
-use cobra_pb::{Binner, Bins, Tuple};
+use cobra_pb::Binner;
 use cobra_sim::addr::ArrayAddr;
 use cobra_sim::engine::{Engine, NullEngine};
 use cobra_stream::{Append, Count, Latest, Reducer, Sum};
@@ -92,29 +92,25 @@ impl<V: Copy> PbBackend<V> for ShuffledPb<V> {
     }
 
     fn flush_and_take(&mut self) -> BinStorage<V> {
-        let bins = self.binner.take_bins();
-        let len = bins.len();
         // Seed 0 hands the columnar store through untouched (arrival
-        // order); any other seed rebuilds each bin in permuted order.
-        let bins = if self.seed == 0 {
-            bins
-        } else {
-            let shift = bins.bin_shift();
-            let num_keys = bins.store().num_keys();
-            let mut raw: Vec<Vec<Tuple<V>>> = (0..bins.num_bins())
-                .map(|b| bins.iter_bin(b).collect())
-                .collect();
+        // order); any other seed refills each bin in permuted order.
+        let mut store = self.binner.take_bins().into_store();
+        if self.seed != 0 {
+            let arrival = store.take();
             let mut rng = SplitMix64::seed_from_u64(self.seed);
-            for bin in &mut raw {
-                shuffle(bin, &mut rng);
+            for b in 0..arrival.num_bins() {
+                let mut bin: Vec<(u32, V)> = arrival.iter_bin(b).map(|(&k, &v)| (k, v)).collect();
+                shuffle(&mut bin, &mut rng);
+                for (key, value) in bin {
+                    store.push(b, key, value);
+                }
             }
-            Bins::from_raw(shift, num_keys, raw)
-        };
-        let bytes = (len.max(1) as u64) * self.tuple_bytes as u64;
+        }
+        let bytes = (store.len().max(1) as u64) * self.tuple_bytes as u64;
         let base = *self
             .base
             .get_or_insert_with(|| self.engine.alloc("shuffled_bins", bytes));
-        BinStorage::new(base, self.tuple_bytes, bins.into_store())
+        BinStorage::new(base, self.tuple_bytes, store)
     }
 }
 

@@ -293,8 +293,6 @@ impl<E: Engine, V: Copy> PbBackend<V> for SwPb<E, V> {
     fn insert(&mut self, key: u32, value: V) {
         debug_assert!(key < self.num_keys, "key {key} out of range");
         let b = (key >> self.shift) as usize;
-        #[cfg(feature = "check")]
-        cobra_pb::trace::bin_write(b, key, self.shift);
         // Software binning trace (Algorithm 2, lines 3-5, plus C-Buffer
         // management): compute bin id, read the occupancy counter, store
         // the tuple into the C-Buffer line, bump and write the counter,
@@ -318,8 +316,6 @@ impl<E: Engine, V: Copy> PbBackend<V> for SwPb<E, V> {
     }
 
     fn flush_and_take(&mut self) -> BinStorage<V> {
-        #[cfg(feature = "check")]
-        cobra_pb::trace::bin_flush_all();
         for b in 0..self.cbufs.len() {
             // Walk every C-Buffer; flush the non-empty ones.
             self.engine.load(self.occ_base.addr(4, b as u64), 4);

@@ -301,12 +301,6 @@ impl<V: Copy> PbBackend<V> for CobraMachine<V> {
         }
         self.maybe_context_switch();
         // Functional effect: program order per memory bin.
-        #[cfg(feature = "check")]
-        cobra_pb::trace::bin_write(
-            (key >> self.hier.memory_bin_shift()) as usize,
-            key,
-            self.hier.memory_bin_shift(),
-        );
         self.bins.insert(key, value);
         // Timing effect: L1 C-Buffer occupancy and eviction cascade.
         let b = (key >> self.hier.levels[0].shift) as usize;
@@ -326,8 +320,6 @@ impl<V: Copy> PbBackend<V> for CobraMachine<V> {
     /// forcing residual tuples to in-memory bins; the core waits for the
     /// walk to complete.
     fn flush_and_take(&mut self) -> BinStorage<V> {
-        #[cfg(feature = "check")]
-        cobra_pb::trace::bin_flush_all();
         // One instruction to trigger the flush.
         self.sim.alu(1);
         for b in 0..self.l1.len() {
@@ -382,6 +374,32 @@ mod tests {
             }
         }
         assert_eq!(st.len(), ks.len());
+    }
+
+    /// Bins a seeded stream and checks the two things Accumulate relies
+    /// on: every tuple sits in the bin that owns its key, and none is lost
+    /// or duplicated.
+    fn assert_routes_by_shift_and_conserves<B: PbBackend<u32>>(mut backend: B, ks: &[u32]) {
+        for (i, &k) in ks.iter().enumerate() {
+            backend.insert(k, i as u32);
+        }
+        let st = backend.flush_and_take();
+        for b in 0..st.num_bins() {
+            for &k in st.keys(b) {
+                assert_eq!((k >> st.bin_shift()) as usize, b, "key {k} in bin {b}");
+            }
+        }
+        assert_eq!(st.len(), ks.len());
+    }
+
+    #[test]
+    fn both_backends_route_every_key_to_its_owning_bin() {
+        let domain = 1 << 16;
+        let ks = keys(20_000, domain);
+        let n = ks.len() as u64;
+        let sw = SwPb::<_, u32>::new(cobra_sim::engine::NullEngine::new(), domain, 64, 8, n);
+        assert_routes_by_shift_and_conserves(sw, &ks);
+        assert_routes_by_shift_and_conserves(machine(domain, n), &ks);
     }
 
     #[test]

@@ -153,8 +153,7 @@ impl<V: Copy> Binner<V> {
     ///
     /// # Panics
     ///
-    /// In debug builds — and in all builds when the `check` feature is
-    /// enabled — panics if `key >= num_keys`.
+    /// In debug builds, panics if `key >= num_keys`.
     #[inline]
     pub fn insert(&mut self, key: u32, value: V) {
         self.route(key, value, NeverMerge);
@@ -176,8 +175,7 @@ impl<V: Copy> Binner<V> {
     ///
     /// # Panics
     ///
-    /// In debug builds — and in all builds when the `check` feature is
-    /// enabled — panics if `key >= num_keys`.
+    /// In debug builds, panics if `key >= num_keys`.
     #[inline]
     pub fn insert_fused<F: FnMut(&mut V, &V) -> bool>(&mut self, key: u32, value: V, merge: F) {
         self.route(key, value, merge);
@@ -187,16 +185,12 @@ impl<V: Copy> Binner<V> {
     /// stage, and a bulk transfer into bin memory when the frame fills.
     #[inline]
     fn route<M: MergePolicy<V>>(&mut self, key: u32, value: V, mut merge: M) {
-        if cfg!(any(debug_assertions, feature = "check")) {
-            assert!(
-                key < self.num_keys,
-                "key {key} out of range (domain is 0..{})",
-                self.num_keys
-            );
-        }
+        debug_assert!(
+            key < self.num_keys,
+            "key {key} out of range (domain is 0..{})",
+            self.num_keys
+        );
         let b = (key >> self.store.bin_shift()) as usize;
-        #[cfg(feature = "check")]
-        crate::trace::bin_write(b, key, self.store.bin_shift());
         let cbuf = &mut self.cbufs[b];
         if M::FUSES {
             let num_bins = self.store.num_bins();
@@ -277,8 +271,6 @@ impl<V: Copy> Binner<V> {
     }
 
     fn flush_cbufs(&mut self) {
-        #[cfg(feature = "check")]
-        crate::trace::bin_flush_all();
         for (b, cbuf) in self.cbufs.iter_mut().enumerate() {
             let n = cbuf.flush_into(&mut self.store, b);
             if n > 0 {
@@ -289,26 +281,6 @@ impl<V: Copy> Binner<V> {
                 }
             }
         }
-    }
-}
-
-#[cfg(feature = "check")]
-impl<V> Bins<V> {
-    /// Builds bins directly from raw parts, **bypassing routing**.
-    ///
-    /// Checker-fixture constructor only: `cobra-check` uses it to seed
-    /// deliberately-corrupted bins (e.g. a tuple placed in a bin that does
-    /// not own its key) that the race detector must flag. Every API that
-    /// *produces* bins normally ([`Binner::insert`]) enforces routing, so
-    /// this is the only way to manufacture a violation.
-    pub fn from_raw(shift: u32, num_keys: u32, bins: Vec<Vec<Tuple<V>>>) -> Self {
-        let mut store = BinStore::with_geometry(shift, num_keys, bins.len());
-        for (b, bin) in bins.into_iter().enumerate() {
-            for t in bin {
-                store.push(b, t.key, t.value);
-            }
-        }
-        Bins { store }
     }
 }
 
@@ -396,13 +368,13 @@ impl<V: Copy> Bins<V> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A seeded stream with 80% of its tuples on the low 10% of the keys:
     /// uneven bin growth (hot bins span many slab segments, some stay
     /// empty) and same-key repeats inside a frame.
-    fn skewed_tuples(n: u64, num_keys: u32, seed: u64) -> Vec<(u32, u64)> {
+    pub(crate) fn skewed_tuples(n: u64, num_keys: u32, seed: u64) -> Vec<(u32, u64)> {
         let hot_keys = (num_keys / 10).max(1);
         (0..n)
             .map(|i| {
@@ -651,12 +623,13 @@ mod tests {
         assert_eq!(rest.keys(1), &(100..120).collect::<Vec<_>>()[..]);
     }
 
-    #[cfg(feature = "check")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "out of range")]
     fn checked_insert_panics_on_out_of_range_key() {
-        // With the `check` feature on, the bounds check is always on, not
-        // just a debug assertion.
+        // The bounds check is a debug assertion; callers that take keys
+        // from outside (`IngestHandle::stage`, the wire, WAL replay)
+        // validate before they insert.
         let mut b = Binner::<u32>::new(100, 4);
         b.insert(100, 7);
     }

@@ -45,14 +45,19 @@
 //! paper's Algorithm 2) and
 //! [`ThreadBins::accumulate_into`](parallel::ThreadBins::accumulate_into)
 //! replays bins over disjoint slices of the output in parallel.
+//!
+//! That no two workers write one key is the compiler's proof, not a
+//! run-time check: the output is split with `chunks_mut` and this crate
+//! forbids `unsafe_code`. Routing (`key >> bin_shift` names the bin) and
+//! ownership (a bin's keys lie inside its chunk) are values, so they are
+//! tests, in [`parallel`]. The crate has no cargo feature: the build the
+//! tests run is the build that ships.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod binner;
 pub mod config;
 pub mod parallel;
-#[cfg(feature = "check")]
-pub mod trace;
 
 pub use binner::{Binner, Bins, Tuple};
 pub use config::{ideal_accumulate_bins, ideal_binning_bins, sweet_spot_bins};

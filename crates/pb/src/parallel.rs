@@ -42,11 +42,7 @@ where
         let produce = &produce;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                #[cfg(feature = "check")]
-                let token = crate::trace::fork();
-                let handle = s.spawn(move || {
-                    #[cfg(feature = "check")]
-                    crate::trace::child_start(token);
+                s.spawn(move || {
                     let lo = (t * chunk).min(num_items);
                     let hi = ((t + 1) * chunk).min(num_items);
                     let mut binner = Binner::new(num_keys, min_bins);
@@ -55,22 +51,11 @@ where
                         binner.insert(k, v);
                     }
                     binner.finish()
-                });
-                #[cfg(feature = "check")]
-                let handle = (handle, token);
-                handle
+                })
             })
             .collect();
         let mut joined = Vec::with_capacity(handles.len());
         for h in handles {
-            #[cfg(feature = "check")]
-            let bins = {
-                let (h, token) = h;
-                let bins = h.join().expect("binning worker panicked");
-                crate::trace::join(token);
-                bins
-            };
-            #[cfg(not(feature = "check"))]
             let bins = h.join().expect("binning worker panicked");
             joined.push(bins);
         }
@@ -83,27 +68,6 @@ where
 }
 
 impl<V: Copy + Send + Sync> ThreadBins<V> {
-    /// Wraps pre-built per-thread bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threads' bin geometries disagree.
-    pub fn from_bins(per_thread: Vec<Bins<V>>, num_keys: u32) -> Self {
-        assert!(!per_thread.is_empty(), "need at least one thread's bins");
-        let shift = per_thread[0].bin_shift();
-        let n = per_thread[0].num_bins();
-        assert!(
-            per_thread
-                .iter()
-                .all(|b| b.bin_shift() == shift && b.num_bins() == n),
-            "inconsistent bin geometry across threads"
-        );
-        ThreadBins {
-            per_thread,
-            num_keys,
-        }
-    }
-
     /// Number of bins (identical across threads).
     pub fn num_bins(&self) -> usize {
         self.per_thread[0].num_bins()
@@ -183,34 +147,19 @@ impl<V: Copy + Send + Sync> ThreadBins<V> {
             let this = &*self;
             let mut handles = Vec::with_capacity(threads);
             for worker in per_worker {
-                #[cfg(feature = "check")]
-                let token = crate::trace::fork();
                 let handle = s.spawn(move || {
-                    #[cfg(feature = "check")]
-                    crate::trace::child_start(token);
                     for (b, chunk) in worker {
                         let base = (b as u64 * range as u64) as u32;
                         for (keys, values) in this.bin_slices(b) {
                             for (&k, v) in keys.iter().zip(values) {
-                                #[cfg(feature = "check")]
-                                crate::trace::acc_write(b, k, this.bin_shift());
                                 f(chunk, base, k, v);
                             }
                         }
                     }
                 });
-                #[cfg(feature = "check")]
-                let handle = (handle, token);
                 handles.push(handle);
             }
             for h in handles {
-                #[cfg(feature = "check")]
-                {
-                    let (h, token) = h;
-                    h.join().expect("accumulate worker panicked");
-                    crate::trace::join(token);
-                }
-                #[cfg(not(feature = "check"))]
                 h.join().expect("accumulate worker panicked");
             }
         });
@@ -220,6 +169,7 @@ impl<V: Copy + Send + Sync> ThreadBins<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binner::tests::skewed_tuples;
 
     #[test]
     fn parallel_binning_partitions_all_items() {
@@ -281,6 +231,35 @@ mod tests {
     }
 
     #[test]
+    fn every_tuple_reaches_the_chunk_that_owns_its_key() {
+        // Hot bins, empty bins, and 1000 keys over 64-key bins: the last
+        // chunk is ragged.
+        let n_keys = 1000u32;
+        let tuples = skewed_tuples(40_000, n_keys, 0xB1A5);
+        let tb = bin_parallel(tuples.len(), n_keys, 16, 4, |i| (tuples[i].0, 1u32));
+        let shift = tb.bin_shift();
+        assert_ne!(n_keys as usize % (1usize << shift), 0, "ragged last bin");
+
+        let mut parallel = vec![0u32; n_keys as usize];
+        tb.accumulate_into(&mut parallel, 3, |chunk, base, key, &v| {
+            assert!(base <= key, "key {key} below its chunk's base {base}");
+            assert!(
+                ((key - base) as usize) < chunk.len(),
+                "key {key} past its chunk"
+            );
+            assert_eq!(
+                key >> shift,
+                base >> shift,
+                "key {key} replayed into another bin"
+            );
+            chunk[(key - base) as usize] += v;
+        });
+        let mut serial = vec![0u32; n_keys as usize];
+        tb.accumulate_serial(|k, &v| serial[k as usize] += v);
+        assert_eq!(parallel, serial);
+    }
+
+    #[test]
     fn non_commutative_sequence_build() {
         // Build per-key arrival lists through PB; with a single thread the
         // result must be identical to the direct construction — this is the
@@ -321,13 +300,5 @@ mod tests {
         let tb = bin_parallel(1, 16, 2, 1, |i| (i as u32, 0u32));
         let mut data = vec![0u32; 8];
         tb.accumulate_into(&mut data, 1, |_, _, _, _| {});
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_bins_rejects_mismatched_geometry() {
-        let a = Binner::<u32>::new(64, 2).finish();
-        let b = Binner::<u32>::new(64, 64).finish();
-        ThreadBins::from_bins(vec![a, b], 64);
     }
 }
