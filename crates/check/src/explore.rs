@@ -13,9 +13,11 @@
 //! channel/seal/epoch protocol: the bounded FIFO of `channel.rs` (mutex +
 //! two condvars with explicit wait sets), the seal broadcast of
 //! `pipeline.rs` (epoch counter under the seal lock, marker sent through
-//! the same FIFO as data), the shard worker loop of `shard.rs`, and the
-//! accumulator of `epoch.rs`, over small scenarios (2–3 producers,
-//! capacity 1–2 queues).
+//! the same FIFO as data), the shard worker loop of `shard.rs` — which
+//! owns its key range's state, applies each sealed epoch into it and ships
+//! the *cumulative* state — and the accumulator of `epoch.rs`, which only
+//! aligns and sums, over small scenarios (2–3 producers, capacity 1–2
+//! queues).
 //!
 //! Condvars are modelled with real wait sets: a blocked thread is only
 //! runnable again after a matching `notify`, and `notify_one` branches
@@ -28,7 +30,9 @@
 //! * per-producer batch order is preserved end-to-end (FIFO);
 //! * **epoch-snapshot-equals-batch**: when the worker processes `Seal(e)`
 //!   it has binned exactly the tuples enqueued before the `e`-th marker,
-//!   and the accumulator's running total at epoch `e` equals that count;
+//!   and the state the accumulator publishes as epoch `e` equals that
+//!   count — also in schedules where the worker has applied `e + 1` into
+//!   its own state before the accumulator looks at `e`;
 //! * epochs are applied in aligned order `1, 2, 3, …`;
 //! * no deadlock, and every thread terminates.
 
@@ -148,11 +152,13 @@ enum Msg {
     Shutdown,
 }
 
-/// A message in the accumulator FIFO.
+/// A message in the accumulator FIFO: the worker's cumulative state as
+/// of the seal, by value (a clone of its segment handles — later applies
+/// copy on write, so the message never changes under the accumulator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum AMsg {
-    Sealed { epoch: u8, delta: u8 },
-    Done { delta: u8 },
+    Sealed { epoch: u8, cum: u8 },
+    Done { cum: u8 },
 }
 
 /// A bounded FIFO with condvar wait sets, mirroring `channel.rs`.
@@ -191,8 +197,8 @@ fn park(set: &mut Vec<u8>, tid: u8) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum WPhase {
     Loop,
-    SendSealed { epoch: u8, delta: u8 },
-    SendDone { delta: u8 },
+    SendSealed { epoch: u8, cum: u8 },
+    SendDone { cum: u8 },
     Exited,
 }
 
@@ -226,11 +232,13 @@ pub struct St {
     worker_consumed: u8,
     /// Tuples binned by the worker, cumulative.
     cum_binned: u8,
-    /// Tuples already shipped to the accumulator, cumulative.
-    cum_shipped: u8,
+    /// Tuples the worker has applied into its own state, cumulative, and
+    /// the last epoch it applied (it may run ahead of the accumulator).
+    cum_applied: u8,
+    worker_epoch: u8,
     /// Highest per-producer sequence number seen by the worker.
     last_seq: Vec<Option<u8>>,
-    /// Accumulator: epochs applied and running total.
+    /// Accumulator: epochs aligned and the total it last published.
     applied_epoch: u8,
     total: u8,
     acc_done: bool,
@@ -244,6 +252,15 @@ pub struct St {
     enqueued: u8,
     /// Tuples bounced with `Disconnected`.
     bounced: u8,
+}
+
+impl St {
+    /// The worker's Accumulate phase: everything binned so far is applied
+    /// into its own state; returns that cumulative state.
+    fn apply_binned(&mut self) -> u8 {
+        self.cum_applied = self.cum_binned;
+        self.cum_applied
+    }
 }
 
 /// Thread ids: 0 = worker, 1 = accumulator, 2.. = producers, last = main.
@@ -491,10 +508,10 @@ impl Scenario {
     fn step_worker(&self, st: &St) -> Result<Vec<St>, String> {
         match st.worker {
             WPhase::Exited => Ok(vec![st.clone()]),
-            WPhase::SendSealed { epoch, delta } => {
-                self.worker_send_acc(st, AMsg::Sealed { epoch, delta })
+            WPhase::SendSealed { epoch, cum } => {
+                self.worker_send_acc(st, AMsg::Sealed { epoch, cum })
             }
-            WPhase::SendDone { delta } => self.worker_send_acc(st, AMsg::Done { delta }),
+            WPhase::SendDone { cum } => self.worker_send_acc(st, AMsg::Done { cum }),
             WPhase::Loop => {
                 if let Some(limit) = self.worker_exit_after {
                     if st.worker_consumed >= limit {
@@ -506,8 +523,8 @@ impl Scenario {
                     if st.data.senders == 0 {
                         // recv() -> None: final drain then exit.
                         let mut next = st.clone();
-                        let delta = next.cum_binned - next.cum_shipped;
-                        next.worker = WPhase::SendDone { delta };
+                        let cum = next.apply_binned();
+                        next.worker = WPhase::SendDone { cum };
                         return Ok(vec![next]);
                     }
                     let mut next = st.clone();
@@ -541,12 +558,13 @@ impl Scenario {
                                 next.cum_binned
                             ));
                         }
-                        let delta = next.cum_binned - next.cum_shipped;
-                        next.worker = WPhase::SendSealed { epoch, delta };
+                        next.worker_epoch = epoch;
+                        let cum = next.apply_binned();
+                        next.worker = WPhase::SendSealed { epoch, cum };
                     }
                     Msg::Shutdown => {
-                        let delta = next.cum_binned - next.cum_shipped;
-                        next.worker = WPhase::SendDone { delta };
+                        let cum = next.apply_binned();
+                        next.worker = WPhase::SendDone { cum };
                     }
                 }
                 // Pop → notify_one(not_full), as in Receiver::recv.
@@ -560,7 +578,6 @@ impl Scenario {
             // Accumulator gone: worker ignores the error and keeps going
             // (shard.rs: "Accumulator-side disconnects are ignored").
             let mut next = st.clone();
-            next.cum_shipped = next.cum_binned;
             next.worker = match msg {
                 AMsg::Done { .. } => return Ok(vec![self.worker_drop_ends(next)]),
                 _ => WPhase::Loop,
@@ -574,7 +591,6 @@ impl Scenario {
         }
         let mut next = st.clone();
         next.acc.q.push(msg);
-        next.cum_shipped = next.cum_binned;
         let done = matches!(msg, AMsg::Done { .. });
         next.worker = WPhase::Loop;
         let mut out = Vec::new();
@@ -605,7 +621,7 @@ impl Scenario {
         let mut next = st.clone();
         let msg = next.acc.q.remove(0);
         match msg {
-            AMsg::Sealed { epoch, delta } => {
+            AMsg::Sealed { epoch, cum } => {
                 if epoch != next.applied_epoch + 1 {
                     return Err(format!(
                         "epoch wave misaligned: applied {} then got {epoch}",
@@ -613,7 +629,8 @@ impl Scenario {
                     ));
                 }
                 next.applied_epoch = epoch;
-                next.total += delta;
+                // One shard: the sum over shards is this shard's state.
+                next.total = cum;
                 if let Some(&(_, want)) = next.expected.iter().find(|&&(e, _)| e == epoch) {
                     if next.total != want {
                         return Err(format!(
@@ -624,8 +641,8 @@ impl Scenario {
                     }
                 }
             }
-            AMsg::Done { delta } => {
-                next.total += delta;
+            AMsg::Done { cum } => {
+                next.total = cum;
             }
         }
         Ok(self.notify_one(next, |s| &mut s.acc.wait_full))
@@ -639,10 +656,10 @@ impl Scenario {
                     st.cum_binned, st.enqueued
                 ));
             }
-            if st.total != st.cum_binned {
+            if st.cum_applied != st.cum_binned || st.total != st.cum_applied {
                 return Err(format!(
-                    "accumulator total {} != {} binned tuples",
-                    st.total, st.cum_binned
+                    "published total {} / worker state {} != {} binned tuples",
+                    st.total, st.cum_applied, st.cum_binned
                 ));
             }
         } else if st.total > st.enqueued {
@@ -682,7 +699,8 @@ impl Model for Scenario {
             worker: WPhase::Loop,
             worker_consumed: 0,
             cum_binned: 0,
-            cum_shipped: 0,
+            cum_applied: 0,
+            worker_epoch: 0,
             last_seq: vec![None; p],
             applied_epoch: 0,
             total: 0,
@@ -813,6 +831,24 @@ mod tests {
             let stats = explore(sc).unwrap_or_else(|v| panic!("{v}"));
             assert_eq!((stats.states, stats.terminals), want, "{}", sc.name);
         }
+    }
+
+    #[test]
+    fn snapshot_invariant_is_checked_with_the_worker_an_epoch_ahead() {
+        // Shard-side Accumulate lets the worker apply epoch `e + 1` into
+        // its own state while `e` still waits in the accumulator's inbox;
+        // "snapshot `e` equals the tuples before the `e`-th marker" only
+        // bites if such schedules are among the ones exhausted above.
+        let sc = &standard_scenarios()[2];
+        assert_eq!((sc.name, sc.cap_acc), ("competing_sealers", 2));
+        let (mut seen, mut stack, mut ahead) = (HashSet::new(), vec![sc.initial()], 0);
+        while let Some(st) = stack.pop() {
+            if seen.insert(st.clone()) {
+                ahead += usize::from(st.worker_epoch >= st.applied_epoch + 2);
+                stack.extend(sc.successors(&st).expect("invariants hold"));
+            }
+        }
+        assert!(ahead > 0, "no schedule has the worker ahead");
     }
 
     #[test]

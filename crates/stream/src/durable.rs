@@ -17,8 +17,9 @@
 //!
 //! 1. Each shard worker appends an `Update` record per binned tuple and,
 //!    on `Seal(e)`, a `Seal` marker followed by a group-commit flush —
-//!    **before** reporting the sealed delta to the accumulator.
-//! 2. The accumulator applies epoch `e`'s aligned wave, then appends
+//!    **before** it applies the epoch into its own segments and reports
+//!    their handles to the accumulator.
+//! 2. The accumulator assembles epoch `e`'s aligned wave, then appends
 //!    `EpochCommit(e)` to the commit log (flushed per the sync policy)
 //!    — **before** publishing the epoch-`e` snapshot.
 //!
@@ -36,7 +37,7 @@
 //! seal — a torn tail, a flipped record, or whole uncommitted epochs — is
 //! truncated, and the writers resume at the truncation point.
 
-use crate::epoch::{apply_bins, identity_segments, EpochEvent, EpochSink, PublishHook};
+use crate::epoch::{apply_bins, identity_segments, EpochEvent, EpochSink, PublishHook, Segments};
 use crate::pipeline::{shard_plan, DurableParts, IngestPipeline, StreamConfig, MIN_BINS_PER_SHARD};
 use crate::reducer::Reducer;
 use crate::shard::{bin_one, ShardWal};
@@ -197,7 +198,7 @@ where
         // observer was ever promised; `latest_checkpoint` skips those and
         // any corrupt files.
         let ckpt = latest_checkpoint::<R::Acc>(&durable.dir, committed)?;
-        let (checkpoint_epoch, mut offsets, mut state) = match ckpt {
+        let (checkpoint_epoch, mut offsets, handles) = match ckpt {
             Some(c) => {
                 if c.meta.num_keys != num_keys
                     || c.meta.segment_keys != segment_keys
@@ -221,6 +222,14 @@ where
                 vec![0u64; num_shards],
                 identity_segments(&reducer, num_keys, segment_keys),
             ),
+        };
+
+        // Recovery replays every shard into the one whole state; a segment
+        // two shards share takes both shards' (disjoint) keys in place.
+        let mut state = Segments {
+            first: 0,
+            segment_keys,
+            handles,
         };
 
         // Phase 3 — replay each shard's WAL suffix through a binner (the
@@ -258,7 +267,7 @@ where
                     Record::Seal { epoch } => {
                         if epoch <= committed {
                             let bins = binner.take_bins();
-                            apply_bins(&reducer, &bins, range.start, segment_keys, &mut state);
+                            apply_bins(&reducer, &bins, range.start, &mut state);
                             if epoch == committed {
                                 done = true;
                             }
@@ -355,7 +364,7 @@ where
             shard_wals,
             binners,
             initial_epoch: committed,
-            initial_state: state,
+            initial_state: state.handles,
             initial_offsets: offsets,
             epoch_sink,
             committed: committed_counter,

@@ -1,36 +1,51 @@
 //! Epoch accumulation: the streaming Accumulate phase.
 //!
 //! Shard workers double-buffer their bins: sealing an epoch swaps the
-//! active bins out (`Binner::take_bins`) and ships them here, so binning
-//! of epoch `e+1` proceeds while this accumulator replays epoch `e` —
-//! the same overlap COBRA gets from its eviction buffers decoupling the
-//! core from the binning engines.
+//! active bins out (`Binner::take_bins`) and the worker replays them into
+//! the state segments of its own key range, so the Accumulate phase is
+//! per-shard parallel over disjoint keys — the paper's per-bin parallel
+//! Accumulate — and overlaps the producers filling the FIFO with epoch
+//! `e+1`, the same overlap COBRA gets from its eviction buffers
+//! decoupling the core from the binning engines. Every sealed epoch — any
+//! reducer, live or recovered from the WAL — replays through one body,
+//! [`apply_bins`]: bin by bin, tuples in per-shard arrival order, the
+//! non-commutative correctness condition (paper, Section III), which a
+//! commutative reducer satisfies a fortiori.
 //!
-//! Bins from different shards cover disjoint key ranges, but snapshots
-//! must still be *epoch-aligned*: the accumulator defers any shard's
-//! epoch-`e` bins until every shard's epoch-`e-1` bins have been applied,
-//! then applies the aligned wave and publishes an immutable
-//! [`EpochSnapshot`]. Every sealed epoch — any reducer, live or recovered
-//! from the WAL — replays through one body, [`apply_bins`]: bin by bin,
-//! tuples in per-shard arrival order, the non-commutative correctness
-//! condition (paper, Section III), which a commutative reducer satisfies
-//! a fortiori.
+//! Snapshots must still be *epoch-aligned*. Workers ship clones of their
+//! segment handles — their cumulative state as of the seal — and the one
+//! [`Accumulator`] thread keeps exactly what must be serial: it defers any
+//! shard's epoch-`e` handles until every shard's epoch `e-1` is in, then
+//! assembles the aligned wave into an immutable [`EpochSnapshot`] and runs
+//! commit → hook → publish. It applies nothing.
 //!
 //! # Copy-on-write segmented state
 //!
-//! The authoritative value array is split into fixed-size *segments*, each
-//! an `Arc<Vec<A>>`. Publishing a snapshot clones only the segment
-//! handles (O(num_segments), independent of key count and value size);
-//! the first write into a segment after a publish triggers exactly one
-//! copy of that segment (`Arc::make_mut`), so epochs that touch a sparse
-//! key set pay for the touched segments only. Downstream consumers — the
-//! serve-layer block cache in particular — hold the same `Arc`s, making
-//! snapshot-to-cache handoff zero-copy and pointer-identity testable.
+//! The value array is split into fixed-size *segments*, each an
+//! `Arc<Vec<A>>`. A worker holds the handles of the segments overlapping
+//! its key range and ships clones of them at every seal; a snapshot is
+//! those handles (O(num_segments), independent of key count and value
+//! size). The clone a worker shipped is what makes its next write into
+//! that segment a copy (`Arc::make_mut`), exactly one per touched segment
+//! and epoch, so epochs that touch a sparse key set pay for the touched
+//! segments only. Downstream consumers — the serve-layer block cache in
+//! particular — hold the same `Arc`s, making snapshot-to-cache handoff
+//! zero-copy and pointer-identity testable.
+//!
+//! A segment straddles a shard boundary whenever `segment_keys` does not
+//! divide the power-of-two shard span (tiny key domains under the default
+//! 1024; never the daemon's geometry). One rule, no second path: every
+//! sharing worker keeps a full-length private copy in which only its own
+//! keys are meaningful, and the accumulator stitches the published
+//! segment from the sharers' sub-ranges, reusing the previous stitched
+//! `Arc` while no sharer's handle changed. Whole segments pass through
+//! zero-copy.
 
 use crate::channel::Receiver;
 use crate::reducer::Reducer;
 use cobra_pb::Bins;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -180,13 +195,16 @@ impl<A: PartialEq> PartialEq for EpochSnapshot<A> {
 
 impl<A: Eq> Eq for EpochSnapshot<A> {}
 
+/// Copy-on-write handles of consecutive snapshot segments.
+pub(crate) type Handles<A> = Vec<Arc<Vec<A>>>;
+
 /// All-identity state segments in the snapshot geometry: `segment_keys`
 /// keys per segment, the last one shorter when `num_keys` is no multiple.
 pub(crate) fn identity_segments<R: Reducer>(
     reducer: &R,
     num_keys: u32,
     segment_keys: u32,
-) -> Vec<Arc<Vec<R::Acc>>> {
+) -> Handles<R::Acc> {
     (0..num_keys.div_ceil(segment_keys))
         .map(|seg| {
             let n = (num_keys - seg * segment_keys).min(segment_keys);
@@ -195,45 +213,113 @@ pub(crate) fn identity_segments<R: Reducer>(
         .collect()
 }
 
-/// The state slot of (global) `key`. The first write into a segment since
-/// the last publish copies that segment (`Arc::make_mut`); later writes
-/// hit the now-unique segment for free.
-pub(crate) fn slot_mut<A: Clone>(state: &mut [Arc<Vec<A>>], segment_keys: u32, key: u32) -> &mut A {
-    &mut Arc::make_mut(&mut state[(key / segment_keys) as usize])[(key % segment_keys) as usize]
+/// A contiguous run of snapshot segments: the copy-on-write handles of
+/// global segments `first..first + handles.len()`. A shard worker owns
+/// the run overlapping its key range; WAL recovery replays into the whole
+/// state (`first == 0`).
+pub(crate) struct Segments<A> {
+    /// Global index of `handles[0]`.
+    pub(crate) first: usize,
+    pub(crate) segment_keys: u32,
+    pub(crate) handles: Handles<A>,
+}
+
+/// The snapshot segments that overlap the (non-empty) global key range
+/// `keys`, as a range of global segment indices.
+pub(crate) fn segment_span(keys: &Range<u32>, segment_keys: u32) -> Range<usize> {
+    (keys.start / segment_keys) as usize..keys.end.div_ceil(segment_keys) as usize
 }
 
 /// Replays one shard's bins (shard-local keys, `base` = the shard's first
-/// global key) into the state, bin by bin, tuples in arrival order. The
-/// one accumulate body: the live accumulator and WAL recovery both apply
-/// every sealed epoch here, whatever the reducer declares.
+/// global key) into `state`, bin by bin, tuples in arrival order. The one
+/// accumulate body: a shard worker sealing an epoch and WAL recovery both
+/// apply here, whatever the reducer declares.
+///
+/// Segments are resolved once per bin, never per tuple: a bin's keys fall
+/// in one contiguous run of segments, so one pass over the key column
+/// marks the segments the bin touches, each marked segment is privatised
+/// once (`Arc::make_mut`: the first write since the handle was last
+/// shipped copies that segment), and the two columns then replay through
+/// plain slices. Per-key order is the bin's arrival order, untouched.
 pub(crate) fn apply_bins<R: Reducer>(
     reducer: &R,
     bins: &Bins<R::Value>,
     base: u32,
-    segment_keys: u32,
-    state: &mut [Arc<Vec<R::Acc>>],
+    state: &mut Segments<R::Acc>,
 ) {
-    bins.accumulate(|local_key, value| {
-        reducer.apply(slot_mut(state, segment_keys, base + local_key), value)
-    });
+    let seg_keys = state.segment_keys;
+    for b in (0..bins.num_bins()).filter(|&b| bins.bin_len(b) > 0) {
+        let local = bins.key_range(b);
+        let span = segment_span(&(base + local.start..base + local.end), seg_keys);
+        let handles = &mut state.handles[span.start - state.first..span.end - state.first];
+        // Local key → offset from the first key of the bin's first
+        // segment (wrapping: that key may lie on either side of `base`).
+        let rebase = base.wrapping_sub(span.start as u32 * seg_keys);
+        let (keys, values) = (bins.keys(b), bins.values(b));
+        // Routing is a shift whenever the geometry allows, as in `Binner`.
+        if seg_keys.is_power_of_two() {
+            let (shift, mask) = (seg_keys.trailing_zeros(), seg_keys - 1);
+            replay_bin(reducer, keys, values, handles, |k| {
+                let off = k.wrapping_add(rebase);
+                ((off >> shift) as usize, (off & mask) as usize)
+            });
+        } else {
+            replay_bin(reducer, keys, values, handles, |k| {
+                let off = k.wrapping_add(rebase);
+                ((off / seg_keys) as usize, (off % seg_keys) as usize)
+            });
+        }
+    }
 }
 
-/// Shard-to-accumulator protocol.
-pub(crate) enum AccMsg<R: Reducer> {
-    /// A sealed epoch's bins (shard-local keys).
+/// One bin of [`apply_bins`]: `locate` maps a key to `(segment, slot)`
+/// within `handles`, the segments the bin's key range overlaps.
+fn replay_bin<R: Reducer>(
+    reducer: &R,
+    keys: &[u32],
+    values: &[R::Value],
+    handles: &mut [Arc<Vec<R::Acc>>],
+    locate: impl Fn(u32) -> (usize, usize),
+) {
+    let mut touched = vec![false; handles.len()];
+    for &k in keys {
+        touched[locate(k).0] = true;
+    }
+    let mut slices: Vec<&mut [R::Acc]> = handles
+        .iter_mut()
+        .zip(touched)
+        .map(|(h, hit)| {
+            if hit {
+                Arc::make_mut(h).as_mut_slice()
+            } else {
+                Default::default()
+            }
+        })
+        .collect();
+    for (&k, v) in keys.iter().zip(values) {
+        let (seg, slot) = locate(k);
+        reducer.apply(&mut slices[seg][slot], v);
+    }
+}
+
+/// Shard-to-accumulator protocol. A worker ships its *cumulative* state —
+/// clones of its segment handles, taken right after it applied the sealed
+/// epoch — never bins: the accumulator applies nothing.
+pub(crate) enum AccMsg<A> {
+    /// The shard's segment handles as of sealed epoch `epoch`.
     Sealed {
         shard: usize,
         epoch: u64,
-        bins: Bins<R::Value>,
+        handles: Handles<A>,
         /// The shard WAL's logical offset just past this epoch's `Seal`
         /// marker (0 in non-durable mode): recorded into the checkpoint
         /// manifest so recovery replays from here.
         wal_offset: u64,
     },
-    /// The shard's final drain bins; the shard has exited.
+    /// The shard's handles after its final drain; the shard has exited.
     Done {
         shard: usize,
-        bins: Bins<R::Value>,
+        handles: Handles<A>,
         /// WAL offset past the drain epoch's `Seal` (0 when non-durable
         /// or when the shard exited without a drain seal).
         wal_offset: u64,
@@ -241,8 +327,8 @@ pub(crate) enum AccMsg<R: Reducer> {
 }
 
 /// What the durability hook observes at each epoch commit: the aligned
-/// epoch, the post-apply state segments, and every shard's WAL replay
-/// boundary. Fired after the wave is applied and *before* the snapshot
+/// epoch, the assembled state segments, and every shard's WAL replay
+/// boundary. Fired after the wave is assembled and *before* the snapshot
 /// publishes, so an externally observable epoch is always durable first.
 pub(crate) struct EpochEvent<'a, A> {
     pub(crate) epoch: u64,
@@ -267,59 +353,95 @@ pub(crate) type EpochSink<A> = Box<dyn FnMut(EpochEvent<'_, A>) + Send>;
 /// O(keys): clone `Arc` handles, don't deep-copy state.
 pub type PublishHook<A> = Box<dyn FnMut(&Arc<EpochSnapshot<A>>) + Send>;
 
-/// What the accumulator starts from: the committed epoch, its COW state
+/// What the pipeline starts from: the committed epoch, its COW state
 /// segments, and the per-shard WAL replay boundaries (0, identity and
 /// zeros unless a recovery found more).
-pub(crate) type ResumeState<A> = (u64, Vec<Arc<Vec<A>>>, Vec<u64>);
+pub(crate) type ResumeState<A> = (u64, Handles<A>, Vec<u64>);
 
-/// One shard's sealed epoch: `(epoch, bins, WAL replay boundary)`.
-type SealedEpoch<V> = (u64, Bins<V>, u64);
+/// One shard's sealed epoch: `(epoch, segment handles, WAL replay boundary)`.
+type SealedEpoch<A> = (u64, Handles<A>, u64);
 
-/// The single accumulator thread's state. Owns the authoritative
-/// copy-on-write segments; publishes `Arc<EpochSnapshot>`s by cloning
-/// segment handles only.
-pub(crate) struct Accumulator<R: Reducer> {
-    reducer: Arc<R>,
-    /// Key base of each shard (local key + base = global key).
-    bases: Vec<u32>,
-    num_keys: u32,
-    segment_keys: u32,
-    state: Vec<Arc<Vec<R::Acc>>>,
-    /// Per-shard queue of sealed epochs not yet merged into an aligned
-    /// wave, each with its WAL replay boundary.
-    pending: Vec<VecDeque<SealedEpoch<R::Value>>>,
-    final_bins: Vec<Option<(Bins<R::Value>, u64)>>,
-    /// Latest known WAL replay boundary per shard (recovery-seeded, then
-    /// updated at each applied seal); recorded into checkpoint manifests.
-    shard_offsets: Vec<u64>,
-    applied_epoch: u64,
-    published: Arc<Mutex<Arc<EpochSnapshot<R::Acc>>>>,
-    epochs_published: Arc<AtomicU64>,
-    epoch_sink: Option<EpochSink<R::Acc>>,
-    publish_hook: Option<PublishHook<R::Acc>>,
+/// A snapshot segment whose keys belong to more than one shard (whenever
+/// `segment_keys` does not divide the power-of-two shard span). Every
+/// sharer keeps a full-length private copy in which only its own keys are
+/// meaningful; the published segment is stitched from the sharers'
+/// sub-ranges.
+struct Straddler<A> {
+    /// Global segment index.
+    segment: usize,
+    /// The shards `first_shard..first_shard + parts.len()` share it.
+    first_shard: usize,
+    /// The handle each sharer shipped last. Holding them keeps a sharer's
+    /// next write a copy, so an unchanged pointer means unchanged keys.
+    parts: Handles<A>,
+    /// A sharer's handle changed since the segment was last stitched.
+    dirty: bool,
 }
 
-impl<R: Reducer> Accumulator<R> {
+/// The single accumulator thread's state. It keeps exactly what must be
+/// serial: aligning the shards' sealed epochs into waves in epoch order,
+/// assembling each wave's segment handles into an [`EpochSnapshot`], and
+/// commit → hook → publish. It applies no update.
+pub(crate) struct Accumulator<A> {
+    /// The key sub-range each shard owns.
+    shard_ranges: Vec<Range<u32>>,
+    num_keys: u32,
+    segment_keys: u32,
+    /// The assembled segments as of `applied_epoch`.
+    state: Handles<A>,
+    straddlers: Vec<Straddler<A>>,
+    /// Per-shard queue of sealed epochs not yet assembled into an aligned
+    /// wave, each with its WAL replay boundary.
+    pending: Vec<VecDeque<SealedEpoch<A>>>,
+    final_handles: Vec<Option<(Handles<A>, u64)>>,
+    /// Latest known WAL replay boundary per shard (recovery-seeded, then
+    /// updated at each assembled seal); recorded into checkpoint manifests.
+    shard_offsets: Vec<u64>,
+    applied_epoch: u64,
+    published: Arc<Mutex<Arc<EpochSnapshot<A>>>>,
+    epochs_published: Arc<AtomicU64>,
+    epoch_sink: Option<EpochSink<A>>,
+    publish_hook: Option<PublishHook<A>>,
+}
+
+impl<A: Clone> Accumulator<A> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        reducer: Arc<R>,
-        bases: Vec<u32>,
+        shard_ranges: Vec<Range<u32>>,
         num_keys: u32,
         segment_keys: u32,
-        published: Arc<Mutex<Arc<EpochSnapshot<R::Acc>>>>,
+        published: Arc<Mutex<Arc<EpochSnapshot<A>>>>,
         epochs_published: Arc<AtomicU64>,
-        (applied_epoch, state, shard_offsets): ResumeState<R::Acc>,
-        epoch_sink: Option<EpochSink<R::Acc>>,
-        publish_hook: Option<PublishHook<R::Acc>>,
+        (applied_epoch, state, shard_offsets): ResumeState<A>,
+        epoch_sink: Option<EpochSink<A>>,
+        publish_hook: Option<PublishHook<A>>,
     ) -> Self {
-        let shards = bases.len();
+        let shards = shard_ranges.len();
+        // A segment straddles when the shard after its first sharer also
+        // overlaps it; every sharer starts from the same initial handle.
+        let mut straddlers: Vec<Straddler<A>> = Vec::new();
+        for (shard, keys) in shard_ranges.iter().enumerate().skip(1) {
+            if keys.start % segment_keys == 0 {
+                continue;
+            }
+            let segment = (keys.start / segment_keys) as usize;
+            match straddlers.last_mut().filter(|s| s.segment == segment) {
+                Some(s) => s.parts.push(Arc::clone(&state[segment])),
+                None => straddlers.push(Straddler {
+                    segment,
+                    first_shard: shard - 1,
+                    parts: vec![Arc::clone(&state[segment]); 2],
+                    dirty: false,
+                }),
+            }
+        }
         Accumulator {
             state,
-            reducer,
+            straddlers,
             pending: (0..shards).map(|_| VecDeque::new()).collect(),
-            final_bins: (0..shards).map(|_| None).collect(),
+            final_handles: (0..shards).map(|_| None).collect(),
             shard_offsets,
-            bases,
+            shard_ranges,
             num_keys,
             segment_keys,
             applied_epoch,
@@ -331,55 +453,51 @@ impl<R: Reducer> Accumulator<R> {
     }
 
     /// Consumes shard messages until every shard reports `Done`, then
-    /// applies the remaining aligned epochs and the drain bins and
+    /// assembles the remaining aligned epochs and the drain handles and
     /// publishes the final snapshot.
-    pub(crate) fn run(mut self, rx: Receiver<AccMsg<R>>) {
+    pub(crate) fn run(mut self, rx: Receiver<AccMsg<A>>) {
         let mut done = 0usize;
-        while done < self.bases.len() {
+        while done < self.shard_ranges.len() {
             // A vanished sender side (all workers gone) terminates too.
             let Some(msg) = rx.recv() else { break };
             match msg {
                 AccMsg::Sealed {
                     shard,
                     epoch,
-                    bins,
+                    handles,
                     wal_offset,
                 } => {
-                    self.pending[shard].push_back((epoch, bins, wal_offset));
+                    self.pending[shard].push_back((epoch, handles, wal_offset));
                     self.advance();
                 }
                 AccMsg::Done {
                     shard,
-                    bins,
+                    handles,
                     wal_offset,
                 } => {
-                    self.final_bins[shard] = Some((bins, wal_offset));
+                    self.final_handles[shard] = Some((handles, wal_offset));
                     done += 1;
                 }
             }
         }
         self.advance();
         let mut drain_sealed = true;
-        for shard in 0..self.bases.len() {
-            // Any unaligned stragglers (a shard died early) still apply in
-            // per-shard epoch order before its drain bins.
-            while let Some((_, bins, wal_offset)) = self.pending[shard].pop_front() {
-                self.apply(shard, &bins);
-                if wal_offset > 0 {
-                    self.shard_offsets[shard] = wal_offset;
-                }
+        for shard in 0..self.shard_ranges.len() {
+            // Any unaligned stragglers (a shard died early) install in
+            // per-shard epoch order before the drain handles: the state is
+            // cumulative, so the latest one a shard shipped wins.
+            while let Some((_, handles, wal_offset)) = self.pending[shard].pop_front() {
+                self.install(shard, handles, wal_offset);
             }
-            if let Some((bins, wal_offset)) = self.final_bins[shard].take() {
-                self.apply(shard, &bins);
-                if wal_offset > 0 {
-                    self.shard_offsets[shard] = wal_offset;
-                } else {
-                    drain_sealed = false;
+            match self.final_handles[shard].take() {
+                Some((handles, wal_offset)) => {
+                    self.install(shard, handles, wal_offset);
+                    drain_sealed &= wal_offset > 0;
                 }
-            } else {
-                drain_sealed = false;
+                None => drain_sealed = false,
             }
         }
+        self.stitch();
         let drain_epoch = self.applied_epoch + 1;
         // Only a drain whose every shard wrote its `Seal(drain_epoch)`
         // marker (graceful shutdown, no degraded WAL) may be committed:
@@ -391,8 +509,8 @@ impl<R: Reducer> Accumulator<R> {
         self.publish(drain_epoch);
     }
 
-    /// Applies complete epoch waves in order, publishing one snapshot per
-    /// aligned epoch.
+    /// Assembles complete epoch waves in order, publishing one snapshot
+    /// per aligned epoch.
     fn advance(&mut self) {
         loop {
             let next = self.applied_epoch + 1;
@@ -404,21 +522,57 @@ impl<R: Reducer> Accumulator<R> {
                 return;
             }
             for shard in 0..self.pending.len() {
-                let (_, bins, wal_offset) = self.pending[shard].pop_front().expect("checked front");
-                self.apply(shard, &bins);
-                if wal_offset > 0 {
-                    self.shard_offsets[shard] = wal_offset;
-                }
+                let (_, handles, wal_offset) =
+                    self.pending[shard].pop_front().expect("checked front");
+                self.install(shard, handles, wal_offset);
             }
+            self.stitch();
             self.applied_epoch = next;
             self.commit(next, false);
             self.publish(next);
         }
     }
 
+    /// Takes over the handles `shard` shipped: a whole segment passes
+    /// into the state zero-copy, a straddling one becomes the shard's part
+    /// of its [`Straddler`].
+    fn install(&mut self, shard: usize, handles: Handles<A>, wal_offset: u64) {
+        if wal_offset > 0 {
+            self.shard_offsets[shard] = wal_offset;
+        }
+        let span = segment_span(&self.shard_ranges[shard], self.segment_keys);
+        for (segment, handle) in span.zip(handles) {
+            match self.straddlers.iter_mut().find(|s| s.segment == segment) {
+                Some(s) => {
+                    let part = &mut s.parts[shard - s.first_shard];
+                    s.dirty |= !Arc::ptr_eq(part, &handle);
+                    *part = handle;
+                }
+                None => self.state[segment] = handle,
+            }
+        }
+    }
+
+    /// Rebuilds every straddling segment a sharer changed from the
+    /// sharers' sub-ranges. One no sharer changed keeps its previous
+    /// `Arc`, so untouched segments stay pointer-identical across epochs.
+    fn stitch(&mut self) {
+        for s in self.straddlers.iter_mut().filter(|s| s.dirty) {
+            let first_key = s.segment as u32 * self.segment_keys;
+            let mut stitched = Vec::with_capacity(self.state[s.segment].len());
+            for (part, keys) in s.parts.iter().zip(&self.shard_ranges[s.first_shard..]) {
+                let lo = keys.start.max(first_key) - first_key;
+                let hi = (keys.end - first_key).min(part.len() as u32);
+                stitched.extend_from_slice(&part[lo as usize..hi as usize]);
+            }
+            self.state[s.segment] = Arc::new(stitched);
+            s.dirty = false;
+        }
+    }
+
     /// Fires the durability hook (commit record + periodic checkpoint)
-    /// for an applied epoch. Ordering is deliberate: the hook runs before
-    /// [`publish`](Self::publish), so no observer can see epoch `e`
+    /// for an assembled epoch. Ordering is deliberate: the hook runs
+    /// before [`publish`](Self::publish), so no observer can see epoch `e`
     /// before its `EpochCommit` record is at least written to the OS.
     fn commit(&mut self, epoch: u64, drain: bool) {
         if let Some(sink) = &mut self.epoch_sink {
@@ -431,18 +585,13 @@ impl<R: Reducer> Accumulator<R> {
         }
     }
 
-    fn apply(&mut self, shard: usize, bins: &Bins<R::Value>) {
-        let (base, seg_keys) = (self.bases[shard], self.segment_keys);
-        apply_bins(&*self.reducer, bins, base, seg_keys, &mut self.state);
-    }
-
     fn publish(&mut self, epoch: u64) {
         // O(num_segments) handle clones — no per-key copy.
         let snap = Arc::new(EpochSnapshot::new(
             epoch,
             self.num_keys,
             self.segment_keys,
-            self.state.iter().map(Arc::clone).collect(),
+            self.state.clone(),
         ));
         // The hook sees the snapshot before the swap below makes it the
         // published one: a retention window admits epoch `e` before any
@@ -451,11 +600,19 @@ impl<R: Reducer> Accumulator<R> {
         if let Some(hook) = &mut self.publish_hook {
             hook(&snap);
         }
-        *self.published.lock().expect("snapshot lock poisoned") = snap;
+        // The guard is a temporary of this statement, so the lock every
+        // reader takes covers the pointer swap and nothing else.
+        let replaced = std::mem::replace(
+            &mut *self.published.lock().expect("snapshot lock poisoned"),
+            snap,
+        );
         // ordering: Relaxed — audited: the snapshot itself is published by
         // the mutexed Arc swap above (observers that see the new count and
         // then read the snapshot do so through that lock, which provides
         // the happens-before edge); this counter is progress telemetry.
         self.epochs_published.fetch_add(1, Ordering::Relaxed);
+        // Freeing the replaced snapshot — up to every rewritten segment of
+        // the state — waits until the new one is visible to everyone.
+        drop(replaced);
     }
 }

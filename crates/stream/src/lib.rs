@@ -6,23 +6,36 @@
 //! the software analogue of the paper's full COBRA datapath (Section V):
 //!
 //! ```text
-//!   IngestHandle ──batch──▶ bounded FIFO ──▶ ShardWorker (Binner)
-//!        │                  (eviction          │ seal: take_bins
-//!        │                   buffer)           ▼
+//!   IngestHandle ──frame──▶ bounded FIFO ──▶ ShardWorker (Binner + the
+//!        │      (16 KiB)    (eviction          │  shard's own segments)
+//!        │                   buffer)           │ seal: take_bins → apply_bins
+//!        │                                     ▼        → segment handles
 //!        └── more producers, more shards ──▶ Accumulator ──▶ EpochSnapshot
+//!                                            (align, assemble, publish)
 //! ```
 //!
-//! * [`IngestHandle`]s coalesce `(key, value)` tuples into per-shard
-//!   batches (the C-Buffer-line analogue) and ship them into bounded FIFO
-//!   channels; a full FIFO blocks the producer, and that backpressure is
-//!   measured exactly like `cobra-core`'s simulated eviction-buffer stalls.
+//! The pipeline pays per frame, per bin and per owner, never per tuple:
+//!
+//! * [`IngestHandle`]s stage `(key, value)` tuples into per-shard *frames*
+//!   (the C-Buffer-line analogue; [`StreamConfig::batch_tuples`] = 1024
+//!   tuples, 16 KiB of `(u32, u64)`, allocated once and shipped whole) and
+//!   ship them into bounded FIFO channels; a full FIFO blocks the
+//!   producer, and that backpressure is measured exactly like
+//!   `cobra-core`'s simulated eviction-buffer stalls.
 //! * Each shard worker owns a [`cobra_pb::Binner`] over a disjoint key
-//!   sub-range and bins continuously.
+//!   sub-range and bins continuously. It also owns that range's per-key
+//!   state: the copy-on-write handles of the snapshot segments that
+//!   overlap it.
 //! * Sealing an *epoch* double-buffers each shard's bins out
-//!   ([`cobra_pb::Binner::take_bins`]) so the accumulator replays epoch `e`
-//!   while the shards bin epoch `e+1`.
-//! * The accumulator applies epoch-aligned waves of per-shard bins and
-//!   publishes immutable [`EpochSnapshot`]s, queryable at any time.
+//!   ([`cobra_pb::Binner::take_bins`]) and the worker replays them into
+//!   its own segments — the paper's per-bin parallel Accumulate over
+//!   disjoint key ranges — resolving the segments once per bin, while its
+//!   FIFO keeps filling with epoch `e+1`.
+//! * The accumulator applies nothing. It aligns the shards' sealed epochs
+//!   into waves, assembles each wave's segment handles into an immutable
+//!   [`EpochSnapshot`] (a segment two shards share is stitched from their
+//!   sub-ranges), and runs commit → hook → publish; snapshots are
+//!   queryable at any time.
 //! * [`Reducer`]s define the update semantics. Every sealed epoch replays
 //!   tuple-by-tuple in per-shard arrival order (the paper's correctness
 //!   condition for kernels like Neighbor-Populate); a commutative reducer

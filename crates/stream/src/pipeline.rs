@@ -1,8 +1,16 @@
 //! The long-lived ingestion pipeline: handles → shard FIFOs → binning
-//! workers → epoch accumulator → published snapshots.
+//! and accumulating workers → epoch accumulator → published snapshots.
+//!
+//! A handle ships *frames*: `batch_tuples` tuples staged in a buffer that
+//! is allocated once at full capacity (16 KiB of `(u32, u64)` tuples at
+//! the default 1024) and moved whole into the shard's FIFO, so the lock
+//! round trip, the wake-up and the allocation are paid per frame.
 
 use crate::channel::{self, ChannelCounters, Sender};
-use crate::epoch::{identity_segments, AccMsg, Accumulator, EpochSink, EpochSnapshot, PublishHook};
+use crate::epoch::{
+    identity_segments, segment_span, AccMsg, Accumulator, EpochSink, EpochSnapshot, PublishHook,
+    Segments,
+};
 use crate::reducer::Reducer;
 use crate::shard::{ShardMsg, ShardWal, ShardWorker};
 use crate::stats::{ShardCounters, ShardStats, StreamStats};
@@ -60,8 +68,13 @@ pub struct StreamConfig {
     /// Capacity, in messages, of each shard's ingest FIFO (the eviction
     /// buffer analogue). Undersize it and producers observably stall.
     pub channel_capacity: usize,
-    /// Tuples coalesced per handle-side batch before it is shipped (the
-    /// C-Buffer-line analogue).
+    /// Tuples per ingest *frame*: a handle stages each shard's tuples in
+    /// a buffer of exactly this capacity and ships it whole (the
+    /// C-Buffer-line analogue). The default, 1024, is a 16 KiB frame of
+    /// `(u32, u64)` tuples, so `channel_capacity` = 64 frames in flight is
+    /// 1 MiB per shard: a producer pays the FIFO's lock round trip and
+    /// wake-up per frame, never per tuple. Tests shrink it to force ragged
+    /// frames and congestion.
     pub batch_tuples: usize,
     /// Auto-seal an epoch every this many ingested tuples (`None` =
     /// only explicit [`seal_epoch`](IngestPipeline::seal_epoch) calls and
@@ -81,7 +94,7 @@ impl Default for StreamConfig {
         StreamConfig {
             shards: 4,
             channel_capacity: 64,
-            batch_tuples: 64,
+            batch_tuples: 1024,
             epoch_tuples: None,
             snapshot_segment_keys: 1024,
         }
@@ -106,7 +119,7 @@ impl StreamConfig {
         self
     }
 
-    /// Sets the handle-side coalescing batch size in tuples.
+    /// Sets the ingest frame size in tuples.
     pub fn batch_tuples(mut self, tuples: usize) -> Self {
         self.batch_tuples = tuples;
         self
@@ -158,9 +171,10 @@ impl<V> Core<V> {
     }
 }
 
-/// A cloneable producer handle. Coalesces tuples into per-shard batches
-/// (the C-Buffer-line analogue) and ships them into the shard FIFOs,
-/// blocking when a FIFO is full. Per-handle tuple order is preserved
+/// A cloneable producer handle. Stages tuples into per-shard frames of
+/// [`batch_tuples`](StreamConfig::batch_tuples) (the C-Buffer-line
+/// analogue) and ships each full frame into its shard's FIFO, blocking
+/// when a FIFO is full. Per-handle tuple order is preserved
 /// end-to-end — the same per-producer guarantee as batch
 /// [`bin_parallel`](cobra_pb::bin_parallel).
 ///
@@ -206,9 +220,10 @@ impl<V> IngestHandle<V> {
     }
 
     /// Flushes this handle's buffers, then seals the current epoch across
-    /// every shard: each worker ships its accumulated bins and the
-    /// accumulator publishes a new snapshot once all shards' deltas for
-    /// this epoch have been applied. Returns the sealed epoch number.
+    /// every shard: each worker applies its bins into its own segments
+    /// and ships their handles, and the accumulator publishes a new
+    /// snapshot once every shard's handles for this epoch are in. Returns
+    /// the sealed epoch number.
     ///
     /// Tuples still buffered in *other* handles land in a later epoch;
     /// flush or drop those handles first when exact epoch contents matter.
@@ -245,17 +260,23 @@ impl<V> IngestHandle<V> {
         Ok(())
     }
 
-    /// Appends the tuple to its shard's coalescing buffer; returns the shard.
+    /// Appends the tuple to its shard's frame; returns the shard. A frame
+    /// is allocated at full capacity when its first tuple arrives and
+    /// leaves whole in [`ship`](Self::ship), so staging never regrows one.
     fn stage(&mut self, key: u32, value: V) -> usize {
         assert!(key < self.core.num_keys, "key {key} out of range");
         let shard = (key >> self.core.shard_shift) as usize;
-        self.buffers[shard].push(Tuple { key, value });
+        let frame = &mut self.buffers[shard];
+        if frame.capacity() == 0 {
+            frame.reserve_exact(self.core.batch_tuples);
+        }
+        frame.push(Tuple { key, value });
         shard
     }
 
-    /// Moves `shard`'s buffered batch into its FIFO and counts it. A batch
-    /// the FIFO refuses as [`Busy`](TryIngestError::Busy) goes back into
-    /// the buffer, so no tuple is lost and the caller decides whether to
+    /// Moves `shard`'s frame into its FIFO and counts it. A frame the FIFO
+    /// refuses as [`Busy`](TryIngestError::Busy) goes back into the
+    /// buffer, so no tuple is lost and the caller decides whether to
     /// retry; one refused as `Closed` can never be delivered and is dropped.
     fn ship(&mut self, shard: usize, on_full: OnFull) -> Result<(), TryIngestError> {
         let n = self.buffers[shard].len() as u64;
@@ -451,9 +472,9 @@ impl<R: Reducer> IngestPipeline<R> {
         }
 
         let reducer = Arc::new(reducer);
-        // The published snapshot and the accumulator start out sharing the
-        // same segments; the first epoch's writes copy what they touch,
-        // like every later epoch's.
+        // The published snapshot, the accumulator and the shard workers
+        // start out sharing the same segments; the first epoch's writes
+        // copy what they touch, like every later epoch's.
         let resume = match &mut durable {
             Some(d) => (
                 d.initial_epoch,
@@ -476,8 +497,8 @@ impl<R: Reducer> IngestPipeline<R> {
         let epochs_published = Arc::new(AtomicU64::new(initial_epoch));
 
         // Accumulator inbox: sized so every shard can have a sealed epoch
-        // and its drain delta in flight without blocking a worker.
-        let (acc_tx, acc_rx) = channel::bounded::<AccMsg<R>>(2 * num_shards);
+        // and its drain handles in flight without blocking a worker.
+        let (acc_tx, acc_rx) = channel::bounded::<AccMsg<R::Acc>>(2 * num_shards);
 
         let mut senders = Vec::with_capacity(num_shards);
         let mut receivers = Vec::with_capacity(num_shards);
@@ -488,8 +509,6 @@ impl<R: Reducer> IngestPipeline<R> {
             senders.push(tx);
             receivers.push(rx);
         }
-
-        let bases: Vec<u32> = shard_ranges.iter().map(|r| r.start).collect();
 
         let shard_counters: Vec<Arc<ShardCounters>> = (0..num_shards)
             .map(|_| Arc::new(ShardCounters::default()))
@@ -507,9 +526,12 @@ impl<R: Reducer> IngestPipeline<R> {
         let mut workers = Vec::with_capacity(num_shards);
         for (s, rx) in receivers.into_iter().enumerate() {
             let local_keys = shard_ranges[s].end - shard_ranges[s].start;
+            // The worker's per-key state: a handle on every snapshot
+            // segment that overlaps its key range.
+            let span = segment_span(&shard_ranges[s], segment_keys);
             let worker = ShardWorker::<R> {
                 id: s,
-                base: bases[s],
+                base: shard_ranges[s].start,
                 // Durable mode reuses the binner the recovery replayed
                 // through; otherwise build a fresh one.
                 binner: binners[s]
@@ -519,6 +541,11 @@ impl<R: Reducer> IngestPipeline<R> {
                 counters: Arc::clone(&shard_counters[s]),
                 acc_tx: acc_tx.clone(),
                 wal: shard_wals[s].take(),
+                state: Segments {
+                    first: span.start,
+                    segment_keys,
+                    handles: resume.1[span].to_vec(),
+                },
             };
             let handle = std::thread::Builder::new()
                 .name(format!("cobra-stream-shard-{s}"))
@@ -540,8 +567,7 @@ impl<R: Reducer> IngestPipeline<R> {
 
         let accumulator = {
             let acc = Accumulator::new(
-                Arc::clone(&reducer),
-                bases,
+                shard_ranges.clone(),
                 num_keys,
                 segment_keys,
                 Arc::clone(&published),

@@ -1,19 +1,23 @@
-//! Shard workers: the streaming Binning phase.
+//! Shard workers: the streaming Binning phase, and the Accumulate phase
+//! of their own key range.
 //!
 //! Each worker owns a [`cobra_pb::Binner`] over its disjoint key
 //! sub-range and drains one bounded FIFO — the same producer → eviction
 //! buffer → binning engine shape as the paper's Section V-D, with the
-//! ingest handle's coalescing batches standing in for evicted C-Buffer
-//! lines. Sealing an epoch swaps the active bins out
-//! ([`Binner::take_bins`]) and ships them to the accumulator as they are,
-//! so accumulation of the sealed epoch overlaps binning of the next: a
-//! worker does nothing between two FIFO drains but that buffer swap.
+//! ingest handle's frames standing in for evicted C-Buffer lines. It also
+//! owns the per-key state of that range: the copy-on-write handles of
+//! every snapshot segment that overlaps it. Sealing an epoch swaps the
+//! active bins out ([`Binner::take_bins`]), replays them into those
+//! handles ([`apply_bins`]) and ships clones of the *handles* to the
+//! accumulator — the paper's per-bin parallel Accumulate: shard ranges
+//! are disjoint, so every worker replays its own keys with no lock and
+//! nothing to merge. Ownership, not a `Mutex`, is what makes that safe.
 
 use crate::channel::{Receiver, Sender};
-use crate::epoch::AccMsg;
+use crate::epoch::{apply_bins, AccMsg, Handles, Segments};
 use crate::reducer::Reducer;
 use crate::stats::ShardCounters;
-use cobra_pb::{Binner, Bins, Tuple};
+use cobra_pb::{Binner, Tuple};
 use cobra_wal::{Record, WalStats, WalWriter};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -21,11 +25,11 @@ use std::sync::Arc;
 /// Handle-to-shard protocol. Batches carry *global* keys; the worker
 /// rebases them into its local domain.
 pub(crate) enum ShardMsg<V> {
-    /// A coalesced batch of update tuples.
+    /// One frame of update tuples.
     Batch(Vec<Tuple<V>>),
-    /// Seal epoch `e`: flush and ship the active bins.
+    /// Seal epoch `e`: flush, apply and ship the segment handles.
     Seal(u64),
-    /// Final drain as epoch `e`: flush, ship, report done, exit.
+    /// Final drain as epoch `e`: flush, apply, ship, report done, exit.
     Shutdown(u64),
 }
 
@@ -110,13 +114,17 @@ pub(crate) struct ShardWorker<R: Reducer> {
     pub(crate) binner: Binner<R::Value>,
     pub(crate) reducer: Arc<R>,
     pub(crate) counters: Arc<ShardCounters>,
-    pub(crate) acc_tx: Sender<AccMsg<R>>,
+    pub(crate) acc_tx: Sender<AccMsg<R::Acc>>,
     /// Durable mode: the shard's WAL (None = in-memory pipeline).
     pub(crate) wal: Option<ShardWal<R::Value>>,
+    /// The handles of every snapshot segment overlapping this shard's key
+    /// range. In a segment shared with a neighbouring shard only this
+    /// shard's keys are meaningful (the accumulator stitches).
+    pub(crate) state: Segments<R::Acc>,
 }
 
 impl<R: Reducer> ShardWorker<R> {
-    /// The worker loop: bin batches, flush on seal, drain on shutdown.
+    /// The worker loop: bin frames, apply on seal, drain on shutdown.
     /// Accumulator-side disconnects are ignored — the worker keeps
     /// draining its FIFO so producers are never wedged.
     pub(crate) fn run(mut self, rx: Receiver<ShardMsg<R::Value>>) {
@@ -142,11 +150,11 @@ impl<R: Reducer> ShardWorker<R> {
                     // flushed past the OS boundary (crash-consistency
                     // argument, DESIGN.md §10).
                     let wal_offset = self.wal.as_mut().map_or(0, |w| w.seal(epoch));
-                    let bins = self.flush();
+                    let handles = self.accumulate();
                     let _ = self.acc_tx.send(AccMsg::Sealed {
                         shard: self.id,
                         epoch,
-                        bins,
+                        handles,
                         wal_offset,
                     });
                 }
@@ -154,24 +162,24 @@ impl<R: Reducer> ShardWorker<R> {
                     // Graceful drain: the remaining bins become one final
                     // sealed epoch, so a clean restart loses nothing.
                     let wal_offset = self.wal.as_mut().map_or(0, |w| w.seal(drain_epoch));
-                    let bins = self.flush();
+                    let handles = self.accumulate();
                     let _ = self.acc_tx.send(AccMsg::Done {
                         shard: self.id,
-                        bins,
+                        handles,
                         wal_offset,
                     });
                     return;
                 }
                 None => {
                     // Producer side vanished without a shutdown broadcast
-                    // (the pipeline was dropped, not drained): ship the
+                    // (the pipeline was dropped, not drained): apply the
                     // remaining bins but write no seal — a recovery treats
                     // the unsealed WAL tail as uncommitted, matching the
                     // fact that no snapshot of it was ever promised.
-                    let bins = self.flush();
+                    let handles = self.accumulate();
                     let _ = self.acc_tx.send(AccMsg::Done {
                         shard: self.id,
-                        bins,
+                        handles,
                         wal_offset: 0,
                     });
                     return;
@@ -180,10 +188,15 @@ impl<R: Reducer> ShardWorker<R> {
         }
     }
 
-    /// Swaps the active bins out (double-buffering) and records the sealed
-    /// epoch's size and footprint.
-    fn flush(&mut self) -> Bins<R::Value> {
+    /// The shard's Accumulate phase: swaps the active bins out
+    /// (double-buffering), replays them into the shard's own segments and
+    /// returns clones of the handles — the shard's cumulative state as of
+    /// this seal. The clones are what keeps the epoch immutable: while one
+    /// is alive (in flight, or inside a snapshot) the next epoch's first
+    /// write into that segment copies it.
+    fn accumulate(&mut self) -> Handles<R::Acc> {
         let bins = self.binner.take_bins();
+        apply_bins(&*self.reducer, &bins, self.base, &mut self.state);
         self.counters.record_flush(bins.len() as u64);
         self.counters.record_memory(
             bins.store().memory(),
@@ -191,6 +204,6 @@ impl<R: Reducer> ShardWorker<R> {
             self.binner.flush_stats(),
             self.binner.fuse_stats(),
         );
-        bins
+        self.state.handles.clone()
     }
 }

@@ -22,7 +22,6 @@ fn main() {
     let cfg = StreamConfig::new()
         .shards(4)
         .channel_capacity(64)
-        .batch_tuples(64)
         .epoch_tuples(100_000);
     let pipeline = IngestPipeline::new(nv, Count, cfg);
     for (s, r) in (0..pipeline.num_shards()).map(|s| (s, pipeline.shard_range(s))) {
