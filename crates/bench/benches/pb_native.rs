@@ -6,9 +6,10 @@
 //! Plain `harness = false` binary (no external benchmark framework) so the
 //! workspace builds offline; see `cobra_bench::timing`.
 
-use cobra_bench::timing::bench;
+use cobra_bench::timing::{bench, Measurement};
 use cobra_graph::gen;
 use cobra_pb::Binner;
+use std::time::Instant;
 
 const NUM_KEYS: u32 = 1 << 22; // 4M-entry histogram: 16MB, beyond LLC
 const NUM_UPDATES: usize = 1 << 22;
@@ -90,9 +91,82 @@ fn bench_parallel_binning(keys: &[u32]) {
     }
 }
 
+/// The native Figure 4: Binning and Accumulate wall-clock per update as
+/// the bin count sweeps, one uniform `u64` update per key, 2 threads —
+/// `fig04_bin_sensitivity`'s column order, measured instead of simulated.
+fn bin_sweep() {
+    const THREADS: usize = 2;
+    const SWEEP_SAMPLES: usize = 3;
+    println!(
+        "bin_sweep: FRAME_KEYS = {}, u64 payloads, {THREADS} threads, median of {SWEEP_SAMPLES}",
+        cobra_bins::FRAME_KEYS
+    );
+    for log_keys in [22u32, 25] {
+        let n = 1usize << log_keys;
+        let keys = gen::random_keys(n, n as u32, 42);
+        let mut table = vec![0u64; n];
+        println!("keys = updates = 2^{log_keys}");
+        println!(
+            "{:>8} {:>16} {:>19} {:>14}",
+            "bins", "binning ns/upd", "accumulate ns/upd", "total ns/upd"
+        );
+        for log_bins in 6..=14 {
+            let mut phases = [Vec::new(), Vec::new()];
+            // Sample 0 is the untimed warmup, as in `timing::bench`.
+            for sample in 0..=SWEEP_SAMPLES {
+                let t0 = Instant::now();
+                let bins = cobra_pb::bin_parallel(n, n as u32, 1 << log_bins, THREADS, |i| {
+                    (keys[i], i as u64)
+                });
+                let t1 = Instant::now();
+                bins.accumulate_into(&mut table, THREADS, |chunk, base, k, v| {
+                    let slot = &mut chunk[(k - base) as usize];
+                    *slot = slot.wrapping_add(*v);
+                });
+                let t2 = Instant::now();
+                if sample > 0 {
+                    phases[0].push(t1 - t0);
+                    phases[1].push(t2 - t1);
+                }
+            }
+            let [binning, accumulate] = phases.map(|mut samples| {
+                samples.sort_unstable();
+                let m = Measurement {
+                    name: String::new(),
+                    samples,
+                    elements: n as u64,
+                };
+                1e9 / m.throughput()
+            });
+            println!(
+                "{:>8} {binning:>16.2} {accumulate:>19.2} {:>14.2}",
+                1u32 << log_bins,
+                binning + accumulate
+            );
+        }
+        std::hint::black_box(&table);
+    }
+}
+
+/// `cargo bench -p cobra-bench --bench pb_native -- bin_sweep` runs one
+/// group; no name runs all of them.
 fn main() {
+    let names: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with('-'))
+        .collect();
+    let wanted = |group: &str| names.is_empty() || names.iter().any(|n| n == group);
     let keys = updates();
-    bench_histogram(&keys);
-    bench_counting_sort();
-    bench_parallel_binning(&keys);
+    if wanted("histogram") {
+        bench_histogram(&keys);
+    }
+    if wanted("counting_sort") {
+        bench_counting_sort();
+    }
+    if wanted("parallel_binning") {
+        bench_parallel_binning(&keys);
+    }
+    if wanted("bin_sweep") {
+        bin_sweep();
+    }
 }

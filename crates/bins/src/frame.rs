@@ -1,23 +1,35 @@
 //! Cacheline-aligned C-Buffer frames.
 //!
 //! Software PB's Binning phase never writes a bin one tuple at a time:
-//! tuples are staged in a per-bin coalescing buffer sized to one cache
-//! line and transferred in bulk when the line fills (paper, Section III).
-//! [`CBufFrame`] is that staging line. The key column is a fixed
-//! 64-byte, 64-byte-aligned array — the hot routing data occupies exactly
-//! one line — and the frame's capacity is the number of whole tuples a
-//! line holds for the payload size in use.
+//! tuples are staged in a per-bin coalescing buffer and transferred in
+//! bulk when it fills (paper, Section III). [`CBufFrame`] is that staging
+//! buffer, and because bin memory is columnar it stages *columns*: a
+//! 64-byte-aligned array of keys and a parallel array of values. A frame
+//! a `Binner` owns holds [`FRAME_KEYS`] tuples whatever the payload, so a
+//! flush moves whole cache lines of keys and — for any power-of-two
+//! payload — whole lines of values: two fixed-size multi-line copies.
+//!
+//! That capacity deliberately does not depend on the padded
+//! array-of-structs size of a tuple, which a columnar frame never stores
+//! (sizing by it made a `(u32, u64)` frame four tuples: a quarter line of
+//! keys and half a line of values per flush). [`cbuf_capacity`] is the
+//! paper's one-line figure, kept for the simulated `SwPb` backend, which
+//! models 64-byte C-Buffers and passes its own capacity to
+//! [`CBufFrame::with_capacity`].
 
 use crate::store::BinStore;
 
 /// Cache-line size assumed throughout the workspace.
 pub const LINE_BYTES: usize = 64;
 
-/// Keys a frame can hold at most: one full line of `u32` keys.
-pub const FRAME_KEYS: usize = LINE_BYTES / std::mem::size_of::<u32>();
+/// Tuples a frame holds at most, and the capacity of every `Binner`
+/// frame: four lines of `u32` keys. 128 bins of `u64` payloads stage
+/// 96 KiB per thread, which stays L2-resident.
+pub const FRAME_KEYS: usize = 64;
 
-/// Tuples per cacheline-sized C-Buffer for a given tuple size in bytes
-/// (at least one — oversized payloads degrade to per-tuple transfers).
+/// Tuples per *one-line* (64-byte) C-Buffer for a given tuple size in
+/// bytes, the paper's hardware figure (at least one — oversized payloads
+/// degrade to per-tuple transfers).
 pub fn cbuf_capacity(tuple_bytes: usize) -> usize {
     (LINE_BYTES / tuple_bytes.max(1)).clamp(1, FRAME_KEYS)
 }
@@ -81,11 +93,6 @@ impl<V: Copy> CBufFrame<V> {
         }
     }
 
-    /// A frame sized for `tuple_bytes`-byte tuples (see [`cbuf_capacity`]).
-    pub fn for_tuple_bytes(tuple_bytes: usize) -> Self {
-        Self::with_capacity(cbuf_capacity(tuple_bytes))
-    }
-
     /// Tuple capacity of the frame.
     pub fn capacity(&self) -> usize {
         self.cap as usize
@@ -147,7 +154,7 @@ impl<V: Copy> CBufFrame<V> {
     }
 
     /// Bulk-transfers the staged tuples to bin `b` of `store` (the
-    /// full-line write software PB does with non-temporal stores) and
+    /// whole-line writes software PB does with non-temporal stores) and
     /// clears the frame. Returns the tuple count transferred.
     #[inline]
     pub fn flush_into(&mut self, store: &mut BinStore<V>, b: usize) -> usize {
@@ -174,11 +181,24 @@ mod tests {
 
     #[test]
     fn capacity_matches_tuple_size() {
-        assert_eq!(cbuf_capacity(4), 16); // key-only tuples
-        assert_eq!(cbuf_capacity(8), 8);
+        // The one-line figure follows the tuple size...
+        assert_eq!(cbuf_capacity(4), LINE_BYTES / 4); // key-only tuples
         assert_eq!(cbuf_capacity(12), 5);
         assert_eq!(cbuf_capacity(16), 4);
         assert_eq!(cbuf_capacity(100), 1); // oversized payload
+        for bytes in 1..=200 {
+            assert!((1..=FRAME_KEYS).contains(&cbuf_capacity(bytes)));
+        }
+        // ...and a frame's limit does not: FRAME_KEYS tuples are whole
+        // lines of keys and of any power-of-two payload.
+        assert_eq!(FRAME_KEYS * std::mem::size_of::<u32>() % LINE_BYTES, 0);
+        let mut f = CBufFrame::<(u32, f64)>::with_capacity(FRAME_KEYS);
+        for k in 0..FRAME_KEYS as u32 {
+            assert!(!f.is_full());
+            f.push(k, (k, 0.5));
+        }
+        assert!(f.is_full());
+        assert_eq!(std::mem::size_of_val(f.values()) % LINE_BYTES, 0);
     }
 
     #[test]

@@ -34,6 +34,11 @@ const SLOT_SHIFT: u32 = 32 - (FRAME_KEYS as u32).trailing_zeros();
 /// Sentinel marking a [`FuseTable`] slot as empty.
 const EMPTY: u8 = u8::MAX;
 
+// A slot stores its frame index in a `u8` and `SLOT_SHIFT` takes a log2:
+// a frame the table cannot index must not compile, because a truncated
+// index would fold a value into another key's staged tuple.
+const _: () = assert!(FRAME_KEYS.is_power_of_two() && FRAME_KEYS <= EMPTY as usize);
+
 /// Running counters for the fusion pass.
 ///
 /// `attempts` counts every tuple offered to the fused insert path,
@@ -204,5 +209,34 @@ mod tests {
         assert_eq!(hits, 3);
         assert_eq!(frame.keys(), &[5, 9]);
         assert_eq!(frame.values(), &[7, 30]);
+    }
+
+    #[test]
+    fn full_frame_of_distinct_keys_never_aliases() {
+        // Every index a full frame can hand to `note` — the last one
+        // included — must fit a slot: a noted key probes back to its own
+        // index or (evicted by a colliding key) to nothing, never to
+        // another key's.
+        for stride in [1u32, 7, 4096, 0x9E37] {
+            let mut frame = CBufFrame::<u64>::with_capacity(FRAME_KEYS);
+            let mut table = FuseTable::new();
+            for i in 0..FRAME_KEYS {
+                let key = i as u32 * stride;
+                assert_eq!(table.probe(key), None, "distinct keys never hit");
+                table.note(key, frame.len());
+                frame.push(key, i as u64);
+            }
+            assert!(frame.is_full());
+            let mut live = 0;
+            for (i, &key) in frame.keys().iter().enumerate() {
+                if let Some(at) = table.probe(key) {
+                    assert_eq!(at, i, "key {key} aliases index {at}");
+                    live += 1;
+                }
+            }
+            assert!(live > 0, "the last noted key is never evicted");
+            let last = FRAME_KEYS - 1;
+            assert_eq!(table.probe(frame.keys()[last]), Some(last));
+        }
     }
 }

@@ -11,11 +11,13 @@
 //!   cacheline-granular slab segments, so the Accumulate phase streams
 //!   two dense arrays instead of pointer-chasing tuple `Vec`s.
 //! * [`CBufFrame`] — a cacheline-aligned C-Buffer frame (the paper's
-//!   coalescing buffer): tuples are staged here and transferred to the
-//!   store a full line at a time.
+//!   coalescing buffer): tuples are staged here column by column and
+//!   transferred to the store whole lines at a time. A `Binner` frame
+//!   holds [`FRAME_KEYS`] tuples for every payload type — its capacity
+//!   counts tuples per column, not bytes per padded tuple.
 //! * [`BinSink`] / [`BinReader`] — the write- and read-side traits, with
-//!   exact-count [`BinSink::reserve`] fed by the Init phase's counting
-//!   pre-pass.
+//!   per-bin [`BinSink::reserve`] fed by the Init phase (an exact counting
+//!   pre-pass, or `bin_parallel`'s uniform estimate).
 //! * Freeze-to-`Arc` publishing ([`BinStore::freeze`]): an immutable
 //!   store is shared by reference count in O(1) — `take_bins`, epoch
 //!   snapshots and caches never deep-copy bin data.

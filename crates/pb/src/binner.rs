@@ -1,12 +1,12 @@
-//! Single-threaded binning with cacheline-sized coalescing buffers.
+//! Single-threaded binning with multi-line coalescing buffers.
 //!
 //! Storage is the workspace-shared columnar [`BinStore`] (`cobra-bins`):
-//! the binner stages tuples in cacheline-aligned [`CBufFrame`]s and
-//! transfers full lines into the store's per-bin `keys`/`values` columns.
+//! the binner stages tuples in cacheline-aligned [`CBufFrame`]s of
+//! [`FRAME_KEYS`] tuples and transfers whole lines of each column into
+//! the store's per-bin `keys`/`values` columns.
 
 use cobra_bins::{
-    cbuf_capacity, BinMemory, BinStore, CBufFrame, FrameFlushStats, FrozenBins, FuseStats,
-    FuseTable,
+    BinMemory, BinStore, CBufFrame, FrameFlushStats, FrozenBins, FuseStats, FuseTable, FRAME_KEYS,
 };
 
 /// One buffered update: apply `value` to the datum identified by `key`.
@@ -19,8 +19,8 @@ pub struct Tuple<V> {
 }
 
 /// A binner: routes `(key, value)` tuples into per-range bins through
-/// cacheline-sized coalescing buffers (C-Buffers), exactly as software PB's
-/// Binning phase does (paper, Section III).
+/// coalescing buffers (C-Buffers) of whole cache lines per column, as
+/// software PB's Binning phase does (paper, Section III).
 ///
 /// The bin range is always a power of two so routing is a shift rather than
 /// a division (Section V-A notes real implementations do the same).
@@ -32,7 +32,9 @@ pub struct Tuple<V> {
 #[derive(Debug, Clone)]
 pub struct Binner<V> {
     num_keys: u32,
-    /// C-Buffers, one per bin, each a cacheline-aligned staging frame.
+    /// C-Buffers, one per bin, each a cacheline-aligned staging frame of
+    /// [`FRAME_KEYS`] tuples — for every `V`: the frame is columnar, so
+    /// the padded size of a [`Tuple<V>`] has no bearing on it.
     cbufs: Vec<CBufFrame<V>>,
     store: BinStore<V>,
     flush_stats: FrameFlushStats,
@@ -108,14 +110,13 @@ impl<V: Copy> Binner<V> {
     /// Panics if `num_keys == 0` or `min_bins == 0`.
     pub fn new(num_keys: u32, min_bins: usize) -> Self {
         let store = BinStore::new(num_keys, min_bins);
-        let cbuf_cap = cbuf_capacity(std::mem::size_of::<Tuple<V>>());
         Binner {
             num_keys,
             cbufs: (0..store.num_bins())
-                .map(|_| CBufFrame::with_capacity(cbuf_cap))
+                .map(|_| CBufFrame::with_capacity(FRAME_KEYS))
                 .collect(),
             flush_stats: FrameFlushStats {
-                frame_capacity: cbuf_cap as u32,
+                frame_capacity: FRAME_KEYS as u32,
                 ..Default::default()
             },
             store,
@@ -123,9 +124,11 @@ impl<V: Copy> Binner<V> {
         }
     }
 
-    /// Pre-reserves per-bin capacity from exact counts (the paper's Init
-    /// phase computes these with a counting pre-pass to avoid dynamic
-    /// allocation during Binning).
+    /// Pre-reserves per-bin capacity from per-bin counts (the paper's Init
+    /// phase computes exact ones with a counting pre-pass to avoid dynamic
+    /// allocation during Binning; `bin_parallel` passes an estimate). A
+    /// bin that outgrows its count grows on demand; a zero count reserves
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -212,8 +215,8 @@ impl<V: Copy> Binner<V> {
         }
         cbuf.push(key, value);
         if cbuf.is_full() {
-            // Full line: bulk-transfer to the in-memory bin (software PB
-            // uses non-temporal stores here).
+            // Full frame: bulk-transfer whole lines of each column to the
+            // in-memory bin (software PB uses non-temporal stores here).
             let n = cbuf.flush_into(&mut self.store, b);
             self.flush_stats.record(n);
             if let Some(f) = self.fusion.as_mut() {
@@ -661,19 +664,46 @@ pub(crate) mod tests {
 
     #[test]
     fn flush_stats_track_occupancy() {
-        // 8-byte tuples => 8 per line. 12 inserts into one bin = one full
-        // flush (8) + one partial flush (4) at finish.
+        // One frame filled exactly, then one more tuple: one full flush
+        // mid-stream, one single-tuple partial flush at finish.
         let mut b = Binner::<u32>::new(64, 1);
-        for i in 0..12u32 {
+        for i in 0..FRAME_KEYS as u32 - 1 {
             b.insert(0, i);
         }
+        assert_eq!(
+            b.flush_stats().frames,
+            0,
+            "a frame short of full stays staged"
+        );
+        assert_eq!(b.memory().tuples, 0);
+        b.insert(0, FRAME_KEYS as u32 - 1);
+        b.insert(0, FRAME_KEYS as u32);
         let stats_mid = b.flush_stats();
         assert_eq!(stats_mid.frames, 1);
-        assert_eq!(stats_mid.tuples, 8);
+        assert_eq!(stats_mid.tuples, FRAME_KEYS as u64);
+        assert_eq!(stats_mid.frame_capacity as usize, FRAME_KEYS);
+        assert_eq!(stats_mid.occupancy(), 1.0);
         let mem = b.memory();
-        assert_eq!(mem.tuples, 8, "only the flushed line reached the store");
+        assert_eq!(
+            mem.tuples, FRAME_KEYS as u64,
+            "only the flushed frame reached the store"
+        );
+        assert_eq!(b.buffered_len(), FRAME_KEYS + 1);
         let bins = b.finish();
-        assert_eq!(bins.len(), 12);
+        assert_eq!(bins.len(), FRAME_KEYS + 1);
+        let want: Vec<u32> = (0..=FRAME_KEYS as u32).collect();
+        assert_eq!(bins.values(0), &want[..]);
+
+        // The capacity is the same constant for every payload.
+        for cap in [
+            Binner::<()>::new(64, 1).flush_stats().frame_capacity,
+            Binner::<u64>::new(64, 1).flush_stats().frame_capacity,
+            Binner::<(u32, f64)>::new(64, 1)
+                .flush_stats()
+                .frame_capacity,
+        ] {
+            assert_eq!(cap as usize, FRAME_KEYS);
+        }
     }
 
     #[test]
@@ -767,24 +797,38 @@ pub(crate) mod tests {
 
     #[test]
     fn fusion_never_crosses_a_frame_flush() {
-        // 8 tuples per frame for (u32, u32). Fill a frame with distinct
-        // keys, then repeat the first key: the frame flushed in between,
-        // so the repeat must NOT fuse into the shipped tuple.
-        let mut b = Binner::<u32>::new(8, 1);
+        // Fill a frame exactly with distinct keys, then repeat the last
+        // one (the key the coalescing table cannot have evicted): the
+        // frame flushed in between, so the repeat must NOT fuse into the
+        // shipped tuple.
+        let n = FRAME_KEYS as u32;
+        let mut b = Binner::<u32>::new(n, 1);
         let sum = |a: &mut u32, v: &u32| {
             *a += *v;
             true
         };
-        for k in 0..8u32 {
+        for k in 0..n {
             b.insert_fused(k, 100 + k, sum);
         }
-        b.insert_fused(0, 1, sum);
+        b.insert_fused(n - 1, 1, sum);
         let fs = b.fuse_stats();
         assert_eq!(fs.hits, 0);
         assert_eq!(fs.flushes, 1);
         let bins = b.finish();
-        assert_eq!(bins.len(), 9);
-        assert_eq!(bins.values(0), &[100, 101, 102, 103, 104, 105, 106, 107, 1]);
+        assert_eq!(bins.len(), FRAME_KEYS + 1);
+        let mut want: Vec<u32> = (100..100 + n).collect();
+        want.push(1);
+        assert_eq!(bins.values(0), &want[..]);
+
+        // One tuple short of the flush, the same kind of repeat does fuse.
+        let mut open = Binner::<u32>::new(n, 1);
+        for k in 0..n - 1 {
+            open.insert_fused(k, 100 + k, sum);
+        }
+        open.insert_fused(n - 2, 1, sum);
+        assert_eq!(open.fuse_stats().hits, 1);
+        assert_eq!(open.fuse_stats().flushes, 0);
+        assert_eq!(open.finish().values(0).last(), Some(&(100 + n - 2 + 1)));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! 1. **Binning** — stream the input and append each update tuple
 //!    `(key, value)` to a bin responsible for a contiguous range of keys,
-//!    staging tuples in cacheline-sized coalescing buffers
-//!    ("C-Buffers") so bins are written a full line at a time;
+//!    staging tuples in coalescing buffers ("C-Buffers") of
+//!    `cobra_bins::FRAME_KEYS` tuples — whole cache lines of keys and of
+//!    values — so bins are written several full lines at a time;
 //! 2. **Accumulate** — replay each bin's tuples in order; because a bin's
 //!    keys span a small range, the randomly-accessed data stays cache
 //!    resident.
@@ -42,7 +43,8 @@
 //!
 //! [`bin_parallel`](parallel::bin_parallel) creates per-thread
 //! [`Binner`]s (no synchronization during Binning, exactly as in the
-//! paper's Algorithm 2) and
+//! paper's Algorithm 2), sizes their bins before the first insert (the
+//! paper's Init phase, from the item count instead of a counting pass) and
 //! [`ThreadBins::accumulate_into`](parallel::ThreadBins::accumulate_into)
 //! replays bins over disjoint slices of the output in parallel.
 //!

@@ -5,8 +5,15 @@
 //! Accumulate phase then parallelizes over *bins*: each bin's key range is
 //! disjoint, so threads update disjoint slices of the output without
 //! atomics — including for non-commutative kernels.
+//!
+//! The paper's Init phase sizes every bin with a counting pre-pass so
+//! Binning never allocates. [`bin_parallel`] gets the same effect without
+//! the second read of its input: a worker knows how many items it will
+//! bin and into how many bins, so it reserves the uniform expectation
+//! plus slack per bin before its first insert.
 
 use crate::binner::{Binner, Bins};
+use cobra_bins::BinMemory;
 
 /// The per-thread bins produced by [`bin_parallel`].
 #[derive(Debug, Clone)]
@@ -21,6 +28,13 @@ pub struct ThreadBins<V> {
 /// update tuple.
 ///
 /// Tuples retain their per-thread insertion order, matching Algorithm 2.
+///
+/// Each worker pre-reserves `mean + 8·⌈√mean⌉` tuples per bin, `mean`
+/// being its items over its bins (eight standard deviations of a uniform
+/// stream's bin count, so such a stream never regrows). A hot bin that
+/// outgrows that doubles on demand, a cold bin's untouched capacity is
+/// never resident, and a worker with fewer items than bins reserves
+/// nothing.
 ///
 /// # Panics
 ///
@@ -46,6 +60,8 @@ where
                     let lo = (t * chunk).min(num_items);
                     let hi = ((t + 1) * chunk).min(num_items);
                     let mut binner = Binner::new(num_keys, min_bins);
+                    let per_bin = init_reservation(hi - lo, binner.num_bins());
+                    binner.reserve(&vec![per_bin; binner.num_bins()]);
                     for i in lo..hi {
                         let (k, v) = produce(i);
                         binner.insert(k, v);
@@ -65,6 +81,14 @@ where
         per_thread,
         num_keys,
     }
+}
+
+/// Init-phase capacity of one bin for a worker binning `items` tuples
+/// into `num_bins` bins: the uniform mean plus eight standard deviations.
+fn init_reservation(items: usize, num_bins: usize) -> u32 {
+    let mean = items / num_bins;
+    let per_bin = mean + 8 * (mean as f64).sqrt().ceil() as usize;
+    u32::try_from(per_bin).unwrap_or(u32::MAX)
 }
 
 impl<V: Copy + Send + Sync> ThreadBins<V> {
@@ -91,6 +115,24 @@ impl<V: Copy + Send + Sync> ThreadBins<V> {
     /// Whether no tuples were produced.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bin-memory footprint summed over the per-thread stores.
+    pub fn memory(&self) -> BinMemory {
+        let mut total = BinMemory::default();
+        for bins in &self.per_thread {
+            total.add(bins.store().memory());
+        }
+        total
+    }
+
+    /// Capacity acquisitions summed over the per-thread stores: one per
+    /// non-empty (thread, bin) pair when the Init reservation held.
+    pub fn grow_events(&self) -> u64 {
+        self.per_thread
+            .iter()
+            .map(|bins| bins.store().grow_events())
+            .sum()
     }
 
     /// The key/value column pair of bin `b`, one per producing thread, in
@@ -274,6 +316,74 @@ mod tests {
             direct[k as usize].push(i as u32);
         }
         assert_eq!(via_pb, direct);
+    }
+
+    #[test]
+    fn init_reservation_covers_a_uniform_stream() {
+        // 2^18 uniform tuples, 64 bins, 2 threads: every (thread, bin)
+        // pair acquires its capacity once, before the first insert, and
+        // never regrows (on-demand doubling paid several grows per pair).
+        let n = 1usize << 18;
+        let key = |i: usize| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44) as u32;
+        let tb = bin_parallel(n, 1 << 20, 64, 2, |i| (key(i), i as u64));
+        assert_eq!(tb.num_bins(), 64);
+        let nonempty = (0..tb.num_bins())
+            .flat_map(|b| tb.bin_slices(b))
+            .filter(|(keys, _)| !keys.is_empty())
+            .count() as u64;
+        assert_eq!(nonempty, 128);
+        assert_eq!(tb.grow_events(), nonempty);
+        assert_eq!(tb.memory().tuples, n as u64);
+    }
+
+    #[test]
+    fn a_bin_that_outgrows_its_reservation_grows_on_demand() {
+        // Keys only in the low quarter of the domain, 80% of them on a
+        // tenth of that: the hottest bin takes well over 10x what Init
+        // reserved for it. The result is the chunks pushed through
+        // un-reserved binners.
+        let (n_keys, min_bins, threads) = (1u32 << 14, 64, 2);
+        let tuples = skewed_tuples(60_000, n_keys / 4, 0x1417);
+        let tb = bin_parallel(tuples.len(), n_keys, min_bins, threads, |i| tuples[i]);
+        let chunk = tuples.len() / threads;
+        let reserved = init_reservation(chunk, tb.num_bins()) as usize;
+        let hottest = (0..tb.num_bins())
+            .flat_map(|b| tb.bin_slices(b))
+            .map(|(keys, _)| keys.len())
+            .max();
+        assert!(hottest >= Some(10 * reserved), "{hottest:?} vs {reserved}");
+
+        let unreserved: Vec<Bins<u64>> = tuples
+            .chunks(chunk)
+            .map(|part| {
+                let mut binner = Binner::new(n_keys, min_bins);
+                for &(k, v) in part {
+                    binner.insert(k, v);
+                }
+                binner.finish()
+            })
+            .collect();
+        assert_eq!(unreserved.len(), threads);
+        for b in 0..tb.num_bins() {
+            let want = unreserved.iter().map(|bins| (bins.keys(b), bins.values(b)));
+            assert!(tb.bin_slices(b).eq(want), "bin {b} differs");
+        }
+    }
+
+    #[test]
+    fn sparse_calls_reserve_nothing() {
+        // Three items over 4096 bins and 8 threads: a worker with fewer
+        // items than bins has a zero mean, so only the bins that receive a
+        // tuple own any memory.
+        let tb = bin_parallel(3, 1 << 20, 4096, 8, |i| ((i as u32) << 18, i as u64));
+        assert_eq!(tb.len(), 3);
+        let mem = tb.memory();
+        assert!(mem.segments <= 3, "{mem:?}");
+        assert!(
+            mem.bytes <= 3 * cobra_bins::store::SEGMENT_BYTES as u64,
+            "{mem:?}"
+        );
+        assert_eq!(tb.grow_events(), 3);
     }
 
     #[test]

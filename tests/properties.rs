@@ -61,6 +61,74 @@ fn binner_is_an_order_preserving_partition() {
     }
 }
 
+/// The full-frame path, for one payload type: 1-4 hot bins of 20-200
+/// frames each (the other bins stay empty), 80% of a hot bin's tuples on
+/// a tenth of its keys so repeats meet inside a frame, `take_bins` at 1-4
+/// random cut points, which fall mid-frame.
+fn check_full_frames<V: Copy + PartialEq + std::fmt::Debug>(seed: u64, payload: impl Fn(u64) -> V) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let (num_keys, min_bins) = (1u32 << 12, 32usize);
+    for case in 0..8 {
+        let mut plain = Binner::<V>::new(num_keys, min_bins);
+        let mut refused = Binner::<V>::new(num_keys, min_bins);
+        let cap = plain.flush_stats().frame_capacity as usize;
+        let range = plain.bin_range() as u32;
+        let mut stream = Vec::new();
+        for _ in 0..1 + rng.u32_below(4) {
+            let base = rng.u32_below(min_bins as u32) * range;
+            for _ in 0..random_len(&mut rng, 20 * cap, 200 * cap) {
+                let hot = rng.u32_below(10) < 8;
+                stream.push(base + rng.u32_below(if hot { range / 10 } else { range }));
+            }
+        }
+        for i in (1..stream.len()).rev() {
+            stream.swap(i, rng.usize_through(i));
+        }
+        let mut cuts = vec![stream.len()];
+        for _ in 0..1 + rng.u32_below(4) {
+            cuts.push(random_len(&mut rng, 1, stream.len()));
+        }
+        cuts.sort_unstable();
+
+        // The reference: `BinStore::insert`, shift routing and no frames.
+        let mut want = Binner::<V>::new(num_keys, min_bins).finish().into_store();
+        let mut got = want.clone();
+        let mut from = 0;
+        for &cut in &cuts {
+            for (i, &k) in stream[from..cut].iter().enumerate() {
+                let v = payload((from + i) as u64);
+                plain.insert(k, v);
+                refused.insert_fused(k, v, |_, _| false);
+                want.insert(k, v);
+            }
+            from = cut;
+            let take = plain.take_bins();
+            assert!(refused.take_bins() == take, "case {case}: refused != plain");
+            for b in 0..take.num_bins() {
+                got.extend_bin(b, take.keys(b), take.values(b));
+            }
+        }
+        assert!(got == want, "case {case}: takes differ from direct routing");
+        let stats = plain.flush_stats();
+        assert_eq!(stats.tuples, stream.len() as u64, "case {case}");
+        assert!(stats.frames >= 20, "case {case}: no frame filled");
+        assert_eq!(refused.flush_stats(), stats, "case {case}");
+        let fuse = refused.fuse_stats();
+        assert_eq!((fuse.attempts, fuse.hits), (stats.tuples, 0), "case {case}");
+    }
+}
+
+/// Frames that fill, flush and are cut mid-frame by `take_bins` route
+/// exactly as frameless shift routing does, for every payload width, and
+/// an always-refusing fused insert is `insert` (the property above draws
+/// too few keys per bin to fill a frame).
+#[test]
+fn full_frames_split_by_takes_equal_direct_routing() {
+    check_full_frames(0xF1, |_| ());
+    check_full_frames(0xF2, |i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    check_full_frames(0xF3, |i| (i as u32, i as f64 * 0.5));
+}
+
 /// The COBRA hardware model produces exactly the same bins as the
 /// software binner when configured with the same geometry.
 #[test]
