@@ -154,7 +154,8 @@ enum Msg {
 
 /// A message in the accumulator FIFO: the worker's cumulative state as
 /// of the seal, by value (a clone of its segment handles — later applies
-/// copy on write, so the message never changes under the accumulator).
+/// write only into an unshared segment: a copy or a recycled spare, so
+/// the message never changes under the accumulator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum AMsg {
     Sealed { epoch: u8, cum: u8 },

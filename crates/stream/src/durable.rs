@@ -230,6 +230,7 @@ where
             first: 0,
             segment_keys,
             handles,
+            spares: Vec::new(),
         };
 
         // Phase 3 — replay each shard's WAL suffix through a binner (the
@@ -267,7 +268,7 @@ where
                     Record::Seal { epoch } => {
                         if epoch <= committed {
                             let bins = binner.take_bins();
-                            apply_bins(&reducer, &bins, range.start, &mut state);
+                            apply_bins(&reducer, &bins, None, range.start, &mut state);
                             if epoch == committed {
                                 done = true;
                             }

@@ -19,18 +19,20 @@
 //! assembles the aligned wave into an immutable [`EpochSnapshot`] and runs
 //! commit → hook → publish. It applies nothing.
 //!
-//! # Copy-on-write segmented state
+//! # Segmented state: recycle, or copy while shared
 //!
 //! The value array is split into fixed-size *segments*, each an
 //! `Arc<Vec<A>>`. A worker holds the handles of the segments overlapping
 //! its key range and ships clones of them at every seal; a snapshot is
 //! those handles (O(num_segments), independent of key count and value
-//! size). The clone a worker shipped is what makes its next write into
-//! that segment a copy (`Arc::make_mut`), exactly one per touched segment
-//! and epoch, so epochs that touch a sparse key set pay for the touched
-//! segments only. Downstream consumers — the serve-layer block cache in
-//! particular — hold the same `Arc`s, making snapshot-to-cache handoff
-//! zero-copy and pointer-identity testable.
+//! size). A shipped handle is never written again, so epochs that touch
+//! a sparse key set pay for the touched segments only: the worker writes
+//! into the handle it retired an epoch earlier (its *spare*), replaying
+//! the previous epoch's bin into it first, and copies only while that
+//! spare is still shared (retained, cached, in flight). Downstream
+//! consumers — the serve-layer block cache in particular — hold the same
+//! `Arc`s, making snapshot-to-cache handoff zero-copy and
+//! pointer-identity testable.
 //!
 //! A segment straddles a shard boundary whenever `segment_keys` does not
 //! divide the power-of-two shard span (tiny key domains under the default
@@ -222,6 +224,16 @@ pub(crate) struct Segments<A> {
     pub(crate) first: usize,
     pub(crate) segment_keys: u32,
     pub(crate) handles: Handles<A>,
+    /// Per handle, the one the last [`apply_bins`] retired (empty until a
+    /// call keeps any).
+    pub(crate) spares: Vec<Option<Arc<Vec<A>>>>,
+}
+
+/// Shared segments one [`apply_bins`] call copied and recycled.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Privatised {
+    pub(crate) copied: u64,
+    pub(crate) recycled: u64,
 }
 
 /// The snapshot segments that overlap the (non-empty) global key range
@@ -237,54 +249,100 @@ pub(crate) fn segment_span(keys: &Range<u32>, segment_keys: u32) -> Range<usize>
 ///
 /// Segments are resolved once per bin, never per tuple: a bin's keys fall
 /// in one contiguous run of segments, so one pass over the key column
-/// marks the segments the bin touches, each marked segment is privatised
-/// once (`Arc::make_mut`: the first write since the handle was last
-/// shipped copies that segment), and the two columns then replay through
-/// plain slices. Per-key order is the bin's arrival order, untouched.
+/// marks the segments the bin touches, each marked segment is made
+/// private once per call, and the two columns then replay through plain
+/// slices. Per-key order is the bin's arrival order, untouched.
+///
+/// A segment nobody else holds is written in place. A shared one is
+/// retired as its spare and replaced by the previous call's spare, after
+/// replaying the bin's tuples of `prev` (that call's bins) into it, if
+/// the segment lies in this bin alone and `Arc::get_mut` succeeds on the
+/// spare; by a copy otherwise. Untaken spares are dropped, so a spare
+/// lags by exactly one call's bins. Without `prev` (WAL recovery, a
+/// worker's first seal) no spare is kept.
 pub(crate) fn apply_bins<R: Reducer>(
     reducer: &R,
     bins: &Bins<R::Value>,
+    prev: Option<&Bins<R::Value>>,
     base: u32,
     state: &mut Segments<R::Acc>,
-) {
+) -> Privatised {
     let seg_keys = state.segment_keys;
+    let mut old = std::mem::replace(&mut state.spares, vec![None; state.handles.len()]);
+    old.resize(state.handles.len(), None);
+    let mut paths = Privatised::default();
     for b in (0..bins.num_bins()).filter(|&b| bins.bin_len(b) > 0) {
         let local = bins.key_range(b);
-        let span = segment_span(&(base + local.start..base + local.end), seg_keys);
-        let handles = &mut state.handles[span.start - state.first..span.end - state.first];
+        let (lo, hi) = (base + local.start, base + local.end);
+        let span = segment_span(&(lo..hi), seg_keys);
+        let at = span.start - state.first..span.end - state.first;
+        // An end segment this bin shares with a neighbouring bin also
+        // lags by that bin's tuples, so only the others may recycle.
+        let own = usize::from(b > 0 && lo % seg_keys != 0)
+            ..span.len() - usize::from(b + 1 < bins.num_bins() && hi % seg_keys != 0);
+        // Makes segment `i` of the run this call's to write. Returns
+        // whether it is a recycled spare, still missing `prev`'s tuples.
+        let privatise = |i: usize, live: &mut Arc<Vec<R::Acc>>| {
+            if Arc::get_mut(live).is_some() {
+                return false;
+            }
+            let recyclable = prev.is_some() && own.contains(&i);
+            let mut spare = old[at.start + i].take().filter(|_| recyclable);
+            let recycle = spare.as_mut().is_some_and(|s| Arc::get_mut(s).is_some());
+            let fresh = match spare {
+                Some(s) if recycle => s,
+                _ => Arc::new(Vec::clone(live)),
+            };
+            state.spares[at.start + i] = Some(std::mem::replace(live, fresh));
+            paths.recycled += u64::from(recycle);
+            paths.copied += u64::from(!recycle);
+            recycle
+        };
+        let handles = &mut state.handles[at.clone()];
         // Local key → offset from the first key of the bin's first
         // segment (wrapping: that key may lie on either side of `base`).
         let rebase = base.wrapping_sub(span.start as u32 * seg_keys);
-        let (keys, values) = (bins.keys(b), bins.values(b));
+        let bin = (bins.keys(b), bins.values(b));
+        let prev_bin = prev.map(|p| (p.keys(b), p.values(b)));
         // Routing is a shift whenever the geometry allows, as in `Binner`.
         if seg_keys.is_power_of_two() {
             let (shift, mask) = (seg_keys.trailing_zeros(), seg_keys - 1);
-            replay_bin(reducer, keys, values, handles, |k| {
+            replay_bin(reducer, bin, prev_bin, handles, privatise, |k| {
                 let off = k.wrapping_add(rebase);
                 ((off >> shift) as usize, (off & mask) as usize)
             });
         } else {
-            replay_bin(reducer, keys, values, handles, |k| {
+            replay_bin(reducer, bin, prev_bin, handles, privatise, |k| {
                 let off = k.wrapping_add(rebase);
                 ((off / seg_keys) as usize, (off % seg_keys) as usize)
             });
         }
     }
+    if prev.is_none() {
+        state.spares.clear();
+    }
+    paths
 }
 
-/// One bin of [`apply_bins`]: `locate` maps a key to `(segment, slot)`
-/// within `handles`, the segments the bin's key range overlaps.
+/// One bin of [`apply_bins`]: `handles` are the segments the bin's key
+/// range overlaps, `locate` maps a key to `(segment, slot)` within them,
+/// and `privatise` makes a touched one writable.
 fn replay_bin<R: Reducer>(
     reducer: &R,
-    keys: &[u32],
-    values: &[R::Value],
+    (keys, values): (&[u32], &[R::Value]),
+    prev: Option<(&[u32], &[R::Value])>,
     handles: &mut [Arc<Vec<R::Acc>>],
+    mut privatise: impl FnMut(usize, &mut Arc<Vec<R::Acc>>) -> bool,
     locate: impl Fn(u32) -> (usize, usize),
 ) {
     let mut touched = vec![false; handles.len()];
     for &k in keys {
         touched[locate(k).0] = true;
     }
+    let recycled: Vec<bool> = (handles.iter_mut().enumerate().zip(&touched))
+        .map(|((i, h), &hit)| hit && privatise(i, h))
+        .collect();
+    // Every touched handle is unshared by now: `make_mut` copies nothing.
     let mut slices: Vec<&mut [R::Acc]> = handles
         .iter_mut()
         .zip(touched)
@@ -296,6 +354,15 @@ fn replay_bin<R: Reducer>(
             }
         })
         .collect();
+    // A recycled spare first catches up on the previous epoch's tuples.
+    if let Some((keys, values)) = prev.filter(|_| recycled.contains(&true)) {
+        for (&k, v) in keys.iter().zip(values) {
+            let (seg, slot) = locate(k);
+            if recycled[seg] {
+                reducer.apply(&mut slices[seg][slot], v);
+            }
+        }
+    }
     for (&k, v) in keys.iter().zip(values) {
         let (seg, slot) = locate(k);
         reducer.apply(&mut slices[seg][slot], v);
@@ -372,7 +439,8 @@ struct Straddler<A> {
     /// The shards `first_shard..first_shard + parts.len()` share it.
     first_shard: usize,
     /// The handle each sharer shipped last. Holding them keeps a sharer's
-    /// next write a copy, so an unchanged pointer means unchanged keys.
+    /// next write off that handle (into a copy or its spare), so an
+    /// unchanged pointer means unchanged keys.
     parts: Handles<A>,
     /// A sharer's handle changed since the segment was last stitched.
     dirty: bool,

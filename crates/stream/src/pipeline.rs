@@ -545,7 +545,9 @@ impl<R: Reducer> IngestPipeline<R> {
                     first: span.start,
                     segment_keys,
                     handles: resume.1[span].to_vec(),
+                    spares: Vec::new(),
                 },
+                prev: None,
             };
             let handle = std::thread::Builder::new()
                 .name(format!("cobra-stream-shard-{s}"))
@@ -727,6 +729,8 @@ impl<R: Reducer> IngestPipeline<R> {
                         flushed_tuples: c.flushed_tuples.load(Ordering::Relaxed), // ordering: stats
                         max_flush_tuples: c.max_flush_tuples.load(Ordering::Relaxed), // ordering: stats
                         reduced_flushes: 0,
+                        segments_copied: c.segments_copied.load(Ordering::Relaxed), // ordering: stats
+                        segments_recycled: c.segments_recycled.load(Ordering::Relaxed), // ordering: stats
                         bins_bytes: c.max_bins_bytes.load(Ordering::Relaxed), // ordering: stats
                         bin_segments: c.max_bin_segments.load(Ordering::Relaxed), // ordering: stats
                         bin_grow_events: c.bin_grow_events.load(Ordering::Relaxed), // ordering: stats

@@ -12,12 +12,15 @@
 //! accumulator — the paper's per-bin parallel Accumulate: shard ranges
 //! are disjoint, so every worker replays its own keys with no lock and
 //! nothing to merge. Ownership, not a `Mutex`, is what makes that safe.
+//!
+//! A shipped handle is never written again: the next seal replays the
+//! last seal's bins into the handle retired then, or copies the segment.
 
 use crate::channel::{Receiver, Sender};
 use crate::epoch::{apply_bins, AccMsg, Handles, Segments};
 use crate::reducer::Reducer;
 use crate::stats::ShardCounters;
-use cobra_pb::{Binner, Tuple};
+use cobra_pb::{Binner, Bins, Tuple};
 use cobra_wal::{Record, WalStats, WalWriter};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -121,6 +124,8 @@ pub(crate) struct ShardWorker<R: Reducer> {
     /// range. In a segment shared with a neighbouring shard only this
     /// shard's keys are meaningful (the accumulator stitches).
     pub(crate) state: Segments<R::Acc>,
+    /// The last seal's bins: what the next one replays into its spares.
+    pub(crate) prev: Option<Bins<R::Value>>,
 }
 
 impl<R: Reducer> ShardWorker<R> {
@@ -191,19 +196,26 @@ impl<R: Reducer> ShardWorker<R> {
     /// The shard's Accumulate phase: swaps the active bins out
     /// (double-buffering), replays them into the shard's own segments and
     /// returns clones of the handles — the shard's cumulative state as of
-    /// this seal. The clones are what keeps the epoch immutable: while one
-    /// is alive (in flight, or inside a snapshot) the next epoch's first
-    /// write into that segment copies it.
+    /// this seal. The clones are what keeps the epoch immutable: the next
+    /// epoch's first write into a segment goes to a recycled or copied
+    /// handle, never to one it shipped.
     fn accumulate(&mut self) -> Handles<R::Acc> {
-        let bins = self.binner.take_bins();
-        apply_bins(&*self.reducer, &bins, self.base, &mut self.state);
-        self.counters.record_flush(bins.len() as u64);
+        let (bins, prev) = (self.binner.take_bins(), self.prev.take());
+        let paths = apply_bins(
+            &*self.reducer,
+            &bins,
+            prev.as_ref(),
+            self.base,
+            &mut self.state,
+        );
+        self.counters.record_flush(bins.len() as u64, paths);
         self.counters.record_memory(
             bins.store().memory(),
             bins.store().grow_events(),
             self.binner.flush_stats(),
             self.binner.fuse_stats(),
         );
+        self.prev = Some(bins);
         self.state.handles.clone()
     }
 }

@@ -5,6 +5,7 @@
 //! eviction buffers.
 
 use crate::channel::ChannelStats;
+use crate::epoch::Privatised;
 use cobra_bins::{BinMemory, FrameFlushStats, FuseStats};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,16 +27,22 @@ pub(crate) struct ShardCounters {
     pub fusion_attempts: AtomicU64,
     pub fusion_hits: AtomicU64,
     pub fusion_flushes: AtomicU64,
+    pub segments_copied: AtomicU64,
+    pub segments_recycled: AtomicU64,
 }
 
 impl ShardCounters {
-    pub(crate) fn record_flush(&self, tuples: u64) {
+    pub(crate) fn record_flush(&self, tuples: u64, paths: Privatised) {
         // ordering: Relaxed throughout — monotonic statistics counters
         // written only by the owning shard worker; readers take advisory
         // point-in-time snapshots, no payload crosses through them.
         self.epoch_flushes.fetch_add(1, Ordering::Relaxed); // ordering: stats
         self.flushed_tuples.fetch_add(tuples, Ordering::Relaxed); // ordering: stats
         self.max_flush_tuples.fetch_max(tuples, Ordering::Relaxed); // ordering: stats
+        self.segments_copied
+            .fetch_add(paths.copied, Ordering::Relaxed); // ordering: stats
+        self.segments_recycled
+            .fetch_add(paths.recycled, Ordering::Relaxed); // ordering: stats
     }
 
     /// Records the sealed epoch's bin-store footprint and the binner's
@@ -85,8 +92,12 @@ pub struct ShardStats {
     pub max_flush_tuples: u64,
     /// Always 0 since PR 18 (no flush pre-reduces any more). Kept only
     /// because `benchmarks/ladder` reads it (`stream.reduced_flush_frac`);
-    /// goes with that metric in the next `benchmark` PR (ROADMAP item 4).
+    /// goes with that metric in the next `benchmark` PR (ROADMAP item 1(b)).
     pub reduced_flushes: u64,
+    /// Shared snapshot segments seals copied (no spare, or a held one).
+    pub segments_copied: u64,
+    /// Shared snapshot segments seals wrote into their recycled spare.
+    pub segments_recycled: u64,
     /// Peak bin-store column capacity, in bytes, observed at any seal.
     pub bins_bytes: u64,
     /// Peak slab segment count backing that capacity.
@@ -197,6 +208,16 @@ impl StreamStats {
         self.shards.iter().map(|s| s.bin_grow_events).sum()
     }
 
+    /// Snapshot segments copied by seals, summed across shards.
+    pub fn total_segments_copied(&self) -> u64 {
+        self.shards.iter().map(|s| s.segments_copied).sum()
+    }
+
+    /// Snapshot segments recycled by seals, summed across shards.
+    pub fn total_segments_recycled(&self) -> u64 {
+        self.shards.iter().map(|s| s.segments_recycled).sum()
+    }
+
     /// Pipeline-wide average C-Buffer flush occupancy.
     pub fn cbuf_occupancy(&self) -> f64 {
         let mut total = FrameFlushStats::default();
@@ -245,6 +266,8 @@ mod tests {
             flushed_tuples: 0,
             max_flush_tuples: 0,
             reduced_flushes: 0,
+            segments_copied: 0,
+            segments_recycled: 0,
             bins_bytes: 0,
             bin_segments: 0,
             bin_grow_events: 0,

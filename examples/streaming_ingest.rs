@@ -82,14 +82,22 @@ fn main() {
         stats.total_send_stall(),
         stats.stall_fraction()
     );
+    println!(
+        "snapshot segments written: {} copied, {} recycled",
+        stats.total_segments_copied(),
+        stats.total_segments_recycled()
+    );
     for sh in &stats.shards {
         println!(
-            "  shard {}: {} tuples, {} flushes (max {}), FIFO mean occupancy {:.1}",
+            "  shard {}: {} tuples, {} flushes (max {}), FIFO mean occupancy {:.1}, \
+             segments {} copied / {} recycled",
             sh.shard,
             sh.tuples_binned,
             sh.epoch_flushes,
             sh.max_flush_tuples,
-            sh.channel.mean_occupancy()
+            sh.channel.mean_occupancy(),
+            sh.segments_copied,
+            sh.segments_recycled
         );
     }
 }
