@@ -3,14 +3,15 @@
 //! way the paper does.
 
 use cobra_core::exec::{phases, RunMetrics};
-use cobra_kernels::{bin_choices, run, Input, KernelId, ModeSpec};
+use cobra_kernels::{bin_choices, run, Input, KernelId, ModeSpec, RunOutcome};
 use cobra_sim::MachineConfig;
 
-/// All mode results for one kernel × input.
+/// Baseline, PB-SW and PB-SW-IDEAL for one kernel × input: every mode of
+/// Figure 10 but COBRA.
 #[derive(Debug, Clone)]
-pub struct ModeRuns {
-    /// Unoptimized execution.
-    pub baseline: RunMetrics,
+pub struct PbModes {
+    /// Unoptimized execution; every other mode's digest must equal its.
+    pub baseline: RunOutcome,
     /// Software PB at its best measured bin count ("we simulated multiple
     /// bin ranges for PB, selecting the best bin range for each workload
     /// and input pair" — Section VI).
@@ -20,20 +21,20 @@ pub struct ModeRuns {
     /// The unrealizable ideal spliced from the best Binning and the best
     /// Accumulate (Figure 5).
     pub pb_ideal: RunMetrics,
-    /// COBRA with paper defaults.
-    pub cobra: RunMetrics,
 }
 
-impl ModeRuns {
+impl PbModes {
     /// Speedup of `m` over the baseline.
     pub fn speedup(&self, m: &RunMetrics) -> f64 {
-        m.speedup_over(&self.baseline)
+        m.speedup_over(&self.baseline.metrics)
     }
 }
 
-/// Runs Baseline, PB-SW (best of the three bin-count operating points),
-/// PB-SW-IDEAL (spliced) and COBRA, verifying output digests agree.
-pub fn run_all_modes(kernel: KernelId, input: &Input, machine: &MachineConfig) -> ModeRuns {
+/// Runs Baseline and PB-SW at the three bin-count operating points of
+/// `bin_choices`, keeping the best total as PB-SW and splicing the best
+/// Binning with the best Accumulate into PB-SW-IDEAL; verifies every PB
+/// digest against the baseline's.
+pub fn run_pb_modes(kernel: KernelId, input: &Input, machine: &MachineConfig) -> PbModes {
     let choices = bin_choices(kernel, input, machine);
     let baseline = run(kernel, input, &ModeSpec::Baseline, machine);
 
@@ -44,7 +45,7 @@ pub fn run_all_modes(kernel: KernelId, input: &Input, machine: &MachineConfig) -
         choices.accumulate_ideal,
     ];
     candidates.dedup();
-    let mut pb_runs: Vec<(usize, cobra_kernels::RunOutcome)> = candidates
+    let mut pb_runs: Vec<(usize, RunOutcome)> = candidates
         .iter()
         .map(|&bins| {
             (
@@ -79,21 +80,30 @@ pub fn run_all_modes(kernel: KernelId, input: &Input, machine: &MachineConfig) -
     let pb_sw_bins = pb_runs[best_idx].0;
     let pb_sw = pb_runs.swap_remove(best_idx).1.metrics;
 
-    let cobra = run(kernel, input, &ModeSpec::cobra_default(), machine);
-    assert_eq!(
-        cobra.digest,
-        baseline.digest,
-        "{}: COBRA output mismatch",
-        kernel.name()
-    );
-
-    ModeRuns {
-        baseline: baseline.metrics,
+    PbModes {
+        baseline,
         pb_sw,
         pb_sw_bins,
         pb_ideal,
-        cobra: cobra.metrics,
     }
+}
+
+/// Runs Baseline, PB-SW, PB-SW-IDEAL ([`run_pb_modes`]) and COBRA with
+/// paper defaults, verifying output digests agree.
+pub fn run_all_modes(
+    kernel: KernelId,
+    input: &Input,
+    machine: &MachineConfig,
+) -> (PbModes, RunMetrics) {
+    let pb = run_pb_modes(kernel, input, machine);
+    let cobra = run(kernel, input, &ModeSpec::cobra_default(), machine);
+    assert_eq!(
+        cobra.digest,
+        pb.baseline.digest,
+        "{}: COBRA output mismatch",
+        kernel.name()
+    );
+    (pb, cobra.metrics)
 }
 
 /// Runs only PB-SW (at the sweet-spot bin count) and COBRA — the cheap pair
@@ -131,17 +141,17 @@ mod tests {
     fn mode_runs_produce_consistent_shapes() {
         let machine = MachineConfig::hpca22();
         let ni = representative_input(KernelId::DegreeCount, Scale::Quick);
-        let r = run_all_modes(KernelId::DegreeCount, &ni.input, &machine);
-        assert!(r.baseline.cycles() > 0);
-        assert!(r.pb_sw.cycles() > 0);
-        assert!(r.cobra.cycles() > 0);
+        let (pb, cobra) = run_all_modes(KernelId::DegreeCount, &ni.input, &machine);
+        assert!(pb.baseline.metrics.cycles() > 0);
+        assert!(pb.pb_sw.cycles() > 0);
+        assert!(cobra.cycles() > 0);
         // The spliced ideal's binning phase can be no slower than PB-SW's.
         assert!(
-            r.pb_ideal.phase_cycles("binning") <= r.pb_sw.phase_cycles("binning"),
+            pb.pb_ideal.phase_cycles("binning") <= pb.pb_sw.phase_cycles("binning"),
             "ideal binning {} vs pb {}",
-            r.pb_ideal.phase_cycles("binning"),
-            r.pb_sw.phase_cycles("binning")
+            pb.pb_ideal.phase_cycles("binning"),
+            pb.pb_sw.phase_cycles("binning")
         );
-        assert!(r.pb_sw_bins >= 1);
+        assert!(pb.pb_sw_bins >= 1);
     }
 }

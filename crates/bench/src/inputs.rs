@@ -22,19 +22,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--quick` / `--full` from the process arguments
-    /// (default: `Standard`).
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Standard
-        }
-    }
-
     /// log2 of the graph vertex count.
     pub fn graph_scale(&self) -> u32 {
         match self {

@@ -1,8 +1,9 @@
 //! # cobra-bench — harnesses regenerating every table and figure
 //!
-//! One binary per experiment (see DESIGN.md §4 for the index):
+//! One binary, `repro`, with one row per experiment (see DESIGN.md §4 for
+//! the index):
 //!
-//! | binary | paper artifact |
+//! | row | paper artifact |
 //! |---|---|
 //! | `tab2_machine` | Table II (simulated machine parameters) |
 //! | `tab3_inputs` | Table III (input suite, scaled) |
@@ -18,10 +19,12 @@
 //! | `fig13c_ctx_switch` | Figure 13c |
 //! | `fig14_comm_compare` | Figure 14a/14b |
 //! | `fig15_tiling_vs_pb` | Figure 15 |
+//! | `ablation_partitioning` | Section V-E |
 //!
-//! Every binary accepts `--quick` (CI-sized inputs) or `--full`
-//! (paper-regime inputs; slow) and writes a CSV next to its stdout table
-//! under `results/`.
+//! `repro [--quick|--full] [name…]` runs the named rows (all of them when
+//! none is named) on CI-sized inputs, the standard scale, or paper-regime
+//! inputs (slow), and writes a CSV next to each stdout table under
+//! `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +33,6 @@ pub mod inputs;
 pub mod report;
 pub mod timing;
 
-pub use harness::{run_all_modes, ModeRuns};
+pub use harness::{run_all_modes, PbModes};
 pub use inputs::{NamedInput, Scale};
 pub use report::Table;

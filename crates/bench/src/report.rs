@@ -1,7 +1,6 @@
 //! Table rendering and CSV output for the experiment harnesses.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A simple column-aligned table that prints to stdout and saves as CSV.
@@ -30,16 +29,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table to a string.
@@ -76,17 +65,21 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes the table as CSV to `results/<name>.csv`.
-    pub fn write_csv(&self, name: &str) -> PathBuf {
-        let dir = results_dir();
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = fs::File::create(&path).expect("create csv");
-        writeln!(f, "{}", self.headers.join(",")).expect("write csv");
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(",")).expect("write csv");
+    /// Renders the table as CSV: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            out.push_str(&cells.join(","));
+            out.push('\n');
         }
+        out
+    }
+
+    /// Writes [`to_csv`](Self::to_csv) to `results/<name>.csv`.
+    pub fn write_csv(&self, name: &str) {
+        let path = results_dir().join(format!("{name}.csv"));
+        fs::write(&path, self.to_csv()).expect("write csv");
         println!("[csv] {}", path.display());
-        path
     }
 }
 
@@ -143,8 +136,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("demo"));
         assert!(s.contains("long-header"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.to_csv(), "a,long-header,c\n1,2,3\n");
     }
 
     #[test]
