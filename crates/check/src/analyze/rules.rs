@@ -144,7 +144,7 @@ fn is_crate_root(rel: &str) -> bool {
         || (rel.contains("/src/bin/") && rel.ends_with(".rs"))
 }
 
-/// R1, R2, R3, R9, R11 — the token-sequence rules of [`TOKEN_RULES`],
+/// R1, R2, R3, R9, R11 — the token-sequence rules of `TOKEN_RULES`,
 /// plus R9's crate-root half: every crate root must carry
 /// `#![forbid(unsafe_code)]` (or `deny`) so the compiler enforces what
 /// the rule observes. A finding's message is the offending source line,

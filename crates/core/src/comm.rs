@@ -1,7 +1,7 @@
 //! Commutative-update specializations (Section VII-C): update coalescing.
 //!
 //! When updates commute, tuples destined to the same key can be merged,
-//! shrinking bin traffic. PHI [43] buffers updates in cache *lines*, each
+//! shrinking bin traffic. PHI \[43\] buffers updates in cache *lines*, each
 //! covering `tuples_per_line` adjacent keys, and coalesces hierarchically at
 //! every level; COBRA-COMM adds an atomic reduction unit *only at the LLC*
 //! ("as in PHI"), where the paper measures 97% of PHI's coalescing happens

@@ -18,9 +18,9 @@ pub enum Mode {
     Cobra,
     /// COBRA specialized for commutative updates (LLC coalescing).
     CobraComm,
-    /// Idealized PHI [43]: hierarchical coalescing at every level.
+    /// Idealized PHI \[43\]: hierarchical coalescing at every level.
     Phi,
-    /// CSR-Segmenting 1-D tiling [63] (Figure 15 comparator).
+    /// CSR-Segmenting 1-D tiling \[63\] (Figure 15 comparator).
     Tiling,
 }
 

@@ -41,7 +41,7 @@
 //!
 //! ## Parallel use
 //!
-//! [`bin_parallel`](parallel::bin_parallel) creates per-thread
+//! [`bin_parallel`] creates per-thread
 //! [`Binner`]s (no synchronization during Binning, exactly as in the
 //! paper's Algorithm 2), sizes their bins before the first insert (the
 //! paper's Init phase, from the item count instead of a counting pass) and

@@ -39,7 +39,7 @@
 //!   the reactor is never parked on a pipeline condvar while admitting,
 //!   only once per round in the settle.
 //! * **Memory**: responses a peer leaves unread stage at most
-//!   [`OUTBOX_HIGH_WATER`] bytes (plus one in-flight frame). Past the
+//!   `OUTBOX_HIGH_WATER` bytes (plus one in-flight frame). Past the
 //!   mark the connection stops reading *and* dispatching — so a client
 //!   pipelining amplifying requests (`SNAPSHOT` is ~20,000×) without
 //!   consuming replies cannot stage unbounded outbox memory — and
@@ -52,7 +52,7 @@
 //!   unlimited, as before.
 //!
 //! Requests that cannot be answered in one frame never block the reactor
-//! and never leave it; they are connection states ([`Mode`]):
+//! and never leave it; they are connection states (`Mode`):
 //!
 //! * `WAIT_EPOCH` parks the connection (read interest dropped) until the
 //!   top of the round that first sees the epoch committed.
@@ -144,10 +144,9 @@ pub struct ServeConfig {
     /// Connections the reactor serves concurrently before refusing new
     /// ones (subscribed and replicating connections count like any other).
     pub max_conns: usize,
-    /// Snapshot-cache capacity, in blocks.
+    /// Snapshot-cache capacity, in blocks. A block is one copy-on-write
+    /// snapshot segment, so its key count is the pipeline's segment size.
     pub cache_blocks: usize,
-    /// Keys per cached snapshot block.
-    pub cache_block_keys: u32,
     /// Reactor poll granularity: how often an otherwise idle reactor
     /// sweeps the idle budgets. Publishes and shutdown do not wait for
     /// it — they wake the reactor directly.
@@ -179,7 +178,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_conns: 4096,
             cache_blocks: 128,
-            cache_block_keys: 1024,
             read_timeout: Duration::from_millis(50),
             idle_budget: Duration::from_secs(30),
             durable: None,
@@ -211,12 +209,6 @@ impl ServeConfig {
     /// Sets the snapshot-cache capacity in blocks.
     pub fn cache_blocks(mut self, blocks: usize) -> Self {
         self.cache_blocks = blocks;
-        self
-    }
-
-    /// Sets the keys-per-block granularity of the snapshot cache.
-    pub fn cache_block_keys(mut self, keys: u32) -> Self {
-        self.cache_block_keys = keys;
         self
     }
 
@@ -283,6 +275,7 @@ struct Ctx {
     counters: ServeCounters,
     stop: AtomicBool,
     num_keys: u32,
+    /// Keys per cache block: the pipeline's snapshot segment size.
     block_keys: u32,
     read_timeout: Duration,
     /// The durable data directory (None = in-memory server; replication
@@ -366,27 +359,15 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `cfg.max_conns`, `cfg.cache_blocks < 2` or
-    /// `cfg.cache_block_keys` are out of range (programmer error — the
+    /// `cfg.sub_queue_epochs` are out of range (programmer error — the
     /// config is server-side, not client input).
-    pub fn start(
-        num_keys: u32,
-        mut stream_cfg: StreamConfig,
-        cfg: ServeConfig,
-    ) -> io::Result<Server> {
+    pub fn start(num_keys: u32, stream_cfg: StreamConfig, cfg: ServeConfig) -> io::Result<Server> {
         assert!(cfg.max_conns > 0, "need at least one connection slot");
         assert!(cfg.cache_blocks >= 2, "cache needs at least two blocks");
-        assert!(
-            cfg.cache_block_keys > 0,
-            "cache blocks need at least one key"
-        );
         assert!(
             cfg.sub_queue_epochs > 0,
             "subscriber queues need at least one epoch"
         );
-        // Align the pipeline's copy-on-write snapshot segments with the
-        // cache blocks: a cache fill then shares the snapshot's segment
-        // `Arc` directly instead of copying the block's values.
-        stream_cfg.snapshot_segment_keys = cfg.cache_block_keys as usize;
 
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -448,13 +429,16 @@ impl Server {
         // first sealed epoch diffs against it instead of emitting full
         // state, and so epoch-0/latest lookups always resolve.
         store.admit(pipeline.snapshot());
+        // The cache blocks are the snapshot segments: a fill shares the
+        // segment's `Arc` instead of copying the block's values.
+        let block_keys = pipeline.snapshot().segment_keys();
         let ctx = Arc::new(Ctx {
             pipeline,
             cache: S3FifoCache::new(cfg.cache_blocks),
             counters: ServeCounters::default(),
             stop: AtomicBool::new(false),
             num_keys,
-            block_keys: cfg.cache_block_keys,
+            block_keys,
             read_timeout: cfg.read_timeout,
             data_dir,
             store,
@@ -1527,9 +1511,9 @@ fn handle_query_at(ctx: &Ctx, epoch: u64, key: u32) -> Frame {
 
 /// The point-read path behind QUERY and QUERY_AT: answers `key` from the
 /// cached `(epoch, block)` slice, filling the block from `snap()` on a
-/// miss. Blocks are segment-aligned (`Server::start` forces it), so the
-/// fill shares the snapshot's copy-on-write segment `Arc` — no value
-/// copied.
+/// miss. Blocks are segment-aligned because a block *is* a snapshot
+/// segment (`block_keys` is the pipeline's segment size), so the fill
+/// shares the segment's copy-on-write `Arc` — no value copied.
 fn cached_value(
     ctx: &Ctx,
     epoch: u64,
@@ -1545,7 +1529,6 @@ fn cached_value(
     }
     let snap = snap();
     let epoch = snap.epoch();
-    debug_assert_eq!(snap.segment_keys(), ctx.block_keys);
     let slice = Arc::clone(snap.segment(block as usize));
     let value = slice.get((key - lo) as usize).copied();
     ctx.cache.insert((epoch, block), slice);
@@ -1648,13 +1631,12 @@ fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame {
 mod tests {
     use super::*;
 
-    fn test_ctx(num_keys: u32, block_keys: u32) -> Ctx {
-        let stream_cfg = StreamConfig::new()
-            .shards(2)
-            .snapshot_segment_keys(block_keys as usize);
+    fn test_ctx(num_keys: u32) -> Ctx {
+        let pipeline = IngestPipeline::new(num_keys, SumU64, StreamConfig::new().shards(2));
+        let block_keys = pipeline.snapshot().segment_keys();
         let (wake_tx, wake_rx) = UnixStream::pair().expect("socket pair");
         Ctx {
-            pipeline: IngestPipeline::new(num_keys, SumU64, stream_cfg),
+            pipeline,
             cache: S3FifoCache::new(16),
             counters: ServeCounters::default(),
             stop: AtomicBool::new(false),
@@ -1686,7 +1668,7 @@ mod tests {
 
     #[test]
     fn query_miss_fills_cache_with_the_snapshot_segment_zero_copy() {
-        let ctx = test_ctx(4096, 512);
+        let ctx = test_ctx(4096);
         let mut h = ctx.pipeline.handle();
         for k in 0..4096u32 {
             h.send(k, u64::from(k)).unwrap();
@@ -1700,23 +1682,29 @@ mod tests {
 
         // Miss path: the fill must share the snapshot's segment Arc, not
         // copy the block's values.
-        let key = 1000u32; // block 1 (keys 512..1024)
+        let key = 1000u32;
+        let block = key / ctx.block_keys;
+        assert!(block > 0, "the key lies past the first block");
         let Frame::Value { epoch, value } = handle_query(&ctx, key) else {
             panic!("expected a value response");
         };
         assert_eq!((epoch, value), (1, 1000));
         let snap = ctx.pipeline.snapshot();
-        let cached = ctx.cache.get(&(1, 1)).expect("block cached by the miss");
+        let cached = ctx
+            .cache
+            .get(&(1, block))
+            .expect("block cached by the miss");
         assert!(
-            Arc::ptr_eq(&cached, snap.segment(1)),
+            Arc::ptr_eq(&cached, snap.segment(block as usize)),
             "cache fill must alias the snapshot segment"
         );
 
         // Hit path returns the same shared slice.
-        let Frame::Value { value, .. } = handle_query(&ctx, 513) else {
+        let other = block * ctx.block_keys + 1;
+        let Frame::Value { value, .. } = handle_query(&ctx, other) else {
             panic!("expected a value response");
         };
-        assert_eq!(value, 513);
+        assert_eq!(value, u64::from(other));
         // Two hits: the test's own aliasing check above plus this query.
         assert_eq!(ctx.cache.stats().hits, 2);
         drop(h);

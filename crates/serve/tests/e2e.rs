@@ -13,7 +13,6 @@ fn small_server(num_keys: u32) -> Server {
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(8);
     let serve_cfg = ServeConfig::new()
         .cache_blocks(8)
-        .cache_block_keys(16)
         .read_timeout(Duration::from_millis(10));
     Server::start(num_keys, stream_cfg, serve_cfg).expect("bind ephemeral server")
 }

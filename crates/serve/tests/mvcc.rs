@@ -21,7 +21,6 @@ fn mvcc_server_with_keys(keys: u32, retain: usize, sub_queue_epochs: usize) -> S
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(64);
     let serve_cfg = ServeConfig::new()
         .cache_blocks(16)
-        .cache_block_keys(64)
         .read_timeout(Duration::from_millis(10))
         .retain_epochs(retain)
         .sub_queue_epochs(sub_queue_epochs);

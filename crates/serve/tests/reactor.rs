@@ -29,7 +29,6 @@ fn congested_server_batching(num_keys: u32, batch_tuples: usize) -> Server {
         .batch_tuples(batch_tuples);
     let serve_cfg = ServeConfig::new()
         .cache_blocks(8)
-        .cache_block_keys(16)
         .read_timeout(Duration::from_millis(10));
     Server::start(num_keys, stream_cfg, serve_cfg).expect("bind ephemeral server")
 }
@@ -39,7 +38,6 @@ fn short_budget_server(num_keys: u32, budget: Duration) -> Server {
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(8);
     let serve_cfg = ServeConfig::new()
         .cache_blocks(8)
-        .cache_block_keys(16)
         .read_timeout(Duration::from_millis(10))
         .idle_budget(budget);
     Server::start(num_keys, stream_cfg, serve_cfg).expect("bind ephemeral server")

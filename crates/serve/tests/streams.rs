@@ -64,7 +64,6 @@ fn pipelined(frames: &[Frame]) -> Vec<u8> {
 fn publish_and_shutdown_wake_the_reactor_without_waiting_for_the_tick() {
     let serve_cfg = ServeConfig::new()
         .cache_blocks(8)
-        .cache_block_keys(64)
         .read_timeout(Duration::from_secs(2));
     let server = Server::start(256, stream_cfg(), serve_cfg).expect("bind ephemeral server");
     let addr = server.local_addr();
@@ -235,7 +234,6 @@ fn subscriber_that_never_reads_is_cut_at_the_idle_budget() {
 fn frames_pipelined_behind_subscribe_are_handled_in_order() {
     let serve_cfg = ServeConfig::new()
         .cache_blocks(8)
-        .cache_block_keys(64)
         .read_timeout(Duration::from_millis(10));
     let server = Server::start(256, stream_cfg(), serve_cfg).expect("bind ephemeral server");
     let addr = server.local_addr();

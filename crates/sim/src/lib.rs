@@ -3,7 +3,7 @@
 //! This crate is the architectural substrate used by the COBRA reproduction
 //! (HPCA 2022, Balaji & Lucia). It models, from scratch:
 //!
-//! * a synthetic [`AddressSpace`](addr::AddressSpace) for laying out the data
+//! * a synthetic [`AddressSpace`] for laying out the data
 //!   structures of instrumented kernels,
 //! * set-associative [`Cache`](cache::Cache)s with Bit-PLRU, LRU and DRRIP
 //!   replacement and Intel-CAT-style way reservation,
@@ -13,10 +13,10 @@
 //! * a gshare [branch predictor](branch),
 //! * a simplified limited-window out-of-order [timing model](timing) (issue
 //!   width, ROB-bounded memory-level parallelism, branch-flush penalty),
-//! * the [`Engine`](engine::Engine) trait through which kernels emit their
+//! * the [`Engine`] trait through which kernels emit their
 //!   dynamic instruction/memory trace exactly once, whether they run natively
-//!   ([`NullEngine`](engine::NullEngine)) or under simulation
-//!   ([`SimEngine`](engine::SimEngine)).
+//!   ([`NullEngine`]) or under simulation
+//!   ([`SimEngine`]).
 //!
 //! The machine configuration reproducing the paper's Table II is
 //! [`MachineConfig::hpca22`](config::MachineConfig::hpca22).

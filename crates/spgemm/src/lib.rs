@@ -23,7 +23,7 @@
 //! [`stream::spgemm_stream`] runs the same multiply as continuous
 //! ingestion over `cobra-stream`: row tiles of `A` become epochs, each
 //! epoch's seal publishes a partial-result snapshot, and the
-//! [`ColSum`](stream::ColSum) reducer's declared fusability routes shard
+//! [`ColSum`] reducer's declared fusability routes shard
 //! binning through the same frame-fusion pass.
 //!
 //! Per-`(i, j)` products always fold in expansion (k-then-duplicate)

@@ -38,10 +38,11 @@
 //! truncated, and the writers resume at the truncation point.
 
 use crate::epoch::{apply_bins, identity_segments, EpochEvent, EpochSink, PublishHook, Segments};
-use crate::pipeline::{shard_plan, DurableParts, IngestPipeline, StreamConfig, MIN_BINS_PER_SHARD};
+use crate::pipeline::{
+    segment_keys, shard_binner, shard_plan, DurableParts, IngestPipeline, StreamConfig,
+};
 use crate::reducer::Reducer;
 use crate::shard::{bin_one, ShardWal};
-use cobra_pb::Binner;
 use cobra_wal::{
     gc_checkpoints, latest_checkpoint, scan, write_checkpoint, CheckpointMeta, Record, SyncPolicy,
     WalConfig, WalStats, WalValue, WalWriter,
@@ -140,8 +141,11 @@ where
     /// truncate everything after the last committed seal. Corrupt WAL
     /// tails and corrupt checkpoints are tolerated (older checkpoints and
     /// longer replays take over); only real I/O failures and geometry
-    /// mismatches (a directory created with different `num_keys`,
-    /// `snapshot_segment_keys`, or shard count) return `Err`.
+    /// mismatches return `Err` (`InvalidData`): a directory created with a
+    /// different `num_keys` or shard count, or one whose checkpoint records
+    /// a segment size other than the one this shard plan derives — so a
+    /// small key domain's directory whose checkpoint records 1024-key
+    /// segments is refused, not migrated.
     ///
     /// # Panics
     ///
@@ -171,13 +175,9 @@ where
     ) -> io::Result<(Self, RecoveryReport)> {
         assert!(num_keys > 0, "need at least one key");
         assert!(cfg.shards > 0, "need at least one shard");
-        assert!(
-            cfg.snapshot_segment_keys > 0 && cfg.snapshot_segment_keys <= u32::MAX as usize,
-            "snapshot_segment_keys must be in 1..=u32::MAX"
-        );
-        let segment_keys = cfg.snapshot_segment_keys as u32;
         std::fs::create_dir_all(&durable.dir)?;
         let (_, ranges) = shard_plan(num_keys, cfg.shards);
+        let segment_keys = segment_keys(&ranges);
         let num_shards = ranges.len();
         let wal_stats = Arc::new(WalStats::default());
 
@@ -224,8 +224,7 @@ where
             ),
         };
 
-        // Recovery replays every shard into the one whole state; a segment
-        // two shards share takes both shards' (disjoint) keys in place.
+        // Recovery replays every shard into the one whole state.
         let mut state = Segments {
             first: 0,
             segment_keys,
@@ -244,8 +243,7 @@ where
         let mut shard_wals = Vec::with_capacity(num_shards);
         let mut binners = Vec::with_capacity(num_shards);
         for (s, range) in ranges.iter().enumerate() {
-            let local_keys = range.end - range.start;
-            let mut binner = Binner::new(local_keys, MIN_BINS_PER_SHARD);
+            let mut binner = shard_binner(&ranges, s);
             let sdir = shard_dir(&durable.dir, s);
             let mut done = checkpoint_epoch >= committed;
             let mut tuples_here = 0u64;

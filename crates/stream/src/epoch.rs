@@ -22,8 +22,8 @@
 //! # Segmented state: recycle, or copy while shared
 //!
 //! The value array is split into fixed-size *segments*, each an
-//! `Arc<Vec<A>>`. A worker holds the handles of the segments overlapping
-//! its key range and ships clones of them at every seal; a snapshot is
+//! `Arc<Vec<A>>`. A worker holds the handles of the segments of its key
+//! range and ships clones of them at every seal; a snapshot is
 //! those handles (O(num_segments), independent of key count and value
 //! size). A shipped handle is never written again, so epochs that touch
 //! a sparse key set pay for the touched segments only: the worker writes
@@ -34,14 +34,10 @@
 //! `Arc`s, making snapshot-to-cache handoff zero-copy and
 //! pointer-identity testable.
 //!
-//! A segment straddles a shard boundary whenever `segment_keys` does not
-//! divide the power-of-two shard span (tiny key domains under the default
-//! 1024; never the daemon's geometry). One rule, no second path: every
-//! sharing worker keeps a full-length private copy in which only its own
-//! keys are meaningful, and the accumulator stitches the published
-//! segment from the sharers' sub-ranges, reusing the previous stitched
-//! `Arc` while no sharer's handle changed. Whole segments pass through
-//! zero-copy.
+//! The segment size is derived from the shard plan, never configured: a
+//! power of two no wider than any shard's bins, so every segment lies in
+//! one bin of one shard. No two workers ever write one segment, and the
+//! accumulator installs every handle it receives as is.
 
 use crate::channel::Receiver;
 use crate::reducer::Reducer;
@@ -217,8 +213,8 @@ pub(crate) fn identity_segments<R: Reducer>(
 
 /// A contiguous run of snapshot segments: the copy-on-write handles of
 /// global segments `first..first + handles.len()`. A shard worker owns
-/// the run overlapping its key range; WAL recovery replays into the whole
-/// state (`first == 0`).
+/// the run of its key range; WAL recovery replays into the whole state
+/// (`first == 0`).
 pub(crate) struct Segments<A> {
     /// Global index of `handles[0]`.
     pub(crate) first: usize,
@@ -247,19 +243,19 @@ pub(crate) fn segment_span(keys: &Range<u32>, segment_keys: u32) -> Range<usize>
 /// accumulate body: a shard worker sealing an epoch and WAL recovery both
 /// apply here, whatever the reducer declares.
 ///
-/// Segments are resolved once per bin, never per tuple: a bin's keys fall
-/// in one contiguous run of segments, so one pass over the key column
-/// marks the segments the bin touches, each marked segment is made
-/// private once per call, and the two columns then replay through plain
-/// slices. Per-key order is the bin's arrival order, untouched.
+/// Segments are resolved once per bin, never per tuple: a bin covers a
+/// whole run of segments starting at its first key, so a key's segment
+/// and slot are a shift and a mask, one pass over the key column marks the
+/// segments the bin touches, each marked segment is made private once per
+/// call, and the two columns then replay through plain slices. Per-key
+/// order is the bin's arrival order, untouched.
 ///
 /// A segment nobody else holds is written in place. A shared one is
 /// retired as its spare and replaced by the previous call's spare, after
 /// replaying the bin's tuples of `prev` (that call's bins) into it, if
-/// the segment lies in this bin alone and `Arc::get_mut` succeeds on the
-/// spare; by a copy otherwise. Untaken spares are dropped, so a spare
-/// lags by exactly one call's bins. Without `prev` (WAL recovery, a
-/// worker's first seal) no spare is kept.
+/// `Arc::get_mut` succeeds on the spare; by a copy otherwise. Untaken
+/// spares are dropped, so a spare lags by exactly one call's bins.
+/// Without `prev` (WAL recovery, a worker's first seal) no spare is kept.
 pub(crate) fn apply_bins<R: Reducer>(
     reducer: &R,
     bins: &Bins<R::Value>,
@@ -267,27 +263,21 @@ pub(crate) fn apply_bins<R: Reducer>(
     base: u32,
     state: &mut Segments<R::Acc>,
 ) -> Privatised {
-    let seg_keys = state.segment_keys;
+    let shift = state.segment_keys.trailing_zeros();
     let mut old = std::mem::replace(&mut state.spares, vec![None; state.handles.len()]);
     old.resize(state.handles.len(), None);
     let mut paths = Privatised::default();
     for b in (0..bins.num_bins()).filter(|&b| bins.bin_len(b) > 0) {
         let local = bins.key_range(b);
-        let (lo, hi) = (base + local.start, base + local.end);
-        let span = segment_span(&(lo..hi), seg_keys);
+        let span = segment_span(&(base + local.start..base + local.end), state.segment_keys);
         let at = span.start - state.first..span.end - state.first;
-        // An end segment this bin shares with a neighbouring bin also
-        // lags by that bin's tuples, so only the others may recycle.
-        let own = usize::from(b > 0 && lo % seg_keys != 0)
-            ..span.len() - usize::from(b + 1 < bins.num_bins() && hi % seg_keys != 0);
         // Makes segment `i` of the run this call's to write. Returns
         // whether it is a recycled spare, still missing `prev`'s tuples.
         let privatise = |i: usize, live: &mut Arc<Vec<R::Acc>>| {
             if Arc::get_mut(live).is_some() {
                 return false;
             }
-            let recyclable = prev.is_some() && own.contains(&i);
-            let mut spare = old[at.start + i].take().filter(|_| recyclable);
+            let mut spare = old[at.start + i].take().filter(|_| prev.is_some());
             let recycle = spare.as_mut().is_some_and(|s| Arc::get_mut(s).is_some());
             let fresh = match spare {
                 Some(s) if recycle => s,
@@ -298,25 +288,14 @@ pub(crate) fn apply_bins<R: Reducer>(
             paths.copied += u64::from(!recycle);
             recycle
         };
-        let handles = &mut state.handles[at.clone()];
-        // Local key → offset from the first key of the bin's first
-        // segment (wrapping: that key may lie on either side of `base`).
-        let rebase = base.wrapping_sub(span.start as u32 * seg_keys);
-        let bin = (bins.keys(b), bins.values(b));
-        let prev_bin = prev.map(|p| (p.keys(b), p.values(b)));
-        // Routing is a shift whenever the geometry allows, as in `Binner`.
-        if seg_keys.is_power_of_two() {
-            let (shift, mask) = (seg_keys.trailing_zeros(), seg_keys - 1);
-            replay_bin(reducer, bin, prev_bin, handles, privatise, |k| {
-                let off = k.wrapping_add(rebase);
-                ((off >> shift) as usize, (off & mask) as usize)
-            });
-        } else {
-            replay_bin(reducer, bin, prev_bin, handles, privatise, |k| {
-                let off = k.wrapping_add(rebase);
-                ((off / seg_keys) as usize, (off % seg_keys) as usize)
-            });
-        }
+        replay_bin(
+            reducer,
+            (bins.keys(b), bins.values(b)),
+            prev.map(|p| (p.keys(b), p.values(b))),
+            &mut state.handles[at.clone()],
+            privatise,
+            (local.start, shift),
+        );
     }
     if prev.is_none() {
         state.spares.clear();
@@ -324,17 +303,22 @@ pub(crate) fn apply_bins<R: Reducer>(
     paths
 }
 
-/// One bin of [`apply_bins`]: `handles` are the segments the bin's key
-/// range overlaps, `locate` maps a key to `(segment, slot)` within them,
-/// and `privatise` makes a touched one writable.
+/// One bin of [`apply_bins`]: `handles` are the segments of the bin's key
+/// range, the first starting at its first (local) key `first`, and
+/// `privatise` makes a touched one writable. A key's segment and slot are
+/// a shift and a mask, as in `Binner`.
 fn replay_bin<R: Reducer>(
     reducer: &R,
     (keys, values): (&[u32], &[R::Value]),
     prev: Option<(&[u32], &[R::Value])>,
     handles: &mut [Arc<Vec<R::Acc>>],
     mut privatise: impl FnMut(usize, &mut Arc<Vec<R::Acc>>) -> bool,
-    locate: impl Fn(u32) -> (usize, usize),
+    (first, shift): (u32, u32),
 ) {
+    let locate = |k: u32| {
+        let off = k - first;
+        ((off >> shift) as usize, (off & ((1 << shift) - 1)) as usize)
+    };
     let mut touched = vec![false; handles.len()];
     for &k in keys {
         touched[locate(k).0] = true;
@@ -428,24 +412,6 @@ pub(crate) type ResumeState<A> = (u64, Handles<A>, Vec<u64>);
 /// One shard's sealed epoch: `(epoch, segment handles, WAL replay boundary)`.
 type SealedEpoch<A> = (u64, Handles<A>, u64);
 
-/// A snapshot segment whose keys belong to more than one shard (whenever
-/// `segment_keys` does not divide the power-of-two shard span). Every
-/// sharer keeps a full-length private copy in which only its own keys are
-/// meaningful; the published segment is stitched from the sharers'
-/// sub-ranges.
-struct Straddler<A> {
-    /// Global segment index.
-    segment: usize,
-    /// The shards `first_shard..first_shard + parts.len()` share it.
-    first_shard: usize,
-    /// The handle each sharer shipped last. Holding them keeps a sharer's
-    /// next write off that handle (into a copy or its spare), so an
-    /// unchanged pointer means unchanged keys.
-    parts: Handles<A>,
-    /// A sharer's handle changed since the segment was last stitched.
-    dirty: bool,
-}
-
 /// The single accumulator thread's state. It keeps exactly what must be
 /// serial: aligning the shards' sealed epochs into waves in epoch order,
 /// assembling each wave's segment handles into an [`EpochSnapshot`], and
@@ -457,7 +423,6 @@ pub(crate) struct Accumulator<A> {
     segment_keys: u32,
     /// The assembled segments as of `applied_epoch`.
     state: Handles<A>,
-    straddlers: Vec<Straddler<A>>,
     /// Per-shard queue of sealed epochs not yet assembled into an aligned
     /// wave, each with its WAL replay boundary.
     pending: Vec<VecDeque<SealedEpoch<A>>>,
@@ -472,7 +437,7 @@ pub(crate) struct Accumulator<A> {
     publish_hook: Option<PublishHook<A>>,
 }
 
-impl<A: Clone> Accumulator<A> {
+impl<A> Accumulator<A> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shard_ranges: Vec<Range<u32>>,
@@ -485,27 +450,8 @@ impl<A: Clone> Accumulator<A> {
         publish_hook: Option<PublishHook<A>>,
     ) -> Self {
         let shards = shard_ranges.len();
-        // A segment straddles when the shard after its first sharer also
-        // overlaps it; every sharer starts from the same initial handle.
-        let mut straddlers: Vec<Straddler<A>> = Vec::new();
-        for (shard, keys) in shard_ranges.iter().enumerate().skip(1) {
-            if keys.start % segment_keys == 0 {
-                continue;
-            }
-            let segment = (keys.start / segment_keys) as usize;
-            match straddlers.last_mut().filter(|s| s.segment == segment) {
-                Some(s) => s.parts.push(Arc::clone(&state[segment])),
-                None => straddlers.push(Straddler {
-                    segment,
-                    first_shard: shard - 1,
-                    parts: vec![Arc::clone(&state[segment]); 2],
-                    dirty: false,
-                }),
-            }
-        }
         Accumulator {
             state,
-            straddlers,
             pending: (0..shards).map(|_| VecDeque::new()).collect(),
             final_handles: (0..shards).map(|_| None).collect(),
             shard_offsets,
@@ -565,7 +511,6 @@ impl<A: Clone> Accumulator<A> {
                 None => drain_sealed = false,
             }
         }
-        self.stitch();
         let drain_epoch = self.applied_epoch + 1;
         // Only a drain whose every shard wrote its `Seal(drain_epoch)`
         // marker (graceful shutdown, no degraded WAL) may be committed:
@@ -594,47 +539,22 @@ impl<A: Clone> Accumulator<A> {
                     self.pending[shard].pop_front().expect("checked front");
                 self.install(shard, handles, wal_offset);
             }
-            self.stitch();
             self.applied_epoch = next;
             self.commit(next, false);
             self.publish(next);
         }
     }
 
-    /// Takes over the handles `shard` shipped: a whole segment passes
-    /// into the state zero-copy, a straddling one becomes the shard's part
-    /// of its [`Straddler`].
+    /// Takes over the handles `shard` shipped: its segments pass into the
+    /// state zero-copy.
     fn install(&mut self, shard: usize, handles: Handles<A>, wal_offset: u64) {
         if wal_offset > 0 {
             self.shard_offsets[shard] = wal_offset;
         }
         let span = segment_span(&self.shard_ranges[shard], self.segment_keys);
-        for (segment, handle) in span.zip(handles) {
-            match self.straddlers.iter_mut().find(|s| s.segment == segment) {
-                Some(s) => {
-                    let part = &mut s.parts[shard - s.first_shard];
-                    s.dirty |= !Arc::ptr_eq(part, &handle);
-                    *part = handle;
-                }
-                None => self.state[segment] = handle,
-            }
-        }
-    }
-
-    /// Rebuilds every straddling segment a sharer changed from the
-    /// sharers' sub-ranges. One no sharer changed keeps its previous
-    /// `Arc`, so untouched segments stay pointer-identical across epochs.
-    fn stitch(&mut self) {
-        for s in self.straddlers.iter_mut().filter(|s| s.dirty) {
-            let first_key = s.segment as u32 * self.segment_keys;
-            let mut stitched = Vec::with_capacity(self.state[s.segment].len());
-            for (part, keys) in s.parts.iter().zip(&self.shard_ranges[s.first_shard..]) {
-                let lo = keys.start.max(first_key) - first_key;
-                let hi = (keys.end - first_key).min(part.len() as u32);
-                stitched.extend_from_slice(&part[lo as usize..hi as usize]);
-            }
-            self.state[s.segment] = Arc::new(stitched);
-            s.dirty = false;
+        debug_assert_eq!(span.len(), handles.len());
+        for (slot, h) in self.state[span].iter_mut().zip(handles) {
+            *slot = h;
         }
     }
 

@@ -24,8 +24,10 @@
 //!   `cobra-core`'s simulated eviction-buffer stalls.
 //! * Each shard worker owns a [`cobra_pb::Binner`] over a disjoint key
 //!   sub-range and bins continuously. It also owns that range's per-key
-//!   state: the copy-on-write handles of the snapshot segments that
-//!   overlap it.
+//!   state: the copy-on-write handles of its snapshot segments. The
+//!   segment size is derived, not configured — 1024 keys, or the shard bin
+//!   width when that is smaller; a ragged last shard keeps that bin width —
+//!   so every segment lies inside one bin of one shard.
 //! * Sealing an *epoch* double-buffers each shard's bins out
 //!   ([`cobra_pb::Binner::take_bins`]) and the worker replays them into
 //!   its own segments — the paper's per-bin parallel Accumulate over
@@ -33,8 +35,7 @@
 //!   FIFO keeps filling with epoch `e+1`.
 //! * The accumulator applies nothing. It aligns the shards' sealed epochs
 //!   into waves, assembles each wave's segment handles into an immutable
-//!   [`EpochSnapshot`] (a segment two shards share is stitched from their
-//!   sub-ranges), and runs commit → hook → publish; snapshots are
+//!   [`EpochSnapshot`], and runs commit → hook → publish; snapshots are
 //!   queryable at any time.
 //! * [`Reducer`]s define the update semantics. Every sealed epoch replays
 //!   tuple-by-tuple in per-shard arrival order (the paper's correctness

@@ -14,6 +14,7 @@ use crate::epoch::{
 use crate::reducer::Reducer;
 use crate::shard::{ShardMsg, ShardWal, ShardWorker};
 use crate::stats::{ShardCounters, ShardStats, StreamStats};
+use cobra_bins::bin_geometry;
 use cobra_pb::{Binner, Tuple};
 use cobra_wal::WalStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,10 +56,21 @@ impl std::fmt::Display for TryIngestError {
 
 impl std::error::Error for TryIngestError {}
 
-/// Minimum bins per shard binner (per-shard accumulate granularity).
+/// Minimum bins per shard binner over a full shard span (per-shard
+/// accumulate granularity); a ragged last shard keeps the bin width and
+/// has fewer.
 pub(crate) const MIN_BINS_PER_SHARD: usize = 16;
 
-/// Tuning knobs of an [`IngestPipeline`].
+/// Keys per copy-on-write snapshot segment wherever every shard's bins are
+/// at least this wide (see [`segment_keys`]). Publishing an epoch clones
+/// one `Arc` per segment; an epoch's first write into a segment recycles
+/// or copies just that segment.
+pub(crate) const SEGMENT_KEYS: u32 = 1024;
+
+/// Tuning knobs of an [`IngestPipeline`]. The snapshot segment size is not
+/// one of them: it follows from the shard plan (1024 keys, or the shard bin
+/// width when that is smaller; read it with
+/// [`EpochSnapshot::segment_keys`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Requested shard workers. The actual count is
@@ -80,13 +92,6 @@ pub struct StreamConfig {
     /// only explicit [`seal_epoch`](IngestPipeline::seal_epoch) calls and
     /// the final drain).
     pub epoch_tuples: Option<u64>,
-    /// Keys per copy-on-write snapshot segment. Publishing an epoch clones
-    /// one `Arc` per segment; an epoch's first write into a segment copies
-    /// just that segment. Smaller segments → cheaper sparse epochs, more
-    /// handles per publish. A serving layer that caches value blocks
-    /// should set this to its block size so cache fills can share the
-    /// snapshot segments zero-copy.
-    pub snapshot_segment_keys: usize,
 }
 
 impl Default for StreamConfig {
@@ -96,7 +101,6 @@ impl Default for StreamConfig {
             channel_capacity: 64,
             batch_tuples: 1024,
             epoch_tuples: None,
-            snapshot_segment_keys: 1024,
         }
     }
 }
@@ -128,12 +132,6 @@ impl StreamConfig {
     /// Seals an epoch automatically every `tuples` ingested tuples.
     pub fn epoch_tuples(mut self, tuples: u64) -> Self {
         self.epoch_tuples = Some(tuples);
-        self
-    }
-
-    /// Sets the copy-on-write snapshot segment size in keys.
-    pub fn snapshot_segment_keys(mut self, keys: usize) -> Self {
-        self.snapshot_segment_keys = keys;
         self
     }
 }
@@ -407,6 +405,35 @@ pub fn shard_plan(num_keys: u32, shards: usize) -> (u32, Vec<std::ops::Range<u32
     (shard_shift, ranges)
 }
 
+/// The bin width of every shard binner for a shard plan: that of the
+/// first shard, which spans the whole power-of-two shard span whenever
+/// there is more than one shard. A ragged last shard gets fewer bins of
+/// this same width (see [`shard_binner`]), never narrower ones.
+fn shard_bin_keys(shard_ranges: &[std::ops::Range<u32>]) -> u32 {
+    let first = &shard_ranges[0];
+    1 << bin_geometry(first.end - first.start, MIN_BINS_PER_SHARD).0
+}
+
+/// The snapshot segment size for a shard plan: [`SEGMENT_KEYS`], or the
+/// shard bin width when that is smaller. It is a power of two no wider
+/// than a bin, and every shard and every bin starts on a multiple of the
+/// bin width, so each segment lies inside one bin of one shard — the
+/// paper's nested power-of-two ranges, one level further. Shared by
+/// pipeline construction and WAL recovery, like [`shard_plan`].
+pub(crate) fn segment_keys(shard_ranges: &[std::ops::Range<u32>]) -> u32 {
+    shard_bin_keys(shard_ranges).min(SEGMENT_KEYS)
+}
+
+/// Shard `s`'s binner, with bins [`shard_bin_keys`] wide. Asking for
+/// `local_keys / width` bins (rounded up) gives exactly that width, or one
+/// bin over the whole shard when it holds no more than `width` keys; for a
+/// full shard that is the [`MIN_BINS_PER_SHARD`] geometry itself.
+pub(crate) fn shard_binner<V: Copy>(shard_ranges: &[std::ops::Range<u32>], s: usize) -> Binner<V> {
+    let local_keys = shard_ranges[s].end - shard_ranges[s].start;
+    let bins = local_keys.div_ceil(shard_bin_keys(shard_ranges));
+    Binner::new(local_keys, bins as usize)
+}
+
 impl<R: Reducer> IngestPipeline<R> {
     /// Builds the pipeline and starts its shard workers and accumulator.
     ///
@@ -448,13 +475,9 @@ impl<R: Reducer> IngestPipeline<R> {
         if let Some(t) = cfg.epoch_tuples {
             assert!(t > 0, "epoch_tuples must be positive");
         }
-        assert!(
-            cfg.snapshot_segment_keys > 0 && cfg.snapshot_segment_keys <= u32::MAX as usize,
-            "snapshot_segment_keys must be in 1..=u32::MAX"
-        );
-        let segment_keys = cfg.snapshot_segment_keys as u32;
 
         let (shard_shift, shard_ranges) = shard_plan(num_keys, cfg.shards);
+        let segment_keys = segment_keys(&shard_ranges);
         let num_shards = shard_ranges.len();
         let mut durable = durable;
         if let Some(d) = &durable {
@@ -525,9 +548,8 @@ impl<R: Reducer> IngestPipeline<R> {
 
         let mut workers = Vec::with_capacity(num_shards);
         for (s, rx) in receivers.into_iter().enumerate() {
-            let local_keys = shard_ranges[s].end - shard_ranges[s].start;
-            // The worker's per-key state: a handle on every snapshot
-            // segment that overlaps its key range.
+            // The worker's per-key state: the handles of the snapshot
+            // segments of its key range, which no other shard shares.
             let span = segment_span(&shard_ranges[s], segment_keys);
             let worker = ShardWorker::<R> {
                 id: s,
@@ -536,7 +558,7 @@ impl<R: Reducer> IngestPipeline<R> {
                 // through; otherwise build a fresh one.
                 binner: binners[s]
                     .take()
-                    .unwrap_or_else(|| Binner::new(local_keys, MIN_BINS_PER_SHARD)),
+                    .unwrap_or_else(|| shard_binner(&shard_ranges, s)),
                 reducer: Arc::clone(&reducer),
                 counters: Arc::clone(&shard_counters[s]),
                 acc_tx: acc_tx.clone(),
@@ -953,15 +975,10 @@ mod tests {
 
     #[test]
     fn untouched_segments_are_shared_across_epochs() {
-        // Keys 0..1024 live in segment 0, 1024..2048 in segment 1 (with
-        // 512-key segments: 0..512 → seg 0, etc.). Touch only segment 0
-        // between two seals: segment 0's Arc must differ across the two
-        // snapshots while every untouched segment is pointer-identical.
-        let p = IngestPipeline::new(
-            4096,
-            Count,
-            StreamConfig::new().shards(2).snapshot_segment_keys(512),
-        );
+        // Touch only segment 0 between two seals: segment 0's Arc must
+        // differ across the two snapshots while every untouched segment is
+        // pointer-identical.
+        let p = IngestPipeline::new(4096, Count, StreamConfig::new().shards(2));
         let mut h = p.handle();
         for k in 0..4096u32 {
             h.send(k, ()).unwrap();
@@ -973,10 +990,12 @@ mod tests {
             std::thread::yield_now();
         }
         let s1 = p.snapshot();
-        assert_eq!(s1.num_segments(), 8);
+        let segments = s1.num_segments();
+        assert_eq!(segments, (4096 / s1.segment_keys()) as usize);
+        assert!(segments > 1);
 
-        // Epoch 2 touches keys 0..100 only — all in segment 0.
-        for k in 0..100u32 {
+        // Epoch 2 touches keys of segment 0 only.
+        for k in 0..s1.segment_keys().min(100) {
             h.send(k, ()).unwrap();
         }
         h.seal_epoch().unwrap();
@@ -989,7 +1008,7 @@ mod tests {
             !Arc::ptr_eq(s1.segment(0), s2.segment(0)),
             "touched segment must have been copied"
         );
-        for seg in 1..8 {
+        for seg in 1..segments {
             assert!(
                 Arc::ptr_eq(s1.segment(seg), s2.segment(seg)),
                 "untouched segment {seg} must be shared zero-copy"
@@ -999,6 +1018,56 @@ mod tests {
         assert_eq!(*s2.get(2000), 1);
         drop(h);
         p.shutdown();
+    }
+
+    #[test]
+    fn full_scale_geometries_keep_1024_key_segments() {
+        // `stream_zipf`/`serve_ingest` and `serve_mixed` at full scale, and
+        // the same spans with a ragged last shard of 1 and 3 keys: the
+        // segment size follows the shard span, not the last shard's size.
+        for num_keys in [1 << 22, 1 << 18, (1 << 22) + 1, (1 << 18) + 3] {
+            assert_eq!(segment_keys(&shard_plan(num_keys, 2).1), 1024, "{num_keys}");
+        }
+    }
+
+    #[test]
+    fn every_segment_lies_inside_one_bin_of_its_shard() {
+        let domains = [
+            1,
+            7,
+            64,
+            1000,
+            4099,
+            1 << 12,
+            1 << 16,
+            (1 << 16) + 3,
+            1 << 20,
+        ];
+        for num_keys in domains {
+            for shards in [1, 2, 3, 4, 8] {
+                let (_, ranges) = shard_plan(num_keys, shards);
+                let seg = segment_keys(&ranges);
+                assert!(seg.is_power_of_two() && seg <= SEGMENT_KEYS);
+                // Below the cap a segment is a whole bin, and a shard has
+                // as many segments as bins: a few dozen at most.
+                let span = ranges[0].end - ranges[0].start;
+                assert!(
+                    seg == SEGMENT_KEYS || span.div_ceil(seg) <= 64,
+                    "{num_keys}/{shards}"
+                );
+                for (s, r) in ranges.iter().enumerate() {
+                    let bins = shard_binner::<()>(&ranges, s).take_bins();
+                    for b in 0..bins.num_bins() {
+                        let keys = bins.key_range(b);
+                        let (lo, hi) = (r.start + keys.start, r.start + keys.end);
+                        // Both ends on a segment boundary (or the domain's
+                        // end): no segment crosses into another bin.
+                        assert_eq!(lo % seg, 0, "{num_keys} keys, {shards} shards, bin {b}");
+                        assert!(hi % seg == 0 || hi == num_keys, "{num_keys}/{shards}/{b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

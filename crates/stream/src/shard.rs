@@ -5,8 +5,8 @@
 //! sub-range and drains one bounded FIFO — the same producer → eviction
 //! buffer → binning engine shape as the paper's Section V-D, with the
 //! ingest handle's frames standing in for evicted C-Buffer lines. It also
-//! owns the per-key state of that range: the copy-on-write handles of
-//! every snapshot segment that overlaps it. Sealing an epoch swaps the
+//! owns the per-key state of that range: the copy-on-write handles of its
+//! snapshot segments, which no other shard shares. Sealing an epoch swaps the
 //! active bins out ([`Binner::take_bins`]), replays them into those
 //! handles ([`apply_bins`]) and ships clones of the *handles* to the
 //! accumulator — the paper's per-bin parallel Accumulate: shard ranges
@@ -120,9 +120,7 @@ pub(crate) struct ShardWorker<R: Reducer> {
     pub(crate) acc_tx: Sender<AccMsg<R::Acc>>,
     /// Durable mode: the shard's WAL (None = in-memory pipeline).
     pub(crate) wal: Option<ShardWal<R::Value>>,
-    /// The handles of every snapshot segment overlapping this shard's key
-    /// range. In a segment shared with a neighbouring shard only this
-    /// shard's keys are meaningful (the accumulator stitches).
+    /// The handles of the snapshot segments of this shard's key range.
     pub(crate) state: Segments<R::Acc>,
     /// The last seal's bins: what the next one replays into its spares.
     pub(crate) prev: Option<Bins<R::Value>>,

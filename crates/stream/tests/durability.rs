@@ -4,9 +4,11 @@
 //! corrupted-log fault injection.
 
 use cobra_stream::{Count, DurableConfig, IngestPipeline, StreamConfig, SyncPolicy};
+use cobra_wal::{latest_checkpoint, write_checkpoint, CheckpointMeta};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -282,6 +284,35 @@ fn geometry_mismatch_is_an_error_not_a_scramble() {
 
     // Same directory, different key domain: refuse loudly.
     let err = IngestPipeline::recover(KEYS * 2, Count, stream_cfg(), durable)
+        .err()
+        .expect("must refuse");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let _ = fs::remove_dir_all(&dir);
+
+    // A checkpoint recording 1024-key segments for a domain that derives
+    // narrower ones: refused too, never migrated or scrambled.
+    let dir = temp_dir("geom-old");
+    let durable = DurableConfig::new(&dir).sync(SyncPolicy::Never);
+    let (p, _) =
+        IngestPipeline::recover(KEYS, Count, stream_cfg(), durable.clone()).expect("fresh");
+    assert!(p.snapshot().segment_keys() < 1024);
+    let expect = ingest_epochs(&p, 2, 100);
+    p.shutdown();
+    let newest = latest_checkpoint::<u32>(&dir, u64::MAX)
+        .expect("read checkpoints")
+        .expect("the drain wrote one");
+    let flat: Vec<u32> = newest
+        .segments
+        .iter()
+        .flat_map(|s| s.iter().copied())
+        .collect();
+    assert_eq!(flat, expect);
+    let old = CheckpointMeta {
+        segment_keys: 1024,
+        ..newest.meta
+    };
+    write_checkpoint(&dir, &old, &[Arc::new(flat)]).expect("rewrite the checkpoint");
+    let err = IngestPipeline::recover(KEYS, Count, stream_cfg(), durable)
         .err()
         .expect("must refuse");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);

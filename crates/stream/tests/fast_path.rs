@@ -1,20 +1,18 @@
 //! Which path a seal takes into a shared snapshot segment, counted by
 //! `ShardStats::{segments_copied, segments_recycled}`: a steady closed
-//! loop recycles every segment from its third epoch on, a segment whose
+//! loop recycles every segment from its third epoch on, whether segments
+//! are 1024 keys or as narrow as the shard bins, a segment whose
 //! spare was dropped copies, a recovered pipeline starts over like a fresh
 //! one — and every path folds exactly.
 
 use cobra_stream::{Count, DurableConfig, IngestPipeline, StreamConfig, SyncPolicy};
 use std::time::{Duration, Instant};
 
+/// 2 shards × 16 bins of 2048 keys: 64 segments of 1024 keys.
 const KEYS: u32 = 1 << 16;
-const SEGMENT_KEYS: u32 = 1024;
-const SEGMENTS: u32 = KEYS / SEGMENT_KEYS;
 
 fn cfg() -> StreamConfig {
-    StreamConfig::new()
-        .shards(2)
-        .snapshot_segment_keys(SEGMENT_KEYS as usize)
+    StreamConfig::new().shards(2)
 }
 
 /// Runs `epochs` closed-loop epochs (send, seal, wait until visible) in
@@ -35,12 +33,13 @@ fn closed_loop(
             stats.total_segments_recycled(),
         )
     };
+    let seg = p.snapshot().segment_keys();
     let mut before = paths(p);
     let mut out = Vec::new();
     for i in 0..epochs {
-        for s in (0..SEGMENTS).filter(|&s| touch(i, s)) {
+        for s in (0..p.num_keys() / seg).filter(|&s| touch(i, s)) {
             for j in 0..4 {
-                let k = s * SEGMENT_KEYS + (i as u32 * 37 + j * 301) % SEGMENT_KEYS;
+                let k = s * seg + (i as u32 * 37 + j * 301) % seg;
                 h.send(k, ()).expect("pipeline open");
                 want[k as usize] += 1;
             }
@@ -62,21 +61,30 @@ fn closed_loop(
     out
 }
 
-/// Epochs 1 and 2 copy every segment (the first seal has no bins to keep
+/// The number of snapshot segments of `p`.
+fn segments(p: &IngestPipeline<Count>) -> u64 {
+    p.snapshot().num_segments() as u64
+}
+
+/// Epochs 1 and 2 copy all `segments` (the first seal has no bins to keep
 /// a spare for); from epoch 3 on every one recycles.
-fn steady(epochs: usize) -> Vec<(u64, u64)> {
-    let all = u64::from(SEGMENTS);
-    let mut v = vec![(all, 0); 2];
-    v.resize(epochs, (0, all));
+fn steady(segments: u64, epochs: usize) -> Vec<(u64, u64)> {
+    let mut v = vec![(segments, 0); 2];
+    v.resize(epochs, (0, segments));
     v
 }
 
 #[test]
 fn a_steady_dense_stream_recycles_every_segment_from_its_third_epoch() {
-    let p = IngestPipeline::new(KEYS, Count, cfg());
-    let mut want = vec![0; KEYS as usize];
-    assert_eq!(closed_loop(&p, &mut want, 6, |_, _| true), steady(6));
-    assert_eq!(p.shutdown().0.to_vec(), want);
+    // 2^12 keys: 2 shards × 16 bins of 128 keys, so 32 128-key segments.
+    for (keys, n) in [(KEYS, 64), (1 << 12, 32)] {
+        let p = IngestPipeline::new(keys, Count, cfg());
+        assert_eq!(segments(&p), n, "{keys} keys");
+        let mut want = vec![0; keys as usize];
+        let paths = closed_loop(&p, &mut want, 6, |_, _| true);
+        assert_eq!(paths, steady(n, 6), "{keys} keys");
+        assert_eq!(p.shutdown().0.to_vec(), want);
+    }
 }
 
 #[test]
@@ -85,7 +93,7 @@ fn a_segment_touched_every_other_epoch_copies_and_still_folds_exactly() {
     let mut want = vec![0; KEYS as usize];
     // Segment 7 sits out every second epoch, which drops its spare.
     let paths = closed_loop(&p, &mut want, 6, |i, s| s != 7 || i % 2 == 0);
-    let all = u64::from(SEGMENTS);
+    let all = segments(&p);
     let rest = all - 1;
     let want_paths = [
         (all, 0),
@@ -106,14 +114,20 @@ fn a_recovered_pipeline_copies_until_it_has_a_spare_then_recycles() {
     let durable = DurableConfig::new(&dir).sync(SyncPolicy::Never);
     let (p, _) = IngestPipeline::recover(KEYS, Count, cfg(), durable.clone()).expect("fresh");
     let mut want = vec![0; KEYS as usize];
-    assert_eq!(closed_loop(&p, &mut want, 3, |_, _| true), steady(3));
+    assert_eq!(
+        closed_loop(&p, &mut want, 3, |_, _| true),
+        steady(segments(&p), 3)
+    );
     let (pre_shutdown, _) = p.shutdown();
 
     let (p, report) = IngestPipeline::recover(KEYS, Count, cfg(), durable).expect("recover");
     assert_eq!(report.committed_epoch, pre_shutdown.epoch());
     assert_eq!(*p.snapshot(), *pre_shutdown, "recovered == pre-shutdown");
     drop(pre_shutdown);
-    assert_eq!(closed_loop(&p, &mut want, 4, |_, _| true), steady(4));
+    assert_eq!(
+        closed_loop(&p, &mut want, 4, |_, _| true),
+        steady(segments(&p), 4)
+    );
     assert_eq!(p.shutdown().0.to_vec(), want);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,6 @@
-//! Shard-owned Accumulate and whole frames as properties: segments that
-//! straddle shard boundaries, frame sizes, and epoch isolation under run-ahead.
+//! Shard-owned Accumulate and whole frames as properties: the derived
+//! snapshot geometry over ragged and power-of-two key domains, frame
+//! sizes, and epoch isolation under run-ahead.
 
 use cobra_stream::{Append, Count, EpochSnapshot, IngestHandle, IngestPipeline, Reducer};
 use cobra_stream::{PublishHook, StreamConfig};
@@ -23,45 +24,59 @@ fn seal_and_wait<R: Reducer>(
     p.snapshot()
 }
 
-/// 1000 keys in four 256-key shards under 48-key segments: segments 5
-/// (keys 240..288) and 10 (480..528) straddle a shard boundary, the
-/// boundary at 768 = 16 × 48 is aligned, the last segment is short.
-fn misaligned_geometry<R>(reducer: R, value: fn(u32) -> R::Value)
+/// One key domain under the derived snapshot geometry: the segment size
+/// is a power of two no larger than 1024 that every shard starts on,
+/// three epochs fold exactly, and a one-key epoch rewrites that key's
+/// segment alone.
+fn derived_geometry<R>(reducer: R, value: fn(u32) -> R::Value, num_keys: u32, shards: usize)
 where
     R: Reducer + Copy,
     R::Acc: PartialEq + std::fmt::Debug,
 {
-    let cfg = StreamConfig::new().shards(3).snapshot_segment_keys(48);
-    let p = IngestPipeline::new(1000, reducer, cfg);
-    assert_eq!(p.num_shards(), 4);
+    let case = format!("{num_keys} keys, {shards} shards");
+    let p = IngestPipeline::new(num_keys, reducer, StreamConfig::new().shards(shards));
+    let seg = p.snapshot().segment_keys();
+    assert!(seg.is_power_of_two() && seg <= 1024, "{case}: {seg}");
+    for s in 0..p.num_shards() {
+        assert_eq!(p.shard_range(s).start % seg, 0, "{case}: shard {s}");
+    }
     let mut h = p.handle();
-    let mut want = vec![reducer.identity(); 1000];
+    let mut want = vec![reducer.identity(); num_keys as usize];
     for epoch in 0..3u32 {
         for i in epoch * 700..(epoch + 1) * 700 {
-            let k = (i.wrapping_mul(2_654_435_761) >> 7) % 1000;
+            let k = (i.wrapping_mul(2_654_435_761) >> 7) % num_keys;
             h.send(k, value(i)).expect("pipeline open");
             reducer.apply(&mut want[k as usize], &value(i));
         }
-        assert_eq!(seal_and_wait(&p, &mut h).to_vec(), want, "epoch {epoch}");
+        assert_eq!(
+            seal_and_wait(&p, &mut h).to_vec(),
+            want,
+            "{case}: epoch {epoch}"
+        );
     }
-    // One of shard 0's keys in straddling segment 5: only it is restitched.
+    // The middle key: a shard boundary whenever the shards split evenly.
+    let key = num_keys / 2;
     let before = p.snapshot();
-    h.send(250, value(9)).expect("pipeline open");
-    reducer.apply(&mut want[250], &value(9));
+    h.send(key, value(9)).expect("pipeline open");
+    reducer.apply(&mut want[key as usize], &value(9));
     let after = seal_and_wait(&p, &mut h);
-    assert_eq!((after.num_segments(), after.to_vec()), (21, want.clone()));
-    for seg in 0..21 {
-        let shared = Arc::ptr_eq(before.segment(seg), after.segment(seg));
-        assert_eq!(shared, seg != 5, "segment {seg}");
+    assert_eq!(after.to_vec(), want, "{case}: one-key epoch");
+    for i in 0..after.num_segments() {
+        let shared = Arc::ptr_eq(before.segment(i), after.segment(i));
+        assert_eq!(shared, i != (key / seg) as usize, "{case}: segment {i}");
     }
     drop(h);
-    assert_eq!(p.shutdown().0.to_vec(), want);
+    assert_eq!(p.shutdown().0.to_vec(), want, "{case}: drain");
 }
 
 #[test]
-fn segments_straddling_shard_boundaries_fold_exactly_and_stay_shared() {
-    misaligned_geometry(Count, |_| ());
-    misaligned_geometry(Append, |i| i);
+fn every_derived_geometry_folds_exactly_and_rewrites_only_touched_segments() {
+    for num_keys in [1, 7, 64, 1000, 4099, 1 << 16] {
+        for shards in [1, 2, 3, 4, 8] {
+            derived_geometry(Count, |_| (), num_keys, shards);
+            derived_geometry(Append, |i| i, num_keys, shards);
+        }
+    }
 }
 
 #[test]
@@ -95,7 +110,7 @@ fn epochs_stay_isolated_while_workers_run_ahead_of_the_publish() {
             }
         })
     };
-    // One 1024-key segment shared by both shards: every snapshot is stitched.
+    // 64 keys in 2-key segments, each written by one worker only.
     let p = IngestPipeline::with_publish_hook(64, Count, StreamConfig::new().shards(2), hook);
     let mut h = p.handle();
     for epoch in 1..=3 {

@@ -7,8 +7,6 @@ use cobra_stream::{Append, Count, IngestPipeline, PublishHook, Reducer, StreamCo
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-/// 2 shards × 16 bins of 512 keys.
-const KEYS: u32 = 1 << 14;
 const EPOCHS: u64 = 24;
 /// The hook parks here until the workers have sealed two epochs more.
 const PARKED: u64 = 9;
@@ -23,20 +21,21 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// Sparse epochs (every fourth) touch 48 keys in segments 0 and 5;
-/// dense ones send one tuple per key, in a scrambled order.
-fn epoch_keys(epoch: u64, seg: u32) -> Vec<u32> {
+/// Sparse epochs (every fourth) touch 48 keys in segments 0 and 5 of
+/// `seg` keys each; dense ones send one tuple per key, in a scrambled
+/// order.
+fn epoch_keys(epoch: u64, keys: u32, seg: u32) -> Vec<u32> {
     if epoch % 4 == 1 {
         (0..16).chain(5 * seg..5 * seg + 32).collect()
     } else {
         let salt = (epoch as u32).wrapping_mul(0x9E37_79B9);
-        (0..KEYS)
-            .map(|i| (i.wrapping_mul(2_654_435_761) ^ salt) % KEYS)
+        (0..keys)
+            .map(|i| (i.wrapping_mul(2_654_435_761) ^ salt) % keys)
             .collect()
     }
 }
 
-fn never_rewrites_a_visible_segment<R>(reducer: R, value: fn(u32) -> R::Value, seg: u32)
+fn never_rewrites_a_visible_segment<R>(reducer: R, value: fn(u32) -> R::Value, keys: u32)
 where
     R: Reducer + Copy,
     R::Acc: PartialEq + std::fmt::Debug,
@@ -64,16 +63,18 @@ where
             }
         })
     };
-    let cfg = StreamConfig::new()
-        .shards(2)
-        .snapshot_segment_keys(seg as usize);
-    let p = IngestPipeline::with_publish_hook(KEYS, reducer, cfg, hook);
+    let p = IngestPipeline::with_publish_hook(keys, reducer, StreamConfig::new().shards(2), hook);
+    let seg = p.snapshot().segment_keys();
+    assert!(
+        seg >= 32 && keys / seg > 5,
+        "{keys} keys: {seg}-key segments"
+    );
     let mut h = p.handle();
-    let mut want = vec![reducer.identity(); KEYS as usize];
+    let mut want = vec![reducer.identity(); keys as usize];
     let mut folds = Vec::new();
     let mut n = 0u32;
     for epoch in 1..=EPOCHS {
-        for k in epoch_keys(epoch, seg) {
+        for k in epoch_keys(epoch, keys, seg) {
             h.send(k, value(n)).expect("pipeline open");
             reducer.apply(&mut want[k as usize], &value(n));
             n += 1;
@@ -100,7 +101,7 @@ where
     drop(h);
     let (last, stats) = p.shutdown();
     assert!(stats.total_segments_recycled() > 0, "{stats:?}");
-    assert_eq!(last.to_vec(), want, "final snapshot, {seg}-key segments");
+    assert_eq!(last.to_vec(), want, "final snapshot, {keys} keys");
 
     let retained = retained.lock().unwrap();
     assert_eq!(retained.len(), folds.len());
@@ -118,13 +119,12 @@ where
 
 #[test]
 fn recycling_never_rewrites_a_segment_anyone_can_still_see() {
-    // 256-key segments each lie in one bin, so every one may recycle;
-    // 48-key ones mix those with segments two bins share (always copied)
-    // and one two shards share (stitched).
-    for seg in [256, 48] {
-        never_rewrites_a_visible_segment(Count, |_| (), seg);
-        never_rewrites_a_visible_segment(Append, |i| i, seg);
+    // 2 shards × 16 bins: 512-key segments (2^14 keys) and 64-key ones
+    // (2^11), each inside one bin, so every segment may recycle.
+    for keys in [1 << 14, 1 << 11] {
+        never_rewrites_a_visible_segment(Count, |_| (), keys);
+        never_rewrites_a_visible_segment(Append, |i| i, keys);
         // Integer-valued sums are exact under any fusion or association.
-        never_rewrites_a_visible_segment(Sum, |i| f64::from(i % 7), seg);
+        never_rewrites_a_visible_segment(Sum, |i| f64::from(i % 7), keys);
     }
 }

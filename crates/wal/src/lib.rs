@@ -18,7 +18,7 @@
 //!   (`epoch`, key geometry, per-shard WAL resume offsets).
 //!
 //! Everything is std-only: the workspace is dependency-free by policy,
-//! including the [`crc32`] implementation.
+//! including the [`crc32`](mod@crc32) implementation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,7 +21,6 @@ fn main() {
         StreamConfig::new().shards(4).channel_capacity(64),
         ServeConfig::new()
             .cache_blocks(64)
-            .cache_block_keys(256)
             .read_timeout(Duration::from_millis(20)),
     )
     .expect("bind");
