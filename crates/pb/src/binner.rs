@@ -631,7 +631,7 @@ pub(crate) mod tests {
     #[should_panic(expected = "out of range")]
     fn checked_insert_panics_on_out_of_range_key() {
         // The bounds check is a debug assertion; callers that take keys
-        // from outside (`IngestHandle::stage`, the wire, WAL replay)
+        // from outside (`IngestHandle::{send, try_send_all}`, WAL replay)
         // validate before they insert.
         let mut b = Binner::<u32>::new(100, 4);
         b.insert(100, 7);

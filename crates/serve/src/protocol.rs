@@ -388,13 +388,58 @@ impl Wire for bool {
     }
 }
 
-impl Wire for (u32, u64) {
-    fn put(v: &(u32, u64), out: &mut Vec<u8>) {
-        u32::put(&v.0, out);
-        u64::put(&v.1, out);
+/// Bytes of one `(u32 key, u64 value)` record on the wire.
+const RECORD: usize = 12;
+
+/// A `u32`-counted list of `(key, value)` records, validated and borrowed
+/// from a frame body. [`decode`] collects it into `Update`'s and
+/// `Delta`'s tuple lists; [`FrameBuf::next_incoming`] lends an `UPDATE`'s
+/// out in place. Both run the one parse, `Records::take`: count at most
+/// [`MAX_UPDATE_TUPLES`], then exactly that many records.
+#[derive(Debug, Clone, Copy)]
+pub struct Records<'a>(&'a [[u8; RECORD]]);
+
+impl<'a> Records<'a> {
+    fn take(c: &mut Cursor<'a>) -> Result<Records<'a>, WireError> {
+        let count = u32::take(c)?;
+        if count > MAX_UPDATE_TUPLES {
+            return Err(WireError::Malformed("tuple batch too large"));
+        }
+        let (records, _) = c.take(count as usize * RECORD)?.as_chunks();
+        Ok(Records(records))
     }
-    fn take(c: &mut Cursor<'_>) -> Result<(u32, u64), WireError> {
-        Ok((u32::take(c)?, u64::take(c)?))
+}
+
+/// One record's `(key, value)`.
+fn record(r: &[u8; RECORD]) -> (u32, u64) {
+    let [k0, k1, k2, k3, v0, v1, v2, v3, v4, v5, v6, v7] = *r;
+    (
+        u32::from_le_bytes([k0, k1, k2, k3]),
+        u64::from_le_bytes([v0, v1, v2, v3, v4, v5, v6, v7]),
+    )
+}
+
+impl<'a> IntoIterator for Records<'a> {
+    type Item = (u32, u64);
+    type IntoIter =
+        std::iter::Map<std::slice::Iter<'a, [u8; RECORD]>, fn(&[u8; RECORD]) -> (u32, u64)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(record)
+    }
+}
+
+/// The tuple lists of `Update` and `Delta`.
+impl Wire for Vec<(u32, u64)> {
+    fn put(v: &Vec<(u32, u64)>, out: &mut Vec<u8>) {
+        u32::put(&(v.len() as u32), out);
+        for (key, value) in v {
+            u32::put(key, out);
+            u64::put(value, out);
+        }
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Vec<(u32, u64)>, WireError> {
+        Ok(Records::take(c)?.into_iter().collect())
     }
 }
 
@@ -416,11 +461,6 @@ trait Elem: Wire + Sized {
     const MAX: u32;
     /// The [`WireError::Malformed`] reason for a count above it.
     const TOO_MANY: &'static str;
-}
-
-impl Elem for (u32, u64) {
-    const MAX: u32 = MAX_UPDATE_TUPLES;
-    const TOO_MANY: &'static str = "tuple batch too large";
 }
 
 impl Elem for u64 {
@@ -901,19 +941,39 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, scratch: &mut Vec<u8>) ->
     w.write_all(scratch)
 }
 
+/// Free room a [`FrameBuf::read_from`] offers the transport at least.
+const READ_ROOM: usize = 16 * 1024;
+
+/// The next frame out of a [`FrameBuf`]: an `UPDATE` of this protocol
+/// revision lent out as its records, anything else decoded.
+#[derive(Debug)]
+pub enum Incoming<'a> {
+    /// An `UPDATE`'s records, borrowed from the buffer.
+    Update(Records<'a>),
+    /// Every other frame (boxed: a `Frame` is some 250 bytes, records
+    /// 16).
+    Frame(Box<Frame>),
+}
+
 /// Incremental frame decoder for nonblocking transports.
 ///
-/// The reactor feeds whatever bytes a readiness round produced into
-/// [`extend`](Self::extend) and pulls complete frames back out with
+/// The reactor reads whatever a readiness round produced straight into
+/// the buffer with [`read_from`](Self::read_from) and takes complete
+/// frames back out with [`next_incoming`](Self::next_incoming) (an
+/// `UPDATE` stays in the buffer and is admitted from there) or
 /// [`next_frame`](Self::next_frame); a frame split across any number of
 /// reads decodes identically to one that arrived whole. Consumed bytes
-/// are compacted away lazily so a one-byte-at-a-time peer cannot make
-/// the buffer grow past one frame.
+/// are compacted away when a read needs the room, so the buffer's size
+/// follows what is pending (at most doubled, plus the 16 KiB read room),
+/// never what has passed through.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
+    /// Zero-initialised storage: `start..end` holds buffered bytes, the
+    /// rest is room for the next read.
     buf: Vec<u8>,
-    /// Bytes before `start` are already-decoded frames awaiting compaction.
+    /// Bytes before `start` are already-taken frames awaiting compaction.
     start: usize,
+    end: usize,
 }
 
 impl FrameBuf {
@@ -922,14 +982,25 @@ impl FrameBuf {
         FrameBuf::default()
     }
 
-    /// Appends bytes read off the transport.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// One `read` from `r` into the buffer's free room, which is made at
+    /// least 16 KiB first (compacting, then growing); returns what `read`
+    /// returned. `Ok(0)` is end-of-stream.
+    pub fn read_from<R: Read>(&mut self, r: &mut R) -> io::Result<usize> {
+        if self.buf.len() - self.end < READ_ROOM {
+            self.compact();
+            if self.buf.len() - self.end < READ_ROOM {
+                let len = (self.end + READ_ROOM).max(2 * self.buf.len());
+                self.buf.resize(len, 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Number of buffered, not-yet-decoded bytes.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// True when a frame has started arriving (at least one byte of the
@@ -939,32 +1010,60 @@ impl FrameBuf {
         self.pending() > 0
     }
 
-    /// Decodes the next complete frame, if one is fully buffered.
+    /// Takes the next complete frame, if one is fully buffered. A
+    /// current-revision `UPDATE` comes out as its records, validated by
+    /// the parse [`decode`] runs on it — so it fails with exactly the
+    /// [`WireError`] `decode` would — and borrowed, not copied.
     ///
     /// `Ok(None)` means "need more bytes"; errors mean the stream can no
     /// longer be trusted to be frame-aligned (same taxonomy as
     /// [`read_frame`]: oversized, empty, or malformed bodies).
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.start..];
-        let Some((prefix, _)) = avail.split_first_chunk::<4>() else {
-            self.compact();
+    pub fn next_incoming(&mut self) -> Result<Option<Incoming<'_>>, WireError> {
+        let Some(&prefix) = self.buf[self.start..self.end].first_chunk::<4>() else {
+            self.rewind();
             return Ok(None);
         };
-        let len = body_len(*prefix)?;
-        if avail.len() < 4 + len {
-            self.compact();
+        let len = body_len(prefix)?;
+        if self.pending() < 4 + len {
             return Ok(None);
         }
-        let frame = decode(&avail[4..4 + len])?;
+        let at = self.start + 4;
+        let body = &self.buf[at..at + len];
+        let next = if let [PROTOCOL_VERSION, opcodes::UPDATE, payload @ ..] = body {
+            let mut c = Cursor(payload);
+            let records = Records::take(&mut c)?;
+            c.finish()?;
+            Incoming::Update(records)
+        } else {
+            Incoming::Frame(Box::new(decode(body)?))
+        };
         self.start += 4 + len;
-        Ok(Some(frame))
+        Ok(Some(next))
     }
 
-    /// Drops consumed bytes. Called when decoding pauses, so the shift
-    /// cost is paid once per readiness round, not once per frame.
+    /// [`next_incoming`](Self::next_incoming) with an `UPDATE` decoded
+    /// too.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        Ok(self.next_incoming()?.map(|next| match next {
+            Incoming::Update(records) => Frame::Update(records.into_iter().collect()),
+            Incoming::Frame(frame) => *frame,
+        }))
+    }
+
+    /// Starts over at the front of the storage once everything buffered
+    /// is taken (free: nothing to move).
+    fn rewind(&mut self) {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+    }
+
+    /// Moves the buffered bytes to the front of the storage.
     fn compact(&mut self) {
         if self.start > 0 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }
@@ -1136,14 +1235,59 @@ mod tests {
         assert_eq!(seen, declared, "a frames! row has no entry in samples()");
     }
 
+    /// `body` behind its length prefix.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// Reads all of `bytes` into `fb`, however many reads that takes.
+    fn feed(fb: &mut FrameBuf, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            fb.read_from(&mut bytes).expect("a slice reads");
+        }
+    }
+
+    /// The one frame in `wire`, arriving in reads of at most `step`
+    /// bytes, taken through [`FrameBuf::next_incoming`] — an `UPDATE`'s
+    /// lent-out records collected back into a [`Frame`].
+    fn take_in_place(wire: &[u8], step: usize) -> Result<Frame, WireError> {
+        let mut fb = FrameBuf::new();
+        for chunk in wire.chunks(step) {
+            feed(&mut fb, chunk);
+            match fb.next_incoming()? {
+                None => {}
+                Some(Incoming::Update(records)) => {
+                    return Ok(Frame::Update(records.into_iter().collect()))
+                }
+                Some(Incoming::Frame(frame)) => {
+                    assert!(
+                        !matches!(*frame, Frame::Update(_)),
+                        "a current-revision UPDATE was decoded, not lent out"
+                    );
+                    return Ok(*frame);
+                }
+            }
+        }
+        panic!("the frame never completed");
+    }
+
     #[test]
     fn truncated_and_overlong_payloads_are_rejected_for_every_kind() {
         for f in samples() {
-            let body = encoded(&f)[4..].to_vec();
-            // Chop the body at every possible point: each must error cleanly.
+            let wire = encoded(&f);
+            let body = wire[4..].to_vec();
+            // Chop the body at every possible point: each must error
+            // cleanly, and the in-place path with exactly `decode`'s
+            // error (an empty body cannot be framed at all).
             for cut in 0..body.len() {
                 let r = decode(&body[..cut]);
                 assert!(r.is_err(), "{f:?} cut at {cut} decoded: {r:?}");
+                if cut > 0 {
+                    let framed = framed(&body[..cut]);
+                    assert_eq!(take_in_place(&framed, usize::MAX), r, "{f:?} cut at {cut}");
+                }
             }
             // Trailing garbage after a well-formed payload.
             let mut long = body;
@@ -1152,6 +1296,28 @@ mod tests {
                 matches!(decode(&long), Err(WireError::Malformed(_))),
                 "{f:?} with a trailing byte decoded"
             );
+            assert_eq!(take_in_place(&framed(&long), usize::MAX), decode(&long));
+            // Whole, the in-place path yields `decode`'s frame (an
+            // UPDATE's records iterate to its tuples), however the frame
+            // is split across reads.
+            for step in [1, 5, 13, wire.len()] {
+                assert_eq!(
+                    take_in_place(&wire, step).as_ref(),
+                    Ok(&f),
+                    "{f:?} in {step}-byte reads"
+                );
+            }
+        }
+        // The UPDATE refusals decided before any record is read: a count
+        // over the ceiling, and a body of another protocol revision.
+        let mut huge = vec![PROTOCOL_VERSION, op::UPDATE];
+        huge.extend_from_slice(&(MAX_UPDATE_TUPLES + 1).to_le_bytes());
+        let mut other_version = encoded(&samples()[0])[4..].to_vec();
+        other_version[0] = PROTOCOL_VERSION + 1;
+        for body in [huge, other_version] {
+            let want = decode(&body);
+            assert!(want.is_err(), "{body:?} decoded");
+            assert_eq!(take_in_place(&framed(&body), usize::MAX), want);
         }
     }
 
@@ -1312,7 +1478,7 @@ mod tests {
         let mut fb = FrameBuf::new();
         let mut got = Vec::new();
         for b in &wire {
-            fb.extend(std::slice::from_ref(b));
+            feed(&mut fb, std::slice::from_ref(b));
             while let Some(f) = fb.next_frame().expect("dribble decode") {
                 got.push(f);
             }
@@ -1321,7 +1487,7 @@ mod tests {
         assert!(!fb.has_partial(), "all bytes consumed");
 
         let mut batch = FrameBuf::new();
-        batch.extend(&wire);
+        feed(&mut batch, &wire);
         let mut got_batch = Vec::new();
         while let Some(f) = batch.next_frame().expect("batch decode") {
             got_batch.push(f);
@@ -1338,14 +1504,14 @@ mod tests {
         wire.extend_from_slice(&trailer[..3]); // second frame half-arrived
 
         let mut fb = FrameBuf::new();
-        fb.extend(&wire);
+        feed(&mut fb, &wire);
         assert!(matches!(fb.next_frame(), Ok(Some(Frame::Seal))));
         // Only a partial frame remains: that is what the idle budget keys on.
         assert!(matches!(fb.next_frame(), Ok(None)));
         assert!(fb.has_partial());
         assert_eq!(fb.pending(), 3);
         // The rest of the frame completes it, wherever the split fell.
-        fb.extend(&trailer[3..]);
+        feed(&mut fb, &trailer[3..]);
         assert!(matches!(fb.next_frame(), Ok(Some(Frame::Query { key: 1 }))));
         assert!(!fb.has_partial());
     }
@@ -1353,10 +1519,10 @@ mod tests {
     #[test]
     fn framebuf_rejects_oversized_and_empty_frames_like_read_frame() {
         let mut fb = FrameBuf::new();
-        fb.extend(&(u32::MAX).to_le_bytes());
+        feed(&mut fb, &(u32::MAX).to_le_bytes());
         assert!(matches!(fb.next_frame(), Err(WireError::Oversized { .. })));
         let mut fb = FrameBuf::new();
-        fb.extend(&0u32.to_le_bytes());
+        feed(&mut fb, &0u32.to_le_bytes());
         assert!(matches!(fb.next_frame(), Err(WireError::Malformed(_))));
     }
 

@@ -7,8 +7,9 @@
 //!                      │   0. drain the wake socket (publish / shutdown)
 //!                      │   1. unpark WAIT_EPOCH waiters
 //!                      │   2. accept (refuse past max_conns)
-//!                      │   3. read readiness batch → FrameBuf → dispatch
-//!                      │        UPDATE: IngestHandle::try_send (full FIFO → BUSY)
+//!                      │   3. read readiness batch into the FrameBuf inbox → dispatch
+//!                      │        UPDATE: records admitted in place,
+//!                      │          IngestHandle::try_send_all (full FIFO → BUSY)
 //!                      │        QUERY:  S3-FIFO snapshot cache
 //!                      │   4. stream: SUBSCRIBE queues → DELTA frames,
 //!                      │        REPLICATE → one SEGMENT chunk
@@ -34,7 +35,11 @@
 //! * **Connections**: past [`ServeConfig::max_conns`] (or on descriptor
 //!   exhaustion, which the poll shim reports as a typed error) a new
 //!   connection is refused (closed) instead of queueing without bound.
-//! * **Updates**: a full shard FIFO turns into an explicit
+//! * **Updates**: an `UPDATE`'s records are admitted where the socket
+//!   read left them, in the connection's inbox, as one run
+//!   ([`IngestHandle::try_send_all`]): no per-frame allocation, no
+//!   per-tuple call, and each tuple is copied twice (socket → inbox →
+//!   shard frame). A full shard FIFO turns into an explicit
 //!   `Busy { accepted }` naming how many tuples of the batch were taken;
 //!   the reactor is never parked on a pipeline condvar while admitting,
 //!   only once per round in the settle.
@@ -84,8 +89,8 @@
 
 use crate::cache::S3FifoCache;
 use crate::protocol::{
-    self, ErrorCode, Frame, FrameBuf, WireError, WireStats, MAX_DELTA_ENTRIES, MAX_SNAPSHOT_KEYS,
-    REPL_CHUNK,
+    self, ErrorCode, Frame, FrameBuf, Incoming, WireError, WireStats, MAX_DELTA_ENTRIES,
+    MAX_SNAPSHOT_KEYS, REPL_CHUNK,
 };
 use cobra_mvcc::{
     diff_range, feed_publish_hook, DeltaHub, EpochStore, RetentionConfig, SubDelta, SubMsg,
@@ -545,8 +550,6 @@ fn drain_wake(mut wake_rx: &UnixStream) {
     }
 }
 
-/// Per-`read` scratch size.
-const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection per-round read ceiling: one firehose connection may
 /// not starve the rest of the round (level triggering re-reports the
 /// remainder next round).
@@ -1098,18 +1101,17 @@ fn reactor_loop(
     }
 }
 
-/// Reads until `WouldBlock`, EOF, or the per-round cap.
+/// Reads straight into the inbox until `WouldBlock`, EOF, or the
+/// per-round cap.
 fn read_into_inbox(conn: &mut Conn) {
-    let mut buf = [0u8; READ_CHUNK];
     let mut total = 0usize;
     loop {
-        match conn.stream.read(&mut buf) {
+        match conn.inbox.read_from(&mut conn.stream) {
             Ok(0) => {
                 conn.peer_gone = true;
                 return;
             }
             Ok(n) => {
-                conn.inbox.extend(&buf[..n]);
                 total += n;
                 if total >= ROUND_READ_CAP {
                     return;
@@ -1136,17 +1138,20 @@ fn drain_inbox(
     scratch: &mut Vec<u8>,
 ) {
     let mut extracted = 0usize;
+    // The inbox is lent out for the loop, so an UPDATE's records stay
+    // borrowed from it while `dispatch` holds the connection.
+    let mut inbox = std::mem::take(&mut conn.inbox);
     // Write backpressure stops dispatch too: once this connection's
     // staged responses exceed the high-water mark, buffered frames keep
     // (bounded) and are picked up by the resume sweep once the outbox
     // drains. So does any mode that makes later frames wait.
     while conn.dispatching() && !conn.backlogged() {
-        match conn.inbox.next_frame() {
-            Ok(Some(frame)) => {
+        match inbox.next_incoming() {
+            Ok(Some(request)) => {
                 extracted += 1;
                 // ordering: Relaxed — stats counter.
                 ctx.counters.frames.fetch_add(1, Ordering::Relaxed);
-                dispatch(ctx, handle, conn, frame, admitted, scratch);
+                dispatch(ctx, handle, conn, request, admitted, scratch);
             }
             Ok(None) => break,
             Err(e) => {
@@ -1163,6 +1168,7 @@ fn drain_inbox(
             }
         }
     }
+    conn.inbox = inbox;
     if !conn.dispatching() || conn.backlogged() {
         // Paused: the buffered bytes sit by the reactor's choice, not
         // the peer's dribble (and a paused connection stops reading, so
@@ -1199,12 +1205,12 @@ fn dispatch(
     ctx: &Ctx,
     handle: &mut IngestHandle<u64>,
     conn: &mut Conn,
-    frame: Frame,
+    request: Incoming<'_>,
     admitted: &mut bool,
     scratch: &mut Vec<u8>,
 ) {
     if let Mode::Subscribed(push) = &mut conn.mode {
-        if matches!(frame, Frame::Unsubscribe) {
+        if matches!(&request, Incoming::Frame(f) if matches!(**f, Frame::Unsubscribe)) {
             // Closes the hub queue; the stream phase stages what is
             // still queued, then the acknowledgement.
             push.hub.unsubscribe(push.sub.id());
@@ -1224,10 +1230,18 @@ fn dispatch(
         }
         return;
     }
+    let frame = match request {
+        Incoming::Update(records) => {
+            *admitted = true;
+            stage(&mut conn.outbox, &admit(ctx, handle, records), scratch);
+            return;
+        }
+        Incoming::Frame(frame) => *frame,
+    };
     let response = match frame {
         Frame::Update(tuples) => {
             *admitted = true;
-            admit_update(ctx, handle, &tuples)
+            admit(ctx, handle, tuples)
         }
         Frame::Seal => match handle.seal_epoch() {
             Ok(epoch) => Frame::Sealed { epoch },
@@ -1438,40 +1452,43 @@ fn settle(handle: &mut IngestHandle<u64>) {
     let _ = handle.flush();
 }
 
-/// Admits one `UPDATE` batch into the handle's coalescing buffers. The
-/// caller owns the settle: the reactor settles once per round.
-fn admit_update(ctx: &Ctx, handle: &mut IngestHandle<u64>, tuples: &[(u32, u64)]) -> Frame {
-    let mut accepted: u32 = 0;
-    for &(key, value) in tuples {
-        if key >= ctx.num_keys {
-            // One malformed key must not kill the reactor (try_send
-            // would panic) nor silently drop the batch's remainder.
-            return Frame::Error {
-                code: ErrorCode::KeyOutOfRange,
-                detail: format!(
-                    "key {key} >= {} (first {accepted} tuples of the batch were accepted)",
-                    ctx.num_keys
-                ),
-            };
+/// Admits one `UPDATE` batch — records borrowed from the inbox or a
+/// decoded frame's tuples — into the handle's coalescing buffers in one
+/// run and names the response. The caller owns the settle: the reactor
+/// settles once per round.
+fn admit<I>(ctx: &Ctx, handle: &mut IngestHandle<u64>, tuples: I) -> Frame
+where
+    I: IntoIterator<Item = (u32, u64)>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let tuples = tuples.into_iter();
+    let len = tuples.len();
+    let (accepted, result) = handle.try_send_all(tuples);
+    // At most `MAX_UPDATE_TUPLES`, so it fits the wire's `u32`.
+    let accepted = accepted as u32;
+    match result {
+        Ok(()) => Frame::Accepted { accepted },
+        Err(TryIngestError::Busy) => {
+            let refused = (len - accepted as usize) as u64;
+            ctx.counters
+                .busy_tuples
+                .fetch_add(refused, Ordering::Relaxed); // ordering: stats counter
+            Frame::Busy { accepted }
         }
-        match handle.try_send(key, value) {
-            Ok(()) => accepted += 1,
-            Err(TryIngestError::Busy) => {
-                let refused = (tuples.len() - accepted as usize) as u64;
-                ctx.counters
-                    .busy_tuples
-                    .fetch_add(refused, Ordering::Relaxed); // ordering: stats counter
-                return Frame::Busy { accepted };
-            }
-            Err(TryIngestError::Closed) => {
-                return Frame::Error {
-                    code: ErrorCode::ShuttingDown,
-                    detail: format!("pipeline closed after {accepted} tuples"),
-                }
-            }
-        }
+        // One malformed key must not kill the reactor nor silently drop
+        // the batch's remainder.
+        Err(TryIngestError::KeyOutOfRange(key)) => Frame::Error {
+            code: ErrorCode::KeyOutOfRange,
+            detail: format!(
+                "key {key} >= {} (first {accepted} tuples of the batch were accepted)",
+                ctx.num_keys
+            ),
+        },
+        Err(TryIngestError::Closed) => Frame::Error {
+            code: ErrorCode::ShuttingDown,
+            detail: format!("pipeline closed after {accepted} tuples"),
+        },
     }
-    Frame::Accepted { accepted }
 }
 
 /// The `KeyOutOfRange` refusal for a point read past the key space.

@@ -139,6 +139,8 @@ fn out_of_range_query_and_update_answer_with_error_frames() {
 
     let (snapshot, _) = server.shutdown();
     assert_eq!(*snapshot.get(1), 1);
+    // Nothing behind the refused key landed.
+    assert_eq!(*snapshot.get(2), 0);
     assert_eq!(*snapshot.get(5), 5);
 }
 

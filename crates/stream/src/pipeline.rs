@@ -34,15 +34,20 @@ impl std::fmt::Display for PipelineClosed {
 
 impl std::error::Error for PipelineClosed {}
 
-/// Error returned by [`IngestHandle::try_send`]. In both cases the
-/// offered tuple was **not** accepted and may simply be retried later.
+/// Why [`IngestHandle::try_send_all`] (or [`try_send`](IngestHandle::try_send))
+/// stopped. In every case the offending tuple and everything after it
+/// were **not** accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TryIngestError {
     /// The destination shard's FIFO is full right now; accepting the
-    /// tuple would have required blocking (`WouldBlock` analogue).
+    /// tuple would have required blocking (`WouldBlock` analogue). Retry
+    /// it verbatim later.
     Busy,
     /// The pipeline has shut down; the tuple can never be delivered.
     Closed,
+    /// The key is `>= num_keys`. Only a run reports it; `try_send`
+    /// panics instead, like `send`.
+    KeyOutOfRange(u32),
 }
 
 impl std::fmt::Display for TryIngestError {
@@ -50,6 +55,7 @@ impl std::fmt::Display for TryIngestError {
         match self {
             TryIngestError::Busy => write!(f, "shard FIFO full, tuple not accepted"),
             TryIngestError::Closed => write!(f, "ingest pipeline has shut down"),
+            TryIngestError::KeyOutOfRange(key) => write!(f, "key {key} out of range"),
         }
     }
 }
@@ -200,8 +206,10 @@ impl<V> IngestHandle<V> {
     ///
     /// Panics if `key >= num_keys`.
     pub fn send(&mut self, key: u32, value: V) -> Result<(), PipelineClosed> {
-        let shard = self.stage(key, value);
-        if self.buffers[shard].len() >= self.core.batch_tuples {
+        assert!(key < self.core.num_keys, "key {key} out of range");
+        let (shift, batch) = (self.core.shard_shift, self.core.batch_tuples);
+        let shard = stage(&mut self.buffers, shift, batch, key, value);
+        if self.buffers[shard].len() >= batch {
             self.ship(shard, OnFull::Wait).map_err(|_| PipelineClosed)?;
         }
         Ok(())
@@ -230,46 +238,60 @@ impl<V> IngestHandle<V> {
         Ok(self.core.seal())
     }
 
-    /// Routes one `(key, value)` update without ever blocking.
-    ///
-    /// The tuple coalesces into the destination shard's batch buffer
-    /// exactly like [`send`](Self::send); when the buffer reaches the
-    /// batch size the batch ships via the FIFO's non-blocking `try_send`.
-    /// A full FIFO refuses the whole call: on [`TryIngestError::Busy`]
-    /// *this* tuple was not accepted (earlier buffered tuples stay
-    /// buffered, nothing is duplicated) and the caller may retry it
-    /// verbatim once the consumer has drained. This turns channel
-    /// backpressure into an explicit refusal instead of parking the
-    /// caller — an I/O worker, say — on a pipeline condvar.
+    /// Routes one `(key, value)` update without ever blocking: the
+    /// one-tuple run of [`try_send_all`](Self::try_send_all).
     ///
     /// # Panics
     ///
     /// Panics if `key >= num_keys`.
     pub fn try_send(&mut self, key: u32, value: V) -> Result<(), TryIngestError> {
-        let shard = self.stage(key, value);
-        if self.buffers[shard].len() >= self.core.batch_tuples {
-            if let Err(e) = self.ship(shard, OnFull::Refuse) {
-                // A refused batch went back into the buffer; take this
-                // call's tuple back out so Busy means "not accepted".
-                self.buffers[shard].pop();
-                return Err(e);
-            }
+        match self.try_send_all([(key, value)]).1 {
+            Err(TryIngestError::KeyOutOfRange(key)) => panic!("key {key} out of range"),
+            result => result,
         }
-        Ok(())
     }
 
-    /// Appends the tuple to its shard's frame; returns the shard. A frame
-    /// is allocated at full capacity when its first tuple arrives and
-    /// leaves whole in [`ship`](Self::ship), so staging never regrows one.
-    fn stage(&mut self, key: u32, value: V) -> usize {
-        assert!(key < self.core.num_keys, "key {key} out of range");
-        let shard = (key >> self.core.shard_shift) as usize;
-        let frame = &mut self.buffers[shard];
-        if frame.capacity() == 0 {
-            frame.reserve_exact(self.core.batch_tuples);
+    /// Routes a run of `(key, value)` updates in order without ever
+    /// blocking; returns how many were accepted and why the run stopped
+    /// early, if it did.
+    ///
+    /// Each tuple coalesces into its shard's batch buffer exactly like
+    /// [`send`](Self::send); when a buffer reaches the batch size the
+    /// batch ships via the FIFO's non-blocking `try_send`. A full FIFO
+    /// stops the run at [`TryIngestError::Busy`]: the tuple that filled
+    /// the batch was taken back out, earlier tuples stay buffered and
+    /// nothing is duplicated, so the caller retries the unaccepted suffix
+    /// verbatim once the consumer has drained. This turns channel
+    /// backpressure into an explicit refusal instead of parking the
+    /// caller — an I/O worker, say — on a pipeline condvar. A key
+    /// `>= num_keys` stops the run at [`TryIngestError::KeyOutOfRange`]
+    /// with nothing staged from it on.
+    pub fn try_send_all(
+        &mut self,
+        run: impl IntoIterator<Item = (u32, V)>,
+    ) -> (usize, Result<(), TryIngestError>) {
+        let (num_keys, shift, batch) = (
+            self.core.num_keys,
+            self.core.shard_shift,
+            self.core.batch_tuples,
+        );
+        let mut accepted = 0;
+        for (key, value) in run {
+            if key >= num_keys {
+                return (accepted, Err(TryIngestError::KeyOutOfRange(key)));
+            }
+            let shard = stage(&mut self.buffers, shift, batch, key, value);
+            if self.buffers[shard].len() >= batch {
+                if let Err(e) = self.ship(shard, OnFull::Refuse) {
+                    // A refused batch went back into the buffer; take this
+                    // tuple back out so Busy means "not accepted".
+                    self.buffers[shard].pop();
+                    return (accepted, Err(e));
+                }
+            }
+            accepted += 1;
         }
-        frame.push(Tuple { key, value });
-        shard
+        (accepted, Ok(()))
     }
 
     /// Moves `shard`'s frame into its FIFO and counts it. A frame the FIFO
@@ -305,6 +327,21 @@ impl<V> IngestHandle<V> {
         }
         Ok(())
     }
+}
+
+/// Appends an in-range tuple to its shard's frame (shard = `key >> shift`);
+/// returns the shard. A frame is allocated at full capacity (`batch`
+/// tuples) when its first tuple arrives and leaves whole in
+/// `IngestHandle::ship`, so staging never regrows one. A free function so
+/// a run hoists the handle's geometry out of its loop.
+fn stage<V>(frames: &mut [Vec<Tuple<V>>], shift: u32, batch: usize, key: u32, value: V) -> usize {
+    let shard = (key >> shift) as usize;
+    let frame = &mut frames[shard];
+    if frame.capacity() == 0 {
+        frame.reserve_exact(batch);
+    }
+    frame.push(Tuple { key, value });
+    shard
 }
 
 impl<V> Clone for IngestHandle<V> {
@@ -1160,14 +1197,22 @@ mod tests {
         let _ = h.send(8, ());
     }
 
+    #[test]
+    #[should_panic]
+    fn try_send_out_of_range_key_panics() {
+        let p = IngestPipeline::new(8, Count, StreamConfig::default());
+        let mut h = p.handle();
+        let _ = h.try_send(8, ());
+    }
+
     /// A handle over a hand-built core whose single shard FIFO has no
     /// worker draining it: the channel fills deterministically, which a
     /// live pipeline never guarantees.
-    fn unserviced_handle(
+    fn unserviced_handle<V>(
         capacity: usize,
         batch_tuples: usize,
-    ) -> (IngestHandle<()>, crate::channel::Receiver<ShardMsg<()>>) {
-        let (tx, rx) = channel::bounded::<ShardMsg<()>>(capacity);
+    ) -> (IngestHandle<V>, crate::channel::Receiver<ShardMsg<V>>) {
+        let (tx, rx) = channel::bounded::<ShardMsg<V>>(capacity);
         let core = Arc::new(Core {
             senders: vec![tx],
             shard_shift: 4, // one shard spanning keys 0..16
@@ -1232,6 +1277,72 @@ mod tests {
         h.try_send(3, ()).unwrap();
         assert_eq!(h.ship(0, OnFull::Refuse), Err(TryIngestError::Busy));
         assert_eq!(h.buffers[0].len(), 1, "refused batch stays buffered");
+    }
+
+    /// The one batch a 1-slot FIFO holds.
+    fn queued<V>(rx: &crate::channel::Receiver<ShardMsg<V>>) -> Vec<Tuple<V>> {
+        match rx.recv() {
+            Some(ShardMsg::Batch(b)) => b,
+            _ => panic!("expected a batch"),
+        }
+    }
+
+    #[test]
+    fn try_send_all_equals_the_per_tuple_loop() {
+        let run: Vec<(u32, u64)> = (0..10).map(|k| (k, 100 + u64::from(k))).collect();
+        let (mut by_run, run_rx) = unserviced_handle::<u64>(1, 4);
+        let (mut by_loop, loop_rx) = unserviced_handle::<u64>(1, 4);
+        // Tuples 0..4 fill the one slot; the 8th tuple completes the next
+        // frame, whose ship is refused: Busy right at a frame boundary.
+        let (accepted, result) = by_run.try_send_all(run.iter().copied());
+        assert_eq!((accepted, result), (7, Err(TryIngestError::Busy)));
+        let mut looped = 0;
+        for &(key, value) in &run {
+            if by_loop.try_send(key, value).is_err() {
+                break;
+            }
+            looped += 1;
+        }
+        assert_eq!(looped, accepted);
+        assert_eq!(by_run.buffers, by_loop.buffers, "same staged tuples");
+        assert_eq!(by_run.buffers[0].len(), 3, "the refused tuple was popped");
+        let delivered = queued(&run_rx);
+        assert_eq!(delivered, queued(&loop_rx), "same FIFO contents");
+
+        // Once the FIFO drains, the refused suffix resent verbatim lands
+        // exactly once: what reaches the shard folds to the serial sum.
+        assert_eq!(
+            by_run.try_send_all(run[accepted..].iter().copied()),
+            (3, Ok(()))
+        );
+        let mut all = delivered;
+        all.extend(queued(&run_rx));
+        by_run.flush().unwrap();
+        all.extend(queued(&run_rx));
+        let fold = |tuples: &mut dyn Iterator<Item = (u32, u64)>| {
+            let mut table = [0u64; 16];
+            for (key, value) in tuples {
+                table[key as usize] += value;
+            }
+            table
+        };
+        assert_eq!(
+            fold(&mut all.iter().map(|t| (t.key, t.value))),
+            fold(&mut run.iter().copied())
+        );
+        assert_eq!(all.len(), run.len(), "nothing lost or duplicated");
+    }
+
+    #[test]
+    fn try_send_all_stops_at_an_out_of_range_key() {
+        let (mut h, _rx) = unserviced_handle::<u64>(1, 4);
+        let run = [(1, 10), (2, 20), (16, 30), (3, 40)];
+        assert_eq!(
+            h.try_send_all(run),
+            (2, Err(TryIngestError::KeyOutOfRange(16)))
+        );
+        let staged: Vec<u32> = h.buffers[0].iter().map(|t| t.key).collect();
+        assert_eq!(staged, [1, 2], "nothing staged past the refused key");
     }
 
     #[test]
