@@ -70,13 +70,19 @@ impl<V: Copy> ShuffledPb<V> {
     }
 }
 
-impl<V: Copy> PbBackend<V> for ShuffledPb<V> {
-    type Eng = NullEngine;
-
-    fn engine(&mut self) -> &mut NullEngine {
-        &mut self.engine
+impl<V> Engine for ShuffledPb<V> {
+    fn alloc(&mut self, name: &str, bytes: u64) -> ArrayAddr {
+        self.engine.alloc(name, bytes)
     }
+    fn load(&mut self, _addr: u64, _bytes: u32) {}
+    fn store(&mut self, _addr: u64, _bytes: u32) {}
+    fn nt_store(&mut self, _addr: u64, _bytes: u32) {}
+    fn alu(&mut self, _n: u32) {}
+    fn branch(&mut self, _pc: u64, _taken: bool) {}
+    fn phase(&mut self, _name: &'static str) {}
+}
 
+impl<V: Copy> PbBackend<V> for ShuffledPb<V> {
     fn bin_shift(&self) -> u32 {
         self.binner.bin_shift()
     }

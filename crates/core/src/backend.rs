@@ -112,14 +112,12 @@ impl<V> BinStorage<V> {
 }
 
 /// A binning substrate: routes update tuples into in-memory bins while
-/// reporting the corresponding dynamic trace to its [`Engine`].
-pub trait PbBackend<V: Copy> {
-    /// The trace sink this backend drives.
-    type Eng: Engine;
-
-    /// The engine, for the kernel's own loads/stores/branches.
-    fn engine(&mut self) -> &mut Self::Eng;
-
+/// reporting the corresponding dynamic trace.
+///
+/// A backend is itself the [`Engine`] its kernel reports to, so the
+/// kernel's own loads, stores and branches interleave with the backend's
+/// binning trace in program order.
+pub trait PbBackend<V: Copy>: Engine {
     /// log2 of the in-memory bin key range.
     fn bin_shift(&self) -> u32;
 
@@ -138,34 +136,32 @@ pub trait PbBackend<V: Copy> {
     /// Ends Binning (software: flush partial C-Buffers; COBRA: `binflush`)
     /// and hands the bins to the Accumulate phase.
     fn flush_and_take(&mut self) -> BinStorage<V>;
-}
 
-/// Counts tuples per bin: the Init phase. Streams the `n` inputs through
-/// `key_of` (which emits the input loads and returns each key) and
-/// histograms keys by `shift`. Emits the histogram's own accesses too.
-pub fn count_bin_tuples<E, F>(
-    e: &mut E,
-    n: usize,
-    shift: u32,
-    num_bins: usize,
-    mut key_of: F,
-) -> Vec<u64>
-where
-    E: Engine,
-    F: FnMut(&mut E, usize) -> u32,
-{
-    let counts_addr = e.alloc("bin_counts", num_bins as u64 * 8);
-    let mut counts = vec![0u64; num_bins];
-    for i in 0..n {
-        let key = key_of(e, i);
-        let b = (key >> shift) as usize;
-        // shift + micro-fused increment of counts[b].
-        e.alu(1);
-        e.load(counts_addr.addr(8, b as u64), 8);
-        e.store(counts_addr.addr(8, b as u64), 8);
-        counts[b] += 1;
+    /// The Init phase: streams the `n` inputs through `key_of` (which
+    /// emits the input loads and returns each key), histograms the keys by
+    /// bin, emitting the histogram's own accesses, and [`presize`]s the
+    /// bins with the counts.
+    ///
+    /// [`presize`]: PbBackend::presize
+    fn init_bins<F>(&mut self, n: usize, mut key_of: F)
+    where
+        Self: Sized,
+        F: FnMut(&mut Self, usize) -> u32,
+    {
+        self.phase(crate::exec::phases::INIT);
+        let shift = self.bin_shift();
+        let mut counts = vec![0u64; self.num_bins()];
+        let counts_addr = self.alloc("bin_counts", counts.len() as u64 * 8);
+        for i in 0..n {
+            let b = (key_of(self, i) >> shift) as u64;
+            // shift + micro-fused increment of counts[b].
+            self.alu(1);
+            self.load(counts_addr.addr(8, b), 8);
+            self.store(counts_addr.addr(8, b), 8);
+            counts[b as usize] += 1;
+        }
+        self.presize(&counts);
     }
-    counts
 }
 
 /// Software Propagation Blocking backend: per-insert C-Buffer management in
@@ -188,7 +184,6 @@ pub struct SwPb<E, V> {
     bin_start: Vec<u64>,
     /// Tuples already written to each bin.
     bin_written: Vec<u64>,
-    presized: bool,
 }
 
 impl<E: Engine, V: Copy> SwPb<E, V> {
@@ -233,7 +228,6 @@ impl<E: Engine, V: Copy> SwPb<E, V> {
             bin_base,
             bin_start: vec![0; num_bins],
             bin_written: vec![0; num_bins],
-            presized: false,
         }
     }
 
@@ -262,13 +256,31 @@ impl<E: Engine, V: Copy> SwPb<E, V> {
     }
 }
 
-impl<E: Engine, V: Copy> PbBackend<V> for SwPb<E, V> {
-    type Eng = E;
-
-    fn engine(&mut self) -> &mut E {
-        &mut self.engine
+impl<E: Engine, V> Engine for SwPb<E, V> {
+    fn alloc(&mut self, name: &str, bytes: u64) -> ArrayAddr {
+        self.engine.alloc(name, bytes)
     }
+    fn load(&mut self, addr: u64, bytes: u32) {
+        self.engine.load(addr, bytes);
+    }
+    fn store(&mut self, addr: u64, bytes: u32) {
+        self.engine.store(addr, bytes);
+    }
+    fn nt_store(&mut self, addr: u64, bytes: u32) {
+        self.engine.nt_store(addr, bytes);
+    }
+    fn alu(&mut self, n: u32) {
+        self.engine.alu(n);
+    }
+    fn branch(&mut self, pc: u64, taken: bool) {
+        self.engine.branch(pc, taken);
+    }
+    fn phase(&mut self, name: &'static str) {
+        self.engine.phase(name);
+    }
+}
 
+impl<E: Engine, V: Copy> PbBackend<V> for SwPb<E, V> {
     fn bin_shift(&self) -> u32 {
         self.shift
     }
@@ -287,7 +299,6 @@ impl<E: Engine, V: Copy> PbBackend<V> for SwPb<E, V> {
             self.engine.store(self.binoff_base.addr(8, b as u64), 8);
             self.engine.alu(1);
         }
-        self.presized = true;
     }
 
     fn insert(&mut self, key: u32, value: V) {
@@ -450,10 +461,11 @@ mod tests {
     }
 
     #[test]
-    fn count_bin_tuples_histogram() {
-        let mut e = NullEngine::new();
+    fn init_bins_presizes_from_the_key_histogram() {
+        let mut sw = SwPb::<_, u32>::new(NullEngine::new(), 256, 4, 8, 5);
         let ks = [0u32, 5, 64, 65, 200];
-        let counts = count_bin_tuples(&mut e, ks.len(), 6, 4, |_, i| ks[i]);
-        assert_eq!(counts, vec![2, 2, 0, 1]);
+        sw.init_bins(ks.len(), |_, i| ks[i]);
+        // Bins of 64 keys hold 2, 2, 0 and 1 tuples.
+        assert_eq!(sw.bin_start, vec![0, 2, 4, 4]);
     }
 }

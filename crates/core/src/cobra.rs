@@ -259,12 +259,6 @@ impl<V: Copy> Engine for CobraMachine<V> {
 }
 
 impl<V: Copy> PbBackend<V> for CobraMachine<V> {
-    type Eng = Self;
-
-    fn engine(&mut self) -> &mut Self {
-        self
-    }
-
     fn bin_shift(&self) -> u32 {
         self.hier.memory_bin_shift()
     }

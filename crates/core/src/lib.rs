@@ -27,7 +27,7 @@ pub mod evict;
 pub mod exec;
 pub mod isa;
 
-pub use backend::{count_bin_tuples, BinStorage, PbBackend, SwPb};
+pub use backend::{BinStorage, PbBackend, SwPb};
 pub use cobra::CobraMachine;
 pub use evict::{DesConfig, EvictStats, EvictionDes};
 pub use exec::{Mode, RunMetrics};

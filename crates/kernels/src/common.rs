@@ -4,7 +4,18 @@
 //! dynamic trace through these helpers so that loop overheads (index
 //! arithmetic + loop branch) are modeled uniformly across kernels and
 //! execution modes.
+//!
+//! A [`PbBackend`] is an [`Engine`], so the same traversals drive a PB
+//! kernel's Binning phase (the per-element body calls
+//! [`PbBackend::insert`]), and [`accumulate`] is the one Accumulate walk.
+//! With [`PbBackend::init_bins`] for Init, that is the whole three-phase
+//! skeleton of Algorithm 2.
+//!
+//! [`PbBackend`]: cobra_core::PbBackend
+//! [`PbBackend::insert`]: cobra_core::PbBackend::insert
+//! [`PbBackend::init_bins`]: cobra_core::PbBackend::init_bins
 
+use cobra_core::BinStorage;
 use cobra_graph::{Csr, EdgeList};
 use cobra_sim::addr::ArrayAddr;
 use cobra_sim::engine::Engine;
@@ -168,6 +179,23 @@ pub fn traverse_matrix<E: Engine, PR, PE>(
             e.branch(pc::NEIGHBOR_LOOP, (j as u64) + 1 < cnt);
             per_entry(e, r, c, v);
         }
+    }
+}
+
+/// The Accumulate phase: replays the bins in order (bins ascending,
+/// insertion order within a bin). Per tuple: the streaming load of the
+/// tuple from its bin, then `f`'s own accesses and update, then the loop
+/// branch.
+pub fn accumulate<E: Engine, V, F>(e: &mut E, storage: &BinStorage<V>, mut f: F)
+where
+    F: FnMut(&mut E, u32, &V),
+{
+    let n = storage.len();
+    let tuple_bytes = storage.tuple_bytes();
+    for (i, (addr, key, value)) in storage.iter().enumerate() {
+        e.load(addr, tuple_bytes);
+        f(e, key, value);
+        e.branch(pc::STREAM_LOOP, i + 1 < n);
     }
 }
 

@@ -3,8 +3,8 @@
 //! Streams the edge list and increments `degrees[dst]` — a commutative
 //! irregular update (keys span all vertex IDs).
 
-use crate::common::{stream_edges, EdgeListAddrs};
-use cobra_core::{count_bin_tuples, PbBackend};
+use crate::common::{accumulate, stream_edges, EdgeListAddrs};
+use cobra_core::PbBackend;
 use cobra_graph::EdgeList;
 use cobra_sim::engine::Engine;
 
@@ -37,43 +37,27 @@ pub fn baseline<E: Engine>(e: &mut E, el: &EdgeList) -> Vec<u32> {
 /// Accumulate applies the increments bin by bin.
 pub fn pb<B: PbBackend<()>>(b: &mut B, el: &EdgeList) -> Vec<u32> {
     let nv = el.num_vertices() as usize;
-    let addrs = EdgeListAddrs::alloc(b.engine(), el);
-    let deg = b.engine().alloc("degrees", nv.max(1) as u64 * 4);
+    let addrs = EdgeListAddrs::alloc(b, el);
+    let deg = b.alloc("degrees", nv.max(1) as u64 * 4);
     let mut degrees = vec![0u32; nv];
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
-    let counts = {
-        let edges = el.edges();
-        count_bin_tuples(b.engine(), edges.len(), shift, nbins, |e, i| {
-            e.load(addrs.edges.addr(8, i as u64), 8);
-            edges[i].dst
-        })
-    };
-    b.presize(&counts);
+    let edges = el.edges();
+    b.init_bins(edges.len(), |b, i| {
+        b.load(addrs.edges.addr(8, i as u64), 8);
+        edges[i].dst
+    });
 
-    b.engine().phase(cobra_core::exec::phases::BINNING);
-    for (i, &edge) in el.edges().iter().enumerate() {
-        b.engine().load(addrs.edges.addr(8, i as u64), 8);
-        b.engine().alu(1);
-        b.engine()
-            .branch(crate::common::pc::STREAM_LOOP, i + 1 < el.num_edges());
-        b.insert(edge.dst, ());
-    }
+    b.phase(cobra_core::exec::phases::BINNING);
+    stream_edges(b, el, addrs, |b, edge| b.insert(edge.dst, ()));
     let storage = b.flush_and_take();
 
-    b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
-    let e = b.engine();
-    let mut iter = storage.iter().peekable();
-    while let Some((addr, key, _)) = iter.next() {
-        e.load(addr, TUPLE_BYTES);
+    b.phase(cobra_core::exec::phases::ACCUMULATE);
+    accumulate(b, &storage, |e, key, _| {
         e.load(deg.addr(4, key as u64), 4);
         e.alu(1);
         e.store(deg.addr(4, key as u64), 4);
-        e.branch(crate::common::pc::STREAM_LOOP, iter.peek().is_some());
         degrees[key as usize] += 1;
-    }
+    });
     degrees
 }
 

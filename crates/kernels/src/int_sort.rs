@@ -7,8 +7,8 @@
 //! *non-commutative* in record-sorting form (each record must land in a
 //! distinct slot whose position depends on update order).
 
-use crate::common::pc;
-use cobra_core::{count_bin_tuples, PbBackend};
+use crate::common::{pc, stream_array};
+use cobra_core::PbBackend;
 use cobra_graph::prefix::exclusive_sum;
 use cobra_sim::engine::Engine;
 
@@ -69,54 +69,47 @@ pub fn baseline<E: Engine>(e: &mut E, keys: &[u32], max_key: u32) -> Vec<u32> {
 /// (local histogram, output segment) is bin-sized and cache-resident.
 pub fn pb<B: PbBackend<()>>(b: &mut B, keys: &[u32], _max_key: u32) -> Vec<u32> {
     let n = keys.len();
-    let keys_addr = b.engine().alloc("is_keys", n.max(1) as u64 * 4);
-    let out_addr = b.engine().alloc("is_out", n.max(1) as u64 * 4);
+    let keys_addr = b.alloc("is_keys", n.max(1) as u64 * 4);
+    let out_addr = b.alloc("is_out", n.max(1) as u64 * 4);
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
-    let counts = count_bin_tuples(b.engine(), n, shift, nbins, |e, i| {
-        e.load(keys_addr.addr(4, i as u64), 4);
+    b.init_bins(n, |b, i| {
+        b.load(keys_addr.addr(4, i as u64), 4);
         keys[i]
     });
-    b.presize(&counts);
 
-    b.engine().phase(cobra_core::exec::phases::BINNING);
-    for (i, &k) in keys.iter().enumerate() {
-        b.engine().load(keys_addr.addr(4, i as u64), 4);
-        b.engine().alu(1);
-        b.engine().branch(pc::STREAM_LOOP, i + 1 < n);
-        b.insert(k, ());
-    }
+    b.phase(cobra_core::exec::phases::BINNING);
+    stream_array(b, keys_addr, n, 4, |b, i| b.insert(keys[i], ()));
     let storage = b.flush_and_take();
 
-    b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
+    b.phase(cobra_core::exec::phases::ACCUMULATE);
     let bin_range = 1usize << storage.bin_shift();
-    let local_addr = b.engine().alloc("is_local_counts", bin_range as u64 * 4);
-    let e = b.engine();
+    let local_addr = b.alloc("is_local_counts", bin_range as u64 * 4);
+    let tuple_bytes = storage.tuple_bytes();
     let mut out = Vec::with_capacity(n);
     let mut tuple_addr_cursor = storage.base_addr();
+    // Not the shared Accumulate walk: each bin is a histogram pass then an
+    // emit pass, so the walk is per bin rather than per tuple.
     for bin_id in 0..storage.num_bins() {
         let base_key = (bin_id << storage.bin_shift()) as u32;
         let mut local = vec![0u32; bin_range];
         // Local histogram over this bin's key range (cache-resident).
         let bin_keys = storage.keys(bin_id);
         for (j, &k) in bin_keys.iter().enumerate() {
-            e.load(tuple_addr_cursor, TUPLE_BYTES); // sequential tuple reads
-            tuple_addr_cursor += TUPLE_BYTES as u64;
-            e.load(local_addr.addr(4, (k - base_key) as u64), 4);
-            e.alu(2);
-            e.store(local_addr.addr(4, (k - base_key) as u64), 4);
-            e.branch(pc::STREAM_LOOP, j + 1 < bin_keys.len());
+            b.load(tuple_addr_cursor, tuple_bytes); // sequential tuple reads
+            tuple_addr_cursor += tuple_bytes as u64;
+            b.load(local_addr.addr(4, (k - base_key) as u64), 4);
+            b.alu(2);
+            b.store(local_addr.addr(4, (k - base_key) as u64), 4);
+            b.branch(pc::STREAM_LOOP, j + 1 < bin_keys.len());
             local[(k - base_key) as usize] += 1;
         }
         // Emit the bin's keys in order (sequential output writes).
         for (off, &c) in local.iter().enumerate() {
-            e.load(local_addr.addr(4, off as u64), 4);
-            e.branch(pc::FILTER, c > 0);
+            b.load(local_addr.addr(4, off as u64), 4);
+            b.branch(pc::FILTER, c > 0);
             for _ in 0..c {
-                e.store(out_addr.addr(4, out.len() as u64), 4);
-                e.alu(1);
+                b.store(out_addr.addr(4, out.len() as u64), 4);
+                b.alu(1);
                 out.push(base_key + off as u32);
             }
         }

@@ -9,8 +9,8 @@
 //! valid (unordered parallelism), which is exactly why PB applies
 //! (Algorithm 2).
 
-use crate::common::{stream_edges, EdgeListAddrs};
-use cobra_core::{count_bin_tuples, PbBackend};
+use crate::common::{accumulate, stream_edges, EdgeListAddrs};
+use cobra_core::PbBackend;
 use cobra_graph::prefix::exclusive_sum;
 use cobra_graph::{Csr, EdgeList};
 use cobra_sim::engine::Engine;
@@ -58,50 +58,33 @@ pub fn baseline<E: Engine>(e: &mut E, el: &EdgeList) -> Csr {
 pub fn pb<B: PbBackend<u32>>(b: &mut B, el: &EdgeList) -> Csr {
     let nv = el.num_vertices() as usize;
     let ne = el.num_edges();
-    let addrs = EdgeListAddrs::alloc(b.engine(), el);
-    let offsets_addr = b.engine().alloc("offsets_work", (nv as u64 + 1) * 4);
-    let neighs_addr = b.engine().alloc("neighbors_out", ne.max(1) as u64 * 4);
-
+    let addrs = EdgeListAddrs::alloc(b, el);
+    let offsets_addr = b.alloc("offsets_work", (nv as u64 + 1) * 4);
+    let neighs_addr = b.alloc("neighbors_out", ne.max(1) as u64 * 4);
     let offsets = exclusive_sum(&el.degrees());
     let mut cursor = offsets.clone();
     let mut neighbors = vec![0u32; ne];
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
-    let counts = {
-        let edges = el.edges();
-        count_bin_tuples(b.engine(), edges.len(), shift, nbins, |e, i| {
-            e.load(addrs.edges.addr(8, i as u64), 8);
-            edges[i].src
-        })
-    };
-    b.presize(&counts);
+    let edges = el.edges();
+    b.init_bins(ne, |b, i| {
+        b.load(addrs.edges.addr(8, i as u64), 8);
+        edges[i].src
+    });
 
-    b.engine().phase(cobra_core::exec::phases::BINNING);
-    for (i, &edge) in el.edges().iter().enumerate() {
-        b.engine().load(addrs.edges.addr(8, i as u64), 8);
-        b.engine().alu(1);
-        b.engine()
-            .branch(crate::common::pc::STREAM_LOOP, i + 1 < ne);
-        b.insert(edge.src, edge.dst);
-    }
+    b.phase(cobra_core::exec::phases::BINNING);
+    stream_edges(b, el, addrs, |b, edge| b.insert(edge.src, edge.dst));
     let storage = b.flush_and_take();
 
-    b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
-    let e = b.engine();
-    let mut iter = storage.iter().peekable();
-    while let Some((addr, src, &dst)) = iter.next() {
-        e.load(addr, TUPLE_BYTES);
+    b.phase(cobra_core::exec::phases::ACCUMULATE);
+    accumulate(b, &storage, |e, src, &dst| {
         e.load(offsets_addr.addr(4, src as u64), 4);
         let slot = cursor[src as usize];
         e.store(neighs_addr.addr(4, slot as u64), 4);
         e.alu(1);
         e.store(offsets_addr.addr(4, src as u64), 4);
-        e.branch(crate::common::pc::STREAM_LOOP, iter.peek().is_some());
         neighbors[slot as usize] = dst;
         cursor[src as usize] += 1;
-    }
+    });
     Csr::from_raw(offsets, neighbors)
 }
 

@@ -3,8 +3,8 @@
 //! `rank[u] / degree[u]` to each out-neighbor — a commutative (`+=`)
 //! irregular update over the full vertex range.
 
-use crate::common::{traverse_csr, CsrAddrs};
-use cobra_core::{count_bin_tuples, PbBackend};
+use crate::common::{accumulate, traverse_csr, CsrAddrs};
+use cobra_core::PbBackend;
 use cobra_graph::Csr;
 use cobra_sim::engine::Engine;
 
@@ -79,73 +79,50 @@ pub fn baseline<E: Engine>(e: &mut E, g: &Csr) -> Vec<f32> {
 /// them with high locality.
 pub fn pb<B: PbBackend<f32>>(b: &mut B, g: &Csr) -> Vec<f32> {
     let nv = g.num_vertices();
-    let addrs = CsrAddrs::alloc(b.engine(), g);
-    let contrib_addr = b.engine().alloc("pr_contrib", nv.max(1) as u64 * 4);
-    let sums_addr = b.engine().alloc("pr_sums", nv.max(1) as u64 * 4);
-    let rank_addr = b.engine().alloc("pr_rank", nv.max(1) as u64 * 4);
-
+    let addrs = CsrAddrs::alloc(b, g);
+    // Unused by PB, but allocated so the address layout matches baseline's.
+    b.alloc("pr_contrib", nv.max(1) as u64 * 4);
+    let sums_addr = b.alloc("pr_sums", nv.max(1) as u64 * 4);
+    let rank_addr = b.alloc("pr_rank", nv.max(1) as u64 * 4);
     let init = 1.0 / nv as f32;
     let mut sums = vec![0.0f32; nv];
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
     // The init pass streams the neighbor array to size the bins.
-    let counts = {
-        let na = g.neighbors_array();
-        count_bin_tuples(b.engine(), na.len(), shift, nbins, |e, i| {
-            e.load(addrs.neighbors.addr(4, i as u64), 4);
-            na[i]
-        })
-    };
-    b.presize(&counts);
+    let na = g.neighbors_array();
+    b.init_bins(na.len(), |b, i| {
+        b.load(addrs.neighbors.addr(4, i as u64), 4);
+        na[i]
+    });
 
-    b.engine().phase(cobra_core::exec::phases::BINNING);
-    // traverse_csr needs exclusive access to the engine, so drive binning
-    // manually over the CSR structure.
-    let nv32 = nv as u32;
-    for u in 0..nv32 {
-        b.engine().load(addrs.offsets.addr(4, u as u64), 4);
-        b.engine().load(addrs.offsets.addr(4, u as u64 + 1), 4);
-        b.engine().alu(1);
-        b.engine()
-            .branch(crate::common::pc::VERTEX_LOOP, u + 1 < nv32);
-        let deg = g.degree(u);
-        if deg == 0 {
-            continue;
-        }
-        b.engine().load(rank_addr.addr(4, u as u64), 4);
-        b.engine().alu(1);
-        let contrib = init / deg as f32;
-        let lo = g.offsets()[u as usize] as u64;
-        for (j, &v) in g.neighbors(u).iter().enumerate() {
-            b.engine().load(addrs.neighbors.addr(4, lo + j as u64), 4);
-            b.engine().alu(1);
-            b.engine()
-                .branch(crate::common::pc::NEIGHBOR_LOOP, (j as u32) + 1 < deg);
-            b.insert(v, contrib);
-        }
-        let _ = contrib_addr;
-    }
+    b.phase(cobra_core::exec::phases::BINNING);
+    traverse_csr(
+        b,
+        g,
+        addrs,
+        |b, u| {
+            // contrib = rank[u] / degree[u], computed in a register.
+            if g.degree(u) != 0 {
+                b.load(rank_addr.addr(4, u as u64), 4);
+                b.alu(1);
+            }
+        },
+        |b, u, v| b.insert(v, init / g.degree(u) as f32),
+    );
     let storage = b.flush_and_take();
 
-    b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
-    let e = b.engine();
-    let mut iter = storage.iter().peekable();
-    while let Some((addr, key, &contrib)) = iter.next() {
-        e.load(addr, TUPLE_BYTES);
+    b.phase(cobra_core::exec::phases::ACCUMULATE);
+    accumulate(b, &storage, |e, key, &contrib| {
         e.load(sums_addr.addr(4, key as u64), 4);
         e.alu(1);
         e.store(sums_addr.addr(4, key as u64), 4);
-        e.branch(crate::common::pc::STREAM_LOOP, iter.peek().is_some());
         sums[key as usize] += contrib;
-    }
+    });
     let base = (1.0 - DAMPING) / nv as f32;
     let mut out = Vec::with_capacity(nv);
     for v in 0..nv as u64 {
-        e.load(sums_addr.addr(4, v), 4);
-        e.alu(2);
-        e.store(rank_addr.addr(4, v), 4);
+        b.load(sums_addr.addr(4, v), 4);
+        b.alu(2);
+        b.store(rank_addr.addr(4, v), 4);
         out.push(base + DAMPING * sums[v as usize]);
     }
     out

@@ -3,8 +3,8 @@
 //! cannot be coalesced (every key occurs exactly once), so commutativity
 //! optimizations are inapplicable while PB still helps locality.
 
-use crate::common::pc;
-use cobra_core::{count_bin_tuples, PbBackend};
+use crate::common::{accumulate, pc, stream_array};
+use cobra_core::PbBackend;
 use cobra_sim::engine::Engine;
 
 /// Tuple size: 8 B (`p[i]` key + `i` payload).
@@ -39,37 +39,24 @@ pub fn baseline<E: Engine>(e: &mut E, p: &[u32]) -> Vec<u32> {
 /// PB execution.
 pub fn pb<B: PbBackend<u32>>(b: &mut B, p: &[u32]) -> Vec<u32> {
     let n = p.len();
-    let p_addr = b.engine().alloc("pinv_p", n.max(1) as u64 * 4);
-    let out_addr = b.engine().alloc("pinv_out", n.max(1) as u64 * 4);
+    let p_addr = b.alloc("pinv_p", n.max(1) as u64 * 4);
+    let out_addr = b.alloc("pinv_out", n.max(1) as u64 * 4);
     let mut pinv = vec![0u32; n];
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
-    let counts = count_bin_tuples(b.engine(), n, shift, nbins, |e, i| {
-        e.load(p_addr.addr(4, i as u64), 4);
+    b.init_bins(n, |b, i| {
+        b.load(p_addr.addr(4, i as u64), 4);
         p[i]
     });
-    b.presize(&counts);
 
-    b.engine().phase(cobra_core::exec::phases::BINNING);
-    for (i, &pi) in p.iter().enumerate() {
-        b.engine().load(p_addr.addr(4, i as u64), 4);
-        b.engine().alu(1);
-        b.engine().branch(pc::STREAM_LOOP, i + 1 < n);
-        b.insert(pi, i as u32);
-    }
+    b.phase(cobra_core::exec::phases::BINNING);
+    stream_array(b, p_addr, n, 4, |b, i| b.insert(p[i], i as u32));
     let storage = b.flush_and_take();
 
-    b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
-    let e = b.engine();
-    let mut iter = storage.iter().peekable();
-    while let Some((addr, key, &i)) = iter.next() {
-        e.load(addr, TUPLE_BYTES);
+    b.phase(cobra_core::exec::phases::ACCUMULATE);
+    accumulate(b, &storage, |e, key, &i| {
         e.store(out_addr.addr(4, key as u64), 4);
-        e.branch(pc::STREAM_LOOP, iter.peek().is_some());
         pinv[key as usize] = i;
-    }
+    });
     pinv
 }
 

@@ -7,7 +7,7 @@
 //! of frontier-driven kernels (vs Pagerank's all-vertices-every-round).
 //! The OR update is commutative.
 
-use crate::common::{pc, CsrAddrs};
+use crate::common::{accumulate, pc, CsrAddrs};
 use cobra_core::PbBackend;
 use cobra_graph::Csr;
 use cobra_sim::engine::Engine;
@@ -150,10 +150,10 @@ pub fn baseline<E: Engine>(e: &mut E, g: &Csr, max_rounds: u32) -> RadiiResult {
 /// active frontier; Accumulate ORs them in.
 pub fn pb<B: PbBackend<u64>>(b: &mut B, g: &Csr, max_rounds: u32) -> RadiiResult {
     let nv = g.num_vertices();
-    let addrs = CsrAddrs::alloc(b.engine(), g);
-    let vis_addr = b.engine().alloc("radii_visitor", nv.max(1) as u64 * 8);
-    let next_addr = b.engine().alloc("radii_next", nv.max(1) as u64 * 8);
-    let radii_addr = b.engine().alloc("radii_out", nv.max(1) as u64 * 4);
+    let addrs = CsrAddrs::alloc(b, g);
+    let vis_addr = b.alloc("radii_visitor", nv.max(1) as u64 * 8);
+    let next_addr = b.alloc("radii_next", nv.max(1) as u64 * 8);
+    let radii_addr = b.alloc("radii_out", nv.max(1) as u64 * 4);
 
     let mut visitor = vec![0u64; nv];
     for (bit, v) in pick_sources(g).into_iter().enumerate() {
@@ -162,40 +162,39 @@ pub fn pb<B: PbBackend<u64>>(b: &mut B, g: &Csr, max_rounds: u32) -> RadiiResult
     let mut radii = vec![0u32; nv];
     let shift = b.bin_shift();
     let nbins = b.num_bins();
+    let nv32 = nv as u32;
 
     let mut round = 0;
     while round < max_rounds {
         round += 1;
 
-        b.engine().phase(cobra_core::exec::phases::INIT);
-        // Count tuples for this round's frontier.
+        b.phase(cobra_core::exec::phases::INIT);
+        // Not `init_bins`: only this round's frontier emits tuples, so the
+        // count skips inactive vertices.
         let mut counts = vec![0u64; nbins];
-        {
-            let e = b.engine();
-            let nv32 = nv as u32;
-            for u in 0..nv32 {
-                e.load(vis_addr.addr(8, u as u64), 8);
-                e.branch(pc::FILTER, visitor[u as usize] != 0);
-                if visitor[u as usize] == 0 {
-                    continue;
-                }
-                let lo = g.offsets()[u as usize] as u64;
-                for (j, &v) in g.neighbors(u).iter().enumerate() {
-                    e.load(addrs.neighbors.addr(4, lo + j as u64), 4);
-                    e.alu(1);
-                    counts[(v >> shift) as usize] += 1;
-                }
+        for u in 0..nv32 {
+            b.load(vis_addr.addr(8, u as u64), 8);
+            b.branch(pc::FILTER, visitor[u as usize] != 0);
+            if visitor[u as usize] == 0 {
+                continue;
+            }
+            let lo = g.offsets()[u as usize] as u64;
+            for (j, &v) in g.neighbors(u).iter().enumerate() {
+                b.load(addrs.neighbors.addr(4, lo + j as u64), 4);
+                b.alu(1);
+                counts[(v >> shift) as usize] += 1;
             }
         }
         b.presize(&counts);
 
-        b.engine().phase(cobra_core::exec::phases::BINNING);
-        let nv32 = nv as u32;
+        b.phase(cobra_core::exec::phases::BINNING);
+        // Not `traverse_csr`: the frontier filter branch replaces the
+        // vertex loop's ALU op and skips inactive vertices.
         for u in 0..nv32 {
-            b.engine().load(addrs.offsets.addr(4, u as u64), 4);
-            b.engine().load(addrs.offsets.addr(4, u as u64 + 1), 4);
-            b.engine().load(vis_addr.addr(8, u as u64), 8);
-            b.engine().branch(pc::FILTER, visitor[u as usize] != 0);
+            b.load(addrs.offsets.addr(4, u as u64), 4);
+            b.load(addrs.offsets.addr(4, u as u64 + 1), 4);
+            b.load(vis_addr.addr(8, u as u64), 8);
+            b.branch(pc::FILTER, visitor[u as usize] != 0);
             let m = visitor[u as usize];
             if m == 0 {
                 continue;
@@ -203,43 +202,37 @@ pub fn pb<B: PbBackend<u64>>(b: &mut B, g: &Csr, max_rounds: u32) -> RadiiResult
             let lo = g.offsets()[u as usize] as u64;
             let deg = g.degree(u);
             for (j, &v) in g.neighbors(u).iter().enumerate() {
-                b.engine().load(addrs.neighbors.addr(4, lo + j as u64), 4);
-                b.engine().alu(1);
-                b.engine().branch(pc::NEIGHBOR_LOOP, (j as u32) + 1 < deg);
+                b.load(addrs.neighbors.addr(4, lo + j as u64), 4);
+                b.alu(1);
+                b.branch(pc::NEIGHBOR_LOOP, (j as u32) + 1 < deg);
                 b.insert(v, m);
             }
         }
         let storage = b.flush_and_take();
 
-        b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
+        b.phase(cobra_core::exec::phases::ACCUMULATE);
         let mut next = visitor.clone();
-        {
-            let e = b.engine();
-            let mut iter = storage.iter().peekable();
-            while let Some((addr, key, &m)) = iter.next() {
-                e.load(addr, TUPLE_BYTES);
-                e.load(next_addr.addr(8, key as u64), 8);
-                e.alu(1);
-                e.store(next_addr.addr(8, key as u64), 8);
-                e.branch(pc::STREAM_LOOP, iter.peek().is_some());
-                next[key as usize] |= m;
+        accumulate(b, &storage, |e, key, &m| {
+            e.load(next_addr.addr(8, key as u64), 8);
+            e.alu(1);
+            e.store(next_addr.addr(8, key as u64), 8);
+            next[key as usize] |= m;
+        });
+        let mut changed = false;
+        for v in 0..nv {
+            b.load(vis_addr.addr(8, v as u64), 8);
+            b.load(next_addr.addr(8, v as u64), 8);
+            let grew = next[v] != visitor[v];
+            b.branch(pc::FILTER, grew);
+            if grew {
+                b.store(radii_addr.addr(4, v as u64), 4);
+                radii[v] = round;
+                changed = true;
             }
-            let mut changed = false;
-            for v in 0..nv {
-                e.load(vis_addr.addr(8, v as u64), 8);
-                e.load(next_addr.addr(8, v as u64), 8);
-                let grew = next[v] != visitor[v];
-                e.branch(pc::FILTER, grew);
-                if grew {
-                    e.store(radii_addr.addr(4, v as u64), 4);
-                    radii[v] = round;
-                    changed = true;
-                }
-            }
-            visitor = next;
-            if !changed {
-                break;
-            }
+        }
+        visitor = next;
+        if !changed {
+            break;
         }
     }
     RadiiResult {

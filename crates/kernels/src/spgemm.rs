@@ -7,8 +7,7 @@
 //! bitwise; what the kernel adds is the dynamic memory trace of each
 //! execution mode.
 
-use crate::common::pc;
-use crate::common::MatrixAddrs;
+use crate::common::{accumulate, pc, MatrixAddrs};
 use cobra_core::PbBackend;
 use cobra_graph::prefix::exclusive_sum;
 use cobra_graph::SparseMatrix;
@@ -129,86 +128,47 @@ pub fn pb<B: PbBackend<(u32, f64)>>(
     a: &SparseMatrix,
     b: &SparseMatrix,
 ) -> SparseMatrix {
-    let a_addrs = MatrixAddrs::alloc(pbb.engine(), a);
-    let b_addrs = MatrixAddrs::alloc(pbb.engine(), b);
+    let a_addrs = MatrixAddrs::alloc(pbb, a);
+    let b_addrs = MatrixAddrs::alloc(pbb, b);
     let cols = b.cols().max(1) as u64;
-    let out_addr = pbb
-        .engine()
-        .alloc("spgemm_cells", a.rows().max(1) as u64 * cols * 8);
+    let out_addr = pbb.alloc("spgemm_cells", a.rows().max(1) as u64 * cols * 8);
 
-    // INIT: per-bin tuple counts are *weighted* — each A entry (i, k)
-    // contributes nnz(B.row(k)) tuples to row i's bin, so the stock
-    // one-per-input counter does not apply.
-    pbb.engine().phase(cobra_core::exec::phases::INIT);
+    pbb.phase(cobra_core::exec::phases::INIT);
+    // Not `init_bins`: the counts are *weighted* — each A entry (i, k)
+    // contributes nnz(B.row(k)) tuples to row i's bin.
     let shift = pbb.bin_shift();
     let mut counts = vec![0u64; pbb.num_bins()];
-    {
-        let e = pbb.engine();
-        let ro = b.row_offsets();
-        let nnz = a.nnz();
-        let mut idx = 0u64;
-        for i in 0..a.rows() {
-            for (k, _) in a.row(i) {
-                e.load(a_addrs.col_idx.addr(4, idx), 4);
-                e.load(b_addrs.row_offsets.addr(4, k as u64), 4);
-                e.load(b_addrs.row_offsets.addr(4, k as u64 + 1), 4);
-                e.alu(2);
-                e.branch(pc::STREAM_LOOP, (idx as usize) + 1 < nnz);
-                counts[(i >> shift) as usize] += (ro[k as usize + 1] - ro[k as usize]) as u64;
-                idx += 1;
-            }
+    let ro = b.row_offsets();
+    let nnz = a.nnz();
+    let mut idx = 0u64;
+    for i in 0..a.rows() {
+        for (k, _) in a.row(i) {
+            pbb.load(a_addrs.col_idx.addr(4, idx), 4);
+            pbb.load(b_addrs.row_offsets.addr(4, k as u64), 4);
+            pbb.load(b_addrs.row_offsets.addr(4, k as u64 + 1), 4);
+            pbb.alu(2);
+            pbb.branch(pc::STREAM_LOOP, (idx as usize) + 1 < nnz);
+            counts[(i >> shift) as usize] += (ro[k as usize + 1] - ro[k as usize]) as u64;
+            idx += 1;
         }
     }
     pbb.presize(&counts);
 
-    pbb.engine().phase(cobra_core::exec::phases::BINNING);
-    let rows = a.rows();
-    for i in 0..rows {
-        pbb.engine().load(a_addrs.row_offsets.addr(4, i as u64), 4);
-        pbb.engine()
-            .load(a_addrs.row_offsets.addr(4, i as u64 + 1), 4);
-        pbb.engine().alu(1);
-        pbb.engine().branch(pc::VERTEX_LOOP, i + 1 < rows);
-        let lo = a.row_offsets()[i as usize] as u64;
-        let cnt = a.row_offsets()[i as usize + 1] as u64 - lo;
-        for (ai, (k, av)) in a.row(i).enumerate() {
-            pbb.engine()
-                .load(a_addrs.col_idx.addr(4, lo + ai as u64), 4);
-            pbb.engine().load(a_addrs.values.addr(8, lo + ai as u64), 8);
-            pbb.engine()
-                .branch(pc::NEIGHBOR_LOOP, (ai as u64) + 1 < cnt);
-            pbb.engine().load(b_addrs.row_offsets.addr(4, k as u64), 4);
-            pbb.engine()
-                .load(b_addrs.row_offsets.addr(4, k as u64 + 1), 4);
-            let blo = b.row_offsets()[k as usize] as u64;
-            let bcnt = b.row_offsets()[k as usize + 1] as u64 - blo;
-            for (bi, (j, bv)) in b.row(k).enumerate() {
-                pbb.engine()
-                    .load(b_addrs.col_idx.addr(4, blo + bi as u64), 4);
-                pbb.engine()
-                    .load(b_addrs.values.addr(8, blo + bi as u64), 8);
-                pbb.engine().alu(1);
-                pbb.engine()
-                    .branch(pc::NEIGHBOR_LOOP, (bi as u64) + 1 < bcnt);
-                pbb.insert(i, (j, av * bv));
-            }
-        }
-    }
+    pbb.phase(cobra_core::exec::phases::BINNING);
+    expand_trace(pbb, a, b, a_addrs, b_addrs, |pbb, i, j, v| {
+        pbb.insert(i, (j, v))
+    });
     let storage = pbb.flush_and_take();
 
-    pbb.engine().phase(cobra_core::exec::phases::ACCUMULATE);
+    pbb.phase(cobra_core::exec::phases::ACCUMULATE);
     let mut cells = BTreeMap::new();
-    let e = pbb.engine();
-    let mut iter = storage.iter().peekable();
-    while let Some((addr, i, &(j, v))) = iter.next() {
-        e.load(addr, TUPLE_BYTES);
+    accumulate(pbb, &storage, |e, i, &(j, v)| {
         let cell = i as u64 * cols + j as u64;
         e.load(out_addr.addr(8, cell), 8);
         e.alu(1);
         e.store(out_addr.addr(8, cell), 8);
-        e.branch(pc::STREAM_LOOP, iter.peek().is_some());
         *cells.entry((i, j)).or_insert(0.0) += v;
-    }
+    });
     emit_csr(a.rows(), b.cols(), cells)
 }
 

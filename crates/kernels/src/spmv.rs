@@ -5,8 +5,8 @@
 //! representation; the scatter form is that same computation on the
 //! untransposed CSR.)
 
-use crate::common::{pc, traverse_matrix, MatrixAddrs};
-use cobra_core::{count_bin_tuples, PbBackend};
+use crate::common::{accumulate, pc, traverse_matrix, MatrixAddrs};
+use cobra_core::PbBackend;
 use cobra_graph::SparseMatrix;
 use cobra_sim::engine::Engine;
 
@@ -50,54 +50,46 @@ pub fn baseline<E: Engine>(e: &mut E, m: &SparseMatrix, x: &[f64]) -> Vec<f64> {
 /// PB execution: Binning scatters `(c, v * x[r])` products; Accumulate sums
 /// per column range.
 pub fn pb<B: PbBackend<f64>>(b: &mut B, m: &SparseMatrix, x: &[f64]) -> Vec<f64> {
-    let addrs = MatrixAddrs::alloc(b.engine(), m);
-    let x_addr = b.engine().alloc("spmv_x", m.rows().max(1) as u64 * 8);
-    let y_addr = b.engine().alloc("spmv_y", m.cols().max(1) as u64 * 8);
+    let addrs = MatrixAddrs::alloc(b, m);
+    let x_addr = b.alloc("spmv_x", m.rows().max(1) as u64 * 8);
+    let y_addr = b.alloc("spmv_y", m.cols().max(1) as u64 * 8);
     let mut y = vec![0.0; m.cols() as usize];
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
-    let counts = {
-        let cols = m.col_indices();
-        count_bin_tuples(b.engine(), cols.len(), shift, nbins, |e, i| {
-            e.load(addrs.col_idx.addr(4, i as u64), 4);
-            cols[i]
-        })
-    };
-    b.presize(&counts);
+    let cols = m.col_indices();
+    b.init_bins(cols.len(), |b, i| {
+        b.load(addrs.col_idx.addr(4, i as u64), 4);
+        cols[i]
+    });
 
-    b.engine().phase(cobra_core::exec::phases::BINNING);
+    b.phase(cobra_core::exec::phases::BINNING);
+    // Not `traverse_matrix`: `x[r]` loads before the row's ALU op, and each
+    // entry costs a multiply on top of the loop increment.
     let rows = m.rows();
     for r in 0..rows {
-        b.engine().load(addrs.row_offsets.addr(4, r as u64), 4);
-        b.engine().load(addrs.row_offsets.addr(4, r as u64 + 1), 4);
-        b.engine().load(x_addr.addr(8, r as u64), 8);
-        b.engine().alu(1);
-        b.engine().branch(pc::VERTEX_LOOP, r + 1 < rows);
+        b.load(addrs.row_offsets.addr(4, r as u64), 4);
+        b.load(addrs.row_offsets.addr(4, r as u64 + 1), 4);
+        b.load(x_addr.addr(8, r as u64), 8);
+        b.alu(1);
+        b.branch(pc::VERTEX_LOOP, r + 1 < rows);
         let lo = m.row_offsets()[r as usize] as u64;
         let cnt = m.row_offsets()[r as usize + 1] as u64 - lo;
         for (j, (c, v)) in m.row(r).enumerate() {
-            b.engine().load(addrs.col_idx.addr(4, lo + j as u64), 4);
-            b.engine().load(addrs.values.addr(8, lo + j as u64), 8);
-            b.engine().alu(2); // multiply + loop
-            b.engine().branch(pc::NEIGHBOR_LOOP, (j as u64) + 1 < cnt);
+            b.load(addrs.col_idx.addr(4, lo + j as u64), 4);
+            b.load(addrs.values.addr(8, lo + j as u64), 8);
+            b.alu(2); // multiply + loop
+            b.branch(pc::NEIGHBOR_LOOP, (j as u64) + 1 < cnt);
             b.insert(c, v * x[r as usize]);
         }
     }
     let storage = b.flush_and_take();
 
-    b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
-    let e = b.engine();
-    let mut iter = storage.iter().peekable();
-    while let Some((addr, c, &prod)) = iter.next() {
-        e.load(addr, TUPLE_BYTES);
+    b.phase(cobra_core::exec::phases::ACCUMULATE);
+    accumulate(b, &storage, |e, c, &prod| {
         e.load(y_addr.addr(8, c as u64), 8);
         e.alu(1);
         e.store(y_addr.addr(8, c as u64), 8);
-        e.branch(pc::STREAM_LOOP, iter.peek().is_some());
         y[c as usize] += prod;
-    }
+    });
     y
 }
 

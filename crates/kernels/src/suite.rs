@@ -73,16 +73,20 @@ impl KernelId {
         }
     }
 
-    /// Buffered tuple size in bytes (Section VI: 4 B, 8 B or 16 B).
+    /// Buffered tuple size in bytes (Section VI: 4 B, 8 B or 16 B): the
+    /// kernel module's `TUPLE_BYTES`.
     pub fn tuple_bytes(&self) -> u32 {
         match self {
-            KernelId::DegreeCount | KernelId::IntSort => 4,
-            KernelId::NeighborPopulate | KernelId::Pagerank | KernelId::Pinv => 8,
-            KernelId::Radii
-            | KernelId::Spmv
-            | KernelId::Transpose
-            | KernelId::SymPerm
-            | KernelId::SpGemm => 16,
+            KernelId::DegreeCount => crate::degree_count::TUPLE_BYTES,
+            KernelId::NeighborPopulate => crate::neighbor_populate::TUPLE_BYTES,
+            KernelId::Pagerank => crate::pagerank::TUPLE_BYTES,
+            KernelId::Radii => crate::radii::TUPLE_BYTES,
+            KernelId::IntSort => crate::int_sort::TUPLE_BYTES,
+            KernelId::Spmv => crate::spmv::TUPLE_BYTES,
+            KernelId::Transpose => crate::transpose::TUPLE_BYTES,
+            KernelId::Pinv => crate::pinv::TUPLE_BYTES,
+            KernelId::SymPerm => crate::symperm::TUPLE_BYTES,
+            KernelId::SpGemm => crate::spgemm::TUPLE_BYTES,
         }
     }
 

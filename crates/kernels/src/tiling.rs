@@ -9,7 +9,7 @@
 //! cost much larger than PB's bin allocation (the shaded init bars of
 //! Figure 15) and re-streaming the contribution array once per segment.
 
-use crate::common::pc;
+use crate::common::{accumulate, pc};
 use crate::pagerank::DAMPING;
 use cobra_core::PbBackend;
 use cobra_graph::Csr;
@@ -69,23 +69,17 @@ pub fn pagerank_baseline_iters<E: Engine>(e: &mut E, g: &Csr, iters: u32) -> Vec
 /// the tuple-count-per-bin is iteration-invariant.
 pub fn pagerank_pb_iters<B: PbBackend<f32>>(b: &mut B, g: &Csr, iters: u32) -> Vec<f32> {
     let nv = g.num_vertices();
-    let addrs = crate::common::CsrAddrs::alloc(b.engine(), g);
-    let contrib_addr = b.engine().alloc("prt_contrib", nv.max(1) as u64 * 4);
-    let sums_addr = b.engine().alloc("prt_sums", nv.max(1) as u64 * 4);
+    let addrs = crate::common::CsrAddrs::alloc(b, g);
+    let contrib_addr = b.alloc("prt_contrib", nv.max(1) as u64 * 4);
+    let sums_addr = b.alloc("prt_sums", nv.max(1) as u64 * 4);
 
     let mut rank = vec![1.0f32 / nv as f32; nv];
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
-    let counts = {
-        let na = g.neighbors_array();
-        cobra_core::count_bin_tuples(b.engine(), na.len(), shift, nbins, |e, i| {
-            e.load(addrs.neighbors.addr(4, i as u64), 4);
-            na[i]
-        })
-    };
-    b.presize(&counts);
+    let na = g.neighbors_array();
+    b.init_bins(na.len(), |b, i| {
+        b.load(addrs.neighbors.addr(4, i as u64), 4);
+        na[i]
+    });
 
     for _ in 0..iters {
         let contrib: Vec<f32> = (0..nv)
@@ -99,44 +93,40 @@ pub fn pagerank_pb_iters<B: PbBackend<f32>>(b: &mut B, g: &Csr, iters: u32) -> V
             })
             .collect();
 
-        b.engine().phase(cobra_core::exec::phases::BINNING);
+        b.phase(cobra_core::exec::phases::BINNING);
+        // Not `traverse_csr`: the vertex loop loads `contrib[u]` instead of
+        // charging an ALU op, as `pagerank_baseline_iters` does.
         let nv32 = nv as u32;
         for u in 0..nv32 {
-            b.engine().load(addrs.offsets.addr(4, u as u64), 4);
-            b.engine().load(addrs.offsets.addr(4, u as u64 + 1), 4);
-            b.engine().load(contrib_addr.addr(4, u as u64), 4);
-            b.engine().branch(pc::VERTEX_LOOP, u + 1 < nv32);
+            b.load(addrs.offsets.addr(4, u as u64), 4);
+            b.load(addrs.offsets.addr(4, u as u64 + 1), 4);
+            b.load(contrib_addr.addr(4, u as u64), 4);
+            b.branch(pc::VERTEX_LOOP, u + 1 < nv32);
             let lo = g.offsets()[u as usize] as u64;
             let deg = g.degree(u);
             for (j, &v) in g.neighbors(u).iter().enumerate() {
-                b.engine().load(addrs.neighbors.addr(4, lo + j as u64), 4);
-                b.engine().alu(1);
-                b.engine().branch(pc::NEIGHBOR_LOOP, (j as u32) + 1 < deg);
+                b.load(addrs.neighbors.addr(4, lo + j as u64), 4);
+                b.alu(1);
+                b.branch(pc::NEIGHBOR_LOOP, (j as u32) + 1 < deg);
                 b.insert(v, contrib[u as usize]);
             }
         }
         let storage = b.flush_and_take();
 
-        b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
+        b.phase(cobra_core::exec::phases::ACCUMULATE);
         let mut sums = vec![0.0f32; nv];
-        {
-            let e = b.engine();
-            let mut iter = storage.iter().peekable();
-            while let Some((addr, key, &c)) = iter.next() {
-                e.load(addr, crate::pagerank::TUPLE_BYTES);
-                e.load(sums_addr.addr(4, key as u64), 4);
-                e.alu(1);
-                e.store(sums_addr.addr(4, key as u64), 4);
-                e.branch(pc::STREAM_LOOP, iter.peek().is_some());
-                sums[key as usize] += c;
-            }
-            let base = (1.0 - DAMPING) / nv as f32;
-            for v in 0..nv {
-                e.load(sums_addr.addr(4, v as u64), 4);
-                e.alu(2);
-                e.store(contrib_addr.addr(4, v as u64), 4);
-                rank[v] = base + DAMPING * sums[v];
-            }
+        accumulate(b, &storage, |e, key, &c| {
+            e.load(sums_addr.addr(4, key as u64), 4);
+            e.alu(1);
+            e.store(sums_addr.addr(4, key as u64), 4);
+            sums[key as usize] += c;
+        });
+        let base = (1.0 - DAMPING) / nv as f32;
+        for v in 0..nv {
+            b.load(sums_addr.addr(4, v as u64), 4);
+            b.alu(2);
+            b.store(contrib_addr.addr(4, v as u64), 4);
+            rank[v] = base + DAMPING * sums[v];
         }
     }
     rank

@@ -2,9 +2,8 @@
 //! transpose. The scatter pass writes each entry to the next free slot of
 //! its column's output row — cursor updates make it *non-commutative*.
 
-use crate::common::pc;
-use crate::common::MatrixAddrs;
-use cobra_core::{count_bin_tuples, PbBackend};
+use crate::common::{accumulate, pc, traverse_matrix, MatrixAddrs};
+use cobra_core::PbBackend;
 use cobra_graph::prefix::exclusive_sum;
 use cobra_graph::SparseMatrix;
 use cobra_sim::engine::Engine;
@@ -85,63 +84,38 @@ pub fn baseline<E: Engine>(e: &mut E, m: &SparseMatrix) -> SparseMatrix {
 /// performs the cursor scatter with bin-local cursors and contiguous output
 /// segments.
 pub fn pb<B: PbBackend<(u32, f64)>>(b: &mut B, m: &SparseMatrix) -> SparseMatrix {
-    let addrs = MatrixAddrs::alloc(b.engine(), m);
+    let addrs = MatrixAddrs::alloc(b, m);
     let nnz = m.nnz();
-    let cursor_addr = b.engine().alloc("tr_cursor", m.cols().max(1) as u64 * 4);
-    let tcol_addr = b.engine().alloc("tr_col", nnz.max(1) as u64 * 4);
-    let tval_addr = b.engine().alloc("tr_val", nnz.max(1) as u64 * 8);
+    let cursor_addr = b.alloc("tr_cursor", m.cols().max(1) as u64 * 4);
+    let tcol_addr = b.alloc("tr_col", nnz.max(1) as u64 * 4);
+    let tval_addr = b.alloc("tr_val", nnz.max(1) as u64 * 8);
 
-    b.engine().phase(cobra_core::exec::phases::INIT);
-    let shift = b.bin_shift();
-    let nbins = b.num_bins();
-    let counts = {
-        let cols = m.col_indices();
-        count_bin_tuples(b.engine(), cols.len(), shift, nbins, |e, i| {
-            e.load(addrs.col_idx.addr(4, i as u64), 4);
-            cols[i]
-        })
-    };
-    b.presize(&counts);
+    let cols = m.col_indices();
+    b.init_bins(cols.len(), |b, i| {
+        b.load(addrs.col_idx.addr(4, i as u64), 4);
+        cols[i]
+    });
     let row_offsets = exclusive_sum(&count_cols(m));
 
-    b.engine().phase(cobra_core::exec::phases::BINNING);
-    let rows = m.rows();
-    for r in 0..rows {
-        b.engine().load(addrs.row_offsets.addr(4, r as u64), 4);
-        b.engine().load(addrs.row_offsets.addr(4, r as u64 + 1), 4);
-        b.engine().alu(1);
-        b.engine().branch(pc::VERTEX_LOOP, r + 1 < rows);
-        let lo = m.row_offsets()[r as usize] as u64;
-        let cnt = m.row_offsets()[r as usize + 1] as u64 - lo;
-        for (j, (c, v)) in m.row(r).enumerate() {
-            b.engine().load(addrs.col_idx.addr(4, lo + j as u64), 4);
-            b.engine().load(addrs.values.addr(8, lo + j as u64), 8);
-            b.engine().alu(1);
-            b.engine().branch(pc::NEIGHBOR_LOOP, (j as u64) + 1 < cnt);
-            b.insert(c, (r, v));
-        }
-    }
+    b.phase(cobra_core::exec::phases::BINNING);
+    traverse_matrix(b, m, addrs, |_, _| {}, |b, r, c, v| b.insert(c, (r, v)));
     let storage = b.flush_and_take();
 
-    b.engine().phase(cobra_core::exec::phases::ACCUMULATE);
+    b.phase(cobra_core::exec::phases::ACCUMULATE);
     let mut cursor = row_offsets.clone();
     let mut col_idx = vec![0u32; nnz];
     let mut values = vec![0f64; nnz];
-    let e = b.engine();
-    let mut iter = storage.iter().peekable();
-    while let Some((addr, c, &(r, v))) = iter.next() {
-        e.load(addr, TUPLE_BYTES);
+    accumulate(b, &storage, |e, c, &(r, v)| {
         e.load(cursor_addr.addr(4, c as u64), 4);
         let slot = cursor[c as usize] as u64;
         e.store(tcol_addr.addr(4, slot), 4);
         e.store(tval_addr.addr(8, slot), 8);
         e.alu(1);
         e.store(cursor_addr.addr(4, c as u64), 4);
-        e.branch(pc::STREAM_LOOP, iter.peek().is_some());
         col_idx[slot as usize] = r;
         values[slot as usize] = v;
         cursor[c as usize] += 1;
-    }
+    });
     SparseMatrix::from_raw(m.cols(), m.rows(), row_offsets, col_idx, values)
 }
 
