@@ -23,9 +23,10 @@ use crate::store::BinStore;
 pub const LINE_BYTES: usize = 64;
 
 /// Tuples a frame holds at most, and the capacity of every `Binner`
-/// frame: four lines of `u32` keys. 128 bins of `u64` payloads stage
-/// 96 KiB per thread, which stays L2-resident.
-pub const FRAME_KEYS: usize = 64;
+/// frame: eight lines of `u32` keys (sixteen of `u64` values). 128 bins
+/// of `u64` payloads stage 192 KiB per thread, which stays L2-resident.
+/// 128 is also the largest frame `FuseTable`'s `u8` index can address.
+pub const FRAME_KEYS: usize = 128;
 
 /// Tuples per *one-line* (64-byte) C-Buffer for a given tuple size in
 /// bytes, the paper's hardware figure (at least one — oversized payloads

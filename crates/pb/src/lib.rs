@@ -11,8 +11,9 @@
 //! 1. **Binning** — stream the input and append each update tuple
 //!    `(key, value)` to a bin responsible for a contiguous range of keys,
 //!    staging tuples in coalescing buffers ("C-Buffers") of
-//!    `cobra_bins::FRAME_KEYS` tuples — whole cache lines of keys and of
-//!    values — so bins are written several full lines at a time;
+//!    `cobra_bins::FRAME_KEYS` (128) tuples — eight cache lines of keys
+//!    and sixteen of `u64` values — so bins are written several full
+//!    lines at a time;
 //! 2. **Accumulate** — replay each bin's tuples in order; because a bin's
 //!    keys span a small range, the randomly-accessed data stays cache
 //!    resident.
