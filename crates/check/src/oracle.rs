@@ -375,7 +375,7 @@ where
         }
     }
     if R::COMMUTATIVE && R::FUSABLE {
-        // The frame coalescer's law (the condition `bin_one` fuses under):
+        // The frame coalescer's law (the condition `bin_run` fuses under):
         // apply(acc, fuse(a, b)) == apply(apply(acc, a), b) when the pair
         // fuses, `a` untouched when it is refused. `acc` runs along the
         // prefix fold, so every pair meets another accumulator state.

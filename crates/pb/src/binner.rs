@@ -25,10 +25,12 @@ pub struct Tuple<V> {
 /// The bin range is always a power of two so routing is a shift rather than
 /// a division (Section V-A notes real implementations do the same).
 ///
-/// There is one routing body. [`insert`](Self::insert) and
-/// [`insert_fused`](Self::insert_fused) are its two names: they differ
-/// only in the merge policy they hand it (never merge / the caller's
-/// closure), and may be mixed freely on one binner.
+/// There is one routing body, and it takes a run of tuples.
+/// [`extend`](Self::extend) and [`extend_fused`](Self::extend_fused)
+/// hand it a whole run; [`insert`](Self::insert) and
+/// [`insert_fused`](Self::insert_fused) hand it a run of one. The four
+/// names differ only in the run and the merge policy they pass (never
+/// merge / the caller's closure), and may be mixed freely on one binner.
 #[derive(Debug, Clone)]
 pub struct Binner<V> {
     num_keys: u32,
@@ -38,9 +40,9 @@ pub struct Binner<V> {
     cbufs: Vec<CBufFrame<V>>,
     store: BinStore<V>,
     flush_stats: FrameFlushStats,
-    /// Coup-style frame fusion state, allocated on the first
-    /// [`insert_fused`](Self::insert_fused) call (plain `insert`-only
-    /// binners pay nothing).
+    /// Coup-style frame fusion state, allocated by the first tuple routed
+    /// through [`insert_fused`](Self::insert_fused) or
+    /// [`extend_fused`](Self::extend_fused) (plain binners pay nothing).
     fusion: Option<FusionState>,
 }
 
@@ -152,14 +154,28 @@ impl<V: Copy> Binner<V> {
         self.store.bin_range()
     }
 
-    /// Routes one update tuple.
+    /// Routes one update tuple: a one-tuple [`extend`](Self::extend).
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `key >= num_keys`.
     #[inline]
     pub fn insert(&mut self, key: u32, value: V) {
-        self.route(key, value, NeverMerge);
+        self.route(std::iter::once((key, value)), NeverMerge);
+    }
+
+    /// Routes a run of update tuples, in order. The bins, their tuple
+    /// order and every counter come out exactly as one
+    /// [`insert`](Self::insert) per tuple would leave them; the run only
+    /// lets the routing body keep the bin shift, the frame slice and the
+    /// counters in locals from its first tuple to its last.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if a key is `>= num_keys`.
+    #[inline]
+    pub fn extend<I: IntoIterator<Item = (u32, V)>>(&mut self, run: I) {
+        self.route(run, NeverMerge);
     }
 
     /// Routes one update tuple through the Coup-style frame fusion pass:
@@ -169,7 +185,8 @@ impl<V: Copy> Binner<V> {
     /// crosses into bin memory. A `false` return (the payloads are not
     /// combinable, e.g. SpGEMM partial products for different output
     /// columns) stages the tuple normally, exactly as
-    /// [`insert`](Self::insert) would.
+    /// [`insert`](Self::insert) would. A one-tuple
+    /// [`extend_fused`](Self::extend_fused).
     ///
     /// **Legality is the caller's contract**: only updates whose reducer
     /// is commutative may take this path, because fusion reassociates the
@@ -181,50 +198,88 @@ impl<V: Copy> Binner<V> {
     /// In debug builds, panics if `key >= num_keys`.
     #[inline]
     pub fn insert_fused<F: FnMut(&mut V, &V) -> bool>(&mut self, key: u32, value: V, merge: F) {
-        self.route(key, value, merge);
+        self.route(std::iter::once((key, value)), merge);
     }
 
-    /// The one routing body: bounds check, shift, (probe and maybe merge,)
-    /// stage, and a bulk transfer into bin memory when the frame fills.
+    /// Routes a run of update tuples, in order, through the fusion pass
+    /// of [`insert_fused`](Self::insert_fused): the same bins, tuple
+    /// order, [`flush_stats`](Self::flush_stats) and
+    /// [`fuse_stats`](Self::fuse_stats) as one `insert_fused` per tuple
+    /// with the same `merge`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if a key is `>= num_keys`.
     #[inline]
-    fn route<M: MergePolicy<V>>(&mut self, key: u32, value: V, mut merge: M) {
-        debug_assert!(
-            key < self.num_keys,
-            "key {key} out of range (domain is 0..{})",
-            self.num_keys
-        );
-        let b = (key >> self.store.bin_shift()) as usize;
-        let cbuf = &mut self.cbufs[b];
-        if M::FUSES {
-            let num_bins = self.store.num_bins();
-            let fusion = self
-                .fusion
-                .get_or_insert_with(|| FusionState::new(num_bins));
-            fusion.stats.attempts += 1;
-            let table = &mut fusion.tables[b];
-            if let Some(i) = table.probe(key) {
-                // The table is cleared on every frame flush, so a live slot
-                // always points at a staged tuple carrying exactly this key.
-                debug_assert_eq!(cbuf.keys().get(i).copied(), Some(key));
-                if merge.merge(cbuf.value_mut(i), &value) {
-                    fusion.stats.hits += 1;
-                    return;
+    pub fn extend_fused<I, F>(&mut self, run: I, merge: F)
+    where
+        I: IntoIterator<Item = (u32, V)>,
+        F: FnMut(&mut V, &V) -> bool,
+    {
+        self.route(run, merge);
+    }
+
+    /// The one routing body: per tuple, bounds check, shift, (probe and
+    /// maybe merge,) stage, and a bulk transfer into bin memory when the
+    /// frame fills. The bin shift, the frame slice and the `attempts` /
+    /// `hits` counters are locals for the whole run; the counters are
+    /// written back once, at its end.
+    #[inline]
+    fn route<M: MergePolicy<V>>(&mut self, run: impl IntoIterator<Item = (u32, V)>, mut merge: M) {
+        let Binner {
+            num_keys,
+            cbufs,
+            store,
+            flush_stats,
+            fusion,
+        } = self;
+        let (num_keys, shift, num_bins) = (*num_keys, store.bin_shift(), cbufs.len());
+        let cbufs = cbufs.as_mut_slice();
+        let (mut attempts, mut hits) = (0u64, 0u64);
+        for (key, value) in run {
+            debug_assert!(
+                key < num_keys,
+                "key {key} out of range (domain is 0..{num_keys})"
+            );
+            let b = (key >> shift) as usize;
+            let cbuf = &mut cbufs[b];
+            if M::FUSES {
+                // Allocated on the first fused tuple, not the first fused
+                // run: an empty run leaves a plain binner plain.
+                let f = fusion.get_or_insert_with(|| FusionState::new(num_bins));
+                attempts += 1;
+                let table = &mut f.tables[b];
+                if let Some(i) = table.probe(key) {
+                    // The table is cleared on every frame flush, so a live
+                    // slot always points at a staged tuple carrying exactly
+                    // this key.
+                    debug_assert_eq!(cbuf.keys().get(i).copied(), Some(key));
+                    if merge.merge(cbuf.value_mut(i), &value) {
+                        hits += 1;
+                        continue;
+                    }
+                }
+                table.note(key, cbuf.len());
+            }
+            cbuf.push(key, value);
+            if cbuf.is_full() {
+                // Full frame: bulk-transfer whole lines of each column to
+                // the in-memory bin (software PB uses non-temporal stores
+                // here).
+                let n = cbuf.flush_into(store, b);
+                flush_stats.record(n);
+                // The frame emptied: any coalescing positions it tracked
+                // are gone, whichever policy staged the tuple that filled
+                // it.
+                if let Some(f) = fusion.as_mut() {
+                    f.tables[b].clear();
+                    f.stats.flushes += 1;
                 }
             }
-            table.note(key, cbuf.len());
         }
-        cbuf.push(key, value);
-        if cbuf.is_full() {
-            // Full frame: bulk-transfer whole lines of each column to the
-            // in-memory bin (software PB uses non-temporal stores here).
-            let n = cbuf.flush_into(&mut self.store, b);
-            self.flush_stats.record(n);
-            if let Some(f) = self.fusion.as_mut() {
-                // The frame emptied: any coalescing positions it tracked
-                // are gone.
-                f.tables[b].clear();
-                f.stats.flushes += 1;
-            }
+        if let Some(f) = fusion.as_mut() {
+            f.stats.attempts += attempts;
+            f.stats.hits += hits;
         }
     }
 
@@ -267,8 +322,9 @@ impl<V: Copy> Binner<V> {
         self.flush_stats
     }
 
-    /// Running Coup-style fusion counters (all zero when
-    /// [`insert_fused`](Self::insert_fused) was never used).
+    /// Running Coup-style fusion counters (all zero until a tuple takes
+    /// [`insert_fused`](Self::insert_fused) or
+    /// [`extend_fused`](Self::extend_fused)).
     pub fn fuse_stats(&self) -> FuseStats {
         self.fusion.as_ref().map(|f| f.stats).unwrap_or_default()
     }
@@ -829,6 +885,76 @@ pub(crate) mod tests {
         assert_eq!(open.fuse_stats().hits, 1);
         assert_eq!(open.fuse_stats().flushes, 0);
         assert_eq!(open.finish().values(0).last(), Some(&(100 + n - 2 + 1)));
+    }
+
+    #[test]
+    fn a_plain_flush_clears_the_fusion_table() {
+        // A fused insert notes key 1 at frame index 0; plain inserts then
+        // fill the frame and flush it, and a plain key 7 takes index 0.
+        // The flush must have forgotten key 1's position although no
+        // fused insert caused it, or the last insert folds into key 7.
+        let mut b = Binner::<u32>::new(64, 1);
+        let sum = |a: &mut u32, v: &u32| {
+            *a += *v;
+            true
+        };
+        b.insert_fused(1, 10, sum);
+        for _ in 1..FRAME_KEYS {
+            b.insert(3, 0);
+        }
+        assert_eq!(b.flush_stats().frames, 1);
+        b.insert(7, 70);
+        b.insert_fused(1, 5, sum);
+        assert_eq!(b.fuse_stats().hits, 0);
+        assert_eq!(b.fuse_stats().flushes, 1);
+        let bins = b.finish();
+        assert_eq!(bins.keys(0)[FRAME_KEYS..], [7, 1]);
+        assert_eq!(bins.values(0)[FRAME_KEYS..], [70, 5]);
+    }
+
+    #[test]
+    fn runs_route_as_their_tuples_one_by_one() {
+        let tuples = skewed_tuples(20_000, 1 << 12, 0x2C5);
+        let sum = |a: &mut u64, v: &u64| {
+            *a = a.wrapping_add(*v);
+            true
+        };
+        let mut one = Binner::<u64>::new(1 << 12, 32);
+        let mut runs = Binner::<u64>::new(1 << 12, 32);
+        // Plain, fused, empty and plain again, so each policy meets the
+        // other's staged tuples in frames a run left half full.
+        let (a, b) = (7_000, 13_000);
+        for &(k, v) in &tuples[..a] {
+            one.insert(k, v);
+        }
+        for &(k, v) in &tuples[a..b] {
+            one.insert_fused(k, v, sum);
+        }
+        for &(k, v) in &tuples[b..] {
+            one.insert(k, v);
+        }
+        runs.extend(tuples[..a].iter().copied());
+        runs.extend_fused(tuples[a..b].iter().copied(), sum);
+        runs.extend(std::iter::empty());
+        runs.extend(tuples[b..].iter().copied());
+        assert!(one.fuse_stats().hits > 0, "the stream must fuse");
+        assert_eq!(runs.flush_stats(), one.flush_stats());
+        assert_eq!(runs.fuse_stats(), one.fuse_stats());
+        assert_eq!(runs.finish(), one.finish());
+    }
+
+    #[test]
+    fn an_empty_fused_run_leaves_the_binner_plain() {
+        // Fusion state is allocated by the first fused tuple, not by the
+        // first fused call: otherwise later plain flushes would be counted
+        // as fusion-table resets.
+        let mut b = Binner::<u32>::new(64, 1);
+        b.extend_fused(std::iter::empty(), |_, _| true);
+        for i in 0..2 * FRAME_KEYS as u32 {
+            b.insert(i % 64, i);
+        }
+        assert_eq!(b.flush_stats().frames, 2);
+        assert_eq!(b.fuse_stats(), FuseStats::default());
     }
 
     #[test]

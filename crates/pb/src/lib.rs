@@ -30,22 +30,30 @@
 //!
 //! let keys = [5u32, 1, 7, 1, 3, 7, 200, 5];
 //! let mut binner = Binner::<u32>::new(256, 4);
-//! for (i, &k) in keys.iter().enumerate() {
-//!     binner.insert(k, i as u32); // remember where each key came from
-//! }
+//! // One run: remember where each key came from.
+//! binner.extend(keys.iter().enumerate().map(|(i, &k)| (k, i as u32)));
+//! binner.insert(9, 8); // a run of one tuple
 //! let bins = binner.finish();
 //! // Bin 0 covers keys [0, 64): all the small keys, in arrival order,
 //! // stored as two contiguous columns.
-//! assert_eq!(bins.keys(0), &[5, 1, 7, 1, 3, 7, 5]);
+//! assert_eq!(bins.keys(0), &[5, 1, 7, 1, 3, 7, 5, 9]);
 //! assert_eq!(bins.keys(3), &[200]);
 //! ```
+//!
+//! [`Binner`] has one routing body, and it takes a run of tuples:
+//! [`Binner::extend`] and [`Binner::extend_fused`] pass a whole run,
+//! [`Binner::insert`] and [`Binner::insert_fused`] a run of one. For a
+//! whole run the body holds the bin shift, the frame slice and the
+//! fusion counters in locals; the bins and every counter come out as
+//! they would one tuple at a time.
 //!
 //! ## Parallel use
 //!
 //! [`bin_parallel`] creates per-thread
 //! [`Binner`]s (no synchronization during Binning, exactly as in the
 //! paper's Algorithm 2), sizes their bins before the first insert (the
-//! paper's Init phase, from the item count instead of a counting pass) and
+//! paper's Init phase, from the item count instead of a counting pass),
+//! routes each thread's item range as one run and
 //! [`ThreadBins::accumulate_into`](parallel::ThreadBins::accumulate_into)
 //! replays bins over disjoint slices of the output in parallel.
 //!

@@ -62,10 +62,7 @@ where
                     let mut binner = Binner::new(num_keys, min_bins);
                     let per_bin = init_reservation(hi - lo, binner.num_bins());
                     binner.reserve(&vec![per_bin; binner.num_bins()]);
-                    for i in lo..hi {
-                        let (k, v) = produce(i);
-                        binner.insert(k, v);
-                    }
+                    binner.extend((lo..hi).map(produce));
                     binner.finish()
                 })
             })

@@ -233,8 +233,9 @@ where
         };
 
         // Phase 3 — replay each shard's WAL suffix through a binner (the
-        // same `bin_one` → `apply_bins` path live tuples take, with the same
-        // locality win: replay writes are bin-local, not key-random).
+        // same `bin_run` → `apply_bins` path live tuples take, one record
+        // per `bin_one` run, with the same locality win: replay writes are
+        // bin-local, not key-random).
         // Epochs apply wholesale at their Seal marker; the scan stops
         // *before* the first record past the committed epoch, so opening
         // the writer at the scan end truncates the uncommitted tail.

@@ -38,9 +38,9 @@ pub trait Reducer: Send + Sync + 'static {
     /// `COMMUTATIVE && FUSABLE` is the one switch between the binner's
     /// two merge policies: shard workers and WAL replay both read it (a
     /// compile-time constant) and bin through
-    /// [`Binner::insert_fused`](cobra_pb::Binner::insert_fused) with
+    /// [`Binner::extend_fused`](cobra_pb::Binner::extend_fused) with
     /// `fuse_values` as the merge when it holds, through plain
-    /// [`Binner::insert`](cobra_pb::Binner::insert) otherwise.
+    /// [`Binner::extend`](cobra_pb::Binner::extend) otherwise.
     const FUSABLE: bool = false;
 
     /// Coalesces the incoming value `b` into the staged value `a`, such

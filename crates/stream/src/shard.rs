@@ -88,14 +88,30 @@ impl<V: Copy> ShardWal<V> {
     }
 }
 
-/// Routes one tuple (shard-local key) into a shard binner the way `R`
-/// declares legal: through the Coup-style frame fusion pass when the
+/// Routes a run of tuples (shard-local keys) into a shard binner the way
+/// `R` declares legal: through the Coup-style frame fusion pass when the
 /// reducer is commutative and its values fusable — a staged tuple for the
-/// same key absorbs this one before it ever crosses into bin memory
+/// same key absorbs a later one before it ever crosses into bin memory
 /// (cobra-check's oracle validates the declaration) — and plainly
-/// otherwise. The choice is a compile-time constant. Live ingest and WAL
-/// replay both bin through here, so a recovered epoch is re-binned exactly
-/// as it was binned the first time.
+/// otherwise. The choice is a compile-time constant. Live ingest bins
+/// each frame as one run; WAL replay bins one record at a time through
+/// `bin_one`. A run leaves the binner exactly as the one-tuple loop
+/// does, so a recovered epoch is re-binned exactly as it was binned the
+/// first time.
+#[inline]
+pub(crate) fn bin_run<R: Reducer>(
+    reducer: &R,
+    binner: &mut Binner<R::Value>,
+    run: impl IntoIterator<Item = (u32, R::Value)>,
+) {
+    if R::COMMUTATIVE && R::FUSABLE {
+        binner.extend_fused(run, |a, b| reducer.fuse_values(a, b));
+    } else {
+        binner.extend(run);
+    }
+}
+
+/// `bin_run` of one tuple (shard-local key): WAL replay's entry.
 #[inline]
 pub(crate) fn bin_one<R: Reducer>(
     reducer: &R,
@@ -103,11 +119,7 @@ pub(crate) fn bin_one<R: Reducer>(
     local_key: u32,
     value: R::Value,
 ) {
-    if R::COMMUTATIVE && R::FUSABLE {
-        binner.insert_fused(local_key, value, |a, b| reducer.fuse_values(a, b));
-    } else {
-        binner.insert(local_key, value);
-    }
+    bin_run(reducer, binner, std::iter::once((local_key, value)));
 }
 
 pub(crate) struct ShardWorker<R: Reducer> {
@@ -139,9 +151,14 @@ impl<R: Reducer> ShardWorker<R> {
                         // ordering: Relaxed — stats counter; the batch
                         // arrived through the channel mutex.
                         .fetch_add(tuples.len() as u64, Ordering::Relaxed);
-                    for t in &tuples {
-                        bin_one(&*self.reducer, &mut self.binner, t.key - self.base, t.value);
-                        if let Some(wal) = &mut self.wal {
+                    let base = self.base;
+                    bin_run(
+                        &*self.reducer,
+                        &mut self.binner,
+                        tuples.iter().map(|t| (t.key - base, t.value)),
+                    );
+                    if let Some(wal) = &mut self.wal {
+                        for t in &tuples {
                             wal.append_update(t.key, t.value);
                         }
                     }
@@ -215,5 +232,48 @@ impl<R: Reducer> ShardWorker<R> {
         );
         self.prev = Some(bins);
         self.state.handles.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reducer::Sum;
+
+    /// Live ingest bins a frame through `bin_run`, WAL replay bins the
+    /// same tuples through `bin_one`: both must leave the same bins and
+    /// the same fusion counters, or a recovered epoch would differ from
+    /// the one live ingest built.
+    #[test]
+    fn a_frame_binned_as_a_run_equals_the_bin_one_loop() {
+        let (num_keys, base) = (1u32 << 12, 1u32 << 12);
+        // Skewed: 80% of the tuples on 40 hot keys, so same-key repeats
+        // meet inside a frame and fuse.
+        let frame: Vec<Tuple<f64>> = (0..20_000u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let span = if (h >> 8) % 10 < 8 { 40 } else { num_keys };
+                Tuple {
+                    key: base + ((h >> 24) % span as u64) as u32,
+                    value: (i % 7) as f64,
+                }
+            })
+            .collect();
+        let mut run = Binner::<f64>::new(num_keys, 32);
+        let mut one = Binner::<f64>::new(num_keys, 32);
+        for chunk in frame.chunks(1000) {
+            bin_run(
+                &Sum,
+                &mut run,
+                chunk.iter().map(|t| (t.key - base, t.value)),
+            );
+            for t in chunk {
+                bin_one(&Sum, &mut one, t.key - base, t.value);
+            }
+        }
+        assert!(one.fuse_stats().hits > 0, "the skewed stream must fuse");
+        assert_eq!(run.fuse_stats(), one.fuse_stats());
+        assert_eq!(run.flush_stats(), one.flush_stats());
+        assert!(run.finish() == one.finish(), "bins differ");
     }
 }

@@ -18,10 +18,10 @@ fn main() {
         .map(|i| ((i * 2654435761) % num_keys as u64) as u32)
         .collect();
 
+    // `extend` routes the whole stream as one run (`insert` routes one
+    // tuple: the same body, the same bins).
     let mut binner = Binner::<u32>::new(num_keys, 4096);
-    for &k in &updates {
-        binner.insert(k, 1);
-    }
+    binner.extend(updates.iter().map(|&k| (k, 1)));
     let bins = binner.finish();
     println!(
         "binned {} updates into {} bins of {} keys each",

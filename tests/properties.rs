@@ -129,6 +129,157 @@ fn full_frames_split_by_takes_equal_direct_routing() {
     check_full_frames(0xF3, |i| (i as u32, i as f64 * 0.5));
 }
 
+/// Run bounds for a stream of `len` tuples: random cut points, a repeated
+/// cut (an empty run) and a cut at one of `flush_ends`, the tuple counts
+/// after which the per-tuple loop flushed a frame (a run that ends
+/// exactly on a flush).
+fn cut_into_runs(rng: &mut SplitMix64, len: usize, flush_ends: &[usize]) -> Vec<usize> {
+    assert!(flush_ends.len() >= 4, "the stream must flush frames");
+    let mut cuts = vec![0, len];
+    for _ in 0..1 + rng.u32_below(6) {
+        cuts.push(random_len(rng, 1, len));
+    }
+    cuts.push(flush_ends[rng.usize_through(flush_ends.len() - 1)]);
+    cuts.push(cuts[rng.usize_through(cuts.len() - 1)]);
+    cuts.sort_unstable();
+    let flushes_in =
+        |lo: usize, hi: usize| flush_ends.iter().filter(|&&e| lo < e && e <= hi).count();
+    assert!(
+        cuts.windows(2).any(|w| flushes_in(w[0], w[1]) >= 2),
+        "some run must span several flushes"
+    );
+    cuts
+}
+
+/// A merge policy for `insert_fused`/`extend_fused`.
+type Merge<V> = fn(&mut V, &V) -> bool;
+
+/// `extend` and `extend_fused` over runs at random boundaries, for one
+/// payload type and its merges: the same bins, `flush_stats` and
+/// `fuse_stats` as `insert`/`insert_fused` one tuple at a time. Streams
+/// alternate between uniform keys and 80% of the tuples on a tenth of
+/// the keys of 1-3 hot bins (where same-key repeats meet in a frame, and
+/// frames still fill under a merge that always folds).
+fn check_runs<V: Copy + PartialEq>(seed: u64, payload: impl Fn(u64) -> V, merges: &[Merge<V>]) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let (num_keys, min_bins) = (1u32 << 16, 32usize);
+    let mut fused = false;
+    let policies: Vec<Option<Merge<V>>> = std::iter::once(None)
+        .chain(merges.iter().copied().map(Some))
+        .collect();
+    for case in 0..8 {
+        let range = Binner::<V>::new(num_keys, min_bins).bin_range() as u32;
+        let len = random_len(&mut rng, 20_000, 60_000);
+        let stream: Vec<u32> = if case % 2 == 0 {
+            (0..len).map(|_| rng.u32_below(num_keys)).collect()
+        } else {
+            let hot: Vec<u32> = (0..1 + rng.u32_below(3))
+                .map(|_| rng.u32_below(min_bins as u32) * range)
+                .collect();
+            (0..len)
+                .map(|_| match rng.u32_below(10) {
+                    0..=7 => hot[rng.usize_through(hot.len() - 1)] + rng.u32_below(range / 10),
+                    _ => rng.u32_below(num_keys),
+                })
+                .collect()
+        };
+        let tuple = |i: usize| (stream[i], payload(i as u64));
+        for (p, &merge) in policies.iter().enumerate() {
+            let mut one = Binner::<V>::new(num_keys, min_bins);
+            let mut flush_ends = Vec::new();
+            for i in 0..len {
+                let (k, v) = tuple(i);
+                let frames = one.flush_stats().frames;
+                match merge {
+                    None => one.insert(k, v),
+                    Some(m) => one.insert_fused(k, v, m),
+                }
+                if one.flush_stats().frames > frames {
+                    flush_ends.push(i + 1);
+                }
+            }
+            let cuts = cut_into_runs(&mut rng, len, &flush_ends);
+            let mut runs = Binner::<V>::new(num_keys, min_bins);
+            for w in cuts.windows(2) {
+                let run = (w[0]..w[1]).map(tuple);
+                match merge {
+                    None => runs.extend(run),
+                    Some(m) => runs.extend_fused(run, m),
+                }
+            }
+            fused |= one.fuse_stats().hits > 0;
+            let what = format!("case {case}, policy {p}");
+            assert_eq!(runs.flush_stats(), one.flush_stats(), "{what}");
+            assert_eq!(runs.fuse_stats(), one.fuse_stats(), "{what}");
+            assert!(runs.finish() == one.finish(), "{what}: runs != one by one");
+        }
+    }
+    assert!(fused, "some stream must fuse");
+}
+
+/// A run routes exactly as its tuples one by one, for every payload
+/// width, without a merge and under a merge that always folds, one that
+/// always refuses and one that folds only some pairs (for `(u32, f64)`,
+/// those with the same first field: SpGEMM's `merge_same_col` shape).
+#[test]
+fn runs_equal_the_per_tuple_loop() {
+    fn refuse<V>(_: &mut V, _: &V) -> bool {
+        false
+    }
+    check_runs(
+        0xE1,
+        |i| i as u32,
+        &[
+            |a: &mut u32, v: &u32| {
+                *a = a.wrapping_add(*v);
+                true
+            },
+            refuse,
+            |a: &mut u32, v: &u32| {
+                *a % 2 == *v % 2 && {
+                    *a = a.wrapping_add(*v);
+                    true
+                }
+            },
+        ],
+    );
+    check_runs(
+        0xE2,
+        |i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        &[
+            |a: &mut u64, v: &u64| {
+                *a = a.wrapping_add(*v);
+                true
+            },
+            refuse,
+            |a: &mut u64, v: &u64| {
+                *a & 1 == *v & 1 && {
+                    *a ^= *v;
+                    true
+                }
+            },
+        ],
+    );
+    check_runs(0xE3, |_| (), &[|_: &mut (), _: &()| true, refuse]);
+    check_runs(
+        0xE4,
+        |i| ((i % 3) as u32, i as f64 * 0.5),
+        &[
+            |a: &mut (u32, f64), v: &(u32, f64)| {
+                a.1 += v.1;
+                true
+            },
+            refuse,
+            |a: &mut (u32, f64), v: &(u32, f64)| {
+                a.0 == v.0 && {
+                    a.1 += v.1;
+                    true
+                }
+            },
+        ],
+    );
+}
+
 /// The COBRA hardware model produces exactly the same bins as the
 /// software binner when configured with the same geometry.
 #[test]
