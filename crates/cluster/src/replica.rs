@@ -9,14 +9,20 @@
 //! primary transfers verbatim to a promoted follower:
 //!
 //! * Segments are append-only and a round ships the commit log *last*
-//!   (captured on the primary *first*), so the follower's commit log
-//!   never leads its shard logs: observable implies durable, on both
-//!   machines.
+//!   (listed on the primary *first*, and shipped only up to its listed
+//!   length), so the follower's commit log never leads its shard logs:
+//!   observable implies durable, on both machines.
 //! * A round that dies mid-stream leaves a torn shard-log tail; recovery
 //!   truncates torn tails, exactly as after a primary crash.
 //! * Checkpoints are pure acceleration: a torn shipped checkpoint is
 //!   skipped by recovery, which falls back to the previous one plus WAL
 //!   replay.
+//!
+//! The follower does not know the layout itself. Its manifest is the
+//! same two listings the primary ships from
+//! ([`cobra_stream::commit_files`], [`cobra_stream::data_files`]), and
+//! every name a primary sends must pass [`cobra_stream::is_data_file`]
+//! before it touches the filesystem.
 //!
 //! Promotion is therefore not a protocol step at all — it is starting a
 //! `cobra-served`-style process on the follower's directory and letting
@@ -25,6 +31,7 @@
 //! [`sync_round`]: ReplicaSync::sync_round
 
 use cobra_serve::{ClientError, ServeClient};
+use cobra_stream::{commit_files, data_files, is_data_file};
 use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
@@ -37,9 +44,10 @@ pub enum ReplicaError {
     Io(io::Error),
     /// The connection to the primary failed (the promotion trigger).
     Primary(ClientError),
-    /// The primary sent a file name that is not a plain
-    /// `shard-NNN/seg-*.wal`, `commit/seg-*.wal` or `ckpt-*.bin` path —
-    /// refused before it touches the filesystem.
+    /// The primary sent a file name that is not a
+    /// `shard-NNN/seg-<digits>.wal`, `commit/seg-<digits>.wal` or
+    /// `ckpt-<digits>.bin` path ([`is_data_file`]) — refused before it
+    /// touches the filesystem.
     BadName(String),
     /// A `Segment` frame's offset does not continue the local file — the
     /// round is aborted rather than writing a gap.
@@ -99,72 +107,12 @@ pub struct ReplicaSync {
     last_epoch: u64,
 }
 
-/// True for names safe to join under the replica directory: one optional
-/// `shard-NNN/` or `commit/` directory component, then a plain file name,
-/// all from the WAL's own alphabet. Everything else — absolute paths,
-/// `..`, separators beyond the one slash — is refused.
-fn safe_name(name: &str) -> bool {
-    if name.is_empty() || name.len() > cobra_serve::protocol::MAX_FILE_NAME {
-        return false;
-    }
-    let mut parts = name.split('/');
-    let (a, b) = (parts.next(), parts.next());
-    if parts.next().is_some() {
-        return false;
-    }
-    let plain = |s: &str| {
-        !s.is_empty()
-            && s != "."
-            && s != ".."
-            && s.bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
-    };
-    match (a, b) {
-        (Some(file), None) => plain(file),
-        (Some(dir), Some(file)) => plain(dir) && plain(file),
-        _ => false,
-    }
-}
-
-/// Lists one directory's `seg-*.wal` files into the manifest under
-/// `prefix/`, tolerating the directory not existing yet.
-fn manifest_dir(out: &mut Vec<(String, u64)>, dir: &Path, prefix: &str) -> io::Result<()> {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("seg-") && name.ends_with(".wal") {
-            out.push((format!("{prefix}/{name}"), entry.metadata()?.len()));
-        }
-    }
-    Ok(())
-}
-
-/// Builds the manifest of replicated files the directory already holds.
+/// The manifest of replicated files the directory already holds: the
+/// same two listings the primary ships from.
 fn manifest(dir: &Path) -> io::Result<Vec<(String, u64)>> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name == "commit" || name.starts_with("shard-") {
-            manifest_dir(&mut out, &entry.path(), name)?;
-        } else if name.starts_with("ckpt-") && name.ends_with(".bin") {
-            out.push((name.to_string(), entry.metadata()?.len()));
-        }
-    }
-    out.sort();
-    Ok(out)
+    let mut files = commit_files(dir)?;
+    files.extend(data_files(dir)?);
+    Ok(files.into_iter().map(|f| (f.name, f.len)).collect())
 }
 
 impl ReplicaSync {
@@ -186,9 +134,9 @@ impl ReplicaSync {
     }
 
     /// Appends one `Segment` frame to its local file, enforcing the
-    /// name allowlist and the no-gaps rule.
+    /// layout's name check ([`is_data_file`]) and the no-gaps rule.
     fn apply(dir: &Path, name: &str, offset: u64, bytes: &[u8]) -> Result<(), ReplicaError> {
-        if !safe_name(name) {
+        if !is_data_file(name) {
             return Err(ReplicaError::BadName(name.to_string()));
         }
         let path = dir.join(name);
@@ -266,31 +214,68 @@ impl ReplicaSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobra_serve::{ServeConfig, Server};
+    use cobra_stream::{DurableConfig, StreamConfig, SyncPolicy};
 
+    /// A durable primary with 3 shards, rotating segments and two kept
+    /// checkpoints: every listed name passes the follower's check, and
+    /// `sync_round`s leave the follower holding exactly that listing.
     #[test]
-    fn name_allowlist_refuses_traversal() {
-        for good in [
-            "ckpt-00000000000000000003.bin",
-            "commit/seg-00000000.wal",
-            "shard-007/seg-00000012.wal",
-        ] {
-            assert!(safe_name(good), "{good:?} should be allowed");
+    fn layout_round_trips_through_sync_rounds() {
+        let base =
+            std::env::temp_dir().join(format!("cobra-replica-layout-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        let (primary_dir, follower_dir) = (base.join("primary"), base.join("follower"));
+        let durable = DurableConfig::new(&primary_dir)
+            .sync(SyncPolicy::Never)
+            .segment_bytes(4096)
+            .checkpoint_every(2);
+        let server = Server::start(
+            3 << 10,
+            StreamConfig::new().shards(3),
+            ServeConfig::new().durable(durable),
+        )
+        .expect("start primary");
+        let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+        // Checkpoints at epochs 2 and 4. The sink writes a checkpoint
+        // after the commit `wait_epoch` sees, so epoch 5's commit is what
+        // proves the directory quiet.
+        for round in 0..5u64 {
+            let tuples: Vec<(u32, u64)> = (0..3u32 << 10).map(|k| (k, round + 1)).collect();
+            client.update_all(&tuples).expect("update");
+            let epoch = client.seal().expect("seal");
+            client.wait_epoch(epoch).expect("commit");
         }
-        for bad in [
-            "",
-            "..",
-            "../x",
-            "a/../b",
-            "/etc/passwd",
-            "a/b/c",
-            "shard-000/",
-            "/seg-0.wal",
-            "a\\b",
-            "seg\0.wal",
-            "shard-000/..",
-        ] {
-            assert!(!safe_name(bad), "{bad:?} must be refused");
+
+        let mut listing = manifest(&primary_dir).expect("list primary");
+        assert!(listing.iter().all(|(name, _)| is_data_file(name)));
+        let count = |prefix: &str| {
+            listing
+                .iter()
+                .filter(|(n, _)| n.starts_with(prefix))
+                .count()
+        };
+        for shard in ["shard-000/", "shard-001/", "shard-002/"] {
+            assert!(count(shard) >= 2, "{shard} did not rotate: {listing:?}");
         }
+        assert!(count("commit/") >= 1);
+        assert_eq!(count("ckpt-"), 2, "{listing:?}");
+
+        let mut follower =
+            ReplicaSync::connect(&server.local_addr().to_string(), &follower_dir).expect("follow");
+        let first = follower.sync_round().expect("first round");
+        assert!(first.bytes > 0);
+        let second = follower.sync_round().expect("second round");
+        assert_eq!(second.bytes, 0, "an idle primary has nothing more to ship");
+        let mut copy = manifest(&follower_dir).expect("list follower");
+        // Rotation opens the next segment before anything is written to
+        // it; a file with no bytes has nothing to ship.
+        listing.retain(|&(_, len)| len > 0);
+        listing.sort();
+        copy.sort();
+        assert_eq!(copy, listing);
+        server.shutdown();
+        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl<V: Copy> CobraMachine<V> {
         )
     }
 
-    /// The C-Buffer hierarchy configured by `bininit`.
-    pub fn bin_hierarchy(&self) -> &BinHierarchy {
-        &self.hier
-    }
-
     /// Enables the OS context-switch model: every `quantum` cycles, other
     /// processes evict all (possibly partially filled) LLC C-Buffer lines.
     ///

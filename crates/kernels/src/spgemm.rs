@@ -51,7 +51,8 @@ fn emit_csr(rows: u32, cols: u32, cells: BTreeMap<(u32, u32), f64>) -> SparseMat
 }
 
 /// Streams the Gustavson expansion of `a · b`, charging the loads of both
-/// operands, and hands each partial product to `f`.
+/// operands, and hands each partial product to `f` — in
+/// [`cobra_spgemm::expand`]'s order, which the kernel trace digests pin.
 fn expand_trace<E: Engine, F>(
     e: &mut E,
     a: &SparseMatrix,

@@ -344,13 +344,6 @@ impl<V: Copy> Binner<V> {
 }
 
 impl<V> Bins<V> {
-    /// Wraps an already-routed columnar store (the store's bin of a key
-    /// must be `key >> bin_shift`; producers in this workspace guarantee
-    /// it by construction).
-    pub fn from_store(store: BinStore<V>) -> Self {
-        Bins { store }
-    }
-
     /// Number of bins.
     pub fn num_bins(&self) -> usize {
         self.store.num_bins()

@@ -67,8 +67,9 @@
 //!   reading therefore backs up into the hub queue, whose lossless
 //!   `LAGGED` protocol is the flow control, and is cut at the idle
 //!   budget like any other unread backlog.
-//! * `REPLICATE` captures the commit log, then stages one
-//!   [`REPL_CHUNK`] `SEGMENT` per round under the same high-water rule.
+//! * `REPLICATE` lists the data directory (commit log last), then stages
+//!   one [`REPL_CHUNK`] `SEGMENT` per round under the same high-water
+//!   rule.
 //!   Frames pipelined behind it wait, as behind `WAIT_EPOCH`.
 //!
 //! The reactor sleeps in `Poller::wait`; a publish with subscribers
@@ -98,8 +99,8 @@ use cobra_mvcc::{
 };
 use cobra_poll::{Event, Interest, Poller};
 use cobra_stream::{
-    commit_dir, shard_dir, DurableConfig, EpochSnapshot, IngestHandle, IngestPipeline, PublishHook,
-    RecoveryReport, Reducer, StreamConfig, TryIngestError,
+    commit_files, data_files, DurableConfig, EpochSnapshot, IngestHandle, IngestPipeline,
+    PublishHook, RecoveryReport, Reducer, StreamConfig, TryIngestError,
 };
 use cobra_wal::ShipFile;
 use std::collections::{HashMap, VecDeque};
@@ -651,64 +652,55 @@ impl Push {
     }
 }
 
-/// A captured commit-log suffix: wire name, start offset, bytes.
-type CommitCapture = (String, u64, Vec<u8>);
-
 /// One round of WAL shipping in flight. The follower's manifest says how
 /// many bytes of each file it already has; the round streams the missing
 /// suffixes as `Segment` frames and finishes with `ReplDone`.
 ///
-/// Ordering is the crux. The commit log is captured (read into memory)
-/// *before* the shard logs and checkpoints are listed and streamed, and
-/// shipped *last*. Shard bytes written after the capture may reach the
-/// follower, but the commit records that would make them observable
-/// cannot — so on the follower, exactly as on the primary, observable
-/// implies durable, and a promotion recovers a consistent prefix.
+/// The round is one queue of files from the data directory's one layout
+/// owner ([`cobra_stream::commit_files`], [`cobra_stream::data_files`]).
+/// Each file ships up to the length it had when listed, in reads of at
+/// most [`REPL_CHUNK`] bytes, one per reactor round as the outbox drains;
+/// bytes appended after the listing ship next round. So a round holds one
+/// chunk in memory, however far the follower is behind.
+///
+/// Ordering is the crux. The round reads the committed epoch first, then
+/// lists the commit log, then lists the shard logs and checkpoints; the
+/// commit log goes at the end of the queue and ships *last*. Every listed
+/// commit record was written after the shard `Seal` markers it commits
+/// were flushed, and the shard logs are listed after the commit log, so
+/// those markers are always shipped. Shard bytes beyond what the shipped
+/// commit records cover are an uncommitted tail — so on the follower,
+/// exactly as on the primary, observable implies durable, and a
+/// promotion recovers a consistent prefix.
 ///
 /// A connection that dies mid-round just drops this; the round's partial
 /// shard bytes on the follower are harmless (uncommitted tail).
 struct ReplRound {
     /// The follower's manifest: file name → bytes already held.
     have: HashMap<String, u64>,
-    /// The committed epoch the captured commit log proves.
+    /// The committed epoch read before the listing.
     committed: u64,
-    /// Shard logs and checkpoints still to stream from disk, chunked.
+    /// Files still to ship, the commit log last.
     files: VecDeque<ShipFile>,
-    /// Captured commit-log bytes still to ship.
-    commit: VecDeque<CommitCapture>,
-    /// Bytes of the front file (or capture) already staged this round.
+    /// Bytes of the front file already staged this round.
     staged: u64,
     shipped_files: u32,
     shipped_bytes: u64,
 }
 
 impl ReplRound {
-    /// Captures the commit log and lists what the follower is missing.
+    /// Reads the committed epoch and lists what the follower is missing.
     fn begin(ctx: &Ctx, data_dir: &Path, manifest: Vec<(String, u64)>) -> io::Result<ReplRound> {
-        let have: HashMap<String, u64> = manifest.into_iter().collect();
-        // Capture FIRST: the committed epoch and the commit-log bytes that
-        // prove it. Everything read below may be newer; never older.
         let committed = ctx.pipeline.committed_epoch();
-        let mut commit = VecDeque::new();
-        for f in cobra_wal::segment_files(&commit_dir(data_dir))? {
-            let name = format!("commit/{}", f.name);
-            let from = have.get(&name).copied().unwrap_or(0);
-            commit.push_back((name, from, read_suffix(&f.path, from)?));
-        }
-        // List (not read) the shard logs and checkpoints after the capture.
-        let mut files = VecDeque::new();
-        for shard in 0..ctx.pipeline.num_shards() {
-            for mut f in cobra_wal::segment_files(&shard_dir(data_dir, shard))? {
-                f.name = format!("shard-{shard:03}/{}", f.name);
-                files.push_back(f);
-            }
-        }
-        files.extend(cobra_wal::checkpoint_files(data_dir)?);
+        // The commit log is listed before the shard logs: see the
+        // ordering note.
+        let commit = commit_files(data_dir)?;
+        let mut files = VecDeque::from(data_files(data_dir)?);
+        files.extend(commit);
         Ok(ReplRound {
-            have,
+            have: manifest.into_iter().collect(),
             committed,
             files,
-            commit,
             staged: 0,
             shipped_files: 0,
             shipped_bytes: 0,
@@ -718,58 +710,31 @@ impl ReplRound {
     /// The round's next `Segment` frame, at most [`REPL_CHUNK`] bytes;
     /// `None` once everything has shipped.
     fn next_segment(&mut self) -> Option<Frame> {
-        let (name, offset, bytes) = self.next_chunk()?;
-        if self.staged == 0 {
-            self.shipped_files += 1;
-        }
-        self.staged += bytes.len() as u64;
-        self.shipped_bytes += bytes.len() as u64;
-        Some(Frame::Segment {
-            name,
-            offset,
-            bytes,
-        })
-    }
-
-    fn next_chunk(&mut self) -> Option<(String, u64, Vec<u8>)> {
-        // Shard logs and checkpoints stream straight from disk.
         while let Some(f) = self.files.front() {
             let offset = self.have.get(&f.name).copied().unwrap_or(0) + self.staged;
-            // A file that vanished between listing and read (checkpoint
-            // GC) ends its turn via the Err arm, like a fully-read one.
-            match cobra_wal::read_chunk(&f.path, offset, REPL_CHUNK) {
-                Ok(chunk) if !chunk.is_empty() => return Some((f.name.clone(), offset, chunk)),
+            let want = f.len.saturating_sub(offset).min(REPL_CHUNK as u64) as usize;
+            // A file that vanished since the listing (checkpoint GC) ends
+            // its turn like a fully shipped one.
+            match cobra_wal::read_chunk(&f.path, offset, want) {
+                Ok(bytes) if !bytes.is_empty() => {
+                    if self.staged == 0 {
+                        self.shipped_files += 1;
+                    }
+                    self.staged += bytes.len() as u64;
+                    self.shipped_bytes += bytes.len() as u64;
+                    return Some(Frame::Segment {
+                        name: f.name.clone(),
+                        offset,
+                        bytes,
+                    });
+                }
                 _ => {
                     self.files.pop_front();
                     self.staged = 0;
                 }
             }
         }
-        // The captured commit-log bytes go LAST (see the ordering note).
-        while let Some((name, from, bytes)) = self.commit.front() {
-            let at = self.staged as usize;
-            if at < bytes.len() {
-                let end = (at + REPL_CHUNK).min(bytes.len());
-                return Some((name.clone(), from + self.staged, bytes[at..end].to_vec()));
-            }
-            self.commit.pop_front();
-            self.staged = 0;
-        }
         None
-    }
-}
-
-/// Reads `path` from `offset` to EOF (the commit-log capture).
-fn read_suffix(path: &Path, offset: u64) -> io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut at = offset;
-    loop {
-        let chunk = cobra_wal::read_chunk(path, at, REPL_CHUNK)?;
-        if chunk.is_empty() {
-            return Ok(out);
-        }
-        at += chunk.len() as u64;
-        out.extend_from_slice(&chunk);
     }
 }
 
@@ -896,20 +861,16 @@ fn reactor_loop(
         // the wait are already buffered, and dispatching them now lets
         // their updates ride this round's settle.
         let committed = ctx.pipeline.committed_epoch();
-        let ready: Vec<u64> = conns
+        let ready: Vec<(u64, Frame)> = conns
             .iter()
             .filter_map(|(t, c)| match c.mode {
-                Mode::Parked { epoch } if committed >= epoch => Some(*t),
+                Mode::Parked { epoch } => Some((*t, wait_reply(epoch, committed, false)?)),
                 _ => None,
             })
             .collect();
-        for token in ready {
+        for (token, reply) in ready {
             if let Some(conn) = conns.get_mut(&token) {
-                stage(
-                    &mut conn.outbox,
-                    &Frame::EpochCommitted { epoch: committed },
-                    &mut scratch,
-                );
+                stage(&mut conn.outbox, &reply, &mut scratch);
                 conn.mode = Mode::Request;
                 drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
             }
@@ -1064,18 +1025,10 @@ fn reactor_loop(
             let committed = ctx.pipeline.committed_epoch();
             for conn in conns.values_mut() {
                 if let Mode::Parked { epoch } = conn.mode {
-                    let frame = if committed >= epoch {
-                        Frame::EpochCommitted { epoch: committed }
-                    } else {
-                        Frame::Error {
-                            code: ErrorCode::ShuttingDown,
-                            detail: format!(
-                                "stopped while waiting for epoch {epoch} (at {committed})"
-                            ),
-                        }
-                    };
-                    stage(&mut conn.outbox, &frame, &mut scratch);
-                    conn.mode = Mode::Request;
+                    if let Some(reply) = wait_reply(epoch, committed, true) {
+                        stage(&mut conn.outbox, &reply, &mut scratch);
+                        conn.mode = Mode::Request;
+                    }
                 }
             }
             settle(&mut handle);
@@ -1273,17 +1226,12 @@ fn dispatch(
         },
         Frame::Stats => Frame::StatsReport(ctx.wire_stats()),
         Frame::WaitEpoch { epoch } => {
-            let committed = ctx.pipeline.committed_epoch();
-            if committed >= epoch {
-                Frame::EpochCommitted { epoch: committed }
-            } else if ctx.stopping() {
-                Frame::Error {
-                    code: ErrorCode::ShuttingDown,
-                    detail: format!("stopped while waiting for epoch {epoch} (at {committed})"),
+            match wait_reply(epoch, ctx.pipeline.committed_epoch(), ctx.stopping()) {
+                Some(reply) => reply,
+                None => {
+                    conn.mode = Mode::Parked { epoch };
+                    return;
                 }
-            } else {
-                conn.mode = Mode::Parked { epoch };
-                return;
             }
         }
         Frame::Ack { epoch, bytes: _ } => {
@@ -1351,6 +1299,22 @@ fn dispatch(
         },
     };
     stage(&mut conn.outbox, &response, scratch);
+}
+
+/// The reply to `WAIT_EPOCH { epoch }` when `committed` is the committed
+/// epoch: `EpochCommitted` once it covers `epoch`, else a `ShuttingDown`
+/// error if the server is `stopping`, else `None` (the wait goes on).
+fn wait_reply(epoch: u64, committed: u64, stopping: bool) -> Option<Frame> {
+    if committed >= epoch {
+        Some(Frame::EpochCommitted { epoch: committed })
+    } else if stopping {
+        Some(Frame::Error {
+            code: ErrorCode::ShuttingDown,
+            detail: format!("stopped while waiting for epoch {epoch} (at {committed})"),
+        })
+    } else {
+        None
+    }
 }
 
 /// Advances a subscribed or replicating connection by one round's worth

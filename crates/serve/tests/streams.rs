@@ -6,6 +6,7 @@
 use cobra_serve::protocol::{self, ErrorCode, Frame};
 use cobra_serve::{ServeClient, ServeConfig, Server, SubEvent};
 use cobra_stream::StreamConfig;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -350,6 +351,80 @@ fn frames_pipelined_behind_replicate_wait_for_repl_done() {
     let stats = driver.stats().expect("stats");
     assert_eq!(stats.repl_rounds, 1);
     assert_eq!(stats.repl_bytes_shipped, bytes);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A round ships each file up to the length it was listed at: shard-log
+/// bytes appended after the round started arrive in the next round, and
+/// in both rounds the commit log arrives last.
+#[test]
+fn bytes_appended_during_a_round_ship_next_round() {
+    // ~11 MB of log per shard: far more than the outbox high-water mark
+    // and the socket buffers, so most of a shard log is read from disk
+    // after the follower's first callback has returned.
+    const KEYS: u32 = 1 << 20;
+    let dir = temp_dir("repl-next-round");
+    let serve_cfg = ServeConfig::new()
+        .read_timeout(Duration::from_millis(10))
+        .data_dir(&dir);
+    let server = Server::start(KEYS, stream_cfg(), serve_cfg).expect("bind durable server");
+    let addr = server.local_addr();
+    let mut writer = ServeClient::connect(addr).expect("connect writer");
+    let tuples: Vec<(u32, u64)> = (0..KEYS).map(|k| (k, 1)).collect();
+    let first = seal_and_publish(&mut writer, &tuples);
+    writer.wait_epoch(first).expect("commit");
+
+    // The follower: file name → bytes held, kept in memory.
+    let mut held: HashMap<String, Vec<u8>> = HashMap::new();
+    let mut follower = ServeClient::connect(addr).expect("connect follower");
+    let mut round = |held: &mut HashMap<String, Vec<u8>>, mut during: Option<&mut ServeClient>| {
+        let manifest = held
+            .iter()
+            .map(|(n, b)| (n.clone(), b.len() as u64))
+            .collect();
+        let mut order = Vec::new();
+        let (epoch, _, _) = follower
+            .replicate(manifest, |name, offset, bytes| {
+                if let Some(writer) = during.take() {
+                    // The round has listed its files: commit one more epoch.
+                    let sealed = seal_and_publish(writer, &tuples);
+                    writer.wait_epoch(sealed).expect("commit");
+                }
+                let file = held.entry(name.to_string()).or_default();
+                assert_eq!(file.len() as u64, offset, "{name} shipped with a gap");
+                file.extend_from_slice(bytes);
+                order.push(name.to_string());
+                Ok(())
+            })
+            .expect("replicate");
+        let commit_from = order.iter().position(|n| n.starts_with("commit/"));
+        let commit_from = commit_from.expect("the commit log ships");
+        assert!(
+            order[commit_from..]
+                .iter()
+                .all(|n| n.starts_with("commit/")),
+            "shipped after the commit log: {order:?}"
+        );
+        epoch
+    };
+    let on_disk = |name: &str| std::fs::read(dir.join(name)).expect("read primary file");
+
+    assert_eq!(round(&mut held, Some(&mut writer)), first);
+    let short = held
+        .iter()
+        .filter(|(name, bytes)| name.starts_with("shard-") && bytes.len() < on_disk(name).len())
+        .count();
+    assert_eq!(short, 2, "both shard logs grew after the listing");
+    assert!(held
+        .iter()
+        .all(|(name, bytes)| on_disk(name).starts_with(bytes)));
+
+    assert_eq!(round(&mut held, None), first + 1);
+    assert!(held.iter().all(|(name, bytes)| *bytes == on_disk(name)));
+    let mut listed = cobra_stream::commit_files(&dir).expect("list commit log");
+    listed.extend(cobra_stream::data_files(&dir).expect("list data files"));
+    assert_eq!(listed.len(), held.len(), "every file shipped");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -130,11 +130,6 @@ impl Hierarchy {
         self.dram_write_bytes += bytes;
     }
 
-    /// Adds raw DRAM read traffic.
-    pub fn add_dram_read_bytes(&mut self, bytes: u64) {
-        self.dram_read_bytes += bytes;
-    }
-
     /// Total DRAM traffic so far (reads + writes), in bytes — cheap
     /// accessor for bandwidth accounting.
     pub fn dram_traffic_bytes(&self) -> u64 {

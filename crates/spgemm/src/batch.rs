@@ -5,6 +5,7 @@ use cobra_bins::FuseStats;
 use cobra_graph::prefix::exclusive_sum;
 use cobra_graph::SparseMatrix;
 use cobra_pb::Binner;
+use std::ops::Range;
 
 /// Bytes one binned partial product occupies in bin memory: a 4 B output
 /// row key plus the `(col, value)` payload (4 + 8 B). Used for the
@@ -58,19 +59,38 @@ pub struct SpGemmReport {
 
 /// Gustavson-order expansion of `A · B`: for each output row `i`, each
 /// entry `a_ik` of `A.row(i)` pairs with every entry `b_kj` of `B.row(k)`,
-/// emitting the partial product `(i, (j, a_ik · b_kj))`.
+/// emitting the partial product `(i, (j, a_ik · b_kj))`. This is
+/// [`expand_rows`] over every row of `A`.
 ///
-/// This is THE canonical product order: every execution path (batch,
-/// streaming, instrumented kernel, oracle replay) emits through this
-/// function, so per-`(i, j)` partials fold identically everywhere. It is
-/// also the order that gives frame fusion something to merge — all of an
-/// output row's products arrive back to back, so repeated `(i, j)` cells
-/// (hot columns of `B`, duplicate entries) meet inside one C-Buffer frame.
+/// This is THE canonical product order. The batch path, the streaming
+/// path (one [`expand_rows`] call per row tile) and the oracle replay all
+/// emit through [`expand_rows`], so per-`(i, j)` partials fold
+/// identically everywhere. The instrumented kernel
+/// (`cobra-kernels`' `spgemm`) cannot call it, since it charges every
+/// load as it walks; its `expand_trace` mirrors this order, and the
+/// kernel trace digests pin it. It is also the order that gives frame
+/// fusion something to merge — all of an output row's products arrive
+/// back to back, so repeated `(i, j)` cells (hot columns of `B`,
+/// duplicate entries) meet inside one C-Buffer frame.
 ///
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree.
-pub fn expand<F: FnMut(u32, (u32, f64))>(a: &SparseMatrix, b: &SparseMatrix, mut emit: F) {
+pub fn expand<F: FnMut(u32, (u32, f64))>(a: &SparseMatrix, b: &SparseMatrix, emit: F) {
+    expand_rows(a, b, 0..a.rows(), emit);
+}
+
+/// [`expand`] restricted to the output rows `rows`, in the same order.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions disagree or `rows` reaches past `A`.
+pub fn expand_rows<F: FnMut(u32, (u32, f64))>(
+    a: &SparseMatrix,
+    b: &SparseMatrix,
+    rows: Range<u32>,
+    mut emit: F,
+) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -80,7 +100,7 @@ pub fn expand<F: FnMut(u32, (u32, f64))>(a: &SparseMatrix, b: &SparseMatrix, mut
         b.rows(),
         b.cols()
     );
-    for i in 0..a.rows() {
+    for i in rows {
         for (k, av) in a.row(i) {
             for (j, bv) in b.row(k) {
                 emit(i, (j, av * bv));

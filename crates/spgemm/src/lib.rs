@@ -41,7 +41,8 @@ pub mod stream;
 
 pub use accum::{DenseAccum, HashAccum};
 pub use batch::{
-    expand, merge_same_col, spgemm, spgemm_with_merge, SpGemmConfig, SpGemmReport, TUPLE_BYTES,
+    expand, expand_rows, merge_same_col, spgemm, spgemm_with_merge, SpGemmConfig, SpGemmReport,
+    TUPLE_BYTES,
 };
 pub use stream::{spgemm_stream, ColSum};
 

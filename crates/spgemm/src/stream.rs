@@ -9,7 +9,7 @@
 //! streaming result is bit-identical to the batch path on dyadic inputs
 //! even with fusion on, and to the unfused batch path always.
 
-use crate::batch::merge_same_col;
+use crate::batch::{expand_rows, merge_same_col};
 use cobra_graph::prefix::exclusive_sum;
 use cobra_graph::SparseMatrix;
 use cobra_stream::{IngestPipeline, Reducer, StreamConfig, StreamStats};
@@ -74,15 +74,9 @@ pub fn spgemm_stream(
     let mut start = 0u32;
     while start < a.rows() {
         let end = (start + tile_rows).min(a.rows());
-        // Gustavson order within the tile — identical to `batch::expand`
-        // restricted to this row range.
-        for i in start..end {
-            for (k, av) in a.row(i) {
-                for (j, bv) in b.row(k) {
-                    handle.send(i, (j, av * bv)).expect("pipeline alive");
-                }
-            }
-        }
+        expand_rows(a, b, start..end, |i, prod| {
+            handle.send(i, prod).expect("pipeline alive");
+        });
         handle.seal_epoch().expect("pipeline alive");
         start = end;
     }

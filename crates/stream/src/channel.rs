@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Error returned by [`Sender::send`] when the receiver is gone. Carries
 /// the rejected message back to the caller.
@@ -107,11 +107,6 @@ impl ChannelStats {
         } else {
             self.occupancy_sum as f64 / self.sends as f64
         }
-    }
-
-    /// Total producer stall time as a [`Duration`].
-    pub fn send_stall(&self) -> Duration {
-        Duration::from_nanos(self.send_stall_nanos)
     }
 }
 
@@ -299,6 +294,7 @@ impl<T> Drop for Receiver<T> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_single_thread() {

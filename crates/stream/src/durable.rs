@@ -11,6 +11,17 @@
 //!   ckpt-<epoch>.bin      epoch checkpoints (newest two kept)
 //! ```
 //!
+//! Segment and checkpoint files are numbered `<prefix><digits><suffix>`
+//! names ([`cobra_wal::SEGMENT_NAME`], [`cobra_wal::CHECKPOINT_NAME`]); a
+//! shard directory is `shard-` plus its index zero-padded to three
+//! digits. This module is the one owner of the layout. Replication
+//! addresses files by their path relative to the data directory, and the
+//! three functions it needs live here: [`commit_files`] and
+//! [`data_files`] list what a primary ships and what a follower already
+//! holds, and [`is_data_file`] is the name check a follower applies to
+//! every name a primary sends — true for exactly the names those two
+//! listings can return.
+//!
 //! # Crash-consistency protocol
 //!
 //! Writes are ordered so that *observable implies durable*:
@@ -44,8 +55,9 @@ use crate::pipeline::{
 use crate::reducer::Reducer;
 use crate::shard::{bin_one, ShardWal};
 use cobra_wal::{
-    gc_checkpoints, latest_checkpoint, scan, write_checkpoint, CheckpointMeta, Record, SyncPolicy,
-    WalConfig, WalStats, WalValue, WalWriter,
+    checkpoint_files, gc_checkpoints, latest_checkpoint, numbered_files, parse_numbered, scan,
+    segment_files, write_checkpoint, CheckpointMeta, Record, ShipFile, SyncPolicy, WalConfig,
+    WalStats, WalValue, WalWriter, CHECKPOINT_NAME, SEGMENT_NAME,
 };
 use std::io;
 use std::path::{Path, PathBuf};
@@ -112,16 +124,80 @@ pub struct RecoveryReport {
     pub replayed_tuples: u64,
 }
 
+/// The commit log's directory name inside a data directory.
+const COMMIT: &str = "commit";
+
+/// Shard directories are `shard-<index>` (see [`shard_name`]).
+const SHARD_NAME: (&str, &str) = ("shard-", "");
+
+/// The canonical directory name of shard `shard`: its index zero-padded
+/// to three digits.
+fn shard_name(shard: u64) -> String {
+    format!("shard-{shard:03}")
+}
+
 /// The log directory of shard `shard` inside a durable data directory.
-/// Public so file-shipping replication can walk the layout the pipeline
-/// writes.
-pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:03}"))
+fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(shard_name(shard as u64))
 }
 
 /// The commit-log directory inside a durable data directory.
-pub fn commit_dir(dir: &Path) -> PathBuf {
-    dir.join("commit")
+fn commit_dir(dir: &Path) -> PathBuf {
+    dir.join(COMMIT)
+}
+
+/// True for a canonical shard directory name. `shard-7` and `shard-0007`
+/// parse as shard 7 but are not its directory.
+fn is_shard_name(name: &str) -> bool {
+    parse_numbered(name, SHARD_NAME).is_some_and(|shard| name == shard_name(shard))
+}
+
+/// Names each file `<sub>/<file name>`, its path relative to the data
+/// directory.
+fn under(sub: &str, files: Vec<ShipFile>) -> impl Iterator<Item = ShipFile> + '_ {
+    files.into_iter().map(move |mut f| {
+        f.name = format!("{sub}/{}", f.name);
+        f
+    })
+}
+
+/// The commit log's segments in the data directory `dir`, oldest first,
+/// named `commit/seg-…` with their lengths now. A missing directory lists
+/// empty.
+pub fn commit_files(dir: &Path) -> io::Result<Vec<ShipFile>> {
+    Ok(under(COMMIT, segment_files(&commit_dir(dir))?).collect())
+}
+
+/// Every other file replication ships from the data directory `dir`,
+/// named relative to it with its length now: the shard logs
+/// (`shard-NNN/seg-…`), shards ascending and segments oldest first, then
+/// the checkpoints (`ckpt-…bin`), oldest first.
+///
+/// Shard directories are found by scanning for canonical names, never by
+/// counting up from 0, so a missing shard directory hides no later one.
+pub fn data_files(dir: &Path) -> io::Result<Vec<ShipFile>> {
+    let mut out = Vec::new();
+    for (shard, path) in numbered_files(dir, SHARD_NAME)? {
+        let name = shard_name(shard);
+        if path.file_name() == Some(name.as_ref()) {
+            out.extend(under(&name, segment_files(&path)?));
+        }
+    }
+    out.extend(checkpoint_files(dir)?);
+    Ok(out)
+}
+
+/// True for exactly the names [`commit_files`] and [`data_files`] can
+/// return: `commit/seg-<digits>.wal`, `shard-NNN/seg-<digits>.wal` with a
+/// canonical shard directory, and `ckpt-<digits>.bin`. Absolute paths,
+/// `..`, extra separators and every other file are refused.
+pub fn is_data_file(name: &str) -> bool {
+    match name.split_once('/') {
+        None => parse_numbered(name, CHECKPOINT_NAME).is_some(),
+        Some((sub, file)) => {
+            (sub == COMMIT || is_shard_name(sub)) && parse_numbered(file, SEGMENT_NAME).is_some()
+        }
+    }
 }
 
 impl<R: Reducer> IngestPipeline<R>
@@ -375,5 +451,82 @@ where
             Self::build(num_keys, reducer, cfg, Some(parts), publish_hook),
             report,
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn name_allowlist_refuses_traversal() {
+        for good in [
+            "ckpt-00000000000000000003.bin",
+            "commit/seg-00000000.wal",
+            "shard-007/seg-00000012.wal",
+        ] {
+            assert!(is_data_file(good), "{good:?} should be allowed");
+        }
+        for bad in [
+            "",
+            "..",
+            "../x",
+            "a/../b",
+            "/etc/passwd",
+            "a/b/c",
+            "shard-000/",
+            "/seg-0.wal",
+            "a\\b",
+            "seg\0.wal",
+            "shard-000/..",
+            // Accepted by the follower's old character allowlist, but no
+            // listing can produce them.
+            "foo/bar",
+            "evil.txt",
+            "commit/x.wal",
+            "shard-7/seg-00000001.wal",
+            "shard-000/ckpt-00000000000000000001.bin",
+            "seg-00000001.wal",
+            "ckpt-00000000000000000001.tmp",
+            "commit/seg-99999999999999999999.wal",
+            // `u64::from_str` takes a sign; a numbered name does not.
+            "commit/seg-+0000001.wal",
+        ] {
+            assert!(!is_data_file(bad), "{bad:?} must be refused");
+        }
+    }
+
+    #[test]
+    fn shard_directories_are_found_by_scanning_not_counting() {
+        let dir = std::env::temp_dir().join(format!("cobra-durable-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Shard 1 is missing; shard 2 must still be listed. Non-canonical
+        // and foreign entries are not.
+        for sub in ["shard-000", "shard-002", "shard-7", "shard-0003", "other"] {
+            std::fs::create_dir_all(dir.join(sub)).unwrap();
+            std::fs::write(dir.join(sub).join("seg-00000001.wal"), b"x").unwrap();
+        }
+        std::fs::create_dir_all(dir.join(COMMIT)).unwrap();
+        std::fs::write(dir.join("commit/seg-00000001.wal"), b"ab").unwrap();
+        std::fs::write(dir.join("ckpt-00000000000000000002.bin"), b"abc").unwrap();
+        std::fs::write(dir.join("ckpt-00000000000000000002.tmp"), b"tmp").unwrap();
+        let names = |files: Vec<ShipFile>| -> Vec<(String, u64)> {
+            files.into_iter().map(|f| (f.name, f.len)).collect()
+        };
+        assert_eq!(
+            names(commit_files(&dir).unwrap()),
+            [("commit/seg-00000001.wal".to_string(), 2)]
+        );
+        let data = names(data_files(&dir).unwrap());
+        assert_eq!(
+            data,
+            [
+                ("shard-000/seg-00000001.wal".to_string(), 1),
+                ("shard-002/seg-00000001.wal".to_string(), 1),
+                ("ckpt-00000000000000000002.bin".to_string(), 3),
+            ]
+        );
+        assert!(data.iter().all(|(name, _)| is_data_file(name)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -74,7 +74,7 @@ mod shard;
 mod stats;
 
 pub use channel::{ChannelStats, Disconnected, TrySendError};
-pub use durable::{commit_dir, shard_dir, DurableConfig, RecoveryReport};
+pub use durable::{commit_files, data_files, is_data_file, DurableConfig, RecoveryReport};
 pub use epoch::{EpochSnapshot, PublishHook};
 pub use pipeline::{
     shard_plan, IngestHandle, IngestPipeline, PipelineClosed, StreamConfig, TryIngestError,

@@ -203,11 +203,6 @@ impl StreamStats {
         self.shards.iter().map(|s| s.bin_segments).sum()
     }
 
-    /// Column growth events summed across shards.
-    pub fn total_bin_grow_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.bin_grow_events).sum()
-    }
-
     /// Snapshot segments copied by seals, summed across shards.
     pub fn total_segments_copied(&self) -> u64 {
         self.shards.iter().map(|s| s.segments_copied).sum()

@@ -13,6 +13,7 @@
 //! copy of the state precedes the write.
 
 use crate::crc32::Crc32;
+use crate::log::numbered_files;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -103,35 +104,23 @@ pub struct Checkpoint<A> {
     pub segments: Vec<Arc<Vec<A>>>,
 }
 
+/// How checkpoint files are named: `ckpt-<epoch>.bin`, the epoch
+/// zero-padded to 20 digits (see [`parse_numbered`](crate::parse_numbered)).
+pub const CHECKPOINT_NAME: (&str, &str) = ("ckpt-", ".bin");
+
+/// A checkpoint's temp file before its atomic rename.
+const TEMP_NAME: (&str, &str) = ("ckpt-", ".tmp");
+
 fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("ckpt-{epoch:020}.bin"))
+    let (prefix, suffix) = CHECKPOINT_NAME;
+    dir.join(format!("{prefix}{epoch:020}{suffix}"))
 }
 
 /// Checkpoint files in `dir` as `(epoch, path)`, sorted by epoch
 /// descending (newest first). Non-checkpoint files are ignored.
 pub(crate) fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("ckpt-")
-            .and_then(|s| s.strip_suffix(".bin"))
-        else {
-            continue;
-        };
-        let Ok(epoch) = stem.parse::<u64>() else {
-            continue;
-        };
-        out.push((epoch, entry.path()));
-    }
-    out.sort_by_key(|entry| std::cmp::Reverse(entry.0));
+    let mut out = numbered_files(dir, CHECKPOINT_NAME)?;
+    out.reverse();
     Ok(out)
 }
 
@@ -174,7 +163,8 @@ pub fn write_checkpoint<A: WalValue>(
     body.extend_from_slice(&crc.finish().to_le_bytes());
 
     let path = checkpoint_path(dir, meta.epoch);
-    let tmp = dir.join(format!("ckpt-{:020}.tmp", meta.epoch));
+    let (prefix, suffix) = TEMP_NAME;
+    let tmp = dir.join(format!("{prefix}{:020}{suffix}", meta.epoch));
     {
         let mut f = OpenOptions::new()
             .create(true)
@@ -327,18 +317,8 @@ pub fn gc_checkpoints(dir: &Path, keep: usize) -> io::Result<()> {
     for (_, path) in list_checkpoints(dir)?.into_iter().skip(keep) {
         fs::remove_file(&path)?;
     }
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        if let Some(name) = entry.file_name().to_str() {
-            if name.starts_with("ckpt-") && name.ends_with(".tmp") {
-                fs::remove_file(entry.path())?;
-            }
-        }
+    for (_, path) in numbered_files(dir, TEMP_NAME)? {
+        fs::remove_file(&path)?;
     }
     Ok(())
 }

@@ -31,9 +31,12 @@ pub mod ship;
 
 pub use checkpoint::{
     gc_checkpoints, latest_checkpoint, read_checkpoint, write_checkpoint, Checkpoint,
-    CheckpointMeta, WalValue,
+    CheckpointMeta, WalValue, CHECKPOINT_NAME,
 };
 pub use crc32::crc32;
-pub use log::{scan, LogPosition, ScanOutcome, SyncPolicy, WalConfig, WalStats, WalWriter};
+pub use log::{
+    numbered_files, parse_numbered, scan, LogPosition, ScanOutcome, SyncPolicy, WalConfig,
+    WalStats, WalWriter, SEGMENT_NAME,
+};
 pub use record::{decode_all, decode_at, DecodeStep, Record};
 pub use ship::{checkpoint_files, read_chunk, segment_files, ShipFile};

@@ -161,35 +161,53 @@ impl LogPosition {
     }
 }
 
+/// How segment files are named: `seg-<index>.wal`, the 1-based index
+/// zero-padded to 8 digits (see [`parse_numbered`]).
+pub const SEGMENT_NAME: (&str, &str) = ("seg-", ".wal");
+
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("seg-{index:08}.wal"))
+    let (prefix, suffix) = SEGMENT_NAME;
+    dir.join(format!("{prefix}{index:08}{suffix}"))
 }
 
-/// Segment files in `dir`, sorted by index. Non-segment files are ignored.
-pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segs = Vec::new();
+/// The number in a file name of the form `<prefix><digits><suffix>`:
+/// one or more ASCII digits that fit a `u64`. Any other name is `None`.
+/// Segments ([`SEGMENT_NAME`]), checkpoints
+/// ([`CHECKPOINT_NAME`](crate::CHECKPOINT_NAME)) and checkpoint temp
+/// files are all named this way.
+pub fn parse_numbered(name: &str, (prefix, suffix): (&str, &str)) -> Option<u64> {
+    let digits = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// The entries of `dir` named `<prefix><digits><suffix>` (see
+/// [`parse_numbered`]) as `(number, path)`, ascending by number. Other
+/// entries are ignored, and a missing directory lists empty.
+pub fn numbered_files(dir: &Path, pattern: (&str, &str)) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut out = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(segs),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
         Err(e) => return Err(e),
     };
     for entry in entries {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".wal"))
-        else {
+        let Some(n) = name.to_str().and_then(|n| parse_numbered(n, pattern)) else {
             continue;
         };
-        let Ok(index) = stem.parse::<u64>() else {
-            continue;
-        };
-        segs.push((index, entry.path()));
+        out.push((n, entry.path()));
     }
-    segs.sort_by_key(|&(i, _)| i);
-    Ok(segs)
+    out.sort_by_key(|&(n, _)| n);
+    Ok(out)
+}
+
+/// Segment files in `dir`, sorted by index. Non-segment files are ignored.
+pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    numbered_files(dir, SEGMENT_NAME)
 }
 
 /// Group-commit append writer over a segmented log directory.

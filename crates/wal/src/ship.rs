@@ -16,10 +16,10 @@
 //! * checkpoints are published by atomic rename, so a checkpoint file
 //!   either lists with its full length or not at all.
 //!
-//! This module only knows about a *single* log or checkpoint directory;
-//! the shard/commit directory layout of a durable pipeline belongs to the
-//! layers above (cobra-stream names the directories, cobra-serve walks
-//! them for the wire protocol).
+//! This module only knows about a *single* log or checkpoint directory.
+//! The data-directory layout a durable pipeline writes — which
+//! directories exist and the wire name of every file — has one owner
+//! above this crate, cobra-stream's `durable` module.
 
 use crate::checkpoint::list_checkpoints;
 use crate::log::list_segments;
@@ -27,17 +27,19 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// One file a replication round can ship: its on-disk path, its bare file
-/// name (the wire protocol addresses files by directory-relative name),
+/// One file a replication round can ship: its on-disk path, its name,
 /// and its length at listing time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShipFile {
-    /// Bare file name (`seg-00000001.wal`, `ckpt-…bin`).
+    /// File name (`seg-00000001.wal`, `ckpt-…bin`). The layout owner
+    /// renames it relative to the data directory (`shard-000/seg-…`),
+    /// which is how the wire protocol addresses files.
     pub name: String,
     /// Full path to the file.
     pub path: PathBuf,
-    /// File length in bytes when listed. Appends after listing are picked
-    /// up by the next round; reads past this length are not an error.
+    /// File length in bytes when listed. A replication round ships the
+    /// file up to this length; bytes appended after the listing ship in
+    /// the next round.
     pub len: u64,
 }
 
