@@ -15,9 +15,6 @@
 //!   transferred to the store whole lines at a time. A `Binner` frame
 //!   holds [`FRAME_KEYS`] tuples for every payload type — its capacity
 //!   counts tuples per column, not bytes per padded tuple.
-//! * [`BinSink`] / [`BinReader`] — the write- and read-side traits, with
-//!   per-bin [`BinSink::reserve`] fed by the Init phase (an exact counting
-//!   pre-pass, or `bin_parallel`'s uniform estimate).
 //! * Freeze-to-`Arc` publishing ([`BinStore::freeze`]): an immutable
 //!   store is shared by reference count in O(1) — `take_bins`, epoch
 //!   snapshots and caches never deep-copy bin data.
@@ -41,4 +38,4 @@ pub mod store;
 pub use frame::{cbuf_capacity, CBufFrame, FrameFlushStats, FRAME_KEYS, LINE_BYTES};
 pub use fusion::{FuseStats, FuseTable};
 pub use identity::{divergent_segments, segment_refs, SegmentSet};
-pub use store::{bin_geometry, BinMemory, BinReader, BinSink, BinStore, FrozenBins};
+pub use store::{bin_geometry, BinMemory, BinStore, FrozenBins};

@@ -80,37 +80,6 @@ impl BinMemory {
     }
 }
 
-/// The write side of a bin layer: exact-count reservation (fed by the
-/// Init phase's counting pre-pass) plus routed insertion.
-pub trait BinSink<V> {
-    /// Pre-reserves per-bin capacity from exact counts.
-    fn reserve(&mut self, counts: &[u32]);
-    /// Routes one `(key, value)` tuple to its bin.
-    fn insert(&mut self, key: u32, value: V);
-}
-
-/// The read side of a bin layer: columnar access to each bin.
-pub trait BinReader<V> {
-    /// Number of bins.
-    fn num_bins(&self) -> usize;
-    /// log2 of the per-bin key range.
-    fn bin_shift(&self) -> u32;
-    /// The key column of bin `b`, in insertion order.
-    fn bin_keys(&self, b: usize) -> &[u32];
-    /// The value column of bin `b`, in insertion order.
-    fn bin_values(&self, b: usize) -> &[V];
-
-    /// Tuples in bin `b`.
-    fn bin_len(&self, b: usize) -> usize {
-        self.bin_keys(b).len()
-    }
-
-    /// Total tuples across bins.
-    fn total_len(&self) -> usize {
-        (0..self.num_bins()).map(|b| self.bin_len(b)).sum()
-    }
-}
-
 /// Structure-of-arrays bins: per-bin contiguous `keys`/`values` columns
 /// with segment-granular capacity growth. This is the single bin
 /// representation shared by `cobra-pb`, `cobra-core`, `cobra-stream`
@@ -213,16 +182,6 @@ impl<V> BinStore<V> {
         b: usize,
     ) -> std::iter::Zip<std::slice::Iter<'_, u32>, std::slice::Iter<'_, V>> {
         self.bins[b].keys.iter().zip(self.bins[b].values.iter())
-    }
-
-    /// Replays every bin in bin order, tuples in insertion order (the
-    /// Accumulate phase, serial): two-column streaming, unit stride.
-    pub fn accumulate<F: FnMut(u32, &V)>(&self, mut f: F) {
-        for c in &self.bins {
-            for (&k, v) in c.keys.iter().zip(c.values.iter()) {
-                f(k, v);
-            }
-        }
     }
 
     /// Current bin-memory footprint: allocated column bytes, stored
@@ -358,34 +317,6 @@ impl<V: PartialEq> PartialEq for BinStore<V> {
 
 impl<V: Eq> Eq for BinStore<V> {}
 
-impl<V> BinSink<V> for BinStore<V> {
-    fn reserve(&mut self, counts: &[u32]) {
-        BinStore::reserve(self, counts);
-    }
-
-    fn insert(&mut self, key: u32, value: V) {
-        BinStore::insert(self, key, value);
-    }
-}
-
-impl<V> BinReader<V> for BinStore<V> {
-    fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    fn bin_shift(&self) -> u32 {
-        self.shift
-    }
-
-    fn bin_keys(&self, b: usize) -> &[u32] {
-        &self.bins[b].keys
-    }
-
-    fn bin_values(&self, b: usize) -> &[V] {
-        &self.bins[b].values
-    }
-}
-
 /// An immutable, reference-counted [`BinStore`]: cloning is O(1) and
 /// every clone shares the same column slabs ([`FrozenBins::ptr_eq`]
 /// observes the sharing). This is how bins travel from `take_bins`
@@ -479,19 +410,6 @@ mod tests {
         assert_eq!(s.keys(3), &[200, 201]);
         let pairs: Vec<(u32, u32)> = s.iter_bin(3).map(|(&k, &v)| (k, v)).collect();
         assert_eq!(pairs, vec![(200, 400), (201, 402)]);
-    }
-
-    #[test]
-    fn accumulate_streams_bins_in_key_order() {
-        let mut s = BinStore::<u32>::new(256, 4);
-        for k in [200u32, 10, 100, 11, 201] {
-            s.insert(k, k);
-        }
-        let mut seen = Vec::new();
-        s.accumulate(|k, _| seen.push(k >> s.bin_shift()));
-        let mut sorted = seen.clone();
-        sorted.sort();
-        assert_eq!(seen, sorted);
     }
 
     #[test]
@@ -589,23 +507,6 @@ mod tests {
         assert_eq!(a, b);
         b.push(0, 1, 1);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn sink_and_reader_traits_cover_the_store() {
-        fn fill<S: BinSink<u16>>(s: &mut S) {
-            s.reserve(&[2, 2]);
-            s.insert(0, 1);
-            s.insert(40, 2);
-        }
-        let mut s = BinStore::<u16>::new(64, 2);
-        fill(&mut s);
-        let r: &dyn BinReader<u16> = &s;
-        assert_eq!(r.num_bins(), 2);
-        assert_eq!(r.bin_keys(1), &[40]);
-        assert_eq!(r.bin_values(1), &[2]);
-        assert_eq!(r.bin_len(0), 1);
-        assert_eq!(r.total_len(), 2);
     }
 
     #[test]

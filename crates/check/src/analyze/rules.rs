@@ -35,7 +35,8 @@ fn in_src_of(rel: &str, krates: &[&str]) -> bool {
 }
 
 /// Files subject to R3 (the binning/accumulate hot path).
-const R3_FILES: [&str; 5] = [
+const R3_FILES: [&str; 6] = [
+    "crates/pb/src/accumulate.rs",
     "crates/pb/src/binner.rs",
     "crates/pb/src/parallel.rs",
     "crates/core/src/backend.rs",

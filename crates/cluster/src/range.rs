@@ -46,7 +46,7 @@ impl RangeMap {
         self.ranges.len()
     }
 
-    /// True when the map has a single node (degenerate cluster).
+    /// Always false: a map routes over at least one node.
     pub fn is_empty(&self) -> bool {
         false
     }

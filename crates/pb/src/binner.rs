@@ -5,6 +5,7 @@
 //! [`FRAME_KEYS`] tuples and transfers whole lines of each column into
 //! the store's per-bin `keys`/`values` columns.
 
+use crate::accumulate::{accumulate, Bin};
 use cobra_bins::{
     BinMemory, BinStore, CBufFrame, FrameFlushStats, FrozenBins, FuseStats, FuseTable, FRAME_KEYS,
 };
@@ -399,11 +400,15 @@ impl<V> Bins<V> {
     pub fn freeze(self) -> FrozenBins<V> {
         self.store.freeze()
     }
+}
 
-    /// Replays every bin in bin order, tuples in insertion order
-    /// (the Accumulate phase, serial): streams the two columns.
-    pub fn accumulate<F: FnMut(u32, &V)>(&self, f: F) {
-        self.store.accumulate(f);
+impl<V: Sync> Bins<V> {
+    /// The Accumulate phase, serial: [`accumulate`] over these bins as
+    /// one producing thread, on the caller's thread.
+    pub fn accumulate<F: FnMut(u32, &V) + Send>(&self, mut f: F) {
+        accumulate(std::slice::from_ref(self), 1, |_| {
+            vec![move |bin: Bin<'_, V>| bin.for_each(&mut f)]
+        });
     }
 }
 

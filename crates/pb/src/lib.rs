@@ -52,10 +52,18 @@
 //! [`bin_parallel`] creates per-thread
 //! [`Binner`]s (no synchronization during Binning, exactly as in the
 //! paper's Algorithm 2), sizes their bins before the first insert (the
-//! paper's Init phase, from the item count instead of a counting pass),
-//! routes each thread's item range as one run and
+//! paper's Init phase, from the item count instead of a counting pass)
+//! and routes each thread's item range as one run.
+//!
+//! Accumulate is written once: [`accumulate`] walks per-thread [`Bins`]
+//! in Algorithm 2's order (its doc states it) and hands each non-empty
+//! [`Bin`] to a body, on the caller's thread or on workers that each
+//! take a contiguous run of bins. [`Bins::accumulate`] and
+//! [`ThreadBins::accumulate_serial`](parallel::ThreadBins::accumulate_serial)
+//! are its one-worker uses,
 //! [`ThreadBins::accumulate_into`](parallel::ThreadBins::accumulate_into)
-//! replays bins over disjoint slices of the output in parallel.
+//! its many-worker use, replaying each run of bins into its own slice of
+//! the output.
 //!
 //! That no two workers write one key is the compiler's proof, not a
 //! run-time check: the output is split with `chunks_mut` and this crate
@@ -66,10 +74,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+mod accumulate;
 pub mod binner;
 pub mod config;
 pub mod parallel;
 
+pub use accumulate::{accumulate, Bin};
 pub use binner::{Binner, Bins, Tuple};
 pub use config::{ideal_accumulate_bins, ideal_binning_bins, sweet_spot_bins};
 pub use parallel::{bin_parallel, ThreadBins};

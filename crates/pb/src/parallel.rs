@@ -12,6 +12,7 @@
 //! bin and into how many bins, so it reserves the uniform expectation
 //! plus slack per bin before its first insert.
 
+use crate::accumulate::{accumulate, Bin};
 use crate::binner::{Binner, Bins};
 use cobra_bins::BinMemory;
 
@@ -133,32 +134,29 @@ impl<V: Copy + Send + Sync> ThreadBins<V> {
     }
 
     /// The key/value column pair of bin `b`, one per producing thread, in
-    /// thread order (Algorithm 2's Accumulate iterates exactly this way).
+    /// thread order.
     pub fn bin_slices(&self, b: usize) -> impl Iterator<Item = (&[u32], &[V])> {
         self.per_thread
             .iter()
             .map(move |bins| (bins.keys(b), bins.values(b)))
     }
 
-    /// Serial Accumulate: bins in ascending key order, threads in order
-    /// within a bin, tuples in insertion order within a thread.
-    pub fn accumulate_serial<F: FnMut(u32, &V)>(&self, mut f: F) {
-        for b in 0..self.num_bins() {
-            for (keys, values) in self.bin_slices(b) {
-                for (&k, v) in keys.iter().zip(values) {
-                    f(k, v);
-                }
-            }
-        }
+    /// Serial Accumulate: [`accumulate`]'s one-worker use, on the
+    /// caller's thread.
+    pub fn accumulate_serial<F: FnMut(u32, &V) + Send>(&self, mut f: F) {
+        accumulate(&self.per_thread, 1, |_| {
+            vec![move |bin: Bin<'_, V>| bin.for_each(&mut f)]
+        });
     }
 
-    /// Parallel Accumulate over an output slice indexed by key.
+    /// Parallel Accumulate over an output slice indexed by key:
+    /// [`accumulate`]'s many-worker use.
     ///
-    /// `data` is split into per-bin chunks of `bin_range` elements; each
-    /// worker owns whole bins, so updates need no synchronization. The
-    /// closure receives the bin's chunk, the chunk's base key, and each
-    /// tuple; tuple order within a bin follows thread order (deterministic
-    /// and identical to [`accumulate_serial`](Self::accumulate_serial)).
+    /// `data` is split into per-bin chunks of `bin_range` elements and
+    /// each of up to `threads` workers owns the chunks of a contiguous run
+    /// of bins, so updates need no synchronization. The closure receives
+    /// the bin's chunk, the chunk's base key, and each tuple, in the order
+    /// of [`accumulate_serial`](Self::accumulate_serial).
     ///
     /// # Panics
     ///
@@ -173,34 +171,19 @@ impl<V: Copy + Send + Sync> ThreadBins<V> {
             self.num_keys as usize,
             "data must cover the key domain"
         );
-        assert!(threads > 0, "need at least one thread");
-        let range = 1usize << self.bin_shift();
-        // Distribute bin chunks round-robin across workers.
-        let mut per_worker: Vec<Vec<(usize, &mut [T])>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (b, chunk) in data.chunks_mut(range).enumerate() {
-            per_worker[b % threads].push((b, chunk));
-        }
-        std::thread::scope(|s| {
-            let f = &f;
-            let this = &*self;
-            let mut handles = Vec::with_capacity(threads);
-            for worker in per_worker {
-                let handle = s.spawn(move || {
-                    for (b, chunk) in worker {
-                        let base = (b as u64 * range as u64) as u32;
-                        for (keys, values) in this.bin_slices(b) {
-                            for (&k, v) in keys.iter().zip(values) {
-                                f(chunk, base, k, v);
-                            }
-                        }
+        let f = &f;
+        let mut chunks = data.chunks_mut(1 << self.bin_shift());
+        accumulate(&self.per_thread, threads, |runs| {
+            runs.iter()
+                .map(|run| {
+                    let mut mine: Vec<&mut [T]> = chunks.by_ref().take(run.len()).collect();
+                    let first = run.start;
+                    move |bin: Bin<'_, V>| {
+                        let chunk = &mut *mine[bin.index - first];
+                        bin.for_each(|k, v| f(chunk, bin.keys.start, k, v));
                     }
-                });
-                handles.push(handle);
-            }
-            for h in handles {
-                h.join().expect("accumulate worker panicked");
-            }
+                })
+                .collect()
         });
     }
 }
@@ -296,6 +279,59 @@ mod tests {
         let mut serial = vec![0u32; n_keys as usize];
         tb.accumulate_serial(|k, &v| serial[k as usize] += v);
         assert_eq!(parallel, serial);
+    }
+
+    #[test]
+    fn contiguous_runs_match_serial_at_every_worker_count() {
+        // Keys only in the low quarter of a 1000-key domain over 64-key
+        // bins: hot bins, empty bins and a ragged last bin.
+        let n_keys = 1000u32;
+        let tuples = skewed_tuples(20_000, n_keys / 4, 0xC0B7);
+        let tb = bin_parallel(tuples.len(), n_keys, 16, 3, |i| (tuples[i].0, i as u64));
+        let num_bins = tb.num_bins();
+        assert_ne!(
+            n_keys as usize % (1usize << tb.bin_shift()),
+            0,
+            "ragged last bin"
+        );
+        let empty = (0..num_bins).filter(|&b| tb.bin_slices(b).all(|(k, _)| k.is_empty()));
+        assert!(empty.count() > 0, "no empty bin");
+
+        let mut serial = vec![Vec::new(); n_keys as usize];
+        tb.accumulate_serial(|k, &v| serial[k as usize].push(v));
+        for threads in [1, 2, 3, num_bins, num_bins + 5] {
+            // The runs tile the bins in order, one per worker, none empty,
+            // and a body sees only its own run's bins, ascending.
+            let mut runs = Vec::new();
+            accumulate(&tb.per_thread, threads, |r| {
+                runs = r.to_vec();
+                r.iter()
+                    .cloned()
+                    .map(|run| {
+                        let mut last = None;
+                        move |bin: Bin<'_, u64>| {
+                            let mut tuples = 0;
+                            bin.for_each(|_, _| tuples += 1);
+                            assert!(tuples > 0, "empty bin {} handed out", bin.index);
+                            assert!(run.contains(&bin.index), "{} outside {run:?}", bin.index);
+                            assert!(last < Some(bin.index), "bin {} replayed late", bin.index);
+                            last = Some(bin.index);
+                        }
+                    })
+                    .collect()
+            });
+            assert_eq!(runs.len(), threads.min(num_bins), "{threads} threads");
+            assert!(runs.iter().all(|r| !r.is_empty()), "a worker without a bin");
+            assert_eq!(runs.first().map(|r| r.start), Some(0));
+            assert_eq!(runs.last().map(|r| r.end), Some(num_bins));
+            assert!(runs.windows(2).all(|w| w[0].end == w[1].start), "{runs:?}");
+
+            let mut parallel = vec![Vec::new(); n_keys as usize];
+            tb.accumulate_into(&mut parallel, threads, |chunk, base, k, &v| {
+                chunk[(k - base) as usize].push(v)
+            });
+            assert_eq!(parallel, serial, "{threads} threads");
+        }
     }
 
     #[test]

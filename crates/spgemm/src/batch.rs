@@ -4,7 +4,7 @@ use crate::accum::{DenseAccum, HashAccum};
 use cobra_bins::FuseStats;
 use cobra_graph::prefix::exclusive_sum;
 use cobra_graph::SparseMatrix;
-use cobra_pb::Binner;
+use cobra_pb::{accumulate, Bin, Binner};
 use std::ops::Range;
 
 /// Bytes one binned partial product occupies in bin memory: a 4 B output
@@ -170,12 +170,8 @@ pub fn spgemm_with_merge<M: FnMut(&mut (u32, f64), &(u32, f64)) -> bool>(
     let mut values: Vec<f64> = Vec::new();
     let mut dense = DenseAccum::new();
     let mut hash = HashAccum::new();
-    for bin in 0..bins.num_bins() {
-        if bins.bin_len(bin) == 0 {
-            continue;
-        }
-        let range = bins.key_range(bin);
-        let cells = (range.end - range.start) as u64 * b.cols().max(1) as u64;
+    let body = |bin: Bin<'_, (u32, f64)>| {
+        let cells = (bin.keys.end - bin.keys.start) as u64 * b.cols().max(1) as u64;
         let mut emit = |r: u32, c: u32, v: f64| {
             row_counts[r as usize] += 1;
             col_idx.push(c);
@@ -183,20 +179,17 @@ pub fn spgemm_with_merge<M: FnMut(&mut (u32, f64), &(u32, f64)) -> bool>(
         };
         if cells <= cfg.dense_limit {
             report.dense_bins += 1;
-            dense.reset(range, b.cols());
-            for t in bins.iter_bin(bin) {
-                dense.add(t.key, t.value.0, t.value.1);
-            }
+            dense.reset(bin.keys.clone(), b.cols());
+            bin.for_each(|r, &(c, v)| dense.add(r, c, v));
             dense.drain_sorted(&mut emit);
         } else {
             report.hash_bins += 1;
             hash.reset();
-            for t in bins.iter_bin(bin) {
-                hash.add(t.key, t.value.0, t.value.1);
-            }
+            bin.for_each(|r, &(c, v)| hash.add(r, c, v));
             hash.drain_sorted(&mut emit);
         }
-    }
+    };
+    accumulate(std::slice::from_ref(&bins), 1, |_| vec![body]);
     report.nnz_out = col_idx.len() as u64;
     let row_offsets = exclusive_sum(&row_counts);
     (

@@ -41,7 +41,7 @@
 
 use crate::channel::Receiver;
 use crate::reducer::Reducer;
-use cobra_pb::Bins;
+use cobra_pb::{accumulate, Bin, Bins};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -239,9 +239,9 @@ pub(crate) fn segment_span(keys: &Range<u32>, segment_keys: u32) -> Range<usize>
 }
 
 /// Replays one shard's bins (shard-local keys, `base` = the shard's first
-/// global key) into `state`, bin by bin, tuples in arrival order. The one
-/// accumulate body: a shard worker sealing an epoch and WAL recovery both
-/// apply here, whatever the reducer declares.
+/// global key) into `state` through `cobra_pb::accumulate`, on the
+/// caller's thread. The one accumulate body: a shard worker sealing an
+/// epoch and WAL recovery both apply here, whatever the reducer declares.
 ///
 /// Segments are resolved once per bin, never per tuple: a bin covers a
 /// whole run of segments starting at its first key, so a key's segment
@@ -267,8 +267,8 @@ pub(crate) fn apply_bins<R: Reducer>(
     let mut old = std::mem::replace(&mut state.spares, vec![None; state.handles.len()]);
     old.resize(state.handles.len(), None);
     let mut paths = Privatised::default();
-    for b in (0..bins.num_bins()).filter(|&b| bins.bin_len(b) > 0) {
-        let local = bins.key_range(b);
+    let body = |bin: Bin<'_, R::Value>| {
+        let (b, local) = (bin.index, bin.keys);
         let span = segment_span(&(base + local.start..base + local.end), state.segment_keys);
         let at = span.start - state.first..span.end - state.first;
         // Makes segment `i` of the run this call's to write. Returns
@@ -296,7 +296,8 @@ pub(crate) fn apply_bins<R: Reducer>(
             privatise,
             (local.start, shift),
         );
-    }
+    };
+    accumulate(std::slice::from_ref(bins), 1, |_| vec![body]);
     if prev.is_none() {
         state.spares.clear();
     }

@@ -18,8 +18,10 @@
 
 /// Folds streamed update values into per-key accumulators.
 pub trait Reducer: Send + Sync + 'static {
-    /// The streamed update payload.
-    type Value: Copy + Send + 'static;
+    /// The streamed update payload. `Sync` because Accumulate
+    /// (`cobra_pb::accumulate`) may lend one bin's value column to
+    /// several workers.
+    type Value: Copy + Send + Sync + 'static;
     /// The per-key accumulated state.
     type Acc: Clone + Send + Sync + 'static;
 
