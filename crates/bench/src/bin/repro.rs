@@ -5,14 +5,14 @@
 
 #![forbid(unsafe_code)]
 
-use cobra_bench::{harness, inputs, report, Scale, Table};
+use cobra_bench::{inputs, report, Cells, NamedInput, Scale, Table};
 use cobra_bins::BinStore;
 use cobra_core::comm::{run_cobra_comm, run_phi, run_plain};
 use cobra_core::evict::simulate_fixed_rate;
 use cobra_core::exec::{geomean, phases, RunMetrics};
 use cobra_core::{BinHierarchy, CobraMachine, DesConfig, PbBackend, ReservedWays, SwPb};
 use cobra_kernels::tiling::{pagerank_baseline_iters, pagerank_pb_iters, pagerank_tiled};
-use cobra_kernels::{bin_choices, run, Input, KernelId, ModeSpec, ALL_KERNELS};
+use cobra_kernels::{bin_choices, Input, KernelId, ModeSpec, ALL_KERNELS};
 use cobra_sim::engine::{Engine, SimEngine};
 use cobra_sim::MachineConfig;
 
@@ -24,9 +24,10 @@ struct Experiment {
     artifact: &'static str,
     /// One CSV name per table `run` returns, in order.
     csvs: &'static [&'static str],
-    /// Runs the experiment at a scale on a machine; prints its own
-    /// progress and any line that precedes its tables.
-    run: fn(Scale, &MachineConfig) -> Vec<Table>,
+    /// Runs the experiment at a scale, reading every kernel run from the
+    /// process's one cell table; prints its own progress and any line
+    /// that precedes its tables.
+    run: fn(Scale, &mut Cells) -> Vec<Table>,
     /// What the paper's version of the artifact shows; empty for the
     /// parameter tables.
     shape: &'static str,
@@ -175,10 +176,10 @@ fn main() {
         }
         std::process::exit(2)
     });
-    let machine = MachineConfig::hpca22();
-    report::print_machine(&machine);
+    let mut cells = Cells::new(MachineConfig::hpca22());
+    report::print_machine(cells.machine());
     for e in rows {
-        let tables = (e.run)(scale, &machine);
+        let tables = (e.run)(scale, &mut cells);
         assert_eq!(tables.len(), e.csvs.len(), "{}: one CSV per table", e.name);
         for (t, csv) in tables.iter().zip(e.csvs) {
             t.print();
@@ -188,6 +189,11 @@ fn main() {
             println!("\n{}", e.shape);
         }
     }
+    eprintln!(
+        "cells: {} simulated, {} reused",
+        cells.simulated(),
+        cells.reused()
+    );
 }
 
 /// Parses `[--quick|--full] [name…]` into the scale (default `Standard`)
@@ -219,7 +225,8 @@ fn parse(args: &[String]) -> Result<(Scale, Vec<&'static Experiment>), String> {
 }
 
 /// Table II: the simulated machine parameters.
-fn tab2_machine(_: Scale, m: &MachineConfig) -> Vec<Table> {
+fn tab2_machine(_: Scale, cells: &mut Cells) -> Vec<Table> {
+    let m = cells.machine();
     let mut t = Table::new(
         "Table II: Simulation parameters (per core)",
         &["component", "value"],
@@ -277,7 +284,7 @@ fn tab2_machine(_: Scale, m: &MachineConfig) -> Vec<Table> {
 }
 
 /// Table III: the (scaled) input suite.
-fn tab3_inputs(scale: Scale, _: &MachineConfig) -> Vec<Table> {
+fn tab3_inputs(scale: Scale, _: &mut Cells) -> Vec<Table> {
     println!("scale: {scale:?}");
     let mut t = Table::new(
         "Table III: Input graphs and matrices (scaled stand-ins; DESIGN.md §2)",
@@ -285,18 +292,10 @@ fn tab3_inputs(scale: Scale, _: &MachineConfig) -> Vec<Table> {
     );
     for ni in inputs::graph_suite(scale) {
         if let Input::Graph { el, .. } = &ni.input {
-            let class = match ni.name.as_str() {
-                "DBP'" => "power-law (RMAT)",
-                "KRON'" => "Graph500 Kronecker",
-                "URND'" => "uniform random",
-                "EURO'" => "road mesh (bounded degree)",
-                "HBUBL'" => "extreme skew (Zipf)",
-                _ => "graph",
-            };
             let max_deg = el.degrees().into_iter().max().unwrap_or(0);
             t.row(vec![
                 ni.name.clone(),
-                class.into(),
+                ni.class.into(),
                 el.num_vertices().to_string(),
                 el.num_edges().to_string(),
                 max_deg.to_string(),
@@ -305,20 +304,13 @@ fn tab3_inputs(scale: Scale, _: &MachineConfig) -> Vec<Table> {
     }
     for ni in inputs::matrix_suite(scale) {
         if let Input::Matrix { m, .. } = &ni.input {
-            let class = match ni.name.as_str() {
-                "HPCG'" => "27-pt stencil (HPCG)",
-                "RAND'" => "uniform sparse",
-                "BAND'" => "banded (simulation)",
-                "PLAW'" => "power-law columns",
-                _ => "matrix",
-            };
             let max_row = (0..m.rows())
                 .map(|r| m.row_offsets()[r as usize + 1] - m.row_offsets()[r as usize])
                 .max()
                 .unwrap_or(0);
             t.row(vec![
                 ni.name.clone(),
-                class.into(),
+                ni.class.into(),
                 m.rows().to_string(),
                 m.nnz().to_string(),
                 max_row.to_string(),
@@ -329,7 +321,7 @@ fn tab3_inputs(scale: Scale, _: &MachineConfig) -> Vec<Table> {
     if let Input::Keys { keys, max_key } = &s.input {
         t.row(vec![
             s.name.clone(),
-            "uniform random keys".into(),
+            s.class.into(),
             max_key.to_string(),
             keys.len().to_string(),
             "-".into(),
@@ -341,14 +333,14 @@ fn tab3_inputs(scale: Scale, _: &MachineConfig) -> Vec<Table> {
 /// Figure 2: LLC miss rates of the baseline (unoptimized) executions of
 /// every kernel — the motivation that irregular updates defeat conventional
 /// cache hierarchies.
-fn fig02_llc_missrate(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig02_llc_missrate(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 2: LLC miss rate of baseline irregular-update executions",
         &["kernel", "input", "LLC miss rate", "L1 miss rate", "IPC"],
     );
     for &k in &ALL_KERNELS {
         let ni = inputs::representative_input(k, scale);
-        let out = run(k, &ni.input, &ModeSpec::Baseline, machine);
+        let out = cells.get(k, &ni, ModeSpec::Baseline);
         let mem = &out.metrics.result.mem;
         t.row(vec![
             k.name().into(),
@@ -365,19 +357,19 @@ fn fig02_llc_missrate(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 /// Table I: PB execution time breakdown (Init / Binning / Accumulate) at a
 /// small and a large bin count — showing Binning dominates, especially with
 /// many bins.
-fn tab1_phase_breakdown(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn tab1_phase_breakdown(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut t = Table::new(
         "Table I: PB phase breakdown (percent of total cycles)",
         &["kernel", "input", "bins", "init", "binning", "accumulate"],
     );
     for k in [KernelId::NeighborPopulate, KernelId::Pagerank] {
         let ni = inputs::representative_input(k, scale);
-        let choices = bin_choices(k, &ni.input, machine);
+        let choices = bin_choices(k, &ni.input, cells.machine());
         for (label, bins) in [
             ("few", choices.binning_ideal),
             ("many", choices.accumulate_ideal * 4),
         ] {
-            let out = run(k, &ni.input, &ModeSpec::PbSw { min_bins: bins }, machine);
+            let out = cells.get(k, &ni, ModeSpec::PbSw { min_bins: bins });
             let m = &out.metrics;
             let total = m.cycles().max(1) as f64;
             t.row(vec![
@@ -400,10 +392,10 @@ fn tab1_phase_breakdown(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 /// two. 4b: the per-phase load-miss breakdown (L2 / LLC / DRAM accesses)
 /// explaining it: Binning degrades once the C-Buffers outgrow L1/L2, while
 /// Accumulate improves until one bin's data fits in L1.
-fn fig04_bin_sensitivity(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig04_bin_sensitivity(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let kernel = KernelId::NeighborPopulate;
     let ni = inputs::representative_input(kernel, scale);
-    let choices = bin_choices(kernel, &ni.input, machine);
+    let choices = bin_choices(kernel, &ni.input, cells.machine());
     println!(
         "kernel: {} on {} | operating points: binning-ideal {}, sweet {}, accumulate-ideal {}",
         kernel.name(),
@@ -435,12 +427,7 @@ fn fig04_bin_sensitivity(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
     let hi = choices.accumulate_ideal * 16;
     let mut bins = lo;
     while bins <= hi {
-        let out = run(
-            kernel,
-            &ni.input,
-            &ModeSpec::PbSw { min_bins: bins },
-            machine,
-        );
+        let out = cells.get(kernel, &ni, ModeSpec::PbSw { min_bins: bins });
         let m = &out.metrics;
         let bp = m.result.phase(phases::BINNING).expect("binning phase");
         let ap = m
@@ -468,7 +455,7 @@ fn fig04_bin_sensitivity(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 
 /// Figure 5: the headroom of idealized PB (PB-SW-IDEAL) — each phase run at
 /// its own best bin count — over realizable software PB.
-fn fig05_ideal_headroom(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig05_ideal_headroom(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 5: speedup over Baseline — PB-SW vs PB-SW-IDEAL",
         &["kernel", "input", "PB-SW", "PB-SW-IDEAL", "ideal/PB"],
@@ -477,7 +464,7 @@ fn fig05_ideal_headroom(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
     let mut ideal_speedups = Vec::new();
     for &k in &ALL_KERNELS {
         let ni = inputs::representative_input(k, scale);
-        let pb = harness::run_pb_modes(k, &ni.input, machine);
+        let pb = cells.pb_modes(k, &ni);
         let s_pb = pb.speedup(&pb.pb_sw);
         let s_ideal = pb.speedup(&pb.pb_ideal);
         pb_speedups.push(s_pb);
@@ -505,7 +492,7 @@ fn fig05_ideal_headroom(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 
 /// Figure 10: the headline result — speedups of PB-SW, PB-SW-IDEAL and
 /// COBRA over the unoptimized baseline, across all kernels and inputs.
-fn fig10_speedups(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig10_speedups(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 10: speedup over Baseline",
         &[
@@ -520,21 +507,19 @@ fn fig10_speedups(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
     );
     let (mut s_pb, mut s_ideal, mut s_cobra) = (Vec::new(), Vec::new(), Vec::new());
     for &k in &ALL_KERNELS {
-        let kernel_inputs = match scale {
-            // Standard trims the suite to keep the wall-clock reasonable;
-            // --full runs everything.
-            Scale::Full => inputs::kernel_inputs(k, scale),
-            _ => inputs::kernel_inputs(k, scale)
-                .into_iter()
-                .take(trim_for(k))
-                .collect(),
+        // Standard trims the suite to keep the wall-clock reasonable;
+        // --full runs everything.
+        let keep = match scale {
+            Scale::Full => usize::MAX,
+            _ => trim_for(k),
         };
-        for ni in kernel_inputs {
-            let (r, cobra) = harness::run_all_modes(k, &ni.input, machine);
+        for ni in inputs::kernel_inputs(k, scale).take(keep) {
+            let r = cells.pb_modes(k, &ni);
+            let cobra = cells.get(k, &ni, ModeSpec::cobra_default());
             let (pb, ideal, cobra) = (
                 r.speedup(&r.pb_sw),
                 r.speedup(&r.pb_ideal),
-                r.speedup(&cobra),
+                r.speedup(&cobra.metrics),
             );
             s_pb.push(pb);
             s_ideal.push(ideal);
@@ -576,9 +561,18 @@ fn trim_for(k: KernelId) -> usize {
     }
 }
 
+/// PB-SW at its sweet-spot bin count and COBRA with paper defaults: the
+/// pair Figures 11 and 12 compare, both cells of Figure 10.
+fn pb_sw_and_cobra(cells: &mut Cells, k: KernelId, ni: &NamedInput) -> (RunMetrics, RunMetrics) {
+    let sweet = bin_choices(k, &ni.input, cells.machine()).sweet_spot;
+    let pb_sw = cells.get(k, ni, ModeSpec::PbSw { min_bins: sweet });
+    let cobra = cells.get(k, ni, ModeSpec::cobra_default());
+    (pb_sw.metrics, cobra.metrics)
+}
+
 /// Figure 11: COBRA's per-phase speedups over PB-SW — Binning accelerates
 /// far more than Accumulate (hardware offload + no compromise bins).
-fn fig11_phase_speedups(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig11_phase_speedups(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 11: COBRA speedup over PB-SW, per phase",
         &["kernel", "input", "binning", "accumulate", "overall"],
@@ -586,7 +580,7 @@ fn fig11_phase_speedups(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
     let (mut s_bin, mut s_acc) = (Vec::new(), Vec::new());
     for &k in &ALL_KERNELS {
         let ni = inputs::representative_input(k, scale);
-        let (pb_sw, cobra) = harness::run_pb_cobra(k, &ni.input, machine);
+        let (pb_sw, cobra) = pb_sw_and_cobra(cells, k, &ni);
         let ratio = |phase: &str| {
             let pb = pb_sw.phase_cycles(phase).max(1) as f64;
             let co = cobra.phase_cycles(phase).max(1) as f64;
@@ -617,7 +611,7 @@ fn fig11_phase_speedups(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 
 /// Figure 12: why COBRA's Binning is fast — instruction-count reduction
 /// (top) and branch-misprediction elimination (bottom) vs software PB.
-fn fig12_instr_branch(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig12_instr_branch(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 12: instruction reduction and branch MPKI (PB-SW vs COBRA)",
         &[
@@ -635,7 +629,7 @@ fn fig12_instr_branch(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
     let mut reductions = Vec::new();
     for &k in &ALL_KERNELS {
         let ni = inputs::representative_input(k, scale);
-        let (pb_sw, cobra) = harness::run_pb_cobra(k, &ni.input, machine);
+        let (pb_sw, cobra) = pb_sw_and_cobra(cells, k, &ni);
         let pb_i = pb_sw.instructions();
         let co_i = cobra.instructions();
         let red = pb_i as f64 / co_i.max(1) as f64;
@@ -663,7 +657,7 @@ fn fig12_instr_branch(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 
 /// Figure 13a: sensitivity to the L1→L2 eviction-buffer size — the DES
 /// experiment sizing the buffers that hide C-Buffer-eviction latency.
-fn fig13a_evict_buffers(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig13a_evict_buffers(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 13a: fraction of Binning stalled on a full L1->L2 eviction buffer",
         &["input", "1", "2", "4", "8", "16", "32", "64"],
@@ -675,8 +669,8 @@ fn fig13a_evict_buffers(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
             continue;
         };
         let hier = BinHierarchy::bininit(
-            machine,
-            ReservedWays::paper_default(machine),
+            cells.machine(),
+            ReservedWays::paper_default(cells.machine()),
             el.num_vertices(),
             KernelId::NeighborPopulate.tuple_bytes(),
         );
@@ -698,10 +692,10 @@ fn fig13a_evict_buffers(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 
 /// Figure 13b: sensitivity of COBRA's Binning phase to the cache ways
 /// reserved for C-Buffers at each level.
-fn fig13b_way_sensitivity(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig13b_way_sensitivity(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let kernel = KernelId::NeighborPopulate;
     let ni = inputs::representative_input(kernel, scale);
-    let default = ReservedWays::paper_default(machine);
+    let default = ReservedWays::paper_default(cells.machine());
     println!(
         "kernel: {} on {} | default reservation: L1 {} / L2 {} / LLC {}",
         kernel.name(),
@@ -711,14 +705,13 @@ fn fig13b_way_sensitivity(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
         default.llc
     );
 
-    let binning = |reserved: ReservedWays| {
+    let mut binning = |reserved: ReservedWays| {
         let spec = ModeSpec::Cobra {
             reserved: Some(reserved),
             des: DesConfig::paper_default(),
             ctx_quantum: None,
         };
-        let out = run(kernel, &ni.input, &spec, machine);
-        out.metrics.phase_cycles("binning")
+        cells.get(kernel, &ni, spec).metrics.phase_cycles("binning")
     };
     let base = binning(default);
 
@@ -758,7 +751,7 @@ const DEFAULT_QUANTUM: u64 = 16_000_000;
 /// Figure 13c: worst-case DRAM bandwidth waste from context switches —
 /// under static way partitioning, other processes evict partially-filled
 /// LLC C-Buffer lines every scheduling quantum.
-fn fig13c_ctx_switch(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig13c_ctx_switch(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let kernel = KernelId::NeighborPopulate;
     let ni = inputs::representative_input(kernel, scale);
     println!("kernel: {} on {}", kernel.name(), ni.name);
@@ -780,7 +773,7 @@ fn fig13c_ctx_switch(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
             des: DesConfig::paper_default(),
             ctx_quantum: Some(quantum),
         };
-        let out = run(kernel, &ni.input, &spec, machine);
+        let out = cells.get(kernel, &ni, spec);
         let wr = out.metrics.result.mem.dram_write_bytes;
         // Waste = the gap between line-granular bin writes with forced
         // partial evictions and perfectly packed tuple bytes.
@@ -851,7 +844,8 @@ fn regroup(
 ///
 /// PHI and COBRA-COMM coalesce updates (inapplicable to the
 /// non-commutative kernels); COBRA alone is the general optimization.
-fn fig14_comm_compare(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig14_comm_compare(scale: Scale, cells: &mut Cells) -> Vec<Table> {
+    let machine = cells.machine();
     let kernel = KernelId::DegreeCount;
 
     let mut ta = Table::new(
@@ -932,7 +926,8 @@ const ITERS: u32 = 4;
 /// Figure 15: Propagation Blocking vs CSR-Segmenting (1-D tiling) for
 /// Pagerank run to convergence, with initialization overheads broken out
 /// (the shaded bars of the paper's figure).
-fn fig15_tiling_vs_pb(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn fig15_tiling_vs_pb(scale: Scale, cells: &mut Cells) -> Vec<Table> {
+    let machine = cells.machine();
     let mut t = Table::new(
         "Figure 15: Pagerank-to-convergence runtime, normalized to Baseline (lower is better)",
         &[
@@ -994,7 +989,7 @@ fn fig15_tiling_vs_pb(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
 /// under the baseline replacement policies; the paper's cache-simulator
 /// evaluation found a C-Buffer miss rate below 1% because all co-running
 /// Binning-phase accesses are streaming.
-fn ablation_partitioning(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
+fn ablation_partitioning(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let kernel = KernelId::DegreeCount;
     let mut t = Table::new(
         "Ablation: COBRA without static cache partitioning (Binning phase)",
@@ -1006,7 +1001,7 @@ fn ablation_partitioning(scale: Scale, machine: &MachineConfig) -> Vec<Table> {
         };
         let run = |partitioned: bool| {
             let mut m = CobraMachine::<()>::with_defaults(
-                *machine,
+                *cells.machine(),
                 el.num_vertices(),
                 kernel.tuple_bytes(),
                 el.num_edges() as u64,
@@ -1086,7 +1081,7 @@ mod tests {
             );
         }
 
-        let machine = MachineConfig::hpca22();
+        let mut cells = Cells::new(MachineConfig::hpca22());
         for name in [
             "tab2_machine",
             "tab3_inputs",
@@ -1095,7 +1090,7 @@ mod tests {
             "ablation_partitioning",
         ] {
             let e = EXPERIMENTS.iter().find(|e| e.name == name).expect("row");
-            let tables = (e.run)(Scale::Quick, &machine);
+            let tables = (e.run)(Scale::Quick, &mut cells);
             assert_eq!(tables.len(), e.csvs.len(), "{name}");
             for (t, csv) in tables.iter().zip(e.csvs) {
                 let want = std::fs::read_to_string(committed(csv)).expect("read committed csv");

@@ -85,121 +85,131 @@ impl Scale {
 pub struct NamedInput {
     /// Suite name (primed to mark the scaled stand-in, e.g. `DBP'`).
     pub name: String,
+    /// The class of input it stands in for (Table III's "class" column).
+    pub class: &'static str,
     /// The input itself.
     pub input: Input,
 }
 
-fn named(name: &str, input: Input) -> NamedInput {
+fn named(&(name, class, build): &Entry, scale: Scale) -> NamedInput {
     NamedInput {
         name: name.to_owned(),
-        input,
+        class,
+        input: build(scale),
     }
 }
 
-/// The graph suite (power-law, Kronecker, uniform, road, extra-skew).
-pub fn graph_suite(scale: Scale) -> Vec<NamedInput> {
-    let s = scale.graph_scale();
-    let d = scale.degree();
-    let n = 1u32 << s;
-    let side = (n as f64).sqrt() as u32;
-    vec![
-        named("DBP'", Input::graph(gen::rmat(s, d, 0xDB9))),
-        named("KRON'", Input::graph(gen::kronecker(s, d, 0x7201))),
-        named(
-            "URND'",
-            Input::graph(gen::uniform_random(n, n as usize * d, 0x0123)),
-        ),
-        named("EURO'", Input::graph(gen::road_mesh(side, 0xE0E0))),
-        named(
-            "HBUBL'",
-            Input::graph(gen::zipf(n, n as usize * d, 1.05, 0x4B)),
-        ),
-    ]
-}
+/// A suite input: its name, its class and its generator.
+type Entry = (&'static str, &'static str, fn(Scale) -> Input);
 
-/// A reduced graph suite for the more expensive sweeps.
-pub fn graph_suite_small(scale: Scale) -> Vec<NamedInput> {
-    graph_suite(scale).into_iter().take(3).collect()
-}
+/// The graphs, in suite order.
+const GRAPHS: [Entry; 5] = [
+    ("DBP'", "power-law (RMAT)", |s| {
+        Input::graph(gen::rmat(s.graph_scale(), s.degree(), 0xDB9))
+    }),
+    ("KRON'", "Graph500 Kronecker", |s| {
+        Input::graph(gen::kronecker(s.graph_scale(), s.degree(), 0x7201))
+    }),
+    ("URND'", "uniform random", |s| {
+        let n = 1u32 << s.graph_scale();
+        Input::graph(gen::uniform_random(n, n as usize * s.degree(), 0x0123))
+    }),
+    ("EURO'", "road mesh (bounded degree)", |s| {
+        let side = ((1u32 << s.graph_scale()) as f64).sqrt() as u32;
+        Input::graph(gen::road_mesh(side, 0xE0E0))
+    }),
+    ("HBUBL'", "extreme skew (Zipf)", |s| {
+        let n = 1u32 << s.graph_scale();
+        Input::graph(gen::zipf(n, n as usize * s.degree(), 1.05, 0x4B))
+    }),
+];
 
-/// The matrix suite (stencil / banded / random / power-law classes).
-pub fn matrix_suite(scale: Scale) -> Vec<NamedInput> {
-    let n = scale.matrix_rows();
-    // Stencil grid sized to roughly n rows.
-    let side = (n as f64).cbrt() as u32;
-    vec![
-        named(
-            "HPCG'",
-            Input::matrix(matrix::stencil27(side, side, side.max(2))),
-        ),
-        named("RAND'", Input::matrix(matrix::random_uniform(n, 4, 0x11AC))),
-        named("BAND'", Input::matrix(matrix::banded(n, 2, 0xBA9D))),
-        named(
-            "PLAW'",
-            Input::matrix(matrix::powerlaw_rows(n, 4, 1.1, 0x91AF)),
-        ),
-    ]
-}
+/// The matrices, in suite order.
+const MATRICES: [Entry; 4] = [
+    ("HPCG'", "27-pt stencil (HPCG)", |s| {
+        // Stencil grid sized to roughly `matrix_rows` rows.
+        let side = (s.matrix_rows() as f64).cbrt() as u32;
+        Input::matrix(matrix::stencil27(side, side, side.max(2)))
+    }),
+    ("RAND'", "uniform sparse", |s| {
+        Input::matrix(matrix::random_uniform(s.matrix_rows(), 4, 0x11AC))
+    }),
+    ("BAND'", "banded (simulation)", |s| {
+        Input::matrix(matrix::banded(s.matrix_rows(), 2, 0xBA9D))
+    }),
+    ("PLAW'", "power-law columns", |s| {
+        Input::matrix(matrix::powerlaw_rows(s.matrix_rows(), 4, 1.1, 0x91AF))
+    }),
+];
 
 /// The SpGEMM suite: dyadic-valued operands (bitwise-comparable products)
 /// in a uniform-column and a Zipf-hot-column class — the latter is where
 /// frame fusion pays.
-pub fn spgemm_suite(scale: Scale) -> Vec<NamedInput> {
-    let n = scale.spgemm_rows();
-    vec![
-        named(
-            "GEMM-U'",
-            Input::matrix(cobra_spgemm::dyadic_matrix(n, n, 8, 0x96E1)),
-        ),
-        named(
-            "GEMM-Z'",
-            Input::matrix(cobra_spgemm::dyadic_skewed_matrix(n, n, 8, 1.2, 0x96E2)),
-        ),
-    ]
+const SPGEMM: [Entry; 2] = [
+    ("GEMM-U'", "dyadic, uniform columns", |s| {
+        let n = s.spgemm_rows();
+        Input::matrix(cobra_spgemm::dyadic_matrix(n, n, 8, 0x96E1))
+    }),
+    ("GEMM-Z'", "dyadic, Zipf-hot columns", |s| {
+        let n = s.spgemm_rows();
+        Input::matrix(cobra_spgemm::dyadic_skewed_matrix(n, n, 8, 1.2, 0x96E2))
+    }),
+];
+
+/// The one sort input.
+const SORT: [Entry; 1] = [("RKEYS'", "uniform random keys", |s| {
+    let keys = gen::random_keys(s.sort_keys(), s.sort_max_key(), 0x5027);
+    Input::keys(keys, s.sort_max_key())
+})];
+
+/// The graph suite (power-law, Kronecker, uniform, road, extra-skew).
+pub fn graph_suite(scale: Scale) -> Vec<NamedInput> {
+    GRAPHS.iter().map(|e| named(e, scale)).collect()
+}
+
+/// A reduced graph suite for the more expensive sweeps.
+pub fn graph_suite_small(scale: Scale) -> Vec<NamedInput> {
+    GRAPHS[..3].iter().map(|e| named(e, scale)).collect()
+}
+
+/// The matrix suite (stencil / banded / random / power-law classes).
+pub fn matrix_suite(scale: Scale) -> Vec<NamedInput> {
+    MATRICES.iter().map(|e| named(e, scale)).collect()
 }
 
 /// The sort input (random keys, as in the NAS IS setup).
 pub fn sort_input(scale: Scale) -> NamedInput {
-    named(
-        "RKEYS'",
-        Input::keys(
-            gen::random_keys(scale.sort_keys(), scale.sort_max_key(), 0x5027),
-            scale.sort_max_key(),
-        ),
-    )
+    named(&SORT[0], scale)
 }
 
-/// The default inputs each kernel is evaluated on, mirroring Section VI's
-/// pairing of kernels to input kinds.
-pub fn kernel_inputs(kernel: cobra_kernels::KernelId, scale: Scale) -> Vec<NamedInput> {
+/// The suite a kernel is evaluated on, mirroring Section VI's pairing of
+/// kernels to input kinds, and the index of its representative input.
+fn suite_of(kernel: cobra_kernels::KernelId) -> (&'static [Entry], usize) {
     use cobra_kernels::KernelId::*;
     match kernel {
-        DegreeCount | NeighborPopulate | Pagerank | Radii => graph_suite(scale),
-        IntSort => vec![sort_input(scale)],
-        Spmv | Transpose | Pinv | SymPerm => matrix_suite(scale),
-        SpGemm => spgemm_suite(scale),
-    }
-}
-
-/// One representative input per kernel (for the single-input sweeps).
-pub fn representative_input(kernel: cobra_kernels::KernelId, scale: Scale) -> NamedInput {
-    use cobra_kernels::KernelId::*;
-    match kernel {
-        DegreeCount | NeighborPopulate | Pagerank | Radii => graph_suite(scale)
-            .into_iter()
-            .next()
-            .expect("nonempty suite"),
-        IntSort => sort_input(scale),
-        Spmv | Transpose | Pinv | SymPerm => matrix_suite(scale)
-            .into_iter()
-            .nth(1)
-            .expect("nonempty suite"),
+        DegreeCount | NeighborPopulate | Pagerank | Radii => (&GRAPHS, 0),
+        IntSort => (&SORT, 0),
+        Spmv | Transpose | Pinv | SymPerm => (&MATRICES, 1),
         // The skewed class: the one whose fusion behaviour is interesting.
-        SpGemm => spgemm_suite(scale)
-            .into_iter()
-            .nth(1)
-            .expect("nonempty suite"),
+        SpGemm => (&SPGEMM, 1),
     }
+}
+
+/// The default inputs a kernel is evaluated on, in suite order. Each is
+/// generated only when the iterator reaches it, so a prefix (`take`)
+/// builds only the inputs it keeps.
+pub fn kernel_inputs(
+    kernel: cobra_kernels::KernelId,
+    scale: Scale,
+) -> impl Iterator<Item = NamedInput> {
+    suite_of(kernel).0.iter().map(move |e| named(e, scale))
+}
+
+/// One representative input per kernel (for the single-input sweeps);
+/// only that input is generated.
+pub fn representative_input(kernel: cobra_kernels::KernelId, scale: Scale) -> NamedInput {
+    let (suite, i) = suite_of(kernel);
+    named(&suite[i], scale)
 }
 
 #[cfg(test)]
@@ -225,7 +235,7 @@ mod tests {
 
     #[test]
     fn spgemm_suite_generates() {
-        let suite = spgemm_suite(Scale::Quick);
+        let suite: Vec<_> = kernel_inputs(cobra_kernels::KernelId::SpGemm, Scale::Quick).collect();
         assert_eq!(suite.len(), 2);
         for s in &suite {
             assert!(s.input.num_updates(cobra_kernels::KernelId::SpGemm) > 0);
@@ -235,7 +245,7 @@ mod tests {
     #[test]
     fn every_kernel_has_inputs() {
         for &k in &cobra_kernels::ALL_KERNELS {
-            assert!(!kernel_inputs(k, Scale::Quick).is_empty());
+            assert!(kernel_inputs(k, Scale::Quick).next().is_some());
             let _ = representative_input(k, Scale::Quick);
         }
     }

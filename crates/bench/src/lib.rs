@@ -24,7 +24,9 @@
 //! `repro [--quick|--full] [name…]` runs the named rows (all of them when
 //! none is named) on CI-sized inputs, the standard scale, or paper-regime
 //! inputs (slow), and writes a CSV next to each stdout table under
-//! `results/`.
+//! `results/`. Every row reads its kernel runs from the process's one
+//! [`Cells`] table, so a run several figures share is simulated once and
+//! its output digest is checked against the other modes in one place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +35,6 @@ pub mod inputs;
 pub mod report;
 pub mod timing;
 
-pub use harness::{run_all_modes, PbModes};
+pub use harness::{Cells, PbModes};
 pub use inputs::{NamedInput, Scale};
 pub use report::Table;

@@ -343,11 +343,6 @@ impl<V> FrozenBins<V> {
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
     }
-
-    /// Live handles to the shared store.
-    pub fn handle_count(this: &Self) -> usize {
-        Arc::strong_count(&this.0)
-    }
 }
 
 #[cfg(test)]
@@ -489,7 +484,6 @@ mod tests {
         let b = a.clone();
         assert!(FrozenBins::ptr_eq(&frozen, &a));
         assert!(FrozenBins::ptr_eq(&a, &b));
-        assert_eq!(FrozenBins::handle_count(&frozen), 3);
         // The column slab itself never moved or copied.
         assert_eq!(b.keys(0).as_ptr(), keys_ptr);
         assert_eq!(b.len(), 64);

@@ -98,18 +98,11 @@ pub struct ClusterConfig {
     /// Tuples buffered per node before the router flushes the buffer as
     /// one `UPDATE` frame (the network C-Buffer line size).
     pub batch_tuples: usize,
-    /// UPDATE frames each node connection keeps in flight before reading
-    /// acknowledgements (see [`ServeClient::set_pipeline_window`]);
-    /// 1 restores strict lockstep.
-    pub pipeline_window: usize,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        ClusterConfig {
-            batch_tuples: 4096,
-            pipeline_window: 8,
-        }
+        ClusterConfig { batch_tuples: 4096 }
     }
 }
 
@@ -155,13 +148,12 @@ impl ClusterRouter {
         );
         let mut nodes = Vec::with_capacity(addrs.len());
         for (i, addr) in addrs.iter().enumerate() {
-            let mut client =
+            let client =
                 ServeClient::connect(addr.as_str()).map_err(|e| ClusterError::NodeDown {
                     node: i,
                     addr: addr.clone(),
                     source: ClientError::Io(e),
                 })?;
-            client.set_pipeline_window(cfg.pipeline_window);
             nodes.push(Node {
                 addr: addr.clone(),
                 client,

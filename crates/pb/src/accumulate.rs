@@ -43,12 +43,17 @@ impl<'a, V> Bin<'a, V> {
 /// of one key apply in one deterministic order.
 ///
 /// **Workers.** The bins are cut into `min(threads, num_bins)` contiguous
-/// runs of near-equal bin count, none empty. `workers` receives the runs,
-/// ascending, and returns one body per run; a body sees only its run's
-/// bins, ascending. The first run replays on the caller's thread and
-/// every further run on a scoped thread of its own, so a body can own the
-/// part of the output its run covers (`accumulate_into` hands each body
-/// its bins' `chunks_mut` slices).
+/// runs, none empty, of near-equal tuple count summed over the producing
+/// threads: run `i` of `n` starts at the first bin below which `i / n` of
+/// the tuples lie, moved just enough to keep every run at least one bin
+/// (with no tuples at all, the runs are of near-equal bin count). Keys
+/// packed into a few bins therefore do not leave a worker only empty
+/// bins. `workers` receives the runs, ascending, and returns one body
+/// per run; a body sees only its run's bins, ascending. The first run
+/// replays on the caller's thread and every further run on a scoped
+/// thread of its own, so a body can own the part of the output its run
+/// covers (`accumulate_into` hands each body its bins' `chunks_mut`
+/// slices).
 ///
 /// # Panics
 ///
@@ -65,9 +70,23 @@ pub fn accumulate<'a, V, W>(
     assert!(threads > 0, "need at least one thread");
     let num_bins = per_thread[0].num_bins();
     let n = threads.min(num_bins);
-    let runs: Vec<Range<usize>> = (0..n)
-        .map(|i| i * num_bins / n..(i + 1) * num_bins / n)
-        .collect();
+    // Tuples in the bins below each index, summed over the threads.
+    let mut below = vec![0usize; num_bins + 1];
+    for b in 0..num_bins {
+        below[b + 1] = below[b] + per_thread.iter().map(|bins| bins.bin_len(b)).sum::<usize>();
+    }
+    let total = below[num_bins];
+    let mut cuts = vec![0];
+    for i in 1..n {
+        let at = match total {
+            0 => i * num_bins / n,
+            _ => below.partition_point(|&t| t * n < i * total),
+        };
+        // Leave every run, this one and those after it, at least one bin.
+        cuts.push(at.clamp(cuts[i - 1] + 1, num_bins - (n - i)));
+    }
+    cuts.push(num_bins);
+    let runs: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
     let bodies = workers(&runs);
     assert_eq!(bodies.len(), runs.len(), "one body per run");
     let replay = |run: Range<usize>, mut body: W| {

@@ -95,11 +95,6 @@ impl<V: Copy + Send + Sync> ThreadBins<V> {
         self.per_thread[0].num_bins()
     }
 
-    /// Number of producing threads.
-    pub fn num_threads(&self) -> usize {
-        self.per_thread.len()
-    }
-
     /// log2 of the bin key range.
     pub fn bin_shift(&self) -> u32 {
         self.per_thread[0].bin_shift()
@@ -200,7 +195,6 @@ mod tests {
             .collect();
         let tb = bin_parallel(keys.len(), 4096, 16, 4, |i| (keys[i], i as u32));
         assert_eq!(tb.len(), keys.len());
-        assert_eq!(tb.num_threads(), 4);
         // Every tuple lives in the bin covering its key, and the two
         // columns of every slice stay parallel.
         for b in 0..tb.num_bins() {
@@ -325,6 +319,15 @@ mod tests {
             assert_eq!(runs.first().map(|r| r.start), Some(0));
             assert_eq!(runs.last().map(|r| r.end), Some(num_bins));
             assert!(runs.windows(2).all(|w| w[0].end == w[1].start), "{runs:?}");
+            if threads == 2 {
+                // Cut by tuples, not bins: the second worker is not
+                // handed only the empty upper bins.
+                let mut held = runs.iter().map(|r| {
+                    let slices = r.clone().flat_map(|b| tb.bin_slices(b));
+                    slices.map(|(k, _)| k.len()).sum::<usize>()
+                });
+                assert!(held.all(|t| t > 0), "a worker without tuples: {runs:?}");
+            }
 
             let mut parallel = vec![Vec::new(); n_keys as usize];
             tb.accumulate_into(&mut parallel, threads, |chunk, base, k, &v| {
