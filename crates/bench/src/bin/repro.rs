@@ -189,6 +189,7 @@ fn main() {
             println!("\n{}", e.shape);
         }
     }
+    eprintln!("inputs: {} generated", cells.inputs_generated());
     eprintln!(
         "cells: {} simulated, {} reused",
         cells.simulated(),
@@ -284,13 +285,13 @@ fn tab2_machine(_: Scale, cells: &mut Cells) -> Vec<Table> {
 }
 
 /// Table III: the (scaled) input suite.
-fn tab3_inputs(scale: Scale, _: &mut Cells) -> Vec<Table> {
+fn tab3_inputs(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     println!("scale: {scale:?}");
     let mut t = Table::new(
         "Table III: Input graphs and matrices (scaled stand-ins; DESIGN.md §2)",
         &["name", "class", "vertices/rows", "edges/nnz", "max degree"],
     );
-    for ni in inputs::graph_suite(scale) {
+    for ni in inputs::graph_suite(cells, scale) {
         if let Input::Graph { el, .. } = &ni.input {
             let max_deg = el.degrees().into_iter().max().unwrap_or(0);
             t.row(vec![
@@ -302,7 +303,7 @@ fn tab3_inputs(scale: Scale, _: &mut Cells) -> Vec<Table> {
             ]);
         }
     }
-    for ni in inputs::matrix_suite(scale) {
+    for ni in inputs::matrix_suite(cells, scale) {
         if let Input::Matrix { m, .. } = &ni.input {
             let max_row = (0..m.rows())
                 .map(|r| m.row_offsets()[r as usize + 1] - m.row_offsets()[r as usize])
@@ -317,7 +318,7 @@ fn tab3_inputs(scale: Scale, _: &mut Cells) -> Vec<Table> {
             ]);
         }
     }
-    let s = inputs::sort_input(scale);
+    let s = inputs::sort_input(cells, scale);
     if let Input::Keys { keys, max_key } = &s.input {
         t.row(vec![
             s.name.clone(),
@@ -339,12 +340,12 @@ fn fig02_llc_missrate(scale: Scale, cells: &mut Cells) -> Vec<Table> {
         &["kernel", "input", "LLC miss rate", "L1 miss rate", "IPC"],
     );
     for &k in &ALL_KERNELS {
-        let ni = inputs::representative_input(k, scale);
+        let ni = inputs::representative_input(cells, k, scale);
         let out = cells.get(k, &ni, ModeSpec::Baseline);
         let mem = &out.metrics.result.mem;
         t.row(vec![
             k.name().into(),
-            ni.name,
+            ni.name.clone(),
             report::pct(mem.llc.miss_rate()),
             report::pct(mem.l1d.miss_rate()),
             report::f2(out.metrics.result.core.ipc()),
@@ -363,7 +364,7 @@ fn tab1_phase_breakdown(scale: Scale, cells: &mut Cells) -> Vec<Table> {
         &["kernel", "input", "bins", "init", "binning", "accumulate"],
     );
     for k in [KernelId::NeighborPopulate, KernelId::Pagerank] {
-        let ni = inputs::representative_input(k, scale);
+        let ni = inputs::representative_input(cells, k, scale);
         let choices = bin_choices(k, &ni.input, cells.machine());
         for (label, bins) in [
             ("few", choices.binning_ideal),
@@ -394,12 +395,12 @@ fn tab1_phase_breakdown(scale: Scale, cells: &mut Cells) -> Vec<Table> {
 /// Accumulate improves until one bin's data fits in L1.
 fn fig04_bin_sensitivity(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let kernel = KernelId::NeighborPopulate;
-    let ni = inputs::representative_input(kernel, scale);
+    let ni = inputs::representative_input(cells, kernel, scale);
     let choices = bin_choices(kernel, &ni.input, cells.machine());
     println!(
         "kernel: {} on {} | operating points: binning-ideal {}, sweet {}, accumulate-ideal {}",
         kernel.name(),
-        ni.name,
+        ni.name.clone(),
         choices.binning_ideal,
         choices.sweet_spot,
         choices.accumulate_ideal
@@ -463,7 +464,7 @@ fn fig05_ideal_headroom(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let mut pb_speedups = Vec::new();
     let mut ideal_speedups = Vec::new();
     for &k in &ALL_KERNELS {
-        let ni = inputs::representative_input(k, scale);
+        let ni = inputs::representative_input(cells, k, scale);
         let pb = cells.pb_modes(k, &ni);
         let s_pb = pb.speedup(&pb.pb_sw);
         let s_ideal = pb.speedup(&pb.pb_ideal);
@@ -471,7 +472,7 @@ fn fig05_ideal_headroom(scale: Scale, cells: &mut Cells) -> Vec<Table> {
         ideal_speedups.push(s_ideal);
         t.row(vec![
             k.name().into(),
-            ni.name,
+            ni.name.clone(),
             report::f2(s_pb),
             report::f2(s_ideal),
             report::f2(s_ideal / s_pb),
@@ -513,7 +514,7 @@ fn fig10_speedups(scale: Scale, cells: &mut Cells) -> Vec<Table> {
             Scale::Full => usize::MAX,
             _ => trim_for(k),
         };
-        for ni in inputs::kernel_inputs(k, scale).take(keep) {
+        for ni in inputs::kernel_inputs(cells, k, scale, keep) {
             let r = cells.pb_modes(k, &ni);
             let cobra = cells.get(k, &ni, ModeSpec::cobra_default());
             let (pb, ideal, cobra) = (
@@ -579,7 +580,7 @@ fn fig11_phase_speedups(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     );
     let (mut s_bin, mut s_acc) = (Vec::new(), Vec::new());
     for &k in &ALL_KERNELS {
-        let ni = inputs::representative_input(k, scale);
+        let ni = inputs::representative_input(cells, k, scale);
         let (pb_sw, cobra) = pb_sw_and_cobra(cells, k, &ni);
         let ratio = |phase: &str| {
             let pb = pb_sw.phase_cycles(phase).max(1) as f64;
@@ -592,7 +593,7 @@ fn fig11_phase_speedups(scale: Scale, cells: &mut Cells) -> Vec<Table> {
         s_acc.push(a);
         t.row(vec![
             k.name().into(),
-            ni.name,
+            ni.name.clone(),
             report::f2(b),
             report::f2(a),
             report::f2(cobra.speedup_over(&pb_sw)),
@@ -628,7 +629,7 @@ fn fig12_instr_branch(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     );
     let mut reductions = Vec::new();
     for &k in &ALL_KERNELS {
-        let ni = inputs::representative_input(k, scale);
+        let ni = inputs::representative_input(cells, k, scale);
         let (pb_sw, cobra) = pb_sw_and_cobra(cells, k, &ni);
         let pb_i = pb_sw.instructions();
         let co_i = cobra.instructions();
@@ -637,7 +638,7 @@ fn fig12_instr_branch(scale: Scale, cells: &mut Cells) -> Vec<Table> {
         let bin_ipc = |m: &RunMetrics| m.result.phase("binning").map_or(0.0, |p| p.core.ipc());
         t.row(vec![
             k.name().into(),
-            ni.name,
+            ni.name.clone(),
             format!("{:.1}", pb_i as f64 / 1e6),
             format!("{:.1}", co_i as f64 / 1e6),
             report::f2(red),
@@ -664,7 +665,7 @@ fn fig13a_evict_buffers(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     );
     // The DES consumes Neighbor-Populate's update-tuple trace (edge source
     // keys), exactly as the paper's DES consumes a tuple trace.
-    for ni in inputs::graph_suite(scale) {
+    for ni in inputs::graph_suite(cells, scale) {
         let Input::Graph { el, .. } = &ni.input else {
             continue;
         };
@@ -694,12 +695,12 @@ fn fig13a_evict_buffers(scale: Scale, cells: &mut Cells) -> Vec<Table> {
 /// reserved for C-Buffers at each level.
 fn fig13b_way_sensitivity(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let kernel = KernelId::NeighborPopulate;
-    let ni = inputs::representative_input(kernel, scale);
+    let ni = inputs::representative_input(cells, kernel, scale);
     let default = ReservedWays::paper_default(cells.machine());
     println!(
         "kernel: {} on {} | default reservation: L1 {} / L2 {} / LLC {}",
         kernel.name(),
-        ni.name,
+        ni.name.clone(),
         default.l1,
         default.l2,
         default.llc
@@ -753,7 +754,7 @@ const DEFAULT_QUANTUM: u64 = 16_000_000;
 /// LLC C-Buffer lines every scheduling quantum.
 fn fig13c_ctx_switch(scale: Scale, cells: &mut Cells) -> Vec<Table> {
     let kernel = KernelId::NeighborPopulate;
-    let ni = inputs::representative_input(kernel, scale);
+    let ni = inputs::representative_input(cells, kernel, scale);
     println!("kernel: {} on {}", kernel.name(), ni.name);
 
     let mut t = Table::new(
@@ -845,6 +846,7 @@ fn regroup(
 /// PHI and COBRA-COMM coalesce updates (inapplicable to the
 /// non-commutative kernels); COBRA alone is the general optimization.
 fn fig14_comm_compare(scale: Scale, cells: &mut Cells) -> Vec<Table> {
+    let suite = inputs::graph_suite(cells, scale);
     let machine = cells.machine();
     let kernel = KernelId::DegreeCount;
 
@@ -864,7 +866,7 @@ fn fig14_comm_compare(scale: Scale, cells: &mut Cells) -> Vec<Table> {
         &["input", "PB-SW", "PHI", "COBRA", "COBRA-COMM"],
     );
 
-    for ni in inputs::graph_suite(scale) {
+    for ni in suite {
         let Input::Graph { el, .. } = &ni.input else {
             continue;
         };
@@ -927,6 +929,7 @@ const ITERS: u32 = 4;
 /// Pagerank run to convergence, with initialization overheads broken out
 /// (the shaded bars of the paper's figure).
 fn fig15_tiling_vs_pb(scale: Scale, cells: &mut Cells) -> Vec<Table> {
+    let suite = inputs::graph_suite_small(cells, scale);
     let machine = cells.machine();
     let mut t = Table::new(
         "Figure 15: Pagerank-to-convergence runtime, normalized to Baseline (lower is better)",
@@ -940,7 +943,7 @@ fn fig15_tiling_vs_pb(scale: Scale, cells: &mut Cells) -> Vec<Table> {
             "Tiling speedup (no init)",
         ],
     );
-    for ni in inputs::graph_suite_small(scale) {
+    for ni in suite {
         let Input::Graph { csr, .. } = &ni.input else {
             continue;
         };
@@ -995,7 +998,7 @@ fn ablation_partitioning(scale: Scale, cells: &mut Cells) -> Vec<Table> {
         "Ablation: COBRA without static cache partitioning (Binning phase)",
         &["input", "C-Buffer miss rate", "binning cycles vs pinned"],
     );
-    for ni in inputs::graph_suite(scale) {
+    for ni in inputs::graph_suite(cells, scale) {
         let Input::Graph { el, .. } = &ni.input else {
             continue;
         };

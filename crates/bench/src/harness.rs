@@ -2,10 +2,11 @@
 //! `repro` row reads, and the PB-SW / PB-SW-IDEAL operating points of
 //! Figure 10 built from it the way the paper does.
 
-use crate::inputs::NamedInput;
+use crate::inputs::{NamedInput, Scale};
 use cobra_core::exec::{phases, RunMetrics};
 use cobra_kernels::{bin_choices, run, KernelId, ModeSpec, RunOutcome};
 use cobra_sim::MachineConfig;
+use std::rc::Rc;
 
 /// Baseline, PB-SW and PB-SW-IDEAL for one kernel × input: every mode of
 /// Figure 10 but COBRA.
@@ -50,12 +51,17 @@ struct Cell {
 /// cell checks its output digest against the other cells of its kernel
 /// and input: every mode must compute the same result, and this is the
 /// one place that says so. A cell is keyed by the input's name, so one
-/// table serves one input [`Scale`](crate::Scale).
+/// table serves one input [`Scale`].
+///
+/// Beside the cells the table keeps every named input the rows read
+/// (see [`input`](Self::input)): a suite input is generated once per
+/// process, however many rows read it.
 #[derive(Debug)]
 pub struct Cells {
     machine: MachineConfig,
     cells: Vec<Cell>,
     reused: usize,
+    inputs: Vec<(Scale, Rc<NamedInput>)>,
 }
 
 impl Cells {
@@ -65,7 +71,30 @@ impl Cells {
             machine,
             cells: Vec::new(),
             reused: 0,
+            inputs: Vec::new(),
         }
+    }
+
+    /// The input named `name` at `scale`: built by `generate` the first
+    /// time any row asks for it, shared after that.
+    pub fn input(
+        &mut self,
+        name: &str,
+        scale: Scale,
+        generate: impl FnOnce() -> NamedInput,
+    ) -> Rc<NamedInput> {
+        let made = |(s, ni): &&(Scale, Rc<NamedInput>)| *s == scale && ni.name == name;
+        if let Some((_, ni)) = self.inputs.iter().find(made) {
+            return Rc::clone(ni);
+        }
+        let ni = Rc::new(generate());
+        self.inputs.push((scale, Rc::clone(&ni)));
+        ni
+    }
+
+    /// Inputs generated so far.
+    pub fn inputs_generated(&self) -> usize {
+        self.inputs.len()
     }
 
     /// The simulated machine.
@@ -161,12 +190,13 @@ fn fastest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inputs::{representative_input, Scale};
+    use crate::inputs::{graph_suite, representative_input};
+    use crate::Scale;
 
     #[test]
     fn mode_runs_produce_consistent_shapes() {
         let mut cells = Cells::new(MachineConfig::hpca22());
-        let ni = representative_input(KernelId::DegreeCount, Scale::Quick);
+        let ni = representative_input(&mut cells, KernelId::DegreeCount, Scale::Quick);
         let pb = cells.pb_modes(KernelId::DegreeCount, &ni);
         let cobra = cells.get(KernelId::DegreeCount, &ni, ModeSpec::cobra_default());
         assert!(pb.baseline.metrics.cycles() > 0);
@@ -183,10 +213,23 @@ mod tests {
     }
 
     #[test]
+    fn one_generation_serves_two_rows() {
+        // A suite row (`tab3_inputs`, `fig14`) and a representative row
+        // (`fig02`) both read DBP'; the second read is the first's input.
+        let mut cells = Cells::new(MachineConfig::hpca22());
+        let suite = graph_suite(&mut cells, Scale::Quick);
+        assert_eq!(cells.inputs_generated(), suite.len());
+        let dbp = representative_input(&mut cells, KernelId::DegreeCount, Scale::Quick);
+        assert_eq!(dbp.name, "DBP'");
+        assert!(Rc::ptr_eq(&dbp, &suite[0]), "DBP' was generated again");
+        assert_eq!(cells.inputs_generated(), suite.len());
+    }
+
+    #[test]
     fn a_cell_is_simulated_once_per_process() {
         let kernel = KernelId::DegreeCount;
         let mut cells = Cells::new(MachineConfig::hpca22());
-        let ni = representative_input(kernel, Scale::Quick);
+        let ni = representative_input(&mut cells, kernel, Scale::Quick);
 
         // Asking a cell twice simulates it once.
         let first = cells.get(kernel, &ni, ModeSpec::Baseline);

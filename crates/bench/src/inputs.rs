@@ -6,8 +6,10 @@
 //! road networks (EURO), an extra-skew class (HBUBL), HPCG-like stencils and
 //! SuiteSparse-style simulation/optimization matrices.
 
+use crate::harness::Cells;
 use cobra_graph::{gen, matrix};
 use cobra_kernels::Input;
+use std::rc::Rc;
 
 /// Input sizing: `Quick` for CI, `Standard` for the default evaluation,
 /// `Full` for paper-regime runs (slow).
@@ -91,12 +93,13 @@ pub struct NamedInput {
     pub input: Input,
 }
 
-fn named(&(name, class, build): &Entry, scale: Scale) -> NamedInput {
-    NamedInput {
+/// `entry`'s input at `scale`, generated once per [`Cells`] table.
+fn named(cells: &mut Cells, &(name, class, build): &Entry, scale: Scale) -> Rc<NamedInput> {
+    cells.input(name, scale, || NamedInput {
         name: name.to_owned(),
         class,
         input: build(scale),
-    }
+    })
 }
 
 /// A suite input: its name, its class and its generator.
@@ -163,23 +166,23 @@ const SORT: [Entry; 1] = [("RKEYS'", "uniform random keys", |s| {
 })];
 
 /// The graph suite (power-law, Kronecker, uniform, road, extra-skew).
-pub fn graph_suite(scale: Scale) -> Vec<NamedInput> {
-    GRAPHS.iter().map(|e| named(e, scale)).collect()
+pub fn graph_suite(cells: &mut Cells, scale: Scale) -> Vec<Rc<NamedInput>> {
+    GRAPHS.iter().map(|e| named(cells, e, scale)).collect()
 }
 
 /// A reduced graph suite for the more expensive sweeps.
-pub fn graph_suite_small(scale: Scale) -> Vec<NamedInput> {
-    GRAPHS[..3].iter().map(|e| named(e, scale)).collect()
+pub fn graph_suite_small(cells: &mut Cells, scale: Scale) -> Vec<Rc<NamedInput>> {
+    GRAPHS[..3].iter().map(|e| named(cells, e, scale)).collect()
 }
 
 /// The matrix suite (stencil / banded / random / power-law classes).
-pub fn matrix_suite(scale: Scale) -> Vec<NamedInput> {
-    MATRICES.iter().map(|e| named(e, scale)).collect()
+pub fn matrix_suite(cells: &mut Cells, scale: Scale) -> Vec<Rc<NamedInput>> {
+    MATRICES.iter().map(|e| named(cells, e, scale)).collect()
 }
 
 /// The sort input (random keys, as in the NAS IS setup).
-pub fn sort_input(scale: Scale) -> NamedInput {
-    named(&SORT[0], scale)
+pub fn sort_input(cells: &mut Cells, scale: Scale) -> Rc<NamedInput> {
+    named(cells, &SORT[0], scale)
 }
 
 /// The suite a kernel is evaluated on, mirroring Section VI's pairing of
@@ -195,30 +198,38 @@ fn suite_of(kernel: cobra_kernels::KernelId) -> (&'static [Entry], usize) {
     }
 }
 
-/// The default inputs a kernel is evaluated on, in suite order. Each is
-/// generated only when the iterator reaches it, so a prefix (`take`)
-/// builds only the inputs it keeps.
+/// The first `keep` of the default inputs a kernel is evaluated on, in
+/// suite order; only those are generated.
 pub fn kernel_inputs(
+    cells: &mut Cells,
     kernel: cobra_kernels::KernelId,
     scale: Scale,
-) -> impl Iterator<Item = NamedInput> {
-    suite_of(kernel).0.iter().map(move |e| named(e, scale))
+    keep: usize,
+) -> Vec<Rc<NamedInput>> {
+    let suite = suite_of(kernel).0.iter().take(keep);
+    suite.map(|e| named(cells, e, scale)).collect()
 }
 
 /// One representative input per kernel (for the single-input sweeps);
 /// only that input is generated.
-pub fn representative_input(kernel: cobra_kernels::KernelId, scale: Scale) -> NamedInput {
+pub fn representative_input(
+    cells: &mut Cells,
+    kernel: cobra_kernels::KernelId,
+    scale: Scale,
+) -> Rc<NamedInput> {
     let (suite, i) = suite_of(kernel);
-    named(&suite[i], scale)
+    named(cells, &suite[i], scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobra_sim::MachineConfig;
 
     #[test]
     fn quick_suite_generates() {
-        let gs = graph_suite(Scale::Quick);
+        let mut cells = Cells::new(MachineConfig::hpca22());
+        let gs = graph_suite(&mut cells, Scale::Quick);
         assert_eq!(gs.len(), 5);
         for g in &gs {
             assert!(
@@ -227,15 +238,17 @@ mod tests {
                 g.name
             );
         }
-        let ms = matrix_suite(Scale::Quick);
+        let ms = matrix_suite(&mut cells, Scale::Quick);
         assert_eq!(ms.len(), 4);
-        let s = sort_input(Scale::Quick);
+        let s = sort_input(&mut cells, Scale::Quick);
         assert!(s.input.num_updates(cobra_kernels::KernelId::IntSort) > 0);
     }
 
     #[test]
     fn spgemm_suite_generates() {
-        let suite: Vec<_> = kernel_inputs(cobra_kernels::KernelId::SpGemm, Scale::Quick).collect();
+        let mut cells = Cells::new(MachineConfig::hpca22());
+        let spgemm = cobra_kernels::KernelId::SpGemm;
+        let suite = kernel_inputs(&mut cells, spgemm, Scale::Quick, usize::MAX);
         assert_eq!(suite.len(), 2);
         for s in &suite {
             assert!(s.input.num_updates(cobra_kernels::KernelId::SpGemm) > 0);
@@ -244,9 +257,10 @@ mod tests {
 
     #[test]
     fn every_kernel_has_inputs() {
+        let mut cells = Cells::new(MachineConfig::hpca22());
         for &k in &cobra_kernels::ALL_KERNELS {
-            assert!(kernel_inputs(k, Scale::Quick).next().is_some());
-            let _ = representative_input(k, Scale::Quick);
+            assert!(!kernel_inputs(&mut cells, k, Scale::Quick, 1).is_empty());
+            let _ = representative_input(&mut cells, k, Scale::Quick);
         }
     }
 }

@@ -126,6 +126,11 @@ impl<V: Copy> CBufFrame<V> {
         self.values.push(value);
     }
 
+    /// Takes the last staged tuple back out (nothing if none is staged).
+    pub fn pop(&mut self) {
+        self.values.pop();
+    }
+
     /// The staged keys, in insertion order.
     pub fn keys(&self) -> &[u32] {
         &self.keys[..self.values.len()]

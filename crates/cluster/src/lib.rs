@@ -17,7 +17,10 @@
 //!   ([`cobra_stream::shard_plan`]) routes keys to nodes across the
 //!   cluster.
 //! * [`ClusterRouter`] — client-side binning: per-node buffers flushed
-//!   as dense `UPDATE` frames, plus the coordinator-free epoch barrier
+//!   as dense `UPDATE` frames by the workspace's one routing body
+//!   ([`cobra_stream::route`], the body `Binner` and `IngestHandle` run),
+//!   with the node connections as its destinations; plus the
+//!   coordinator-free epoch barrier
 //!   ([`seal_and_commit`]): seal every node, verify the epoch numbers
 //!   agree, then `WAIT_EPOCH` on every node so the cluster snapshot for
 //!   epoch `E` can only be assembled after every node has durably

@@ -56,6 +56,12 @@ impl RangeMap {
         self.num_keys
     }
 
+    /// log2 of the keys per node range: the node of an in-range key is
+    /// `key >> shift`.
+    pub(crate) fn shift(&self) -> u32 {
+        self.shift
+    }
+
     /// The node owning `key`, or `None` when `key >= num_keys`.
     pub fn node_of(&self, key: u32) -> Option<usize> {
         if key >= self.num_keys {

@@ -22,6 +22,7 @@
 use crate::range::RangeMap;
 use cobra_serve::protocol::MAX_SNAPSHOT_KEYS;
 use cobra_serve::{ClientError, ServeClient, WireStats};
+use cobra_stream::route::{route, Destinations, Stop};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -109,7 +110,37 @@ impl Default for ClusterConfig {
 struct Node {
     addr: String,
     client: ServeClient,
-    buf: Vec<(u32, u64)>,
+}
+
+impl Node {
+    /// Runs one client call on node `n`, naming the node in its error.
+    fn call<T>(
+        &mut self,
+        n: usize,
+        f: impl FnOnce(&mut ServeClient) -> Result<T, ClientError>,
+    ) -> Result<T, ClusterError> {
+        f(&mut self.client).map_err(|source| ClusterError::NodeDown {
+            node: n,
+            addr: self.addr.clone(),
+            source,
+        })
+    }
+}
+
+/// The router's destinations for the shared routing body
+/// ([`cobra_stream::route`]): one node connection per frame.
+struct ToNodes<'a>(&'a mut [Node]);
+
+impl Destinations<u64> for ToNodes<'_> {
+    type Frame = Vec<(u32, u64)>;
+    type Refusal = ClusterError;
+
+    /// Sends the frame as `UPDATE` frames and empties it, delivered or not.
+    fn ship(&mut self, n: usize, buf: &mut Vec<(u32, u64)>) -> Result<(), ClusterError> {
+        let sent = self.0[n].call(n, |c| c.update_all(buf));
+        buf.clear();
+        sent.map(|_| ())
+    }
 }
 
 /// One client's view of the cluster: a [`RangeMap`], one connection per
@@ -121,6 +152,8 @@ struct Node {
 pub struct ClusterRouter {
     map: RangeMap,
     nodes: Vec<Node>,
+    /// One frame per node, indexed like `nodes`.
+    bufs: Vec<Vec<(u32, u64)>>,
     cfg: ClusterConfig,
 }
 
@@ -157,10 +190,15 @@ impl ClusterRouter {
             nodes.push(Node {
                 addr: addr.clone(),
                 client,
-                buf: Vec::with_capacity(cfg.batch_tuples),
             });
         }
-        Ok(ClusterRouter { map, nodes, cfg })
+        let bufs = vec![Vec::new(); nodes.len()];
+        Ok(ClusterRouter {
+            map,
+            nodes,
+            bufs,
+            cfg,
+        })
     }
 
     /// The key partition this router routes over.
@@ -168,45 +206,26 @@ impl ClusterRouter {
         &self.map
     }
 
-    fn node_err(&self, node: usize, source: ClientError) -> ClusterError {
-        ClusterError::NodeDown {
-            node,
-            addr: self.nodes[node].addr.clone(),
-            source,
-        }
-    }
-
-    fn flush_node(&mut self, n: usize) -> Result<(), ClusterError> {
-        if self.nodes[n].buf.is_empty() {
-            return Ok(());
-        }
-        let buf = std::mem::take(&mut self.nodes[n].buf);
-        let res = self.nodes[n].client.update_all(&buf);
-        self.nodes[n].buf = buf;
-        self.nodes[n].buf.clear();
-        res.map(|_| ()).map_err(|e| self.node_err(n, e))
-    }
-
     /// Routes one update into its node's buffer, flushing the buffer as a
-    /// full `UPDATE` frame when it reaches the configured batch size.
+    /// full `UPDATE` frame when it reaches the configured batch size: a
+    /// one-tuple run of the shared routing body.
     pub fn send(&mut self, key: u32, value: u64) -> Result<(), ClusterError> {
-        let Some(n) = self.map.node_of(key) else {
-            return Err(ClusterError::KeyOutOfRange {
-                key,
-                num_keys: self.map.num_keys(),
-            });
-        };
-        self.nodes[n].buf.push((key, value));
-        if self.nodes[n].buf.len() >= self.cfg.batch_tuples {
-            self.flush_node(n)?;
-        }
-        Ok(())
+        let (num_keys, shift) = (self.map.num_keys(), self.map.shift());
+        let (to, batch) = (&mut ToNodes(&mut self.nodes), self.cfg.batch_tuples);
+        let (_, stopped) = route([(key, value)], &mut self.bufs, to, num_keys, shift, batch);
+        stopped.map_err(|stop| match stop {
+            Stop::KeyOutOfRange(key) => ClusterError::KeyOutOfRange { key, num_keys },
+            Stop::Refused(down) => down,
+        })
     }
 
     /// Flushes every node's buffer (partial frames included).
     pub fn flush(&mut self) -> Result<(), ClusterError> {
-        for n in 0..self.nodes.len() {
-            self.flush_node(n)?;
+        let mut to = ToNodes(&mut self.nodes);
+        for (n, buf) in self.bufs.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                to.ship(n, buf)?;
+            }
         }
         Ok(())
     }
@@ -220,25 +239,18 @@ impl ClusterRouter {
     /// node's `EpochCommit`" rule, enforced by construction.
     pub fn seal_and_commit(&mut self) -> Result<u64, ClusterError> {
         self.flush()?;
-        let mut epochs = Vec::with_capacity(self.nodes.len());
-        for n in 0..self.nodes.len() {
-            let epoch = self.nodes[n]
-                .client
-                .seal()
-                .map_err(|e| self.node_err(n, e))?;
-            epochs.push(epoch);
-        }
+        let nodes = self.nodes.iter_mut().enumerate();
+        let epochs: Vec<u64> = nodes
+            .map(|(n, node)| node.call(n, ServeClient::seal))
+            .collect::<Result<_, _>>()?;
         let epoch = epochs[0];
         if epochs.iter().any(|&e| e != epoch) {
             return Err(ClusterError::EpochMisaligned { epochs });
         }
         // The barrier proper: every node must durably commit `epoch`
         // before any caller may treat the cluster epoch as complete.
-        for n in 0..self.nodes.len() {
-            self.nodes[n]
-                .client
-                .wait_epoch(epoch)
-                .map_err(|e| self.node_err(n, e))?;
+        for (n, node) in self.nodes.iter_mut().enumerate() {
+            node.call(n, |c| c.wait_epoch(epoch))?;
         }
         Ok(epoch)
     }
@@ -251,10 +263,7 @@ impl ClusterRouter {
                 num_keys: self.map.num_keys(),
             });
         };
-        self.nodes[n]
-            .client
-            .query(key)
-            .map_err(|e| self.node_err(n, e))
+        self.nodes[n].call(n, |c| c.query(key))
     }
 
     /// Assembles the cluster-wide snapshot for epoch `min_epoch`: each
@@ -270,12 +279,13 @@ impl ClusterRouter {
             let mut lo = range.start;
             while lo < range.end {
                 let hi = range.end.min(lo + MAX_SNAPSHOT_KEYS);
-                let (epoch, _, values) = self.nodes[n]
-                    .client
-                    .snapshot(0, lo, hi)
-                    .map_err(|e| self.node_err(n, e))?;
+                let (epoch, _, values) = self.nodes[n].call(n, |c| c.snapshot(0, lo, hi))?;
                 if epoch < min_epoch {
-                    // Committed but not yet published: poll, bounded.
+                    // Committed but not yet published. This cannot be a
+                    // wait: no frame waits for a *publish*. WAIT_EPOCH
+                    // answers at commit, and a node publishes after it
+                    // commits (R6), so the gap is one accumulator step
+                    // past the barrier; poll it, bounded by the deadline.
                     if Instant::now() >= deadline {
                         return Err(ClusterError::SnapshotTimeout {
                             node: n,
@@ -295,14 +305,9 @@ impl ClusterRouter {
     /// Fetches every node's server statistics, indexed like the address
     /// list (per-node throughput for the bench harness).
     pub fn stats(&mut self) -> Result<Vec<WireStats>, ClusterError> {
-        let mut all = Vec::with_capacity(self.nodes.len());
-        for n in 0..self.nodes.len() {
-            let s = self.nodes[n]
-                .client
-                .stats()
-                .map_err(|e| self.node_err(n, e))?;
-            all.push(s);
-        }
-        Ok(all)
+        let nodes = self.nodes.iter_mut().enumerate();
+        nodes
+            .map(|(n, node)| node.call(n, ServeClient::stats))
+            .collect()
     }
 }

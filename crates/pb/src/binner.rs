@@ -6,9 +6,11 @@
 //! the store's per-bin `keys`/`values` columns.
 
 use crate::accumulate::{accumulate, Bin};
+use crate::route::{route, Destinations, Stop};
 use cobra_bins::{
     BinMemory, BinStore, CBufFrame, FrameFlushStats, FrozenBins, FuseStats, FuseTable, FRAME_KEYS,
 };
+use std::convert::Infallible;
 
 /// One buffered update: apply `value` to the datum identified by `key`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -19,6 +21,12 @@ pub struct Tuple<V> {
     pub value: V,
 }
 
+impl<V> From<(u32, V)> for Tuple<V> {
+    fn from((key, value): (u32, V)) -> Self {
+        Tuple { key, value }
+    }
+}
+
 /// A binner: routes `(key, value)` tuples into per-range bins through
 /// coalescing buffers (C-Buffers) of whole cache lines per column, as
 /// software PB's Binning phase does (paper, Section III).
@@ -26,24 +34,29 @@ pub struct Tuple<V> {
 /// The bin range is always a power of two so routing is a shift rather than
 /// a division (Section V-A notes real implementations do the same).
 ///
-/// There is one routing body, and it takes a run of tuples.
-/// [`extend`](Self::extend) and [`extend_fused`](Self::extend_fused)
-/// hand it a whole run; [`insert`](Self::insert) and
-/// [`insert_fused`](Self::insert_fused) hand it a run of one. The four
-/// names differ only in the run and the merge policy they pass (never
-/// merge / the caller's closure), and may be mixed freely on one binner.
+/// Routing is the workspace's one routing body, [`route`], and it takes a
+/// run of tuples. [`extend`](Self::extend) and
+/// [`extend_fused`](Self::extend_fused) hand it a whole run;
+/// [`insert`](Self::insert) and [`insert_fused`](Self::insert_fused) hand
+/// it a run of one. The four names differ only in the run and the merge
+/// step they pass (none / the caller's closure), and may be mixed freely
+/// on one binner.
 #[derive(Debug, Clone)]
 pub struct Binner<V> {
-    num_keys: u32,
     /// C-Buffers, one per bin, each a cacheline-aligned staging frame of
     /// [`FRAME_KEYS`] tuples — for every `V`: the frame is columnar, so
     /// the padded size of a [`Tuple<V>`] has no bearing on it.
     cbufs: Vec<CBufFrame<V>>,
+    sink: BinSink<V>,
+}
+
+/// Where a binner's full C-Buffers go: bin memory and its counters.
+#[derive(Debug, Clone)]
+struct BinSink<V> {
     store: BinStore<V>,
     flush_stats: FrameFlushStats,
     /// Coup-style frame fusion state, allocated by the first tuple routed
-    /// through [`insert_fused`](Self::insert_fused) or
-    /// [`extend_fused`](Self::extend_fused) (plain binners pay nothing).
+    /// through `insert_fused` or `extend_fused` (plain binners pay nothing).
     fusion: Option<FusionState>,
 }
 
@@ -63,33 +76,62 @@ impl FusionState {
     }
 }
 
-/// What the routing body does when an incoming tuple finds a tuple with
-/// its key still staged in the open C-Buffer frame.
-trait MergePolicy<V> {
-    /// `false` compiles the frame probe out of the routing body.
-    const FUSES: bool;
+/// A binner's bins as the destinations of one run of [`route`]: a full
+/// C-Buffer flushes into its bin. With `FUSES` the merge step is the
+/// Coup-style frame probe under the closure; without it the probe
+/// compiles out of the routing body.
+struct ToBins<'a, V, M, const FUSES: bool>(&'a mut BinSink<V>, M);
 
-    /// Folds `incoming` into `staged`; `false` stages `incoming` normally.
-    fn merge(&mut self, staged: &mut V, incoming: &V) -> bool;
+/// The merge step of [`Binner::insert`] and [`Binner::extend`]: none.
+fn never<V>(_: &mut V, _: &V) -> bool {
+    false
 }
 
-/// [`Binner::insert`]'s policy: every tuple crosses into bin memory.
-struct NeverMerge;
+impl<V: Copy, M, const FUSES: bool> Destinations<V> for ToBins<'_, V, M, FUSES>
+where
+    M: FnMut(&mut V, &V) -> bool,
+{
+    type Frame = CBufFrame<V>;
+    type Refusal = Infallible;
+    const MERGES: bool = FUSES;
 
-impl<V> MergePolicy<V> for NeverMerge {
-    const FUSES: bool = false;
-
-    fn merge(&mut self, _: &mut V, _: &V) -> bool {
+    #[inline]
+    fn merge(&mut self, b: usize, cbuf: &mut CBufFrame<V>, key: u32, value: &V) -> bool {
+        // Allocated on the first fused tuple, not the first fused run: an
+        // empty run leaves a plain binner plain.
+        let (sink, merge) = (&mut *self.0, &mut self.1);
+        let num_bins = sink.store.num_bins();
+        let f = sink
+            .fusion
+            .get_or_insert_with(|| FusionState::new(num_bins));
+        f.stats.attempts += 1;
+        let table = &mut f.tables[b];
+        if let Some(i) = table.probe(key) {
+            // The table is cleared on every frame flush, so a live slot
+            // always points at a staged tuple carrying exactly this key.
+            debug_assert_eq!(cbuf.keys().get(i).copied(), Some(key));
+            if merge(cbuf.value_mut(i), value) {
+                f.stats.hits += 1;
+                return true;
+            }
+        }
+        table.note(key, cbuf.len());
         false
     }
-}
 
-/// [`Binner::insert_fused`]'s policy: the caller's closure decides.
-impl<V, F: FnMut(&mut V, &V) -> bool> MergePolicy<V> for F {
-    const FUSES: bool = true;
-
-    fn merge(&mut self, staged: &mut V, incoming: &V) -> bool {
-        self(staged, incoming)
+    /// Bulk-transfers whole lines of each column to the in-memory bin
+    /// (software PB uses non-temporal stores here).
+    #[inline]
+    fn ship(&mut self, b: usize, cbuf: &mut CBufFrame<V>) -> Result<(), Infallible> {
+        let sink = &mut *self.0;
+        sink.flush_stats.record(cbuf.flush_into(&mut sink.store, b));
+        // The frame emptied: any coalescing positions it tracked are
+        // gone, whichever merge step staged the tuple that filled it.
+        if let Some(f) = sink.fusion.as_mut() {
+            f.tables[b].clear();
+            f.stats.flushes += 1;
+        }
+        Ok(())
     }
 }
 
@@ -114,16 +156,17 @@ impl<V: Copy> Binner<V> {
     pub fn new(num_keys: u32, min_bins: usize) -> Self {
         let store = BinStore::new(num_keys, min_bins);
         Binner {
-            num_keys,
             cbufs: (0..store.num_bins())
                 .map(|_| CBufFrame::with_capacity(FRAME_KEYS))
                 .collect(),
-            flush_stats: FrameFlushStats {
-                frame_capacity: FRAME_KEYS as u32,
-                ..Default::default()
+            sink: BinSink {
+                flush_stats: FrameFlushStats {
+                    frame_capacity: FRAME_KEYS as u32,
+                    ..Default::default()
+                },
+                store,
+                fusion: None,
             },
-            store,
-            fusion: None,
         }
     }
 
@@ -137,46 +180,46 @@ impl<V: Copy> Binner<V> {
     ///
     /// Panics if `counts.len() != num_bins()`.
     pub fn reserve(&mut self, counts: &[u32]) {
-        self.store.reserve(counts);
+        self.sink.store.reserve(counts);
     }
 
     /// Number of bins.
     pub fn num_bins(&self) -> usize {
-        self.store.num_bins()
+        self.sink.store.num_bins()
     }
 
     /// log2 of the bin range.
     pub fn bin_shift(&self) -> u32 {
-        self.store.bin_shift()
+        self.sink.store.bin_shift()
     }
 
     /// Number of keys per bin (a power of two).
     pub fn bin_range(&self) -> u64 {
-        self.store.bin_range()
+        self.sink.store.bin_range()
     }
 
     /// Routes one update tuple: a one-tuple [`extend`](Self::extend).
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if `key >= num_keys`.
+    /// Panics if `key >= num_keys`.
     #[inline]
     pub fn insert(&mut self, key: u32, value: V) {
-        self.route(std::iter::once((key, value)), NeverMerge);
+        self.route::<false>(std::iter::once((key, value)), never);
     }
 
     /// Routes a run of update tuples, in order. The bins, their tuple
     /// order and every counter come out exactly as one
     /// [`insert`](Self::insert) per tuple would leave them; the run only
-    /// lets the routing body keep the bin shift, the frame slice and the
-    /// counters in locals from its first tuple to its last.
+    /// lets the routing body keep the bin shift and the frame slice in
+    /// locals from its first tuple to its last.
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if a key is `>= num_keys`.
+    /// Panics if a key is `>= num_keys`.
     #[inline]
     pub fn extend<I: IntoIterator<Item = (u32, V)>>(&mut self, run: I) {
-        self.route(run, NeverMerge);
+        self.route::<false>(run, never);
     }
 
     /// Routes one update tuple through the Coup-style frame fusion pass:
@@ -196,10 +239,10 @@ impl<V: Copy> Binner<V> {
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if `key >= num_keys`.
+    /// Panics if `key >= num_keys`.
     #[inline]
     pub fn insert_fused<F: FnMut(&mut V, &V) -> bool>(&mut self, key: u32, value: V, merge: F) {
-        self.route(std::iter::once((key, value)), merge);
+        self.route::<true>(std::iter::once((key, value)), merge);
     }
 
     /// Routes a run of update tuples, in order, through the fusion pass
@@ -210,84 +253,39 @@ impl<V: Copy> Binner<V> {
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if a key is `>= num_keys`.
+    /// Panics if a key is `>= num_keys`.
     #[inline]
     pub fn extend_fused<I, F>(&mut self, run: I, merge: F)
     where
         I: IntoIterator<Item = (u32, V)>,
         F: FnMut(&mut V, &V) -> bool,
     {
-        self.route(run, merge);
+        self.route::<true>(run, merge);
     }
 
-    /// The one routing body: per tuple, bounds check, shift, (probe and
-    /// maybe merge,) stage, and a bulk transfer into bin memory when the
-    /// frame fills. The bin shift, the frame slice and the `attempts` /
-    /// `hits` counters are locals for the whole run; the counters are
-    /// written back once, at its end.
+    /// Routes a run through the shared routing body into bin memory. The
+    /// body checks every key against the domain, so a key past
+    /// `num_keys` panics here, before it is staged, in every build.
     #[inline]
-    fn route<M: MergePolicy<V>>(&mut self, run: impl IntoIterator<Item = (u32, V)>, mut merge: M) {
-        let Binner {
-            num_keys,
-            cbufs,
-            store,
-            flush_stats,
-            fusion,
-        } = self;
-        let (num_keys, shift, num_bins) = (*num_keys, store.bin_shift(), cbufs.len());
-        let cbufs = cbufs.as_mut_slice();
-        let (mut attempts, mut hits) = (0u64, 0u64);
-        for (key, value) in run {
-            debug_assert!(
-                key < num_keys,
-                "key {key} out of range (domain is 0..{num_keys})"
-            );
-            let b = (key >> shift) as usize;
-            let cbuf = &mut cbufs[b];
-            if M::FUSES {
-                // Allocated on the first fused tuple, not the first fused
-                // run: an empty run leaves a plain binner plain.
-                let f = fusion.get_or_insert_with(|| FusionState::new(num_bins));
-                attempts += 1;
-                let table = &mut f.tables[b];
-                if let Some(i) = table.probe(key) {
-                    // The table is cleared on every frame flush, so a live
-                    // slot always points at a staged tuple carrying exactly
-                    // this key.
-                    debug_assert_eq!(cbuf.keys().get(i).copied(), Some(key));
-                    if merge.merge(cbuf.value_mut(i), &value) {
-                        hits += 1;
-                        continue;
-                    }
-                }
-                table.note(key, cbuf.len());
-            }
-            cbuf.push(key, value);
-            if cbuf.is_full() {
-                // Full frame: bulk-transfer whole lines of each column to
-                // the in-memory bin (software PB uses non-temporal stores
-                // here).
-                let n = cbuf.flush_into(store, b);
-                flush_stats.record(n);
-                // The frame emptied: any coalescing positions it tracked
-                // are gone, whichever policy staged the tuple that filled
-                // it.
-                if let Some(f) = fusion.as_mut() {
-                    f.tables[b].clear();
-                    f.stats.flushes += 1;
-                }
-            }
-        }
-        if let Some(f) = fusion.as_mut() {
-            f.stats.attempts += attempts;
-            f.stats.hits += hits;
+    fn route<const FUSES: bool>(
+        &mut self,
+        run: impl IntoIterator<Item = (u32, V)>,
+        merge: impl FnMut(&mut V, &V) -> bool,
+    ) {
+        let (num_keys, shift) = (self.sink.store.num_keys(), self.bin_shift());
+        let mut to = ToBins::<_, _, FUSES>(&mut self.sink, merge);
+        let (_, stopped) = route(run, &mut self.cbufs, &mut to, num_keys, shift, FRAME_KEYS);
+        if let Err(Stop::KeyOutOfRange(key)) = stopped {
+            panic!("key {key} out of range (domain is 0..{num_keys})");
         }
     }
 
     /// Flushes all partially-filled C-Buffers and returns the bins.
     pub fn finish(mut self) -> Bins<V> {
         self.flush_cbufs();
-        Bins { store: self.store }
+        Bins {
+            store: self.sink.store,
+        }
     }
 
     /// Flushes all partially-filled C-Buffers and swaps the filled bins
@@ -301,44 +299,41 @@ impl<V: Copy> Binner<V> {
     pub fn take_bins(&mut self) -> Bins<V> {
         self.flush_cbufs();
         Bins {
-            store: self.store.take(),
+            store: self.sink.store.take(),
         }
     }
 
     /// Tuples currently buffered (C-Buffers plus unflushed bins).
     pub fn buffered_len(&self) -> usize {
-        self.cbufs.iter().map(CBufFrame::len).sum::<usize>() + self.store.len()
+        self.cbufs.iter().map(CBufFrame::len).sum::<usize>() + self.sink.store.len()
     }
 
     /// Bin-memory footprint of the backing store (column bytes, tuples,
     /// slab segments). C-Buffer staging frames are not counted — they are
     /// fixed-size and cache resident by design.
     pub fn memory(&self) -> BinMemory {
-        self.store.memory()
+        self.sink.store.memory()
     }
 
     /// Running C-Buffer flush statistics (occupancy of transferred
     /// frames; partial end-of-epoch flushes lower the average).
     pub fn flush_stats(&self) -> FrameFlushStats {
-        self.flush_stats
+        self.sink.flush_stats
     }
 
     /// Running Coup-style fusion counters (all zero until a tuple takes
     /// [`insert_fused`](Self::insert_fused) or
     /// [`extend_fused`](Self::extend_fused)).
     pub fn fuse_stats(&self) -> FuseStats {
-        self.fusion.as_ref().map(|f| f.stats).unwrap_or_default()
+        let fusion = self.sink.fusion.as_ref();
+        fusion.map(|f| f.stats).unwrap_or_default()
     }
 
     fn flush_cbufs(&mut self) {
+        let mut to = ToBins::<_, _, false>(&mut self.sink, never);
         for (b, cbuf) in self.cbufs.iter_mut().enumerate() {
-            let n = cbuf.flush_into(&mut self.store, b);
-            if n > 0 {
-                self.flush_stats.record(n);
-                if let Some(f) = self.fusion.as_mut() {
-                    f.tables[b].clear();
-                    f.stats.flushes += 1;
-                }
+            if !cbuf.is_empty() {
+                let Ok(()) = to.ship(b, cbuf);
             }
         }
     }
@@ -680,13 +675,12 @@ pub(crate) mod tests {
         assert_eq!(rest.keys(1), &(100..120).collect::<Vec<_>>()[..]);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "out of range")]
     fn checked_insert_panics_on_out_of_range_key() {
-        // The bounds check is a debug assertion; callers that take keys
-        // from outside (`IngestHandle::{send, try_send_all}`, WAL replay)
-        // validate before they insert.
+        // The routing body checks the key against the domain, not
+        // against the bins: 4 bins of 32 keys cover 0..128, yet 100 is
+        // refused, in every build.
         let mut b = Binner::<u32>::new(100, 4);
         b.insert(100, 7);
     }

@@ -40,12 +40,25 @@
 //! assert_eq!(bins.keys(3), &[200]);
 //! ```
 //!
-//! [`Binner`] has one routing body, and it takes a run of tuples:
-//! [`Binner::extend`] and [`Binner::extend_fused`] pass a whole run,
-//! [`Binner::insert`] and [`Binner::insert_fused`] a run of one. For a
-//! whole run the body holds the bin shift, the frame slice and the
-//! fusion counters in locals; the bins and every counter come out as
-//! they would one tuple at a time.
+//! ## One routing body for every level
+//!
+//! COBRA bins at every level of a hierarchy with power-of-two ranges.
+//! [`route::route`] is that mechanism, written once: per tuple of a run
+//! it checks the key against the domain, shifts it to name a
+//! destination, stages it in that destination's frame (or lets the
+//! level merge it into a staged one) and hands a full frame off; a
+//! refused hand-off takes the tuple back out and stops the run. Three
+//! levels run it, each with its own [`route::Destinations`]:
+//!
+//! * [`Binner`]: C-Buffer frames flushed into bin memory, with
+//!   Coup-style fusion as the merge step. [`Binner::extend`] and
+//!   [`Binner::extend_fused`] pass a whole run, [`Binner::insert`] and
+//!   [`Binner::insert_fused`] a run of one; the bins and every counter
+//!   come out as they would one tuple at a time.
+//! * `cobra-stream`'s `IngestHandle`: frames moved into shard FIFOs,
+//!   which block `send` or refuse `try_send_all` when full.
+//! * `cobra-cluster`'s `ClusterRouter`: frames sent to a node as one
+//!   `UPDATE` batch.
 //!
 //! ## Parallel use
 //!
@@ -78,6 +91,7 @@ mod accumulate;
 pub mod binner;
 pub mod config;
 pub mod parallel;
+pub mod route;
 
 pub use accumulate::{accumulate, Bin};
 pub use binner::{Binner, Bins, Tuple};

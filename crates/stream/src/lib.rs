@@ -21,7 +21,10 @@
 //!   tuples, 16 KiB of `(u32, u64)`, allocated once and shipped whole) and
 //!   ship them into bounded FIFO channels; a full FIFO blocks the
 //!   producer, and that backpressure is measured exactly like
-//!   `cobra-core`'s simulated eviction-buffer stalls.
+//!   `cobra-core`'s simulated eviction-buffer stalls. Staging and shipping
+//!   are [`cobra_pb::route`], the same routing body the shard's
+//!   [`cobra_pb::Binner`] runs one level down, with the shard FIFOs as its
+//!   destinations: `send` blocks on a full FIFO, `try_send_all` is refused.
 //! * Each shard worker owns a [`cobra_pb::Binner`] over a disjoint key
 //!   sub-range and bins continuously. It also owns that range's per-key
 //!   state: the copy-on-write handles of its snapshot segments. The
@@ -81,6 +84,9 @@ pub use pipeline::{
 };
 pub use reducer::{Append, Count, Latest, Reducer, Sum};
 pub use stats::{ShardStats, StreamStats};
+// The shared routing body, re-exported so the cluster router routes
+// through it with no direct cobra-pb dependency.
+pub use cobra_pb::route;
 // Durable-mode vocabulary re-exported so downstream crates (the serve
 // layer, benches) need no direct cobra-wal dependency.
 pub use cobra_wal::{SyncPolicy, WalValue};

@@ -15,6 +15,7 @@ use crate::reducer::Reducer;
 use crate::shard::{ShardMsg, ShardWal, ShardWorker};
 use crate::stats::{ShardCounters, ShardStats, StreamStats};
 use cobra_bins::bin_geometry;
+use cobra_pb::route::{route, Destinations, Stop};
 use cobra_pb::{Binner, Tuple};
 use cobra_wal::WalStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,38 +189,80 @@ pub struct IngestHandle<V> {
     buffers: Vec<Vec<Tuple<V>>>,
 }
 
-/// What [`IngestHandle::ship`] does when the shard FIFO is full.
+/// What a shard FIFO does with a frame when it is full.
 #[derive(Clone, Copy)]
 enum OnFull {
     /// Park on the FIFO's `not_full` condvar (backpressure).
     Wait,
-    /// Hand the batch back as [`TryIngestError::Busy`].
+    /// Hand the frame back as [`TryIngestError::Busy`].
     Refuse,
 }
 
+/// A handle's destinations for the shared routing body
+/// ([`cobra_pb::route`]): the shard FIFOs, under one [`OnFull`] policy.
+struct ToShards<'a, V>(&'a Core<V>, OnFull);
+
+impl<V> Destinations<V> for ToShards<'_, V> {
+    type Frame = Vec<Tuple<V>>;
+    type Refusal = TryIngestError;
+
+    /// Moves `shard`'s frame into its FIFO and counts it. A frame the FIFO
+    /// refuses as [`Busy`](TryIngestError::Busy) goes back into the
+    /// buffer, so no tuple is lost and the caller decides whether to
+    /// retry; one refused as `Closed` can never be delivered and is dropped.
+    fn ship(&mut self, shard: usize, frame: &mut Vec<Tuple<V>>) -> Result<(), TryIngestError> {
+        let n = frame.len() as u64;
+        let batch = ShardMsg::Batch(std::mem::take(frame));
+        let (core, on_full) = (self.0, self.1);
+        let tx = &core.senders[shard];
+        match on_full {
+            OnFull::Wait => tx.send(batch).map_err(|_| TryIngestError::Closed)?,
+            OnFull::Refuse => tx.try_send(batch).map_err(|e| match e {
+                channel::TrySendError::Full(ShardMsg::Batch(batch)) => {
+                    *frame = batch;
+                    TryIngestError::Busy
+                }
+                _ => TryIngestError::Closed,
+            })?,
+        }
+        // ordering: Relaxed — stats counter, no payload published through it.
+        core.batches_sent.fetch_add(1, Ordering::Relaxed);
+        // ordering: Relaxed — audited: the auto-seal decision below needs
+        // only the atomicity of fetch_add (its linearization guarantees
+        // exactly one shipper observes each `epoch_tuples` threshold
+        // crossing, so exactly one triggers the seal); the seal itself
+        // synchronizes via `seal_lock` and the channel mutexes.
+        let before = core.tuples_sent.fetch_add(n, Ordering::Relaxed);
+        if let Some(every) = core.epoch_tuples {
+            if (before + n) / every > before / every {
+                core.seal();
+            }
+        }
+        Ok(())
+    }
+}
+
 impl<V> IngestHandle<V> {
-    /// Routes one `(key, value)` update.
-    ///
-    /// Blocks when the destination shard's FIFO is full (backpressure).
+    /// Routes one `(key, value)` update: a one-tuple run that blocks when
+    /// the destination shard's FIFO is full (backpressure).
     ///
     /// # Panics
     ///
     /// Panics if `key >= num_keys`.
     pub fn send(&mut self, key: u32, value: V) -> Result<(), PipelineClosed> {
-        assert!(key < self.core.num_keys, "key {key} out of range");
-        let (shift, batch) = (self.core.shard_shift, self.core.batch_tuples);
-        let shard = stage(&mut self.buffers, shift, batch, key, value);
-        if self.buffers[shard].len() >= batch {
-            self.ship(shard, OnFull::Wait).map_err(|_| PipelineClosed)?;
+        match self.route([(key, value)], OnFull::Wait).1 {
+            Ok(()) => Ok(()),
+            Err(Stop::KeyOutOfRange(key)) => panic!("key {key} out of range"),
+            Err(Stop::Refused(_)) => Err(PipelineClosed),
         }
-        Ok(())
     }
 
     /// Ships every partially-filled batch buffer, blocking on full FIFOs.
     pub fn flush(&mut self) -> Result<(), PipelineClosed> {
-        for shard in 0..self.buffers.len() {
-            if !self.buffers[shard].is_empty() {
-                self.ship(shard, OnFull::Wait).map_err(|_| PipelineClosed)?;
+        let mut to = ToShards(&self.core, OnFull::Wait);
+        for (shard, frame) in self.buffers.iter_mut().enumerate() {
+            if !frame.is_empty() {
+                to.ship(shard, frame).map_err(|_| PipelineClosed)?;
             }
         }
         Ok(())
@@ -270,78 +313,27 @@ impl<V> IngestHandle<V> {
         &mut self,
         run: impl IntoIterator<Item = (u32, V)>,
     ) -> (usize, Result<(), TryIngestError>) {
-        let (num_keys, shift, batch) = (
-            self.core.num_keys,
-            self.core.shard_shift,
-            self.core.batch_tuples,
-        );
-        let mut accepted = 0;
-        for (key, value) in run {
-            if key >= num_keys {
-                return (accepted, Err(TryIngestError::KeyOutOfRange(key)));
-            }
-            let shard = stage(&mut self.buffers, shift, batch, key, value);
-            if self.buffers[shard].len() >= batch {
-                if let Err(e) = self.ship(shard, OnFull::Refuse) {
-                    // A refused batch went back into the buffer; take this
-                    // tuple back out so Busy means "not accepted".
-                    self.buffers[shard].pop();
-                    return (accepted, Err(e));
-                }
-            }
-            accepted += 1;
-        }
-        (accepted, Ok(()))
+        let (accepted, stopped) = self.route(run, OnFull::Refuse);
+        let stopped = stopped.map_err(|stop| match stop {
+            Stop::KeyOutOfRange(key) => TryIngestError::KeyOutOfRange(key),
+            Stop::Refused(refusal) => refusal,
+        });
+        (accepted, stopped)
     }
 
-    /// Moves `shard`'s frame into its FIFO and counts it. A frame the FIFO
-    /// refuses as [`Busy`](TryIngestError::Busy) goes back into the
-    /// buffer, so no tuple is lost and the caller decides whether to
-    /// retry; one refused as `Closed` can never be delivered and is dropped.
-    fn ship(&mut self, shard: usize, on_full: OnFull) -> Result<(), TryIngestError> {
-        let n = self.buffers[shard].len() as u64;
-        let batch = ShardMsg::Batch(std::mem::take(&mut self.buffers[shard]));
-        let tx = &self.core.senders[shard];
-        match on_full {
-            OnFull::Wait => tx.send(batch).map_err(|_| TryIngestError::Closed)?,
-            OnFull::Refuse => tx.try_send(batch).map_err(|e| match e {
-                channel::TrySendError::Full(ShardMsg::Batch(batch)) => {
-                    self.buffers[shard] = batch;
-                    TryIngestError::Busy
-                }
-                _ => TryIngestError::Closed,
-            })?,
-        }
-        // ordering: Relaxed — stats counter, no payload published through it.
-        self.core.batches_sent.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — audited: the auto-seal decision below needs
-        // only the atomicity of fetch_add (its linearization guarantees
-        // exactly one shipper observes each `epoch_tuples` threshold
-        // crossing, so exactly one triggers the seal); the seal itself
-        // synchronizes via `seal_lock` and the channel mutexes.
-        let before = self.core.tuples_sent.fetch_add(n, Ordering::Relaxed);
-        if let Some(every) = self.core.epoch_tuples {
-            if (before + n) / every > before / every {
-                self.core.seal();
-            }
-        }
-        Ok(())
+    /// Routes a run through the shared routing body into the shard
+    /// frames, shipping each full frame under `on_full`.
+    #[inline]
+    fn route(
+        &mut self,
+        run: impl IntoIterator<Item = (u32, V)>,
+        on_full: OnFull,
+    ) -> (usize, Result<(), Stop<TryIngestError>>) {
+        let core = &*self.core;
+        let (num_keys, shift, batch) = (core.num_keys, core.shard_shift, core.batch_tuples);
+        let to = &mut ToShards(core, on_full);
+        route(run, &mut self.buffers, to, num_keys, shift, batch)
     }
-}
-
-/// Appends an in-range tuple to its shard's frame (shard = `key >> shift`);
-/// returns the shard. A frame is allocated at full capacity (`batch`
-/// tuples) when its first tuple arrives and leaves whole in
-/// `IngestHandle::ship`, so staging never regrows one. A free function so
-/// a run hoists the handle's geometry out of its loop.
-fn stage<V>(frames: &mut [Vec<Tuple<V>>], shift: u32, batch: usize, key: u32, value: V) -> usize {
-    let shard = (key >> shift) as usize;
-    let frame = &mut frames[shard];
-    if frame.capacity() == 0 {
-        frame.reserve_exact(batch);
-    }
-    frame.push(Tuple { key, value });
-    shard
 }
 
 impl<V> Clone for IngestHandle<V> {
@@ -1275,7 +1267,8 @@ mod tests {
         }
         assert!(h.buffers[0].is_empty(), "8th tuple shipped the batch");
         h.try_send(3, ()).unwrap();
-        assert_eq!(h.ship(0, OnFull::Refuse), Err(TryIngestError::Busy));
+        let refused = ToShards(&h.core, OnFull::Refuse).ship(0, &mut h.buffers[0]);
+        assert_eq!(refused, Err(TryIngestError::Busy));
         assert_eq!(h.buffers[0].len(), 1, "refused batch stays buffered");
     }
 
@@ -1343,6 +1336,30 @@ mod tests {
         );
         let staged: Vec<u32> = h.buffers[0].iter().map(|t| t.key).collect();
         assert_eq!(staged, [1, 2], "nothing staged past the refused key");
+    }
+
+    #[test]
+    fn a_send_loop_equals_one_try_send_all_when_the_fifo_never_fills() {
+        let run: Vec<(u32, u64)> = (0..30).map(|i| ((i * 7) % 16, u64::from(i))).collect();
+        let (mut by_send, send_rx) = unserviced_handle::<u64>(16, 4);
+        let (mut by_run, run_rx) = unserviced_handle::<u64>(16, 4);
+        for &(key, value) in &run {
+            by_send.send(key, value).unwrap();
+        }
+        assert_eq!(
+            by_run.try_send_all(run.iter().copied()),
+            (run.len(), Ok(()))
+        );
+        assert_eq!(by_send.buffers, by_run.buffers, "same staged tuples");
+        assert_eq!(by_run.buffers[0].len(), run.len() % 4);
+        // ordering: Relaxed — test-side stats reads.
+        let frames = by_run.core.batches_sent.load(Ordering::Relaxed);
+        assert_eq!(frames, (run.len() / 4) as u64);
+        // ordering: Relaxed — test-side stats read.
+        assert_eq!(by_send.core.batches_sent.load(Ordering::Relaxed), frames);
+        for _ in 0..frames {
+            assert_eq!(queued(&send_rx), queued(&run_rx), "same FIFO contents");
+        }
     }
 
     #[test]
