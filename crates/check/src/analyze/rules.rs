@@ -35,13 +35,14 @@ fn in_src_of(rel: &str, krates: &[&str]) -> bool {
 }
 
 /// Files subject to R3 (the binning/accumulate hot path).
-const R3_FILES: [&str; 7] = [
+const R3_FILES: [&str; 8] = [
     "crates/pb/src/accumulate.rs",
     "crates/pb/src/binner.rs",
     "crates/pb/src/parallel.rs",
     "crates/pb/src/route.rs",
     "crates/core/src/backend.rs",
     "crates/core/src/cobra.rs",
+    "crates/core/src/evict.rs",
     "crates/stream/src/shard.rs",
 ];
 

@@ -9,10 +9,12 @@
 //! machine), and [`CobraMachine`](crate::cobra::CobraMachine) the hardware
 //! one.
 
-use cobra_bins::{bin_geometry, BinMemory, BinStore, CBufFrame};
+use cobra_bins::{bin_geometry, cbuf_capacity, BinMemory, BinStore, CBufFrame};
+use cobra_pb::route::{route, Destinations, Stop};
 use cobra_sim::addr::ArrayAddr;
 use cobra_sim::engine::Engine;
 use cobra_sim::LINE_BYTES;
+use std::convert::Infallible;
 
 /// In-memory bins produced by a Binning phase, with the synthetic addresses
 /// at which their tuples live (sequential per bin, bins contiguous — the
@@ -111,6 +113,38 @@ impl<V> BinStorage<V> {
     }
 }
 
+/// Implements [`Engine`] for a backend by handing every event, in order,
+/// to the engine at `self.$path`, so the backend's trace and its kernel's
+/// reach one engine.
+macro_rules! forward_engine {
+    ([$($generics:tt)*] $backend:ty, $($path:ident).+) => {
+        impl<$($generics)*> cobra_sim::engine::Engine for $backend {
+            fn alloc(&mut self, name: &str, bytes: u64) -> cobra_sim::addr::ArrayAddr {
+                self.$($path).+.alloc(name, bytes)
+            }
+            fn load(&mut self, addr: u64, bytes: u32) {
+                self.$($path).+.load(addr, bytes);
+            }
+            fn store(&mut self, addr: u64, bytes: u32) {
+                self.$($path).+.store(addr, bytes);
+            }
+            fn nt_store(&mut self, addr: u64, bytes: u32) {
+                self.$($path).+.nt_store(addr, bytes);
+            }
+            fn alu(&mut self, n: u32) {
+                self.$($path).+.alu(n);
+            }
+            fn branch(&mut self, pc: u64, taken: bool) {
+                self.$($path).+.branch(pc, taken);
+            }
+            fn phase(&mut self, name: &'static str) {
+                self.$($path).+.phase(name);
+            }
+        }
+    };
+}
+pub(crate) use forward_engine;
+
 /// A binning substrate: routes update tuples into in-memory bins while
 /// reporting the corresponding dynamic trace.
 ///
@@ -164,18 +198,49 @@ pub trait PbBackend<V: Copy>: Engine {
     }
 }
 
+/// One level of C-Buffers: a frame per buffer, the shift that names a
+/// key's buffer, and where a full frame goes. Staging is [`route`] at one
+/// cache line of tuples per frame.
+#[derive(Debug, Clone)]
+pub(crate) struct Level<F, D> {
+    pub(crate) shift: u32,
+    pub(crate) num_keys: u32,
+    pub(crate) line: usize,
+    pub(crate) frames: Vec<F>,
+    pub(crate) to: D,
+}
+
+impl<F, D> Level<F, D> {
+    /// Stages `run` in order, shipping each frame it fills. A key past the
+    /// domain panics before it is staged, as in `cobra_pb::Binner`.
+    pub(crate) fn route<V>(&mut self, run: impl IntoIterator<Item = (u32, V)>)
+    where
+        D: Destinations<V, Frame = F, Refusal = Infallible>,
+    {
+        let (num_keys, shift, line) = (self.num_keys, self.shift, self.line);
+        let (_, stopped) = route(run, &mut self.frames, &mut self.to, num_keys, shift, line);
+        if let Err(Stop::KeyOutOfRange(key)) = stopped {
+            panic!("key {key} out of range (domain is 0..{num_keys})");
+        }
+    }
+}
+
 /// Software Propagation Blocking backend: per-insert C-Buffer management in
 /// "software" (extra instructions and branches) with the C-Buffers,
 /// occupancy counters and bin cursors living in the normal cache hierarchy;
 /// full C-Buffers are bulk-written to bins with non-temporal stores.
 #[derive(Debug)]
 pub struct SwPb<E, V> {
+    level: Level<CBufFrame<V>, SwBins<E, V>>,
+}
+
+/// Software PB's bins as the destinations of its C-Buffers, with the
+/// engine that sees the trace of every step.
+#[derive(Debug)]
+struct SwBins<E, V> {
     engine: E,
-    shift: u32,
-    num_keys: u32,
     tuple_bytes: u32,
-    cbufs: Vec<CBufFrame<V>>,
-    bins: BinStore<V>,
+    store: BinStore<V>,
     cbuf_base: ArrayAddr,
     occ_base: ArrayAddr,
     binoff_base: ArrayAddr,
@@ -184,6 +249,49 @@ pub struct SwPb<E, V> {
     bin_start: Vec<u64>,
     /// Tuples already written to each bin.
     bin_written: Vec<u64>,
+}
+
+impl<E: Engine, V: Copy> Destinations<V> for SwBins<E, V> {
+    type Frame = CBufFrame<V>;
+    type Refusal = Infallible;
+    const MERGES: bool = true;
+
+    /// Not a merge: the software binning trace of a tuple about to take
+    /// its slot (Algorithm 2, lines 3-5, plus C-Buffer management) —
+    /// compute the bin id, read the occupancy counter, store the tuple
+    /// into the C-Buffer line, bump and write the counter, then branch on
+    /// "buffer full?".
+    #[inline]
+    fn merge(&mut self, b: usize, cbuf: &mut CBufFrame<V>, _: u32, _: &V) -> bool {
+        let (b, tb) = (b as u64, self.tuple_bytes);
+        self.engine.alu(1);
+        self.engine.load(self.occ_base.addr(4, b), 4);
+        self.engine.alu(2); // C-Buffer slot address computation
+        let slot = self.cbuf_base.addr(LINE_BYTES, b) + cbuf.len() as u64 * tb as u64;
+        self.engine.store(slot, tb);
+        self.engine.alu(1);
+        self.engine.store(self.occ_base.addr(4, b), 4);
+        self.engine
+            .branch(0x100 + b % 16, cbuf.len() + 1 == cbuf.capacity());
+        false
+    }
+
+    /// Bulk transfer: read the bin cursor, read the C-Buffer line, write
+    /// it to the bin with a non-temporal store, advance the cursor.
+    fn ship(&mut self, b: usize, cbuf: &mut CBufFrame<V>) -> Result<(), Infallible> {
+        let (n, tb) = (cbuf.len() as u64, self.tuple_bytes as u64);
+        let cursor = self.bin_start[b] + self.bin_written[b];
+        self.engine.load(self.binoff_base.addr(8, b as u64), 8);
+        let line = self.cbuf_base.addr(LINE_BYTES, b as u64);
+        self.engine.load(line, LINE_BYTES as u32);
+        self.engine
+            .nt_store(self.bin_base.base() + cursor * tb, (n * tb) as u32);
+        self.engine.alu(4); // SIMD copy-loop arithmetic + cursor update
+        self.engine.store(self.binoff_base.addr(8, b as u64), 8);
+        self.bin_written[b] += n;
+        cbuf.flush_into(&mut self.store, b);
+        Ok(())
+    }
 }
 
 impl<E: Engine, V: Copy> SwPb<E, V> {
@@ -208,137 +316,81 @@ impl<E: Engine, V: Copy> SwPb<E, V> {
         );
         // Workspace-standard geometry (same rounding as cobra_pb::Binner).
         let (shift, num_bins) = bin_geometry(num_keys, min_bins);
-        let cap = (LINE_BYTES / tuple_bytes as u64) as usize;
+        let line = cbuf_capacity(tuple_bytes as usize);
         let cbuf_base = engine.alloc("pb_cbufs", num_bins as u64 * LINE_BYTES);
         let occ_base = engine.alloc("pb_cbuf_occ", num_bins as u64 * 4);
         let binoff_base = engine.alloc("pb_bin_offsets", num_bins as u64 * 8);
         let bin_base = engine.alloc("pb_bins", expected_tuples.max(1) * tuple_bytes as u64);
-        SwPb {
+        let to = SwBins {
             engine,
-            shift,
-            num_keys,
             tuple_bytes,
-            cbufs: (0..num_bins)
-                .map(|_| CBufFrame::with_capacity(cap))
-                .collect(),
-            bins: BinStore::with_geometry(shift, num_keys, num_bins),
+            store: BinStore::with_geometry(shift, num_keys, num_bins),
             cbuf_base,
             occ_base,
             binoff_base,
             bin_base,
             bin_start: vec![0; num_bins],
             bin_written: vec![0; num_bins],
+        };
+        let frames = (0..num_bins).map(|_| CBufFrame::with_capacity(line));
+        SwPb {
+            level: Level {
+                shift,
+                num_keys,
+                line,
+                frames: frames.collect(),
+                to,
+            },
         }
     }
 
     /// Consumes the backend, returning its engine.
     pub fn into_engine(self) -> E {
-        self.engine
-    }
-
-    fn flush_cbuf(&mut self, b: usize) {
-        // Bulk transfer: read the bin cursor, read the C-Buffer line, write
-        // it to the bin with a non-temporal store, advance the cursor.
-        let n = self.cbufs[b].len();
-        let cursor = self.bin_start[b] + self.bin_written[b];
-        self.engine.load(self.binoff_base.addr(8, b as u64), 8);
-        self.engine.load(
-            self.cbuf_base.base() + b as u64 * LINE_BYTES,
-            LINE_BYTES as u32,
-        );
-        let dst = self.bin_base.base() + cursor * self.tuple_bytes as u64;
-        let bytes = (n * self.tuple_bytes as usize) as u32;
-        self.engine.nt_store(dst, bytes);
-        self.engine.alu(4); // SIMD copy-loop arithmetic + cursor update
-        self.engine.store(self.binoff_base.addr(8, b as u64), 8);
-        self.bin_written[b] += n as u64;
-        self.cbufs[b].flush_into(&mut self.bins, b);
+        self.level.to.engine
     }
 }
 
-impl<E: Engine, V> Engine for SwPb<E, V> {
-    fn alloc(&mut self, name: &str, bytes: u64) -> ArrayAddr {
-        self.engine.alloc(name, bytes)
-    }
-    fn load(&mut self, addr: u64, bytes: u32) {
-        self.engine.load(addr, bytes);
-    }
-    fn store(&mut self, addr: u64, bytes: u32) {
-        self.engine.store(addr, bytes);
-    }
-    fn nt_store(&mut self, addr: u64, bytes: u32) {
-        self.engine.nt_store(addr, bytes);
-    }
-    fn alu(&mut self, n: u32) {
-        self.engine.alu(n);
-    }
-    fn branch(&mut self, pc: u64, taken: bool) {
-        self.engine.branch(pc, taken);
-    }
-    fn phase(&mut self, name: &'static str) {
-        self.engine.phase(name);
-    }
-}
+forward_engine!([E: Engine, V] SwPb<E, V>, level.to.engine);
 
 impl<E: Engine, V: Copy> PbBackend<V> for SwPb<E, V> {
     fn bin_shift(&self) -> u32 {
-        self.shift
+        self.level.shift
     }
 
     fn num_bins(&self) -> usize {
-        self.bins.num_bins()
+        self.level.frames.len()
     }
 
     fn presize(&mut self, counts: &[u64]) {
-        assert_eq!(counts.len(), self.bins.num_bins(), "one count per bin");
+        assert_eq!(counts.len(), self.num_bins(), "one count per bin");
+        let bins = &mut self.level.to;
         let mut acc = 0u64;
         for (b, &c) in counts.iter().enumerate() {
-            self.bin_start[b] = acc;
+            bins.bin_start[b] = acc;
             acc += c;
             // The Init phase writes the BinOffset array.
-            self.engine.store(self.binoff_base.addr(8, b as u64), 8);
-            self.engine.alu(1);
+            bins.engine.store(bins.binoff_base.addr(8, b as u64), 8);
+            bins.engine.alu(1);
         }
     }
 
     fn insert(&mut self, key: u32, value: V) {
-        debug_assert!(key < self.num_keys, "key {key} out of range");
-        let b = (key >> self.shift) as usize;
-        // Software binning trace (Algorithm 2, lines 3-5, plus C-Buffer
-        // management): compute bin id, read the occupancy counter, store
-        // the tuple into the C-Buffer line, bump and write the counter,
-        // then branch on "buffer full?".
-        self.engine.alu(1);
-        self.engine.load(self.occ_base.addr(4, b as u64), 4);
-        self.engine.alu(2); // C-Buffer slot address computation
-        let pos = self.cbufs[b].len();
-        self.engine.store(
-            self.cbuf_base.base() + b as u64 * LINE_BYTES + pos as u64 * self.tuple_bytes as u64,
-            self.tuple_bytes,
-        );
-        self.engine.alu(1);
-        self.engine.store(self.occ_base.addr(4, b as u64), 4);
-        self.cbufs[b].push(key, value);
-        let full = self.cbufs[b].is_full();
-        self.engine.branch(0x100 + b as u64 % 16, full);
-        if full {
-            self.flush_cbuf(b);
-        }
+        self.level.route([(key, value)]);
     }
 
     fn flush_and_take(&mut self) -> BinStorage<V> {
-        for b in 0..self.cbufs.len() {
+        let bins = &mut self.level.to;
+        for (b, cbuf) in self.level.frames.iter_mut().enumerate() {
             // Walk every C-Buffer; flush the non-empty ones.
-            self.engine.load(self.occ_base.addr(4, b as u64), 4);
-            let nonempty = !self.cbufs[b].is_empty();
-            self.engine.branch(0x200, nonempty);
+            bins.engine.load(bins.occ_base.addr(4, b as u64), 4);
+            let nonempty = !cbuf.is_empty();
+            bins.engine.branch(0x200, nonempty);
             if nonempty {
-                self.flush_cbuf(b);
+                let Ok(()) = bins.ship(b, cbuf);
             }
         }
-        let store = self.bins.take();
-        self.bin_written.iter_mut().for_each(|w| *w = 0);
-        BinStorage::new(self.bin_base, self.tuple_bytes, store)
+        bins.bin_written.iter_mut().for_each(|w| *w = 0);
+        BinStorage::new(bins.bin_base, bins.tuple_bytes, bins.store.take())
     }
 }
 
@@ -454,6 +506,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "key 100 out of range (domain is 0..100)")]
+    fn a_key_past_the_domain_panics_in_every_build() {
+        // Four power-of-two bins of 32 keys cover 0..128: only the range
+        // check refuses key 100.
+        let mut sw = SwPb::<_, u32>::new(NullEngine::new(), 100, 4, 8, 10);
+        assert_eq!(sw.num_bins() << sw.bin_shift(), 128);
+        sw.insert(100, 0);
+    }
+
+    #[test]
     #[should_panic]
     fn presize_wrong_length_rejected() {
         let mut sw = SwPb::<_, u32>::new(NullEngine::new(), 1024, 4, 8, 100);
@@ -466,6 +528,6 @@ mod tests {
         let ks = [0u32, 5, 64, 65, 200];
         sw.init_bins(ks.len(), |_, i| ks[i]);
         // Bins of 64 keys hold 2, 2, 0 and 1 tuples.
-        assert_eq!(sw.bin_start, vec![0, 2, 4, 4]);
+        assert_eq!(sw.level.to.bin_start, vec![0, 2, 4, 4]);
     }
 }

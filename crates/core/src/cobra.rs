@@ -22,7 +22,7 @@
 //! per-bin tuple order equals program order — COBRA is safe for
 //! non-commutative kernels, the paper's central generality claim.
 
-use crate::backend::{BinStorage, PbBackend};
+use crate::backend::{forward_engine, BinStorage, PbBackend};
 use crate::evict::{DesConfig, EvictStats, EvictionDes};
 use crate::isa::{BinHierarchy, ReservedWays};
 use cobra_bins::BinStore;
@@ -37,8 +37,6 @@ pub struct CobraMachine<V> {
     sim: SimEngine,
     hier: BinHierarchy,
     des: EvictionDes,
-    /// Keys buffered in each L1 C-Buffer.
-    l1: Vec<Vec<u32>>,
     /// Functional in-memory bins (columnar, indexed by LLC bin id).
     bins: BinStore<V>,
     bin_base: ArrayAddr,
@@ -93,7 +91,6 @@ impl<V: Copy> CobraMachine<V> {
             .address_space_mut()
             .alloc("cobra_bins", expected_tuples.max(1) * tuple_bytes as u64);
         let des = EvictionDes::new(&hier, des_cfg);
-        let l1 = (0..hier.levels[0].buffers).map(|_| Vec::new()).collect();
         let bins = BinStore::with_geometry(
             hier.memory_bin_shift(),
             num_keys,
@@ -103,7 +100,6 @@ impl<V: Copy> CobraMachine<V> {
             sim,
             hier,
             des,
-            l1,
             bins,
             bin_base,
             synced_dram_bytes: 0,
@@ -187,7 +183,7 @@ impl<V: Copy> CobraMachine<V> {
     /// Finishes the run and returns the simulation result. Any un-flushed
     /// tuples are flushed first (as `binflush` would on process exit).
     pub fn finish(mut self) -> SimResult {
-        if self.l1.iter().any(|b| !b.is_empty()) || !self.bins.is_empty() {
+        if !self.bins.is_empty() {
             let _ = self.flush_and_take();
         }
         self.sync_dram();
@@ -229,29 +225,7 @@ impl<V: Copy> CobraMachine<V> {
     }
 }
 
-impl<V: Copy> Engine for CobraMachine<V> {
-    fn alloc(&mut self, name: &str, bytes: u64) -> ArrayAddr {
-        self.sim.alloc(name, bytes)
-    }
-    fn load(&mut self, addr: u64, bytes: u32) {
-        self.sim.load(addr, bytes);
-    }
-    fn store(&mut self, addr: u64, bytes: u32) {
-        self.sim.store(addr, bytes);
-    }
-    fn nt_store(&mut self, addr: u64, bytes: u32) {
-        self.sim.nt_store(addr, bytes);
-    }
-    fn alu(&mut self, n: u32) {
-        self.sim.alu(n);
-    }
-    fn branch(&mut self, pc: u64, taken: bool) {
-        self.sim.branch(pc, taken);
-    }
-    fn phase(&mut self, name: &'static str) {
-        self.sim.phase(name);
-    }
-}
+forward_engine!([V: Copy] CobraMachine<V>, sim);
 
 impl<V: Copy> PbBackend<V> for CobraMachine<V> {
     fn bin_shift(&self) -> u32 {
@@ -274,8 +248,7 @@ impl<V: Copy> PbBackend<V> for CobraMachine<V> {
     /// management happens in the cache controllers (no extra instructions,
     /// no branches).
     fn insert(&mut self, key: u32, value: V) {
-        debug_assert!(key < self.hier.num_keys, "key {key} out of range");
-        if let Some(mut u) = self.unpartitioned {
+        if let Some(u) = &mut self.unpartitioned {
             // C-Buffer lines are ordinary cached lines: the binupdate's
             // store can miss under pressure from other data.
             let b = (key >> self.hier.levels[0].shift) as u64;
@@ -284,25 +257,19 @@ impl<V: Copy> PbBackend<V> for CobraMachine<V> {
             self.sim.store(addr, self.hier.tuple_bytes);
             u.accesses += 1;
             u.misses += self.sim.hierarchy().stats().l1d.misses - before;
-            self.unpartitioned = Some(u);
         } else {
             self.sim.core_mut().store();
         }
         self.maybe_context_switch();
-        // Functional effect: program order per memory bin.
-        self.bins.insert(key, value);
-        // Timing effect: L1 C-Buffer occupancy and eviction cascade.
-        let b = (key >> self.hier.levels[0].shift) as usize;
-        self.l1[b].push(key);
-        if self.l1[b].len() == self.hier.tuples_per_line() as usize {
-            let line = std::mem::take(&mut self.l1[b]);
-            let now = self.sim.core_mut().cycles();
-            let stall = self.des.push_l1_line(&line, now);
-            if stall > 0 {
-                self.sim.core_mut().stall(stall);
-            }
+        // Timing effect: L1 C-Buffer occupancy and eviction cascade. A key
+        // past the domain panics here, before it reaches the bins.
+        let now = self.sim.core_mut().cycles();
+        if let Some(stall) = self.des.insert(key, now) {
+            self.sim.core_mut().stall(stall);
             self.charge_bandwidth();
         }
+        // Functional effect: program order per memory bin.
+        self.bins.insert(key, value);
     }
 
     /// The `binflush` instruction: walks L1, then L2, then LLC C-Buffers,
@@ -311,21 +278,9 @@ impl<V: Copy> PbBackend<V> for CobraMachine<V> {
     fn flush_and_take(&mut self) -> BinStorage<V> {
         // One instruction to trigger the flush.
         self.sim.alu(1);
-        for b in 0..self.l1.len() {
-            if !self.l1[b].is_empty() {
-                let line = std::mem::take(&mut self.l1[b]);
-                let now = self.sim.core_mut().cycles();
-                let stall = self.des.push_l1_line(&line, now);
-                if stall > 0 {
-                    self.sim.core_mut().stall(stall);
-                }
-            }
-        }
         let now = self.sim.core_mut().cycles();
         let end = self.des.flush(now);
-        if end > now {
-            self.sim.core_mut().stall(end - now);
-        }
+        self.sim.core_mut().stall(end - now);
         self.sync_dram();
         let store = self.bins.take();
         BinStorage::new(self.bin_base, self.hier.tuple_bytes, store)
@@ -336,6 +291,7 @@ impl<V: Copy> PbBackend<V> for CobraMachine<V> {
 mod tests {
     use super::*;
     use crate::backend::SwPb;
+    use crate::evict::simulate_fixed_rate;
 
     fn keys(n: usize, domain: u32) -> Vec<u32> {
         (0..n)
@@ -478,6 +434,48 @@ mod tests {
         // DRAM write traffic covers at least the tuple bytes.
         let r = m.finish();
         assert!(r.mem.dram_write_bytes >= ks.len() as u64 * 8);
+    }
+
+    #[test]
+    fn the_machine_and_the_fixed_rate_driver_run_one_chain() {
+        // One key stream down one hierarchy through both drivers: only the
+        // core's stalls, which depend on its issue timing, may differ.
+        let domain = 1 << 20;
+        let ks = keys(30_000, domain);
+        let mut m = machine(domain, ks.len() as u64);
+        for &k in &ks {
+            m.insert(k, k);
+        }
+        let staged = m.evict_stats();
+        let _ = m.flush_and_take();
+        let by_machine = m.evict_stats();
+        // The flush shipped partial lines out of both L1 and L2.
+        assert!(by_machine.l1_lines_evicted > staged.l1_lines_evicted);
+        assert!(by_machine.l2_lines_evicted > staged.l2_lines_evicted);
+        let cfg = MachineConfig::hpca22();
+        let hier = BinHierarchy::bininit(&cfg, ReservedWays::paper_default(&cfg), domain, 8);
+        let by_rate =
+            simulate_fixed_rate(&hier, DesConfig::paper_default(), ks.iter().copied(), 1).stats;
+        let timeless = |s: EvictStats| EvictStats {
+            core_stall_cycles: 0,
+            ..s
+        };
+        assert_eq!(timeless(by_machine), timeless(by_rate));
+    }
+
+    #[test]
+    #[should_panic(expected = "key 100 out of range (domain is 0..100)")]
+    fn a_key_past_the_domain_panics_in_every_build() {
+        // On the tiny machine the L1 C-Buffers' power-of-two ranges (16
+        // keys each) cover 0..112: only the range check refuses key 100.
+        let ways = ReservedWays {
+            l1: 1,
+            l2: 1,
+            llc: 1,
+        };
+        let des = DesConfig::paper_default();
+        let mut m = CobraMachine::<u32>::new(MachineConfig::tiny(), ways, des, 100, 8, 10);
+        m.insert(100, 0);
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! scheduled lines that have not yet started. This reproduces the paper's
 //! Figure 13a methodology (stall fraction vs. eviction-buffer size).
 
+use crate::backend::Level;
 use crate::isa::BinHierarchy;
+use cobra_pb::route::Destinations;
+use cobra_pb::Tuple;
 use cobra_sim::LINE_BYTES;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// Eviction-buffer sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,159 +74,221 @@ impl EvictStats {
     }
 }
 
-/// Discrete-event model of the two binning engines and their FIFOs.
+/// A C-Buffer line's tuples, keys only: the DES times the lines, and
+/// the values travel in the caller's functional bins.
+type Line = Vec<Tuple<()>>;
+
+/// Discrete-event model of the C-Buffer levels, the two binning engines
+/// and their FIFOs. L1 → L2 → LLC are three chained [`route`] levels: an
+/// L1 line that fills is shipped into the L1→L2 eviction buffer, whose
+/// engine routes its keys into L2, whose full lines go the same way into
+/// the LLC, whose full lines are written to memory.
+///
+/// [`route`]: cobra_pb::route::route
 #[derive(Debug, Clone)]
 pub struct EvictionDes {
-    cfg: DesConfig,
-    l2_shift: u32,
-    llc_shift: u32,
-    tuples_per_line: u32,
+    l1: Level<Line, Evict<Evict<ToMemory>>>,
+}
+
+/// A level's destinations, timed by the clock of what fills the level:
+/// the core for L1, binning engine 1 for L2, engine 2 for the LLC.
+trait Clocked: Destinations<(), Frame = Line, Refusal = Infallible> {
+    /// The filler's clock; a ship advances it by any wait it imposes.
+    fn clock(&mut self) -> &mut u64;
+}
+
+impl<D: Destinations<(), Frame = Line, Refusal = Infallible>> Level<Line, D> {
+    fn new(hier: &BinHierarchy, level: usize, to: D) -> Self {
+        let l = &hier.levels[level];
+        Level {
+            shift: l.shift,
+            num_keys: hier.num_keys,
+            line: hier.tuples_per_line() as usize,
+            frames: (0..l.buffers).map(|_| Vec::new()).collect(),
+            to,
+        }
+    }
+
+    /// The `binflush` walk: ships every non-empty line in buffer order,
+    /// running `after` once per line shipped.
+    fn walk(&mut self, mut after: impl FnMut(&mut D)) {
+        for (d, frame) in self.frames.iter_mut().enumerate() {
+            if !frame.is_empty() {
+                let Ok(()) = self.to.ship(d, frame);
+                after(&mut self.to);
+            }
+        }
+    }
+}
+
+/// An eviction buffer and the binning engine that drains it into the
+/// next level.
+#[derive(Debug, Clone)]
+struct Evict<N> {
+    /// Lines the buffer holds.
+    entries: usize,
+    /// Scheduled start times of lines waiting for the engine.
+    starts: VecDeque<u64>,
+    /// When the engine finishes the last line scheduled on it.
+    engine_free_at: u64,
+    /// The producer's clock (see [`Clocked`]).
+    clock: u64,
+    /// Cycles the producer waited on a full buffer.
+    waited: u64,
+    /// Lines pushed.
+    lines: u64,
+    next: Level<Line, N>,
+}
+
+impl<N: Clocked> Evict<N> {
+    fn new(entries: usize, next: Level<Line, N>) -> Self {
+        Evict {
+            entries,
+            starts: VecDeque::new(),
+            engine_free_at: 0,
+            clock: 0,
+            waited: 0,
+            lines: 0,
+            next,
+        }
+    }
+}
+
+impl<N: Clocked> Destinations<()> for Evict<N> {
+    type Frame = Line;
+    type Refusal = Infallible;
+
+    /// Pushes `line` at the producer's clock, which first waits for a free
+    /// entry if the buffer is full. The engine then re-bins its tuples one
+    /// per cycle; lines they fill leave at the time the engine finishes
+    /// this one, and any back-pressure they meet delays the engine.
+    fn ship(&mut self, _: usize, line: &mut Line) -> Result<(), Infallible> {
+        self.lines += 1;
+        // Occupancy at `t`: scheduled lines that have not started yet.
+        let t = self.clock;
+        while self.starts.front().is_some_and(|&s| s <= t) {
+            self.starts.pop_front();
+        }
+        if self.starts.len() >= self.entries {
+            // Wait until enough older lines have started.
+            let wait = self.starts[self.starts.len() - self.entries] - t;
+            self.clock += wait;
+            self.waited += wait;
+        }
+        let start = self.engine_free_at.max(self.clock);
+        self.starts.push_back(start);
+        *self.next.to.clock() = start + line.len() as u64;
+        self.next.route(line.iter().map(|t| (t.key, ())));
+        self.engine_free_at = *self.next.to.clock();
+        line.clear();
+        Ok(())
+    }
+}
+
+impl<N: Clocked> Clocked for Evict<N> {
+    fn clock(&mut self) -> &mut u64 {
+        &mut self.clock
+    }
+}
+
+/// In-memory bins as the LLC C-Buffers' destinations: a line is written
+/// to its bin at `BinBasePtr + BinOffset[binID]` (the offset lives in the
+/// repurposed tag), and a partial line still costs a whole DRAM line.
+#[derive(Debug, Clone)]
+struct ToMemory {
     tuple_bytes: u32,
-    /// Scheduled start times of lines waiting for binning engine 1 / 2.
-    q1_starts: VecDeque<u64>,
-    q2_starts: VecDeque<u64>,
-    engine1_free_at: u64,
-    engine2_free_at: u64,
-    /// Keys buffered in each L2 C-Buffer.
-    l2_contents: Vec<Vec<u32>>,
-    /// Occupancy (tuples) of each LLC C-Buffer.
-    llc_occ: Vec<u32>,
-    stats: EvictStats,
+    /// Engine 2's clock; a memory write never makes it wait.
+    clock: u64,
+    /// The line and waste counters of [`EvictStats`].
+    written: EvictStats,
+}
+
+impl Destinations<()> for ToMemory {
+    type Frame = Line;
+    type Refusal = Infallible;
+
+    fn ship(&mut self, _: usize, line: &mut Line) -> Result<(), Infallible> {
+        let w = &mut self.written;
+        let wasted = LINE_BYTES - line.len() as u64 * self.tuple_bytes as u64;
+        if wasted == 0 {
+            w.llc_lines_written += 1;
+        } else {
+            w.partial_lines_written += 1;
+        }
+        w.llc_tuples_written += line.len() as u64;
+        w.wasted_bytes += wasted;
+        line.clear();
+        Ok(())
+    }
+}
+
+impl Clocked for ToMemory {
+    fn clock(&mut self) -> &mut u64 {
+        &mut self.clock
+    }
 }
 
 impl EvictionDes {
     /// Creates the DES for the given C-Buffer hierarchy.
     pub fn new(hier: &BinHierarchy, cfg: DesConfig) -> Self {
         assert!(cfg.l1_evict_entries > 0 && cfg.l2_evict_entries > 0);
-        EvictionDes {
-            cfg,
-            l2_shift: hier.levels[1].shift,
-            llc_shift: hier.levels[2].shift,
-            tuples_per_line: hier.tuples_per_line(),
+        let memory = ToMemory {
             tuple_bytes: hier.tuple_bytes,
-            q1_starts: VecDeque::new(),
-            q2_starts: VecDeque::new(),
-            engine1_free_at: 0,
-            engine2_free_at: 0,
-            l2_contents: (0..hier.levels[1].buffers).map(|_| Vec::new()).collect(),
-            llc_occ: vec![0; hier.levels[2].buffers as usize],
-            stats: EvictStats::default(),
+            clock: 0,
+            written: EvictStats::default(),
+        };
+        let llc = Level::new(hier, 2, memory);
+        let l2 = Level::new(hier, 1, Evict::new(cfg.l2_evict_entries, llc));
+        EvictionDes {
+            l1: Level::new(hier, 0, Evict::new(cfg.l1_evict_entries, l2)),
         }
     }
 
     /// Current counters.
     pub fn stats(&self) -> EvictStats {
-        self.stats
+        let l1 = &self.l1.to;
+        let l2 = &l1.next.to;
+        EvictStats {
+            core_stall_cycles: l1.waited,
+            l1_lines_evicted: l1.lines,
+            l2_lines_evicted: l2.lines,
+            ..l2.next.to.written
+        }
     }
 
-    /// Pushes an evicted L1 C-Buffer line (its tuple keys) at core time
-    /// `now`. Returns the cycles the *core* must stall because the L1→L2
-    /// eviction buffer was full.
-    pub fn push_l1_line(&mut self, keys: &[u32], now: u64) -> u64 {
-        debug_assert!(!keys.is_empty());
-        self.stats.l1_lines_evicted += 1;
-        // Occupancy of the L1->L2 FIFO at `now`: scheduled lines that have
-        // not started draining yet.
-        while self.q1_starts.front().is_some_and(|&s| s <= now) {
-            self.q1_starts.pop_front();
-        }
-        let mut stall = 0;
-        let mut t = now;
-        if self.q1_starts.len() >= self.cfg.l1_evict_entries {
-            // Wait until enough older lines have started.
-            let idx = self.q1_starts.len() - self.cfg.l1_evict_entries;
-            let free_at = self.q1_starts[idx];
-            stall = free_at - now;
-            self.stats.core_stall_cycles += stall;
-            t = free_at;
-            while self.q1_starts.front().is_some_and(|&s| s <= t) {
-                self.q1_starts.pop_front();
-            }
-        }
-        // Schedule binning engine 1: one cycle per tuple.
-        let start = self.engine1_free_at.max(t);
-        self.q1_starts.push_back(start);
-        let mut finish = start + keys.len() as u64;
-        // Insert tuples into L2 C-Buffers; fills spawn engine-2 work.
-        for &k in keys {
-            let b = (k >> self.l2_shift) as usize;
-            self.l2_contents[b].push(k);
-            if self.l2_contents[b].len() == self.tuples_per_line as usize {
-                let line: Vec<u32> = std::mem::take(&mut self.l2_contents[b]);
-                // Engine 1 may block here if the L2->LLC FIFO is full.
-                let delay = self.push_l2_line(&line, finish);
-                finish += delay;
-            }
-        }
-        self.engine1_free_at = finish;
-        stall
+    /// `binupdate`'s timing: stages `key` in its L1 C-Buffer at core time
+    /// `now`. If that fills the line, the line cascades down the levels
+    /// and the result is `Some` of the cycles the core must stall because
+    /// the L1→L2 eviction buffer was full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is past the hierarchy's key range.
+    pub fn insert(&mut self, key: u32, now: u64) -> Option<u64> {
+        let lines = self.l1.to.lines;
+        self.l1.to.clock = now;
+        self.l1.route([(key, ())]);
+        (self.l1.to.lines > lines).then(|| self.l1.to.clock - now)
     }
 
-    /// Pushes an evicted L2 line at time `t`; returns the back-pressure
-    /// delay applied to the producer (binning engine 1).
-    fn push_l2_line(&mut self, keys: &[u32], t: u64) -> u64 {
-        self.stats.l2_lines_evicted += 1;
-        while self.q2_starts.front().is_some_and(|&s| s <= t) {
-            self.q2_starts.pop_front();
-        }
-        let mut delay = 0;
-        let mut avail = t;
-        if self.q2_starts.len() >= self.cfg.l2_evict_entries {
-            let idx = self.q2_starts.len() - self.cfg.l2_evict_entries;
-            let free_at = self.q2_starts[idx];
-            delay = free_at.saturating_sub(t);
-            avail = free_at.max(t);
-        }
-        let start = self.engine2_free_at.max(avail);
-        self.q2_starts.push_back(start);
-        self.engine2_free_at = start + keys.len() as u64;
-        for &k in keys {
-            let b = (k >> self.llc_shift) as usize;
-            self.llc_occ[b] += 1;
-            if self.llc_occ[b] == self.tuples_per_line {
-                // Full LLC C-Buffer: write the line to its in-memory bin at
-                // BinBasePtr + BinOffset[binID] and bump the tag offset.
-                self.llc_occ[b] = 0;
-                self.stats.llc_lines_written += 1;
-                self.stats.llc_tuples_written += self.tuples_per_line as u64;
-            }
-        }
-        delay
-    }
-
-    /// `binflush` for the L2 and LLC levels: drains every partially-filled
+    /// `binflush`, starting at core time `now`: ships every partially
+    /// filled L1 C-Buffer (the core stalls on a full eviction buffer as
+    /// in [`insert`](Self::insert)), then drains every partially filled
     /// L2 C-Buffer through binning engine 2, then writes every non-empty
-    /// LLC C-Buffer to memory as a (possibly partial) line. L1 C-Buffers
-    /// are the caller's responsibility (it walks them with
-    /// [`push_l1_line`](Self::push_l1_line) first).
+    /// LLC C-Buffer to memory as a (possibly partial) line.
     ///
     /// Returns the cycle at which the flush completes.
     pub fn flush(&mut self, now: u64) -> u64 {
-        let mut t = self.engine1_free_at.max(now);
-        for b in 0..self.l2_contents.len() {
-            if !self.l2_contents[b].is_empty() {
-                let line = std::mem::take(&mut self.l2_contents[b]);
-                let partial = line.len() < self.tuples_per_line as usize;
-                let delay = self.push_l2_line(&line, t);
-                t += delay + 1; // one cycle to walk the buffer
-                if partial {
-                    // The drained tuples still count toward LLC occupancy
-                    // (handled in push_l2_line); nothing extra here.
-                }
-            }
-        }
-        t = t.max(self.engine2_free_at);
-        for occ in self.llc_occ.iter_mut() {
-            if *occ > 0 {
-                self.stats.partial_lines_written += 1;
-                self.stats.llc_tuples_written += *occ as u64;
-                self.stats.wasted_bytes += LINE_BYTES - (*occ as u64 * self.tuple_bytes as u64);
-                *occ = 0;
-                t += 1;
-            }
-        }
-        self.engine1_free_at = t;
-        self.engine2_free_at = t;
+        self.l1.to.clock = now;
+        self.l1.walk(|_| {});
+        let e1 = &mut self.l1.to;
+        let l2 = &mut e1.next;
+        l2.to.clock = e1.engine_free_at.max(e1.clock);
+        l2.walk(|e2| e2.clock += 1); // one cycle to walk the buffer
+        let mut t = l2.to.clock.max(l2.to.engine_free_at);
+        l2.to.next.walk(|_| t += 1);
+        l2.to.engine_free_at = t;
+        e1.engine_free_at = t;
         t
     }
 
@@ -230,14 +296,7 @@ impl EvictionDes {
     /// under static way partitioning, Figure 13c): each becomes a 64 B DRAM
     /// line regardless of how many live tuples it holds.
     pub fn force_evict_llc(&mut self) {
-        for occ in self.llc_occ.iter_mut() {
-            if *occ > 0 {
-                self.stats.partial_lines_written += 1;
-                self.stats.llc_tuples_written += *occ as u64;
-                self.stats.wasted_bytes += LINE_BYTES - (*occ as u64 * self.tuple_bytes as u64);
-                *occ = 0;
-            }
-        }
+        self.l1.to.next.to.next.walk(|_| {});
     }
 }
 
@@ -277,35 +336,17 @@ where
 {
     assert!(issue_interval > 0, "issue interval must be positive");
     let mut des = EvictionDes::new(hier, cfg);
-    let l1_shift = hier.levels[0].shift;
-    let cap = hier.tuples_per_line() as usize;
-    let mut l1: Vec<Vec<u32>> = (0..hier.levels[0].buffers).map(|_| Vec::new()).collect();
     let mut now = 0u64;
-    let mut stall_total = 0u64;
     for k in keys {
         now += issue_interval;
-        let b = (k >> l1_shift) as usize;
-        l1[b].push(k);
-        if l1[b].len() == cap {
-            let line = std::mem::take(&mut l1[b]);
-            let stall = des.push_l1_line(&line, now);
-            now += stall;
-            stall_total += stall;
-        }
+        now += des.insert(k, now).unwrap_or(0);
     }
-    for buf in l1.iter_mut() {
-        if !buf.is_empty() {
-            let line = std::mem::take(buf);
-            let stall = des.push_l1_line(&line, now);
-            now += stall;
-            stall_total += stall;
-        }
-    }
-    now = des.flush(now);
+    let cycles = des.flush(now);
+    let stats = des.stats();
     FixedRateReport {
-        cycles: now,
-        stall_cycles: stall_total,
-        stats: des.stats(),
+        cycles,
+        stall_cycles: stats.core_stall_cycles,
+        stats,
     }
 }
 
@@ -392,10 +433,11 @@ mod tests {
     fn flush_writes_partial_lines_and_counts_waste() {
         let h = hier();
         let mut des = EvictionDes::new(&h, DesConfig::paper_default());
-        // One full L1 line whose 8 tuples land in 8 different LLC bins:
-        // all stay partial until flush.
-        let keys: Vec<u32> = (0..8).map(|i| i * 64).collect();
-        des.push_l1_line(&keys, 0);
+        // 8 tuples bound for 8 different LLC bins: all stay partial until
+        // flush.
+        for k in (0..8).map(|i| i * 64) {
+            des.insert(k, 0);
+        }
         let end = des.flush(100);
         assert!(end >= 100);
         let s = des.stats();
@@ -411,8 +453,9 @@ mod tests {
         let h = hier();
         let mut des = EvictionDes::new(&h, DesConfig::paper_default());
         // 8 tuples to the same LLC bin (keys within one range-64 window).
-        let keys: Vec<u32> = (0..8).collect();
-        des.push_l1_line(&keys, 0);
+        for k in 0..8 {
+            des.insert(k, 0);
+        }
         // Give engines time, then flush.
         des.flush(1000);
         let s = des.stats();
@@ -424,8 +467,12 @@ mod tests {
     fn force_evict_counts_context_switch_waste() {
         let h = hier();
         let mut des = EvictionDes::new(&h, DesConfig::paper_default());
-        let keys: Vec<u32> = (0..8).map(|i| i * 64).collect();
-        des.push_l1_line(&keys, 0);
+        // The 8 keys share an L1 and an L2 C-Buffer, so the eighth fills
+        // both lines and the tuples reach the LLC.
+        for k in (0..8).map(|i| i * 64) {
+            des.insert(k, 0);
+        }
+        assert_eq!(des.stats().l2_lines_evicted, 1);
         des.force_evict_llc();
         assert_eq!(des.stats().partial_lines_written, 8);
         assert!(des.stats().wasted_bytes > 0);

@@ -48,7 +48,9 @@
 //! destination, stages it in that destination's frame (or lets the
 //! level merge it into a staged one) and hands a full frame off; a
 //! refused hand-off takes the tuple back out and stops the run. Three
-//! levels run it, each with its own [`route::Destinations`]:
+//! software levels run it, each with its own [`route::Destinations`]
+//! (and so do `cobra-core`'s simulated ones: `SwPb`'s C-Buffers and
+//! COBRA's L1 → L2 → LLC chain):
 //!
 //! * [`Binner`]: C-Buffer frames flushed into bin memory, with
 //!   Coup-style fusion as the merge step. [`Binner::extend`] and

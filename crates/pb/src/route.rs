@@ -12,7 +12,13 @@
 //!   with Coup-style fusion as its merge step;
 //! * `cobra-stream`'s ingest handles: frames moved into shard FIFOs,
 //!   which refuse a frame when full if the caller asked not to block;
-//! * `cobra-cluster`'s router: frames sent to a node as one `UPDATE`.
+//! * `cobra-cluster`'s router: frames sent to a node as one `UPDATE`;
+//! * `cobra-core`'s simulated software PB (`SwPb`): one-line C-Buffers
+//!   bulk-written to bin memory, with the per-tuple instruction trace
+//!   reported from the merge step, which never merges;
+//! * `cobra-core`'s COBRA model: the L1 → L2 → LLC C-Buffer chain, where
+//!   a full line is shipped into the next level's eviction buffer and a
+//!   full LLC line is written to memory.
 
 use cobra_bins::CBufFrame;
 
@@ -69,7 +75,9 @@ pub trait Destinations<V> {
 
     /// Offers `(key, value)` to destination `d`'s staged tuples before it
     /// takes a slot of its own; `true` means it was folded into one of
-    /// them. Called only when [`MERGES`](Self::MERGES) is `true`.
+    /// them. A level may also only observe the tuple here, seeing the
+    /// frame as it is before the push, and return `false`. Called only
+    /// when [`MERGES`](Self::MERGES) is `true`.
     fn merge(&mut self, d: usize, frame: &mut Self::Frame, key: u32, value: &V) -> bool {
         let _ = (d, frame, key, value);
         false
