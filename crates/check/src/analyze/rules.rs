@@ -102,7 +102,7 @@ const TOKEN_RULES: &[TokenRule] = &[
     // read stalls every connection on the loop. Scope is the event-loop
     // crates' `src/`: everything that runs on, or is called from, the
     // reactor thread. The audited exception (the client's blocking
-    // `read_frame`/`write_frame`) lives in the allowlist.
+    // `write_frame`) lives in the allowlist.
     TokenRule {
         rule: "R11",
         in_scope: |rel| in_src_of(rel, &["serve", "poll"]),

@@ -95,8 +95,8 @@ const MUTATIONS: &[Mutation] = &[
     ("R11 blocking read timeout on the reactor", "R11", |s| {
         s.append(
             "serve/src/server.rs",
-            "\nfn blocking_mutant(conn: &mut Conn, cfg: &ServeConfig) {\n    \
-             conn.stream.set_read_timeout(Some(cfg.read_timeout)).ok();\n}\n",
+            "\nfn blocking_mutant(conn: &mut Conn) {\n    \
+             conn.stream.set_read_timeout(Some(Duration::from_millis(50))).ok();\n}\n",
         );
     }),
 ];

@@ -4,7 +4,9 @@
 //! request in flight at a time, every call a frame round-trip. The
 //! benchmark and tests drive many of these from separate threads; a
 //! connection-pooling client would only obscure what the server is
-//! being measured on.
+//! being measured on. Replies are read through the server's own
+//! incremental decoder, [`FrameBuf`], so client and server share one
+//! framing path.
 //!
 //! The one piece of policy it carries is [`update_all`]: the server
 //! answers admission-control refusals with `Busy { accepted }` naming
@@ -13,27 +15,25 @@
 //! makes "zero lost updates" a client-side guarantee too.
 //!
 //! Since the server went event-loop, `update_all` **pipelines**: it keeps
-//! a window of `UPDATE` frames in flight ([`set_pipeline_window`],
-//! default 16) and reads acknowledgements as they come back, so one
-//! connection can fill a whole admission batch instead of paying a
-//! round-trip per chunk. A window of 1 restores the old lockstep
-//! behavior exactly. The raw window primitives ([`send_update`] /
-//! [`recv_update`]) are public for open-loop load generators.
+//! [`DEFAULT_PIPELINE_WINDOW`] `UPDATE` frames in flight and reads
+//! acknowledgements as they come back, so one connection can fill a
+//! whole admission batch instead of paying a round-trip per chunk. The
+//! raw window primitives ([`send_update`] / [`recv_update`]) are public
+//! for open-loop load generators.
 //!
 //! [`update_all`]: ServeClient::update_all
-//! [`set_pipeline_window`]: ServeClient::set_pipeline_window
 //! [`send_update`]: ServeClient::send_update
 //! [`recv_update`]: ServeClient::recv_update
 
-use crate::protocol::{self, ErrorCode, Frame, ReadError, WireError, WireStats, MAX_UPDATE_TUPLES};
+use crate::protocol::{self, ErrorCode, Frame, FrameBuf, WireError, WireStats, MAX_UPDATE_TUPLES};
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Default number of `UPDATE` frames [`ServeClient::update_all`] keeps in
-/// flight before reading the first acknowledgement.
+/// Number of `UPDATE` frames [`ServeClient::update_all`] keeps in flight
+/// before reading the first acknowledgement.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 16;
 
 /// Everything that can go wrong on a client call.
@@ -90,35 +90,27 @@ pub struct UpdateOutcome {
 
 /// One blocking connection to a [`Server`](crate::Server).
 pub struct ServeClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    /// Bytes read but not yet taken: one read may carry the start of the
+    /// next frame.
+    inbox: FrameBuf,
     scratch: Vec<u8>,
-    pipeline_window: usize,
 }
 
 impl ServeClient {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
-        let writer = TcpStream::connect(addr)?;
-        writer.set_nodelay(true)?;
-        let reader = BufReader::new(writer.try_clone()?);
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(ServeClient {
-            reader,
-            writer,
+            stream,
+            inbox: FrameBuf::new(),
             scratch: Vec::new(),
-            pipeline_window: DEFAULT_PIPELINE_WINDOW,
         })
     }
 
-    /// Sets how many `UPDATE` frames [`update_all`](Self::update_all)
-    /// keeps in flight. `1` is the old lockstep mode (send, wait, send);
-    /// values are clamped to at least 1.
-    pub fn set_pipeline_window(&mut self, window: usize) {
-        self.pipeline_window = window.max(1);
-    }
-
     fn send(&mut self, request: &Frame) -> Result<(), ClientError> {
-        protocol::write_frame(&mut self.writer, request, &mut self.scratch)?;
+        protocol::write_frame(&mut self.stream, request, &mut self.scratch)?;
         Ok(())
     }
 
@@ -128,19 +120,24 @@ impl ServeClient {
     /// server's own `Error` frame.
     fn recv(&mut self) -> Result<Frame, ClientError> {
         loop {
-            return match protocol::read_frame(&mut self.reader) {
-                Ok(Some(Frame::Error { code, detail })) => {
-                    Err(ClientError::Server { code, detail })
+            match self.inbox.next_frame().map_err(ClientError::Wire)? {
+                Some(Frame::Error { code, detail }) => {
+                    return Err(ClientError::Server { code, detail })
                 }
-                Ok(Some(frame)) => Ok(frame),
-                Ok(None) => Err(ClientError::Disconnected),
-                // No read timeout is set on the client socket, but be
-                // robust to one: between-frames idleness just means the
-                // response has not arrived yet.
-                Err(ReadError::Idle) => continue,
-                Err(ReadError::Io(e)) => Err(ClientError::Io(e)),
-                Err(ReadError::Wire(e)) => Err(ClientError::Wire(e)),
-            };
+                Some(frame) => return Ok(frame),
+                None => {}
+            }
+            match self.inbox.read_from(&mut self.stream) {
+                // End of stream inside a frame cuts it; between frames it
+                // is a hang-up.
+                Ok(0) if self.inbox.has_partial() => {
+                    return Err(ClientError::Wire(WireError::Truncated))
+                }
+                Ok(0) => return Err(ClientError::Disconnected),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ClientError::Io(e)),
+            }
         }
     }
 
@@ -191,12 +188,12 @@ impl ServeClient {
     /// each `BUSY` (backing off briefly when nothing at all moved).
     /// Returns the number of `BUSY` acknowledgements absorbed.
     ///
-    /// With a pipeline window above 1 (the default), up to `window`
-    /// chunks ride the wire before the first acknowledgement is read. A
-    /// `BUSY` suffix is requeued ahead of the untouched chunks, so no
-    /// tuple is ever dropped; chunks already in flight behind the refusal
-    /// may land before the resubmission, which is fine because the
-    /// server's reducer folds commutatively.
+    /// Up to [`DEFAULT_PIPELINE_WINDOW`] chunks ride the wire before the
+    /// first acknowledgement is read. A `BUSY` suffix is requeued ahead
+    /// of the untouched chunks, so no tuple is ever dropped; chunks
+    /// already in flight behind the refusal may land before the
+    /// resubmission, which is fine because the server's reducer folds
+    /// commutatively.
     ///
     /// On a server `Error` response the acknowledgements still owed to
     /// the other in-flight chunks are read and discarded before the
@@ -215,7 +212,7 @@ impl ServeClient {
         }
         let mut in_flight: VecDeque<(usize, usize)> = VecDeque::new();
         while !pending.is_empty() || !in_flight.is_empty() {
-            while in_flight.len() < self.pipeline_window {
+            while in_flight.len() < DEFAULT_PIPELINE_WINDOW {
                 let Some((lo, hi)) = pending.pop_front() else {
                     break;
                 };
@@ -260,6 +257,8 @@ impl ServeClient {
                 if outcome.accepted == 0 && in_flight.is_empty() {
                     // Nothing moved and nothing is in flight to move
                     // things along: give the pipeline a beat to drain.
+                    // A sleep, not a wait: no frame on the wire says that
+                    // a shard FIFO has room again.
                     std::thread::sleep(Duration::from_micros(200));
                 }
             }

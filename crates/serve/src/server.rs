@@ -72,10 +72,16 @@
 //!   rule.
 //!   Frames pipelined behind it wait, as behind `WAIT_EPOCH`.
 //!
-//! The reactor sleeps in `Poller::wait`; a publish with subscribers
-//! (deltas ready) or a shutdown writes one byte to a self-wake socket
-//! pair registered under a reserved token, so neither waits out the poll
-//! tick.
+//! The reactor waits in `Poller::wait` and has no tick. A publish with
+//! subscribers (deltas ready) or a shutdown writes one byte to a
+//! self-wake socket pair registered under a reserved token. Every other
+//! reason to run a round that no socket event starts is named in one
+//! function, `poll_timeout`, evaluated once per round: no wait while a
+//! replication round or a subscription held at the high-water mark has
+//! outbox room, or while frames a drained backlog left in an inbox wait;
+//! 1 ms while a `WAIT_EPOCH` is parked (an epoch's commit wakes
+//! nothing); otherwise until the nearest idle-budget deadline, or until
+//! an event when no clock runs.
 //!
 //! The read path never touches the pipeline's accumulators: QUERY is
 //! served from `(epoch, block)` slices of published [`EpochSnapshot`]s,
@@ -83,8 +89,9 @@
 //! without even taking the snapshot publish lock.
 //!
 //! Shutdown is a graceful drain: stop accepting, answer or fail parked
-//! waiters, settle, flush what the sockets will take, then drain the
-//! pipeline — no accepted update is lost.
+//! waiters, settle, flush what the sockets take within 50 ms (waiting in
+//! the poll for writability), then drain the pipeline — no accepted
+//! update is lost.
 //!
 //! [`EpochSnapshot`]: cobra_stream::EpochSnapshot
 
@@ -143,6 +150,9 @@ impl Reducer for SumU64 {
 }
 
 /// Tuning knobs of a [`Server`].
+///
+/// There is no poll interval among them: the reactor works out how long
+/// it may wait from its connections' state (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind (use port 0 for an ephemeral port).
@@ -153,10 +163,6 @@ pub struct ServeConfig {
     /// Snapshot-cache capacity, in blocks. A block is one copy-on-write
     /// snapshot segment, so its key count is the pipeline's segment size.
     pub cache_blocks: usize,
-    /// Reactor poll granularity: how often an otherwise idle reactor
-    /// sweeps the idle budgets. Publishes and shutdown do not wait for
-    /// it — they wake the reactor directly.
-    pub read_timeout: Duration,
     /// Once a frame has started arriving, the connection must complete a
     /// frame within this budget or it is disconnected (slow-loris
     /// protection). Idling between frames is unlimited.
@@ -184,7 +190,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_conns: 4096,
             cache_blocks: 128,
-            read_timeout: Duration::from_millis(50),
             idle_budget: Duration::from_secs(30),
             durable: None,
             retain_epochs: 1,
@@ -215,12 +220,6 @@ impl ServeConfig {
     /// Sets the snapshot-cache capacity in blocks.
     pub fn cache_blocks(mut self, blocks: usize) -> Self {
         self.cache_blocks = blocks;
-        self
-    }
-
-    /// Sets the reactor poll granularity (idle-budget sweep tick).
-    pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
         self
     }
 
@@ -283,7 +282,6 @@ struct Ctx {
     num_keys: u32,
     /// Keys per cache block: the pipeline's snapshot segment size.
     block_keys: u32,
-    read_timeout: Duration,
     /// The durable data directory (None = in-memory server; replication
     /// requests are refused with `NotDurable`).
     data_dir: Option<PathBuf>,
@@ -403,7 +401,7 @@ impl Server {
         let hook_wake = wake_tx.try_clone()?;
         // Fan out FIRST, wake SECOND: the reactor drains the wake socket
         // before it pumps subscriber queues, so a delta enqueued before
-        // the byte is never left waiting for the next poll tick. With no
+        // the byte is never left waiting for some later event. With no
         // subscriber there is no queue to pump and no wake: a subscriber
         // that received this epoch was registered throughout the fan-out,
         // so it is still counted here unless it has already gone.
@@ -445,7 +443,6 @@ impl Server {
             stop: AtomicBool::new(false),
             num_keys,
             block_keys,
-            read_timeout: cfg.read_timeout,
             data_dir,
             store,
             hub,
@@ -529,8 +526,8 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKE_TOKEN: u64 = u64::MAX - 1;
 
 /// Wakes the reactor out of `Poller::wait`. Non-blocking: a full socket
-/// buffer already means a wake is pending, and any other failure only
-/// costs one poll tick, so the result is ignored.
+/// buffer already means a wake is pending, and with both ends held by
+/// `Ctx` the write has no other way to fail, so the result is ignored.
 fn wake(mut wake_tx: &UnixStream) {
     let _ = wake_tx.write(&[1]);
 }
@@ -597,6 +594,10 @@ struct Push {
     /// `UNSUBSCRIBE` arrived: the hub queue is closed; once its remainder
     /// is staged the connection returns to request mode.
     unsubscribing: bool,
+    /// The last pump stopped (or was skipped) at the high-water mark
+    /// before it saw the queue empty: once the outbox has room, the next
+    /// round must pump again, and no socket event will say so.
+    held: bool,
 }
 
 impl Drop for Push {
@@ -612,7 +613,8 @@ impl Push {
     /// at a time. An epoch with no changes in range still ships an empty
     /// `Delta`: delivery is gap-free per epoch, which is what lets the
     /// client assert `to_epoch == last + 1` and trust pure delta replay.
-    /// Returns true once the (closed) queue is exhausted.
+    /// Returns true once the (closed) queue is exhausted; sets `held`
+    /// when the mark stopped it first.
     fn stage_queued(&mut self, outbox: &mut Vec<u8>, sent: usize, scratch: &mut Vec<u8>) -> bool {
         while outbox.len() - sent < OUTBOX_HIGH_WATER {
             let (delta, at) = match self.cursor.take() {
@@ -629,7 +631,10 @@ impl Push {
                         }
                         continue;
                     }
-                    SubMsg::Idle => return false,
+                    SubMsg::Idle => {
+                        self.held = false;
+                        return false;
+                    }
                     SubMsg::Closed => return true,
                 },
             };
@@ -648,6 +653,7 @@ impl Push {
                 self.cursor = Some((delta, end));
             }
         }
+        self.held = true;
         false
     }
 }
@@ -802,6 +808,38 @@ impl Conn {
         }
     }
 
+    /// True when write backpressure has let go of buffered bytes that no
+    /// drain has seen since: frames to dispatch, or a partial frame
+    /// whose clock must re-arm. No readable event announces bytes
+    /// already read. (A drain leaves a dispatching connection with no
+    /// whole frame, and with its frame clock running iff bytes remain.)
+    fn resumable(&self) -> bool {
+        self.dispatching()
+            && !self.backlogged()
+            && self.inbox.pending() > 0
+            && self.partial_since.is_none()
+    }
+
+    /// When the idle budget cuts this connection: the earliest running
+    /// clock (frame, backlog or goodbye) plus the budget.
+    fn deadline(&self, idle_budget: Duration) -> Option<Instant> {
+        [
+            self.partial_since,
+            self.backlogged_since,
+            self.draining_since,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .map(|since| since + idle_budget)
+    }
+
+    /// True once `now` has reached the deadline: the budget sweep's test,
+    /// and the instant `poll_timeout`'s wait for this connection ends.
+    fn expired(&self, idle_budget: Duration, now: Instant) -> bool {
+        self.deadline(idle_budget).is_some_and(|d| d <= now)
+    }
+
     fn start_draining(&mut self) {
         self.mode = Mode::Draining;
         self.partial_since = None;
@@ -809,6 +847,46 @@ impl Conn {
             self.draining_since = Some(Instant::now());
         }
     }
+}
+
+/// How often a parked `WAIT_EPOCH` re-reads the committed epoch. Nothing
+/// wakes the reactor when an epoch commits: the publish hook wakes it
+/// only for subscribers, and runs before a non-durable pipeline stores
+/// the epoch it publishes.
+const PARK_POLL: Duration = Duration::from_millis(1);
+
+/// How long shutdown's last flush waits for sockets to take the
+/// goodbye bytes.
+const FINAL_FLUSH: Duration = Duration::from_millis(50);
+
+/// How long the reactor may wait in `Poller::wait` before its next
+/// round: the one place that names every reason to run a round that no
+/// socket event starts. `None` waits for an event; a publish with
+/// subscribers and a shutdown write the wake socket.
+fn poll_timeout(
+    conns: &HashMap<u64, Conn>,
+    idle_budget: Duration,
+    now: Instant,
+) -> Option<Duration> {
+    let due = |c: &Conn| {
+        // Work on the reactor's side of the socket: a replication round
+        // or a held subscription with outbox room, or frames a drained
+        // backlog left in the inbox.
+        let streaming = match &c.mode {
+            Mode::Replicating(_) => true,
+            Mode::Subscribed(push) => push.held,
+            _ => false,
+        };
+        if (streaming && !c.backlogged()) || c.resumable() {
+            return Some(Duration::ZERO);
+        }
+        let parked = matches!(c.mode, Mode::Parked { .. }).then_some(PARK_POLL);
+        let cut = c
+            .deadline(idle_budget)
+            .map(|d| d.saturating_duration_since(now));
+        parked.into_iter().chain(cut).min()
+    };
+    conns.values().filter_map(due).min()
 }
 
 /// Appends one encoded frame to an outbox.
@@ -830,28 +908,11 @@ fn reactor_loop(
     let mut next_token: u64 = 0;
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = Vec::new();
+    let mut timeout = None;
     loop {
-        // The round ticks at read-timeout granularity for the budget
-        // sweeps. Parked waiters poll the committed epoch at 1ms
-        // granularity (matching the old blocking WAIT_EPOCH loop), and a
-        // replication round with outbox room goes straight to its next
-        // chunk.
-        let mut timeout = ctx.read_timeout;
-        for conn in conns.values() {
-            match conn.mode {
-                Mode::Replicating(_) if !conn.backlogged() => {
-                    timeout = Duration::ZERO;
-                    break;
-                }
-                Mode::Parked { .. } => timeout = timeout.min(Duration::from_millis(1)),
-                _ => {}
-            }
-        }
-        if poller.wait(&mut events, Some(timeout)).is_err() {
-            // Poller failure is not recoverable per-connection; avoid a
-            // hot spin and let the stop check below exit the loop.
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // A poller that fails cannot serve anything: leave through the
+        // stop path below. (`EINTR` is not a failure.)
+        let failed = poller.wait(&mut events, timeout).is_err();
         if events.iter().any(|e| e.token == WAKE_TOKEN) {
             drain_wake(&ctx.wake_rx);
         }
@@ -916,7 +977,7 @@ fn reactor_loop(
         // sit in the inbox, not the socket — so they need this sweep.
         let resumable: Vec<u64> = conns
             .iter()
-            .filter(|(_, c)| c.dispatching() && !c.backlogged() && c.inbox.pending() > 0)
+            .filter(|(_, c)| c.resumable())
             .map(|(t, _)| *t)
             .collect();
         for token in resumable {
@@ -997,31 +1058,25 @@ fn reactor_loop(
         }
 
         // 7. Budget sweep: a connection mid-frame, mid-goodbye, or
-        // sitting on an unread response backlog for longer than the
-        // idle budget is cut loose. Paused connections never tick the
-        // partial clock: it is cleared on pause and re-arms on resume.
+        // sitting on an unread response backlog is cut loose once that
+        // clock has run for the idle budget. Paused connections never
+        // tick the partial clock: it is cleared on pause and re-arms on
+        // resume.
+        // The next poll times out at the nearest deadline this sweep
+        // left, so the reactor never spins at one.
         let now = Instant::now();
-        let expired: Vec<u64> = conns
-            .iter()
-            .filter(|(_, c)| {
-                c.partial_since
-                    .is_some_and(|t| now.duration_since(t) > idle_budget)
-                    || c.backlogged_since
-                        .is_some_and(|t| now.duration_since(t) > idle_budget)
-                    || c.draining_since
-                        .is_some_and(|t| now.duration_since(t) > idle_budget)
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for token in expired {
-            if let Some(conn) = conns.remove(&token) {
-                let _ = poller.deregister(&conn.stream);
+        conns.retain(|_, c| {
+            let expired = c.expired(idle_budget, now);
+            if expired {
+                let _ = poller.deregister(&c.stream);
             }
-        }
+            !expired
+        });
+        timeout = poll_timeout(&conns, idle_budget, now);
 
         // 8. Stop check: answer or fail parked waiters, settle, flush
         // what the sockets will take, leave.
-        if ctx.stopping() {
+        if failed || ctx.stopping() {
             let committed = ctx.pipeline.committed_epoch();
             for conn in conns.values_mut() {
                 if let Mode::Parked { epoch } = conn.mode {
@@ -1033,20 +1088,26 @@ fn reactor_loop(
             }
             settle(&mut handle);
             // Best-effort final flush, bounded: the kernel buffers
-            // almost always take the goodbye bytes immediately.
-            let deadline = Instant::now() + ctx.read_timeout;
+            // almost always take the goodbye bytes immediately. Only
+            // writability may end the waits below, so the listener, the
+            // wake socket and every read interest leave the poller; a
+            // connection closes once its outbox is out or its peer gone.
+            let _ = poller.deregister(listener);
+            let _ = poller.deregister(&ctx.wake_rx);
+            let deadline = Instant::now() + FINAL_FLUSH;
             loop {
-                let mut pending = false;
-                for conn in conns.values_mut() {
-                    flush_outbox(conn);
-                    if !conn.peer_gone && conn.sent < conn.outbox.len() {
-                        pending = true;
-                    }
-                }
-                if !pending || Instant::now() >= deadline {
+                conns.retain(|&token, c| {
+                    flush_outbox(c);
+                    let pending = !c.peer_gone && c.sent < c.outbox.len();
+                    pending && poller.modify(&c.stream, token, Interest::WRITE).is_ok()
+                });
+                let now = Instant::now();
+                if conns.is_empty()
+                    || now >= deadline
+                    || poller.wait(&mut events, Some(deadline - now)).is_err()
+                {
                     break;
                 }
-                std::thread::sleep(Duration::from_millis(1));
             }
             let _ = handle.flush();
             return; // dropping `conns` closes every socket
@@ -1287,6 +1348,7 @@ fn dispatch(
                     prev: baseline,
                     cursor: None,
                     unsubscribing: false,
+                    held: false,
                 });
                 Frame::Subscribed { epoch: baseline }
             }
@@ -1330,10 +1392,9 @@ fn pump_stream(ctx: &Ctx, conn: &mut Conn, scratch: &mut Vec<u8>) -> bool {
         conn.start_draining();
         return false;
     }
-    if conn.backlogged() {
-        return false;
-    }
+    let backlogged = conn.backlogged();
     let done = match &mut conn.mode {
+        // Skipped at the mark too, so that `held` records the skip.
         Mode::Subscribed(push) => {
             if !push.stage_queued(&mut conn.outbox, conn.sent, scratch) {
                 return false;
@@ -1348,6 +1409,7 @@ fn pump_stream(ctx: &Ctx, conn: &mut Conn, scratch: &mut Vec<u8>) -> bool {
                 epoch: ctx.pipeline.published_epoch(),
             }
         }
+        Mode::Replicating(_) if backlogged => return false,
         Mode::Replicating(round) => {
             if let Some(segment) = round.next_segment() {
                 stage(&mut conn.outbox, &segment, scratch);
@@ -1623,7 +1685,6 @@ mod tests {
             stop: AtomicBool::new(false),
             num_keys,
             block_keys,
-            read_timeout: Duration::from_millis(10),
             data_dir: None,
             store: Arc::new(EpochStore::new(RetentionConfig::new())),
             hub: Arc::new(DeltaHub::new()),
@@ -1631,6 +1692,140 @@ mod tests {
             wake_tx,
             wake_rx,
         }
+    }
+
+    /// A connection over a loopback socket. The wait reads only the
+    /// connection's state, so nothing is ever sent on it.
+    fn test_conn() -> Conn {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        Conn::new(TcpStream::connect(addr).expect("connect"))
+    }
+
+    fn wait_for(conn: Conn, now: Instant) -> Option<Duration> {
+        poll_timeout(&HashMap::from([(0, conn)]), BUDGET, now)
+    }
+
+    const BUDGET: Duration = Duration::from_millis(300);
+
+    #[test]
+    fn the_wait_is_unbounded_with_no_clock_running() {
+        assert_eq!(poll_timeout(&HashMap::new(), BUDGET, Instant::now()), None);
+        // An idle request connection: only its socket can start a round.
+        assert_eq!(wait_for(test_conn(), Instant::now()), None);
+    }
+
+    #[test]
+    fn a_parked_waiter_polls_every_millisecond() {
+        let mut conn = test_conn();
+        conn.mode = Mode::Parked { epoch: 1 };
+        assert_eq!(
+            wait_for(conn, Instant::now()),
+            Some(Duration::from_millis(1))
+        );
+    }
+
+    #[test]
+    fn a_replication_round_with_outbox_room_does_not_wait() {
+        let round = || ReplRound {
+            have: HashMap::new(),
+            committed: 0,
+            files: VecDeque::new(),
+            staged: 0,
+            shipped_files: 0,
+            shipped_bytes: 0,
+        };
+        let mut conn = test_conn();
+        conn.mode = Mode::Replicating(Box::new(round()));
+        assert_eq!(wait_for(conn, Instant::now()), Some(Duration::ZERO));
+        // At the mark the round waits for writability, a socket event.
+        let mut conn = test_conn();
+        conn.mode = Mode::Replicating(Box::new(round()));
+        conn.outbox = vec![0; OUTBOX_HIGH_WATER];
+        assert_eq!(wait_for(conn, Instant::now()), None);
+    }
+
+    #[test]
+    fn a_pump_held_at_the_high_water_mark_does_not_wait_once_the_outbox_drains() {
+        let hub = Arc::new(DeltaHub::new());
+        let mut conn = test_conn();
+        let mut push = Push {
+            sub: hub.subscribe(0, 16, 4),
+            hub: Arc::clone(&hub),
+            prev: 0,
+            cursor: None,
+            unsubscribing: false,
+            held: false,
+        };
+        hub.fan_out(1, vec![(3, 30)]);
+        // The outbox sits at the mark: the pump stages nothing and holds.
+        let mut scratch = Vec::new();
+        conn.outbox = vec![0; OUTBOX_HIGH_WATER];
+        assert!(!push.stage_queued(&mut conn.outbox, 0, &mut scratch));
+        assert!(push.held);
+        conn.mode = Mode::Subscribed(push);
+        let mut conns = HashMap::from([(0, conn)]);
+        assert_eq!(poll_timeout(&conns, BUDGET, Instant::now()), None);
+        // A flush takes the whole outbox; no event says the delta waits.
+        let conn = conns.get_mut(&0).expect("conn");
+        conn.outbox.clear();
+        assert_eq!(
+            poll_timeout(&conns, BUDGET, Instant::now()),
+            Some(Duration::ZERO)
+        );
+        // The next pump stages the delta and sees the queue empty.
+        let conn = conns.get_mut(&0).expect("conn");
+        let Mode::Subscribed(push) = &mut conn.mode else {
+            unreachable!()
+        };
+        assert!(!push.stage_queued(&mut conn.outbox, 0, &mut scratch));
+        assert!(!push.held);
+        conn.outbox.clear();
+        assert_eq!(poll_timeout(&conns, BUDGET, Instant::now()), None);
+    }
+
+    #[test]
+    fn an_inbox_left_waiting_by_backpressure_does_not_wait() {
+        let mut wire = Vec::new();
+        protocol::encode(&Frame::Query { key: 1 }, &mut wire);
+        let mut conn = test_conn();
+        conn.inbox
+            .read_from(&mut wire.as_slice())
+            .expect("a slice reads");
+        // Paused at the mark, the frame waits for writability.
+        conn.outbox = vec![0; OUTBOX_HIGH_WATER];
+        let mut conns = HashMap::from([(0, conn)]);
+        assert_eq!(poll_timeout(&conns, BUDGET, Instant::now()), None);
+        // The flush drained it: the resume sweep must run at once.
+        let conn = conns.get_mut(&0).expect("conn");
+        conn.outbox.clear();
+        assert!(conn.resumable());
+        assert_eq!(
+            poll_timeout(&conns, BUDGET, Instant::now()),
+            Some(Duration::ZERO)
+        );
+    }
+
+    #[test]
+    fn a_half_arrived_frame_is_due_at_its_idle_budget() {
+        let mut conn = test_conn();
+        conn.inbox
+            .read_from(&mut [5u8, 0, 0].as_slice())
+            .expect("a slice reads");
+        let t = Instant::now();
+        conn.partial_since = Some(t);
+        let step = Duration::from_millis(40);
+        assert!(!conn.expired(BUDGET, t + BUDGET - step));
+        assert!(conn.expired(BUDGET, t + BUDGET));
+        let mut conns = HashMap::from([(0, conn)]);
+        assert_eq!(poll_timeout(&conns, BUDGET, t + step), Some(BUDGET - step));
+        // The wait's end is the sweep's cut: no round spins short of it.
+        assert_eq!(poll_timeout(&conns, BUDGET, t + BUDGET - step), Some(step));
+        // The nearest of several clocks decides.
+        let conn = conns.get_mut(&0).expect("conn");
+        conn.backlogged_since = Some(t + step);
+        conn.draining_since = Some(t - step);
+        assert_eq!(poll_timeout(&conns, BUDGET, t), Some(BUDGET - step));
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //! driven by [`ServeClient`]s (and, for the malformed-input tests, by a
 //! raw socket speaking deliberately broken bytes).
 
-use cobra_serve::protocol::{self, opcodes, Frame, MAX_FRAME};
-use cobra_serve::{ClientError, ErrorCode, ServeClient, ServeConfig, Server};
+mod common;
+
+use cobra_serve::protocol::{self, opcodes, Frame, FrameBuf, MAX_FRAME};
+use cobra_serve::{ClientError, ErrorCode, ServeClient, ServeConfig, Server, WireError};
 use cobra_stream::StreamConfig;
+use common::read_one_frame;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn small_server(num_keys: u32) -> Server {
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(8);
-    let serve_cfg = ServeConfig::new()
-        .cache_blocks(8)
-        .read_timeout(Duration::from_millis(10));
+    let serve_cfg = ServeConfig::new().cache_blocks(8);
     Server::start(num_keys, stream_cfg, serve_cfg).expect("bind ephemeral server")
 }
 
@@ -184,9 +185,10 @@ fn malformed_bytes_get_an_error_frame_and_the_server_survives() {
 
     // Speak garbage on a raw socket: a frame with an unknown opcode.
     let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut inbox = FrameBuf::new();
     raw.write_all(&[2, 0, 0, 0, 0x7E, 0xFF])
         .expect("write garbage");
-    let reply = read_one_frame(&mut raw);
+    let reply = read_one_frame(&mut raw, &mut inbox);
     match reply {
         Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected Error frame, got {other:?}"),
@@ -197,9 +199,10 @@ fn malformed_bytes_get_an_error_frame_and_the_server_survives() {
 
     // An oversized length prefix is refused the same way.
     let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut inbox = FrameBuf::new();
     let huge = (MAX_FRAME as u32 + 1).to_le_bytes();
     raw.write_all(&huge).expect("write oversized prefix");
-    match read_one_frame(&mut raw) {
+    match read_one_frame(&mut raw, &mut inbox) {
         Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected Error frame, got {other:?}"),
     }
@@ -207,10 +210,11 @@ fn malformed_bytes_get_an_error_frame_and_the_server_survives() {
     // A response-kind opcode from a client is refused without hanging up
     // the worker pool: a well-behaved client still gets service.
     let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut inbox = FrameBuf::new();
     let mut scratch = Vec::new();
     protocol::write_frame(&mut raw, &Frame::Sealed { epoch: 9 }, &mut scratch)
         .expect("write response-kind frame");
-    match read_one_frame(&mut raw) {
+    match read_one_frame(&mut raw, &mut inbox) {
         Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected Error frame, got {other:?}"),
     }
@@ -221,16 +225,42 @@ fn malformed_bytes_get_an_error_frame_and_the_server_survives() {
     server.shutdown();
 }
 
+/// The client tells a server that hung up between frames from one that
+/// cut a frame short.
+#[test]
+fn truncated_stream_is_distinguished_from_clean_eof() {
+    let mut sealed = Vec::new();
+    protocol::encode(&Frame::Sealed { epoch: 1 }, &mut sealed);
+    // What a scripted server answers before it hangs up: nothing, half a
+    // length prefix, a frame short of its last three bytes.
+    let cut = sealed.len() - 3;
+    for (reply, truncated) in [
+        (&[][..], false),
+        (&sealed[..2], true),
+        (&sealed[..cut], true),
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted server");
+        let addr = listener.local_addr().expect("local addr");
+        let reply = reply.to_vec();
+        let scripted = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            read_one_frame(&mut sock, &mut FrameBuf::new());
+            sock.write_all(&reply).expect("reply");
+        });
+        let mut client = ServeClient::connect(addr).expect("connect");
+        let err = client.query(1).expect_err("the server hung up");
+        scripted.join().expect("scripted server");
+        match err {
+            ClientError::Disconnected if !truncated => {}
+            ClientError::Wire(WireError::Truncated) if truncated => {}
+            other => panic!("reply {truncated}: got {other:?}"),
+        }
+    }
+}
+
 /// Sanity-check the opcode module is exported for raw-socket tooling.
 #[test]
 fn opcode_constants_are_public() {
     assert_eq!(opcodes::UPDATE, 0x01);
     assert_eq!(opcodes::ERROR, 0x8F);
-}
-
-fn read_one_frame(stream: &mut TcpStream) -> Frame {
-    match protocol::read_frame(stream) {
-        Ok(Some(frame)) => frame,
-        other => panic!("expected one frame, got {other:?}"),
-    }
 }

@@ -7,11 +7,14 @@
 //! and every reconstructed per-epoch state must be bit-identical to the
 //! server's own `SNAPSHOT{epoch}` answer.
 
-use cobra_serve::protocol::{self, opcodes, Frame, ReadError, MAX_UPDATE_TUPLES, PROTOCOL_VERSION};
+mod common;
+
+use cobra_serve::protocol::{self, opcodes, Frame, FrameBuf, MAX_UPDATE_TUPLES, PROTOCOL_VERSION};
 use cobra_serve::{ClientError, ErrorCode, ServeClient, ServeConfig, Server, SubEvent, WireError};
 use cobra_stream::StreamConfig;
+use common::{next_frame, read_one_frame};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -21,7 +24,6 @@ fn mvcc_server_with_keys(keys: u32, retain: usize, sub_queue_epochs: usize) -> S
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(64);
     let serve_cfg = ServeConfig::new()
         .cache_blocks(16)
-        .read_timeout(Duration::from_millis(10))
         .retain_epochs(retain)
         .sub_queue_epochs(sub_queue_epochs);
     Server::start(keys, stream_cfg, serve_cfg).expect("bind ephemeral server")
@@ -338,22 +340,20 @@ fn unsubscribe_returns_the_connection_to_request_mode() {
     }
     server.shutdown();
 
-    // The connection comes back as it went in: a lockstep client (window
-    // 1) must not return pipelining. Only a scripted peer can see that —
-    // it withholds the first chunk's acknowledgement and watches for a
-    // second chunk, which a lockstep client has not sent yet.
+    // The connection comes back as it went in: a client must return
+    // from a subscription still pipelining. Only a scripted peer can see
+    // that — it withholds the first chunk's acknowledgement and watches
+    // for a second chunk, which a pipelining client has already sent.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted peer");
     let peer_addr = listener.local_addr().expect("local addr");
     let peer = std::thread::spawn(move || {
         let (mut sock, _) = listener.accept().expect("accept");
+        let mut inbox = FrameBuf::new();
         let mut scratch = Vec::new();
         let mut reply = |sock: &mut TcpStream, frame: Frame| {
             protocol::write_frame(sock, &frame, &mut scratch).expect("reply")
         };
-        let read = |sock: &mut TcpStream| match protocol::read_frame(sock) {
-            Ok(Some(frame)) => frame,
-            other => panic!("scripted peer got {other:?}"),
-        };
+        let mut read = |sock: &mut TcpStream| read_one_frame(sock, &mut inbox);
         assert!(matches!(read(&mut sock), Frame::Subscribe { .. }));
         reply(&mut sock, Frame::Subscribed { epoch: 0 });
         assert!(matches!(read(&mut sock), Frame::Unsubscribe));
@@ -363,34 +363,40 @@ fn unsubscribe_returns_the_connection_to_request_mode() {
         };
         sock.set_read_timeout(Some(Duration::from_millis(200)))
             .expect("set timeout");
-        let early = match protocol::read_frame(&mut sock) {
-            Err(ReadError::Idle) => None,
+        let early = match next_frame(&mut sock, &mut inbox) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                None
+            }
             Ok(Some(Frame::Update(second))) => Some(second),
             other => panic!("scripted peer got {other:?}"),
         };
         sock.set_read_timeout(None).expect("clear timeout");
-        let stayed_lockstep = early.is_none();
+        let pipelined = early.is_some();
         let accepted = first.len() as u32;
         reply(&mut sock, Frame::Accepted { accepted });
-        let second = early.unwrap_or_else(|| match read(&mut sock) {
+        let second = early.unwrap_or_else(|| match read_one_frame(&mut sock, &mut inbox) {
             Frame::Update(second) => second,
             other => panic!("expected the second UPDATE chunk, got {other:?}"),
         });
         let accepted = second.len() as u32;
         reply(&mut sock, Frame::Accepted { accepted });
-        stayed_lockstep
+        pipelined
     });
-    let mut lockstep = ServeClient::connect(peer_addr).expect("connect scripted peer");
-    lockstep.set_pipeline_window(1);
-    let sub = lockstep.subscribe(0, KEYS).expect("scripted subscribe");
-    let (mut lockstep, _) = sub.unsubscribe().expect("scripted unsubscribe");
+    let client = ServeClient::connect(peer_addr).expect("connect scripted peer");
+    let sub = client.subscribe(0, KEYS).expect("scripted subscribe");
+    let (mut client, _) = sub.unsubscribe().expect("scripted unsubscribe");
     let two_chunks = vec![(0u32, 1u64); MAX_UPDATE_TUPLES as usize + 1];
-    lockstep
+    client
         .update_all(&two_chunks)
         .expect("update through the scripted peer");
     assert!(
         peer.join().expect("scripted peer"),
-        "unsubscribe reset the pipeline window: chunk 2 left before chunk 1 was acknowledged"
+        "unsubscribe left the client in lockstep: chunk 2 waited for chunk 1's acknowledgement"
     );
 }
 

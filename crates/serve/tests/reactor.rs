@@ -5,9 +5,13 @@
 //! mid-pipeline server error, the `max_conns` refusal, and a
 //! 1000-connection storm.
 
-use cobra_serve::protocol::{self, ErrorCode, Frame, MAX_UPDATE_TUPLES};
+mod common;
+
+use cobra_serve::client::DEFAULT_PIPELINE_WINDOW;
+use cobra_serve::protocol::{self, ErrorCode, Frame, FrameBuf, MAX_UPDATE_TUPLES};
 use cobra_serve::{ClientError, ServeClient, ServeConfig, Server, SubEvent};
 use cobra_stream::StreamConfig;
+use common::{next_frame, read_one_frame};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Barrier};
@@ -27,27 +31,15 @@ fn congested_server_batching(num_keys: u32, batch_tuples: usize) -> Server {
         .shards(1)
         .channel_capacity(1)
         .batch_tuples(batch_tuples);
-    let serve_cfg = ServeConfig::new()
-        .cache_blocks(8)
-        .read_timeout(Duration::from_millis(10));
+    let serve_cfg = ServeConfig::new().cache_blocks(8);
     Server::start(num_keys, stream_cfg, serve_cfg).expect("bind ephemeral server")
 }
 
 /// A server with a deliberately short per-connection frame budget.
 fn short_budget_server(num_keys: u32, budget: Duration) -> Server {
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(8);
-    let serve_cfg = ServeConfig::new()
-        .cache_blocks(8)
-        .read_timeout(Duration::from_millis(10))
-        .idle_budget(budget);
+    let serve_cfg = ServeConfig::new().cache_blocks(8).idle_budget(budget);
     Server::start(num_keys, stream_cfg, serve_cfg).expect("bind ephemeral server")
-}
-
-fn read_one_frame(stream: &mut TcpStream) -> Frame {
-    match protocol::read_frame(stream) {
-        Ok(Some(frame)) => frame,
-        other => panic!("expected one frame, got {other:?}"),
-    }
 }
 
 /// Appends one encoded frame to `out` (`protocol::encode` clears its
@@ -88,27 +80,6 @@ fn pipelined_busy_suffix_retries_lose_nothing() {
     );
     assert_eq!(stats.tuples_ingested, TUPLES);
     assert!(stats.busy_tuples > 0, "server never reported a refusal");
-}
-
-/// window=1 is the old lockstep protocol: one frame in flight, one ack
-/// awaited. It must survive the same congestion with the same sum.
-#[test]
-fn lockstep_window_one_matches_pipelined_behaviour() {
-    let server = congested_server(64);
-    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
-    client.set_pipeline_window(1);
-
-    const TUPLES: u64 = 2048;
-    let batch: Vec<(u32, u64)> = (0..TUPLES).map(|i| ((i % 64) as u32, 2 * i + 1)).collect();
-    let expected: u64 = batch.iter().map(|&(_, v)| v).sum();
-
-    client.update_all(&batch).expect("lockstep update");
-    client.seal().expect("seal");
-
-    let (snapshot, stats) = server.shutdown();
-    let total: u64 = snapshot.iter().sum();
-    assert_eq!(total, expected);
-    assert_eq!(stats.tuples_ingested, TUPLES);
 }
 
 /// The settle guarantee under congestion, across connections: whatever
@@ -157,6 +128,7 @@ fn accepted_on_one_connection_is_visible_to_a_seal_on_another() {
 fn one_byte_dribble_completes_within_the_frame_budget() {
     let server = short_budget_server(16, Duration::from_millis(500));
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut inbox = FrameBuf::new();
 
     let mut bytes = Vec::new();
     protocol::encode(&Frame::Update(vec![(3, 39), (3, 3)]), &mut bytes);
@@ -165,7 +137,7 @@ fn one_byte_dribble_completes_within_the_frame_budget() {
         raw.flush().expect("flush byte");
         std::thread::sleep(Duration::from_millis(2));
     }
-    match read_one_frame(&mut raw) {
+    match read_one_frame(&mut raw, &mut inbox) {
         Frame::Accepted { accepted } => assert_eq!(accepted, 2),
         other => panic!("dribbled UPDATE not accepted: {other:?}"),
     }
@@ -234,9 +206,7 @@ fn unread_response_flood_is_bounded_and_cut_by_backpressure() {
     const REQS: usize = 128; // ~64MB of responses if staged unchecked
     let budget = Duration::from_millis(300);
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(64);
-    let serve_cfg = ServeConfig::new()
-        .read_timeout(Duration::from_millis(10))
-        .idle_budget(budget);
+    let serve_cfg = ServeConfig::new().idle_budget(budget);
     let server = Server::start(KEYS, stream_cfg, serve_cfg).expect("bind ephemeral server");
     let addr = server.local_addr();
 
@@ -303,6 +273,7 @@ fn parked_waiter_with_pipelined_partial_frame_survives_the_budget() {
     let server = short_budget_server(16, budget);
     let addr = server.local_addr();
     let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut inbox = FrameBuf::new();
     raw.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set read timeout");
 
@@ -326,7 +297,7 @@ fn parked_waiter_with_pipelined_partial_frame_survives_the_budget() {
     second.extend_from_slice(&next[..next.len() / 2]);
     raw.write_all(&second).expect("pipeline wait + partial");
     raw.flush().expect("flush pipeline");
-    match read_one_frame(&mut raw) {
+    match read_one_frame(&mut raw, &mut inbox) {
         Frame::Accepted { accepted } => assert_eq!(accepted, 1),
         other => panic!("first UPDATE not accepted: {other:?}"),
     }
@@ -340,7 +311,7 @@ fn parked_waiter_with_pipelined_partial_frame_survives_the_budget() {
     let mut sealer = ServeClient::connect(addr).expect("connect sealer");
     sealer.update_all(&[(3, 3)]).expect("sealer update");
     sealer.seal().expect("seal epoch 1");
-    match read_one_frame(&mut raw) {
+    match read_one_frame(&mut raw, &mut inbox) {
         Frame::EpochCommitted { epoch } => assert!(epoch >= 1),
         other => panic!("parked waiter was not answered: {other:?}"),
     }
@@ -350,7 +321,7 @@ fn parked_waiter_with_pipelined_partial_frame_survives_the_budget() {
     raw.write_all(&next[next.len() / 2..])
         .expect("finish frame");
     raw.flush().expect("flush finish");
-    match read_one_frame(&mut raw) {
+    match read_one_frame(&mut raw, &mut inbox) {
         Frame::Accepted { accepted } => assert_eq!(accepted, 1),
         other => panic!("post-unpark UPDATE not accepted: {other:?}"),
     }
@@ -374,10 +345,11 @@ fn update_all_stays_frame_aligned_after_mid_pipeline_server_error() {
     // prove the client drains the in-flight acknowledgements.
     let fake = std::thread::spawn(move || {
         let (mut sock, _) = listener.accept().expect("accept");
+        let mut inbox = FrameBuf::new();
         let mut scratch = Vec::new();
-        let mut updates_seen = 0u32;
+        let mut updates_seen = 0usize;
         loop {
-            match protocol::read_frame(&mut sock) {
+            match next_frame(&mut sock, &mut inbox) {
                 Ok(Some(Frame::Update(tuples))) => {
                     updates_seen += 1;
                     let reply = if updates_seen == 1 {
@@ -407,10 +379,9 @@ fn update_all_stays_frame_aligned_after_mid_pipeline_server_error() {
     });
 
     let mut client = ServeClient::connect(addr).expect("connect");
-    client.set_pipeline_window(4);
-    // Five chunks' worth of tuples: four ride the wire before the first
-    // acknowledgement (the injected Error) is read.
-    let tuples: Vec<(u32, u64)> = (0..5 * MAX_UPDATE_TUPLES as usize)
+    // One chunk more than the window: a window's worth rides the wire
+    // before the first acknowledgement (the injected Error) is read.
+    let tuples: Vec<(u32, u64)> = (0..(DEFAULT_PIPELINE_WINDOW + 1) * MAX_UPDATE_TUPLES as usize)
         .map(|i| (i as u32 % 8, 1))
         .collect();
     let err = client
@@ -429,9 +400,9 @@ fn update_all_stays_frame_aligned_after_mid_pipeline_server_error() {
     assert_eq!((epoch, value), (9, 3));
 
     drop(client);
-    // Exactly the four in-flight chunks reached the wire — the error
+    // Exactly the window's in-flight chunks reached the wire — the error
     // stopped the window from refilling.
-    assert_eq!(fake.join().expect("fake server"), 4);
+    assert_eq!(fake.join().expect("fake server"), DEFAULT_PIPELINE_WINDOW);
 }
 
 /// Idling BETWEEN frames is free: the budget clocks a started frame, not
@@ -460,9 +431,7 @@ fn idle_between_frames_is_not_budgeted() {
 #[test]
 fn connections_past_max_conns_are_closed_and_freed_slots_are_reused() {
     let deadline = Duration::from_secs(5);
-    let serve_cfg = ServeConfig::new()
-        .max_conns(2)
-        .read_timeout(Duration::from_millis(10));
+    let serve_cfg = ServeConfig::new().max_conns(2);
     let server = Server::start(16, StreamConfig::new().shards(1), serve_cfg).expect("bind server");
     let addr = server.local_addr();
 

@@ -1,11 +1,14 @@
 //! SUBSCRIBE and REPLICATE as reactor connection states: the self-wake
-//! path (a publish or a shutdown must not wait for the poll tick), flow
+//! path (a publish or a shutdown must not wait for some later event), flow
 //! control against a subscriber that stops reading, and in-order handling
 //! of frames pipelined behind a streaming request.
 
-use cobra_serve::protocol::{self, ErrorCode, Frame};
+mod common;
+
+use cobra_serve::protocol::{self, ErrorCode, Frame, FrameBuf};
 use cobra_serve::{ServeClient, ServeConfig, Server, SubEvent};
 use cobra_stream::StreamConfig;
+use common::{next_frame, read_one_frame};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -38,13 +41,6 @@ fn seal_and_publish(client: &mut ServeClient, tuples: &[(u32, u64)]) -> u64 {
     }
 }
 
-fn read_one_frame(stream: &mut TcpStream) -> Frame {
-    match protocol::read_frame(stream) {
-        Ok(Some(frame)) => frame,
-        other => panic!("expected one frame, got {other:?}"),
-    }
-}
-
 /// Encodes `frames` back to back: one TCP write, one readiness event.
 fn pipelined(frames: &[Frame]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -56,16 +52,14 @@ fn pipelined(frames: &[Frame]) -> Vec<u8> {
     out
 }
 
-/// Wake, not tick: with a 2 s poll tick, a subscriber still sees the
-/// delta of a sealed epoch at once (the publish hook wakes the reactor),
-/// and `shutdown()` with a live subscription returns at once (the same
-/// wake, not a connect-to-self, and no thread waiting out a read
-/// timeout).
+/// Wake, not tick: the reactor has no poll tick, yet a subscriber sees
+/// the delta of a sealed epoch at once (the publish hook wakes the
+/// reactor), and `shutdown()` with a live subscription returns at once
+/// (the same wake, not a connect-to-self, and no thread waiting out a
+/// read timeout).
 #[test]
 fn publish_and_shutdown_wake_the_reactor_without_waiting_for_the_tick() {
-    let serve_cfg = ServeConfig::new()
-        .cache_blocks(8)
-        .read_timeout(Duration::from_secs(2));
+    let serve_cfg = ServeConfig::new().cache_blocks(8);
     let server = Server::start(256, stream_cfg(), serve_cfg).expect("bind ephemeral server");
     let addr = server.local_addr();
     let mut writer = ServeClient::connect(addr).expect("connect writer");
@@ -74,7 +68,7 @@ fn publish_and_shutdown_wake_the_reactor_without_waiting_for_the_tick() {
         .subscribe(0, 256)
         .expect("subscribe");
 
-    // Let the reactor go back to sleep in its 2 s poll.
+    // Let the reactor go back to sleep in its poll.
     std::thread::sleep(Duration::from_millis(50));
     writer.update_all(&[(7, 41)]).expect("update");
     let t0 = Instant::now();
@@ -116,7 +110,6 @@ fn stalled_subscriber_is_bounded_gets_lagged_and_resyncs_exactly() {
     const KEYS: u32 = 65_536; // a full rewrite = one ~768 KB Delta frame
     const EPOCHS: u64 = 64; // ~48 MB of deltas if staged unchecked
     let serve_cfg = ServeConfig::new()
-        .read_timeout(Duration::from_millis(10))
         .retain_epochs(EPOCHS as usize + 4)
         .sub_queue_epochs(2);
     let server = Server::start(KEYS, stream_cfg(), serve_cfg).expect("bind ephemeral server");
@@ -190,17 +183,17 @@ fn stalled_subscriber_is_bounded_gets_lagged_and_resyncs_exactly() {
 fn subscriber_that_never_reads_is_cut_at_the_idle_budget() {
     const KEYS: u32 = 65_536;
     let serve_cfg = ServeConfig::new()
-        .read_timeout(Duration::from_millis(10))
         .idle_budget(Duration::from_millis(300))
         .sub_queue_epochs(2);
     let server = Server::start(KEYS, stream_cfg(), serve_cfg).expect("bind ephemeral server");
     let addr = server.local_addr();
     let mut driver = ServeClient::connect(addr).expect("connect driver");
     let mut raw = TcpStream::connect(addr).expect("connect raw subscriber");
+    let mut inbox = FrameBuf::new();
     raw.write_all(&pipelined(&[Frame::Subscribe { lo: 0, hi: KEYS }]))
         .expect("subscribe");
     assert!(matches!(
-        read_one_frame(&mut raw),
+        read_one_frame(&mut raw, &mut inbox),
         Frame::Subscribed { epoch: 0 }
     ));
     assert_eq!(driver.stats().expect("stats").active_subscribers, 1);
@@ -233,9 +226,7 @@ fn subscriber_that_never_reads_is_cut_at_the_idle_budget() {
 /// are handled in order, in the mode the earlier frames left behind.
 #[test]
 fn frames_pipelined_behind_subscribe_are_handled_in_order() {
-    let serve_cfg = ServeConfig::new()
-        .cache_blocks(8)
-        .read_timeout(Duration::from_millis(10));
+    let serve_cfg = ServeConfig::new().cache_blocks(8);
     let server = Server::start(256, stream_cfg(), serve_cfg).expect("bind ephemeral server");
     let addr = server.local_addr();
     let mut driver = ServeClient::connect(addr).expect("connect driver");
@@ -244,6 +235,7 @@ fn frames_pipelined_behind_subscribe_are_handled_in_order() {
     // SUBSCRIBE, UNSUBSCRIBE and a QUERY in one write: the subscription
     // opens and closes, then the QUERY is answered in request mode.
     let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut inbox = FrameBuf::new();
     raw.write_all(&pipelined(&[
         Frame::Subscribe { lo: 0, hi: 256 },
         Frame::Unsubscribe,
@@ -251,15 +243,15 @@ fn frames_pipelined_behind_subscribe_are_handled_in_order() {
     ]))
     .expect("pipeline");
     assert_eq!(
-        read_one_frame(&mut raw),
+        read_one_frame(&mut raw, &mut inbox),
         Frame::Subscribed { epoch: sealed }
     );
     assert_eq!(
-        read_one_frame(&mut raw),
+        read_one_frame(&mut raw, &mut inbox),
         Frame::Unsubscribed { epoch: sealed }
     );
     assert_eq!(
-        read_one_frame(&mut raw),
+        read_one_frame(&mut raw, &mut inbox),
         Frame::Value {
             epoch: sealed,
             value: 90
@@ -270,17 +262,21 @@ fn frames_pipelined_behind_subscribe_are_handled_in_order() {
     // Anything but UNSUBSCRIBE behind a SUBSCRIBE is a protocol
     // violation: typed error, close, registration released.
     let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut inbox = FrameBuf::new();
     raw.write_all(&pipelined(&[
         Frame::Subscribe { lo: 0, hi: 256 },
         Frame::Query { key: 9 },
     ]))
     .expect("pipeline");
-    assert!(matches!(read_one_frame(&mut raw), Frame::Subscribed { .. }));
-    match read_one_frame(&mut raw) {
+    assert!(matches!(
+        read_one_frame(&mut raw, &mut inbox),
+        Frame::Subscribed { .. }
+    ));
+    match read_one_frame(&mut raw, &mut inbox) {
         Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected Malformed, got {other:?}"),
     }
-    assert!(matches!(protocol::read_frame(&mut raw), Ok(None)));
+    assert!(matches!(next_frame(&mut raw, &mut inbox), Ok(None)));
     assert_eq!(driver.stats().expect("stats").active_subscribers, 0);
     server.shutdown();
 }
@@ -291,9 +287,7 @@ fn frames_pipelined_behind_subscribe_are_handled_in_order() {
 fn frames_pipelined_behind_replicate_wait_for_repl_done() {
     const KEYS: u32 = 65_536;
     let dir = temp_dir("repl-order");
-    let serve_cfg = ServeConfig::new()
-        .read_timeout(Duration::from_millis(10))
-        .data_dir(&dir);
+    let serve_cfg = ServeConfig::new().data_dir(&dir);
     let server = Server::start(KEYS, stream_cfg(), serve_cfg).expect("bind durable server");
     let addr = server.local_addr();
     let mut driver = ServeClient::connect(addr).expect("connect driver");
@@ -303,6 +297,7 @@ fn frames_pipelined_behind_replicate_wait_for_repl_done() {
     driver.wait_epoch(sealed).expect("commit");
 
     let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut inbox = FrameBuf::new();
     raw.write_all(&pipelined(&[
         Frame::Replicate {
             manifest: Vec::new(),
@@ -315,7 +310,7 @@ fn frames_pipelined_behind_replicate_wait_for_repl_done() {
     let mut shipped = 0u64;
     let mut commit_log_seen = false;
     let (files, bytes) = loop {
-        match read_one_frame(&mut raw) {
+        match read_one_frame(&mut raw, &mut inbox) {
             Frame::Segment { name, bytes, .. } => {
                 assert!(
                     !commit_log_seen || name.starts_with("commit/"),
@@ -340,13 +335,16 @@ fn frames_pipelined_behind_replicate_wait_for_repl_done() {
     assert!(segments > files, "expected a multi-chunk file in the round");
     assert_eq!(shipped, bytes);
     assert_eq!(
-        read_one_frame(&mut raw),
+        read_one_frame(&mut raw, &mut inbox),
         Frame::Value {
             epoch: sealed,
             value: 10
         }
     );
-    assert!(matches!(read_one_frame(&mut raw), Frame::Sealed { .. }));
+    assert!(matches!(
+        read_one_frame(&mut raw, &mut inbox),
+        Frame::Sealed { .. }
+    ));
 
     let stats = driver.stats().expect("stats");
     assert_eq!(stats.repl_rounds, 1);
@@ -365,9 +363,7 @@ fn bytes_appended_during_a_round_ship_next_round() {
     // after the follower's first callback has returned.
     const KEYS: u32 = 1 << 20;
     let dir = temp_dir("repl-next-round");
-    let serve_cfg = ServeConfig::new()
-        .read_timeout(Duration::from_millis(10))
-        .data_dir(&dir);
+    let serve_cfg = ServeConfig::new().data_dir(&dir);
     let server = Server::start(KEYS, stream_cfg(), serve_cfg).expect("bind durable server");
     let addr = server.local_addr();
     let mut writer = ServeClient::connect(addr).expect("connect writer");

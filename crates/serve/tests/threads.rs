@@ -6,7 +6,6 @@
 
 use cobra_serve::{ServeClient, ServeConfig, Server, SubEvent};
 use cobra_stream::StreamConfig;
-use std::time::Duration;
 
 fn process_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
@@ -20,9 +19,7 @@ fn subscriptions_and_replication_add_no_server_threads() {
     const SUBSCRIBERS: usize = 32;
     let dir = std::env::temp_dir().join(format!("cobra-serve-threads-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let serve_cfg = ServeConfig::new()
-        .read_timeout(Duration::from_millis(10))
-        .data_dir(&dir);
+    let serve_cfg = ServeConfig::new().data_dir(&dir);
     let stream_cfg = StreamConfig::new().shards(2).batch_tuples(64);
     let server = Server::start(KEYS, stream_cfg, serve_cfg).expect("bind durable server");
     let addr = server.local_addr();

@@ -7,7 +7,6 @@
 
 use cobra_repro::serve::{ServeClient, ServeConfig, Server};
 use cobra_repro::stream::StreamConfig;
-use std::time::Duration;
 
 const NUM_KEYS: u32 = 1 << 14;
 const CLIENTS: u64 = 4;
@@ -19,9 +18,7 @@ fn main() {
     let server = Server::start(
         NUM_KEYS,
         StreamConfig::new().shards(4).channel_capacity(64),
-        ServeConfig::new()
-            .cache_blocks(64)
-            .read_timeout(Duration::from_millis(20)),
+        ServeConfig::new().cache_blocks(64),
     )
     .expect("bind");
     let addr = server.local_addr();

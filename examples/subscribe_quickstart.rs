@@ -8,7 +8,6 @@
 
 use cobra_repro::serve::{ServeClient, ServeConfig, Server, SubEvent};
 use cobra_repro::stream::StreamConfig;
-use std::time::Duration;
 
 const NUM_KEYS: u32 = 1 << 10;
 const EPOCHS: u64 = 8;
@@ -18,10 +17,7 @@ fn main() {
     let server = Server::start(
         NUM_KEYS,
         StreamConfig::new().shards(2).channel_capacity(64),
-        ServeConfig::new()
-            .read_timeout(Duration::from_millis(20))
-            .retain_epochs(16)
-            .sub_queue_epochs(8),
+        ServeConfig::new().retain_epochs(16).sub_queue_epochs(8),
     )
     .expect("bind");
     let addr = server.local_addr();
