@@ -99,10 +99,12 @@ const TOKEN_RULES: &[TokenRule] = &[
     },
     // R11 `no-blocking-io-on-reactor-path` — the reactor's liveness
     // rests on every syscall being non-blocking; one reinstated blocking
-    // read stalls every connection on the loop. Scope is the event-loop
-    // crates' `src/`: everything that runs on, or is called from, the
-    // reactor thread. The audited exception (the client's blocking
-    // `write_frame`) lives in the allowlist.
+    // read stalls every connection on the loop, and a `sleep` stands in
+    // for an event the reactor should wait on (it waits in the poll, and
+    // a publish writes its wake socket). Scope is the event-loop crates'
+    // `src/`: everything that runs on, or is called from, the reactor
+    // thread. The audited exceptions (the client's blocking `write_frame`
+    // and its all-BUSY back-off) live in the allowlist.
     TokenRule {
         rule: "R11",
         in_scope: |rel| in_src_of(rel, &["serve", "poll"]),
@@ -113,6 +115,7 @@ const TOKEN_RULES: &[TokenRule] = &[
             &["set_nonblocking", "(", "false", ")"],
             &[".", "read_exact", "("],
             &[".", "write_all", "("],
+            &["sleep", "("],
         ],
     },
 ];
@@ -553,8 +556,9 @@ mod tests {
             "fn f() {\nstream.set_read_timeout(Some(t))?;\nsock.set_nonblocking( false )?;\n\
              r.read_exact(&mut buf)?;\nw\n    .write_all(&bytes)?;\nsock.set_nonblocking(true)?;\n\
              // comment: w.write_all(&bytes) is fine here\n\
-             let s = \"docs mention write_all( here\";\n}\n",
-            &[("R11", 2), ("R11", 3), ("R11", 4), ("R11", 6)],
+             let s = \"docs mention write_all( here\";\nstd::thread::sleep(PARK);\n\
+             let sleepy = sleep_ms;\n}\n",
+            &[("R11", 2), ("R11", 3), ("R11", 4), ("R11", 6), ("R11", 10)],
         );
         case(
             "R11: poll/src is reactor path too",

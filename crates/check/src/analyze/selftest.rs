@@ -17,11 +17,13 @@
 //! * **R7** — delete the server's `Frame::WaitEpoch` dispatch arm (the
 //!   "added a table row but forgot to serve it" class: the `_ =>`
 //!   fallback keeps the server compiling).
-//! * **R8** — strengthen a store to `Release` with no Acquire partner
-//!   (one-sided ordering: the writer publishes, nobody acquires).
+//! * **R8** — weaken the Acquire load paired with `epochs_published`'s
+//!   Release store to `Relaxed` (one-sided ordering: the writer
+//!   publishes, nobody acquires).
 //! * **R9** — an `unsafe` block in `binner.rs`; and, separately, the
 //!   `#![forbid(unsafe_code)]` attribute stripped from `cobra-pb`'s root.
-//! * **R11** — a blocking read timeout reinstated on the reactor path.
+//! * **R11** — a blocking read timeout reinstated on the reactor path;
+//!   and, separately, a `thread::sleep` in the reactor's module.
 
 use std::io;
 use std::path::Path;
@@ -78,9 +80,9 @@ const MUTATIONS: &[Mutation] = &[
     }),
     ("R8 one-sided Release on epochs_published", "R8", |s| {
         s.mutate(
-            "stream/src/epoch.rs",
-            "self.epochs_published.fetch_add(1, Ordering::Relaxed);",
-            "self.epochs_published.fetch_add(1, Ordering::Release);",
+            "stream/src/pipeline.rs",
+            "self.epochs_published.load(Ordering::Acquire)",
+            "self.epochs_published.load(Ordering::Relaxed)",
         );
     }),
     ("R9 unaudited unsafe block", "R9", |s| {
@@ -97,6 +99,12 @@ const MUTATIONS: &[Mutation] = &[
             "serve/src/server.rs",
             "\nfn blocking_mutant(conn: &mut Conn) {\n    \
              conn.stream.set_read_timeout(Some(Duration::from_millis(50))).ok();\n}\n",
+        );
+    }),
+    ("R11 sleep on the reactor path", "R11", |s| {
+        s.append(
+            "serve/src/server.rs",
+            "\nfn sleep_mutant() {\n    std::thread::sleep(Duration::from_millis(1));\n}\n",
         );
     }),
 ];

@@ -26,8 +26,8 @@
 //!    dependency-free lexer, function table and conservative call graph
 //!    over every `crates/*/{src,tests}` file, feeding the token rules
 //!    R1–R3, R9, R11 (ordering justifications, hot-path panic hygiene, no
-//!    locks on binning paths, unsafe audit, no blocking I/O on the reactor
-//!    path), the graph rules R5–R8 (lock-order cycles,
+//!    locks on binning paths, unsafe audit, no blocking I/O or sleep on
+//!    the reactor path), the graph rules R5–R8 (lock-order cycles,
 //!    commit-before-publish dominance, wire-protocol exhaustiveness,
 //!    atomics release/acquire pairing) and R10 (stale suppressions in the
 //!    one allowlist).

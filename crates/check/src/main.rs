@@ -128,7 +128,7 @@ fn run_analyze() -> bool {
             "  clean (R1 ordering justification, R2 hot-path unwrap, R3 binning-path \
              mutex, R5 lock order, R6 commit-before-publish, R7 wire exhaustiveness, \
              R8 atomics pairing, R9 unsafe audit, R10 stale suppressions, R11 reactor \
-             blocking I/O)"
+             blocking I/O and sleeps)"
         );
         true
     } else {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cobra-clusterd --node [any cobra-served flag …]
-//! cobra-clusterd --follow PRIMARY_ADDR --data-dir PATH [--interval-ms N]
+//! cobra-clusterd --follow PRIMARY_ADDR --data-dir PATH
 //! ```
 //!
 //! `--node` runs one `cobra-serve` backend (a cluster member): the rest
@@ -15,33 +15,33 @@
 //! directory: recovery does the rest.
 //!
 //! `--follow` runs the replication daemon: one [`ReplicaSync`] round
-//! every `--interval-ms` (default 20), printing
+//! each time the primary publishes a new epoch (a `WAIT_EPOCH` past the
+//! last round's epoch between rounds, no clock), printing
 //! `SYNC epoch=E files=F bytes=B lag=L` after each round that shipped
 //! bytes or advanced the epoch. When the primary dies it prints
 //! `PRIMARY-LOST epoch=E` and exits cleanly — the operator (or test)
-//! then promotes the directory with `--node`.
+//! then promotes the directory with `--node`. `q` or end of input on
+//! stdin prints `STOPPED epoch=E` and exits.
 
 #![forbid(unsafe_code)]
 
 use cobra_cluster::ReplicaSync;
 use std::io::{BufRead, Write};
+use std::net::Shutdown;
 use std::process::ExitCode;
 use std::sync::mpsc;
-use std::time::Duration;
 
 struct FollowOptions {
     primary: String,
     data_dir: String,
-    interval: Duration,
 }
 
 const USAGE: &str = "usage: cobra-clusterd --node [any cobra-served flag ...]\n   \
-     or: cobra-clusterd --follow PRIMARY_ADDR --data-dir PATH [--interval-ms N]";
+     or: cobra-clusterd --follow PRIMARY_ADDR --data-dir PATH";
 
 fn parse_follow(args: &[String]) -> Result<FollowOptions, String> {
     let mut primary: Option<String> = None;
     let mut data_dir: Option<String> = None;
-    let mut interval = Duration::from_millis(20);
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -52,12 +52,6 @@ fn parse_follow(args: &[String]) -> Result<FollowOptions, String> {
         match flag {
             "--follow" => primary = Some(value(&mut i)?.clone()),
             "--data-dir" => data_dir = Some(value(&mut i)?.clone()),
-            "--interval-ms" => {
-                let ms: u64 = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--interval-ms needs a number".to_string())?;
-                interval = Duration::from_millis(ms);
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
@@ -66,7 +60,6 @@ fn parse_follow(args: &[String]) -> Result<FollowOptions, String> {
     Ok(FollowOptions {
         primary: primary.ok_or_else(|| USAGE.to_string())?,
         data_dir: data_dir.ok_or_else(|| "--follow needs --data-dir".to_string())?,
-        interval,
     })
 }
 
@@ -77,8 +70,12 @@ fn run_follow(opts: FollowOptions) -> Result<(), String> {
     let _ = writeln!(out, "FOLLOWING {}", opts.primary);
     let _ = out.flush();
 
-    // Watch stdin from a helper thread so the sync loop stays simple:
-    // any line `q` (or EOF) requests a graceful stop.
+    // Watch stdin from a helper thread: any line `q` (or EOF) requests
+    // a graceful stop, which shuts the connection to the primary down so
+    // that a round or a wait in progress ends at once.
+    let primary = sync
+        .try_clone_stream()
+        .map_err(|e| format!("failed to share the primary connection: {e}"))?;
     let (quit_tx, quit_rx) = mpsc::channel::<()>();
     std::thread::spawn(move || {
         let stdin = std::io::stdin();
@@ -90,24 +87,34 @@ fn run_follow(opts: FollowOptions) -> Result<(), String> {
             }
         }
         let _ = quit_tx.send(());
+        let _ = primary.shutdown(Shutdown::Both);
     });
 
     let mut last_reported = u64::MAX;
     loop {
-        match sync.sync_round() {
-            Ok(round) => {
-                if round.bytes > 0 || round.epoch != last_reported {
-                    last_reported = round.epoch;
-                    let _ = writeln!(
-                        out,
-                        "SYNC epoch={} files={} bytes={} lag={}",
-                        round.epoch,
-                        round.files,
-                        round.bytes,
-                        round.primary_epoch.saturating_sub(round.epoch)
-                    );
-                    let _ = out.flush();
-                }
+        // A round, then a wait until the primary has a newer epoch: each
+        // blocks on the primary, and either ends when it is lost.
+        let ended = sync.sync_round().and_then(|round| {
+            if round.bytes > 0 || round.epoch != last_reported {
+                last_reported = round.epoch;
+                let _ = writeln!(
+                    out,
+                    "SYNC epoch={} files={} bytes={} lag={}",
+                    round.epoch,
+                    round.files,
+                    round.bytes,
+                    round.primary_epoch.saturating_sub(round.epoch)
+                );
+                let _ = out.flush();
+            }
+            sync.wait_for_next_epoch()
+        });
+        match ended {
+            Ok(_) => {}
+            // The stdin thread asks to stop before it cuts the connection.
+            Err(_) if quit_rx.try_recv().is_ok() => {
+                let _ = writeln!(out, "STOPPED epoch={}", sync.last_epoch());
+                return Ok(());
             }
             Err(cobra_cluster::ReplicaError::Primary(e)) => {
                 // The promotion trigger: report how far we got and stop.
@@ -116,13 +123,6 @@ fn run_follow(opts: FollowOptions) -> Result<(), String> {
                 return Ok(());
             }
             Err(e) => return Err(format!("replication failed: {e}")),
-        }
-        match quit_rx.recv_timeout(opts.interval) {
-            Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = writeln!(out, "STOPPED epoch={}", sync.last_epoch());
-                return Ok(());
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
         }
     }
 }

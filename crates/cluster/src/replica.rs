@@ -35,6 +35,7 @@ use cobra_stream::{commit_files, data_files, is_data_file};
 use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
 /// Everything that can go wrong in a replication round.
@@ -158,8 +159,9 @@ impl ReplicaSync {
     }
 
     /// One manifest → segments → acknowledgement round trip. An already
-    /// caught-up follower gets an empty round (`bytes == 0`) — polling
-    /// this in a loop *is* the replication daemon.
+    /// caught-up follower gets an empty round (`bytes == 0`). Rounds
+    /// separated by [`wait_for_next_epoch`](Self::wait_for_next_epoch)
+    /// *are* the replication daemon.
     pub fn sync_round(&mut self) -> Result<ReplicaRound, ReplicaError> {
         let manifest = manifest(&self.dir)?;
         let dir = self.dir.clone();
@@ -198,6 +200,25 @@ impl ReplicaSync {
             bytes,
             primary_epoch,
         })
+    }
+
+    /// Blocks until the primary has committed and published an epoch past
+    /// [`last_epoch`](Self::last_epoch) — a `WAIT_EPOCH` on the round's
+    /// own connection — and returns the primary's committed epoch. Only
+    /// then has a round something new to ship (beyond an uncommitted
+    /// tail).
+    pub fn wait_for_next_epoch(&mut self) -> Result<u64, ReplicaError> {
+        self.client
+            .wait_epoch(self.last_epoch + 1)
+            .map_err(ReplicaError::Primary)
+    }
+
+    /// A handle on the connection to the primary: shutting it down from
+    /// another thread ends a blocked
+    /// [`wait_for_next_epoch`](Self::wait_for_next_epoch) or round with
+    /// [`ReplicaError::Primary`].
+    pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
+        self.client.try_clone_stream()
     }
 
     /// The newest epoch a completed round has covered.

@@ -24,7 +24,6 @@ use cobra_serve::protocol::MAX_SNAPSHOT_KEYS;
 use cobra_serve::{ClientError, ServeClient, WireStats};
 use cobra_stream::route::{route, Destinations, Stop};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Everything that can go wrong on a cluster call.
 #[derive(Debug)]
@@ -52,13 +51,6 @@ pub enum ClusterError {
         /// The cluster's key-space size.
         num_keys: u32,
     },
-    /// A node failed to publish the awaited epoch before the deadline.
-    SnapshotTimeout {
-        /// Node that never published.
-        node: usize,
-        /// The epoch that was awaited.
-        epoch: u64,
-    },
 }
 
 impl fmt::Display for ClusterError {
@@ -73,9 +65,6 @@ impl fmt::Display for ClusterError {
             ClusterError::KeyOutOfRange { key, num_keys } => {
                 write!(f, "key {key} >= cluster key space {num_keys}")
             }
-            ClusterError::SnapshotTimeout { node, epoch } => {
-                write!(f, "node {node} never published epoch {epoch}")
-            }
         }
     }
 }
@@ -88,10 +77,6 @@ impl std::error::Error for ClusterError {
         }
     }
 }
-
-/// How long [`ClusterRouter::cluster_snapshot`] waits for each node to
-/// publish the awaited epoch.
-const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Tuning knobs of a [`ClusterRouter`].
 #[derive(Debug, Clone)]
@@ -268,35 +253,22 @@ impl ClusterRouter {
 
     /// Assembles the cluster-wide snapshot for epoch `min_epoch`: each
     /// node's owned range is fetched (in `MAX_SNAPSHOT_KEYS` chunks) from
-    /// a published snapshot at `>= min_epoch` and concatenated in key
-    /// order. Call after [`seal_and_commit`](Self::seal_and_commit)
-    /// returned `min_epoch` — commit precedes publish, so each node's
-    /// snapshot arrives after a bounded wait.
+    /// its latest published snapshot and concatenated in key order.
+    /// `WAIT_EPOCH(min_epoch)` goes first on each node: it answers once
+    /// the epoch is committed and published, so that snapshot is at
+    /// `>= min_epoch`, and the call waits as long as a node takes to get
+    /// there. Call after [`seal_and_commit`](Self::seal_and_commit)
+    /// returned `min_epoch`; the wait is then at most one accumulator
+    /// step per node.
     pub fn cluster_snapshot(&mut self, min_epoch: u64) -> Result<Vec<u64>, ClusterError> {
         let mut out = Vec::with_capacity(self.map.num_keys() as usize);
         for (n, range) in self.map.iter().collect::<Vec<_>>() {
-            let deadline = Instant::now() + SNAPSHOT_DEADLINE;
-            let mut lo = range.start;
-            while lo < range.end {
+            let node = &mut self.nodes[n];
+            node.call(n, |c| c.wait_epoch(min_epoch))?;
+            for lo in range.clone().step_by(MAX_SNAPSHOT_KEYS as usize) {
                 let hi = range.end.min(lo + MAX_SNAPSHOT_KEYS);
-                let (epoch, _, values) = self.nodes[n].call(n, |c| c.snapshot(0, lo, hi))?;
-                if epoch < min_epoch {
-                    // Committed but not yet published. This cannot be a
-                    // wait: no frame waits for a *publish*. WAIT_EPOCH
-                    // answers at commit, and a node publishes after it
-                    // commits (R6), so the gap is one accumulator step
-                    // past the barrier; poll it, bounded by the deadline.
-                    if Instant::now() >= deadline {
-                        return Err(ClusterError::SnapshotTimeout {
-                            node: n,
-                            epoch: min_epoch,
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
+                let (_, _, values) = node.call(n, |c| c.snapshot(0, lo, hi))?;
                 out.extend_from_slice(&values);
-                lo = hi;
             }
         }
         Ok(out)

@@ -230,8 +230,6 @@ fn killed_primary_promoted_follower_loses_no_committed_epoch() {
         &addr.to_string(),
         "--data-dir",
         &follower_dir.display().to_string(),
-        "--interval-ms",
-        "5",
     ]);
     follower.expect_line("FOLLOWING ");
 

@@ -3,8 +3,8 @@
 //!
 //! Propagation-blocked ingestion already versions the state for free:
 //! every sealed epoch publishes an immutable, copy-on-write-segmented
-//! [`EpochSnapshot`]. This crate turns that version boundary into an
-//! MVCC subsystem:
+//! [`EpochSnapshot`](cobra_stream::EpochSnapshot). This crate turns that
+//! version boundary into an MVCC subsystem:
 //!
 //! * [`EpochStore`] — a retention window over the last K epochs
 //!   (count- and/or age-bounded, [`RetentionConfig`]). Because epochs
@@ -41,14 +41,15 @@ pub use diff::diff_range;
 pub use hub::{DeltaHub, SubDelta, SubMsg, Subscriber};
 pub use store::{EpochEvicted, EpochStore, RetentionConfig};
 
-use cobra_stream::{EpochSnapshot, PublishHook};
+use cobra_stream::{Publish, PublishHook};
 use std::sync::Arc;
 
 /// Builds the [`PublishHook`] that wires a pipeline to an
-/// [`EpochStore`] + [`DeltaHub`] pair: on every publish it (1) computes
-/// the epoch's changed entries against the store's current latest, (2)
-/// admits the new snapshot (evicting per the retention policy), and (3)
-/// fans the delta out to subscribers. Runs on the accumulator thread —
+/// [`EpochStore`] + [`DeltaHub`] pair: at every publish's
+/// [`Publish::Admit`] it (1) computes the epoch's changed entries against
+/// the store's current latest, (2) admits the new snapshot (evicting per
+/// the retention policy), and (3) fans the delta out to subscribers; it
+/// ignores [`Publish::Visible`]. Runs on the accumulator thread —
 /// cost is O(segments + keys-in-rewritten-segments) per epoch, and the
 /// diff is skipped entirely while nobody subscribes.
 ///
@@ -60,7 +61,8 @@ pub fn feed_publish_hook<A>(store: Arc<EpochStore<A>>, hub: Arc<DeltaHub<A>>) ->
 where
     A: Clone + PartialEq + Default + Send + Sync + 'static,
 {
-    Box::new(move |snap: &Arc<EpochSnapshot<A>>| {
+    Box::new(move |step| {
+        let Publish::Admit(snap) = step else { return };
         let prev = store.latest();
         store.admit(Arc::clone(snap));
         if hub.active_subscribers() == 0 {
@@ -91,6 +93,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobra_stream::EpochSnapshot;
     use std::time::Duration;
 
     #[test]
@@ -106,9 +109,9 @@ mod tests {
         let mut hook = feed_publish_hook(Arc::clone(&store), Arc::clone(&hub));
 
         let e1 = Arc::new(EpochSnapshot::from_segments(1, 4, vec![seg([0, 7, 0, 0])]));
-        hook(&e1);
+        hook(Publish::Admit(&e1));
         let e2 = Arc::new(EpochSnapshot::from_segments(2, 4, vec![seg([0, 7, 0, 9])]));
-        hook(&e2);
+        hook(Publish::Admit(&e2));
 
         assert_eq!(store.bounds(), Some((0, 2)));
         match sub.next_msg(Duration::from_millis(50)) {
@@ -138,7 +141,7 @@ mod tests {
             4,
             vec![Arc::new(vec![5, 0, 0, 6])],
         ));
-        hook(&e1);
+        hook(Publish::Admit(&e1));
         match sub.next_msg(Duration::from_millis(50)) {
             SubMsg::Delta(d) => assert_eq!(d.entries(), &[(0, 5), (3, 6)]),
             other => panic!("expected delta, got {other:?}"),

@@ -34,6 +34,12 @@
 //! * **Peer hangup / socket errors** are reported as readable (and
 //!   writable, where the backend says so): the next `read` observes the
 //!   EOF or error, which is the one code path the caller already has.
+//!   A half-close (the peer shut its write side) is heard with read
+//!   interest only: level-triggered, it stays reported until a read
+//!   observes it, so without read interest it would fire on every wait.
+//!   epoll reports a full hangup or an error whatever the mask, so to a
+//!   registration without read interest a readable event means the
+//!   connection is over; kqueue reports one only on an armed filter.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +80,8 @@ use sys_unsupported as sys;
 /// What a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
-    /// Wake when the descriptor is readable (or the peer hung up).
+    /// Wake when the descriptor is readable (or the peer hung up or
+    /// half-closed).
     pub read: bool,
     /// Wake when the descriptor is writable again.
     pub write: bool,

@@ -48,9 +48,12 @@ extern "C" {
 }
 
 fn mask(interest: Interest) -> u32 {
-    let mut m = EPOLLRDHUP; // always hear about peer half-close
+    let mut m = 0;
     if interest.read {
-        m |= EPOLLIN;
+        // A peer half-close is heard with read interest only: it stays
+        // reported until the read that observes the EOF, so arming it on
+        // a socket the caller is not reading would fire every wait.
+        m |= EPOLLIN | EPOLLRDHUP;
     }
     if interest.write {
         m |= EPOLLOUT;

@@ -33,7 +33,6 @@ const EVFILT_WRITE: i16 = -2;
 const EV_ADD: u16 = 0x0001;
 const EV_DELETE: u16 = 0x0002;
 const EV_RECEIPT: u16 = 0x0040;
-const EV_EOF: u16 = 0x8000;
 const EV_ERROR: u16 = 0x4000;
 
 /// Events reported per `kevent` round (see the epoll backend).
@@ -216,11 +215,15 @@ impl Poller {
             return Err(classify(e));
         }
         for ev in buf.iter().take(n as usize) {
-            let eof_or_err = ev.flags & (EV_EOF | EV_ERROR) != 0;
+            // `EV_EOF` and `EV_ERROR` ride the filter that reported them,
+            // and only an armed filter reports: an EOF counts as readable
+            // only with read interest (as the epoll backend arms
+            // `EPOLLRDHUP`). On the write filter it means the peer stopped
+            // reading, which the next write observes as an error.
             out.push(Event {
                 token: ev.udata as usize as u64,
-                readable: ev.filter == EVFILT_READ || eof_or_err,
-                writable: ev.filter == EVFILT_WRITE || ev.flags & EV_ERROR != 0,
+                readable: ev.filter == EVFILT_READ,
+                writable: ev.filter == EVFILT_WRITE,
             });
         }
         Ok(())

@@ -161,6 +161,40 @@ fn peer_hangup_reports_readable_so_read_sees_eof() {
 }
 
 #[test]
+fn a_half_close_is_heard_with_read_interest_only() {
+    let poller = Poller::new().expect("poller");
+    let (a, mut b) = pair();
+    let none = Interest {
+        read: false,
+        write: false,
+    };
+    poller.register(&b, 5, none).expect("register");
+    a.shutdown(std::net::Shutdown::Write).expect("half-close");
+
+    // Level-triggered: a half-close reported here would fire on every
+    // wait of a caller that is not reading the socket.
+    let mut events = Vec::new();
+    poller
+        .wait(&mut events, Some(Duration::from_millis(50)))
+        .expect("wait");
+    assert!(
+        events.iter().all(|ev| ev.token != 5),
+        "a half-close without read interest must stay silent, got {events:?}"
+    );
+    poller.modify(&b, 5, Interest::READ).expect("modify");
+    assert!(
+        wait_until(&poller, &mut events, |ev| ev.token == 5 && ev.readable),
+        "with read interest the half-close must surface as readable"
+    );
+    let mut buf = [0u8; 8];
+    assert_eq!(
+        b.read(&mut buf).expect("read eof"),
+        0,
+        "read must observe EOF"
+    );
+}
+
+#[test]
 fn bad_descriptor_operations_return_typed_errors_not_panics() {
     let poller = Poller::new().expect("poller");
     let (_a, b) = pair();

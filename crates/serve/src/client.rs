@@ -109,6 +109,14 @@ impl ServeClient {
         })
     }
 
+    /// A second handle on this connection's socket, for another thread to
+    /// [`shutdown`](TcpStream::shutdown): a call blocked on a reply (a
+    /// [`wait_epoch`](Self::wait_epoch), say) then fails with
+    /// [`ClientError::Disconnected`].
+    pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
+        self.stream.try_clone()
+    }
+
     fn send(&mut self, request: &Frame) -> Result<(), ClientError> {
         protocol::write_frame(&mut self.stream, request, &mut self.scratch)?;
         Ok(())
@@ -305,9 +313,10 @@ impl ServeClient {
         }
     }
 
-    /// Blocks until the server has durably committed `epoch` (the cluster
-    /// barrier). Returns the server's committed high-water mark, which is
-    /// `>= epoch`.
+    /// Blocks until the server has durably committed `epoch` and
+    /// published it (the cluster barrier): a snapshot read after this
+    /// returns is at `>= epoch`. Returns the server's committed
+    /// high-water mark, which is `>= epoch`.
     pub fn wait_epoch(&mut self, epoch: u64) -> Result<u64, ClientError> {
         match self.call(&Frame::WaitEpoch { epoch })? {
             Frame::EpochCommitted { epoch } => Ok(epoch),

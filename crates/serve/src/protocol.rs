@@ -681,10 +681,12 @@ frames! {
     },
     /// Fetch server statistics.
     0x05 STATS Stats,
-    /// Block until the server has durably committed `epoch` (the
-    /// cluster's epoch-alignment barrier: a router fans `Seal` out to
-    /// every node, then `WaitEpoch`s each node's commit before the
-    /// cluster snapshot for that epoch becomes observable).
+    /// Block until the server has durably committed `epoch` *and*
+    /// published it, so a `Snapshot` or `Query` sent next reads an epoch
+    /// `>= epoch` (the cluster's epoch-alignment barrier: a router fans
+    /// `Seal` out to every node, then `WaitEpoch`s each node before the
+    /// cluster snapshot for that epoch is assembled). A durable node
+    /// publishes one accumulator step after it commits.
     0x06 WAIT_EPOCH WaitEpoch {
         /// The epoch to wait for.
         epoch: u64,
@@ -775,7 +777,8 @@ frames! {
     },
     /// Server statistics.
     0x86 STATS_REPORT StatsReport(stats: WireStats),
-    /// The requested epoch (or a later one) is durably committed; also
+    /// As the reply to `WaitEpoch`: the requested epoch (or a later one)
+    /// is durably committed and the requested one is published. Also
     /// the reply to `Ack`, reporting the primary's current committed
     /// epoch so a follower can measure its lag.
     0x87 EPOCH_COMMITTED EpochCommitted {

@@ -5,7 +5,7 @@
 //!   clients ──TCP──▶ reactor (nonblocking sockets, level-triggered)
 //!                      │ per round:
 //!                      │   0. drain the wake socket (publish / shutdown)
-//!                      │   1. unpark WAIT_EPOCH waiters
+//!                      │   1. answer WAIT_EPOCH waiters whose epoch is visible
 //!                      │   2. accept (refuse past max_conns)
 //!                      │   3. read readiness batch into the FrameBuf inbox → dispatch
 //!                      │        UPDATE: records admitted in place,
@@ -60,7 +60,8 @@
 //! and never leave it; they are connection states (`Mode`):
 //!
 //! * `WAIT_EPOCH` parks the connection (read interest dropped) until the
-//!   top of the round that first sees the epoch committed.
+//!   top of the round that first sees the epoch committed and published.
+//!   Every publish writes the wake socket, so that round is the next one.
 //! * `SUBSCRIBE` registers with the [`DeltaHub`]; each round stages what
 //!   the subscriber's bounded hub queue holds as `DELTA`/`LAGGED` frames
 //!   while the outbox sits below the high-water mark. A peer that stops
@@ -72,16 +73,16 @@
 //!   rule.
 //!   Frames pipelined behind it wait, as behind `WAIT_EPOCH`.
 //!
-//! The reactor waits in `Poller::wait` and has no tick. A publish with
-//! subscribers (deltas ready) or a shutdown writes one byte to a
-//! self-wake socket pair registered under a reserved token. Every other
-//! reason to run a round that no socket event starts is named in one
-//! function, `poll_timeout`, evaluated once per round: no wait while a
-//! replication round or a subscription held at the high-water mark has
-//! outbox room, or while frames a drained backlog left in an inbox wait;
-//! 1 ms while a `WAIT_EPOCH` is parked (an epoch's commit wakes
-//! nothing); otherwise until the nearest idle-budget deadline, or until
-//! an event when no clock runs.
+//! The reactor waits in `Poller::wait` and has no tick. Every publish
+//! (once the epoch is visible) and a shutdown write one byte to a
+//! self-wake socket pair registered under a reserved token; the socket
+//! buffer coalesces bytes nobody has drained yet. Every other reason to
+//! run a round that no socket event starts is named in one function,
+//! `poll_timeout`, evaluated once per round: no wait while a replication
+//! round or a subscription held at the high-water mark has outbox room,
+//! or while frames a drained backlog left in an inbox wait; otherwise
+//! until the nearest idle-budget deadline, or until an event when no
+//! clock runs.
 //!
 //! The read path never touches the pipeline's accumulators: QUERY is
 //! served from `(epoch, block)` slices of published [`EpochSnapshot`]s,
@@ -106,7 +107,7 @@ use cobra_mvcc::{
 };
 use cobra_poll::{Event, Interest, Poller};
 use cobra_stream::{
-    commit_files, data_files, DurableConfig, EpochSnapshot, IngestHandle, IngestPipeline,
+    commit_files, data_files, DurableConfig, EpochSnapshot, IngestHandle, IngestPipeline, Publish,
     PublishHook, RecoveryReport, Reducer, StreamConfig, TryIngestError,
 };
 use cobra_wal::ShipFile;
@@ -339,6 +340,15 @@ impl Ctx {
         }
     }
 
+    /// `(published, committed)`, read in that order: the published
+    /// epoch's Acquire load makes the committed epoch the accumulator
+    /// stored before it visible too, so a `WAIT_EPOCH` is answered only
+    /// once its epoch is durable and readable.
+    fn visible_epochs(&self) -> (u64, u64) {
+        let published = self.pipeline.published_epoch();
+        (published, self.pipeline.committed_epoch())
+    }
+
     fn stopping(&self) -> bool {
         // ordering: Relaxed — audited: the flag is a pure boolean signal
         // with no associated payload; the reactor re-checks it every
@@ -397,19 +407,15 @@ impl Server {
         let store = Arc::new(EpochStore::new(retention));
         let hub: Arc<DeltaHub<u64>> = Arc::new(DeltaHub::new());
         let mut feed = feed_publish_hook(Arc::clone(&store), Arc::clone(&hub));
-        let hook_hub = Arc::clone(&hub);
         let hook_wake = wake_tx.try_clone()?;
-        // Fan out FIRST, wake SECOND: the reactor drains the wake socket
-        // before it pumps subscriber queues, so a delta enqueued before
-        // the byte is never left waiting for some later event. With no
-        // subscriber there is no queue to pump and no wake: a subscriber
-        // that received this epoch was registered throughout the fan-out,
-        // so it is still counted here unless it has already gone.
-        let hook: PublishHook<u64> = Box::new(move |snap| {
-            feed(snap);
-            if hook_hub.active_subscribers() > 0 {
-                wake(&hook_wake);
-            }
+        // Fan out at admission, wake once the epoch is visible: the
+        // reactor drains the wake socket before it answers parked
+        // waiters or pumps subscriber queues, so neither a delta
+        // enqueued before the byte nor a `WAIT_EPOCH` for this epoch is
+        // left waiting for some later event.
+        let hook: PublishHook<u64> = Box::new(move |step| match step {
+            Publish::Visible(_) => wake(&hook_wake),
+            admit => feed(admit),
         });
         // Durable mode recovers committed state from the data dir before
         // serving; the first published snapshot is the recovered one.
@@ -568,7 +574,8 @@ enum Mode {
     /// Normal request/response dispatch.
     Request,
     /// Parked on `WAIT_EPOCH`: answered at the top of the round that
-    /// first sees `epoch` committed; read interest is dropped meanwhile.
+    /// first sees `epoch` committed and published; read interest is
+    /// dropped meanwhile.
     Parked { epoch: u64 },
     /// Subscribed: each round stages the hub queue's deltas; the only
     /// valid incoming frame is `UNSUBSCRIBE`.
@@ -849,20 +856,15 @@ impl Conn {
     }
 }
 
-/// How often a parked `WAIT_EPOCH` re-reads the committed epoch. Nothing
-/// wakes the reactor when an epoch commits: the publish hook wakes it
-/// only for subscribers, and runs before a non-durable pipeline stores
-/// the epoch it publishes.
-const PARK_POLL: Duration = Duration::from_millis(1);
-
 /// How long shutdown's last flush waits for sockets to take the
 /// goodbye bytes.
 const FINAL_FLUSH: Duration = Duration::from_millis(50);
 
 /// How long the reactor may wait in `Poller::wait` before its next
 /// round: the one place that names every reason to run a round that no
-/// socket event starts. `None` waits for an event; a publish with
-/// subscribers and a shutdown write the wake socket.
+/// socket event starts. `None` waits for an event; a publish (which
+/// answers parked waiters and feeds subscribers) and a shutdown write
+/// the wake socket.
 fn poll_timeout(
     conns: &HashMap<u64, Conn>,
     idle_budget: Duration,
@@ -880,11 +882,8 @@ fn poll_timeout(
         if (streaming && !c.backlogged()) || c.resumable() {
             return Some(Duration::ZERO);
         }
-        let parked = matches!(c.mode, Mode::Parked { .. }).then_some(PARK_POLL);
-        let cut = c
-            .deadline(idle_budget)
-            .map(|d| d.saturating_duration_since(now));
-        parked.into_iter().chain(cut).min()
+        c.deadline(idle_budget)
+            .map(|d| d.saturating_duration_since(now))
     };
     conns.values().filter_map(due).min()
 }
@@ -921,11 +920,11 @@ fn reactor_loop(
         // 1. Unpark WAIT_EPOCH waiters first: frames pipelined behind
         // the wait are already buffered, and dispatching them now lets
         // their updates ride this round's settle.
-        let committed = ctx.pipeline.committed_epoch();
+        let visible = ctx.visible_epochs();
         let ready: Vec<(u64, Frame)> = conns
             .iter()
             .filter_map(|(t, c)| match c.mode {
-                Mode::Parked { epoch } => Some((*t, wait_reply(epoch, committed, false)?)),
+                Mode::Parked { epoch } => Some((*t, wait_reply(epoch, visible, false)?)),
                 _ => None,
             })
             .collect();
@@ -990,6 +989,16 @@ fn reactor_loop(
             let Some(conn) = conns.get_mut(&event.token) else {
                 continue;
             };
+            if !conn.interest.read {
+                // Registered without read interest, a connection hears
+                // only a hangup or a socket error (epoll reports both
+                // whatever the mask, level-triggered): the peer can take
+                // no reply, and the event would end every wait.
+                if let Some(gone) = conns.remove(&event.token) {
+                    let _ = poller.deregister(&gone.stream);
+                }
+                continue;
+            }
             if !conn.dispatching() || conn.backlogged() {
                 // Paused connections (parked, replicating, draining, or
                 // under write backpressure: responses staged for the
@@ -1036,6 +1045,8 @@ fn reactor_loop(
             }
             // Backpressure clock: runs while the unflushed backlog sits
             // at the high-water mark, stops the moment it drains below.
+            // A gone peer needs no clock of its own: the flush above
+            // abandoned its outbox.
             if conn.backlogged() {
                 if conn.backlogged_since.is_none() {
                     conn.backlogged_since = Some(Instant::now());
@@ -1077,10 +1088,10 @@ fn reactor_loop(
         // 8. Stop check: answer or fail parked waiters, settle, flush
         // what the sockets will take, leave.
         if failed || ctx.stopping() {
-            let committed = ctx.pipeline.committed_epoch();
+            let visible = ctx.visible_epochs();
             for conn in conns.values_mut() {
                 if let Mode::Parked { epoch } = conn.mode {
-                    if let Some(reply) = wait_reply(epoch, committed, true) {
+                    if let Some(reply) = wait_reply(epoch, visible, true) {
                         stage(&mut conn.outbox, &reply, &mut scratch);
                         conn.mode = Mode::Request;
                     }
@@ -1287,7 +1298,7 @@ fn dispatch(
         },
         Frame::Stats => Frame::StatsReport(ctx.wire_stats()),
         Frame::WaitEpoch { epoch } => {
-            match wait_reply(epoch, ctx.pipeline.committed_epoch(), ctx.stopping()) {
+            match wait_reply(epoch, ctx.visible_epochs(), ctx.stopping()) {
                 Some(reply) => reply,
                 None => {
                     conn.mode = Mode::Parked { epoch };
@@ -1363,16 +1374,17 @@ fn dispatch(
     stage(&mut conn.outbox, &response, scratch);
 }
 
-/// The reply to `WAIT_EPOCH { epoch }` when `committed` is the committed
-/// epoch: `EpochCommitted` once it covers `epoch`, else a `ShuttingDown`
-/// error if the server is `stopping`, else `None` (the wait goes on).
-fn wait_reply(epoch: u64, committed: u64, stopping: bool) -> Option<Frame> {
-    if committed >= epoch {
+/// The reply to `WAIT_EPOCH { epoch }` given `(published, committed)`
+/// from [`Ctx::visible_epochs`]: `EpochCommitted` carrying the committed
+/// epoch once both cover `epoch`, else a `ShuttingDown` error if the
+/// server is `stopping`, else `None` (the wait goes on).
+fn wait_reply(epoch: u64, (published, committed): (u64, u64), stopping: bool) -> Option<Frame> {
+    if published >= epoch && committed >= epoch {
         Some(Frame::EpochCommitted { epoch: committed })
     } else if stopping {
         Some(Frame::Error {
             code: ErrorCode::ShuttingDown,
-            detail: format!("stopped while waiting for epoch {epoch} (at {committed})"),
+            detail: format!("stopped while waiting for epoch {epoch} (at {published})"),
         })
     } else {
         None
@@ -1716,13 +1728,30 @@ mod tests {
     }
 
     #[test]
-    fn a_parked_waiter_polls_every_millisecond() {
+    fn a_parked_waiter_adds_no_timeout() {
+        // The publish that makes its epoch visible writes the wake socket.
         let mut conn = test_conn();
         conn.mode = Mode::Parked { epoch: 1 };
+        assert_eq!(wait_for(conn, Instant::now()), None);
+    }
+
+    #[test]
+    fn wait_epoch_answers_once_its_epoch_is_committed_and_published() {
+        // Published but not committed (a durable sink behind), and
+        // committed but not yet published: both wait.
+        assert_eq!(wait_reply(3, (3, 2), false), None);
+        assert_eq!(wait_reply(3, (2, 3), false), None);
         assert_eq!(
-            wait_for(conn, Instant::now()),
-            Some(Duration::from_millis(1))
+            wait_reply(3, (3, 4), false),
+            Some(Frame::EpochCommitted { epoch: 4 })
         );
+        assert!(matches!(
+            wait_reply(3, (2, 3), true),
+            Some(Frame::Error {
+                code: ErrorCode::ShuttingDown,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -406,10 +406,12 @@ where
                 sink_stats.note_io_error();
                 return;
             }
-            // ordering: Relaxed — audited: monotonic progress counter; a
-            // reader acting on "epoch e is committed" fetches the state
-            // through the publish mutex or recovers it from the commit
-            // log, never through this atomic.
+            // ordering: Relaxed — audited: monotonic progress counter,
+            // stored on the accumulator thread before its Release store
+            // of the published count, so a reader that Acquire-loads
+            // `published_epoch() >= e` sees this reach `e` too. A reader
+            // acting on "epoch e is committed" fetches the state through
+            // the publish mutex or recovers it from the commit log.
             sink_committed.store(ev.epoch, Ordering::Relaxed);
             let due = checkpoint_every > 0 && (ev.drain || ev.epoch % checkpoint_every == 0);
             if due {

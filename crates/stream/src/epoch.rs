@@ -255,7 +255,9 @@ pub(crate) fn segment_span(keys: &Range<u32>, segment_keys: u32) -> Range<usize>
 /// replaying the bin's tuples of `prev` (that call's bins) into it, if
 /// `Arc::get_mut` succeeds on the spare; by a copy otherwise. Untaken
 /// spares are dropped, so a spare lags by exactly one call's bins.
-/// Without `prev` (WAL recovery, a worker's first seal) no spare is kept.
+/// Without `prev` (WAL recovery, a worker's first seal) no spare is
+/// taken; the ones a worker's first seal retires lag by that seal's
+/// bins, which its next seal passes as `prev`.
 pub(crate) fn apply_bins<R: Reducer>(
     reducer: &R,
     bins: &Bins<R::Value>,
@@ -298,9 +300,6 @@ pub(crate) fn apply_bins<R: Reducer>(
         );
     };
     accumulate(std::slice::from_ref(bins), 1, |_| vec![body]);
-    if prev.is_none() {
-        state.spares.clear();
-    }
     paths
 }
 
@@ -394,16 +393,29 @@ pub(crate) struct EpochEvent<'a, A> {
 /// a checkpoint) before the snapshot becomes visible.
 pub(crate) type EpochSink<A> = Box<dyn FnMut(EpochEvent<'_, A>) + Send>;
 
-/// A publish hook: called on the accumulator thread with every epoch
-/// snapshot *before* it is swapped in as the published snapshot, so a
-/// retention layer that admits the epoch here is guaranteed to hold any
-/// epoch a reader can name via
-/// [`published_epoch`](crate::IngestPipeline::published_epoch).
+/// The two points of one epoch's publish that a [`PublishHook`] sees,
+/// in this order, on the accumulator thread.
+pub enum Publish<'a, A> {
+    /// The epoch's snapshot, *before* it is swapped in as the published
+    /// one: a retention layer that admits the epoch here is guaranteed
+    /// to hold any epoch a reader can name via
+    /// [`published_epoch`](crate::IngestPipeline::published_epoch).
+    Admit(&'a Arc<EpochSnapshot<A>>),
+    /// Epoch `e` is visible: the swap is done and
+    /// [`published_epoch`](crate::IngestPipeline::published_epoch) and
+    /// [`committed_epoch`](crate::IngestPipeline::committed_epoch) both
+    /// read `>= e` on any thread this notification reaches. It fires for
+    /// every publish, durable or not.
+    Visible(u64),
+}
+
+/// A publish hook: called twice per published epoch, with
+/// [`Publish::Admit`] and then [`Publish::Visible`].
 ///
 /// The hook runs after the durability sink (commit-before-publish is
 /// preserved) and on the hot epoch boundary — keep it O(segments), not
 /// O(keys): clone `Arc` handles, don't deep-copy state.
-pub type PublishHook<A> = Box<dyn FnMut(&Arc<EpochSnapshot<A>>) + Send>;
+pub type PublishHook<A> = Box<dyn FnMut(Publish<'_, A>) + Send>;
 
 /// What the pipeline starts from: the committed epoch, its COW state
 /// segments, and the per-shard WAL replay boundaries (0, identity and
@@ -587,7 +599,7 @@ impl<A> Accumulator<A> {
         // reader can learn "`e` is the latest", so epoch-or-latest lookups
         // never race a not-yet-admitted epoch.
         if let Some(hook) = &mut self.publish_hook {
-            hook(&snap);
+            hook(Publish::Admit(&snap));
         }
         // The guard is a temporary of this statement, so the lock every
         // reader takes covers the pointer swap and nothing else.
@@ -595,13 +607,23 @@ impl<A> Accumulator<A> {
             &mut *self.published.lock().expect("snapshot lock poisoned"),
             snap,
         );
-        // ordering: Relaxed — audited: the snapshot itself is published by
-        // the mutexed Arc swap above (observers that see the new count and
-        // then read the snapshot do so through that lock, which provides
-        // the happens-before edge); this counter is progress telemetry.
-        self.epochs_published.fetch_add(1, Ordering::Relaxed);
+        // ordering: Release — pairs with the Acquire load in
+        // `IngestPipeline::published_epoch`: a reader that sees the count
+        // reach `epoch` also sees the durability sink's committed-epoch
+        // store, made on this thread before it. The snapshot itself is
+        // published by the mutexed Arc swap above. The `Visible` call
+        // below comes after this store on the same thread, so a consumed
+        // notification for `epoch` implies `committed_epoch() >= epoch`
+        // and `published_epoch() >= epoch` are visible (a notification
+        // that crosses threads must carry its own edge: a channel, or
+        // the serve layer's wake-socket write and read).
+        self.epochs_published.fetch_add(1, Ordering::Release);
+        if let Some(hook) = &mut self.publish_hook {
+            hook(Publish::Visible(epoch));
+        }
         // Freeing the replaced snapshot — up to every rewritten segment of
-        // the state — waits until the new one is visible to everyone.
+        // the state — waits until the new one is visible to everyone, and
+        // told so.
         drop(replaced);
     }
 }

@@ -78,7 +78,7 @@ mod stats;
 
 pub use channel::{ChannelStats, Disconnected, TrySendError};
 pub use durable::{commit_files, data_files, is_data_file, DurableConfig, RecoveryReport};
-pub use epoch::{EpochSnapshot, PublishHook};
+pub use epoch::{EpochSnapshot, Publish, PublishHook};
 pub use pipeline::{
     shard_plan, IngestHandle, IngestPipeline, PipelineClosed, StreamConfig, TryIngestError,
 };

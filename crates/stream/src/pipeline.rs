@@ -474,9 +474,10 @@ impl<R: Reducer> IngestPipeline<R> {
     }
 
     /// Like [`new`](Self::new), but registers a [`PublishHook`] that the
-    /// accumulator calls with every epoch snapshot just before it becomes
-    /// the published one — the integration point for retention windows
-    /// and push-subscription fan-out (see `cobra-mvcc`).
+    /// accumulator calls twice per epoch: with the snapshot just before
+    /// it becomes the published one — the integration point for
+    /// retention windows and push-subscription fan-out (see
+    /// `cobra-mvcc`) — and once the epoch is visible.
     ///
     /// # Panics
     ///
@@ -722,15 +723,17 @@ impl<R: Reducer> IngestPipeline<R> {
         self.with_value(key, |v| v.cloned())
     }
 
-    /// The epoch number of the latest published snapshot. One relaxed
-    /// atomic load — cheap enough to call per request (cache keying),
-    /// unlike [`snapshot`](Self::snapshot) which takes the publish lock.
+    /// The epoch number of the latest published snapshot. One atomic
+    /// load — cheap enough to call per request (cache keying), unlike
+    /// [`snapshot`](Self::snapshot) which takes the publish lock.
     pub fn published_epoch(&self) -> u64 {
-        // ordering: Relaxed — audited: epochs publish sequentially
-        // (1, 2, …) so the publish counter equals the latest snapshot's
-        // epoch number; readers that then fetch the snapshot synchronize
-        // through the publish mutex, never through this atomic.
-        self.epochs_published.load(Ordering::Relaxed)
+        // ordering: Acquire — pairs with the Release store in
+        // `Accumulator::publish`: epochs publish sequentially (1, 2, …),
+        // so the counter is the latest snapshot's epoch number, and a
+        // reader that sees it reach `e` also sees the committed epoch
+        // reach `e` (the sink stores it first). Readers that then fetch
+        // the snapshot synchronize through the publish mutex.
+        self.epochs_published.load(Ordering::Acquire)
     }
 
     /// The latest *durably committed* epoch: the highest epoch whose

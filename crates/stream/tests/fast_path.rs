@@ -1,6 +1,6 @@
 //! Which path a seal takes into a shared snapshot segment, counted by
 //! `ShardStats::{segments_copied, segments_recycled}`: a steady closed
-//! loop recycles every segment from its third epoch on, whether segments
+//! loop recycles every segment from its second epoch on, whether segments
 //! are 1024 keys or as narrow as the shard bins, a segment whose
 //! spare was dropped copies, a recovered pipeline starts over like a fresh
 //! one — and every path folds exactly.
@@ -66,16 +66,17 @@ fn segments(p: &IngestPipeline<Count>) -> u64 {
     p.snapshot().num_segments() as u64
 }
 
-/// Epochs 1 and 2 copy all `segments` (the first seal has no bins to keep
-/// a spare for); from epoch 3 on every one recycles.
+/// Epoch 1 copies all `segments` (the first seal has no previous bins to
+/// replay into a spare); from epoch 2 on every one recycles the spare the
+/// seal before retired.
 fn steady(segments: u64, epochs: usize) -> Vec<(u64, u64)> {
-    let mut v = vec![(segments, 0); 2];
+    let mut v = vec![(segments, 0)];
     v.resize(epochs, (0, segments));
     v
 }
 
 #[test]
-fn a_steady_dense_stream_recycles_every_segment_from_its_third_epoch() {
+fn a_steady_dense_stream_recycles_every_segment_from_its_second_epoch() {
     // 2^12 keys: 2 shards × 16 bins of 128 keys, so 32 128-key segments.
     for (keys, n) in [(KEYS, 64), (1 << 12, 32)] {
         let p = IngestPipeline::new(keys, Count, cfg());
@@ -97,7 +98,7 @@ fn a_segment_touched_every_other_epoch_copies_and_still_folds_exactly() {
     let rest = all - 1;
     let want_paths = [
         (all, 0),
-        (rest, 0),
+        (0, rest),
         (1, rest),
         (0, rest),
         (1, rest),

@@ -3,7 +3,7 @@
 //! sizes, and epoch isolation under run-ahead.
 
 use cobra_stream::{Append, Count, EpochSnapshot, IngestHandle, IngestPipeline, Reducer};
-use cobra_stream::{PublishHook, StreamConfig};
+use cobra_stream::{Publish, PublishHook, StreamConfig};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -103,7 +103,8 @@ fn epochs_stay_isolated_while_workers_run_ahead_of_the_publish() {
     let (release, parked) = mpsc::channel::<()>();
     let hook: PublishHook<u32> = {
         let seen = Arc::clone(&seen);
-        Box::new(move |snap| {
+        Box::new(move |step| {
+            let Publish::Admit(snap) = step else { return };
             seen.lock().expect("seen").push(Arc::clone(snap));
             if snap.epoch() == 1 {
                 parked.recv().expect("released");

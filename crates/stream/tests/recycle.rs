@@ -3,7 +3,9 @@
 //! `Weak`, and an epoch parked in the hook while the workers run ahead
 //! all keep the values of their own epoch.
 
-use cobra_stream::{Append, Count, IngestPipeline, PublishHook, Reducer, StreamConfig, Sum};
+use cobra_stream::{
+    Append, Count, IngestPipeline, Publish, PublishHook, Reducer, StreamConfig, Sum,
+};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -47,7 +49,8 @@ where
     let (release, parked) = mpsc::channel::<()>();
     let hook: PublishHook<R::Acc> = {
         let (retained, seen, weak) = (retained.clone(), seen.clone(), weak.clone());
-        Box::new(move |snap| {
+        Box::new(move |step| {
+            let Publish::Admit(snap) = step else { return };
             let seg = snap.segment(0);
             seen.lock()
                 .unwrap()
