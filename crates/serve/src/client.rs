@@ -1,12 +1,12 @@
 //! A blocking client for the COBRA wire protocol.
 //!
-//! [`ServeClient`] is deliberately minimal: one TCP connection, one
-//! request in flight at a time, every call a frame round-trip. The
-//! benchmark and tests drive many of these from separate threads; a
-//! connection-pooling client would only obscure what the server is
-//! being measured on. Replies are read through the server's own
-//! incremental decoder, [`FrameBuf`], so client and server share one
-//! framing path.
+//! [`ServeClient`] is deliberately minimal: one TCP connection, and every
+//! call a frame round-trip except [`update_all`]'s window and the raw
+//! [`send_update`] / [`recv_update`] pair. The benchmark and tests drive
+//! many of these from separate threads; a connection-pooling client
+//! would only obscure what the server is being measured on. Replies are
+//! read through the server's own incremental decoder, [`FrameBuf`], so
+//! client and server share one framing path.
 //!
 //! The one piece of policy it carries is [`update_all`]: the server
 //! answers admission-control refusals with `Busy { accepted }` naming

@@ -132,8 +132,9 @@ error_codes! {
     /// A snapshot range with `lo >= hi`, `hi > num_keys`, or more than
     /// [`MAX_SNAPSHOT_KEYS`] keys.
     BadRange = 2,
-    /// The requested epoch is not the currently published one (only the
-    /// latest snapshot is retained).
+    /// The requested epoch is newer than the published head: it has not
+    /// been published yet. (An epoch that was published but has left the
+    /// retention window is [`ErrorCode::EpochEvicted`].)
     SnapshotUnavailable = 3,
     /// The request frame failed to decode.
     Malformed = 4,

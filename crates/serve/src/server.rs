@@ -4,17 +4,21 @@
 //! ```text
 //!   clients ──TCP──▶ reactor (nonblocking sockets, level-triggered)
 //!                      │ per round:
-//!                      │   0. drain the wake socket (publish / shutdown)
-//!                      │   1. answer WAIT_EPOCH waiters whose epoch is visible
-//!                      │   2. accept (refuse past max_conns)
-//!                      │   3. read readiness batch into the FrameBuf inbox → dispatch
-//!                      │        UPDATE: records admitted in place,
-//!                      │          IngestHandle::try_send_all (full FIFO → BUSY)
-//!                      │        QUERY:  S3-FIFO snapshot cache
-//!                      │   4. stream: SUBSCRIBE queues → DELTA frames,
-//!                      │        REPLICATE → one SEGMENT chunk
-//!                      │   5. settle: one blocking flush for the whole round
-//!                      │   6. flush outboxes (WouldBlock → write interest)
+//!                      │   1. drain the wake socket (publish / shutdown),
+//!                      │      accept (refuse past max_conns)
+//!                      │   2. advance each connection once:
+//!                      │        read into the FrameBuf inbox → dispatch
+//!                      │          UPDATE: records admitted in place,
+//!                      │            IngestHandle::try_send_all (full FIFO → BUSY)
+//!                      │          QUERY:  S3-FIFO snapshot cache
+//!                      │        → pump: WAIT_EPOCH reply once visible,
+//!                      │            SUBSCRIBE queue → DELTA frames,
+//!                      │            REPLICATE → one SEGMENT chunk
+//!                      │        → dispatch what an ended pump left buffered
+//!                      │   3. settle: one blocking flush for the whole round
+//!                      │   4. keep each connection once: flush its outbox
+//!                      │        (WouldBlock → write interest), run its
+//!                      │        clocks, set its interest, close or cut it
 //!                      ▼
 //!                IngestPipeline ──▶ EpochSnapshot ──publish hook──▶ wake
 //! ```
@@ -48,7 +52,7 @@
 //!   mark the connection stops reading *and* dispatching — so a client
 //!   pipelining amplifying requests (`SNAPSHOT` is ~20,000×) without
 //!   consuming replies cannot stage unbounded outbox memory — and
-//!   resumes when the flush phase drains the backlog. A backlog held
+//!   resumes the round after a flush drains the backlog. A backlog held
 //!   past the idle budget is a disconnect, like any other stall.
 //! * **Time**: a frame that has started arriving must finish within
 //!   [`ServeConfig::idle_budget`] (progress resets the clock) — a
@@ -56,18 +60,27 @@
 //!   ever stalling the other connections. Idling *between* frames is
 //!   unlimited, as before.
 //!
+//! One rule closes a connection. It is *closing* once its peer
+//! half-closes (`shutdown(Write)`: everything the peer already sent is
+//! still answered) or once a goodbye is staged; it closes when it is
+//! closing, owes no reply and its outbox is written out, and is cut when
+//! its closing clock reaches the idle budget first. A failed read or
+//! write, or a hangup heard without read interest, abandons it: its
+//! outbox is cleared and it closes that round.
+//!
 //! Requests that cannot be answered in one frame never block the reactor
 //! and never leave it; they are connection states (`Mode`):
 //!
 //! * `WAIT_EPOCH` parks the connection (read interest dropped) until the
-//!   top of the round that first sees the epoch committed and published.
+//!   first round whose pump sees the epoch committed and published.
 //!   Every publish writes the wake socket, so that round is the next one.
 //! * `SUBSCRIBE` registers with the [`DeltaHub`]; each round stages what
 //!   the subscriber's bounded hub queue holds as `DELTA`/`LAGGED` frames
 //!   while the outbox sits below the high-water mark. A peer that stops
 //!   reading therefore backs up into the hub queue, whose lossless
 //!   `LAGGED` protocol is the flow control, and is cut at the idle
-//!   budget like any other unread backlog.
+//!   budget like any other unread backlog. A subscriber's half-close
+//!   ends the subscription as `UNSUBSCRIBE` would.
 //! * `REPLICATE` lists the data directory (commit log last), then stages
 //!   one [`REPL_CHUNK`] `SEGMENT` per round under the same high-water
 //!   rule.
@@ -166,7 +179,9 @@ pub struct ServeConfig {
     pub cache_blocks: usize,
     /// Once a frame has started arriving, the connection must complete a
     /// frame within this budget or it is disconnected (slow-loris
-    /// protection). Idling between frames is unlimited.
+    /// protection). Idling between frames is unlimited. The same budget
+    /// bounds a response backlog held at the outbox mark and a closing
+    /// connection (its peer half-closed, or a goodbye is staged).
     pub idle_budget: Duration,
     /// Durable mode: when set, the pipeline write-ahead-logs every update
     /// under this configuration's data directory and recovers committed
@@ -563,8 +578,8 @@ const ROUND_READ_CAP: usize = 1 << 20;
 /// so a peer that pipelines requests without reading replies could
 /// otherwise stage unbounded outbox memory. Once the unflushed backlog
 /// reaches this mark the connection stops reading *and* dispatching —
-/// already-buffered frames wait — until the flush phase drains the
-/// outbox below it. The bound is soft by one response: the frame that
+/// already-buffered frames wait — until a flush drains the outbox below
+/// it. The bound is soft by one response: the frame that
 /// crosses the mark completes, so peak staging is `OUTBOX_HIGH_WATER`
 /// plus one maximal frame.
 const OUTBOX_HIGH_WATER: usize = 1 << 20;
@@ -573,8 +588,8 @@ const OUTBOX_HIGH_WATER: usize = 1 << 20;
 enum Mode {
     /// Normal request/response dispatch.
     Request,
-    /// Parked on `WAIT_EPOCH`: answered at the top of the round that
-    /// first sees `epoch` committed and published; read interest is
+    /// Parked on `WAIT_EPOCH`: the pump answers it in the first round
+    /// that sees `epoch` committed and published; read interest is
     /// dropped meanwhile.
     Parked { epoch: u64 },
     /// Subscribed: each round stages the hub queue's deltas; the only
@@ -583,8 +598,9 @@ enum Mode {
     /// Mid-`REPLICATE`: each round stages one segment chunk; frames
     /// pipelined behind the request wait until `ReplDone` is staged.
     Replicating(Box<ReplRound>),
-    /// A goodbye (usually an `Error` frame) is in the outbox; close once
-    /// it has flushed.
+    /// A goodbye (usually an `Error` frame) is in the outbox, or the
+    /// connection was abandoned: nothing more is dispatched, and it
+    /// closes once the outbox has flushed.
     Draining,
 }
 
@@ -598,8 +614,9 @@ struct Push {
     prev: u64,
     /// A delta part-way through chunking: the next entry to ship.
     cursor: Option<(SubDelta<u64>, usize)>,
-    /// `UNSUBSCRIBE` arrived: the hub queue is closed; once its remainder
-    /// is staged the connection returns to request mode.
+    /// `UNSUBSCRIBE` arrived or the peer half-closed: the hub queue is
+    /// closed; once its remainder is staged the connection returns to
+    /// request mode.
     unsubscribing: bool,
     /// The last pump stopped (or was skipped) at the high-water mark
     /// before it saw the queue empty: once the outbox has room, the next
@@ -614,6 +631,13 @@ impl Drop for Push {
 }
 
 impl Push {
+    /// Closes the hub queue; the pump stages what is still queued, then
+    /// `UNSUBSCRIBED`.
+    fn unsubscribe(&mut self) {
+        self.hub.unsubscribe(self.sub.id());
+        self.unsubscribing = true;
+    }
+
     /// Stages queued pushes — per-epoch `Delta` frames chunked at
     /// [`MAX_DELTA_ENTRIES`], `Lagged` on overflow — until the queue is
     /// empty or the outbox backlog reaches the high-water mark, one frame
@@ -761,6 +785,8 @@ struct Conn {
     mode: Mode,
     /// Interest currently registered with the poller.
     interest: Interest,
+    /// This round's poll reported the socket readable (or hung up).
+    readable: bool,
     /// Set while a frame is partially buffered and no frame has
     /// completed since — the idle-budget clock.
     partial_since: Option<Instant>,
@@ -768,11 +794,10 @@ struct Conn {
     /// [`OUTBOX_HIGH_WATER`] — the write-backpressure clock. A peer
     /// that leaves its responses unread past the idle budget is cut.
     backlogged_since: Option<Instant>,
-    /// Set when the connection entered [`Mode::Draining`].
-    draining_since: Option<Instant>,
-    /// Read observed EOF or a socket error; close once the outbox is
-    /// done (best effort).
-    peer_gone: bool,
+    /// Set when the peer half-closed or a goodbye was staged
+    /// ([`Mode::Draining`]): the connection closes once it owes nothing
+    /// and its outbox is out, or is cut at the idle budget.
+    closing_since: Option<Instant>,
 }
 
 impl Conn {
@@ -784,10 +809,10 @@ impl Conn {
             sent: 0,
             mode: Mode::Request,
             interest: Interest::READ,
+            readable: false,
             partial_since: None,
             backlogged_since: None,
-            draining_since: None,
-            peer_gone: false,
+            closing_since: None,
         }
     }
 
@@ -797,8 +822,8 @@ impl Conn {
     }
 
     /// True while write backpressure pauses this connection: no reads,
-    /// no dispatch, until the flush phase drains the outbox below the
-    /// high-water mark.
+    /// no dispatch, until a flush drains the outbox below the high-water
+    /// mark.
     fn backlogged(&self) -> bool {
         self.backlog() >= OUTBOX_HIGH_WATER
     }
@@ -815,6 +840,16 @@ impl Conn {
         }
     }
 
+    /// True while a reply is still owed: a wait or a stream in progress,
+    /// or frames in the inbox that request mode has yet to answer.
+    fn owes(&self) -> bool {
+        match &self.mode {
+            Mode::Request => self.inbox.pending() > 0,
+            Mode::Draining => false,
+            Mode::Parked { .. } | Mode::Subscribed(_) | Mode::Replicating(_) => true,
+        }
+    }
+
     /// True when write backpressure has let go of buffered bytes that no
     /// drain has seen since: frames to dispatch, or a partial frame
     /// whose clock must re-arm. No readable event announces bytes
@@ -828,12 +863,12 @@ impl Conn {
     }
 
     /// When the idle budget cuts this connection: the earliest running
-    /// clock (frame, backlog or goodbye) plus the budget.
+    /// clock (frame, backlog or closing) plus the budget.
     fn deadline(&self, idle_budget: Duration) -> Option<Instant> {
         [
             self.partial_since,
             self.backlogged_since,
-            self.draining_since,
+            self.closing_since,
         ]
         .into_iter()
         .flatten()
@@ -841,18 +876,25 @@ impl Conn {
         .map(|since| since + idle_budget)
     }
 
-    /// True once `now` has reached the deadline: the budget sweep's test,
-    /// and the instant `poll_timeout`'s wait for this connection ends.
+    /// True once `now` has reached the deadline: `keep`'s cut, and the
+    /// instant `poll_timeout`'s wait for this connection ends.
     fn expired(&self, idle_budget: Duration, now: Instant) -> bool {
         self.deadline(idle_budget).is_some_and(|d| d <= now)
     }
 
+    /// Stops dispatch and starts the closing clock: a goodbye is staged,
+    /// or nothing more can be.
     fn start_draining(&mut self) {
         self.mode = Mode::Draining;
         self.partial_since = None;
-        if self.draining_since.is_none() {
-            self.draining_since = Some(Instant::now());
-        }
+        self.closing_since.get_or_insert_with(Instant::now);
+    }
+
+    /// The peer can take no reply: drop the outbox and close this round.
+    fn abandon(&mut self) {
+        self.outbox.clear();
+        self.sent = 0;
+        self.start_draining();
     }
 }
 
@@ -910,37 +952,23 @@ fn reactor_loop(
     let mut timeout = None;
     loop {
         // A poller that fails cannot serve anything: leave through the
-        // stop path below. (`EINTR` is not a failure.)
-        let failed = poller.wait(&mut events, timeout).is_err();
-        if events.iter().any(|e| e.token == WAKE_TOKEN) {
-            drain_wake(&ctx.wake_rx);
-        }
-        let mut admitted = false;
-
-        // 1. Unpark WAIT_EPOCH waiters first: frames pipelined behind
-        // the wait are already buffered, and dispatching them now lets
-        // their updates ride this round's settle.
-        let visible = ctx.visible_epochs();
-        let ready: Vec<(u64, Frame)> = conns
-            .iter()
-            .filter_map(|(t, c)| match c.mode {
-                Mode::Parked { epoch } => Some((*t, wait_reply(epoch, visible, false)?)),
-                _ => None,
-            })
-            .collect();
-        for (token, reply) in ready {
-            if let Some(conn) = conns.get_mut(&token) {
-                stage(&mut conn.outbox, &reply, &mut scratch);
-                conn.mode = Mode::Request;
-                drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
+        // stop path below. (`EINTR` is not a failure.) One reading of the
+        // stop flag serves the whole round, so the round that stops is
+        // the round whose pump answers or fails every parked waiter.
+        let stopping = poller.wait(&mut events, timeout).is_err() || ctx.stopping();
+        for event in &events {
+            if event.token == WAKE_TOKEN {
+                drain_wake(&ctx.wake_rx);
+            } else if let Some(conn) = conns.get_mut(&event.token) {
+                conn.readable |= event.readable;
             }
         }
 
-        // 2. Accept round.
+        // 1. Accept round.
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if ctx.stopping() {
+                    if stopping {
                         continue;
                     }
                     if conns.len() >= max_conns || stream.set_nonblocking(true).is_err() {
@@ -965,175 +993,129 @@ fn reactor_loop(
             }
         }
 
-        // 3. Read phase: drain readable sockets into frame buffers and
-        // dispatch every complete frame. Responses only reach the outbox
-        // here — no socket write happens before the settle below.
-        //
-        // Connections whose write-backpressure pause ended (the flush
-        // phase drained their outbox below the high-water mark) resume
-        // first: the frames they buffered but could not answer ride this
-        // round's settle. No readable event fires for them — the bytes
-        // sit in the inbox, not the socket — so they need this sweep.
-        let resumable: Vec<u64> = conns
-            .iter()
-            .filter(|(_, c)| c.resumable())
-            .map(|(t, _)| *t)
-            .collect();
-        for token in resumable {
-            if let Some(conn) = conns.get_mut(&token) {
-                drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
-            }
-        }
-        for event in events.iter().filter(|e| e.readable) {
-            // The listener and wake tokens name no connection.
-            let Some(conn) = conns.get_mut(&event.token) else {
-                continue;
-            };
-            if !conn.interest.read {
-                // Registered without read interest, a connection hears
-                // only a hangup or a socket error (epoll reports both
-                // whatever the mask, level-triggered): the peer can take
-                // no reply, and the event would end every wait.
-                if let Some(gone) = conns.remove(&event.token) {
-                    let _ = poller.deregister(&gone.stream);
-                }
-                continue;
-            }
-            if !conn.dispatching() || conn.backlogged() {
-                // Paused connections (parked, replicating, draining, or
-                // under write backpressure: responses staged for the
-                // peer are stuck above the high-water mark) stop
-                // reading; the kernel buffer backpressures the peer.
-                continue;
-            }
-            read_into_inbox(conn);
-            drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
-        }
-
-        // 4. Stream phase: subscriptions stage what their hub queues
-        // hold, replication rounds their next chunk. A stream that ends
-        // here hands the connection back to request dispatch, so frames
-        // pipelined behind it still ride this round's settle.
+        // 2. Advance every connection once. Responses only reach the
+        // outbox here — no socket write happens before the settle below.
+        let mut admitted = false;
         for conn in conns.values_mut() {
-            if pump_stream(ctx, conn, &mut scratch) {
-                drain_inbox(ctx, &mut handle, conn, &mut admitted, &mut scratch);
-            }
+            advance(
+                ctx,
+                &mut handle,
+                conn,
+                stopping,
+                &mut admitted,
+                &mut scratch,
+            );
         }
 
-        // 5. Settle: one flush of the round's coalesced updates into the
+        // 3. Settle: one flush of the round's coalesced updates into the
         // shard FIFOs. Every `Accepted`/`Busy` staged above only becomes
         // visible on the wire after this — the cross-connection seal
         // guarantee.
-        if admitted {
+        if admitted || stopping {
             settle(&mut handle);
         }
 
-        // 6. Flush phase: outbox writes with interest re-registration on
-        // WouldBlock.
-        let tokens: Vec<u64> = conns.keys().copied().collect();
-        for token in tokens {
-            let Some(mut conn) = conns.remove(&token) else {
-                continue;
-            };
-            flush_outbox(&mut conn);
-            let drained = conn.sent == conn.outbox.len();
-            if (matches!(conn.mode, Mode::Draining) && drained)
-                || (conn.peer_gone && drained && !conn.inbox.has_partial())
+        // 4. Keep or close every connection once. The next poll times
+        // out at the nearest deadline this left, so the reactor never
+        // spins at one.
+        if !stopping {
+            let now = Instant::now();
+            conns.retain(|&token, conn| keep(poller, token, conn, idle_budget, now));
+            timeout = poll_timeout(&conns, idle_budget, now);
+            continue;
+        }
+
+        // Stop: nothing more is read or dispatched, and the same close
+        // rule runs until every outbox is out (the kernel buffers almost
+        // always take the goodbye bytes at once) or `FINAL_FLUSH` ends
+        // the wait. Only writability may end the waits, so the listener
+        // and the wake socket leave the poller.
+        let _ = poller.deregister(listener);
+        let _ = poller.deregister(&ctx.wake_rx);
+        conns.values_mut().for_each(Conn::start_draining);
+        let deadline = Instant::now() + FINAL_FLUSH;
+        loop {
+            let now = Instant::now();
+            conns.retain(|&token, conn| keep(poller, token, conn, idle_budget, now));
+            if conns.is_empty()
+                || now >= deadline
+                || poller.wait(&mut events, Some(deadline - now)).is_err()
             {
-                let _ = poller.deregister(&conn.stream);
-                continue; // drop closes the socket
+                return; // dropping `conns` closes every socket
             }
-            // Backpressure clock: runs while the unflushed backlog sits
-            // at the high-water mark, stops the moment it drains below.
-            // A gone peer needs no clock of its own: the flush above
-            // abandoned its outbox.
-            if conn.backlogged() {
-                if conn.backlogged_since.is_none() {
-                    conn.backlogged_since = Some(Instant::now());
-                }
-            } else {
-                conn.backlogged_since = None;
-            }
-            let desired = Interest {
-                read: conn.dispatching() && !conn.peer_gone && !conn.backlogged(),
-                write: !drained,
-            };
-            if desired != conn.interest {
-                if poller.modify(&conn.stream, token, desired).is_err() {
-                    let _ = poller.deregister(&conn.stream);
-                    continue;
-                }
-                conn.interest = desired;
-            }
-            conns.insert(token, conn);
-        }
-
-        // 7. Budget sweep: a connection mid-frame, mid-goodbye, or
-        // sitting on an unread response backlog is cut loose once that
-        // clock has run for the idle budget. Paused connections never
-        // tick the partial clock: it is cleared on pause and re-arms on
-        // resume.
-        // The next poll times out at the nearest deadline this sweep
-        // left, so the reactor never spins at one.
-        let now = Instant::now();
-        conns.retain(|_, c| {
-            let expired = c.expired(idle_budget, now);
-            if expired {
-                let _ = poller.deregister(&c.stream);
-            }
-            !expired
-        });
-        timeout = poll_timeout(&conns, idle_budget, now);
-
-        // 8. Stop check: answer or fail parked waiters, settle, flush
-        // what the sockets will take, leave.
-        if failed || ctx.stopping() {
-            let visible = ctx.visible_epochs();
-            for conn in conns.values_mut() {
-                if let Mode::Parked { epoch } = conn.mode {
-                    if let Some(reply) = wait_reply(epoch, visible, true) {
-                        stage(&mut conn.outbox, &reply, &mut scratch);
-                        conn.mode = Mode::Request;
-                    }
-                }
-            }
-            settle(&mut handle);
-            // Best-effort final flush, bounded: the kernel buffers
-            // almost always take the goodbye bytes immediately. Only
-            // writability may end the waits below, so the listener, the
-            // wake socket and every read interest leave the poller; a
-            // connection closes once its outbox is out or its peer gone.
-            let _ = poller.deregister(listener);
-            let _ = poller.deregister(&ctx.wake_rx);
-            let deadline = Instant::now() + FINAL_FLUSH;
-            loop {
-                conns.retain(|&token, c| {
-                    flush_outbox(c);
-                    let pending = !c.peer_gone && c.sent < c.outbox.len();
-                    pending && poller.modify(&c.stream, token, Interest::WRITE).is_ok()
-                });
-                let now = Instant::now();
-                if conns.is_empty()
-                    || now >= deadline
-                    || poller.wait(&mut events, Some(deadline - now)).is_err()
-                {
-                    break;
-                }
-            }
-            let _ = handle.flush();
-            return; // dropping `conns` closes every socket
         }
     }
 }
 
+/// One round of one connection: reads what the poll reported, dispatches
+/// every whole frame its mode takes, pumps its wait or stream, and
+/// dispatches what an ended wait or stream left buffered — so frames
+/// pipelined behind it ride this round's settle.
+fn advance(
+    ctx: &Ctx,
+    handle: &mut IngestHandle<u64>,
+    conn: &mut Conn,
+    stopping: bool,
+    admitted: &mut bool,
+    scratch: &mut Vec<u8>,
+) {
+    if std::mem::take(&mut conn.readable) {
+        if conn.interest.read {
+            read_into_inbox(conn);
+        } else {
+            // Registered without read interest, a connection hears only
+            // a hangup or a socket error (epoll reports both whatever
+            // the mask, level-triggered): the peer can take no reply,
+            // and the event would end every wait.
+            conn.abandon();
+        }
+    }
+    drain_inbox(ctx, handle, conn, admitted, scratch);
+    if pump(ctx, conn, stopping, scratch) {
+        drain_inbox(ctx, handle, conn, admitted, scratch);
+    }
+}
+
+/// The one close-or-keep decision, for live rounds and the stop path
+/// alike: flushes the outbox, runs the backpressure clock and sets the
+/// poll interest; false when the connection closes (dropping it closes
+/// the socket). It closes once it is closing, owes nothing and its
+/// outbox is out, and is cut when a clock reaches the idle budget.
+fn keep(poller: &Poller, token: u64, conn: &mut Conn, idle_budget: Duration, now: Instant) -> bool {
+    flush_outbox(conn);
+    // Backpressure clock: runs while the unflushed backlog sits at the
+    // high-water mark, stops the moment it drains below.
+    if !conn.backlogged() {
+        conn.backlogged_since = None;
+    } else if conn.backlogged_since.is_none() {
+        conn.backlogged_since = Some(now);
+    }
+    let drained = conn.sent == conn.outbox.len();
+    let closing = conn.closing_since.is_some();
+    let desired = Interest {
+        // Read interest stays off once closing: a half-closed socket is
+        // readable (at its end of stream) for good.
+        read: !closing && conn.dispatching() && !conn.backlogged(),
+        write: !drained,
+    };
+    let close = (closing && !conn.owes() && drained) || conn.expired(idle_budget, now);
+    if close || (desired != conn.interest && poller.modify(&conn.stream, token, desired).is_err()) {
+        let _ = poller.deregister(&conn.stream);
+        return false;
+    }
+    conn.interest = desired;
+    true
+}
+
 /// Reads straight into the inbox until `WouldBlock`, EOF, or the
-/// per-round cap.
+/// per-round cap. EOF starts the closing clock: what the peer already
+/// sent is still answered.
 fn read_into_inbox(conn: &mut Conn) {
     let mut total = 0usize;
     loop {
         match conn.inbox.read_from(&mut conn.stream) {
             Ok(0) => {
-                conn.peer_gone = true;
+                conn.closing_since.get_or_insert_with(Instant::now);
                 return;
             }
             Ok(n) => {
@@ -1145,7 +1127,7 @@ fn read_into_inbox(conn: &mut Conn) {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(_) => {
-                conn.peer_gone = true;
+                conn.abandon();
                 return;
             }
         }
@@ -1154,7 +1136,8 @@ fn read_into_inbox(conn: &mut Conn) {
 
 /// Dispatches every complete frame buffered on `conn` for as long as its
 /// mode takes frames, maintaining the idle-budget clock (reset on
-/// progress, armed while a frame is partial).
+/// progress, armed while a frame is partial) and acting on a half-close
+/// once every whole frame is taken.
 fn drain_inbox(
     ctx: &Ctx,
     handle: &mut IngestHandle<u64>,
@@ -1168,8 +1151,8 @@ fn drain_inbox(
     let mut inbox = std::mem::take(&mut conn.inbox);
     // Write backpressure stops dispatch too: once this connection's
     // staged responses exceed the high-water mark, buffered frames keep
-    // (bounded) and are picked up by the resume sweep once the outbox
-    // drains. So does any mode that makes later frames wait.
+    // (bounded) and are taken in the first round after a flush drains
+    // the outbox. So does any mode that makes later frames wait.
     while conn.dispatching() && !conn.backlogged() {
         match inbox.next_incoming() {
             Ok(Some(request)) => {
@@ -1194,6 +1177,9 @@ fn drain_inbox(
         }
     }
     conn.inbox = inbox;
+    // While dispatching, a running closing clock means the peer
+    // half-closed (a goodbye stops dispatch).
+    let half_closed = conn.closing_since.is_some();
     if !conn.dispatching() || conn.backlogged() {
         // Paused: the buffered bytes sit by the reactor's choice, not
         // the peer's dribble (and a paused connection stops reading, so
@@ -1201,26 +1187,30 @@ fn drain_inbox(
         // pauses — the backpressure clock governs a backlog — and
         // re-arms when dispatch resumes.
         conn.partial_since = None;
-    } else if conn.inbox.has_partial() {
+    } else if !conn.inbox.has_partial() {
+        conn.partial_since = None;
+        if let Mode::Subscribed(push) = &mut conn.mode {
+            if half_closed {
+                // The peer sent its last frame: end the subscription as
+                // `UNSUBSCRIBE` would.
+                push.unsubscribe();
+            }
+        }
+    } else if half_closed {
+        // EOF mid-frame: the peer can never complete it.
+        stage(
+            &mut conn.outbox,
+            &Frame::Error {
+                code: ErrorCode::Malformed,
+                detail: WireError::Truncated.to_string(),
+            },
+            scratch,
+        );
+        conn.start_draining();
+    } else if extracted > 0 || conn.partial_since.is_none() {
         // Progress (a completed frame) restarts the clock; a frame
         // that dribbles without ever completing does not.
-        if extracted > 0 || conn.partial_since.is_none() {
-            conn.partial_since = Some(Instant::now());
-        }
-        if conn.peer_gone {
-            // EOF mid-frame: the peer can never complete it.
-            stage(
-                &mut conn.outbox,
-                &Frame::Error {
-                    code: ErrorCode::Malformed,
-                    detail: WireError::Truncated.to_string(),
-                },
-                scratch,
-            );
-            conn.start_draining();
-        }
-    } else {
-        conn.partial_since = None;
+        conn.partial_since = Some(Instant::now());
     }
 }
 
@@ -1236,10 +1226,7 @@ fn dispatch(
 ) {
     if let Mode::Subscribed(push) = &mut conn.mode {
         if matches!(&request, Incoming::Frame(f) if matches!(**f, Frame::Unsubscribe)) {
-            // Closes the hub queue; the stream phase stages what is
-            // still queued, then the acknowledgement.
-            push.hub.unsubscribe(push.sub.id());
-            push.unsubscribing = true;
+            push.unsubscribe();
         } else {
             // Any other request mid-subscription would interleave its
             // response with the pushes; refuse and hang up.
@@ -1391,21 +1378,20 @@ fn wait_reply(epoch: u64, (published, committed): (u64, u64), stopping: bool) ->
     }
 }
 
-/// Advances a subscribed or replicating connection by one round's worth
-/// of staging (nothing while the outbox sits at the high-water mark).
-/// Returns true when the stream ended and the connection is back in
-/// request mode, so the caller resumes dispatching its buffered frames.
-fn pump_stream(ctx: &Ctx, conn: &mut Conn, scratch: &mut Vec<u8>) -> bool {
-    if !matches!(conn.mode, Mode::Subscribed(_) | Mode::Replicating(_)) {
-        return false;
-    }
-    if conn.peer_gone {
-        // Nobody left to stream to: drop the subscription or the round.
-        conn.start_draining();
-        return false;
-    }
+/// Advances a parked, subscribed or replicating connection by one round's
+/// worth of staging: the `WAIT_EPOCH` reply once its epoch is visible
+/// (failed with `ShuttingDown` when `stopping`), the subscription's
+/// queued pushes, or one replication chunk (nothing while the outbox
+/// sits at the high-water mark). Returns true when the wait or stream
+/// ended and the connection is back in request mode, so the caller
+/// resumes dispatching its buffered frames.
+fn pump(ctx: &Ctx, conn: &mut Conn, stopping: bool, scratch: &mut Vec<u8>) -> bool {
     let backlogged = conn.backlogged();
     let done = match &mut conn.mode {
+        Mode::Parked { epoch } => match wait_reply(*epoch, ctx.visible_epochs(), stopping) {
+            Some(reply) => reply,
+            None => return false,
+        },
         // Skipped at the mark too, so that `held` records the skip.
         Mode::Subscribed(push) => {
             if !push.stage_queued(&mut conn.outbox, conn.sent, scratch) {
@@ -1438,7 +1424,7 @@ fn pump_stream(ctx: &Ctx, conn: &mut Conn, scratch: &mut Vec<u8>) -> bool {
                 bytes: round.shipped_bytes,
             }
         }
-        _ => return false,
+        Mode::Request | Mode::Draining => return false,
     };
     stage(&mut conn.outbox, &done, scratch);
     conn.mode = Mode::Request;
@@ -1446,24 +1432,18 @@ fn pump_stream(ctx: &Ctx, conn: &mut Conn, scratch: &mut Vec<u8>) -> bool {
 }
 
 /// Writes as much outbox as the socket will take right now. A fatal
-/// write error marks the peer gone and abandons the outbox.
+/// write error abandons the connection.
 fn flush_outbox(conn: &mut Conn) {
     while conn.sent < conn.outbox.len() {
         match conn.stream.write(&conn.outbox[conn.sent..]) {
-            Ok(0) => {
-                conn.peer_gone = true;
-                break;
-            }
+            Ok(0) => return conn.abandon(),
             Ok(n) => conn.sent += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => {
-                conn.peer_gone = true;
-                break;
-            }
+            Err(_) => return conn.abandon(),
         }
     }
-    if conn.peer_gone || conn.sent == conn.outbox.len() {
+    if conn.sent == conn.outbox.len() {
         conn.outbox.clear();
         conn.sent = 0;
     } else if conn.sent > 0 && conn.sent * 2 >= conn.outbox.len() {
@@ -1825,7 +1805,7 @@ mod tests {
         conn.outbox = vec![0; OUTBOX_HIGH_WATER];
         let mut conns = HashMap::from([(0, conn)]);
         assert_eq!(poll_timeout(&conns, BUDGET, Instant::now()), None);
-        // The flush drained it: the resume sweep must run at once.
+        // The flush drained it: the next advance must run at once.
         let conn = conns.get_mut(&0).expect("conn");
         conn.outbox.clear();
         assert!(conn.resumable());
@@ -1848,13 +1828,40 @@ mod tests {
         assert!(conn.expired(BUDGET, t + BUDGET));
         let mut conns = HashMap::from([(0, conn)]);
         assert_eq!(poll_timeout(&conns, BUDGET, t + step), Some(BUDGET - step));
-        // The wait's end is the sweep's cut: no round spins short of it.
+        // The wait's end is keep's cut: no round spins short of it.
         assert_eq!(poll_timeout(&conns, BUDGET, t + BUDGET - step), Some(step));
         // The nearest of several clocks decides.
         let conn = conns.get_mut(&0).expect("conn");
         conn.backlogged_since = Some(t + step);
-        conn.draining_since = Some(t - step);
+        conn.closing_since = Some(t - step);
         assert_eq!(poll_timeout(&conns, BUDGET, t), Some(BUDGET - step));
+    }
+
+    #[test]
+    fn a_closing_connection_is_due_at_its_idle_budget() {
+        // A half-closed peer still owed a reply: the closing clock runs
+        // even while the wait itself adds no timeout.
+        let t = Instant::now();
+        let mut conn = test_conn();
+        conn.mode = Mode::Parked { epoch: 1 };
+        conn.closing_since = Some(t);
+        assert!(conn.owes());
+        let step = Duration::from_millis(40);
+        assert!(!conn.expired(BUDGET, t + BUDGET - step));
+        assert!(conn.expired(BUDGET, t + BUDGET));
+        let mut conns = HashMap::from([(0, conn)]);
+        assert_eq!(poll_timeout(&conns, BUDGET, t + step), Some(BUDGET - step));
+        // Frames a drained backlog left behind are due at once, closing
+        // or not: they are owed too.
+        let conn = conns.get_mut(&0).expect("conn");
+        conn.mode = Mode::Request;
+        let mut wire = Vec::new();
+        protocol::encode(&Frame::Stats, &mut wire);
+        conn.inbox
+            .read_from(&mut wire.as_slice())
+            .expect("a slice reads");
+        assert!(conn.owes() && conn.resumable());
+        assert_eq!(poll_timeout(&conns, BUDGET, t + step), Some(Duration::ZERO));
     }
 
     #[test]

@@ -1,15 +1,22 @@
-//! A peer that hangs up while the reactor is not reading its socket
-//! must not spin the reactor: a half-close (`shutdown(Write)`) with
-//! replies unread is armed only with read interest, which a connection
-//! paused at the outbox high-water mark has dropped, and a reset heard
-//! without read interest drops the connection. Alone in their own test
-//! binary, one server at a time: they read the reactor thread's CPU
-//! time from `/proc/self/task`, and another reactor would carry the
-//! same thread name.
+//! Half-closed and hung-up peers. A peer that half-closes
+//! (`shutdown(Write)`) still gets every reply to what it sent: each
+//! request, a subscription's queued deltas and its `UNSUBSCRIBED`, a
+//! replication round through `REPL_DONE`, then the end of the stream.
+//! And a peer that hangs up while the reactor is not reading its socket
+//! must not spin the reactor: a half-close with replies unread is armed
+//! only with read interest, which a connection paused at the outbox
+//! high-water mark has dropped, and a reset heard without read interest
+//! drops the connection. Alone in their own test binary, one server at
+//! a time: the spin tests read the reactor thread's CPU time from
+//! `/proc/self/task`, and another reactor would carry the same thread
+//! name.
 
-use cobra_serve::protocol::{self, Frame};
+mod common;
+
+use cobra_serve::protocol::{self, Frame, FrameBuf};
 use cobra_serve::{ServeClient, ServeConfig, Server};
 use cobra_stream::StreamConfig;
+use common::{next_frame, read_one_frame};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Mutex, PoisonError};
@@ -153,4 +160,195 @@ fn a_reset_peer_parked_on_wait_epoch_is_dropped_not_polled() {
     let mut client = ServeClient::connect(addr).expect("connect");
     client.stats().expect("the server still serves");
     server.shutdown();
+}
+
+/// `reqs` full-range `SNAPSHOT`s of a `keys`-key server, back to back.
+fn snapshot_requests(keys: u32, reqs: usize) -> Vec<u8> {
+    let (mut bytes, mut scratch) = (Vec::new(), Vec::new());
+    let request = Frame::Snapshot {
+        epoch: 0,
+        lo: 0,
+        hi: keys,
+    };
+    for _ in 0..reqs {
+        protocol::encode(&request, &mut scratch);
+        bytes.extend_from_slice(&scratch);
+    }
+    bytes
+}
+
+#[test]
+fn a_half_closed_peer_that_reads_gets_every_reply() {
+    let _one = ONE_SERVER.lock().unwrap_or_else(PoisonError::into_inner);
+    const KEYS: u32 = 65_536; // one full-range SNAPSHOT = 512KB of values
+    const REQS: usize = 32;
+    const PEERS: usize = 4;
+    let stream_cfg = StreamConfig::new().shards(2);
+    let server =
+        Server::start(KEYS, stream_cfg, ServeConfig::new()).expect("bind ephemeral server");
+
+    // Each peer puts every request on the wire at once, half-closes and
+    // reads only later: far more than the outbox mark and the socket
+    // buffers hold is owed when the reactor hears the half-close.
+    let requests = snapshot_requests(KEYS, REQS);
+    let mut peers: Vec<TcpStream> = (0..PEERS)
+        .map(|_| {
+            let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+            raw.write_all(&requests).expect("write requests");
+            raw.shutdown(Shutdown::Write).expect("half-close");
+            raw
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(500));
+
+    let mut reply = Vec::new();
+    protocol::encode(
+        &Frame::SnapshotSlice {
+            epoch: 0,
+            lo: 0,
+            values: vec![0; KEYS as usize],
+        },
+        &mut reply,
+    );
+    for (peer, raw) in peers.iter_mut().enumerate() {
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set read timeout");
+        let mut received = Vec::new();
+        raw.read_to_end(&mut received)
+            .expect("the stream ends cleanly");
+        assert_eq!(
+            received.len(),
+            REQS * reply.len(),
+            "peer {peer} got {} of {} bytes",
+            received.len(),
+            REQS * reply.len()
+        );
+        let (mut wire, mut inbox) = (received.as_slice(), FrameBuf::new());
+        while inbox.read_from(&mut wire).expect("a slice reads") > 0 {}
+        for _ in 0..REQS {
+            let frame = inbox.next_frame().expect("a well-formed frame");
+            assert!(
+                matches!(&frame, Some(Frame::SnapshotSlice { values, .. }) if values.len() == KEYS as usize),
+                "peer {peer}: expected a full slice"
+            );
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_half_closed_subscriber_gets_its_queued_deltas_then_unsubscribed() {
+    let _one = ONE_SERVER.lock().unwrap_or_else(PoisonError::into_inner);
+    let stream_cfg = StreamConfig::new().shards(2);
+    let server = Server::start(64, stream_cfg, ServeConfig::new()).expect("bind ephemeral server");
+    let mut driver = ServeClient::connect(server.local_addr()).expect("connect driver");
+
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect subscriber");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut inbox = FrameBuf::new();
+    protocol::write_frame(
+        &mut raw,
+        &Frame::Subscribe { lo: 0, hi: 64 },
+        &mut Vec::new(),
+    )
+    .expect("subscribe");
+    let Frame::Subscribed { epoch: baseline } = read_one_frame(&mut raw, &mut inbox) else {
+        panic!("expected SUBSCRIBED");
+    };
+
+    // Three epochs publish while the subscriber reads nothing; then it
+    // half-closes.
+    let mut last = baseline;
+    for key in 1..=3u32 {
+        driver.update_all(&[(key, 1)]).expect("update");
+        last = driver.seal().expect("seal");
+        driver.wait_epoch(last).expect("wait for the epoch");
+    }
+    raw.shutdown(Shutdown::Write).expect("half-close");
+
+    // Every delta in order, then the acknowledgement, then the end.
+    let mut at = baseline;
+    let unsubscribed = loop {
+        match read_one_frame(&mut raw, &mut inbox) {
+            Frame::Delta {
+                from_epoch,
+                to_epoch,
+                done: true,
+                ..
+            } => {
+                assert_eq!((from_epoch, to_epoch), (at, at + 1), "a gap in the deltas");
+                at = to_epoch;
+            }
+            Frame::Unsubscribed { epoch } => break epoch,
+            other => panic!("expected a delta or UNSUBSCRIBED, got {other:?}"),
+        }
+    };
+    assert_eq!(at, last, "a queued delta was dropped");
+    assert!(unsubscribed >= last);
+    assert_eq!(
+        next_frame(&mut raw, &mut inbox).expect("end of stream"),
+        None
+    );
+    assert_eq!(driver.stats().expect("stats").active_subscribers, 0);
+    server.shutdown();
+}
+
+#[test]
+fn a_half_closed_replicate_peer_gets_its_round_through_repl_done() {
+    let _one = ONE_SERVER.lock().unwrap_or_else(PoisonError::into_inner);
+    const KEYS: u32 = 65_536;
+    const REQS: usize = 32;
+    let dir = std::env::temp_dir().join(format!("cobra-serve-halfclose-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stream_cfg = StreamConfig::new().shards(2);
+    let serve_cfg = ServeConfig::new().data_dir(&dir);
+    let server = Server::start(KEYS, stream_cfg, serve_cfg).expect("bind durable server");
+    let mut driver = ServeClient::connect(server.local_addr()).expect("connect driver");
+    let tuples: Vec<(u32, u64)> = (0..KEYS).map(|k| (k, 1)).collect();
+    driver.update_all(&tuples).expect("update");
+    let sealed = driver.seal().expect("seal");
+    driver.wait_epoch(sealed).expect("commit");
+
+    // Replies past the outbox mark stop the reactor reading; the
+    // REPLICATE and the half-close then arrive together behind them.
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    raw.write_all(&snapshot_requests(KEYS, REQS))
+        .expect("write requests");
+    std::thread::sleep(Duration::from_millis(250));
+    let replicate = Frame::Replicate {
+        manifest: Vec::new(),
+    };
+    protocol::write_frame(&mut raw, &replicate, &mut Vec::new()).expect("replicate");
+    raw.shutdown(Shutdown::Write).expect("half-close");
+
+    let mut inbox = FrameBuf::new();
+    for _ in 0..REQS {
+        let frame = read_one_frame(&mut raw, &mut inbox);
+        assert!(
+            matches!(frame, Frame::SnapshotSlice { .. }),
+            "got {frame:?}"
+        );
+    }
+    let mut shipped = 0u64;
+    loop {
+        match read_one_frame(&mut raw, &mut inbox) {
+            Frame::Segment { bytes, .. } => shipped += bytes.len() as u64,
+            Frame::ReplDone { epoch, bytes, .. } => {
+                assert!(epoch >= sealed);
+                assert_eq!(bytes, shipped);
+                break;
+            }
+            other => panic!("expected a segment or REPL_DONE, got {other:?}"),
+        }
+    }
+    assert!(shipped > 0, "the round shipped the log");
+    assert_eq!(
+        next_frame(&mut raw, &mut inbox).expect("end of stream"),
+        None
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

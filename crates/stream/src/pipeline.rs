@@ -35,9 +35,8 @@ impl std::fmt::Display for PipelineClosed {
 
 impl std::error::Error for PipelineClosed {}
 
-/// Why [`IngestHandle::try_send_all`] (or [`try_send`](IngestHandle::try_send))
-/// stopped. In every case the offending tuple and everything after it
-/// were **not** accepted.
+/// Why [`IngestHandle::try_send_all`] stopped. In every case the
+/// offending tuple and everything after it were **not** accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TryIngestError {
     /// The destination shard's FIFO is full right now; accepting the
@@ -46,8 +45,7 @@ pub enum TryIngestError {
     Busy,
     /// The pipeline has shut down; the tuple can never be delivered.
     Closed,
-    /// The key is `>= num_keys`. Only a run reports it; `try_send`
-    /// panics instead, like `send`.
+    /// The key is `>= num_keys`.
     KeyOutOfRange(u32),
 }
 
@@ -279,19 +277,6 @@ impl<V> IngestHandle<V> {
     pub fn seal_epoch(&mut self) -> Result<u64, PipelineClosed> {
         self.flush()?;
         Ok(self.core.seal())
-    }
-
-    /// Routes one `(key, value)` update without ever blocking: the
-    /// one-tuple run of [`try_send_all`](Self::try_send_all).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key >= num_keys`.
-    pub fn try_send(&mut self, key: u32, value: V) -> Result<(), TryIngestError> {
-        match self.try_send_all([(key, value)]).1 {
-            Err(TryIngestError::KeyOutOfRange(key)) => panic!("key {key} out of range"),
-            result => result,
-        }
     }
 
     /// Routes a run of `(key, value)` updates in order without ever
@@ -1192,14 +1177,6 @@ mod tests {
         let _ = h.send(8, ());
     }
 
-    #[test]
-    #[should_panic]
-    fn try_send_out_of_range_key_panics() {
-        let p = IngestPipeline::new(8, Count, StreamConfig::default());
-        let mut h = p.handle();
-        let _ = h.try_send(8, ());
-    }
-
     /// A handle over a hand-built core whose single shard FIFO has no
     /// worker draining it: the channel fills deterministically, which a
     /// live pipeline never guarantees.
@@ -1231,9 +1208,9 @@ mod tests {
     #[test]
     fn try_send_against_full_channel_is_busy_and_lossless() {
         let (mut h, rx) = unserviced_handle(1, 1);
-        h.try_send(0, ()).unwrap(); // fills the 1-slot FIFO
-        assert_eq!(h.try_send(1, ()), Err(TryIngestError::Busy));
-        assert_eq!(h.try_send(2, ()), Err(TryIngestError::Busy));
+        h.try_send_all([(0, ())]).1.unwrap(); // fills the 1-slot FIFO
+        assert_eq!(h.try_send_all([(1, ())]).1, Err(TryIngestError::Busy));
+        assert_eq!(h.try_send_all([(2, ())]).1, Err(TryIngestError::Busy));
         // Refused tuples were taken back out: nothing is buffered, and
         // exactly one tuple was accepted.
         assert!(h.buffers[0].is_empty());
@@ -1245,7 +1222,7 @@ mod tests {
             panic!("expected the accepted batch")
         };
         assert_eq!(b.len(), 1);
-        h.try_send(1, ()).unwrap();
+        h.try_send_all([(1, ())]).1.unwrap();
         let Some(ShardMsg::Batch(b)) = rx.recv() else {
             panic!("expected the retried batch")
         };
@@ -1256,7 +1233,7 @@ mod tests {
     fn try_send_below_batch_size_buffers_without_touching_channel() {
         let (mut h, rx) = unserviced_handle(1, 8);
         for k in 0..7 {
-            h.try_send(k, ()).unwrap();
+            h.try_send_all([(k, ())]).1.unwrap();
         }
         assert_eq!(h.buffers[0].len(), 7);
         h.flush().unwrap(); // fits: channel empty
@@ -1266,10 +1243,10 @@ mod tests {
         assert_eq!(b.len(), 7);
         // Channel full again → a refusing ship keeps the batch.
         for k in 0..8 {
-            h.try_send(k, ()).unwrap();
+            h.try_send_all([(k, ())]).1.unwrap();
         }
         assert!(h.buffers[0].is_empty(), "8th tuple shipped the batch");
-        h.try_send(3, ()).unwrap();
+        h.try_send_all([(3, ())]).1.unwrap();
         let refused = ToShards(&h.core, OnFull::Refuse).ship(0, &mut h.buffers[0]);
         assert_eq!(refused, Err(TryIngestError::Busy));
         assert_eq!(h.buffers[0].len(), 1, "refused batch stays buffered");
@@ -1294,7 +1271,7 @@ mod tests {
         assert_eq!((accepted, result), (7, Err(TryIngestError::Busy)));
         let mut looped = 0;
         for &(key, value) in &run {
-            if by_loop.try_send(key, value).is_err() {
+            if by_loop.try_send_all([(key, value)]).1.is_err() {
                 break;
             }
             looped += 1;
@@ -1369,10 +1346,10 @@ mod tests {
     fn try_send_after_shutdown_is_closed() {
         let p = IngestPipeline::new(16, Count, StreamConfig::new().batch_tuples(1));
         let mut h = p.handle();
-        h.try_send(3, ()).unwrap();
+        h.try_send_all([(3, ())]).1.unwrap();
         let (snap, _) = p.shutdown();
         assert_eq!(*snap.get(3), 1);
-        assert_eq!(h.try_send(4, ()), Err(TryIngestError::Closed));
+        assert_eq!(h.try_send_all([(4, ())]).1, Err(TryIngestError::Closed));
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl StreamStats {
     }
 
     /// Total backpressure events (blocking sends that found a full FIFO
-    /// and waited). A caller that admits with `try_send` and then settles
+    /// and waited). A caller that admits with `try_send_all` and then settles
     /// with the blocking `flush` — the serve reactor — shows its waits
     /// here and in `send_stall_nanos`; `try_send_fulls` counts only the
     /// refusals it turned into `Busy`.

@@ -166,10 +166,11 @@ fn epoch_snapshots_stay_monotonic_under_backpressure() {
     assert_eq!(total, 2_000);
 }
 
-/// `send` and `try_send` (retried on `Busy`) are two callers of one
-/// stage-and-ship: the same stream through either, against 1-deep FIFOs,
-/// ends in the same per-key arrival logs and the same `tuples_sent`, and
-/// the partial batches a dropped handle still held are in there.
+/// `send` and one-tuple `try_send_all` runs (retried on `Busy`) are two
+/// callers of one stage-and-ship: the same stream through either, against
+/// 1-deep FIFOs, ends in the same per-key arrival logs and the same
+/// `tuples_sent`, and the partial batches a dropped handle still held are
+/// in there.
 #[test]
 fn send_and_try_send_with_retry_are_equivalent() {
     let stream: Vec<(u32, u32)> = (0..20_000u32)
@@ -186,7 +187,7 @@ fn send_and_try_send_with_retry_are_equivalent() {
             if blocking {
                 handle.send(k, v).expect("pipeline open");
             } else {
-                while let Err(e) = handle.try_send(k, v) {
+                while let (_, Err(e)) = handle.try_send_all([(k, v)]) {
                     assert_eq!(e, TryIngestError::Busy);
                     thread::yield_now();
                 }
