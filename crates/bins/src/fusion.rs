@@ -31,13 +31,14 @@ use crate::frame::FRAME_KEYS;
 /// Slot index for a key: top `log2(FRAME_KEYS)` bits of a Fibonacci hash.
 const SLOT_SHIFT: u32 = 32 - (FRAME_KEYS as u32).trailing_zeros();
 
-/// Sentinel marking a [`FuseTable`] slot as empty.
-const EMPTY: u8 = u8::MAX;
+/// Key tag of a vacant [`FuseTable`] slot. No key in a domain equals it:
+/// keys are `< num_keys <= u32::MAX`, so a probe needs one compare.
+const VACANT: u32 = u32::MAX;
 
 // A slot stores its frame index in a `u8` and `SLOT_SHIFT` takes a log2:
 // a frame the table cannot index must not compile, because a truncated
 // index would fold a value into another key's staged tuple.
-const _: () = assert!(FRAME_KEYS.is_power_of_two() && FRAME_KEYS <= EMPTY as usize);
+const _: () = assert!(FRAME_KEYS.is_power_of_two() && FRAME_KEYS <= u8::MAX as usize);
 
 /// Running counters for the fusion pass.
 ///
@@ -78,9 +79,9 @@ impl FuseStats {
 /// tuples.
 #[derive(Debug, Clone)]
 pub struct FuseTable {
-    /// Frame index staged at each slot ([`EMPTY`] when vacant).
+    /// Frame index staged at each slot (meaningful where the slot is live).
     idx: [u8; FRAME_KEYS],
-    /// Key tag for each live slot (valid only where `idx != EMPTY`).
+    /// Key tag of each slot ([`VACANT`] when the slot is not live).
     key: [u32; FRAME_KEYS],
 }
 
@@ -94,8 +95,8 @@ impl FuseTable {
     /// An empty table.
     pub fn new() -> Self {
         FuseTable {
-            idx: [EMPTY; FRAME_KEYS],
-            key: [0; FRAME_KEYS],
+            idx: [0; FRAME_KEYS],
+            key: [VACANT; FRAME_KEYS],
         }
     }
 
@@ -111,7 +112,7 @@ impl FuseTable {
     #[inline]
     pub fn probe(&self, key: u32) -> Option<usize> {
         let s = Self::slot(key);
-        if self.idx[s] != EMPTY && self.key[s] == key {
+        if self.key[s] == key {
             Some(self.idx[s] as usize)
         } else {
             None
@@ -120,10 +121,10 @@ impl FuseTable {
 
     /// Records that `key` was just staged at frame index `frame_idx`
     /// (evicting whatever the slot tracked before — a missed fusion at
-    /// worst).
+    /// worst). `key` is a domain key, so never `u32::MAX`.
     #[inline]
     pub fn note(&mut self, key: u32, frame_idx: usize) {
-        debug_assert!(frame_idx < FRAME_KEYS);
+        debug_assert!(frame_idx < FRAME_KEYS && key != VACANT);
         let s = Self::slot(key);
         self.idx[s] = frame_idx as u8;
         self.key[s] = key;
@@ -133,12 +134,12 @@ impl FuseTable {
     /// the table fronts is flushed or cleared.
     #[inline]
     pub fn clear(&mut self) {
-        self.idx = [EMPTY; FRAME_KEYS];
+        self.key = [VACANT; FRAME_KEYS];
     }
 
     /// Whether no slot is live.
     pub fn is_empty(&self) -> bool {
-        self.idx.iter().all(|&i| i == EMPTY)
+        self.key.iter().all(|&k| k == VACANT)
     }
 }
 
@@ -157,6 +158,17 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.probe(42), None);
+    }
+
+    #[test]
+    fn a_fresh_or_cleared_table_misses_key_zero() {
+        // Key 0 was the vacant slots' old tag: it must miss until noted.
+        let mut t = FuseTable::new();
+        assert_eq!(t.probe(0), None);
+        t.note(0, 5);
+        assert_eq!(t.probe(0), Some(5));
+        t.clear();
+        assert_eq!(t.probe(0), None);
     }
 
     #[test]

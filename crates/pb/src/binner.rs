@@ -55,8 +55,9 @@ pub struct Binner<V> {
 struct BinSink<V> {
     store: BinStore<V>,
     flush_stats: FrameFlushStats,
-    /// Coup-style frame fusion state, allocated by the first tuple routed
-    /// through `insert_fused` or `extend_fused` (plain binners pay nothing).
+    /// Coup-style frame fusion state, allocated by the first non-empty
+    /// run through `insert_fused` or `extend_fused` (plain binners pay
+    /// nothing).
     fusion: Option<FusionState>,
 }
 
@@ -78,9 +79,10 @@ impl FusionState {
 
 /// A binner's bins as the destinations of one run of [`route`]: a full
 /// C-Buffer flushes into its bin. With `FUSES` the merge step is the
-/// Coup-style frame probe under the closure; without it the probe
-/// compiles out of the routing body.
-struct ToBins<'a, V, M, const FUSES: bool>(&'a mut BinSink<V>, M);
+/// Coup-style frame probe under the closure, and the sink's fusion state
+/// is allocated before the run; without it the probe compiles out of the
+/// routing body. The last field counts the run's fusion hits.
+struct ToBins<'a, V, M, const FUSES: bool>(&'a mut BinSink<V>, M, u64);
 
 /// The merge step of [`Binner::insert`] and [`Binner::extend`]: none.
 fn never<V>(_: &mut V, _: &V) -> bool {
@@ -97,21 +99,16 @@ where
 
     #[inline]
     fn merge(&mut self, b: usize, cbuf: &mut CBufFrame<V>, key: u32, value: &V) -> bool {
-        // Allocated on the first fused tuple, not the first fused run: an
-        // empty run leaves a plain binner plain.
-        let (sink, merge) = (&mut *self.0, &mut self.1);
-        let num_bins = sink.store.num_bins();
-        let f = sink
-            .fusion
-            .get_or_insert_with(|| FusionState::new(num_bins));
-        f.stats.attempts += 1;
+        let Some(f) = self.0.fusion.as_mut() else {
+            unreachable!("a fused run allocates the fusion state first")
+        };
         let table = &mut f.tables[b];
         if let Some(i) = table.probe(key) {
             // The table is cleared on every frame flush, so a live slot
             // always points at a staged tuple carrying exactly this key.
             debug_assert_eq!(cbuf.keys().get(i).copied(), Some(key));
-            if merge(cbuf.value_mut(i), value) {
-                f.stats.hits += 1;
+            if (self.1)(cbuf.value_mut(i), value) {
+                self.2 += 1;
                 return true;
             }
         }
@@ -273,8 +270,23 @@ impl<V: Copy> Binner<V> {
         merge: impl FnMut(&mut V, &V) -> bool,
     ) {
         let (num_keys, shift) = (self.sink.store.num_keys(), self.bin_shift());
-        let mut to = ToBins::<_, _, FUSES>(&mut self.sink, merge);
-        let (_, stopped) = route(run, &mut self.cbufs, &mut to, num_keys, shift, FRAME_KEYS);
+        let plain = self.sink.fusion.is_none();
+        if FUSES && plain {
+            self.sink.fusion = Some(FusionState::new(self.num_bins()));
+        }
+        let mut to = ToBins::<_, _, FUSES>(&mut self.sink, merge, 0);
+        let (accepted, stopped) = route(run, &mut self.cbufs, &mut to, num_keys, shift, FRAME_KEYS);
+        let hits = to.2;
+        if FUSES {
+            // An empty fused run leaves a plain binner plain: a later
+            // plain flush is no fusion-table reset.
+            if plain && accepted == 0 {
+                self.sink.fusion = None;
+            } else if let Some(f) = self.sink.fusion.as_mut() {
+                f.stats.attempts += accepted as u64;
+                f.stats.hits += hits;
+            }
+        }
         if let Err(Stop::KeyOutOfRange(key)) = stopped {
             panic!("key {key} out of range (domain is 0..{num_keys})");
         }
@@ -330,7 +342,7 @@ impl<V: Copy> Binner<V> {
     }
 
     fn flush_cbufs(&mut self) {
-        let mut to = ToBins::<_, _, false>(&mut self.sink, never);
+        let mut to = ToBins::<_, _, false>(&mut self.sink, never, 0);
         for (b, cbuf) in self.cbufs.iter_mut().enumerate() {
             if !cbuf.is_empty() {
                 let Ok(()) = to.ship(b, cbuf);

@@ -29,7 +29,12 @@
 //! a sparse key set pay for the touched segments only: the worker writes
 //! into the handle it retired an epoch earlier (its *spare*), replaying
 //! the previous epoch's bin into it first, and copies only while that
-//! spare is still shared (retained, cached, in flight). Downstream
+//! spare is still shared (retained, cached, in flight). A spare was last
+//! written two seals ago and a dense epoch touches each of its lines
+//! about once, so before a bin's random-order updates the worker reads
+//! the spare (or a segment it writes in place) in address order, when
+//! the bin's tuples cover enough of its lines, and the prefetcher
+//! streams it into cache. Downstream
 //! consumers — the serve-layer block cache in particular — hold the same
 //! `Arc`s, making snapshot-to-cache handoff zero-copy and
 //! pointer-identity testable.
@@ -258,6 +263,14 @@ pub(crate) fn segment_span(keys: &Range<u32>, segment_keys: u32) -> Range<usize>
 /// Without `prev` (WAL recovery, a worker's first seal) no spare is
 /// taken; the ones a worker's first seal retires lag by that seal's
 /// bins, which its next seal passes as `prev`.
+///
+/// A recycled spare or a segment written in place is read in address
+/// order, one element per cache line, before its bin's random-order
+/// updates when they are dense enough to pay for the read (see
+/// `dense`): it was last written two seals ago, and a dense epoch
+/// touches each line about once, so the replay and the apply would
+/// otherwise miss on nearly every tuple. A fresh copy needs no such
+/// read — its `memcpy` just streamed it.
 pub(crate) fn apply_bins<R: Reducer>(
     reducer: &R,
     bins: &Bins<R::Value>,
@@ -273,11 +286,10 @@ pub(crate) fn apply_bins<R: Reducer>(
         let (b, local) = (bin.index, bin.keys);
         let span = segment_span(&(base + local.start..base + local.end), state.segment_keys);
         let at = span.start - state.first..span.end - state.first;
-        // Makes segment `i` of the run this call's to write. Returns
-        // whether it is a recycled spare, still missing `prev`'s tuples.
+        // Makes segment `i` of the run this call's to write.
         let privatise = |i: usize, live: &mut Arc<Vec<R::Acc>>| {
             if Arc::get_mut(live).is_some() {
-                return false;
+                return Writable::InPlace;
             }
             let mut spare = old[at.start + i].take().filter(|_| prev.is_some());
             let recycle = spare.as_mut().is_some_and(|s| Arc::get_mut(s).is_some());
@@ -288,7 +300,11 @@ pub(crate) fn apply_bins<R: Reducer>(
             state.spares[at.start + i] = Some(std::mem::replace(live, fresh));
             paths.recycled += u64::from(recycle);
             paths.copied += u64::from(!recycle);
-            recycle
+            if recycle {
+                Writable::Recycled
+            } else {
+                Writable::Copied
+            }
         };
         replay_bin(
             reducer,
@@ -303,6 +319,17 @@ pub(crate) fn apply_bins<R: Reducer>(
     paths
 }
 
+/// How [`apply_bins`] made a segment it writes private.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Writable {
+    /// Nobody else held it: written in place.
+    InPlace,
+    /// A recycled spare, still missing the previous call's tuples.
+    Recycled,
+    /// A fresh copy of the shared segment.
+    Copied,
+}
+
 /// One bin of [`apply_bins`]: `handles` are the segments of the bin's key
 /// range, the first starting at its first (local) key `first`, and
 /// `privatise` makes a touched one writable. A key's segment and slot are
@@ -312,7 +339,7 @@ fn replay_bin<R: Reducer>(
     (keys, values): (&[u32], &[R::Value]),
     prev: Option<(&[u32], &[R::Value])>,
     handles: &mut [Arc<Vec<R::Acc>>],
-    mut privatise: impl FnMut(usize, &mut Arc<Vec<R::Acc>>) -> bool,
+    mut privatise: impl FnMut(usize, &mut Arc<Vec<R::Acc>>) -> Writable,
     (first, shift): (u32, u32),
 ) {
     let locate = |k: u32| {
@@ -323,26 +350,35 @@ fn replay_bin<R: Reducer>(
     for &k in keys {
         touched[locate(k).0] = true;
     }
-    let recycled: Vec<bool> = (handles.iter_mut().enumerate().zip(&touched))
-        .map(|((i, h), &hit)| hit && privatise(i, h))
+    let paths: Vec<Option<Writable>> = (handles.iter_mut().enumerate().zip(touched))
+        .map(|((i, h), hit)| hit.then(|| privatise(i, h)))
         .collect();
     // Every touched handle is unshared by now: `make_mut` copies nothing.
     let mut slices: Vec<&mut [R::Acc]> = handles
         .iter_mut()
-        .zip(touched)
-        .map(|(h, hit)| {
-            if hit {
-                Arc::make_mut(h).as_mut_slice()
-            } else {
-                Default::default()
-            }
+        .zip(&paths)
+        .map(|(h, path)| match path {
+            Some(_) => Arc::make_mut(h).as_mut_slice(),
+            None => Default::default(),
         })
         .collect();
+    // A segment that did not just come from a copy was last written a
+    // call (two seals) ago: stream it in before the random-order updates
+    // if the bin is dense enough to pay for the reads.
+    let written = || (slices.iter().zip(&paths)).filter(|(_, p)| p.is_some());
+    if dense::<R::Acc>(keys.len(), written().map(|(s, _)| s.len()).sum()) {
+        for (slice, path) in written() {
+            if matches!(path, Some(Writable::InPlace | Writable::Recycled)) {
+                stream_in(slice);
+            }
+        }
+    }
     // A recycled spare first catches up on the previous epoch's tuples.
-    if let Some((keys, values)) = prev.filter(|_| recycled.contains(&true)) {
+    let recycled = Some(Writable::Recycled);
+    if let Some((keys, values)) = prev.filter(|_| paths.contains(&recycled)) {
         for (&k, v) in keys.iter().zip(values) {
             let (seg, slot) = locate(k);
-            if recycled[seg] {
+            if paths[seg] == recycled {
                 reducer.apply(&mut slices[seg][slot], v);
             }
         }
@@ -350,6 +386,32 @@ fn replay_bin<R: Reducer>(
     for (&k, v) in keys.iter().zip(values) {
         let (seg, slot) = locate(k);
         reducer.apply(&mut slices[seg][slot], v);
+    }
+}
+
+/// Elements of `A` per 64-byte cache line (at least one).
+fn per_line<A>() -> usize {
+    (64 / std::mem::size_of::<A>().max(1)).max(1)
+}
+
+/// Whether a bin of `tuples` updates to segments of `keys` slots in all
+/// is dense enough to stream them in first: streaming a segment costs
+/// about what missing on a quarter of its lines does, so the bin must
+/// bring at least one tuple per four lines. An accumulator with drop
+/// glue may own heap state that a clone would copy, so it is never
+/// streamed (a compile-time constant per reducer).
+fn dense<A>(tuples: usize, keys: usize) -> bool {
+    !std::mem::needs_drop::<A>() && 4 * tuples >= keys.div_ceil(per_line::<A>())
+}
+
+/// Reads `seg` in address order, one element per cache line, so the
+/// hardware prefetcher streams it into cache ahead of a bin's
+/// random-order updates: on a dense epoch each line is hit about once,
+/// and without this read each hit is a demand miss. Only for
+/// accumulators without drop glue (`dense`): the clone is a plain load.
+fn stream_in<A: Clone>(seg: &[A]) {
+    for x in seg.iter().step_by(per_line::<A>()) {
+        std::hint::black_box(x.clone());
     }
 }
 
@@ -625,5 +687,98 @@ impl<A> Accumulator<A> {
         // the state — waits until the new one is visible to everyone, and
         // told so.
         drop(replaced);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cobra_pb::Binner;
+
+    /// Clones of [`Counted`] made so far (only the test below makes any).
+    static CLONES: AtomicU64 = AtomicU64::new(0);
+
+    /// An accumulator with drop glue that counts its clones.
+    #[derive(Debug, Default)]
+    struct Counted(Vec<u64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, Ordering::Relaxed); // ordering: a count only
+            Counted(self.0.clone())
+        }
+    }
+
+    /// Appends every value, in arrival order.
+    struct Log;
+
+    impl Reducer for Log {
+        type Value = u64;
+        type Acc = Counted;
+
+        fn identity(&self) -> Counted {
+            Counted::default()
+        }
+
+        fn apply(&self, acc: &mut Counted, value: &u64) {
+            acc.0.push(*value);
+        }
+    }
+
+    #[test]
+    fn reading_a_segment_in_never_clones_heap_state() {
+        // 4 bins of 1024 keys, 256-key segments; every epoch is dense.
+        let (keys, seg) = (1u32 << 12, 256u32);
+        let mut binner = Binner::new(keys, 4);
+        let mut state = Segments {
+            first: 0,
+            segment_keys: seg,
+            handles: identity_segments(&Log, keys, seg),
+            spares: Vec::new(),
+        };
+        let mut want = vec![Vec::new(); keys as usize];
+        // The epoch the accumulator holds: the initial state, then each
+        // seal's shipped handles until the next seal's replace them.
+        let mut shipped = Some(state.handles.clone());
+        let mut prev = None;
+        let (mut n, mut recycled) = (0u64, 0u64);
+        for epoch in 0..4u32 {
+            let salt = epoch.wrapping_mul(0x9E37_79B9);
+            for i in 0..keys {
+                let k = (i.wrapping_mul(2_654_435_761) ^ salt) % keys;
+                binner.insert(k, n);
+                want[k as usize].push(n);
+                n += 1;
+            }
+            let bins = binner.take_bins();
+            // The last seal is recovery's: no `prev`, nobody else holds
+            // the segments, so every one is written in place.
+            if epoch == 3 {
+                (shipped, prev) = (None, None);
+            }
+            let before = CLONES.load(Ordering::Relaxed); // ordering: one thread
+            let paths = apply_bins(&Log, &bins, prev.as_ref(), 0, &mut state);
+            let clones = CLONES.load(Ordering::Relaxed) - before; // ordering: one thread
+            assert_eq!(clones, paths.copied * u64::from(seg), "seal {epoch}");
+            if epoch == 3 {
+                assert_eq!((paths.copied, paths.recycled), (0, 0));
+            } else {
+                shipped = Some(state.handles.clone());
+            }
+            recycled += paths.recycled;
+            prev = Some(bins);
+        }
+        drop(shipped);
+        assert_eq!(recycled, 2 * u64::from(keys / seg), "seals 1 and 2 recycle");
+        let got = state.handles.iter().flat_map(|h| h.iter().map(|a| &a.0));
+        assert!(got.eq(want.iter()), "state equals the one-tuple fold");
+    }
+
+    #[test]
+    fn a_segment_is_streamed_from_one_tuple_per_four_lines() {
+        // 1024 `u64` slots are 128 lines.
+        assert!(dense::<u64>(32, 1024));
+        assert!(!dense::<u64>(31, 1024));
+        assert!(!dense::<Counted>(1 << 20, 1024), "drop glue: never");
     }
 }
