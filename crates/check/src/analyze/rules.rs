@@ -103,8 +103,8 @@ const TOKEN_RULES: &[TokenRule] = &[
     // for an event the reactor should wait on (it waits in the poll, and
     // a publish writes its wake socket). Scope is the event-loop crates'
     // `src/`: everything that runs on, or is called from, the reactor
-    // thread. The audited exceptions (the client's blocking `write_frame`
-    // and its all-BUSY back-off) live in the allowlist.
+    // thread. The one audited exception (the client's blocking
+    // `write_frame`) lives in the allowlist.
     TokenRule {
         rule: "R11",
         in_scope: |rel| in_src_of(rel, &["serve", "poll"]),

@@ -58,7 +58,7 @@
 //!   [`Binner::insert_fused`] a run of one; the bins and every counter
 //!   come out as they would one tuple at a time.
 //! * `cobra-stream`'s `IngestHandle`: frames moved into shard FIFOs,
-//!   which block `send` or refuse `try_send_all` when full.
+//!   which block `send` and `send_all` when full.
 //! * `cobra-cluster`'s `ClusterRouter`: frames sent to a node as one
 //!   `UPDATE` batch.
 //!

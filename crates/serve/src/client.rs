@@ -8,13 +8,11 @@
 //! read through the server's own incremental decoder, [`FrameBuf`], so
 //! client and server share one framing path.
 //!
-//! The one piece of policy it carries is [`update_all`]: the server
-//! answers admission-control refusals with `Busy { accepted }` naming
-//! the exact prefix of the batch it took, and `update_all` resubmits the
-//! untaken suffix until the whole batch lands — the retry loop that
-//! makes "zero lost updates" a client-side guarantee too.
+//! The server never refuses an `UPDATE` for load (a full shard FIFO
+//! stalls it instead), so every acknowledgement covers its whole batch
+//! and the client has nothing to retry.
 //!
-//! Since the server went event-loop, `update_all` **pipelines**: it keeps
+//! [`update_all`] **pipelines**: it keeps
 //! [`DEFAULT_PIPELINE_WINDOW`] `UPDATE` frames in flight and reads
 //! acknowledgements as they come back, so one connection can fill a
 //! whole admission batch instead of paying a round-trip per chunk. The
@@ -30,7 +28,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// Number of `UPDATE` frames [`ServeClient::update_all`] keeps in flight
 /// before reading the first acknowledgement.
@@ -77,15 +74,6 @@ impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
     }
-}
-
-/// Outcome of a single `UPDATE` round-trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateOutcome {
-    /// Tuples the server took (always a prefix of the batch).
-    pub accepted: u32,
-    /// True when the server refused the rest with `BUSY`.
-    pub busy: bool,
 }
 
 /// One blocking connection to a [`Server`](crate::Server).
@@ -155,10 +143,11 @@ impl ServeClient {
         self.recv()
     }
 
-    /// Sends one `UPDATE` batch and reports how much of it the server
-    /// took. Batches larger than [`MAX_UPDATE_TUPLES`] are refused
-    /// locally — the server would reject the frame anyway.
-    pub fn update(&mut self, tuples: &[(u32, u64)]) -> Result<UpdateOutcome, ClientError> {
+    /// Sends one `UPDATE` batch and returns how many tuples the server
+    /// accepted (the whole batch). Batches larger than
+    /// [`MAX_UPDATE_TUPLES`] are refused locally — the server would reject
+    /// the frame anyway.
+    pub fn update(&mut self, tuples: &[(u32, u64)]) -> Result<u32, ClientError> {
         self.send_update(tuples)?;
         self.recv_update()
     }
@@ -177,61 +166,46 @@ impl ServeClient {
     }
 
     /// Reads the acknowledgement for the oldest unacknowledged
-    /// [`send_update`](Self::send_update).
-    pub fn recv_update(&mut self) -> Result<UpdateOutcome, ClientError> {
+    /// [`send_update`](Self::send_update): the number of tuples accepted.
+    pub fn recv_update(&mut self) -> Result<u32, ClientError> {
         match self.recv()? {
-            Frame::Accepted { accepted } => Ok(UpdateOutcome {
-                accepted,
-                busy: false,
-            }),
-            Frame::Busy { accepted } => Ok(UpdateOutcome {
-                accepted,
-                busy: true,
-            }),
+            Frame::Accepted { accepted } => Ok(accepted),
             _ => Err(ClientError::Unexpected("non-update response to UPDATE")),
         }
     }
 
-    /// Sends a batch to completion, resubmitting the refused suffix after
-    /// each `BUSY` (backing off briefly when nothing at all moved).
-    /// Returns the number of `BUSY` acknowledgements absorbed.
-    ///
-    /// Up to [`DEFAULT_PIPELINE_WINDOW`] chunks ride the wire before the
-    /// first acknowledgement is read. A `BUSY` suffix is requeued ahead
-    /// of the untouched chunks, so no tuple is ever dropped; chunks
-    /// already in flight behind the refusal may land before the
-    /// resubmission, which is fine because the server's reducer folds
-    /// commutatively.
+    /// Sends a batch to completion, keeping up to
+    /// [`DEFAULT_PIPELINE_WINDOW`] chunks on the wire before reading the
+    /// first acknowledgement. Returns `Ok(0)`: the count of `BUSY`
+    /// acknowledgements it used to absorb, kept only because
+    /// `benchmarks/ladder` reads it (`serve.busy_rounds`); the return type
+    /// goes with that metric in the next `benchmark` PR (ROADMAP item 1).
     ///
     /// On a server `Error` response the acknowledgements still owed to
     /// the other in-flight chunks are read and discarded before the
     /// error returns, so the connection stays frame-aligned and usable
-    /// for later calls. After an I/O, wire, or disconnect error the
-    /// connection state is unknown — discard the client.
+    /// for later calls. An acknowledgement short of its chunk is a
+    /// protocol violation ([`ClientError::Unexpected`]). After an I/O,
+    /// wire, disconnect or protocol error the connection state is
+    /// unknown — discard the client.
     pub fn update_all(&mut self, tuples: &[(u32, u64)]) -> Result<u64, ClientError> {
-        let mut busy_rounds = 0u64;
-        // Byte-range work queue over `tuples`, front first.
-        let mut pending: VecDeque<(usize, usize)> = VecDeque::new();
-        let mut offset = 0usize;
-        while offset < tuples.len() {
-            let chunk_end = tuples.len().min(offset + MAX_UPDATE_TUPLES as usize);
-            pending.push_back((offset, chunk_end));
-            offset = chunk_end;
-        }
-        let mut in_flight: VecDeque<(usize, usize)> = VecDeque::new();
-        while !pending.is_empty() || !in_flight.is_empty() {
+        let mut chunks = tuples.chunks(MAX_UPDATE_TUPLES as usize);
+        // The lengths of the chunks on the wire, oldest first.
+        let mut in_flight = VecDeque::new();
+        loop {
             while in_flight.len() < DEFAULT_PIPELINE_WINDOW {
-                let Some((lo, hi)) = pending.pop_front() else {
+                let Some(chunk) = chunks.next() else {
                     break;
                 };
-                self.send_update(&tuples[lo..hi])?;
-                in_flight.push_back((lo, hi));
+                self.send_update(chunk)?;
+                in_flight.push_back(chunk.len());
             }
-            let Some((lo, hi)) = in_flight.pop_front() else {
-                break;
+            let Some(len) = in_flight.pop_front() else {
+                return Ok(0);
             };
-            let outcome = match self.recv_update() {
-                Ok(outcome) => outcome,
+            match self.recv_update() {
+                Ok(accepted) if accepted as usize == len => {}
+                Ok(_) => return Err(ClientError::Unexpected("UPDATE accepted in part")),
                 Err(err) => {
                     if matches!(err, ClientError::Server { .. }) {
                         // A server Error frame is a well-framed reply to
@@ -253,25 +227,8 @@ impl ServeClient {
                     }
                     return Err(err);
                 }
-            };
-            let taken = hi.min(lo + outcome.accepted as usize);
-            if taken < hi {
-                // The refused suffix goes to the FRONT of the queue so it
-                // is retried before untouched chunks.
-                pending.push_front((taken, hi));
-            }
-            if outcome.busy {
-                busy_rounds += 1;
-                if outcome.accepted == 0 && in_flight.is_empty() {
-                    // Nothing moved and nothing is in flight to move
-                    // things along: give the pipeline a beat to drain.
-                    // A sleep, not a wait: no frame on the wire says that
-                    // a shard FIFO has room again.
-                    std::thread::sleep(Duration::from_micros(200));
-                }
             }
         }
-        Ok(busy_rounds)
     }
 
     /// Seals the current epoch; returns the sealed epoch number.

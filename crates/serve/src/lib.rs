@@ -12,9 +12,10 @@
 //!   flight per connection (pipelining), and every `UPDATE` admitted in
 //!   one readiness round coalesces into a single ingest-handle settle —
 //!   propagation blocking applied at the network ingress. Backpressure
-//!   is never hidden: a full shard FIFO becomes an explicit
-//!   `BUSY { accepted }` response (tuple-level admission control), and
-//!   the connection cap refuses the connection (connection-level).
+//!   is one mechanism: a full shard FIFO stalls the reactor until that
+//!   shard drains, as a full eviction buffer stalls its core, so an
+//!   `UPDATE` is accepted whole or answered with an `Error`; the
+//!   connection cap refuses the connection (connection-level).
 //!   Streaming requests (`REPLICATE`, `SUBSCRIBE`) are connection
 //!   states of the same reactor: each round stages what fits under the
 //!   outbox high-water mark, and a publish wakes the loop through a
@@ -25,9 +26,7 @@
 //!   workloads stop contending on the snapshot publish lock.
 //! * [`ServeClient`] — a blocking client whose
 //!   [`update_all`](ServeClient::update_all) pipelines a window of
-//!   `UPDATE` frames before reading acknowledgements, and whose
-//!   `BUSY`-suffix retry loop extends the pipeline's zero-loss
-//!   guarantee across the wire.
+//!   `UPDATE` frames before reading acknowledgements.
 //! * **MVCC** (backed by [`cobra_mvcc`]) — the server retains a window
 //!   of published epochs for time travel (`QUERY_AT`), diff reads
 //!   (`DIFF`, by copy-on-write segment identity), and push
@@ -77,6 +76,6 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheStats, S3FifoCache};
-pub use client::{ClientError, ServeClient, SubEvent, Subscription, UpdateOutcome};
+pub use client::{ClientError, ServeClient, SubEvent, Subscription};
 pub use protocol::{ErrorCode, Frame, WireError, WireStats};
 pub use server::{ServeConfig, Server, SumU64};

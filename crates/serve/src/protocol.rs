@@ -17,7 +17,7 @@
 //! ```text
 //! requests                         responses
 //! ----------------------------     ---------------------------------
-//! Update { (key, value)… }    ───▶ Accepted { accepted } | Busy { accepted }
+//! Update { (key, value)… }    ───▶ Accepted { accepted } | Error
 //! Seal                        ───▶ Sealed { epoch }
 //! Query { key }               ───▶ Value { epoch, value } | Error
 //! Snapshot { epoch, lo, hi }  ───▶ SnapshotSlice { epoch, lo, values } | Error
@@ -31,9 +31,9 @@
 //! Unsubscribe                 ───▶ Unsubscribed { epoch }
 //! ```
 //!
-//! `Busy { accepted }` is the admission-control refusal: the first
-//! `accepted` tuples of the batch were taken, the rest were not — resend
-//! exactly the remainder. Nothing is ever dropped silently or duplicated.
+//! An `Update` is never refused for load: a full shard FIFO stalls the
+//! server until it drains, so `Accepted` always counts the whole batch.
+//! An `Error` (an out-of-range key, shutdown) names the prefix taken.
 //!
 //! `Replicate` is the one request answered by *multiple* frames: a
 //! follower sends its manifest (the files it already holds and their
@@ -69,8 +69,8 @@ use std::io::{self, Read, Write};
 /// `Lagged`, plus the `EpochEvicted` error code and four retention
 /// fields in `StatsReport`; revision 4 added the three reducer-fusion
 /// fields in `StatsReport`: `fusion_hits`, `fusion_flushes`,
-/// `fused_ratio_bp`).
-pub const PROTOCOL_VERSION: u8 = 4;
+/// `fused_ratio_bp`; revision 5 retired the `BUSY` response, opcode `0x82`).
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Default ceiling on one frame's length field. Requests are small; the
 /// largest legitimate frames are snapshot-slice responses, bounded by
@@ -181,7 +181,10 @@ macro_rules! wire_stats {
 wire_stats! {
     /// Tuples accepted into the pipeline.
     tuples_ingested,
-    /// Tuples refused with `Busy` (admission control).
+    /// Always 0 since protocol revision 5 (a full FIFO stalls admission;
+    /// nothing is refused). Kept only because `benchmarks/ladder` reads it
+    /// (`serve.busy_frac`); goes with that metric in the next `benchmark`
+    /// PR (ROADMAP item 1).
     busy_tuples,
     /// Epochs sealed.
     epochs_sealed,
@@ -749,12 +752,7 @@ frames! {
         /// Number of tuples taken (the full batch).
         accepted: u32,
     },
-    /// Admission control refused part of the batch: the first `accepted`
-    /// tuples were taken, the remainder must be retried.
-    0x82 BUSY Busy {
-        /// Number of tuples taken before the refusal.
-        accepted: u32,
-    },
+    // 0x82 was `BUSY` up to revision 4; retired, never reuse it.
     /// Epoch sealed.
     0x83 SEALED Sealed {
         /// The sealed epoch number.
@@ -1044,7 +1042,6 @@ mod tests {
             Frame::Subscribe { lo: 0, hi: 1024 },
             Frame::Unsubscribe,
             Frame::Accepted { accepted: 256 },
-            Frame::Busy { accepted: 3 },
             Frame::Sealed { epoch: 9 },
             Frame::Value {
                 epoch: 2,
@@ -1095,38 +1092,37 @@ mod tests {
 
     /// `encode` of each of `samples()`, in order, as hex — captured from
     /// the hand-written codec this table replaced (commit c8d5713). These
-    /// are protocol revision 4; they change only with `PROTOCOL_VERSION`.
+    /// are protocol revision 5; they change only with `PROTOCOL_VERSION`.
     const GOLDEN: &[&str] = &[
-        "2a00000004010300000000000000000000000000000007000000ffffffffffffffffffffffff0100000000000000",
-        "06000000040100000000",
-        "020000000402",
-        "0600000004032a000000",
-        "12000000040403000000000000000a00000014000000",
-        "020000000405",
-        "0a00000004060c00000000000000",
-        "4b0000000407020000001a0073686172642d3030302f7365672d30303030303030312e77616c00100000000000001700636f6d6d69742f7365672d30303030303030312e77616c1100000000000000",
-        "06000000040700000000",
-        "12000000040804000000000000000020000000000000",
-        "0e00000004090e0000000000000003000000",
-        "1a000000040a0a000000000000000e000000000000000800000018000000",
-        "0a000000040b0000000000040000",
-        "02000000040c",
-        "06000000048100010000",
-        "06000000048203000000",
-        "0a00000004830900000000000000",
-        "12000000048402000000000000004d00000000000000",
-        "2a000000048505000000000000008000000003000000010000000000000002000000000000000300000000000000",
-        "f200000004860100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f0000000000000010000000000000001100000000000000120000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c000000000000001d000000000000001e00000000000000",
-        "0a00000004870600000000000000",
-        "3200000004881d00636b70742d30303030303030303030303030303030303030382e62696e000001000000000005000000ababababab",
-        "1600000004890800000000000000050000000000100000000000",
-        "2f000000048a0d000000000000000e00000000000000010200000000000000050000000000000009000000ffffffffffffffff",
-        "17000000048a010000000000000002000000000000000000000000",
-        "0a000000048b2900000000000000",
-        "0a000000048c0700000000000000",
-        "0a000000048d3700000000000000",
-        "0f000000048f010a006b65792039203e3d2038",
-        "2b000000048f08260065706f63682033206f7574736964652072657461696e65642077696e646f77205b372c20395d",
+        "2a00000005010300000000000000000000000000000007000000ffffffffffffffffffffffff0100000000000000",
+        "06000000050100000000",
+        "020000000502",
+        "0600000005032a000000",
+        "12000000050403000000000000000a00000014000000",
+        "020000000505",
+        "0a00000005060c00000000000000",
+        "4b0000000507020000001a0073686172642d3030302f7365672d30303030303030312e77616c00100000000000001700636f6d6d69742f7365672d30303030303030312e77616c1100000000000000",
+        "06000000050700000000",
+        "12000000050804000000000000000020000000000000",
+        "0e00000005090e0000000000000003000000",
+        "1a000000050a0a000000000000000e000000000000000800000018000000",
+        "0a000000050b0000000000040000",
+        "02000000050c",
+        "06000000058100010000",
+        "0a00000005830900000000000000",
+        "12000000058402000000000000004d00000000000000",
+        "2a000000058505000000000000008000000003000000010000000000000002000000000000000300000000000000",
+        "f200000005860100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f0000000000000010000000000000001100000000000000120000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c000000000000001d000000000000001e00000000000000",
+        "0a00000005870600000000000000",
+        "3200000005881d00636b70742d30303030303030303030303030303030303030382e62696e000001000000000005000000ababababab",
+        "1600000005890800000000000000050000000000100000000000",
+        "2f000000058a0d000000000000000e00000000000000010200000000000000050000000000000009000000ffffffffffffffff",
+        "17000000058a010000000000000002000000000000000000000000",
+        "0a000000058b2900000000000000",
+        "0a000000058c0700000000000000",
+        "0a000000058d3700000000000000",
+        "0f000000058f010a006b65792039203e3d2038",
+        "2b000000058f08260065706f63682033206f7574736964652072657461696e65642077696e646f77205b372c20395d",
     ];
 
     fn encoded(f: &Frame) -> Vec<u8> {
@@ -1290,11 +1286,13 @@ mod tests {
         let mut body = buf[4..].to_vec();
         body.push(0xAA);
         assert!(matches!(decode(&body), Err(WireError::Malformed(_))));
-        // Unknown opcode.
-        assert_eq!(
-            decode(&[PROTOCOL_VERSION, 0x7F]),
-            Err(WireError::UnknownOpcode(0x7F))
-        );
+        // Unknown opcodes, the retired `BUSY` among them.
+        for op in [0x7F, 0x82] {
+            assert_eq!(
+                decode(&[PROTOCOL_VERSION, op]),
+                Err(WireError::UnknownOpcode(op))
+            );
+        }
         // Empty body via the stream path.
         let mut zero = FrameBuf::new();
         feed(&mut zero, &0u32.to_le_bytes());

@@ -9,7 +9,7 @@
 //!                      │   2. advance each connection once:
 //!                      │        read into the FrameBuf inbox → dispatch
 //!                      │          UPDATE: records admitted in place,
-//!                      │            IngestHandle::try_send_all (full FIFO → BUSY)
+//!                      │            IngestHandle::send_all (full FIFO → stall)
 //!                      │          QUERY:  S3-FIFO snapshot cache
 //!                      │        → pump: WAIT_EPOCH reply once visible,
 //!                      │            SUBSCRIBE queue → DELTA frames,
@@ -34,19 +34,20 @@
 //! protocol pipelining (many frames in flight per connection) keeps the
 //! old request/response ordering exactly.
 //!
-//! Admission control, all non-blocking:
+//! Admission control:
 //!
 //! * **Connections**: past [`ServeConfig::max_conns`] (or on descriptor
 //!   exhaustion, which the poll shim reports as a typed error) a new
 //!   connection is refused (closed) instead of queueing without bound.
 //! * **Updates**: an `UPDATE`'s records are admitted where the socket
 //!   read left them, in the connection's inbox, as one run
-//!   ([`IngestHandle::try_send_all`]): no per-frame allocation, no
+//!   ([`IngestHandle::send_all`]): no per-frame allocation, no
 //!   per-tuple call, and each tuple is copied twice (socket → inbox →
-//!   shard frame). A full shard FIFO turns into an explicit
-//!   `Busy { accepted }` naming how many tuples of the batch were taken;
-//!   the reactor is never parked on a pipeline condvar while admitting,
-//!   only once per round in the settle.
+//!   shard frame). A full shard FIFO stalls the reactor on its `not_full`
+//!   condvar until that shard's worker takes a frame — the producer stall
+//!   of a full eviction buffer, and the same wait the settle and `SEAL`
+//!   make. Every batch is accepted whole or fails with an `Error`; there
+//!   is no partial acceptance to retry.
 //! * **Memory**: responses a peer leaves unread stage at most
 //!   `OUTBOX_HIGH_WATER` bytes (plus one in-flight frame). Past the
 //!   mark the connection stops reading *and* dispatching — so a client
@@ -120,8 +121,8 @@ use cobra_mvcc::{
 };
 use cobra_poll::{Event, Interest, Poller};
 use cobra_stream::{
-    commit_files, data_files, DurableConfig, EpochSnapshot, IngestHandle, IngestPipeline, Publish,
-    PublishHook, RecoveryReport, Reducer, StreamConfig, TryIngestError,
+    commit_files, data_files, DurableConfig, EpochSnapshot, IngestError, IngestHandle,
+    IngestPipeline, Publish, PublishHook, RecoveryReport, Reducer, StreamConfig,
 };
 use cobra_wal::ShipFile;
 use std::collections::{HashMap, VecDeque};
@@ -283,7 +284,6 @@ struct ServeCounters {
     connections: AtomicU64,
     frames: AtomicU64,
     queries: AtomicU64,
-    busy_tuples: AtomicU64,
     repl_rounds: AtomicU64,
     repl_bytes_shipped: AtomicU64,
     repl_acked_epoch: AtomicU64,
@@ -323,7 +323,7 @@ impl Ctx {
         // monotonic counters, nothing is published through them.
         WireStats {
             tuples_ingested: s.tuples_sent,
-            busy_tuples: self.counters.busy_tuples.load(Ordering::Relaxed), // ordering: stats
+            busy_tuples: 0,
             epochs_sealed: s.epochs_sealed,
             epochs_published: s.epochs_published,
             connections: self.counters.connections.load(Ordering::Relaxed), // ordering: stats
@@ -1008,7 +1008,7 @@ fn reactor_loop(
         }
 
         // 3. Settle: one flush of the round's coalesced updates into the
-        // shard FIFOs. Every `Accepted`/`Busy` staged above only becomes
+        // shard FIFOs. Every `Accepted` staged above only becomes
         // visible on the wire after this — the cross-connection seal
         // guarantee.
         if admitted || stopping {
@@ -1459,11 +1459,11 @@ fn flush_outbox(conn: &mut Conn) {
 /// Acknowledged tuples must be visible to a `SEAL` arriving on *any*
 /// connection — the cluster router seals over its own connection after
 /// other clients' updates were acknowledged — so no response that counts
-/// tuples as taken may leave for a socket before this settles. This is
-/// the one place the reactor waits on the pipeline (on a full FIFO's
-/// `not_full` condvar, counted in `send_blocks`/`send_stall_nanos`), and
-/// the wait is bounded: the shard workers drain the FIFOs continuously
-/// (and the shutdown drain empties them even mid-stop).
+/// tuples as taken may leave for a socket before this settles. Like
+/// admission, it waits on a full FIFO's `not_full` condvar (counted in
+/// `send_blocks`/`send_stall_nanos`), and the wait is bounded: the shard
+/// workers drain the FIFOs continuously (and the shutdown drain empties
+/// them even mid-stop).
 fn settle(handle: &mut IngestHandle<u64>) {
     // Closed: the pipeline drain owns whatever was shipped; nothing left
     // to settle.
@@ -1472,37 +1472,28 @@ fn settle(handle: &mut IngestHandle<u64>) {
 
 /// Admits one `UPDATE` batch — records borrowed from the inbox or a
 /// decoded frame's tuples — into the handle's coalescing buffers in one
-/// run and names the response. The caller owns the settle: the reactor
-/// settles once per round.
-fn admit<I>(ctx: &Ctx, handle: &mut IngestHandle<u64>, tuples: I) -> Frame
-where
-    I: IntoIterator<Item = (u32, u64)>,
-    I::IntoIter: ExactSizeIterator,
-{
-    let tuples = tuples.into_iter();
-    let len = tuples.len();
-    let (accepted, result) = handle.try_send_all(tuples);
+/// run, waiting on any full shard FIFO, and names the response. The
+/// caller owns the settle: the reactor settles once per round.
+fn admit(
+    ctx: &Ctx,
+    handle: &mut IngestHandle<u64>,
+    tuples: impl IntoIterator<Item = (u32, u64)>,
+) -> Frame {
+    let (accepted, result) = handle.send_all(tuples);
     // At most `MAX_UPDATE_TUPLES`, so it fits the wire's `u32`.
     let accepted = accepted as u32;
     match result {
         Ok(()) => Frame::Accepted { accepted },
-        Err(TryIngestError::Busy) => {
-            let refused = (len - accepted as usize) as u64;
-            ctx.counters
-                .busy_tuples
-                .fetch_add(refused, Ordering::Relaxed); // ordering: stats counter
-            Frame::Busy { accepted }
-        }
         // One malformed key must not kill the reactor nor silently drop
         // the batch's remainder.
-        Err(TryIngestError::KeyOutOfRange(key)) => Frame::Error {
+        Err(IngestError::KeyOutOfRange(key)) => Frame::Error {
             code: ErrorCode::KeyOutOfRange,
             detail: format!(
                 "key {key} >= {} (first {accepted} tuples of the batch were accepted)",
                 ctx.num_keys
             ),
         },
-        Err(TryIngestError::Closed) => Frame::Error {
+        Err(IngestError::Closed) => Frame::Error {
             code: ErrorCode::ShuttingDown,
             detail: format!("pipeline closed after {accepted} tuples"),
         },

@@ -11,35 +11,18 @@
 //! wall-clock time, and the queue occupancy all recorded in a
 //! [`ChannelCounters`] block — mirroring `cobra-core::evict`'s DES stall
 //! counters so native runs and simulated runs report the same metrics.
+//! Like the hardware FIFO, a channel never refuses a message for being
+//! full: the only send there is waits.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Error returned by [`Sender::send`] when the receiver is gone. Carries
 /// the rejected message back to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Disconnected<T>(pub T);
-
-/// Error returned by [`Sender::try_send`]. Carries the rejected message
-/// back to the caller in both cases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The queue was at capacity; sending would have blocked.
-    Full(T),
-    /// The receiver is gone; sending can never succeed.
-    Disconnected(T),
-}
-
-impl<T> TrySendError<T> {
-    /// The rejected message.
-    pub fn into_inner(self) -> T {
-        match self {
-            TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
-        }
-    }
-}
 
 /// Live (atomic) counters of one channel. Shared by the producer and
 /// consumer sides; snapshot with [`ChannelCounters::snapshot`].
@@ -51,7 +34,6 @@ pub struct ChannelCounters {
     send_stall_nanos: AtomicU64,
     occupancy_hwm: AtomicU64,
     occupancy_sum: AtomicU64,
-    try_send_fulls: AtomicU64,
 }
 
 impl ChannelCounters {
@@ -69,7 +51,6 @@ impl ChannelCounters {
             send_stall_nanos: self.send_stall_nanos.load(Ordering::Relaxed), // ordering: stats
             occupancy_hwm: self.occupancy_hwm.load(Ordering::Relaxed), // ordering: stats
             occupancy_sum: self.occupancy_sum.load(Ordering::Relaxed), // ordering: stats
-            try_send_fulls: self.try_send_fulls.load(Ordering::Relaxed), // ordering: stats
         }
     }
 }
@@ -93,10 +74,6 @@ pub struct ChannelStats {
     /// Sum of the queue occupancy sampled just after every send (divide by
     /// [`sends`](Self::sends) for the mean occupancy seen by producers).
     pub occupancy_sum: u64,
-    /// [`Sender::try_send`] attempts rejected because the queue was full
-    /// (admission-control refusals — the non-blocking counterpart of
-    /// [`send_blocks`](Self::send_blocks)).
-    pub try_send_fulls: u64,
 }
 
 impl ChannelStats {
@@ -122,24 +99,6 @@ struct Shared<T> {
     not_empty: Condvar,
     capacity: usize,
     counters: Arc<ChannelCounters>,
-}
-
-impl<T> Shared<T> {
-    /// The tail both send flavours share: pushes under the state lock the
-    /// caller holds (room and a live receiver already checked), samples
-    /// the occupancy, releases the lock and wakes the consumer.
-    fn enqueue(&self, mut st: MutexGuard<'_, State<T>>, value: T) {
-        st.queue.push_back(value);
-        let occ = st.queue.len() as u64;
-        let c = &self.counters;
-        // ordering: Relaxed (×3) — stats counters sampled under the state
-        // mutex; monotonic, no cross-thread payload publication.
-        c.occupancy_sum.fetch_add(occ, Ordering::Relaxed);
-        c.occupancy_hwm.fetch_max(occ, Ordering::Relaxed); // ordering: stats
-        c.sends.fetch_add(1, Ordering::Relaxed); // ordering: stats
-        drop(st);
-        self.not_empty.notify_one();
-    }
 }
 
 /// Producing end of a bounded channel. Cloneable; the channel closes for
@@ -201,28 +160,16 @@ impl<T> Sender<T> {
         if !st.receiver_alive {
             return Err(Disconnected(value));
         }
-        sh.enqueue(st, value);
-        Ok(())
-    }
-
-    /// Enqueues a message only if the channel has room right now; never
-    /// blocks. A [`TrySendError::Full`] rejection is counted in
-    /// [`ChannelStats::try_send_fulls`] so admission-control refusals are
-    /// as observable as blocking-send stalls.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let sh = &*self.shared;
-        let st = sh.state.lock().expect("channel poisoned");
-        if !st.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if st.queue.len() >= sh.capacity {
-            drop(st);
-            // ordering: Relaxed — stats counter; the rejection itself is
-            // decided under the state mutex, nothing is published here.
-            sh.counters.try_send_fulls.fetch_add(1, Ordering::Relaxed);
-            return Err(TrySendError::Full(value));
-        }
-        sh.enqueue(st, value);
+        st.queue.push_back(value);
+        let occ = st.queue.len() as u64;
+        let c = &sh.counters;
+        // ordering: Relaxed (×3) — stats counters sampled under the state
+        // mutex; monotonic, no cross-thread payload publication.
+        c.occupancy_sum.fetch_add(occ, Ordering::Relaxed);
+        c.occupancy_hwm.fetch_max(occ, Ordering::Relaxed); // ordering: stats
+        c.sends.fetch_add(1, Ordering::Relaxed); // ordering: stats
+        drop(st);
+        sh.not_empty.notify_one();
         Ok(())
     }
 
@@ -348,32 +295,6 @@ mod tests {
         assert!(stats.send_blocks > 0, "expected backpressure: {stats:?}");
         assert!(stats.send_stall_nanos > 0);
         assert_eq!(stats.occupancy_hwm, 1);
-    }
-
-    #[test]
-    fn try_send_rejects_on_full_and_counts_it() {
-        let (tx, rx) = bounded(2);
-        tx.try_send(1u32).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(tx.try_send(4), Err(TrySendError::Full(4)));
-        let stats = tx.counters().snapshot();
-        assert_eq!(stats.try_send_fulls, 2);
-        assert_eq!(stats.sends, 2);
-        // Draining one slot makes the next try_send succeed.
-        assert_eq!(rx.recv(), Some(1));
-        tx.try_send(5).unwrap();
-        drop(tx);
-        let got: Vec<u32> = std::iter::from_fn(|| rx.recv()).collect();
-        assert_eq!(got, vec![2, 5]);
-    }
-
-    #[test]
-    fn try_send_reports_disconnected_receiver() {
-        let (tx, rx) = bounded::<u32>(4);
-        drop(rx);
-        assert_eq!(tx.try_send(9), Err(TrySendError::Disconnected(9)));
-        assert_eq!(TrySendError::Full(7u32).into_inner(), 7);
     }
 
     #[test]

@@ -318,7 +318,6 @@ where
         let mut replayed_records = 0u64;
         let mut replayed_tuples = 0u64;
         let mut shard_wals = Vec::with_capacity(num_shards);
-        let mut binners = Vec::with_capacity(num_shards);
         for (s, range) in ranges.iter().enumerate() {
             let mut binner = shard_binner(&ranges, s);
             let sdir = shard_dir(&durable.dir, s);
@@ -360,9 +359,9 @@ where
             replayed_records += outcome.records;
             replayed_tuples += tuples_here;
             // Tuples staged past the last committed seal (a torn epoch)
-            // are uncommitted: drop them so the binner hands clean to the
-            // worker.
-            drop(binner.take_bins());
+            // are uncommitted and die with the binner; the worker bins
+            // live tuples into a fresh one, so its counters count only
+            // them.
             offsets[s] = outcome.end.logical;
             let wcfg = WalConfig::new(&sdir)
                 .sync(durable.sync)
@@ -374,7 +373,6 @@ where
                 stats: Arc::clone(&wal_stats),
                 failed: false,
             });
-            binners.push(binner);
         }
 
         // Phase 4 — resume the commit log and build the epoch sink: the
@@ -440,7 +438,6 @@ where
         };
         let parts = DurableParts {
             shard_wals,
-            binners,
             initial_epoch: committed,
             initial_state: state.handles,
             initial_offsets: offsets,

@@ -24,7 +24,7 @@
 //!   `cobra-core`'s simulated eviction-buffer stalls. Staging and shipping
 //!   are [`cobra_pb::route`], the same routing body the shard's
 //!   [`cobra_pb::Binner`] runs one level down, with the shard FIFOs as its
-//!   destinations: `send` blocks on a full FIFO, `try_send_all` is refused.
+//!   destinations: `send` and `send_all` both block on a full FIFO.
 //! * Each shard worker owns a [`cobra_pb::Binner`] over a disjoint key
 //!   sub-range and bins continuously. It also owns that range's per-key
 //!   state: the copy-on-write handles of its snapshot segments. The
@@ -76,11 +76,11 @@ mod reducer;
 mod shard;
 mod stats;
 
-pub use channel::{ChannelStats, Disconnected, TrySendError};
+pub use channel::{ChannelStats, Disconnected};
 pub use durable::{commit_files, data_files, is_data_file, DurableConfig, RecoveryReport};
 pub use epoch::{EpochSnapshot, Publish, PublishHook};
 pub use pipeline::{
-    shard_plan, IngestHandle, IngestPipeline, PipelineClosed, StreamConfig, TryIngestError,
+    shard_plan, IngestError, IngestHandle, IngestPipeline, PipelineClosed, StreamConfig,
 };
 pub use reducer::{Append, Count, Latest, Reducer, Sum};
 pub use stats::{ShardStats, StreamStats};

@@ -35,31 +35,26 @@ impl std::fmt::Display for PipelineClosed {
 
 impl std::error::Error for PipelineClosed {}
 
-/// Why [`IngestHandle::try_send_all`] stopped. In every case the
-/// offending tuple and everything after it were **not** accepted.
+/// Why [`IngestHandle::send_all`] stopped. In every case the offending
+/// tuple and everything after it were **not** accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryIngestError {
-    /// The destination shard's FIFO is full right now; accepting the
-    /// tuple would have required blocking (`WouldBlock` analogue). Retry
-    /// it verbatim later.
-    Busy,
-    /// The pipeline has shut down; the tuple can never be delivered.
-    Closed,
+pub enum IngestError {
     /// The key is `>= num_keys`.
     KeyOutOfRange(u32),
+    /// The pipeline has shut down; the tuple can never be delivered.
+    Closed,
 }
 
-impl std::fmt::Display for TryIngestError {
+impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TryIngestError::Busy => write!(f, "shard FIFO full, tuple not accepted"),
-            TryIngestError::Closed => write!(f, "ingest pipeline has shut down"),
-            TryIngestError::KeyOutOfRange(key) => write!(f, "key {key} out of range"),
+            IngestError::KeyOutOfRange(key) => write!(f, "key {key} out of range"),
+            IngestError::Closed => write!(f, "ingest pipeline has shut down"),
         }
     }
 }
 
-impl std::error::Error for TryIngestError {}
+impl std::error::Error for IngestError {}
 
 /// Minimum bins per shard binner over a full shard span (per-shard
 /// accumulate granularity); a ragged last shard keeps the bin width and
@@ -187,42 +182,23 @@ pub struct IngestHandle<V> {
     buffers: Vec<Vec<Tuple<V>>>,
 }
 
-/// What a shard FIFO does with a frame when it is full.
-#[derive(Clone, Copy)]
-enum OnFull {
-    /// Park on the FIFO's `not_full` condvar (backpressure).
-    Wait,
-    /// Hand the frame back as [`TryIngestError::Busy`].
-    Refuse,
-}
-
 /// A handle's destinations for the shared routing body
-/// ([`cobra_pb::route`]): the shard FIFOs, under one [`OnFull`] policy.
-struct ToShards<'a, V>(&'a Core<V>, OnFull);
+/// ([`cobra_pb::route`]): the shard FIFOs.
+struct ToShards<'a, V>(&'a Core<V>);
 
 impl<V> Destinations<V> for ToShards<'_, V> {
     type Frame = Vec<Tuple<V>>;
-    type Refusal = TryIngestError;
+    type Refusal = PipelineClosed;
 
-    /// Moves `shard`'s frame into its FIFO and counts it. A frame the FIFO
-    /// refuses as [`Busy`](TryIngestError::Busy) goes back into the
-    /// buffer, so no tuple is lost and the caller decides whether to
-    /// retry; one refused as `Closed` can never be delivered and is dropped.
-    fn ship(&mut self, shard: usize, frame: &mut Vec<Tuple<V>>) -> Result<(), TryIngestError> {
+    /// Moves `shard`'s frame into its FIFO, waiting while the FIFO is
+    /// full (backpressure), and counts it. Only a shut-down pipeline
+    /// refuses a frame; it can never be delivered and is dropped.
+    fn ship(&mut self, shard: usize, frame: &mut Vec<Tuple<V>>) -> Result<(), PipelineClosed> {
         let n = frame.len() as u64;
-        let batch = ShardMsg::Batch(std::mem::take(frame));
-        let (core, on_full) = (self.0, self.1);
-        let tx = &core.senders[shard];
-        match on_full {
-            OnFull::Wait => tx.send(batch).map_err(|_| TryIngestError::Closed)?,
-            OnFull::Refuse => tx.try_send(batch).map_err(|e| match e {
-                channel::TrySendError::Full(ShardMsg::Batch(batch)) => {
-                    *frame = batch;
-                    TryIngestError::Busy
-                }
-                _ => TryIngestError::Closed,
-            })?,
-        }
+        let core = self.0;
+        core.senders[shard]
+            .send(ShardMsg::Batch(std::mem::take(frame)))
+            .map_err(|_| PipelineClosed)?;
         // ordering: Relaxed — stats counter, no payload published through it.
         core.batches_sent.fetch_add(1, Ordering::Relaxed);
         // ordering: Relaxed — audited: the auto-seal decision below needs
@@ -248,19 +224,19 @@ impl<V> IngestHandle<V> {
     ///
     /// Panics if `key >= num_keys`.
     pub fn send(&mut self, key: u32, value: V) -> Result<(), PipelineClosed> {
-        match self.route([(key, value)], OnFull::Wait).1 {
+        match self.send_all([(key, value)]).1 {
             Ok(()) => Ok(()),
-            Err(Stop::KeyOutOfRange(key)) => panic!("key {key} out of range"),
-            Err(Stop::Refused(_)) => Err(PipelineClosed),
+            Err(IngestError::KeyOutOfRange(key)) => panic!("key {key} out of range"),
+            Err(IngestError::Closed) => Err(PipelineClosed),
         }
     }
 
     /// Ships every partially-filled batch buffer, blocking on full FIFOs.
     pub fn flush(&mut self) -> Result<(), PipelineClosed> {
-        let mut to = ToShards(&self.core, OnFull::Wait);
+        let mut to = ToShards(&self.core);
         for (shard, frame) in self.buffers.iter_mut().enumerate() {
             if !frame.is_empty() {
-                to.ship(shard, frame).map_err(|_| PipelineClosed)?;
+                to.ship(shard, frame)?;
             }
         }
         Ok(())
@@ -279,45 +255,29 @@ impl<V> IngestHandle<V> {
         Ok(self.core.seal())
     }
 
-    /// Routes a run of `(key, value)` updates in order without ever
-    /// blocking; returns how many were accepted and why the run stopped
-    /// early, if it did.
+    /// Routes a run of `(key, value)` updates in order; returns how many
+    /// were accepted and why the run stopped early, if it did.
     ///
     /// Each tuple coalesces into its shard's batch buffer exactly like
     /// [`send`](Self::send); when a buffer reaches the batch size the
-    /// batch ships via the FIFO's non-blocking `try_send`. A full FIFO
-    /// stops the run at [`TryIngestError::Busy`]: the tuple that filled
-    /// the batch was taken back out, earlier tuples stay buffered and
-    /// nothing is duplicated, so the caller retries the unaccepted suffix
-    /// verbatim once the consumer has drained. This turns channel
-    /// backpressure into an explicit refusal instead of parking the
-    /// caller — an I/O worker, say — on a pipeline condvar. A key
-    /// `>= num_keys` stops the run at [`TryIngestError::KeyOutOfRange`]
-    /// with nothing staged from it on.
-    pub fn try_send_all(
-        &mut self,
-        run: impl IntoIterator<Item = (u32, V)>,
-    ) -> (usize, Result<(), TryIngestError>) {
-        let (accepted, stopped) = self.route(run, OnFull::Refuse);
-        let stopped = stopped.map_err(|stop| match stop {
-            Stop::KeyOutOfRange(key) => TryIngestError::KeyOutOfRange(key),
-            Stop::Refused(refusal) => refusal,
-        });
-        (accepted, stopped)
-    }
-
-    /// Routes a run through the shared routing body into the shard
-    /// frames, shipping each full frame under `on_full`.
+    /// batch ships into its FIFO, **blocking** while that FIFO is full —
+    /// the producer stall of a full eviction buffer. A key `>= num_keys`
+    /// stops the run at [`IngestError::KeyOutOfRange`] with nothing staged
+    /// from it on; a shut-down pipeline stops it at [`IngestError::Closed`].
     #[inline]
-    fn route(
+    pub fn send_all(
         &mut self,
         run: impl IntoIterator<Item = (u32, V)>,
-        on_full: OnFull,
-    ) -> (usize, Result<(), Stop<TryIngestError>>) {
+    ) -> (usize, Result<(), IngestError>) {
         let core = &*self.core;
         let (num_keys, shift, batch) = (core.num_keys, core.shard_shift, core.batch_tuples);
-        let to = &mut ToShards(core, on_full);
-        route(run, &mut self.buffers, to, num_keys, shift, batch)
+        let to = &mut ToShards(core);
+        let (accepted, stopped) = route(run, &mut self.buffers, to, num_keys, shift, batch);
+        let stopped = stopped.map_err(|stop| match stop {
+            Stop::KeyOutOfRange(key) => IngestError::KeyOutOfRange(key),
+            Stop::Refused(PipelineClosed) => IngestError::Closed,
+        });
+        (accepted, stopped)
     }
 }
 
@@ -372,8 +332,6 @@ pub struct IngestPipeline<R: Reducer> {
 pub(crate) struct DurableParts<R: Reducer> {
     /// One WAL per shard, opened at its replay-truncated end.
     pub(crate) shard_wals: Vec<ShardWal<R::Value>>,
-    /// The shard binners, reused from the recovery replay.
-    pub(crate) binners: Vec<Binner<R::Value>>,
     /// The committed epoch recovery resumed at (0 = fresh directory).
     pub(crate) initial_epoch: u64,
     /// Recovered state segments (identity for a fresh directory).
@@ -501,7 +459,6 @@ impl<R: Reducer> IngestPipeline<R> {
                 num_shards,
                 "recovery shard plan drifted"
             );
-            assert_eq!(d.binners.len(), num_shards, "recovery shard plan drifted");
             assert_eq!(
                 d.initial_offsets.len(),
                 num_shards,
@@ -556,10 +513,6 @@ impl<R: Reducer> IngestPipeline<R> {
             Some(d) => d.shard_wals.drain(..).map(Some).collect(),
             None => (0..num_shards).map(|_| None).collect(),
         };
-        let mut binners: Vec<Option<Binner<R::Value>>> = match &mut durable {
-            Some(d) => d.binners.drain(..).map(Some).collect(),
-            None => (0..num_shards).map(|_| None).collect(),
-        };
 
         let mut workers = Vec::with_capacity(num_shards);
         for (s, rx) in receivers.into_iter().enumerate() {
@@ -569,11 +522,7 @@ impl<R: Reducer> IngestPipeline<R> {
             let worker = ShardWorker::<R> {
                 id: s,
                 base: shard_ranges[s].start,
-                // Durable mode reuses the binner the recovery replayed
-                // through; otherwise build a fresh one.
-                binner: binners[s]
-                    .take()
-                    .unwrap_or_else(|| shard_binner(&shard_ranges, s)),
+                binner: shard_binner(&shard_ranges, s),
                 reducer: Arc::clone(&reducer),
                 counters: Arc::clone(&shard_counters[s]),
                 acc_tx: acc_tx.clone(),
@@ -1205,131 +1154,97 @@ mod tests {
         )
     }
 
+    /// Drains `rx` on its own thread once a producer has stalled on it
+    /// (or after 5 s, so a run that never stalls fails its assert instead
+    /// of hanging), until every sender is gone; returns the frames in
+    /// FIFO order.
+    fn drain_after_a_stall<V: Send + 'static>(
+        rx: crate::channel::Receiver<ShardMsg<V>>,
+    ) -> JoinHandle<Vec<Vec<Tuple<V>>>> {
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            while stalls(&rx.counters()) == 0 && t0.elapsed().as_secs() < 5 {
+                std::thread::yield_now();
+            }
+            std::iter::from_fn(|| rx.recv())
+                .map(|msg| match msg {
+                    ShardMsg::Batch(b) => b,
+                    _ => panic!("expected a batch"),
+                })
+                .collect()
+        })
+    }
+
+    fn stalls(counters: &ChannelCounters) -> u64 {
+        counters.snapshot().send_blocks
+    }
+
     #[test]
-    fn try_send_against_full_channel_is_busy_and_lossless() {
+    fn send_all_waits_on_a_full_channel_and_loses_nothing() {
         let (mut h, rx) = unserviced_handle(1, 1);
-        h.try_send_all([(0, ())]).1.unwrap(); // fills the 1-slot FIFO
-        assert_eq!(h.try_send_all([(1, ())]).1, Err(TryIngestError::Busy));
-        assert_eq!(h.try_send_all([(2, ())]).1, Err(TryIngestError::Busy));
-        // Refused tuples were taken back out: nothing is buffered, and
-        // exactly one tuple was accepted.
-        assert!(h.buffers[0].is_empty());
-        // ordering: Relaxed — test-side stats read.
-        assert_eq!(h.core.tuples_sent.load(Ordering::Relaxed), 1);
-
-        // Draining the FIFO makes the retry succeed, without duplicates.
-        let Some(ShardMsg::Batch(b)) = rx.recv() else {
-            panic!("expected the accepted batch")
-        };
-        assert_eq!(b.len(), 1);
-        h.try_send_all([(1, ())]).1.unwrap();
-        let Some(ShardMsg::Batch(b)) = rx.recv() else {
-            panic!("expected the retried batch")
-        };
-        assert_eq!(b[0].key, 1);
+        assert_eq!(h.send_all([(0, ())]), (1, Ok(()))); // fills the 1-slot FIFO
+        let fifo = drain_after_a_stall(rx);
+        // Tuple 1's frame waits until the drainer takes tuple 0's.
+        assert_eq!(h.send_all([(1, ()), (2, ())]), (2, Ok(())));
+        assert!(stalls(&h.core.senders[0].counters()) >= 1, "never stalled");
+        drop(h);
+        let keys: Vec<u32> = fifo
+            .join()
+            .unwrap()
+            .iter()
+            .flatten()
+            .map(|t| t.key)
+            .collect();
+        assert_eq!(keys, [0, 1, 2], "every tuple once, in order");
     }
 
     #[test]
-    fn try_send_below_batch_size_buffers_without_touching_channel() {
-        let (mut h, rx) = unserviced_handle(1, 8);
-        for k in 0..7 {
-            h.try_send_all([(k, ())]).1.unwrap();
-        }
-        assert_eq!(h.buffers[0].len(), 7);
-        h.flush().unwrap(); // fits: channel empty
-        let Some(ShardMsg::Batch(b)) = rx.recv() else {
-            panic!("expected flushed batch")
-        };
-        assert_eq!(b.len(), 7);
-        // Channel full again → a refusing ship keeps the batch.
-        for k in 0..8 {
-            h.try_send_all([(k, ())]).1.unwrap();
-        }
-        assert!(h.buffers[0].is_empty(), "8th tuple shipped the batch");
-        h.try_send_all([(3, ())]).1.unwrap();
-        let refused = ToShards(&h.core, OnFull::Refuse).ship(0, &mut h.buffers[0]);
-        assert_eq!(refused, Err(TryIngestError::Busy));
-        assert_eq!(h.buffers[0].len(), 1, "refused batch stays buffered");
-    }
-
-    /// The one batch a 1-slot FIFO holds.
-    fn queued<V>(rx: &crate::channel::Receiver<ShardMsg<V>>) -> Vec<Tuple<V>> {
-        match rx.recv() {
-            Some(ShardMsg::Batch(b)) => b,
-            _ => panic!("expected a batch"),
-        }
-    }
-
-    #[test]
-    fn try_send_all_equals_the_per_tuple_loop() {
+    fn send_all_equals_the_per_tuple_loop() {
         let run: Vec<(u32, u64)> = (0..10).map(|k| (k, 100 + u64::from(k))).collect();
         let (mut by_run, run_rx) = unserviced_handle::<u64>(1, 4);
         let (mut by_loop, loop_rx) = unserviced_handle::<u64>(1, 4);
+        let (run_fifo, loop_fifo) = (drain_after_a_stall(run_rx), drain_after_a_stall(loop_rx));
         // Tuples 0..4 fill the one slot; the 8th tuple completes the next
-        // frame, whose ship is refused: Busy right at a frame boundary.
-        let (accepted, result) = by_run.try_send_all(run.iter().copied());
-        assert_eq!((accepted, result), (7, Err(TryIngestError::Busy)));
-        let mut looped = 0;
+        // frame, whose ship waits for the drainer: a stall right at a
+        // frame boundary.
+        assert_eq!(by_run.send_all(run.iter().copied()), (run.len(), Ok(())));
         for &(key, value) in &run {
-            if by_loop.try_send_all([(key, value)]).1.is_err() {
-                break;
-            }
-            looped += 1;
+            assert_eq!(by_loop.send_all([(key, value)]), (1, Ok(())));
         }
-        assert_eq!(looped, accepted);
         assert_eq!(by_run.buffers, by_loop.buffers, "same staged tuples");
-        assert_eq!(by_run.buffers[0].len(), 3, "the refused tuple was popped");
-        let delivered = queued(&run_rx);
-        assert_eq!(delivered, queued(&loop_rx), "same FIFO contents");
-
-        // Once the FIFO drains, the refused suffix resent verbatim lands
-        // exactly once: what reaches the shard folds to the serial sum.
-        assert_eq!(
-            by_run.try_send_all(run[accepted..].iter().copied()),
-            (3, Ok(()))
-        );
-        let mut all = delivered;
-        all.extend(queued(&run_rx));
-        by_run.flush().unwrap();
-        all.extend(queued(&run_rx));
-        let fold = |tuples: &mut dyn Iterator<Item = (u32, u64)>| {
-            let mut table = [0u64; 16];
-            for (key, value) in tuples {
-                table[key as usize] += value;
-            }
-            table
-        };
-        assert_eq!(
-            fold(&mut all.iter().map(|t| (t.key, t.value))),
-            fold(&mut run.iter().copied())
-        );
-        assert_eq!(all.len(), run.len(), "nothing lost or duplicated");
+        assert_eq!(by_run.buffers[0].len(), 2);
+        for h in [&by_run, &by_loop] {
+            assert!(stalls(&h.core.senders[0].counters()) >= 1, "never stalled");
+        }
+        drop((by_run, by_loop));
+        let delivered = run_fifo.join().unwrap();
+        assert_eq!(delivered, loop_fifo.join().unwrap(), "same FIFO contents");
+        let arrived: Vec<(u32, u64)> = delivered
+            .iter()
+            .flatten()
+            .map(|t| (t.key, t.value))
+            .collect();
+        assert_eq!(arrived, run, "nothing lost, duplicated or reordered");
     }
 
     #[test]
-    fn try_send_all_stops_at_an_out_of_range_key() {
+    fn send_all_stops_at_an_out_of_range_key() {
         let (mut h, _rx) = unserviced_handle::<u64>(1, 4);
         let run = [(1, 10), (2, 20), (16, 30), (3, 40)];
-        assert_eq!(
-            h.try_send_all(run),
-            (2, Err(TryIngestError::KeyOutOfRange(16)))
-        );
+        assert_eq!(h.send_all(run), (2, Err(IngestError::KeyOutOfRange(16))));
         let staged: Vec<u32> = h.buffers[0].iter().map(|t| t.key).collect();
         assert_eq!(staged, [1, 2], "nothing staged past the refused key");
     }
 
     #[test]
-    fn a_send_loop_equals_one_try_send_all_when_the_fifo_never_fills() {
+    fn a_send_loop_equals_one_send_all_when_the_fifo_never_fills() {
         let run: Vec<(u32, u64)> = (0..30).map(|i| ((i * 7) % 16, u64::from(i))).collect();
         let (mut by_send, send_rx) = unserviced_handle::<u64>(16, 4);
         let (mut by_run, run_rx) = unserviced_handle::<u64>(16, 4);
         for &(key, value) in &run {
             by_send.send(key, value).unwrap();
         }
-        assert_eq!(
-            by_run.try_send_all(run.iter().copied()),
-            (run.len(), Ok(()))
-        );
+        assert_eq!(by_run.send_all(run.iter().copied()), (run.len(), Ok(())));
         assert_eq!(by_send.buffers, by_run.buffers, "same staged tuples");
         assert_eq!(by_run.buffers[0].len(), run.len() % 4);
         // ordering: Relaxed — test-side stats reads.
@@ -1342,14 +1257,22 @@ mod tests {
         }
     }
 
+    /// The next batch in a FIFO.
+    fn queued<V>(rx: &crate::channel::Receiver<ShardMsg<V>>) -> Vec<Tuple<V>> {
+        match rx.recv() {
+            Some(ShardMsg::Batch(b)) => b,
+            _ => panic!("expected a batch"),
+        }
+    }
+
     #[test]
-    fn try_send_after_shutdown_is_closed() {
+    fn send_all_after_shutdown_is_closed() {
         let p = IngestPipeline::new(16, Count, StreamConfig::new().batch_tuples(1));
         let mut h = p.handle();
-        h.try_send_all([(3, ())]).1.unwrap();
+        h.send_all([(3, ())]).1.unwrap();
         let (snap, _) = p.shutdown();
         assert_eq!(*snap.get(3), 1);
-        assert_eq!(h.try_send_all([(4, ())]).1, Err(TryIngestError::Closed));
+        assert_eq!(h.send_all([(4, ())]).1, Err(IngestError::Closed));
     }
 
     #[test]

@@ -183,11 +183,10 @@ impl StreamStats {
         }
     }
 
-    /// Total backpressure events (blocking sends that found a full FIFO
-    /// and waited). A caller that admits with `try_send_all` and then settles
-    /// with the blocking `flush` — the serve reactor — shows its waits
-    /// here and in `send_stall_nanos`; `try_send_fulls` counts only the
-    /// refusals it turned into `Busy`.
+    /// Total backpressure events (sends that found a full FIFO and
+    /// waited). Every way in — `send`, `send_all`, `flush`, a seal — waits
+    /// the same way, so the serve reactor's admission and settle stalls
+    /// show here and in `send_stall_nanos`.
     pub fn total_send_blocks(&self) -> u64 {
         self.shards.iter().map(|s| s.channel.send_blocks).sum()
     }

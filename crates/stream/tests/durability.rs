@@ -3,7 +3,9 @@
 //! taken mid-run, which is exactly what a kill -9 leaves behind), and
 //! corrupted-log fault injection.
 
-use cobra_stream::{Count, DurableConfig, IngestPipeline, StreamConfig, SyncPolicy};
+use cobra_stream::{
+    Count, DurableConfig, IngestPipeline, ShardStats, StreamConfig, Sum, SyncPolicy,
+};
 use cobra_wal::{latest_checkpoint, write_checkpoint, CheckpointMeta};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -127,6 +129,42 @@ fn recovery_without_checkpoints_replays_the_whole_wal() {
     let (snap2, stats2) = p2.shutdown();
     assert_eq!(snap2.to_vec(), expect);
     assert!(stats2.wal_replayed_records > 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A recovered pipeline's shard counters count its live tuples only: the
+/// WAL replays through binners of its own, not the workers' binners.
+#[test]
+fn a_recovered_pipelines_shard_stats_count_live_ingest_only() {
+    const REPLAYED: u32 = 2_000;
+    const LIVE: u32 = 700;
+    let dir = temp_dir("live-stats");
+    let durable = DurableConfig::new(&dir)
+        .sync(SyncPolicy::Never)
+        .checkpoint_every(0);
+    let send = |p: &IngestPipeline<Sum>, n: u32, stride: u32| {
+        let mut h = p.handle();
+        for i in 0..n {
+            h.send(i * stride % KEYS, 1.0).expect("send");
+        }
+        h.seal_epoch().expect("seal");
+    };
+    let (p, _) = IngestPipeline::recover(KEYS, Sum, stream_cfg(), durable.clone()).expect("fresh");
+    send(&p, REPLAYED, 13);
+    p.shutdown();
+
+    let (p2, report) = IngestPipeline::recover(KEYS, Sum, stream_cfg(), durable).expect("recover");
+    assert_eq!(report.replayed_tuples, u64::from(REPLAYED));
+    send(&p2, LIVE, 7);
+    let (_, stats) = p2.shutdown();
+    let total = |f: fn(&ShardStats) -> u64| stats.shards.iter().map(f).sum::<u64>();
+    assert_eq!(total(|s| s.tuples_binned), u64::from(LIVE));
+    assert_eq!(total(|s| s.fusion.attempts), u64::from(LIVE));
+    assert_eq!(
+        total(|s| s.cbuf_flushes.tuples + s.fusion.hits),
+        u64::from(LIVE),
+        "every live tuple was fused or flushed, and nothing else was"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -8,7 +8,7 @@
 //! vanishing while producers are wedged on a full FIFO.
 
 use cobra_stream::channel::{bounded, Disconnected};
-use cobra_stream::{Append, Count, IngestPipeline, StreamConfig, Sum, TryIngestError};
+use cobra_stream::{Append, Count, IngestPipeline, StreamConfig, Sum};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -166,32 +166,29 @@ fn epoch_snapshots_stay_monotonic_under_backpressure() {
     assert_eq!(total, 2_000);
 }
 
-/// `send` and one-tuple `try_send_all` runs (retried on `Busy`) are two
+/// `send` per tuple and one `send_all` over the whole stream are two
 /// callers of one stage-and-ship: the same stream through either, against
-/// 1-deep FIFOs, ends in the same per-key arrival logs and the same
-/// `tuples_sent`, and the partial batches a dropped handle still held are
-/// in there.
+/// 1-deep FIFOs that stall both, ends in the same per-key arrival logs and
+/// the same `tuples_sent`, and the partial batches a dropped handle still
+/// held are in there.
 #[test]
-fn send_and_try_send_with_retry_are_equivalent() {
+fn send_and_send_all_are_equivalent() {
     let stream: Vec<(u32, u32)> = (0..20_000u32)
         .map(|i| (i.wrapping_mul(2654435761) % 256, i))
         .collect();
-    let run = |blocking: bool| {
+    let run = |per_tuple: bool| {
         let cfg = StreamConfig::new()
             .shards(2)
             .channel_capacity(1)
             .batch_tuples(7); // 20_000 % 7 != 0: the drop ships a remainder
         let pipeline = IngestPipeline::new(256, Append, cfg);
         let mut handle = pipeline.handle();
-        for &(k, v) in &stream {
-            if blocking {
+        if per_tuple {
+            for &(k, v) in &stream {
                 handle.send(k, v).expect("pipeline open");
-            } else {
-                while let (_, Err(e)) = handle.try_send_all([(k, v)]) {
-                    assert_eq!(e, TryIngestError::Busy);
-                    thread::yield_now();
-                }
             }
+        } else {
+            assert_eq!(handle.send_all(stream.iter().copied()), (20_000, Ok(())));
         }
         drop(handle);
         let (snapshot, stats) = pipeline.shutdown();
